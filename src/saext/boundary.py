@@ -75,16 +75,6 @@ def endpoint_to_block_permutation(n: int) -> np.ndarray:
     return sigma
 
 
-def _vector_endpoint_to_block(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    out[sigma] = x
-    return out
-
-
-def _vector_block_to_endpoint(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    return x[sigma]
-
-
 def _matrix_endpoint_to_block(m: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     out = np.empty_like(m)
     out[np.ix_(sigma, sigma)] = m

@@ -104,12 +104,14 @@ def _solve_problem(cfg: JobConfig, mu: float):
     return geom, bc, potential, mesh, values, pencil, solution
 
 
-def _dump_matrix(path: Path, matrix: np.ndarray) -> None:
+def _dump_matrix(path: Path, matrix) -> None:
+    """Write the nonzero entries of a sparse matrix in row-major order."""
+    coo = matrix.tocoo()
+    order = np.lexsort((coo.col, coo.row))
     rows = [
-        [str(i), str(j), _fmt(matrix[i, j].real), _fmt(matrix[i, j].imag)]
-        for i in range(matrix.shape[0])
-        for j in range(matrix.shape[1])
-        if matrix[i, j] != 0
+        [str(i), str(j), _fmt(z.real), _fmt(z.imag)]
+        for i, j, z in zip(coo.row[order], coo.col[order], coo.data[order])
+        if z != 0
     ]
     _write_csv(path, ["i", "j", "re", "im"], rows)
 

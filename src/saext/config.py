@@ -280,8 +280,8 @@ def build_problem(cfg: JobConfig):
     geom = build_geometry(cfg)
     bc = build_boundary_condition(cfg, geom.n)
     potential = build_potential(cfg, geom.n)
-    if cfg.mu <= 0:
-        raise ConfigError(f"mu must be positive, got {cfg.mu}")
+    if not (np.isfinite(cfg.mu) and cfg.mu > 0):
+        raise ConfigError(f"mu must be positive and finite, got {cfg.mu}")
     if cfg.eigen_count < 0:
         raise ConfigError(f"eigen.count must be >= 0, got {cfg.eigen_count}")
     return geom, bc, potential

@@ -12,7 +12,8 @@ matrix, so the span satisfies the boundary condition non-trivially.
 Global ordering per interval: left boundary function, bulk functions in
 node order, right boundary function; intervals concatenated.  With this
 ordering A and B are tridiagonal except for the rows and columns of the
-2n boundary functions.
+2n boundary functions: an arrow matrix with O(N) nonzeros, assembled and
+stored as ``scipy.sparse`` CSR arrays in vectorized numpy.
 
 The quadratic form behind A is
     Q(f, g) = mu * (<f', g'> - [conj(f) g']_boundary) + <f, V g>,
@@ -20,7 +21,7 @@ where the boundary bracket sums conj(f) g' over right endpoints minus left
 endpoints with one-sided slopes.  B is the exact mass matrix.  Given the
 weighted-hermiticity constraint on the boundary values, Q is hermitian;
 assembly mirrors the upper triangle so A = A^H holds exactly, and aborts
-if the raw (un-mirrored) assembly deviates beyond roundoff.
+if the raw (un-mirrored) boundary block deviates beyond roundoff.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .boundary import BoundaryCondition, BoundaryValues
 from .geometry import Mesh
@@ -109,24 +111,30 @@ class BasisMap:
 class Pencil:
     """Hermitian generalized eigenvalue problem A Phi = lambda B Phi.
 
-    ``basis`` is None for hand-built pencils that do not come from an
-    assembly (the eigensolver does not need it).
+    ``a`` and ``b`` are always ``scipy.sparse`` CSR arrays; dense inputs of
+    hand-built pencils are converted on construction.  ``basis`` is None
+    for hand-built pencils that do not come from an assembly; the
+    eigensolver then uses its dense path.  ``v_min`` is the smallest value
+    of V at the quadrature points (0 for V = 0 and for hand-built
+    pencils); the sparse eigensolver starts its shift search below it.
     """
 
-    a: np.ndarray
-    b: np.ndarray
+    a: scipy.sparse.csr_array
+    b: scipy.sparse.csr_array
     mesh: Mesh
     basis: BasisMap | None
     mu: float
+    v_min: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("a", "b"):
+            object.__setattr__(
+                self, name, scipy.sparse.csr_array(getattr(self, name), dtype=complex)
+            )
 
     @property
     def dim(self) -> int:
         return self.a.shape[0]
-
-    def sparsity_pattern(self) -> np.ndarray:
-        """Boolean matrix of structurally admissible nonzeros (shared-support
-        pairs); entries outside it are exactly zero in both A and B."""
-        return structural_sparsity(self.mesh, self.basis)
 
 
 def eval_bulk(mesh: Mesh, alpha: int, k: int, x):
@@ -176,58 +184,37 @@ def eval_boundary(mesh: Mesh, bvals: BoundaryValues, i: int, alpha: int, x):
     return vals[j] * (1.0 - t) + vals[j + 1] * t
 
 
-def _element_tables(mesh: Mesh, basis: BasisMap, bvals: BoundaryValues | None):
-    """Yield (alpha, element, indices, left values, right values).
+def _element_potential(potential: Potential, mesh: Mesh, alpha: int,
+                       t_ref: np.ndarray, gauss_w: np.ndarray):
+    """Gauss-quadrature moments int V phi_a phi_b of every element of
+    interval alpha, with phi_0 = 1 - t and phi_1 = t the two linear shapes.
 
-    Structure is independent of the boundary values: on the two extreme
-    elements of each interval every boundary function is active (their
-    endpoint values live there), elsewhere at most two functions overlap.
-    When ``bvals`` is None, endpoint values are reported as ones, which is
-    enough to derive the sparsity pattern.
+    V is evaluated once on the (elements x points) array of abscissae.
+    Returns (p00, p01, p11, min V), each moment an array over elements.
     """
-    n = mesh.n
-    bidx = basis.boundary_indices()
-    two_n = 2 * n
-    for alpha, r_alpha in enumerate(mesh.r):
-        def node_owner(k):
-            if k == 1:
-                return basis.boundary_index(2 * alpha)
-            if k == r_alpha:
-                return basis.boundary_index(2 * alpha + 1)
-            return basis.bulk_index(alpha, k)
-
-        for e in range(r_alpha + 1):
-            if e == 0:
-                idx = bidx
-                left = (bvals.v[2 * alpha, :].copy() if bvals is not None
-                        else np.ones(two_n, dtype=complex))
-                right = np.zeros(two_n, dtype=complex)
-                right[2 * alpha] = 1.0
-            elif e == r_alpha:
-                idx = bidx
-                left = np.zeros(two_n, dtype=complex)
-                left[2 * alpha + 1] = 1.0
-                right = (bvals.v[2 * alpha + 1, :].copy() if bvals is not None
-                         else np.ones(two_n, dtype=complex))
-            else:
-                idx = np.array([node_owner(e), node_owner(e + 1)])
-                left = np.array([1.0, 0.0], dtype=complex)
-                right = np.array([0.0, 1.0], dtype=complex)
-            yield alpha, e, idx, left, right
+    h = mesh.h[alpha]
+    xq = mesh.nodes[alpha][:-1, None] + h * t_ref[None, :]
+    vq = np.asarray(potential.value(alpha, xq), dtype=float)
+    if not np.all(np.isfinite(vq)):
+        raise AssemblyError(
+            f"potential is not finite at a quadrature point of interval {alpha}"
+        )
+    wv = (h / 2.0) * gauss_w[None, :] * vq
+    return (wv @ (1.0 - t_ref) ** 2, wv @ ((1.0 - t_ref) * t_ref),
+            wv @ t_ref ** 2, float(np.min(vq)))
 
 
-def structural_sparsity(mesh: Mesh, basis: BasisMap | None = None) -> np.ndarray:
-    if basis is None:
-        basis = BasisMap(mesh)
-    pattern = np.zeros((basis.size, basis.size), dtype=bool)
-    for _, _, idx, _, _ in _element_tables(mesh, basis, None):
-        pattern[np.ix_(idx, idx)] = True
-    return pattern
-
-
-def _hermitian_mirror(raw: np.ndarray) -> np.ndarray:
-    upper = np.triu(raw, k=1)
-    return upper + upper.conj().T + np.diag(raw.diagonal().real)
+def _hermitian_from_upper(rows, cols, vals, dim: int) -> scipy.sparse.csr_array:
+    """Exactly hermitian CSR matrix from upper-triangle entries (duplicates
+    summed): the strict upper part, its conjugate mirror and the real part
+    of the diagonal."""
+    upper = scipy.sparse.csr_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    )
+    strict = scipy.sparse.triu(upper, k=1)
+    diagonal = scipy.sparse.diags_array(upper.diagonal().real)
+    return (strict + strict.conj().T + diagonal).tocsr()
 
 
 def assemble_pencil(
@@ -244,14 +231,27 @@ def assemble_pencil(
     every subinterval; stiffness and mass use the exact closed forms for
     piecewise-linear elements.
 
+    The interior elements 1 .. r_alpha - 1 of each interval join two nodes
+    owned by consecutive basis functions and give the tridiagonal part.  The
+    two extreme elements carry every boundary function; they and the
+    Lagrange bracket give the dense 2n x 2n boundary block, which is the
+    only part checked for raw hermiticity (the tridiagonal part is real
+    symmetric by construction).  A and B are built from their upper
+    triangles and mirrored, so A = A^H and B = B^H hold exactly.
+
     Raises
     ------
     AssemblyError
-        On mismatched inputs, a violated weighted-hermiticity constraint,
-        or a raw assembly that is not hermitian to roundoff.
+        On mismatched inputs, a mass factor that is not a positive finite
+        number, a potential that is not finite at a quadrature point, a
+        violated weighted-hermiticity constraint, or a raw boundary block
+        that is not hermitian to roundoff.
     """
     if potential is None:
         potential = ZeroPotential()
+    if not (np.isfinite(mu) and mu > 0):
+        raise AssemblyError(f"mass factor mu must be positive and finite, got {mu}")
+    mu = float(mu)
     if bc.n != mesh.n:
         raise AssemblyError(f"boundary condition n = {bc.n}, mesh n = {mesh.n}")
     if bvals.v.shape != (2 * mesh.n, 2 * mesh.n):
@@ -268,57 +268,73 @@ def assemble_pencil(
         )
 
     basis = BasisMap(mesh)
-    dim = basis.size
-    a_raw = np.zeros((dim, dim), dtype=complex)
-    b_raw = np.zeros((dim, dim), dtype=complex)
-
+    two_n = 2 * mesh.n
+    unit = np.eye(two_n)
     skip_potential = isinstance(potential, ZeroPotential)
     if not skip_potential:
         gauss_x, gauss_w = np.polynomial.legendre.leggauss(int(quadrature_order))
         t_ref = (gauss_x + 1.0) / 2.0  # quadrature abscissae on [0, 1]
-
-    for alpha, e, idx, left, right in _element_tables(mesh, basis, bvals):
-        h = mesh.h[alpha]
-        lc = left.conj()
-        rc = right.conj()
-        mass = (h / 6.0) * (
-            2.0 * np.outer(lc, left)
-            + np.outer(lc, right)
-            + np.outer(rc, left)
-            + 2.0 * np.outer(rc, right)
-        )
-        diff = right - left
-        stiff = np.outer(diff.conj(), diff) / h
-        b_raw[np.ix_(idx, idx)] += mass
-        a_raw[np.ix_(idx, idx)] += mu * stiff
-
-        if not skip_potential:
-            x0 = mesh.nodes[alpha][e]
-            xq = x0 + h * t_ref
-            vq = potential.value(alpha, xq)
-            # basis values at the quadrature points: shape (active, points)
-            pg = np.outer(left, 1.0 - t_ref) + np.outer(right, t_ref)
-            weights = (h / 2.0) * gauss_w * vq
-            a_raw[np.ix_(idx, idx)] += (pg.conj() * weights[None, :]) @ pg.T
+    v_min = 0.0 if skip_potential else np.inf
 
     # Lagrange boundary bracket, nonzero only on the boundary block:
     # [conj(beta_l) beta_m']_boundary = (G^H V - G^H)[l, m] = (G V - G)[l, m]
     # since G is exactly hermitian.
-    bidx = basis.boundary_indices()
-    bracket = bvals.g @ bvals.v - bvals.g
-    a_raw[np.ix_(bidx, bidx)] -= mu * bracket
+    a_block = -mu * (bvals.g @ bvals.v - bvals.g)
+    b_block = np.zeros((two_n, two_n), dtype=complex)
+    rows, cols, a_tri, b_tri = [], [], [], []
+    for alpha, r_alpha in enumerate(mesh.r):
+        h = mesh.h[alpha]
+        if skip_potential:
+            p00 = p01 = p11 = np.zeros(r_alpha + 1)
+        else:
+            p00, p01, p11, v_low = _element_potential(
+                potential, mesh, alpha, t_ref, gauss_w
+            )
+            v_min = min(v_min, v_low)
+        stiff = mu / h
 
-    for name, raw in (("A", a_raw), ("B", b_raw)):
-        scale = max(1.0, float(np.max(np.abs(raw))))
+        # Element e = 1 .. r_alpha - 1 joins nodes e and e + 1, whose hats are
+        # the basis functions start + e - 1 and start + e.
+        idx = basis.boundary_index(2 * alpha) + np.arange(r_alpha)
+        a_diag = np.zeros(r_alpha)
+        a_diag[:-1] += stiff + p00[1:-1]
+        a_diag[1:] += stiff + p11[1:-1]
+        b_diag = np.zeros(r_alpha)
+        b_diag[:-1] += 2.0 * h / 6.0
+        b_diag[1:] += 2.0 * h / 6.0
+        rows += [idx, idx[:-1]]
+        cols += [idx, idx[1:]]
+        a_tri += [a_diag, -stiff + p01[1:-1]]
+        b_tri += [b_diag, np.full(r_alpha - 1, h / 6.0)]
+
+        # Element 0 runs from the endpoint values V[2 alpha, :] to the unit
+        # peak of function 2 alpha; element r_alpha from the peak of
+        # function 2 alpha + 1 to the endpoint values V[2 alpha + 1, :].
+        for e, left, right in (
+            (0, bvals.v[2 * alpha], unit[2 * alpha]),
+            (r_alpha, unit[2 * alpha + 1], bvals.v[2 * alpha + 1]),
+        ):
+            lc, rc = left.conj(), right.conj()
+            ll, lr = np.outer(lc, left), np.outer(lc, right)
+            rl, rr = np.outer(rc, left), np.outer(rc, right)
+            b_block += (h / 6.0) * (2.0 * ll + lr + rl + 2.0 * rr)
+            a_block += (stiff * (ll - lr - rl + rr) + p00[e] * ll
+                        + p01[e] * (lr + rl) + p11[e] * rr)
+
+    for name, raw, tri in (("A", a_block, a_tri), ("B", b_block, b_tri)):
+        scale = max(1.0, float(np.max(np.abs(raw))),
+                    max(float(np.max(np.abs(t))) for t in tri))
         defect = float(np.max(np.abs(raw - raw.conj().T)))
-        if defect > _CONSISTENCY_TOL * scale:
+        if not defect <= _CONSISTENCY_TOL * scale:
             raise AssemblyError(
                 f"raw {name} assembly is non-hermitian beyond roundoff "
                 f"(defect {defect:.3e}, scale {scale:.3e})"
             )
 
-    a = _hermitian_mirror(a_raw)
-    b = _hermitian_mirror(b_raw)
-    a.flags.writeable = False
-    b.flags.writeable = False
-    return Pencil(a=a, b=b, mesh=mesh, basis=basis, mu=float(mu))
+    bidx = basis.boundary_indices()
+    iu, ju = np.triu_indices(two_n)
+    rows.append(bidx[iu])
+    cols.append(bidx[ju])
+    a = _hermitian_from_upper(rows, cols, a_tri + [a_block[iu, ju]], basis.size)
+    b = _hermitian_from_upper(rows, cols, b_tri + [b_block[iu, ju]], basis.size)
+    return Pencil(a=a, b=b, mesh=mesh, basis=basis, mu=mu, v_min=float(v_min))

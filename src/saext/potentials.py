@@ -1,7 +1,7 @@
 """Potential descriptors for the operator -mu d^2/dx^2 + V(x).
 
 Potentials must be real valued (this is what keeps the assembled stiffness
-matrix hermitian) and bounded on the domain.
+matrix hermitian), finite and bounded on the domain.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ class ConstantPotential(Potential):
 
     def __init__(self, values) -> None:
         self.values = tuple(float(c) for c in values)
+        if not all(np.isfinite(self.values)):
+            raise PotentialError(f"potential values must be finite, got {self.values}")
 
     def value(self, alpha, x):
         return np.full_like(np.asarray(x, dtype=float), self.values[alpha])
@@ -64,6 +66,8 @@ class SampledPotential(Potential):
         v = np.asarray(v, dtype=float)
         if x.ndim != 1 or x.shape != v.shape or x.size < 2:
             raise PotentialError("sample table needs matching 1d arrays, >= 2 points")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+            raise PotentialError("sample table entries must be finite")
         order = np.argsort(x, kind="stable")
         self.x = x[order]
         self.v = v[order]

@@ -214,6 +214,13 @@ def _integrated_traces(potential, geom, lam, mu, steps):
     return psi_l, dpsi_l, psi_r, dpsi_r
 
 
+def _positive_mu(mu) -> float:
+    mu = float(mu)
+    if not (np.isfinite(mu) and mu > 0):
+        raise ValueError(f"mass factor mu must be positive and finite, got {mu}")
+    return mu
+
+
 def fundamental_traces(
     potential: Potential,
     geom: IntervalSet,
@@ -232,7 +239,7 @@ def fundamental_traces(
     if basis not in ("normalized", "exponential"):
         raise ValueError(f"unknown basis {basis!r}")
     lam = float(lam)
-    mu = float(mu)
+    mu = _positive_mu(mu)
     n = geom.n
     constants = [potential.constant_value(alpha) for alpha in range(n)]
     if all(c is not None for c in constants):
@@ -442,6 +449,7 @@ def find_spectrum(
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
         raise ValueError(f"invalid lambda range ({lo}, {hi})")
+    mu = _positive_mu(mu)
 
     def s_of(lam):
         return np.sign(lam) * np.sqrt(np.abs(lam))

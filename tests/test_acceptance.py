@@ -282,11 +282,10 @@ def test_criterion_09_hermiticity_and_definiteness():
         mesh = build_mesh(geom, resolution)
         values = solve_boundary_values(assemble_boundary_system(bc, mesh))
         pencil = assemble_pencil(mesh, bc, values)
-        herm = np.array_equal(pencil.a, pencil.a.conj().T) and np.array_equal(
-            pencil.b, pencil.b.conj().T
-        )
+        a, b = pencil.a.toarray(), pencil.b.toarray()
+        herm = np.array_equal(a, a.conj().T) and np.array_equal(b, b.conj().T)
         try:
-            scipy.linalg.cholesky(pencil.b, lower=True)
+            scipy.linalg.cholesky(b, lower=True)
             chol = True
         except scipy.linalg.LinAlgError:
             chol = False

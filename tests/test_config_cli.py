@@ -481,3 +481,11 @@ def test_threads_env_does_not_change_output(tmp_path):
             os.environ["SAEXT_THREADS"] = old
     assert (out1 / "convergence.csv").read_bytes() == \
         (out2 / "convergence.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_cmd_rejects_nan_mass_factor(tmp_path, command):
+    cfg_path = _write(tmp_path, DIRICHLET_CONFIG)
+    code = main([command, "--config", str(cfg_path), "--out",
+                 str(tmp_path / "o"), "--mu", "nan"])
+    assert code == EXIT_CONFIG

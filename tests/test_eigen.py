@@ -1,12 +1,16 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from helpers import charpoly_eigenvalues, random_hermitian, random_spd
 from saext.boundary import (
     BoundaryCondition,
     assemble_boundary_system,
+    random_unitary,
+    retry_mesh_on_bad_conditioning,
     solve_boundary_values,
 )
 from saext.eigen import (
@@ -20,6 +24,7 @@ from saext.eigen import (
 )
 from saext.fem import Pencil, assemble_pencil
 from saext.geometry import IntervalSet, build_mesh
+from saext.potentials import ConstantPotential, SampledPotential, ZeroPotential
 
 TWO_PI = 2 * math.pi
 
@@ -85,15 +90,20 @@ def test_b_orthonormality_and_residuals_random():
     assert np.all(sol.residuals <= residual_tolerances(pencil, sol.eigenvalues))
 
 
-def test_degenerate_pair_orthonormal():
+def test_degenerate_pair_orthonormal(resolution=120):
     # periodic free particle has exactly degenerate excited pairs
     bc = BoundaryCondition.quasi_periodic(0.0)
-    mesh, vals, pencil, sol = _solve_setup(bc, 120, count=7)
+    mesh, vals, pencil, sol = _solve_setup(bc, resolution, count=7)
     gram = sol.eigenvectors.conj().T @ pencil.b @ sol.eigenvectors
     assert np.max(np.abs(gram - np.eye(7))) <= 1e-10
     # pairs (1,2) and (3,4) are nearly degenerate
     assert abs(sol.eigenvalues[1] - sol.eigenvalues[2]) <= 1e-3
     assert abs(sol.eigenvalues[3] - sol.eigenvalues[4]) <= 1e-2
+
+
+def test_degenerate_pair_orthonormal_at_n2000():
+    # the sparse path's Rayleigh-Ritz step keeps the pairs B-orthonormal
+    test_degenerate_pair_orthonormal(resolution=2000)
 
 
 def test_degenerate_cluster_grouping():
@@ -151,6 +161,99 @@ def test_reports_failing_pivot():
     with pytest.raises(PositiveDefinitenessError) as err:
         solve_pencil(_raw_pencil(a, b))
     assert err.value.pivot == 2
+
+
+# ------------------------------------------------------ sparse partial path
+
+def _random_pencil(seed):
+    """Random U on 1-3 intervals with zero, constant or sampled V."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 3
+    geom = IntervalSet([(3.0 * k, 3.0 * k + rng.uniform(1.0, 3.0))
+                        for k in range(n)])
+    potential = (
+        ZeroPotential(),
+        ConstantPotential(rng.uniform(-3.0, 5.0, n)),
+        SampledPotential(np.linspace(0.0, 9.0, 13), rng.uniform(-2.0, 4.0, 13)),
+    )[seed // 3 % 3]
+    bc = BoundaryCondition.from_matrix(random_unitary(2 * n, rng))
+    mesh, _, vals = retry_mesh_on_bad_conditioning(
+        bc, geom, int(rng.integers(60, 300))
+    )
+    pencil = assemble_pencil(mesh, bc, vals, potential,
+                             mu=float(rng.uniform(0.3, 2.0)))
+    return pencil, 1 + seed % 12
+
+
+def _sparse_fallbacks(caplog):
+    return [r for r in caplog.records if "dense fallback" in r.getMessage()]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_sparse_path_matches_dense(seed, caplog):
+    pencil, count = _random_pencil(seed)
+    with caplog.at_level(logging.WARNING, logger="saext"):
+        part = solve_pencil(pencil, count=count)
+    assert not _sparse_fallbacks(caplog)  # the certified sparse path answered
+    full = solve_pencil(pencil).eigenvalues[:count]
+    assert part.count == count
+    assert np.max(np.abs(part.eigenvalues - full)
+                  / np.maximum(1.0, np.abs(full))) <= 1e-8
+    assert np.all(part.residuals <= residual_tolerances(pencil, part.eigenvalues))
+    gram = part.eigenvectors.conj().T @ (pencil.b @ part.eigenvectors)
+    assert np.max(np.abs(gram - np.eye(count))) <= 1e-10
+
+
+def test_sparse_path_certifies_cluster_straddling_the_count(caplog):
+    # three identical Dirichlet intervals: every level is a triple
+    geom = IntervalSet([(0.0, 2.0), (3.0, 5.0), (6.0, 8.0)])
+    bc = BoundaryCondition.dirichlet(3)
+    _, _, pencil, _ = _solve_setup(bc, 300, count=1, geom=geom)
+    full = solve_pencil(pencil).eigenvalues
+    for count in (1, 2, 4):
+        with caplog.at_level(logging.WARNING, logger="saext"):
+            part = solve_pencil(pencil, count=count)
+        assert np.allclose(part.eigenvalues, full[:count], rtol=1e-10, atol=0)
+    assert not _sparse_fallbacks(caplog)
+
+
+def test_missed_eigenvalue_falls_back_to_dense(monkeypatch, caplog):
+    bc = BoundaryCondition.quasi_periodic(0.0)
+    _, _, pencil, reference = _solve_setup(bc, 300, count=None)
+    real_eigs = scipy.sparse.linalg.eigs
+
+    def skipping_eigs(op, k, **kwargs):
+        # one more pair than asked for, minus the second lowest level (the
+        # second largest shift-inverted value): a plausible ARPACK run that
+        # missed one member of the first degenerate pair
+        theta, x = real_eigs(op, k=k + 1, **kwargs)
+        keep = np.argsort(-theta.real)[np.arange(k + 1) != 1]
+        return theta[keep], x[:, keep]
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", skipping_eigs)
+    with caplog.at_level(logging.WARNING, logger="saext"):
+        sol = solve_pencil(pencil, count=6)
+    assert any("certificate failed" in r.getMessage() for r in caplog.records)
+    assert np.allclose(sol.eigenvalues, reference.eigenvalues[:6], rtol=0, atol=1e-10)
+
+
+def test_full_spectrum_never_takes_sparse_path(monkeypatch):
+    bc = BoundaryCondition.quasi_periodic(0.0)
+    _, _, pencil, _ = _solve_setup(bc, 200, count=3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ARPACK called for a full spectrum")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", forbidden)
+    assert solve_pencil(pencil).count == pencil.dim
+
+
+def test_partial_solves_repeat_bytewise():
+    pencil, _ = _random_pencil(5)
+    first = solve_pencil(pencil, count=9)
+    second = solve_pencil(pencil, count=9)
+    assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+    assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
 
 
 # ----------------------------------------------------------------- sampling

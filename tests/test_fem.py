@@ -251,8 +251,9 @@ def test_constant_potential_shifts_by_mass_matrix():
     p0 = assemble_pencil(mesh, bc, vals, ZeroPotential())
     c = 2.7
     pc = assemble_pencil(mesh, bc, vals, ConstantPotential([c]))
-    assert np.max(np.abs(pc.a - (p0.a + c * p0.b))) <= 1e-12 * np.max(np.abs(p0.a))
-    assert np.array_equal(pc.b, p0.b)
+    a0, b0 = p0.a.toarray(), p0.b.toarray()
+    assert np.max(np.abs(pc.a.toarray() - (a0 + c * b0))) <= 1e-12 * np.max(np.abs(a0))
+    assert np.array_equal(pc.b.toarray(), b0)
 
 
 def test_quadrature_order_convergence_quartic():
@@ -264,7 +265,7 @@ def test_quadrature_order_convergence_quartic():
     quartic = CallablePotential(lambda x: (x / math.pi - 1.0) ** 4)
     p3 = assemble_pencil(mesh, bc, vals, quartic, quadrature_order=3)
     p6 = assemble_pencil(mesh, bc, vals, quartic, quadrature_order=6)
-    assert np.max(np.abs(p3.a - p6.a)) < 1e-10
+    assert np.max(np.abs(p3.a.toarray() - p6.a.toarray())) < 1e-10
 
 
 def test_sampled_potential_matches_callable_on_linear():
@@ -278,7 +279,7 @@ def test_sampled_potential_matches_callable_on_linear():
     tab = SampledPotential([0.0, 2.0], [-1.0, 5.0])
     p1 = assemble_pencil(mesh, bc, vals, lin)
     p2 = assemble_pencil(mesh, bc, vals, tab)
-    assert np.max(np.abs(p1.a - p2.a)) <= 1e-12
+    assert np.max(np.abs(p1.a.toarray() - p2.a.toarray())) <= 1e-12
 
 
 # ------------------------------------------------- hermiticity / definiteness
@@ -295,9 +296,10 @@ def test_hermitian_and_positive_definite_random(seed):
     sys = assemble_boundary_system(bc, mesh)
     vals = solve_boundary_values(sys)
     pencil = assemble_pencil(mesh, bc, vals)
-    assert np.array_equal(pencil.a, pencil.a.conj().T)
-    assert np.array_equal(pencil.b, pencil.b.conj().T)
-    scipy.linalg.cholesky(pencil.b, lower=True)  # must not raise
+    a, b = pencil.a.toarray(), pencil.b.toarray()
+    assert np.array_equal(a, a.conj().T)
+    assert np.array_equal(b, b.conj().T)
+    scipy.linalg.cholesky(b, lower=True)  # must not raise
 
 
 def test_assembly_rejects_constraint_violation():
@@ -310,6 +312,34 @@ def test_assembly_rejects_constraint_violation():
     bad = BoundaryValues(v=v, g=g, h=h)
     with pytest.raises(AssemblyError, match="hermiticity"):
         assemble_pencil(mesh, bc, bad)
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf])
+def test_assembly_rejects_bad_mass_factor(mu):
+    _, mesh, bc, vals = _setup(BoundaryCondition.dirichlet, resolution=12)
+    with pytest.raises(AssemblyError, match="mu"):
+        assemble_pencil(mesh, bc, vals, mu=mu)
+
+
+def test_assembly_rejects_non_finite_quadrature_values():
+    _, mesh, bc, vals = _setup(BoundaryCondition.dirichlet, resolution=12)
+    pole = CallablePotential(lambda x: np.where(x > 3.0, np.nan, 0.0))
+    with pytest.raises(AssemblyError, match="not finite"):
+        assemble_pencil(mesh, bc, vals, pole)
+
+
+def test_assembly_hermiticity_gate_rejects_nan():
+    # NaN endpoint values with an exactly hermitian G reach the raw
+    # boundary block; NaN must fail the gate, not slip past a `>` test.
+    geom = IntervalSet([(0.0, TWO_PI)])
+    mesh = build_mesh(geom, 12)
+    h = mesh.h_endpoint
+    g = np.array([[0.3, 0.1], [0.1, 0.4]], dtype=complex)
+    v = h[:, None] * g
+    v[0, 1] = np.nan
+    bad = BoundaryValues(v=v, g=g, h=h)
+    with pytest.raises(AssemblyError, match="non-hermitian"):
+        assemble_pencil(mesh, BoundaryCondition.dirichlet(1), bad)
 
 
 def test_assembly_rejects_foreign_mesh():
@@ -333,9 +363,10 @@ def test_sparsity_pattern_and_case_analysis():
     sys = assemble_boundary_system(bc, mesh)
     vals = solve_boundary_values(sys)
     pencil = assemble_pencil(mesh, bc, vals)
-    pattern = pencil.sparsity_pattern()
-    assert np.all(pencil.a[~pattern] == 0)
-    assert np.all(pencil.b[~pattern] == 0)
+    # stored entries of A and B: tridiagonal plus the boundary rows/columns
+    pattern = np.zeros((pencil.dim, pencil.dim), dtype=bool)
+    for m in (pencil.a.tocoo(), pencil.b.tocoo()):
+        pattern[m.row, m.col] = True
 
     bm = pencil.basis
     bidx = set(bm.boundary_indices().tolist())
@@ -353,6 +384,9 @@ def test_sparsity_pattern_and_case_analysis():
     neighbors = set(np.nonzero(pattern[gb])[0].tolist())
     assert bidx <= neighbors
     assert bm.bulk_index(1, 2) in neighbors
+    # O(N) storage: at most three entries per bulk row, 2n + 2 per boundary row
+    n_bnd = len(bidx)
+    assert pencil.a.nnz <= 3 * (pencil.dim - n_bnd) + n_bnd * (n_bnd + 2)
 
 
 def test_empty_bulk_interval_assembles():
@@ -367,13 +401,15 @@ def test_empty_bulk_interval_assembles():
     vals = solve_boundary_values(sys)
     pencil = assemble_pencil(mesh, bc, vals)
     assert pencil.dim == mesh.dim
-    assert np.array_equal(pencil.a, pencil.a.conj().T)
-    scipy.linalg.cholesky(pencil.b, lower=True)
+    a = pencil.a.toarray()
+    assert np.array_equal(a, a.conj().T)
+    scipy.linalg.cholesky(pencil.b.toarray(), lower=True)
 
 
 def test_mass_factor_scales_kinetic_part():
     _, mesh, bc, vals = _setup(BoundaryCondition.dirichlet, resolution=16)
     p1 = assemble_pencil(mesh, bc, vals, mu=1.0)
     p2 = assemble_pencil(mesh, bc, vals, mu=0.5)
-    assert np.max(np.abs(p2.a - 0.5 * p1.a)) <= 1e-14 * np.max(np.abs(p1.a))
-    assert np.array_equal(p2.b, p1.b)
+    a1 = p1.a.toarray()
+    assert np.max(np.abs(p2.a.toarray() - 0.5 * a1)) <= 1e-14 * np.max(np.abs(a1))
+    assert np.array_equal(p2.b.toarray(), p1.b.toarray())

@@ -56,3 +56,17 @@ def test_callable_real_valued_complex_dtype_ok():
     pot = CallablePotential(lambda x: (x + 0j))
     assert np.array_equal(pot.value(0, np.array([1.0, 2.0])), [1.0, 2.0])
     assert not pot.is_constant(1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sampled_rejects_non_finite_table(bad):
+    with pytest.raises(PotentialError, match="finite"):
+        SampledPotential([0.0, 1.0, 2.0], [0.0, bad, 1.0])
+    with pytest.raises(PotentialError, match="finite"):
+        SampledPotential([0.0, bad, 2.0], [0.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_constant_rejects_non_finite_values(bad):
+    with pytest.raises(PotentialError, match="finite"):
+        ConstantPotential([1.0, bad])

@@ -340,3 +340,15 @@ def test_fem_cross_check_single_random_extension():
     assert roots.size >= 5
     rel = np.abs(roots[:5] - fem) / np.maximum(1.0, np.abs(roots[:5]))
     assert np.max(rel) <= 1e-3
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf])
+def test_fundamental_traces_rejects_bad_mass_factor(mu):
+    with pytest.raises(ValueError, match="mu"):
+        fundamental_traces(FREE, GEOM, 1.0, mu=mu)
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, math.nan])
+def test_find_spectrum_rejects_bad_mass_factor(mu):
+    with pytest.raises(ValueError, match="mu"):
+        find_spectrum(BoundaryCondition.dirichlet(1), FREE, GEOM, (0.0, 2.0), mu=mu)
