@@ -127,7 +127,7 @@ class BoundaryCondition:
             raise BoundaryError(f"boundary matrix must have even dimension, got {dim}")
         n = dim // 2
         defect = float(np.linalg.norm(u.conj().T @ u - np.eye(dim)))
-        if defect > UNITARITY_TOL:
+        if not defect <= UNITARITY_TOL:
             raise BoundaryError(
                 f"matrix is not unitary: ||U^H U - I|| = {defect:.3e} "
                 f"exceeds {UNITARITY_TOL:.1e}"
@@ -336,13 +336,13 @@ def solve_boundary_values(
 
     c_norm = float(np.linalg.norm(sys.c))
     if c_norm == 0.0:
-        if float(np.linalg.norm(v)) > _ZERO_RHS_TOL:
+        if not float(np.linalg.norm(v)) <= _ZERO_RHS_TOL:
             raise BoundarySolveError(
                 "homogeneous boundary system produced a nonzero solution"
             )
     else:
         residual = float(np.linalg.norm(sys.f @ v - sys.c))
-        if residual > _SOLVE_RTOL * c_norm:
+        if not residual <= _SOLVE_RTOL * c_norm:
             raise BoundarySolveError(
                 f"boundary solve residual {residual:.3e} exceeds "
                 f"{_SOLVE_RTOL:.1e} * ||C|| = {_SOLVE_RTOL * c_norm:.3e}"
@@ -354,7 +354,7 @@ def solve_boundary_values(
     lhs = (v - 1j * beta_dot) - sys.u @ (v + 1j * beta_dot)
     col_defects = np.linalg.norm(lhs, axis=0)
     worst = float(np.max(col_defects))
-    if worst > _TRACE_TOL:
+    if not worst <= _TRACE_TOL:
         raise BoundarySolveError(
             f"boundary-function trace defect {worst:.3e} exceeds {_TRACE_TOL:.1e}"
         )

@@ -469,8 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="configuration file")
         cmd.add_argument("--out", default=".", help="output directory")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override the configured RNG seed")
         cmd.add_argument("--mu", type=float, default=None,
                          help="override the configured mass factor")
         cmd.add_argument("--levels", type=int, default=None,
@@ -493,8 +491,6 @@ def main(argv=None) -> int:
             print(f"saext: cannot read config: {exc}", file=sys.stderr)
             return EXIT_IO
         cfg = parse_config(text)
-        if args.seed is not None:
-            cfg.seed = args.seed
         if args.mu is not None:
             cfg.mu = args.mu
         mu = cfg.mu

@@ -95,7 +95,6 @@ class JobConfig:
     stability_levels: int = 4
     stability_mode: str = "linear"
     stability_matching: str = "index"
-    seed: int = 0
 
 
 # key name -> (attribute, kind); kind in
@@ -126,7 +125,6 @@ _KEYS: dict[str, tuple[str, str]] = {
     "stability.levels": ("stability_levels", "int"),
     "stability.mode": ("stability_mode", "string"),
     "stability.matching": ("stability_matching", "string"),
-    "seed": ("seed", "int"),
 }
 
 
@@ -155,6 +153,8 @@ def parse_config(text: str) -> JobConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key == "seed":  # removed, unused key; echoed configs still carry it
+            continue
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in seen:

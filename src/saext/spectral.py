@@ -23,6 +23,18 @@ basis in which the closed-form single-interval expressions take their
 familiar shape; it degenerates as k -> 0, so it is rejected near that
 point.  Any nondegenerate basis change only multiplies the determinant by
 a nonzero factor and moves no zeros.
+
+Numerical integration
+---------------------
+Non-constant potentials are integrated by fixed-step RK4.  The system
+Psi' = A(x) Psi is linear, so each RK4 step is an exact 2x2 map M_n built
+from V at x_n, x_n + h/2 and x_n + h, and the state after m steps is the
+ordered product M_{m-1} ... M_0.  V is tabulated with one vectorized
+``potential.value`` call per node set, the step maps are built as an
+(m, 2, 2) array and multiplied pairwise in order.  A result is accepted
+when m and 2m steps agree to 1e-9 (non-finite states never agree); the
+step count doubles up to 2**17 before ``TraceIntegrationError``.  A
+non-finite tabulated V raises ``PotentialError`` at once.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ import numpy as np
 
 from .boundary import BoundaryCondition
 from .geometry import IntervalSet
-from .potentials import Potential
+from .potentials import Potential, PotentialError
 
 DEFAULT_ODE_STEPS = 2048
 _ODE_RTOL = 1e-9
@@ -165,24 +177,56 @@ def _closed_form_traces(geom, lam, mu, constants, basis):
     return psi_l, dpsi_l, psi_r, dpsi_r
 
 
+def _step_matrices(q0, q1, q2, h):
+    """The (m, 2, 2) stack of RK4 step maps for Psi' = A(x) Psi.
+
+    With A(q) = [[0, 1], [q, 0]] and q0, q1, q2 the values of
+    (V - lambda) / mu at x_n, x_n + h/2 and x_n + h, one RK4 step is the
+    exact linear map M_n = I + h/6 (K1 + 2 K2 + 2 K3 + K4), where
+    K1 = A(q0), K2 = A(q1)(I + h/2 K1), K3 = A(q1)(I + h/2 K2) and
+    K4 = A(q2)(I + h K3); the entries below are that sum multiplied out.
+    """
+    h2 = h * h
+    c = 1.0 + (h2 / 4.0) * q0
+    d = 1.0 + (h2 / 4.0) * q1
+    e = 1.0 + (h2 / 2.0) * q1
+    m = np.empty((q0.size, 2, 2))
+    m[:, 0, 0] = 1.0 + (h2 / 6.0) * (q0 + q1 + q1 * c)
+    m[:, 0, 1] = h + (h * h2 / 6.0) * q1
+    m[:, 1, 0] = (h / 6.0) * (q0 + 2.0 * q1 + 2.0 * q1 * c + q2 * e)
+    m[:, 1, 1] = 1.0 + (h2 / 6.0) * (2.0 * q1 + q2 * d)
+    return m
+
+
+def _ordered_product(mats):
+    """M_{m-1} ... M_0 of an (m, 2, 2) stack, multiplied pairwise in order."""
+    identity = np.eye(2)[None]
+    while mats.shape[0] > 1:
+        if mats.shape[0] % 2:
+            mats = np.concatenate((mats, identity))
+        mats = mats[1::2] @ mats[0::2]
+    return mats[0]
+
+
 def _rk4_fundamental(potential, alpha, a, b, lam, mu, steps):
-    """Integrate the 2x2 fundamental system from a to b with fixed-step RK4."""
+    """Integrate the 2x2 fundamental system from a to b with fixed-step RK4.
+
+    V is tabulated once at the step nodes x_n, x_n + h/2 and x_n + h (the
+    nodes accumulate x += h from a, as a stepping loop would), and the
+    state is the ordered product of the per-step transfer matrices.
+    Returns the complex 2x2 state with rows Psi, Psi' and one column per
+    fundamental solution.
+    """
     h = (b - a) / steps
-    state = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)  # rows: Psi, Psi'
-
-    def deriv(x, s):
-        q = (float(potential.value(alpha, x)) - lam) / mu
-        return np.array([s[1], q * s[0]])
-
-    x = a
-    for _ in range(steps):
-        k1 = deriv(x, state)
-        k2 = deriv(x + h / 2, state + (h / 2) * k1)
-        k3 = deriv(x + h / 2, state + (h / 2) * k2)
-        k4 = deriv(x + h, state + h * k3)
-        state = state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        x += h
-    return state
+    x = np.add.accumulate(np.concatenate(([a], np.full(steps - 1, h))))
+    v = [np.asarray(potential.value(alpha, nodes), dtype=float)
+         for nodes in (x, x + h / 2, x + h)]
+    if not all(np.all(np.isfinite(t)) for t in v):
+        raise PotentialError(
+            f"potential is not finite on interval {alpha} ({a}, {b})"
+        )
+    q0, q1, q2 = ((t - lam) / mu for t in v)
+    return _ordered_product(_step_matrices(q0, q1, q2, h)).astype(complex)
 
 
 def _integrated_traces(potential, geom, lam, mu, steps):
@@ -234,7 +278,9 @@ def fundamental_traces(
     Constant (including zero) potentials use closed forms; other potentials
     are integrated from the left endpoint with initial data (1, 0) and
     (0, 1) by fixed-step RK4, accepted only when a step-halving comparison
-    agrees to 1e-9.
+    agrees to 1e-9.  Raises ``PotentialError`` when V is not finite at an
+    integration node and ``TraceIntegrationError`` when the step halving
+    does not converge.
     """
     if basis not in ("normalized", "exponential"):
         raise ValueError(f"unknown basis {basis!r}")
@@ -272,10 +318,19 @@ def spectral_matrix(bc: BoundaryCondition, traces: FundamentalTraces) -> Spectra
     """Assemble M(U, lambda) = I . [psi_-] - U . [psi_+] in block ordering."""
     if bc.n != traces.n:
         raise ValueError(f"boundary condition n = {bc.n}, traces n = {traces.n}")
+    n = bc.n
     t_minus = traces.trace_matrix(-1)
     t_plus = traces.trace_matrix(+1)
-    eye = np.eye(2 * bc.n, dtype=complex)
-    m = odot(eye, t_minus) - odot(bc.u_block, t_plus)
+    u = bc.u_block
+    # Column block sigma of odot(U, T) is U[:, :n] . T_l^sigma + U[:, n:] . T_r^sigma,
+    # which for U = I puts T_l^sigma and T_r^sigma on the two block diagonals.
+    m = np.hstack([
+        -(u[:, :n] * t_plus[:n, sigma] + u[:, n:] * t_plus[n:, sigma])
+        for sigma in (0, 1)
+    ])
+    rows = np.arange(2 * n)
+    for sigma in (0, 1):
+        m[rows, sigma * n + rows % n] += t_minus[:, sigma]
     return SpectralMatrix(m=m, lam=traces.lam, detval=complex(np.linalg.det(m)))
 
 
@@ -366,18 +421,12 @@ def _column_scales(traces: FundamentalTraces) -> np.ndarray:
     collapse entirely.
     """
     n = traces.n
-    t_minus = traces.trace_matrix(-1)
-    t_plus = traces.trace_matrix(+1)
-    scales = np.empty(2 * n)
-    for sigma in (0, 1):
-        for alpha in range(n):
-            scales[sigma * n + alpha] = (
-                abs(t_minus[alpha, sigma])
-                + abs(t_minus[n + alpha, sigma])
-                + abs(t_plus[alpha, sigma])
-                + abs(t_plus[n + alpha, sigma])
-            )
-    return np.maximum(scales, np.finfo(float).tiny)
+    # np.hypot rounds like the scalar abs(complex); np.abs differs in the last bit.
+    t_minus, t_plus = (np.hypot(t.real, t.imag)
+                       for t in (traces.trace_matrix(-1), traces.trace_matrix(+1)))
+    # (n, 2) sums indexed [alpha, sigma]; column sigma * n + alpha of M.
+    scales = t_minus[:n] + t_minus[n:] + t_plus[:n] + t_plus[n:]
+    return np.maximum(scales.T.ravel(), np.finfo(float).tiny)
 
 
 def _scaled_matrix(sm: SpectralMatrix, scales: np.ndarray) -> np.ndarray:

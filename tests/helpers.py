@@ -90,3 +90,28 @@ def weighted_hermitian_values(
     (1/h_j) conj(V[j, i]) = (1/h_i) V[i, j] exactly."""
     g = random_hermitian(2 * n, rng)
     return h_endpoint[:, None] * g
+
+
+def rk4_fundamental_loop(potential, alpha, a, b, lam, mu, steps):
+    """Fixed-step RK4 for the 2x2 fundamental system, one step at a time.
+
+    The reference for the library's transfer-matrix integrator: a plain
+    stepping loop with one scalar ``potential.value`` call per stage.
+    Returns the complex state with rows Psi, Psi' after ``steps`` steps.
+    """
+    h = (b - a) / steps
+    state = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+
+    def deriv(x, s):
+        q = (float(potential.value(alpha, x)) - lam) / mu
+        return np.array([s[1], q * s[0]])
+
+    x = a
+    for _ in range(steps):
+        k1 = deriv(x, state)
+        k2 = deriv(x + h / 2, state + (h / 2) * k1)
+        k3 = deriv(x + h / 2, state + (h / 2) * k2)
+        k4 = deriv(x + h, state + h * k3)
+        state = state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        x += h
+    return state

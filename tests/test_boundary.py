@@ -130,6 +130,11 @@ def test_from_matrix_rejects_non_unitary():
         assert "e-01" in str(exc) or "0.1" in str(exc) or "e+00" in str(exc)
 
 
+def test_from_matrix_rejects_nan():
+    with pytest.raises(BoundaryError, match="not unitary"):
+        BoundaryCondition.from_matrix([[math.nan, 0.0], [0.0, 1.0]])
+
+
 def test_from_matrix_rejects_odd_or_nonsquare():
     with pytest.raises(BoundaryError, match="square"):
         BoundaryCondition.from_matrix(np.ones((2, 3)))

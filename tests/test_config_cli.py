@@ -47,8 +47,14 @@ def test_parse_and_defaults():
     assert cfg.resolution == 120
     assert cfg.eigen_count == 5
     assert cfg.mu == 1.0
-    assert cfg.seed == 0
     assert cfg.kappa_max == 1e8
+
+
+def test_removed_seed_key_accepted_and_ignored():
+    # configs echoed before the unused seed key was removed still load
+    cfg = parse_config(DIRICHLET_CONFIG + "seed = 7\n")
+    assert cfg == parse_config(DIRICHLET_CONFIG)
+    assert "seed" not in render_config(cfg)
 
 
 def test_schema_header_required():
@@ -193,6 +199,21 @@ def test_cmd_solve_rejects_non_unitary(tmp_path, capsys):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "not unitary" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_cmd_rejects_nan_boundary_matrix(tmp_path, capsys, command):
+    bad = (
+        SCHEMA_HEADER
+        + "\ngeometry.intervals = 0 6.28"
+        + "\nboundary.kind = matrix"
+        + "\nboundary.matrix = nan,0 0,0 0,0 1,0"
+        + "\nresolution = 30\n"
+    )
+    cfg_path = _write(tmp_path, bad)
+    code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "not unitary" in capsys.readouterr().err
 
 
 def test_cmd_solve_conditioning_exhaustion(tmp_path):

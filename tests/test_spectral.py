@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from helpers import rk4_fundamental_loop
+from saext import spectral
 from saext.boundary import BoundaryCondition, random_unitary
 from saext.geometry import IntervalSet
-from saext.potentials import CallablePotential, ConstantPotential, ZeroPotential
+from saext.potentials import (
+    CallablePotential,
+    ConstantPotential,
+    PotentialError,
+    SampledPotential,
+    ZeroPotential,
+)
 from saext.spectral import (
     TraceIntegrationError,
     find_spectrum,
@@ -183,6 +191,82 @@ def test_integration_failure_reported(monkeypatch):
     with pytest.raises(TraceIntegrationError, match="did not reach"):
         fundamental_traces(stiff, IntervalSet([(0.0, 1.0)]), 0.5, mu=1.0,
                            ode_steps=1024)
+
+
+def _sampled_potential(seed, length=TWO_PI / 2, points=17):
+    # table knots fall on RK4 step nodes for power-of-two step counts on
+    # (0, length), so step halving converges there at fourth order
+    rng = np.random.default_rng(seed)
+    return SampledPotential(np.linspace(0.0, length, points),
+                            rng.uniform(0.0, 2.0, points))
+
+
+@pytest.mark.parametrize("steps", [1, 3, 1023])
+@pytest.mark.parametrize("seed", range(3))
+def test_transfer_matrix_rk4_matches_stepping_loop(seed, steps):
+    # V ranges over [0, 2]: lambda below, inside and above that range, two
+    # intervals of the shared table, mu != 1
+    pot = _sampled_potential(seed)
+    for alpha, (a, b) in enumerate([(0.0, 1.2), (0.5, 3.0)]):
+        for lam in (-3.0, 0.7, 25.0):
+            for mu in (1.0, 0.35):
+                ref = rk4_fundamental_loop(pot, alpha, a, b, lam, mu, steps)
+                got = spectral._rk4_fundamental(pot, alpha, a, b, lam, mu, steps)
+                assert got.dtype == complex and got.shape == (2, 2)
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_transfer_matrix_rk4_nodes_match_stepping_loop():
+    # V is tabulated at exactly the abscissae the stepping loop visits
+    seen = []
+
+    def record(x):
+        seen.append(np.array(x, copy=True))
+        return np.zeros_like(x)
+
+    a, b, steps = 0.1, 2.9, 777
+    spectral._rk4_fundamental(CallablePotential(record), 0, a, b, 1.0, 1.0, steps)
+    assert len(seen) == 3
+    h = (b - a) / steps
+    x, left, mid, right = a, [], [], []
+    for _ in range(steps):
+        left.append(x)
+        mid.append(x + h / 2)
+        right.append(x + h)
+        x += h
+    for got, ref in zip(seen, (left, mid, right)):
+        assert np.array_equal(got, np.array(ref))
+
+
+def test_sampled_traces_tabulate_v_three_times_per_integration():
+    calls = []
+    pot = _sampled_potential(4)
+
+    def count(x):
+        calls.append(x.size)
+        return pot.value(0, x)
+
+    fundamental_traces(CallablePotential(count), IntervalSet([(0.0, TWO_PI / 2)]), 1.3)
+    # coarse (2048 steps) and fine (4096) integration, three node sets each
+    assert calls == [2048] * 3 + [4096] * 3
+
+
+def test_non_finite_potential_in_rk4_raises_potential_error():
+    nan_tail = CallablePotential(lambda x: np.where(x > 0.8, np.nan, 1.0))
+    with pytest.raises(PotentialError, match="not finite"):
+        fundamental_traces(nan_tail, IntervalSet([(0.0, 1.0)]), 0.5)
+
+
+def test_sampled_find_spectrum_is_deterministic():
+    pot = _sampled_potential(2)
+    bc = BoundaryCondition.from_matrix(random_unitary(2, np.random.default_rng(2)))
+    geom = IntervalSet([(0.0, TWO_PI / 2)])
+    first, second = (
+        find_spectrum(bc, pot, geom, (1.5, 2.5), mu=0.5, grid_points=48)
+        for _ in range(2)
+    )
+    assert first.size > 0
+    assert first.tobytes() == second.tobytes()
 
 
 # ------------------------------------------------------------ determinant paths
