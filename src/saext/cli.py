@@ -9,7 +9,10 @@ stability    sensitivity of the spectrum to boundary-condition perturbations
 condition    conditioning report of the boundary matrix
 
 Outputs are CSV files (RFC-4180 style, header row, 17 significant digits)
-plus an echo of the fully resolved configuration.  Exit codes: 0 success,
+plus an echo of the fully resolved configuration.  The stability study fits
+K(eps) = a eps^b + c per level by variable projection: a and c are linear
+least-squares coefficients for each b, and b minimizes the remaining residual
+(a scan of [-4, 4], then golden section).  Exit codes: 0 success,
 2 configuration validation, 3 conditioning failure, 4 solver failure,
 5 I/O failure.  The environment variable SAEXT_THREADS caps the number of
 concurrent work items in the sweep subcommands; sweeps are buffered and
@@ -20,16 +23,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import logging
 import math
 import os
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from . import __version__
 from .boundary import (
@@ -46,13 +48,19 @@ from .eigen import EigenSolveError, eigenfunction_samples, h1_error, solve_penci
 from .fem import AssemblyError, assemble_pencil
 from .geometry import GeometryError, build_mesh
 from .potentials import PotentialError
-from .spectral import TraceIntegrationError, find_spectrum
+from .spectral import TraceIntegrationError, _golden_min, find_spectrum
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONDITIONING = 3
 EXIT_SOLVER = 4
 EXIT_IO = 5
+
+_LOG = logging.getLogger(__name__)
+
+# Exponent grid of the power-law fit.  Its spacing 8/799 keeps b = 0 off the
+# grid: there eps**b is constant and a is undetermined.
+_FIT_EXPONENTS = np.linspace(-4.0, 4.0, 800)
 
 
 def _fmt(x) -> str:
@@ -241,55 +249,45 @@ def nearest_unitary(matrix: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _power_law_fit(eps: np.ndarray, k_vals: np.ndarray):
-    """Fit K(eps) = a * eps**b + c; deterministic multi-start least squares.
+    """Fit K(eps) = a * eps**b + c by variable projection.
 
-    Returns (a, b, c) or None when every start fails.
+    The model is linear in a and c, so they are eliminated in closed form
+    (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973) and the fit reduces to
+    a 1-D minimization of the remaining residual over b: a scan of
+    _FIT_EXPONENTS, then golden section in the bracket around the best grid
+    point.  Returns (a, b, c), or None when the residual is finite for no b.
     """
+    k_mean = k_vals.mean()
+    k_c = k_vals - k_mean
 
-    def model(x, a, b, c):
-        return a * np.power(x, b) + c
+    def projection(b):
+        # centred linear least squares for fixed b (vectorized over b):
+        # p = eps**b, a = <p - mean p, K - mean K> / |p - mean p|^2,
+        # c = mean K - a mean p; the cost is the squared residual, +inf
+        # where it is not finite
+        b = np.asarray(b, dtype=float)[..., None]
+        with np.errstate(all="ignore"):
+            p = eps ** b
+            p_mean = p.mean(axis=-1)
+            p_c = p - p_mean[..., None]
+            a = np.sum(p_c * k_c, axis=-1) / np.sum(p_c * p_c, axis=-1)
+            resid = k_c - a[..., None] * p_c
+            cost = np.sum(resid * resid, axis=-1)
+        return a, k_mean - a * p_mean, np.where(np.isfinite(cost), cost, np.inf)
 
-    best = None
-    best_cost = np.inf
-    k0 = float(k_vals[0])
-    k1 = float(k_vals[-1])
-    e0 = float(eps[0])
-    for b0 in (-1.0, -0.5, -0.1, 0.1, 0.5):
-        a0 = (k0 - k1) * e0 ** (-b0)
-        if not np.isfinite(a0) or a0 == 0.0:
-            a0 = 1.0
-        for c0 in (k1, 0.0):
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", scipy.optimize.OptimizeWarning)
-                    params, _ = scipy.optimize.curve_fit(
-                        model, eps, k_vals, p0=(a0, b0, c0), maxfev=20000
-                    )
-            except (RuntimeError, ValueError):
-                continue
-            resid = model(eps, *params) - k_vals
-            cost = float(resid @ resid)
-            if cost < best_cost:
-                best_cost = cost
-                best = tuple(float(p) for p in params)
-    return best
-
-
-def _level_clusters(eigenvalues: np.ndarray, rtol: float = 1e-3) -> list[list[int]]:
-    """Group sorted eigenvalues into near-degenerate clusters.
-
-    Distinct energy levels of the unperturbed problem; the periodic free
-    particle has a simple ground level followed by exactly double levels,
-    split only at discretization-error size.
-    """
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, eigenvalues.size):
-        prev = eigenvalues[clusters[-1][0]]
-        if abs(eigenvalues[i] - prev) <= rtol * max(1.0, abs(prev)):
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return clusters
+    grid = _FIT_EXPONENTS
+    costs = projection(grid)[2]
+    i = int(np.argmin(costs))
+    if not np.isfinite(costs[i]):
+        return None
+    if i in (0, grid.size - 1):
+        _LOG.warning("power-law fit: best exponent %g lies on the edge of the "
+                     "search grid [%g, %g]", grid[i], grid[0], grid[-1])
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    b, _ = _golden_min(lambda x: float(projection(x)[2]),
+                       float(lo), float(hi), 1e-12)
+    a, c, _ = projection(b)
+    return float(a), b, float(c)
 
 
 def stability_study(
@@ -316,6 +314,16 @@ def stability_study(
     per-level power-law fits K = a eps^b + c, and the re-unitarization
     distances.
     """
+    start, stop, step = (cfg.stability_eps_start, cfg.stability_eps_stop,
+                         cfg.stability_eps_step)
+    if not (math.isfinite(step) and step > 0):
+        raise ConfigError(f"stability.eps_step must be positive and finite, "
+                          f"got {step}")
+    if not (math.isfinite(start) and math.isfinite(stop) and 0 <= start <= stop):
+        raise ConfigError("stability needs finite 0 <= eps_start <= eps_stop, "
+                          f"got eps_start = {start}, eps_stop = {stop}")
+    if levels < 1:
+        raise ConfigError(f"stability levels must be at least 1, got {levels}")
     geom, bc, potential = build_problem(cfg)
     periodic = BoundaryCondition.quasi_periodic(0.0)
     if geom.n != 1 or np.max(np.abs(bc.u_endpoint - periodic.u_endpoint)) > 1e-12:
@@ -330,25 +338,26 @@ def stability_study(
     count = 2 * levels + 1
     mesh = build_mesh(geom, cfg.resolution)
 
-    def eigenvalues_for(bc_eps: BoundaryCondition) -> np.ndarray:
+    def solution_for(bc_eps: BoundaryCondition):
         system = assemble_boundary_system(bc_eps, mesh)
         values = solve_boundary_values(system, kappa_max=cfg.kappa_max)
         pencil = assemble_pencil(mesh, bc_eps, values, potential, mu=mu)
-        return solve_pencil(pencil, count=count).eigenvalues
+        return solve_pencil(pencil, count=count)
 
-    base = eigenvalues_for(bc)
-    clusters = _level_clusters(base)
+    base_solution = solution_for(bc)
+    base = base_solution.eigenvalues
+    # distinct energy levels: the periodic ring has a simple ground level and
+    # double levels split only at discretization-error size
+    clusters = base_solution.degenerate_clusters(rtol=1e-3)
     if len(clusters) < levels + 1:
         raise ConfigError(
             f"only {len(clusters)} distinct levels available, "
             f"need {levels + 1} (ground + {levels})"
         )
 
-    n_steps = int(round((cfg.stability_eps_stop - cfg.stability_eps_start)
-                        / cfg.stability_eps_step)) + 1
-    eps_list = [cfg.stability_eps_start + i * cfg.stability_eps_step
-                for i in range(n_steps)]
-    eps_list = [e for e in eps_list if e <= cfg.stability_eps_stop * (1 + 1e-12)]
+    n_steps = int(round((stop - start) / step)) + 1
+    eps_list = [start + i * step for i in range(n_steps)]
+    eps_list = [e for e in eps_list if e <= stop * (1 + 1e-12)]
 
     generator = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -362,7 +371,7 @@ def stability_study(
         else:
             bc_eps = BoundaryCondition.quasi_periodic(eps)
             distance = 0.0
-        return eigenvalues_for(bc_eps), distance
+        return solution_for(bc_eps).eigenvalues, distance
 
     results = _map_over(eps_list, one)
 

@@ -207,14 +207,22 @@ def _element_potential(potential: Potential, mesh: Mesh, alpha: int,
 def _hermitian_from_upper(rows, cols, vals, dim: int) -> scipy.sparse.csr_array:
     """Exactly hermitian CSR matrix from upper-triangle entries (duplicates
     summed): the strict upper part, its conjugate mirror and the real part
-    of the diagonal."""
-    upper = scipy.sparse.csr_array(
+    of the diagonal, built in one COO -> CSR pass.  Entries that sum to zero
+    are not stored."""
+    upper = scipy.sparse.coo_array(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim, dim),
     )
-    strict = scipy.sparse.triu(upper, k=1)
-    diagonal = scipy.sparse.diags_array(upper.diagonal().real)
-    return (strict + strict.conj().T + diagonal).tocsr()
+    upper.sum_duplicates()
+    r, c, v = upper.row, upper.col, upper.data
+    strict = (r < c) & (v != 0)
+    diag = (r == c) & (v.real != 0)
+    return scipy.sparse.csr_array(
+        (np.concatenate([v[strict], v[strict].conj(), v[diag].real]),
+         (np.concatenate([r[strict], c[strict], r[diag]]),
+          np.concatenate([c[strict], r[strict], c[diag]]))),
+        shape=(dim, dim),
+    )
 
 
 def assemble_pencil(

@@ -8,8 +8,12 @@ through generic numpy/scipy machinery only.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import scipy.integrate
+import scipy.optimize
+import scipy.sparse
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -115,3 +119,53 @@ def rk4_fundamental_loop(potential, alpha, a, b, lam, mu, steps):
         state = state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         x += h
     return state
+
+
+def hermitian_from_upper_reference(rows, cols, vals, dim: int):
+    """Hermitian CSR matrix from upper-triangle entries by sparse-matrix
+    algebra: sum duplicates in a CSR array, then strict upper part plus its
+    conjugate transpose plus the real diagonal."""
+    upper = scipy.sparse.csr_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    )
+    strict = scipy.sparse.triu(upper, k=1)
+    diagonal = scipy.sparse.diags_array(upper.diagonal().real)
+    return (strict + strict.conj().T + diagonal).tocsr()
+
+
+def power_law_fit_multistart(eps: np.ndarray, k_vals: np.ndarray):
+    """Fit K(eps) = a * eps**b + c by Levenberg-Marquardt (``curve_fit``)
+    from ten deterministic starts; the best residual wins.
+
+    The reference for the library's variable-projection fit.  Returns
+    (a, b, c) or None when every start fails.
+    """
+
+    def model(x, a, b, c):
+        return a * np.power(x, b) + c
+
+    best = None
+    best_cost = np.inf
+    k0 = float(k_vals[0])
+    k1 = float(k_vals[-1])
+    e0 = float(eps[0])
+    for b0 in (-1.0, -0.5, -0.1, 0.1, 0.5):
+        a0 = (k0 - k1) * e0 ** (-b0)
+        if not np.isfinite(a0) or a0 == 0.0:
+            a0 = 1.0
+        for c0 in (k1, 0.0):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", scipy.optimize.OptimizeWarning)
+                    params, _ = scipy.optimize.curve_fit(
+                        model, eps, k_vals, p0=(a0, b0, c0), maxfev=20000
+                    )
+            except (RuntimeError, ValueError):
+                continue
+            resid = model(eps, *params) - k_vals
+            cost = float(resid @ resid)
+            if cost < best_cost:
+                best_cost = cost
+                best = tuple(float(p) for p in params)
+    return best

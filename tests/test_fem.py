@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import quad_complex, weighted_hermitian_values
+from helpers import (
+    hermitian_from_upper_reference,
+    quad_complex,
+    weighted_hermitian_values,
+)
+from saext import fem
 from saext.boundary import (
     BoundaryCondition,
     BoundaryValues,
@@ -285,7 +290,18 @@ def test_sampled_potential_matches_callable_on_linear():
 # ------------------------------------------------- hermiticity / definiteness
 
 @pytest.mark.parametrize("seed", range(12))
-def test_hermitian_and_positive_definite_random(seed):
+def test_hermitian_and_positive_definite_random(seed, monkeypatch):
+    # every CSR build must equal the sparse-algebra reference, stored
+    # entries and their order included
+    builds = []
+    build = fem._hermitian_from_upper
+
+    def recording(rows, cols, vals, dim):
+        got = build(rows, cols, vals, dim)
+        builds.append((got, hermitian_from_upper_reference(rows, cols, vals, dim)))
+        return got
+
+    monkeypatch.setattr(fem, "_hermitian_from_upper", recording)
     n = 1 + seed % 2
     geom = (IntervalSet([(0.0, TWO_PI)]) if n == 1
             else IntervalSet([(0.0, 1.0), (0.5, 2.1)]))
@@ -296,6 +312,11 @@ def test_hermitian_and_positive_definite_random(seed):
     sys = assemble_boundary_system(bc, mesh)
     vals = solve_boundary_values(sys)
     pencil = assemble_pencil(mesh, bc, vals)
+    assert len(builds) == 2
+    for got, ref in builds:
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data)
     a, b = pencil.a.toarray(), pencil.b.toarray()
     assert np.array_equal(a, a.conj().T)
     assert np.array_equal(b, b.conj().T)

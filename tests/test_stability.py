@@ -1,0 +1,126 @@
+"""The stability study: input validation, level clusters and the
+variable-projection power-law fit."""
+
+import logging
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import saext
+from helpers import power_law_fit_multistart
+from saext.boundary import assemble_boundary_system, solve_boundary_values
+from saext.cli import EXIT_CONFIG, _power_law_fit, main, stability_study
+from saext.config import SCHEMA_HEADER, build_problem, parse_config
+from saext.eigen import solve_pencil
+from saext.fem import assemble_pencil
+from saext.geometry import build_mesh
+
+TWO_PI = 2 * math.pi
+
+# criterion 10's problem: the periodic ring at N = 250
+CRITERION_10_CONFIG = (
+    SCHEMA_HEADER
+    + f"\ngeometry.intervals = 0 {TWO_PI!r}"
+    + "\nboundary.kind = quasi_periodic"
+    + "\nboundary.theta = 0"
+    + "\nresolution = 250\n"
+)
+
+EPS = 1e-5 * np.arange(1, 101)  # criterion 10's epsilon grid
+
+
+def _cost(eps, k_vals, fit):
+    a, b, c = fit
+    resid = a * eps ** b + c - k_vals
+    return float(resid @ resid)
+
+
+# ------------------------------------------------------------------- the fit
+
+@pytest.mark.parametrize("b", [-0.9, -0.03, 0.03, 0.3])
+@pytest.mark.parametrize("a, c", [(0.7, -0.2), (-0.45, 0.3)])
+def test_fit_recovers_exact_power_law(a, b, c):
+    fit = _power_law_fit(EPS, a * EPS ** b + c)
+    assert fit[0] == pytest.approx(a, rel=1e-8)
+    assert fit[1] == pytest.approx(b, abs=1e-8)
+    assert fit[2] == pytest.approx(c, rel=1e-8, abs=1e-8)
+
+
+def test_fit_matches_multistart_reference_on_criterion_10():
+    rows, fits, _ = stability_study(parse_config(CRITERION_10_CONFIG),
+                                    mu=1.0, levels=4)
+    for lev in (1, 2, 3, 4):
+        eps = np.array([r[1] for r in rows if r[0] == "K" and r[2] == lev])
+        k_vals = np.array([r[3] for r in rows if r[0] == "K" and r[2] == lev])
+        assert eps.size == 100
+        reference = power_law_fit_multistart(eps, k_vals)
+        assert fits[lev] == _power_law_fit(eps, k_vals)
+        assert _cost(eps, k_vals, fits[lev]) <= _cost(eps, k_vals, reference)
+        assert abs(fits[lev][1] - reference[1]) <= 1e-5
+
+
+def test_fit_of_all_nan_data_is_none():
+    assert _power_law_fit(EPS, np.full(EPS.size, np.nan)) is None
+
+
+def test_fit_logs_exponent_on_grid_edge(caplog):
+    with caplog.at_level(logging.WARNING, logger="saext"):
+        fit = _power_law_fit(EPS, 2.0 * (EPS / EPS[-1]) ** 6.0 + 1.0)
+    assert fit is not None
+    assert any("edge of the search grid" in r.getMessage() for r in caplog.records)
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    src = str(Path(saext.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, saext, saext.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
+# ------------------------------------------------------------ level clusters
+
+def test_criterion_10_base_levels_cluster_in_pairs():
+    cfg = parse_config(CRITERION_10_CONFIG)
+    geom, bc, potential = build_problem(cfg)
+    mesh = build_mesh(geom, cfg.resolution)
+    values = solve_boundary_values(assemble_boundary_system(bc, mesh))
+    solution = solve_pencil(assemble_pencil(mesh, bc, values, potential),
+                            count=9)
+    assert solution.degenerate_clusters(rtol=1e-3) == [
+        [0], [1, 2], [3, 4], [5, 6], [7, 8]
+    ]
+
+
+# ------------------------------------------------------------------ bad input
+
+@pytest.mark.parametrize("lines, extra_args", [
+    ("stability.eps_step = 0", []),
+    ("stability.eps_step = nan", []),
+    ("stability.eps_step = -1e-5", []),
+    ("stability.eps_start = -1e-4", []),
+    ("stability.eps_start = 1e-3\nstability.eps_stop = 1e-4", []),
+    ("stability.eps_stop = inf", []),
+    ("", ["--levels", "-1"]),
+    ("", ["--levels", "0"]),
+], ids=["zero-step", "nan-step", "negative-step", "negative-start",
+        "start-above-stop", "infinite-stop", "negative-levels", "zero-levels"])
+def test_bad_stability_input_exits_config(tmp_path, lines, extra_args):
+    cfg_path = tmp_path / "job.cfg"
+    cfg_path.write_text(
+        SCHEMA_HEADER
+        + f"\ngeometry.intervals = 0 {TWO_PI!r}"
+        + "\nboundary.kind = quasi_periodic"
+        + "\nboundary.theta = 0"
+        + "\nresolution = 40\n"
+        + lines + "\n"
+    )
+    code = main(["stability", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")] + extra_args)
+    assert code == EXIT_CONFIG
