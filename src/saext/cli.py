@@ -312,12 +312,13 @@ def stability_study(
 
     Returns (rows, fits, distances): per-epsilon per-level ratios K,
     per-level power-law fits K = a eps^b + c, and the re-unitarization
-    distances.
+    distances.  Raises ConfigError unless eps_step is finite and positive,
+    0 <= eps_start <= eps_stop (both finite) and levels >= 1.
     """
     start, stop, step = (cfg.stability_eps_start, cfg.stability_eps_stop,
                          cfg.stability_eps_step)
     if not (math.isfinite(step) and step > 0):
-        raise ConfigError(f"stability.eps_step must be positive and finite, "
+        raise ConfigError("stability.eps_step must be positive and finite, "
                           f"got {step}")
     if not (math.isfinite(start) and math.isfinite(stop) and 0 <= start <= stop):
         raise ConfigError("stability needs finite 0 <= eps_start <= eps_stop, "
