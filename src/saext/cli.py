@@ -14,9 +14,8 @@ K(eps) = a eps^b + c per level by variable projection: a and c are linear
 least-squares coefficients for each b, and b minimizes the remaining residual
 (a scan of [-4, 4], then golden section).  Exit codes: 0 success,
 2 configuration validation, 3 conditioning failure, 4 solver failure,
-5 I/O failure.  The environment variable SAEXT_THREADS caps the number of
-concurrent work items in the sweep subcommands; sweeps are buffered and
-written in canonical order regardless of scheduling.
+5 I/O failure.  The oracle needs finite oracle.lambda_min < oracle.lambda_max
+and oracle.grid_points >= 0 (0 chooses the grid density automatically).
 """
 
 from __future__ import annotations
@@ -25,9 +24,7 @@ import argparse
 import csv
 import logging
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -63,33 +60,36 @@ _LOG = logging.getLogger(__name__)
 _FIT_EXPONENTS = np.linspace(-4.0, 4.0, 800)
 
 
+# 17 significant digits: every float64 round-trips through its text.
+_REAL = "%.17g"
+
+
 def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
-def _worker_count(n_items: int) -> int:
-    raw = os.environ.get("SAEXT_THREADS", "1")
-    try:
-        cap = max(1, int(raw))
-    except ValueError:
-        cap = 1
-    return max(1, min(cap, n_items))
-
-
-def _map_over(items, fn):
-    """Apply fn to items, optionally in a thread pool; results keep order."""
-    workers = _worker_count(len(items))
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return _REAL % float(x)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+    """Write a CSV table whose cells are already text (tables with text
+    records; numeric tables go through _write_table)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_table(path: Path, header: list[str], columns) -> None:
+    """Write a numeric CSV table, the bytes csv.writer writes for it: the
+    header row, then row m of the columns, integer cells as %d and float
+    cells as _REAL, every row rendered by one %-format call."""
+    arrays = [np.asarray(col) for col in columns]
+    rows, width = len(arrays[0]), len(arrays)
+    cells = [None] * (rows * width)
+    for j, array in enumerate(arrays):
+        cells[j::width] = array.tolist()
+    line = ",".join("%d" if a.dtype.kind in "iu" else _REAL for a in arrays)
+    body = ((line + "\r\n") * rows) % tuple(cells)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n" + body)
 
 
 def _echo_config(cfg: JobConfig, out_dir: Path) -> None:
@@ -116,28 +116,21 @@ def _dump_matrix(path: Path, matrix) -> None:
     """Write the nonzero entries of a sparse matrix in row-major order."""
     coo = matrix.tocoo()
     order = np.lexsort((coo.col, coo.row))
-    rows = [
-        [str(i), str(j), _fmt(z.real), _fmt(z.imag)]
-        for i, j, z in zip(coo.row[order], coo.col[order], coo.data[order])
-        if z != 0
-    ]
-    _write_csv(path, ["i", "j", "re", "im"], rows)
+    order = order[coo.data[order] != 0]
+    data = coo.data[order]
+    _write_table(path, ["i", "j", "re", "im"],
+                 [coo.row[order], coo.col[order], data.real, data.imag])
 
 
 def cmd_solve(cfg: JobConfig, out_dir: Path, mu: float, levels: int,
               dump_pencil: bool = False) -> int:
     _, _, _, mesh, values, pencil, solution = _solve_problem(cfg, mu)
-    rows = [
-        [str(k), _fmt(lam), _fmt(res)]
-        for k, (lam, res) in enumerate(
-            zip(solution.eigenvalues, solution.residuals)
-        )
-    ]
-    _write_csv(out_dir / "spectrum.csv", ["index", "lambda", "residual"], rows)
+    _write_table(out_dir / "spectrum.csv", ["index", "lambda", "residual"],
+                 [range(solution.count), solution.eigenvalues, solution.residuals])
     for k in range(min(levels, solution.count)):
         x, vals = eigenfunction_samples(solution, mesh, values, k)
-        rows = [[_fmt(xi), _fmt(v.real), _fmt(v.imag)] for xi, v in zip(x, vals)]
-        _write_csv(out_dir / f"eigenfunction_{k}.csv", ["x", "re", "im"], rows)
+        _write_table(out_dir / f"eigenfunction_{k}.csv", ["x", "re", "im"],
+                     [x, vals.real, vals.imag])
     if dump_pencil:
         _dump_matrix(out_dir / "pencil_a.csv", pencil.a)
         _dump_matrix(out_dir / "pencil_b.csv", pencil.b)
@@ -147,27 +140,28 @@ def cmd_solve(cfg: JobConfig, out_dir: Path, mu: float, levels: int,
 
 def cmd_oracle(cfg: JobConfig, out_dir: Path, mu: float) -> int:
     geom, bc, potential = build_problem(cfg)
+    lo, hi = cfg.oracle_lambda_min, cfg.oracle_lambda_max
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ConfigError("oracle needs finite oracle.lambda_min < "
+                          f"oracle.lambda_max, got ({lo}, {hi})")
+    if cfg.oracle_grid_points < 0:
+        raise ConfigError("oracle.grid_points must be >= 0 (0 = automatic), "
+                          f"got {cfg.oracle_grid_points}")
     grid = cfg.oracle_grid_points if cfg.oracle_grid_points > 0 else None
     result = find_spectrum(
         bc, potential, geom,
-        (cfg.oracle_lambda_min, cfg.oracle_lambda_max),
+        (lo, hi),
         grid_points=grid, mu=mu, return_scan=cfg.oracle_scan_output,
     )
     if cfg.oracle_scan_output:
         roots, scan = result
-        rows = [
-            [_fmt(rec.lam), _fmt(rec.absdet), _fmt(rec.redet), _fmt(rec.imdet)]
-            for rec in scan
-        ]
-        _write_csv(
-            out_dir / "scan.csv",
-            ["lambda", "abs_Lambda", "re_Lambda", "im_Lambda"],
-            rows,
-        )
+        _write_table(out_dir / "scan.csv",
+                     ["lambda", "abs_Lambda", "re_Lambda", "im_Lambda"],
+                     [scan.lam, scan.absdet, scan.redet, scan.imdet])
     else:
         roots = result
-    rows = [[str(k), _fmt(lam)] for k, lam in enumerate(roots)]
-    _write_csv(out_dir / "roots.csv", ["index", "lambda"], rows)
+    _write_table(out_dir / "roots.csv", ["index", "lambda"],
+                 [range(len(roots)), roots])
     _echo_config(cfg, out_dir)
     return EXIT_OK
 
@@ -229,7 +223,7 @@ def cmd_convergence(cfg: JobConfig, out_dir: Path, mu: float) -> int:
         solution = solve_pencil(pencil, count=1)
         return h1_error(solution, 0, mesh, values, reference)
 
-    errors = _map_over(resolutions, one)
+    errors = [one(n_res) for n_res in resolutions]
     rows = [[str(n), _fmt(e)] for n, e in zip(resolutions, errors)]
     if len(resolutions) >= 2:
         slope, stderr = _fit_loglog(resolutions, errors)
@@ -374,7 +368,7 @@ def stability_study(
             distance = 0.0
         return solution_for(bc_eps).eigenvalues, distance
 
-    results = _map_over(eps_list, one)
+    results = [one(eps) for eps in eps_list]
 
     rows = []  # (record, epsilon, level, value)
     distances = []

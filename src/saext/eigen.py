@@ -352,8 +352,7 @@ def _node_value_arrays(
             c = coeffs[basis.boundary_index(i)]
             if c != 0:
                 vals += c * boundary_node_values(mesh, bvals, i, alpha)
-        for k in range(2, r_alpha):
-            vals[k] += coeffs[basis.bulk_index(alpha, k)]
+        vals[2:r_alpha] += coeffs[basis.bulk_slice(alpha)]
         out.append(vals)
     return out
 

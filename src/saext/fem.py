@@ -26,6 +26,8 @@ if the raw (un-mirrored) boundary block deviates beyond roundoff.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,29 +64,32 @@ class BasisIndex:
 
 
 class BasisMap:
-    """Bijection between global indices 0..|r|-1 and basis tags."""
+    """Bijection between global indices 0..|r|-1 and basis tags.
+
+    Interval alpha owns the r_alpha consecutive indices from its start
+    offset on: left boundary function, bulk functions k = 2 .. r_alpha - 1,
+    right boundary function.  Only the n start offsets are stored; every
+    lookup is arithmetic on them.
+    """
 
     def __init__(self, mesh: Mesh) -> None:
         self.mesh = mesh
-        tags: list[BasisIndex] = []
-        starts = []
-        for alpha, r_alpha in enumerate(mesh.r):
-            starts.append(len(tags))
-            tags.append(BasisIndex("boundary", alpha, i=2 * alpha))
-            for k in range(2, r_alpha):
-                tags.append(BasisIndex("bulk", alpha, k=k))
-            tags.append(BasisIndex("boundary", alpha, i=2 * alpha + 1))
-        self.tags = tuple(tags)
-        self._starts = tuple(starts)
-        if len(tags) != mesh.dim:
-            raise AssemblyError("basis enumeration does not match mesh dimension")
+        self._starts = (0, *itertools.accumulate(mesh.r[:-1]))
 
     @property
     def size(self) -> int:
-        return len(self.tags)
+        return self.mesh.dim
 
     def tag(self, a: int) -> BasisIndex:
-        return self.tags[a]
+        if not 0 <= a < self.size:
+            raise IndexError(f"basis index {a} out of range [0, {self.size})")
+        alpha = bisect.bisect_right(self._starts, a) - 1
+        offset = a - self._starts[alpha]
+        if offset == 0:
+            return BasisIndex("boundary", alpha, i=2 * alpha)
+        if offset == self.mesh.r[alpha] - 1:
+            return BasisIndex("boundary", alpha, i=2 * alpha + 1)
+        return BasisIndex("bulk", alpha, k=offset + 1)
 
     def bulk_index(self, alpha: int, k: int) -> int:
         r_alpha = self.mesh.r[alpha]
@@ -93,6 +98,12 @@ class BasisMap:
                 f"bulk node k = {k} out of range [2, {r_alpha - 1}] on interval {alpha}"
             )
         return self._starts[alpha] + (k - 1)
+
+    def bulk_slice(self, alpha: int) -> slice:
+        """Global indices of the bulk functions k = 2 .. r_alpha - 1 of
+        interval alpha, in node order."""
+        start = self._starts[alpha]
+        return slice(start + 1, start + self.mesh.r[alpha] - 1)
 
     def boundary_index(self, i: int) -> int:
         n = self.mesh.n

@@ -8,12 +8,15 @@ through generic numpy/scipy machinery only.
 
 from __future__ import annotations
 
+import csv
 import warnings
 
 import numpy as np
 import scipy.integrate
 import scipy.optimize
 import scipy.sparse
+
+from saext.fem import boundary_node_values
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -169,3 +172,61 @@ def power_law_fit_multistart(eps: np.ndarray, k_vals: np.ndarray):
                 best_cost = cost
                 best = tuple(float(p) for p in params)
     return best
+
+
+def write_csv_reference(path, header, columns) -> None:
+    """The CLI's numeric CSV writer as it was before rows were rendered by
+    one %-format call: ``str(k)`` for integer cells, ``f"{x:.17g}"`` for
+    float cells, one ``csv.writer`` row at a time.  The reference for
+    ``saext.cli._write_table``."""
+    cells = [
+        [str(int(v)) for v in col] if np.asarray(col).dtype.kind in "iu"
+        else [f"{float(v):.17g}" for v in col]
+        for col in columns
+    ]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*cells))
+
+
+# (intervals, resolution, interior-node counts r) of the meshes the basis
+# reference tests run on: 1 to 3 intervals, two of them with an r = 2
+# interval, which has no bulk function.
+REFERENCE_MESHES = (
+    ([(0.0, 2.0 * np.pi)], 2, (3,)),
+    ([(0.0, 2.0 * np.pi)], 16, (17,)),
+    ([(0.0, 1.0), (0.0, 5.0)], 6, (2, 6)),
+    ([(0.0, 1.0), (0.0, 3.0)], 8, (3, 7)),
+    ([(0.0, 0.5), (1.0, 3.0), (4.0, 8.0)], 13, (2, 5, 9)),
+)
+
+
+def basis_enumeration_reference(mesh):
+    """Every global basis index of ``mesh`` as a (kind, alpha, k, i) tuple,
+    in index order, by the per-index loop ``BasisMap`` used to run: per
+    interval the left boundary function, the bulk functions by peak node,
+    the right boundary function."""
+    tags = []
+    for alpha, r_alpha in enumerate(mesh.r):
+        tags.append(("boundary", alpha, -1, 2 * alpha))
+        tags.extend(("bulk", alpha, k, -1) for k in range(2, r_alpha))
+        tags.append(("boundary", alpha, -1, 2 * alpha + 1))
+    return tags
+
+
+def node_value_arrays_loop(coeffs, mesh, bvals, basis):
+    """Per-interval node values of sum_a coeffs[a] f_a with one
+    ``bulk_index`` lookup per bulk node: the reference for
+    ``saext.eigen._node_value_arrays``."""
+    out = []
+    for alpha, r_alpha in enumerate(mesh.r):
+        vals = np.zeros(r_alpha + 2, dtype=complex)
+        for i in range(2 * mesh.n):
+            c = coeffs[basis.boundary_index(i)]
+            if c != 0:
+                vals += c * boundary_node_values(mesh, bvals, i, alpha)
+        for k in range(2, r_alpha):
+            vals[k] += coeffs[basis.bulk_index(alpha, k)]
+        out.append(vals)
+    return out

@@ -1,15 +1,21 @@
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
+from helpers import write_csv_reference
+from saext.boundary import random_unitary
 from saext.cli import (
     EXIT_CONDITIONING,
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
     EXIT_SOLVER,
+    _solve_problem,
+    _write_table,
+    console_main,
     main,
     nearest_unitary,
 )
@@ -20,6 +26,7 @@ from saext.config import (
     parse_config,
     render_config,
 )
+from saext.eigen import eigenfunction_samples
 
 TWO_PI = 2 * math.pi
 
@@ -186,6 +193,78 @@ def test_cmd_solve_dump_pencil(tmp_path):
     assert (out / "pencil_b.csv").exists()
 
 
+def test_table_writer_matches_csv_writer_on_special_values(tmp_path):
+    floats = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                       -5e-324, 1e308, 1.7976931348623157e308, 1.0, -2.0,
+                       3e16, 12345678901234567.0, 0.1, 1.0 / 3.0])
+    columns = [np.arange(floats.size), np.arange(floats.size, dtype=np.int32),
+               floats, floats[::-1], -floats]
+    header = ["k", "j", "a", "b", "c"]
+    _write_table(tmp_path / "new.csv", header, columns)
+    write_csv_reference(tmp_path / "ref.csv", header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # a table without rows is its header
+    _write_table(tmp_path / "empty.csv", ["index", "lambda"],
+                 [range(0), np.zeros(0)])
+    assert (tmp_path / "empty.csv").read_bytes() == b"index,lambda\r\n"
+
+
+def test_cmd_solve_outputs_match_reference_writer(tmp_path):
+    u = random_unitary(4, np.random.default_rng(41))
+    entries = " ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in u.ravel())
+    text = (
+        SCHEMA_HEADER
+        + "\ngeometry.intervals = 0 1 2 3.5"
+        + "\nboundary.kind = matrix"
+        + f"\nboundary.matrix = {entries}"
+        + "\nresolution = 400"
+        + "\neigen.count = 8\n"
+    )
+    cfg_path = _write(tmp_path, text)
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out),
+                 "--levels", "8", "--dump-pencil"]) == EXIT_OK
+
+    ref.mkdir()
+    _, _, _, mesh, values, pencil, solution = _solve_problem(
+        parse_config(text), 1.0
+    )
+    write_csv_reference(
+        ref / "spectrum.csv", ["index", "lambda", "residual"],
+        [range(solution.count), solution.eigenvalues, solution.residuals],
+    )
+    for k in range(8):
+        x, vals = eigenfunction_samples(solution, mesh, values, k)
+        write_csv_reference(ref / f"eigenfunction_{k}.csv", ["x", "re", "im"],
+                            [x, vals.real, vals.imag])
+    for name, matrix in (("pencil_a", pencil.a), ("pencil_b", pencil.b)):
+        csr = matrix.tocsr(copy=True)
+        csr.sort_indices()  # row-major order
+        rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+        keep = csr.data != 0
+        data = csr.data[keep]
+        write_csv_reference(ref / f"{name}.csv", ["i", "j", "re", "im"],
+                            [rows[keep], csr.indices[keep], data.real, data.imag])
+
+    written = sorted(p.name for p in out.glob("*.csv"))
+    assert written == sorted(p.name for p in ref.glob("*.csv"))
+    assert len(written) == 11
+    for name in written:
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_console_main_exits_with_main_code(tmp_path, monkeypatch):
+    cfg_path = _write(tmp_path, DIRICHLET_CONFIG)
+    out = tmp_path / "out"
+    for config, code in ((cfg_path, EXIT_OK), (tmp_path / "missing.cfg", EXIT_IO)):
+        monkeypatch.setattr(sys, "argv", ["saext", "solve", "--config",
+                                          str(config), "--out", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            console_main()
+        assert exc.value.code == code
+    assert (out / "spectrum.csv").exists()
+
+
 def test_cmd_solve_rejects_non_unitary(tmp_path, capsys):
     bad = (
         SCHEMA_HEADER
@@ -329,6 +408,28 @@ def test_cmd_oracle_scan_output(tmp_path):
     lines = (out / "scan.csv").read_text().splitlines()
     assert lines[0] == "lambda,abs_Lambda,re_Lambda,im_Lambda"
     assert len(lines) == 301
+
+
+@pytest.mark.parametrize("keys", [
+    "oracle.lambda_min = 2\noracle.lambda_max = 1",
+    "oracle.lambda_min = 1\noracle.lambda_max = 1",
+    "oracle.lambda_min = nan",
+    "oracle.lambda_max = inf",
+    "oracle.grid_points = -4",
+])
+def test_cmd_oracle_rejects_bad_range(tmp_path, capsys, keys):
+    text = (
+        SCHEMA_HEADER
+        + f"\ngeometry.intervals = 0 {TWO_PI!r}"
+        + "\nboundary.kind = dirichlet"
+        + "\nresolution = 10\n"
+        + keys + "\n"
+    )
+    cfg_path = _write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not (out / "roots.csv").exists()
 
 
 # --------------------------------------------------------------- convergence

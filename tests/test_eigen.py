@@ -5,9 +5,17 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from helpers import charpoly_eigenvalues, random_hermitian, random_spd
+from helpers import (
+    REFERENCE_MESHES,
+    charpoly_eigenvalues,
+    node_value_arrays_loop,
+    random_hermitian,
+    random_spd,
+    weighted_hermitian_values,
+)
 from saext.boundary import (
     BoundaryCondition,
+    BoundaryValues,
     assemble_boundary_system,
     random_unitary,
     retry_mesh_on_bad_conditioning,
@@ -17,12 +25,13 @@ from saext.eigen import (
     EigenSolution,
     EigenSolveError,
     PositiveDefinitenessError,
+    _node_value_arrays,
     eigenfunction_samples,
     h1_error,
     residual_tolerances,
     solve_pencil,
 )
-from saext.fem import Pencil, assemble_pencil
+from saext.fem import BasisMap, Pencil, assemble_pencil
 from saext.geometry import IntervalSet, build_mesh
 from saext.potentials import ConstantPotential, SampledPotential, ZeroPotential
 
@@ -294,6 +303,24 @@ def test_samples_with_midpoints_interleave():
     assert np.all(np.diff(x) > 0)
     # midpoint = average of neighbors for a piecewise-linear function
     assert values[1] == pytest.approx((values[0] + values[2]) / 2, abs=1e-15)
+
+
+@pytest.mark.parametrize("intervals, resolution, r", REFERENCE_MESHES)
+def test_node_value_arrays_match_per_node_loop(intervals, resolution, r):
+    rng = np.random.default_rng(resolution)
+    mesh = build_mesh(IntervalSet(intervals), resolution)
+    assert mesh.r == r
+    h = mesh.h_endpoint
+    v = weighted_hermitian_values(mesh.n, h, rng)
+    bvals = BoundaryValues(v=v, g=(1.0 / h)[:, None] * v, h=h)
+    basis = BasisMap(mesh)
+    coeffs = rng.standard_normal(mesh.dim) + 1j * rng.standard_normal(mesh.dim)
+    coeffs[basis.boundary_index(0)] = 0.0  # a zero boundary coefficient
+    got = _node_value_arrays(coeffs, mesh, bvals, basis)
+    expected = node_value_arrays_loop(coeffs, mesh, bvals, basis)
+    assert len(got) == len(expected) == mesh.n
+    for g, e in zip(got, expected):
+        assert g.tobytes() == e.tobytes()
 
 
 def test_sample_index_out_of_range():

@@ -5,6 +5,8 @@ import pytest
 import scipy.linalg
 
 from helpers import (
+    REFERENCE_MESHES,
+    basis_enumeration_reference,
     hermitian_from_upper_reference,
     quad_complex,
     weighted_hermitian_values,
@@ -83,6 +85,38 @@ def test_basis_ordering_two_intervals():
     assert bm.boundary_index(1) == 2
     assert bm.boundary_index(2) == 3
     assert bm.boundary_index(3) == 9
+
+
+@pytest.mark.parametrize("intervals, resolution, r", REFERENCE_MESHES)
+def test_basis_map_matches_enumeration(intervals, resolution, r):
+    mesh = build_mesh(IntervalSet(intervals), resolution)
+    assert mesh.r == r
+    bm = BasisMap(mesh)
+    reference = basis_enumeration_reference(mesh)
+    assert bm.size == len(reference)
+    for a, (kind, alpha, k, i) in enumerate(reference):
+        tag = bm.tag(a)
+        assert (tag.kind, tag.alpha, tag.k, tag.i) == (kind, alpha, k, i)
+        if kind == "bulk":
+            assert bm.bulk_index(alpha, k) == a
+        else:
+            assert bm.boundary_index(i) == a
+    assert bm.boundary_indices().tolist() == [
+        a for a, tag in enumerate(reference) if tag[0] == "boundary"
+    ]
+    for a in (-1, bm.size):
+        with pytest.raises(IndexError):
+            bm.tag(a)
+    for alpha, r_alpha in enumerate(r):
+        assert list(range(bm.size))[bm.bulk_slice(alpha)] == [
+            a for a, tag in enumerate(reference) if tag[:2] == ("bulk", alpha)
+        ]
+        for k in (1, r_alpha):
+            with pytest.raises(IndexError):
+                bm.bulk_index(alpha, k)
+    for i in (-1, 2 * mesh.n):
+        with pytest.raises(IndexError):
+            bm.boundary_index(i)
 
 
 # -------------------------------------------------------------- evaluation
