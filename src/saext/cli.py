@@ -45,7 +45,7 @@ from .eigen import EigenSolveError, eigenfunction_samples, h1_error, solve_penci
 from .fem import AssemblyError, assemble_pencil
 from .geometry import GeometryError, build_mesh
 from .potentials import PotentialError
-from .spectral import TraceIntegrationError, _golden_min, find_spectrum
+from .spectral import TraceIntegrationError, find_spectrum
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -240,6 +240,34 @@ def nearest_unitary(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     """Polar factor of a matrix and its distance to the input."""
     u, _ = scipy.linalg.polar(matrix)
     return u, float(np.linalg.norm(matrix - u))
+
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_min(f, a: float, b: float, xatol: float, maxiter: int = 300):
+    """Golden-section minimization on [a, b], returning the best point seen
+    once the bracket is narrower than ``xatol``."""
+    x1 = b - _INV_GOLDEN * (b - a)
+    x2 = a + _INV_GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
+    for _ in range(maxiter):
+        if (b - a) <= xatol:
+            break
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INV_GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INV_GOLDEN * (b - a)
+            f2 = f(x2)
+        if f1 < best_f:
+            best_x, best_f = x1, f1
+        if f2 < best_f:
+            best_x, best_f = x2, f2
+    return best_x, best_f
 
 
 def _power_law_fit(eps: np.ndarray, k_vals: np.ndarray):

@@ -5,8 +5,11 @@ For each trial lambda, every interval carries a two-dimensional space of
 solutions of -mu Psi'' + V Psi = lambda Psi.  Their boundary traces are
 combined with the boundary unitary U into a 2n x 2n matrix M(U, lambda)
 through a Hadamard-product block algebra; lambda is an eigenvalue exactly
-when det M(U, lambda) = 0.  Zeros are located by scanning |det M| on the
-real axis and refining its local minima.
+when det M(U, lambda) = 0.  The same traces give the unitary scattering
+matrix S(lambda) of each interval, and lambda is an eigenvalue exactly when
+W = U^H S has eigenvalue 1.  The eigenphases of W increase with lambda, so
+``find_spectrum`` counts eigenvalues as eigenphase crossings of 0 and
+refines each crossing inside its bracket.
 
 Fundamental-solution bases
 --------------------------
@@ -41,7 +44,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +58,8 @@ _MAX_ODE_STEPS = 1 << 17
 _EXP_DEGENERACY_TOL = 1e-9
 
 DEFAULT_GRID_DENSITY = 2000  # scan points per unit of sign(lam)*sqrt(|lam|)
-ACCEPT_RTOL = 1e-6
-ACCEPT_ATOL = 1e-12
-SV_RTOL = 1e-6
-REFINE_WIDTH = 1e-10
+REFINE_WIDTH = 1e-10  # relative width of the bracket a root is reported from
+_TWO_PI = 2.0 * math.pi
 
 
 class TraceIntegrationError(RuntimeError):
@@ -410,63 +410,62 @@ def spectral_det_parametrized(
     )
 
 
-def _column_scales(traces: FundamentalTraces) -> np.ndarray:
-    """Magnitude scale of each column of M, taken from the traces alone.
+def _scattering_matrix(psi_r: np.ndarray, dpsi_r: np.ndarray) -> np.ndarray:
+    """The unitary 2n x 2n scattering matrix S(lambda) in block ordering.
 
-    Column (sigma, alpha) of M is a combination of the four traces of
-    solution sigma on interval alpha with unitary (hence bounded) weights,
-    so their absolute sum bounds the column.  Scaling by this, rather than
-    by the columns of M itself, keeps the gate meaningful both where the
-    traces grow exponentially and at multiple eigenvalues, where M can
-    collapse entirely.
+    S maps phi + i phi' to phi - i phi' for every solution (boundary values
+    phi, outward derivatives phi').  From right traces of the normalized
+    basis (shape (..., n, 2)), per interval T = [[t00, t01], [t10, t11]],
+    t0j = psi_r[j], t1j = dpsi_r[j], det T = 1, and S is the Cayley
+    transform (t I - i K)(t I + i K)^{-1} of the Dirichlet-to-Neumann map
+    K / t, t = t01, K = [[t00, -1], [-1, t11]].  Multiplied out with
+    det T = 1 it divides by no t01 (zero at Dirichlet levels):
+    S = [[t01 + t10 + i (t11 - t00), 2i], [2i, t01 + t10 + i (t00 - t11)]]
+    / (t01 - t10 + i (t00 + t11)), whose |denominator|^2 = |T|_F^2 + 2.
+    All t are scaled by max(1, |t_ij|) against overflow below V.
     """
-    n = traces.n
-    # np.hypot rounds like the scalar abs(complex); np.abs differs in the last bit.
-    t_minus, t_plus = (np.hypot(t.real, t.imag)
-                       for t in (traces.trace_matrix(-1), traces.trace_matrix(+1)))
-    # (n, 2) sums indexed [alpha, sigma]; column sigma * n + alpha of M.
-    scales = t_minus[:n] + t_minus[n:] + t_plus[:n] + t_plus[n:]
-    return np.maximum(scales.T.ravel(), np.finfo(float).tiny)
+    t00, t01 = psi_r[..., 0].real, psi_r[..., 1].real
+    t10, t11 = dpsi_r[..., 0].real, dpsi_r[..., 1].real
+    scale = np.maximum(1.0, np.max(np.abs([t00, t01, t10, t11]), axis=0))
+    t00, t01, t10, t11 = (t / scale for t in (t00, t01, t10, t11))
+    den = (t01 - t10) + 1j * (t00 + t11)
+    n = t00.shape[-1]
+    s = np.zeros(t00.shape[:-1] + (2 * n, 2 * n), dtype=complex)
+    left, right = np.arange(n), np.arange(n, 2 * n)
+    s[..., left, left] = ((t01 + t10) + 1j * (t11 - t00)) / den
+    s[..., right, right] = ((t01 + t10) + 1j * (t00 - t11)) / den
+    s[..., left, right] = s[..., right, left] = 2j / (scale * den)
+    return s
 
 
-def _scaled_matrix(sm: SpectralMatrix, scales: np.ndarray) -> np.ndarray:
-    return sm.m / scales[None, :]
+def secular_matrix(bc: BoundaryCondition, traces: FundamentalTraces) -> np.ndarray:
+    """W(lambda) = U^H S(lambda) from normalized-basis traces.
 
-
-def _normalized_abs_det(sm: SpectralMatrix, scales: np.ndarray) -> float:
-    return float(abs(np.linalg.det(_scaled_matrix(sm, scales))))
-
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(f, a: float, b: float, xatol: float, maxiter: int = 300):
-    """Golden-section minimization on [a, b], returning the best point seen.
-
-    Near a zero the objective looks like |linear|, whose minimum standard
-    quadratic-model minimizers localize only to sqrt(eps); plain golden
-    section narrows the bracket to any requested width.
+    W is unitary for real lambda; lambda is an eigenvalue of multiplicity m
+    exactly when W has eigenvalue 1 with multiplicity m, and every
+    eigenphase of W increases with lambda (the unitary secular equation of
+    quantum graphs: Kottos & Smilansky, PRL 79, 1997; Berkolaiko &
+    Kuchment, Introduction to Quantum Graphs, AMS 2013).
     """
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
-    for _ in range(maxiter):
-        if (b - a) <= xatol:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = f(x2)
-        if f1 < best_f:
-            best_x, best_f = x1, f1
-        if f2 < best_f:
-            best_x, best_f = x2, f2
-    return best_x, best_f
+    if bc.n != traces.n:
+        raise ValueError(f"boundary condition n = {bc.n}, traces n = {traces.n}")
+    return bc.u_block.conj().T @ _scattering_matrix(traces.psi_r, traces.dpsi_r)
+
+
+def _wrapped_phases(w: np.ndarray) -> np.ndarray:
+    """Eigenphases of the unitary stack ``w``, each wrapped into [0, 2 pi)."""
+    return np.mod(np.angle(np.linalg.eigvals(w)), _TWO_PI)
+
+
+def _crossings(ph_a: np.ndarray, ph_b: np.ndarray) -> tuple[int, float]:
+    """Crossings of 0 by the eigenphases between two samples of their
+    wrapped values, and the advance of arg det W.  Each eigenphase
+    increases, so advance = sum(ph_b) - sum(ph_a) + 2 pi * crossings; the
+    advance is read modulo 2 pi nearest to 0, exact while it is below pi.
+    """
+    change = float(ph_b.sum() - ph_a.sum())
+    advance = math.remainder(change, _TWO_PI)
+    return round((advance - change) / _TWO_PI), advance
 
 
 def find_spectrum(
@@ -477,23 +476,24 @@ def find_spectrum(
     grid_points: int | None = None,
     mu: float = 1.0,
     return_scan: bool = False,
-    accept_rtol: float = ACCEPT_RTOL,
-    accept_atol: float = ACCEPT_ATOL,
-    sv_rtol: float = SV_RTOL,
 ):
-    """Eigenvalues in ``lambda_range`` as zeros of the spectral function.
+    """Eigenvalues in ``lambda_range`` as eigenphase crossings of
+    W(lambda) = U^H S(lambda) (``secular_matrix``).
 
-    The spectral function is complex on the real axis, so zeros are found
-    as minima of its modulus: a grid scan (uniform in s = sign(lam) *
-    sqrt(|lam|), which roughly equalizes the root spacing) followed by
-    bounded derivative-free refinement of each local minimum to a window
-    of 1e-10 * max(1, |lambda|).  A candidate is accepted when its
-    normalized modulus passes the threshold and the smallest singular
-    value of M confirms rank deficiency; a second small singular value
-    marks a double eigenvalue, reported twice.
+    The eigenvalues in a cell (a, b], with multiplicity, are the eigenphases
+    of W that cross 0 there (``_crossings``), so the count rests on no
+    threshold on a function value.  The grid is uniform in
+    s = sign(lam) * sqrt(|lam|), which roughly equalizes the root spacing;
+    a cell is halved while the phase of det W advances by more than pi / 2
+    across it, the resolution at which its count is exact.  A cell with
+    several crossings is bisected on the count until each bracket holds
+    one, which regula falsi on the crossing eigenphase then narrows to
+    REFINE_WIDTH * max(1, |lambda|).  A bracket that reaches that width
+    still holding c crossings (a degenerate level) is reported c times.
+    Each trial lambda costs one ``fundamental_traces`` call.
 
     Returns the ascending array of roots; with ``return_scan`` also a
-    (lambda, |det|, Re det, Im det) record of the grid scan.
+    (lambda, |det|, Re det, Im det) record of det M(U, lambda) on the grid.
     """
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
@@ -514,70 +514,54 @@ def find_spectrum(
     s_grid = np.linspace(s_lo, s_hi, grid_points)
     lam_grid = lam_of(s_grid)
 
-    def matrix_at(lam):
-        traces = fundamental_traces(potential, geom, lam, mu=mu)
-        return spectral_matrix(bc, traces), _column_scales(traces)
+    def width(lam):
+        return REFINE_WIDTH * max(1.0, abs(lam))
 
-    norm_abs = np.empty(grid_points)
+    def phases_at(lam):
+        traces = fundamental_traces(potential, geom, lam, mu=mu)
+        return _wrapped_phases(secular_matrix(bc, traces))
+
+    right_traces = np.empty((2, grid_points, geom.n, 2))
     raw_det = np.empty(grid_points, dtype=complex)
     for i, lam in enumerate(lam_grid):
-        sm, scales = matrix_at(lam)
-        norm_abs[i] = _normalized_abs_det(sm, scales)
-        raw_det[i] = sm.detval
+        traces = fundamental_traces(potential, geom, lam, mu=mu)
+        right_traces[:, i] = traces.psi_r.real, traces.dpsi_r.real
+        if return_scan:
+            raw_det[i] = spectral_matrix(bc, traces).detval
+    grid_phases = _wrapped_phases(
+        bc.u_block.conj().T @ _scattering_matrix(*right_traces))
 
-    med = float(np.median(norm_abs))
-    gate = accept_atol + accept_rtol * med
+    def located(a, ph_a, b, ph_b, depth=0):
+        """The crossings in (a, b], splitting it while its count is not
+        exact or it holds a crossing and is wider than ``width``.  A single
+        crossing is estimated by regula falsi on its eigenphase (the
+        largest wrapped phase less 2 pi left of it, the smallest right of
+        it) and split there, half a width inside; other cells and every
+        third level split at the midpoint."""
+        count, advance = _crossings(ph_a, ph_b)
+        exact = abs(advance) <= math.pi / 2
+        if exact and count <= 0:
+            return []
+        single = exact and count == 1
+        x = 0.5 * (a + b)
+        if single:
+            fa, fb = ph_a.max() - _TWO_PI, ph_b.min()
+            x = a - fa * (b - a) / (fb - fa)
+        if b - a <= width(b):
+            return [x] * max(count, 0)
+        if single and depth % 3 < 2:
+            x = min(max(x, a + 0.5 * width(x)), b - 0.5 * width(x))
+        else:
+            x = 0.5 * (a + b)
+        ph_x = phases_at(x)
+        return (located(a, ph_a, x, ph_x, depth + 1)
+                + located(x, ph_x, b, ph_b, depth + 1))
 
-    def objective(s):
-        sm, scales = matrix_at(lam_of(s))
-        return _normalized_abs_det(sm, scales)
-
-    roots: list[tuple[float, float, int]] = []  # (lam, score, multiplicity)
-    interior_min = (norm_abs[1:-1] <= norm_abs[:-2]) & (norm_abs[1:-1] <= norm_abs[2:])
-    candidates = list(np.nonzero(interior_min)[0] + 1)
-    if norm_abs[0] < norm_abs[1] or norm_abs[-1] < norm_abs[-2]:
-        warnings.warn(
-            "the modulus of the spectral function decreases toward a range "
-            "boundary; roots may lie outside the scanned range",
-            stacklevel=2,
-        )
-
-    for i in candidates:
-        s_a, s_b = s_grid[i - 1], s_grid[i + 1]
-        lam_mid = lam_grid[i]
-        width = REFINE_WIDTH * max(1.0, abs(lam_mid))
-        ds = width / max(2.0 * abs(s_grid[i]), 1e-3)
-        s_star, _ = _golden_min(objective, float(s_a), float(s_b), ds)
-        lam_star = float(lam_of(s_star))
-        sm, scales = matrix_at(lam_star)
-        score = _normalized_abs_det(sm, scales)
-        if score > gate:
-            continue
-        svals = np.linalg.svd(_scaled_matrix(sm, scales), compute_uv=False)
-        if svals[-1] > sv_rtol:
-            continue
-        multiplicity = int(np.sum(svals <= sv_rtol))
-        roots.append((lam_star, score, max(1, multiplicity)))
-
-    # Deduplicate refinements that converged to the same zero.
-    roots.sort(key=lambda t: t[0])
-    merged: list[tuple[float, float, int]] = []
-    for lam_star, score, mult in roots:
-        if merged:
-            prev = merged[-1]
-            tol = 10.0 * REFINE_WIDTH * max(1.0, abs(lam_star))
-            if abs(lam_star - prev[0]) <= max(tol, 1e-14):
-                if score < prev[1]:
-                    merged[-1] = (lam_star, score, max(mult, prev[2]))
-                else:
-                    merged[-1] = (prev[0], prev[1], max(mult, prev[2]))
-                continue
-        merged.append((lam_star, score, mult))
-
-    values = []
-    for lam_star, _, mult in merged:
-        values.extend([lam_star] * mult)
-    result = np.array(sorted(values))
+    roots = []
+    for i in range(grid_points - 1):
+        roots += located(lam_grid[i], grid_phases[i],
+                         lam_grid[i + 1], grid_phases[i + 1])
+    result = np.array(sorted(roots))
     if return_scan:
         scan = np.rec.fromarrays(
             [lam_grid, np.abs(raw_det), raw_det.real, raw_det.imag],

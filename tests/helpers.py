@@ -17,6 +17,7 @@ import scipy.optimize
 import scipy.sparse
 
 from saext.fem import boundary_node_values
+from saext.spectral import FundamentalTraces
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -73,6 +74,25 @@ def charpoly_eigenvalues(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 break
         polished.append(t)
     return np.sort(np.asarray(polished))
+
+
+def _column_scales(traces: FundamentalTraces) -> np.ndarray:
+    """Magnitude scale of each column of M, taken from the traces alone.
+
+    Column (sigma, alpha) of M is a combination of the four traces of
+    solution sigma on interval alpha with unitary (hence bounded) weights,
+    so their absolute sum bounds the column.  Scaling by this, rather than
+    by the columns of M itself, keeps the gate meaningful both where the
+    traces grow exponentially and at multiple eigenvalues, where M can
+    collapse entirely.
+    """
+    n = traces.n
+    # np.hypot rounds like the scalar abs(complex); np.abs differs in the last bit.
+    t_minus, t_plus = (np.hypot(t.real, t.imag)
+                       for t in (traces.trace_matrix(-1), traces.trace_matrix(+1)))
+    # (n, 2) sums indexed [alpha, sigma]; column sigma * n + alpha of M.
+    scales = t_minus[:n] + t_minus[n:] + t_plus[:n] + t_plus[n:]
+    return np.maximum(scales.T.ravel(), np.finfo(float).tiny)
 
 
 def permutation_matrix(sigma: np.ndarray) -> np.ndarray:

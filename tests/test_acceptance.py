@@ -2,14 +2,13 @@
 reports one pass/fail line (collected in the terminal summary)."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import record_criterion
-from helpers import charpoly_eigenvalues, random_hermitian, random_spd
+from helpers import _column_scales, charpoly_eigenvalues, random_hermitian, random_spd
 from saext.boundary import (
     BoundaryCondition,
     assemble_boundary_system,
@@ -153,9 +152,7 @@ def test_criterion_06_oracle_fem_cross_validation():
         kept = fem[np.abs(fem) <= 1e4]
         lo = kept[0] - max(0.1, 0.01 * abs(kept[0]))
         hi = kept[-1] + 0.5
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            roots = find_spectrum(bc, FREE, GEOM, (lo, hi), mu=1.0)
+        roots = find_spectrum(bc, FREE, GEOM, (lo, hi), mu=1.0)
         if roots.size < kept.size:
             ok = False
             detail.append(f"seed {seed}: missing roots")
@@ -187,7 +184,7 @@ def _free_particle_trace_terms(lam):
 
 
 def test_criterion_07_oracle_internal_consistency():
-    from saext.spectral import _column_scales, _w_combo
+    from saext.spectral import _w_combo
 
     rng = np.random.default_rng(2024)
     worst = 0.0

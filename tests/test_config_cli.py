@@ -374,7 +374,6 @@ def test_cmd_oracle_mu_one(tmp_path):
     assert np.allclose(got, [0.25, 1.0], atol=1e-8)
 
 
-@pytest.mark.filterwarnings("ignore:the modulus of the spectral function")
 def test_cmd_oracle_empty_range(tmp_path):
     text = (
         SCHEMA_HEADER

@@ -21,6 +21,7 @@ from saext.spectral import (
     hadamard_mat,
     hadamard_vec,
     odot,
+    secular_matrix,
     spectral_det,
     spectral_det_closed_1,
     spectral_det_parametrized,
@@ -351,7 +352,6 @@ def test_dirichlet_roots_half_mass():
     assert np.allclose(roots, [0.125, 0.5, 1.125], atol=1e-8)
 
 
-@pytest.mark.filterwarnings("ignore:the modulus of the spectral function")
 def test_periodic_roots_with_multiplicity():
     roots = find_spectrum(
         BoundaryCondition.quasi_periodic(0.0), FREE, GEOM, (-0.5, 4.5), mu=1.0
@@ -361,7 +361,6 @@ def test_periodic_roots_with_multiplicity():
     assert np.allclose(roots[1:], [1.0, 1.0, 4.0, 4.0], atol=1e-8)
 
 
-@pytest.mark.filterwarnings("ignore:the modulus of the spectral function")
 def test_empty_range_is_empty():
     roots = find_spectrum(
         BoundaryCondition.dirichlet(1), FREE, GEOM, (-10.0, -5.0), mu=1.0
@@ -379,16 +378,17 @@ def test_roots_stable_under_grid_halving():
     ).max()
 
 
-def test_boundary_minimum_warns():
-    # the next root (6.25) sits just outside the range, so the modulus is
-    # still descending at the right edge
-    with pytest.warns(UserWarning, match="boundary"):
-        find_spectrum(
-            BoundaryCondition.dirichlet(1), FREE, GEOM, (0.1, 6.2), mu=1.0
-        )
+@pytest.mark.parametrize("hi", [6.2, 6.3])
+def test_range_end_is_exact(hi):
+    # the root 6.25 sits just outside, then just inside the range
+    roots = find_spectrum(
+        BoundaryCondition.dirichlet(1), FREE, GEOM, (0.1, hi), mu=1.0
+    )
+    expected = [k * k / 4 for k in range(1, 6) if k * k / 4 < hi]
+    assert roots.size == len(expected)
+    assert np.allclose(roots, expected, atol=1e-8)
 
 
-@pytest.mark.filterwarnings("ignore:the modulus of the spectral function")
 def test_scan_output_has_raw_determinant():
     roots, scan = find_spectrum(
         BoundaryCondition.dirichlet(1), FREE, GEOM, (0.1, 2.0),
@@ -424,6 +424,138 @@ def test_fem_cross_check_single_random_extension():
     assert roots.size >= 5
     rel = np.abs(roots[:5] - fem) / np.maximum(1.0, np.abs(roots[:5]))
     assert np.max(rel) <= 1e-3
+
+
+# ------------------------------------------------------------ eigenphase flow
+
+def _ring_levels(theta):
+    return np.sort([(m + theta / TWO_PI) ** 2 for m in range(-3, 4)])
+
+
+@pytest.mark.parametrize("theta", [1e-3, 1e-4])
+def test_split_periodic_pairs_are_all_found(theta):
+    # the pairs (m +- theta / 2 pi)^2 are 6e-4 and 6e-5 apart near 1
+    roots = find_spectrum(
+        BoundaryCondition.quasi_periodic(theta), FREE, GEOM, (-0.5, 10.0)
+    )
+    assert roots.size == 7
+    assert np.max(np.abs(roots - _ring_levels(theta))) <= 1e-8
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-3, 1e-4])
+def test_root_count_stable_under_grid_halving(theta):
+    # down to 12 points, where a scan cell holds two levels and the phase
+    # of det W advances by more than 2 pi across it: the cells are halved
+    # until their counts are exact
+    bc = BoundaryCondition.quasi_periodic(theta)
+    for grid in (3000, 1500, 750, 375, 188, 94, 47, 24, 12):
+        roots = find_spectrum(bc, FREE, GEOM, (-0.5, 10.0), grid_points=grid)
+        assert roots.size == 7
+        assert np.max(np.abs(roots - _ring_levels(theta))) <= 1e-8
+
+
+def test_refinement_needs_few_trace_evaluations_per_root(monkeypatch):
+    # regula falsi on the crossing eigenphase; bisection alone needs ~29
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return fundamental_traces(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "fundamental_traces", counted)
+    roots = find_spectrum(
+        BoundaryCondition.dirichlet(1), FREE, GEOM, (0.1, 5.0), grid_points=64
+    )
+    assert roots.size == 4
+    assert len(calls) - 64 <= 10 * roots.size
+
+
+def test_deep_level_is_reported_once():
+    # two intervals of length 2, zero V, a level near -74.63 whose traces
+    # grow like e^17: FEM's inertia count has exactly one level there
+    from saext.boundary import assemble_boundary_system, solve_boundary_values
+    from saext.eigen import _InertiaCount, solve_pencil
+    from saext.fem import assemble_pencil
+    from saext.geometry import build_mesh
+
+    bc = BoundaryCondition.from_matrix(random_unitary(4, np.random.default_rng(1285)))
+    geom = IntervalSet([(0.0, 2.0), (3.0, 5.0)])
+    lo, hi = -76.0, -73.5
+    roots = find_spectrum(bc, FREE, geom, (lo, hi))
+    mesh = build_mesh(geom, 400)
+    pencil = assemble_pencil(
+        mesh, bc, solve_boundary_values(assemble_boundary_system(bc, mesh)))
+    nu = _InertiaCount(pencil)
+    assert roots.size == nu(hi) - nu(lo) == 1
+    # conforming FEM lies above the exact level
+    fem = solve_pencil(pencil, count=1).eigenvalues[0]
+    assert roots[0] <= fem <= roots[0] + 2e-3 * abs(roots[0])
+
+
+def _secular(bc, potential, geom, lam, mu=1.0):
+    return secular_matrix(bc, fundamental_traces(potential, geom, lam, mu=mu))
+
+
+@pytest.mark.parametrize("lam", [-2000.0, -300.0, -75.0, 0.0, 5.5])
+def test_secular_matrix_is_unitary(lam):
+    # the transfer-matrix entries reach 1e122 at -2000 on the ring
+    cases = [
+        (BoundaryCondition.quasi_periodic(1e-3), GEOM),
+        (BoundaryCondition.from_matrix(random_unitary(4, np.random.default_rng(7))),
+         IntervalSet([(0.0, 1.0), (0.0, 2.6)])),
+    ]
+    for bc, geom in cases:
+        w = _secular(bc, FREE, geom, lam)
+        assert np.max(np.abs(w.conj().T @ w - np.eye(w.shape[0]))) <= 1e-12
+
+
+def test_secular_matrix_eigenvalue_one_at_the_levels():
+    # Dirichlet on (0, 2 pi): W has eigenvalue 1 exactly at k^2 / 4
+    bc = BoundaryCondition.dirichlet(1)
+    for lam, ones in ((0.25, 1), (1.0, 1), (0.6, 0)):
+        phases = np.angle(np.linalg.eigvals(_secular(bc, FREE, GEOM, lam)))
+        assert np.sum(np.abs(phases) <= 1e-12) == ones
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_secular_matrix_eigenvalue_one_where_det_m_vanishes(seed):
+    # at each root the scan reports, W has eigenvalue 1 and det M, built
+    # from the same traces through the block algebra, vanishes
+    rng = np.random.default_rng(40 + seed)
+    bc = BoundaryCondition.from_matrix(random_unitary(4, rng))
+    geom = IntervalSet([(0.0, 1.0), (0.0, 2.6)])
+    for root in find_spectrum(bc, FREE, geom, (-3.0, 12.0)):
+        traces = fundamental_traces(FREE, geom, root)
+        phases = np.angle(np.linalg.eigvals(secular_matrix(bc, traces)))
+        assert np.min(np.abs(phases)) <= 1e-8
+        # each term of det M carries two traces per interval
+        scale = np.prod(np.abs(traces.psi_r).max(axis=1) + 1.0) ** 2
+        assert abs(spectral_det(bc, traces)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["zero", "constant", "sampled"])
+def test_eigenphases_increase_with_lambda(seed, kind):
+    # -i W^H dW/dlambda is hermitian positive definite, so every
+    # eigenphase of W increases; checked by central differences
+    rng = np.random.default_rng(500 + seed)
+    n = 1 + seed % 2
+    geom = GEOM if n == 1 else IntervalSet([(0.0, 1.0), (0.0, 2.0)])
+    bc = BoundaryCondition.from_matrix(random_unitary(2 * n, rng))
+    potential = {
+        "zero": FREE,
+        "constant": ConstantPotential(rng.uniform(-2.0, 3.0, n)),
+        "sampled": _sampled_potential(seed, length=TWO_PI),
+    }[kind]
+    h = 1e-5
+    for lam in rng.uniform(-20.0, 15.0, 6):
+        w = _secular(bc, potential, geom, lam)
+        dw = (_secular(bc, potential, geom, lam + h)
+              - _secular(bc, potential, geom, lam - h)) / (2 * h)
+        gen = -1j * w.conj().T @ dw
+        herm = (gen + gen.conj().T) / 2
+        assert np.max(np.abs(gen - herm)) <= 1e-6 * np.max(np.abs(herm))
+        assert np.min(np.linalg.eigvalsh(herm)) > 0
 
 
 @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf])
