@@ -350,16 +350,15 @@ def solve_boundary_values(
 
     # Per-column admissibility: each boundary function must satisfy the
     # boundary condition within the trace tolerance.
-    beta_dot = g - np.diag(inv_h)
+    values = BoundaryValues(v=_frozen(v), g=_frozen(g), h=sys.h)
+    beta_dot = values.normal_derivatives()
     lhs = (v - 1j * beta_dot) - sys.u @ (v + 1j * beta_dot)
-    col_defects = np.linalg.norm(lhs, axis=0)
-    worst = float(np.max(col_defects))
+    worst = float(np.max(np.linalg.norm(lhs, axis=0)))
     if not worst <= _TRACE_TOL:
         raise BoundarySolveError(
             f"boundary-function trace defect {worst:.3e} exceeds {_TRACE_TOL:.1e}"
         )
-
-    return BoundaryValues(v=_frozen(v), g=_frozen(g), h=sys.h)
+    return values
 
 
 def retry_mesh_on_bad_conditioning(

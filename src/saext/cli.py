@@ -21,7 +21,6 @@ and oracle.grid_points >= 0 (0 chooses the grid density automatically).
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import math
 import sys
@@ -68,25 +67,19 @@ def _fmt(x) -> str:
     return _REAL % float(x)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    """Write a CSV table whose cells are already text (tables with text
-    records; numeric tables go through _write_table)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _write_table(path: Path, header: list[str], columns) -> None:
-    """Write a numeric CSV table, the bytes csv.writer writes for it: the
-    header row, then row m of the columns, integer cells as %d and float
-    cells as _REAL, every row rendered by one %-format call."""
+    """Write a CSV table, the bytes csv.writer writes for it: the header
+    row, then row m of the columns, integer cells as %d, float cells as
+    _REAL and text cells as they are, every row rendered by one %-format
+    call.  Text cells are never quoted, so they hold no comma, quote or
+    line break."""
     arrays = [np.asarray(col) for col in columns]
     rows, width = len(arrays[0]), len(arrays)
     cells = [None] * (rows * width)
     for j, array in enumerate(arrays):
         cells[j::width] = array.tolist()
-    line = ",".join("%d" if a.dtype.kind in "iu" else _REAL for a in arrays)
+    line = ",".join("%d" if a.dtype.kind in "iu" else "%s" if a.dtype.kind in "OU"
+                    else _REAL for a in arrays)
     body = ((line + "\r\n") * rows) % tuple(cells)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n" + body)
@@ -127,10 +120,13 @@ def cmd_solve(cfg: JobConfig, out_dir: Path, mu: float, levels: int,
     _, _, _, mesh, values, pencil, solution = _solve_problem(cfg, mu)
     _write_table(out_dir / "spectrum.csv", ["index", "lambda", "residual"],
                  [range(solution.count), solution.eigenvalues, solution.residuals])
+    x_text = None  # the abscissae are the same in every file: format them once
     for k in range(min(levels, solution.count)):
         x, vals = eigenfunction_samples(solution, mesh, values, k)
+        if x_text is None:
+            x_text = [_REAL % v for v in x.tolist()]
         _write_table(out_dir / f"eigenfunction_{k}.csv", ["x", "re", "im"],
-                     [x, vals.real, vals.imag])
+                     [x_text, vals.real, vals.imag])
     if dump_pencil:
         _dump_matrix(out_dir / "pencil_a.csv", pencil.a)
         _dump_matrix(out_dir / "pencil_b.csv", pencil.b)
@@ -231,7 +227,7 @@ def cmd_convergence(cfg: JobConfig, out_dir: Path, mu: float) -> int:
         rows.append(["slope_stderr", _fmt(stderr)])
     else:
         rows.append(["fit_status", "insufficient-data"])
-    _write_csv(out_dir / "convergence.csv", ["N", "h1_error"], rows)
+    _write_table(out_dir / "convergence.csv", ["N", "h1_error"], zip(*rows))
     _echo_config(cfg, out_dir)
     return EXIT_OK
 
@@ -452,9 +448,8 @@ def cmd_stability(cfg: JobConfig, out_dir: Path, mu: float, levels: int) -> int:
             csv_rows.append(["fit_c", "", str(lev), _fmt(c)])
     for eps, distance in distances:
         csv_rows.append(["unitarization_distance", _fmt(eps), "", _fmt(distance)])
-    _write_csv(
-        out_dir / "stability.csv", ["record", "epsilon", "level", "value"], csv_rows
-    )
+    _write_table(out_dir / "stability.csv", ["record", "epsilon", "level", "value"],
+                 zip(*csv_rows))
     _echo_config(cfg, out_dir)
     return EXIT_OK
 
@@ -469,15 +464,11 @@ def cmd_condition(cfg: JobConfig, out_dir: Path) -> int:
     print(f"spectrum_gap = {_fmt(report.spectrum_gap)}")
     if report.incompatible:
         print(f"note = {report.note}")
-    _write_csv(
+    _write_table(
         out_dir / "condition.csv",
         ["kappa_estimate", "bound", "spectrum_gap", "incompatible"],
-        [[
-            _fmt(report.kappa_estimate),
-            _fmt(report.bound),
-            _fmt(report.spectrum_gap),
-            "true" if report.incompatible else "false",
-        ]],
+        [[report.kappa_estimate], [report.bound], [report.spectrum_gap],
+         ["true" if report.incompatible else "false"]],
     )
     _echo_config(cfg, out_dir)
     return EXIT_OK

@@ -2,13 +2,15 @@
 
 Two paths share one result type.
 
-The dense path reduces B by a Cholesky factorization B = L L^H,
-diagonalizes the hermitian matrix L^{-1} A L^{-H} with the dense hermitian
-eigensolver and back-transforms the eigenvectors.  This exploits
-hermiticity and positive definiteness instead of running a general QZ
-iteration, and it makes the eigenvectors B-orthonormal by construction.
-It answers full spectra (``count=None``), pencils too small for ARPACK and
-hand-built pencils without a basis.
+The dense path is one call of LAPACK's hermitian-definite generalized
+driver (``scipy.linalg.eigh(A, B)``: ``zhegvd`` for full spectra,
+``zhegvx`` for the lowest ``count``), which reduces B by a Cholesky
+factorization instead of running a general QZ iteration and returns
+B-orthonormal eigenvectors.  When the driver fails, a Cholesky
+factorization of B alone tells a mass matrix that is not positive definite
+(with its failing pivot) from any other failure.  The dense path answers
+full spectra (``count=None``), pencils too small for ARPACK and hand-built
+pencils without a basis.
 
 The sparse path answers the lowest ``count`` pairs of an assembled pencil
 by shift-invert ARPACK (Lehoucq, Sorensen & Yang, ARPACK Users' Guide,
@@ -164,24 +166,17 @@ def solve_pencil(pencil: Pencil, count: int | None = None) -> EigenSolution:
 
 
 def _solve_dense(pencil: Pencil, count: int | None) -> EigenSolution:
-    a = pencil.a.toarray()
     b = pencil.b.toarray()
-    potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (b,))
-    l_factor, info = potrf(b, lower=1, clean=1, overwrite_a=0)
-    if info != 0:
+    subset = None if count is None else (0, count - 1)
+    try:
+        w, vectors = scipy.linalg.eigh(pencil.a.toarray(), b,
+                                       subset_by_index=subset)
+    except scipy.linalg.LinAlgError as exc:
+        potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (b,))
+        info = potrf(b, lower=1)[1]
         if info > 0:
-            raise PositiveDefinitenessError(int(info))
-        raise EigenSolveError(f"Cholesky factorization failed (info = {info})")
-
-    x = scipy.linalg.solve_triangular(l_factor, a, lower=True)
-    c = scipy.linalg.solve_triangular(l_factor, x.conj().T, lower=True).conj().T
-
-    if count is None:
-        w, y = scipy.linalg.eigh(c)
-    else:
-        w, y = scipy.linalg.eigh(c, subset_by_index=(0, count - 1))
-
-    vectors = scipy.linalg.solve_triangular(l_factor, y, trans="C", lower=True)
+            raise PositiveDefinitenessError(int(info)) from exc
+        raise EigenSolveError(f"generalized eigensolve failed: {exc}") from exc
     return _solution(pencil, w, vectors)
 
 
@@ -362,40 +357,17 @@ def eigenfunction_samples(
     mesh: Mesh,
     bvals: BoundaryValues,
     which: int,
-    include_midpoints: bool = False,
 ):
     """Sample eigenfunction ``which`` at the mesh nodes.
 
     Returns (x, values) with both arrays concatenated over the intervals.
-    Endpoint samples include the boundary-function contributions.  With
-    ``include_midpoints`` the subinterval midpoints are interleaved; the
-    reconstruction is piecewise linear, so midpoint values are the averages
-    of the adjacent node values.
+    Endpoint samples include the boundary-function contributions.
     """
     if not 0 <= which < sol.count:
         raise IndexError(f"eigenpair index {which} out of range [0, {sol.count})")
-    basis = BasisMap(mesh)
     coeffs = sol.eigenvectors[:, which]
-    per_interval = _node_value_arrays(coeffs, mesh, bvals, basis)
-    xs = []
-    vs = []
-    for alpha, vals in enumerate(per_interval):
-        x = mesh.nodes[alpha]
-        if include_midpoints:
-            xm = 0.5 * (x[:-1] + x[1:])
-            vm = 0.5 * (vals[:-1] + vals[1:])
-            x_all = np.empty(x.size + xm.size)
-            v_all = np.empty(x.size + xm.size, dtype=complex)
-            x_all[0::2] = x
-            x_all[1::2] = xm
-            v_all[0::2] = vals
-            v_all[1::2] = vm
-            xs.append(x_all)
-            vs.append(v_all)
-        else:
-            xs.append(np.array(x))
-            vs.append(vals)
-    return np.concatenate(xs), np.concatenate(vs)
+    per_interval = _node_value_arrays(coeffs, mesh, bvals, BasisMap(mesh))
+    return np.concatenate(mesh.nodes), np.concatenate(per_interval)
 
 
 def h1_error(
@@ -425,25 +397,25 @@ def h1_error(
     gauss_x, gauss_w = np.polynomial.legendre.leggauss(int(quad_order))
     t_ref = (gauss_x + 1.0) / 2.0
 
-    # Phase alignment: c = conj(<psi_ref, Phi>) / |<psi_ref, Phi>|.
-    inner = 0.0 + 0.0j
+    # Per interval: step, node values, quadrature points, and the finite
+    # element and reference values there.
+    quad = []
     for alpha, vals in enumerate(per_interval):
         h = mesh.h[alpha]
-        x0 = mesh.nodes[alpha][:-1]
-        xq = x0[:, None] + h * t_ref[None, :]
+        xq = mesh.nodes[alpha][:-1, None] + h * t_ref[None, :]
         fem_q = vals[:-1, None] * (1.0 - t_ref)[None, :] + vals[1:, None] * t_ref[None, :]
-        ref_q = np.asarray(psi_ref(xq), dtype=complex)
+        quad.append((h, vals, xq, fem_q, np.asarray(psi_ref(xq), dtype=complex)))
+
+    # Phase alignment: c = conj(<psi_ref, Phi>) / |<psi_ref, Phi>|.
+    inner = 0.0 + 0.0j
+    for h, _, _, fem_q, ref_q in quad:
         inner += (h / 2.0) * np.sum(gauss_w[None, :] * np.conj(ref_q) * fem_q)
     phase = np.conj(inner) / abs(inner) if abs(inner) > 0 else 1.0
 
     total = 0.0
-    for alpha, vals in enumerate(per_interval):
-        h = mesh.h[alpha]
-        x0 = mesh.nodes[alpha][:-1]
-        xq = x0[:, None] + h * t_ref[None, :]
-        fem_q = vals[:-1, None] * (1.0 - t_ref)[None, :] + vals[1:, None] * t_ref[None, :]
+    for h, vals, xq, fem_q, ref_q in quad:
         slope = (vals[1:] - vals[:-1]) / h
-        diff_val = np.asarray(psi_ref(xq), dtype=complex) - phase * fem_q
+        diff_val = ref_q - phase * fem_q
         diff_slope = np.asarray(dpsi_ref(xq), dtype=complex) - phase * slope[:, None]
         total += (h / 2.0) * np.sum(
             gauss_w[None, :] * (np.abs(diff_val) ** 2 + np.abs(diff_slope) ** 2)

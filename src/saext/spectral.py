@@ -63,7 +63,8 @@ _TWO_PI = 2.0 * math.pi
 
 
 class TraceIntegrationError(RuntimeError):
-    """The fundamental-solution integrator did not reach its tolerance."""
+    """The fundamental traces could not be computed: the integrator did not
+    reach its tolerance, or the traces overflow float64."""
 
 
 def hadamard_vec(x, y):
@@ -90,7 +91,8 @@ def odot(u, psi):
     ``u`` is 2n x 2n in block ordering, ``psi`` a 2n x 2 matrix whose
     columns stack (left traces; right traces) for the two fundamental
     solutions.  The result is the 2n x 2n matrix with n x n blocks
-    B[Ij] = u^{I1} . psi_l^j + u^{I2} . psi_r^j.
+    B[Ij] = u^{I1} . psi_l^j + u^{I2} . psi_r^j, built as its two column
+    blocks u[:, :n] . psi_l^j + u[:, n:] . psi_r^j (j = 1, 2).
     """
     u = np.asarray(u)
     psi = np.asarray(psi)
@@ -99,14 +101,8 @@ def odot(u, psi):
     n = u.shape[0] // 2
     if psi.shape != (2 * n, 2):
         raise ValueError(f"psi must have shape {(2 * n, 2)}, got {psi.shape}")
-    u11, u12 = u[:n, :n], u[:n, n:]
-    u21, u22 = u[n:, :n], u[n:, n:]
-    pl, pr = psi[:n, :], psi[n:, :]
-    blocks = [[None, None], [None, None]]
-    for col in (0, 1):
-        blocks[0][col] = hadamard_mat(u11, pl[:, col]) + hadamard_mat(u12, pr[:, col])
-        blocks[1][col] = hadamard_mat(u21, pl[:, col]) + hadamard_mat(u22, pr[:, col])
-    return np.block(blocks)
+    return np.hstack([u[:, :n] * psi[:n, col] + u[:, n:] * psi[n:, col]
+                      for col in (0, 1)])
 
 
 @dataclass(frozen=True)
@@ -174,6 +170,11 @@ def _closed_form_traces(geom, lam, mu, constants, basis):
             dpsi_l[alpha] = (0.0, -1.0)
             psi_r[alpha] = (cos_l, sin_over_k)
             dpsi_r[alpha] = (-(k * k) * sin_over_k, cos_l)
+    # cmath's cos, sin and exp raise OverflowError themselves once
+    # |Im k| L passes about 710; the derivatives, products with k, can
+    # reach inf a little before that.
+    if not np.isfinite(dpsi_r).all():
+        raise OverflowError("closed-form traces are not finite")
     return psi_l, dpsi_l, psi_r, dpsi_r
 
 
@@ -280,7 +281,8 @@ def fundamental_traces(
     (0, 1) by fixed-step RK4, accepted only when a step-halving comparison
     agrees to 1e-9.  Raises ``PotentialError`` when V is not finite at an
     integration node and ``TraceIntegrationError`` when the step halving
-    does not converge.
+    does not converge or the closed-form traces overflow (lambda far below
+    V on a long interval).
     """
     if basis not in ("normalized", "exponential"):
         raise ValueError(f"unknown basis {basis!r}")
@@ -289,7 +291,12 @@ def fundamental_traces(
     n = geom.n
     constants = [potential.constant_value(alpha) for alpha in range(n)]
     if all(c is not None for c in constants):
-        arrays = _closed_form_traces(geom, lam, mu, constants, basis)
+        try:
+            arrays = _closed_form_traces(geom, lam, mu, constants, basis)
+        except OverflowError as exc:
+            raise TraceIntegrationError(
+                f"fundamental traces overflow at lambda = {lam!r}: {exc}"
+            ) from exc
     else:
         if basis == "exponential":
             raise ValueError(
@@ -315,22 +322,12 @@ class SpectralMatrix:
 
 
 def spectral_matrix(bc: BoundaryCondition, traces: FundamentalTraces) -> SpectralMatrix:
-    """Assemble M(U, lambda) = I . [psi_-] - U . [psi_+] in block ordering."""
+    """Assemble M(U, lambda) = I . [psi_-] - U . [psi_+] in block ordering,
+    both terms by :func:`odot`."""
     if bc.n != traces.n:
         raise ValueError(f"boundary condition n = {bc.n}, traces n = {traces.n}")
-    n = bc.n
-    t_minus = traces.trace_matrix(-1)
-    t_plus = traces.trace_matrix(+1)
-    u = bc.u_block
-    # Column block sigma of odot(U, T) is U[:, :n] . T_l^sigma + U[:, n:] . T_r^sigma,
-    # which for U = I puts T_l^sigma and T_r^sigma on the two block diagonals.
-    m = np.hstack([
-        -(u[:, :n] * t_plus[:n, sigma] + u[:, n:] * t_plus[n:, sigma])
-        for sigma in (0, 1)
-    ])
-    rows = np.arange(2 * n)
-    for sigma in (0, 1):
-        m[rows, sigma * n + rows % n] += t_minus[:, sigma]
+    m = (odot(np.eye(2 * bc.n), traces.trace_matrix(-1))
+         - odot(bc.u_block, traces.trace_matrix(+1)))
     return SpectralMatrix(m=m, lam=traces.lam, detval=complex(np.linalg.det(m)))
 
 

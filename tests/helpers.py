@@ -13,6 +13,7 @@ import warnings
 
 import numpy as np
 import scipy.integrate
+import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 
@@ -192,6 +193,92 @@ def power_law_fit_multistart(eps: np.ndarray, k_vals: np.ndarray):
                 best_cost = cost
                 best = tuple(float(p) for p in params)
     return best
+
+
+def write_text_csv_reference(path, header, rows) -> None:
+    """The CLI's writer of tables whose cells are already text, as it was
+    before text columns went through ``saext.cli._write_table``: one
+    ``csv.writer`` row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def cholesky_pencil_reference(a: np.ndarray, b: np.ndarray, count=None):
+    """(eigenvalues, B-orthonormal eigenvectors) of the hermitian pencil
+    A x = lambda B x by the reduction the dense path ran before it called
+    the generalized LAPACK driver: B = L L^H, the dense hermitian
+    eigensolver on L^{-1} A L^{-H}, back-transformation by L^{-H}.  The
+    lowest ``count`` pairs, or all with ``count=None``."""
+    potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (b,))
+    l_factor, info = potrf(b, lower=1, clean=1, overwrite_a=0)
+    assert info == 0, f"Cholesky factorization failed (info = {info})"
+
+    x = scipy.linalg.solve_triangular(l_factor, a, lower=True)
+    c = scipy.linalg.solve_triangular(l_factor, x.conj().T, lower=True).conj().T
+
+    if count is None:
+        w, y = scipy.linalg.eigh(c)
+    else:
+        w, y = scipy.linalg.eigh(c, subset_by_index=(0, count - 1))
+
+    vectors = scipy.linalg.solve_triangular(l_factor, y, trans="C", lower=True)
+    return w, vectors
+
+
+def spectral_matrix_reference(bc, traces) -> np.ndarray:
+    """M(U, lambda) = I . [psi_-] - U . [psi_+] by the index arithmetic
+    ``saext.spectral.spectral_matrix`` used before it called ``odot``:
+    the U term column block by column block, then the traces of psi_- added
+    on the two block diagonals."""
+    n = bc.n
+    t_minus = traces.trace_matrix(-1)
+    t_plus = traces.trace_matrix(+1)
+    u = bc.u_block
+    m = np.hstack([
+        -(u[:, :n] * t_plus[:n, sigma] + u[:, n:] * t_plus[n:, sigma])
+        for sigma in (0, 1)
+    ])
+    rows = np.arange(2 * n)
+    for sigma in (0, 1):
+        m[rows, sigma * n + rows % n] += t_minus[:, sigma]
+    return m
+
+
+def h1_error_two_pass_reference(per_interval, mesh, reference, quad_order=5):
+    """Sobolev-1 distance between the finite element function with node
+    values ``per_interval`` and a reference (psi, dpsi), as
+    ``saext.eigen.h1_error`` computed it before it formed the quadrature
+    points and values once: the phase pass and the error pass each build
+    them again."""
+    psi_ref, dpsi_ref = reference
+    gauss_x, gauss_w = np.polynomial.legendre.leggauss(int(quad_order))
+    t_ref = (gauss_x + 1.0) / 2.0
+
+    inner = 0.0 + 0.0j
+    for alpha, vals in enumerate(per_interval):
+        h = mesh.h[alpha]
+        x0 = mesh.nodes[alpha][:-1]
+        xq = x0[:, None] + h * t_ref[None, :]
+        fem_q = vals[:-1, None] * (1.0 - t_ref)[None, :] + vals[1:, None] * t_ref[None, :]
+        ref_q = np.asarray(psi_ref(xq), dtype=complex)
+        inner += (h / 2.0) * np.sum(gauss_w[None, :] * np.conj(ref_q) * fem_q)
+    phase = np.conj(inner) / abs(inner) if abs(inner) > 0 else 1.0
+
+    total = 0.0
+    for alpha, vals in enumerate(per_interval):
+        h = mesh.h[alpha]
+        x0 = mesh.nodes[alpha][:-1]
+        xq = x0[:, None] + h * t_ref[None, :]
+        fem_q = vals[:-1, None] * (1.0 - t_ref)[None, :] + vals[1:, None] * t_ref[None, :]
+        slope = (vals[1:] - vals[:-1]) / h
+        diff_val = np.asarray(psi_ref(xq), dtype=complex) - phase * fem_q
+        diff_slope = np.asarray(dpsi_ref(xq), dtype=complex) - phase * slope[:, None]
+        total += (h / 2.0) * np.sum(
+            gauss_w[None, :] * (np.abs(diff_val) ** 2 + np.abs(diff_slope) ** 2)
+        )
+    return float(np.sqrt(total))
 
 
 def write_csv_reference(path, header, columns) -> None:

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import write_csv_reference
+from helpers import write_csv_reference, write_text_csv_reference
 from saext.boundary import random_unitary
 from saext.cli import (
     EXIT_CONDITIONING,
@@ -431,6 +431,23 @@ def test_cmd_oracle_rejects_bad_range(tmp_path, capsys, keys):
     assert not (out / "roots.csv").exists()
 
 
+def test_cmd_oracle_overflow_is_solver_failure(tmp_path, capsys):
+    # the closed-form traces overflow far below the potential
+    text = (
+        SCHEMA_HEADER
+        + f"\ngeometry.intervals = 0 {math.pi!r}"
+        + "\nboundary.kind = dirichlet"
+        + "\nresolution = 10"
+        + "\noracle.lambda_min = -100000"
+        + "\noracle.lambda_max = -90000\n"
+    )
+    cfg_path = _write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", str(cfg_path), "--out", str(out)]) == EXIT_SOLVER
+    assert "overflow" in capsys.readouterr().err
+    assert not (out / "roots.csv").exists()
+
+
 # --------------------------------------------------------------- convergence
 
 def test_cmd_convergence_small(tmp_path):
@@ -575,6 +592,47 @@ def test_cmd_condition(tmp_path, capsys):
     fields = lines[1].split(",")
     assert float(fields[0]) == pytest.approx(1.0)
     assert fields[3] == "false"
+
+
+def _convergence_config():
+    return (
+        SCHEMA_HEADER
+        + f"\ngeometry.intervals = 0 {TWO_PI!r}"
+        + "\nboundary.kind = dirichlet"
+        + "\nresolution = 40"
+        + "\nconvergence.resolutions = 40 80 160\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["stability", "convergence", "condition"])
+def test_text_tables_match_csv_writer(tmp_path, monkeypatch, command):
+    # record the table each command hands to _write_table and write it again
+    # row by row with csv.writer, float cells as the CLI formatted them
+    # before they went through _write_table
+    from saext import cli
+
+    config = {"stability": _stability_config(),
+              "convergence": _convergence_config(),
+              "condition": DIRICHLET_CONFIG}[command]
+
+    tables = []
+
+    def recording(path, header, columns):
+        columns = [list(col) for col in columns]
+        tables.append((path, header, columns))
+        write_table(path, header, columns)
+
+    write_table = cli._write_table
+    monkeypatch.setattr(cli, "_write_table", recording)
+    cfg_path = _write(tmp_path, config)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    [(path, header, columns)] = tables
+    assert path == out / f"{command}.csv"
+    rows = [[cell if isinstance(cell, str) else "%.17g" % cell for cell in row]
+            for row in zip(*columns)]
+    write_text_csv_reference(tmp_path / "ref.csv", header, rows)
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_threads_env_does_not_change_output(tmp_path):

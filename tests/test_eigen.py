@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from helpers import (
     REFERENCE_MESHES,
     charpoly_eigenvalues,
+    cholesky_pencil_reference,
+    h1_error_two_pass_reference,
     node_value_arrays_loop,
     random_hermitian,
     random_spd,
@@ -26,6 +29,7 @@ from saext.eigen import (
     EigenSolveError,
     PositiveDefinitenessError,
     _node_value_arrays,
+    _solve_dense,
     eigenfunction_samples,
     h1_error,
     residual_tolerances,
@@ -172,6 +176,40 @@ def test_reports_failing_pivot():
     assert err.value.pivot == 2
 
 
+def _assert_matches_cholesky_reduction(sol, a, b, count):
+    """Eigenvalues within 1e-10 of the Cholesky-reduction reference,
+    relative to the largest |lambda| of the pencil, and B-orthonormal
+    eigenvectors to 1e-12."""
+    w_ref, _ = cholesky_pencil_reference(a, b, count)
+    scale = max(1.0, float(np.max(np.abs(cholesky_pencil_reference(a, b)[0]))))
+    assert sol.count == w_ref.size
+    assert np.max(np.abs(sol.eigenvalues - w_ref)) <= 1e-10 * scale
+    gram = sol.eigenvectors.conj().T @ (b @ sol.eigenvectors)
+    assert np.max(np.abs(gram - np.eye(sol.count))) <= 1e-12
+
+
+@pytest.mark.parametrize("count", [None, 4])
+@pytest.mark.parametrize("seed", range(8))
+def test_dense_path_matches_cholesky_reduction(seed, count):
+    rng = np.random.default_rng(500 + seed)
+    dim = 5 + 3 * seed
+    a = random_hermitian(dim, rng)
+    b = random_spd(dim, rng)
+    sol = solve_pencil(_raw_pencil(a, b), count=count)
+    _assert_matches_cholesky_reduction(sol, a, b, count)
+
+
+def test_dense_failure_with_definite_mass_is_not_a_pivot_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("forced failure")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", fail)
+    with pytest.raises(EigenSolveError, match="forced failure") as err:
+        solve_pencil(_raw_pencil(np.eye(3, dtype=complex),
+                                 np.eye(3, dtype=complex)))
+    assert not isinstance(err.value, PositiveDefinitenessError)
+
+
 # ------------------------------------------------------ sparse partial path
 
 def _random_pencil(seed):
@@ -211,6 +249,15 @@ def test_sparse_path_matches_dense(seed, caplog):
     assert np.all(part.residuals <= residual_tolerances(pencil, part.eigenvalues))
     gram = part.eigenvectors.conj().T @ (pencil.b @ part.eigenvectors)
     assert np.max(np.abs(gram - np.eye(count))) <= 1e-10
+
+
+@pytest.mark.parametrize("count", [None, 6])
+@pytest.mark.parametrize("seed", range(0, 24, 5))
+def test_dense_path_matches_cholesky_reduction_on_assembled_pencils(seed, count):
+    pencil, _ = _random_pencil(seed)
+    _assert_matches_cholesky_reduction(_solve_dense(pencil, count),
+                                       pencil.a.toarray(), pencil.b.toarray(),
+                                       count)
 
 
 def test_sparse_path_certifies_cluster_straddling_the_count(caplog):
@@ -293,16 +340,6 @@ def test_zero_vector_gives_zero_samples():
     )
     x, values = eigenfunction_samples(zeroed, mesh, vals, 1)
     assert np.array_equal(values, np.zeros_like(values))
-
-
-def test_samples_with_midpoints_interleave():
-    bc = BoundaryCondition.dirichlet(1)
-    mesh, vals, _, sol = _solve_setup(bc, 30, count=1)
-    x, values = eigenfunction_samples(sol, mesh, vals, 0, include_midpoints=True)
-    assert x.size == 2 * (mesh.r[0] + 2) - 1
-    assert np.all(np.diff(x) > 0)
-    # midpoint = average of neighbors for a piecewise-linear function
-    assert values[1] == pytest.approx((values[0] + values[2]) / 2, abs=1e-15)
 
 
 @pytest.mark.parametrize("intervals, resolution, r", REFERENCE_MESHES)
@@ -388,6 +425,24 @@ def test_h1_error_constant_tracks_sobolev2_bound():
         err = h1_error(sol, 0, mesh, vals, reference)
         ratios.append(resolution * err / h2_norm)
     assert max(ratios) / min(ratios) <= 1.1
+
+
+@pytest.mark.parametrize("intervals, resolution, r", REFERENCE_MESHES)
+def test_h1_error_matches_two_pass_reference(intervals, resolution, r):
+    rng = np.random.default_rng(900 + resolution)
+    mesh = build_mesh(IntervalSet(intervals), resolution)
+    h = mesh.h_endpoint
+    v = weighted_hermitian_values(mesh.n, h, rng)
+    bvals = BoundaryValues(v=v, g=(1.0 / h)[:, None] * v, h=h)
+    vectors = rng.standard_normal((mesh.dim, 2)) + 1j * rng.standard_normal((mesh.dim, 2))
+    sol = EigenSolution(eigenvalues=np.zeros(2), eigenvectors=vectors,
+                        residuals=np.zeros(2))
+    reference = (lambda x: np.exp(0.3j * x) * np.sin(x),
+                 lambda x: np.exp(0.3j * x) * (np.cos(x) + 0.3j * np.sin(x)))
+    per_interval = _node_value_arrays(vectors[:, 1], mesh, bvals, BasisMap(mesh))
+    for quad_order in (4, 5, 7):
+        assert h1_error(sol, 1, mesh, bvals, reference, quad_order) == \
+            h1_error_two_pass_reference(per_interval, mesh, reference, quad_order)
 
 
 def test_h1_error_phase_alignment():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import rk4_fundamental_loop
+from helpers import rk4_fundamental_loop, spectral_matrix_reference
 from saext import spectral
 from saext.boundary import BoundaryCondition, random_unitary
 from saext.geometry import IntervalSet
@@ -15,6 +15,7 @@ from saext.potentials import (
     ZeroPotential,
 )
 from saext.spectral import (
+    FundamentalTraces,
     TraceIntegrationError,
     find_spectrum,
     fundamental_traces,
@@ -181,6 +182,14 @@ def test_integrated_traces_multi_interval_constant_mix():
     assert np.max(np.abs(closed.psi_r[0] - integrated.psi_r[0])) <= 1e-9
 
 
+@pytest.mark.parametrize("lam", [-1e5, -5.06e4])
+def test_closed_form_overflow_reported(lam):
+    # L sqrt(-lam) on (0, pi): 993 makes cmath overflow; 706.7 keeps cos and
+    # sin finite but k^2 sin(kL)/k overflows
+    with pytest.raises(TraceIntegrationError, match="overflow"):
+        fundamental_traces(FREE, IntervalSet([(0.0, math.pi)]), lam, mu=1.0)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_integration_failure_reported(monkeypatch):
@@ -334,6 +343,27 @@ def test_spectral_matrix_shape_and_det():
     sm = spectral_matrix(bc, traces)
     assert sm.m.shape == (2, 2)
     assert sm.detval == pytest.approx(np.linalg.det(sm.m))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spectral_matrix_equals_index_arithmetic_reference(n):
+    rng = np.random.default_rng(70 + n)
+    geom = IntervalSet([(2.0 * k, 2.0 * k + rng.uniform(0.5, 1.9))
+                        for k in range(n)])
+    for case in range(100):
+        bc = BoundaryCondition.from_matrix(random_unitary(2 * n, rng),
+                                           ordering="block")
+        if case % 2:
+            traces = fundamental_traces(ConstantPotential(rng.uniform(-2.0, 2.0, n)),
+                                        geom, rng.uniform(-5.0, 30.0), mu=1.0)
+        else:
+            lam, mu = rng.uniform(-5.0, 30.0), 1.0
+            psi_l, dpsi_l, psi_r, dpsi_r = (
+                rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+                for _ in range(4))
+            traces = FundamentalTraces(lam, mu, psi_l, dpsi_l, psi_r, dpsi_r)
+        m = spectral_matrix(bc, traces).m
+        assert np.array_equal(m, spectral_matrix_reference(bc, traces))
 
 
 # ----------------------------------------------------------------- root finding
