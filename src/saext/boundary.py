@@ -171,10 +171,6 @@ class BoundaryCondition:
         )
         return cls.from_matrix(u)
 
-    @property
-    def sigma(self) -> np.ndarray:
-        return endpoint_to_block_permutation(self.n)
-
     def admissibility_defect(self, values, normal_derivatives,
                              ordering: str = "endpoint") -> float:
         """Norm of (psi - i psid) - U (psi + i psid) for one boundary trace."""

@@ -8,8 +8,12 @@ convergence  Sobolev-1 error of the ground state against the resolution
 stability    sensitivity of the spectrum to boundary-condition perturbations
 condition    conditioning report of the boundary matrix
 
-Outputs are CSV files (RFC-4180 style, header row, 17 significant digits)
-plus an echo of the fully resolved configuration.  The stability study fits
+Every setting reaches a subcommand through the configuration: ``--mu``
+overrides ``mu`` and, for stability, ``--levels`` overrides
+``stability.levels``; for solve, ``--levels`` is the number of
+``eigenfunction_<k>.csv`` files.  Outputs are CSV files (RFC-4180 style,
+header row, 17 significant digits) plus ``resolved_config.txt``, the echo of
+the fully resolved configuration that ran.  The stability study fits
 K(eps) = a eps^b + c per level by variable projection: a and c are linear
 least-squares coefficients for each b, and b minimizes the remaining residual
 (a scan of [-4, 4], then golden section).  Exit codes: 0 success,
@@ -39,7 +43,15 @@ from .boundary import (
     retry_mesh_on_bad_conditioning,
     solve_boundary_values,
 )
-from .config import ConfigError, JobConfig, build_problem, parse_config, render_config
+from .config import (
+    REAL_FORMAT,
+    ConfigError,
+    JobConfig,
+    build_problem,
+    format_real,
+    parse_config,
+    render_config,
+)
 from .eigen import EigenSolveError, eigenfunction_samples, h1_error, solve_pencil
 from .fem import AssemblyError, assemble_pencil
 from .geometry import GeometryError, build_mesh
@@ -59,50 +71,35 @@ _LOG = logging.getLogger(__name__)
 _FIT_EXPONENTS = np.linspace(-4.0, 4.0, 800)
 
 
-# 17 significant digits: every float64 round-trips through its text.
-_REAL = "%.17g"
-
-
-def _fmt(x) -> str:
-    return _REAL % float(x)
-
-
 def _write_table(path: Path, header: list[str], columns) -> None:
     """Write a CSV table, the bytes csv.writer writes for it: the header
     row, then row m of the columns, integer cells as %d, float cells as
-    _REAL and text cells as they are, every row rendered by one %-format
-    call.  Text cells are never quoted, so they hold no comma, quote or
-    line break."""
+    REAL_FORMAT and text cells as they are, every row rendered by one
+    %-format call.  Text cells are never quoted, so they hold no comma,
+    quote or line break."""
     arrays = [np.asarray(col) for col in columns]
     rows, width = len(arrays[0]), len(arrays)
     cells = [None] * (rows * width)
     for j, array in enumerate(arrays):
         cells[j::width] = array.tolist()
     line = ",".join("%d" if a.dtype.kind in "iu" else "%s" if a.dtype.kind in "OU"
-                    else _REAL for a in arrays)
+                    else REAL_FORMAT for a in arrays)
     body = ((line + "\r\n") * rows) % tuple(cells)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n" + body)
 
 
-def _echo_config(cfg: JobConfig, out_dir: Path) -> None:
-    (out_dir / "resolved_config.txt").write_text(render_config(cfg))
-
-
-def _solve_problem(cfg: JobConfig, mu: float):
+def _solve_problem(cfg: JobConfig, resolution: int, count: int | None):
+    """(mesh, boundary values, pencil, solution) of the configured problem,
+    its lowest ``count`` pairs (None: all) at ``resolution`` or at the first
+    higher resolution that passes the conditioning gate."""
     geom, bc, potential = build_problem(cfg)
-    if cfg.resolution < 2 * geom.n:
-        raise ConfigError(
-            f"resolution = {cfg.resolution} is too small for n = {geom.n}"
-        )
-    mesh, system, values = retry_mesh_on_bad_conditioning(
-        bc, geom, cfg.resolution, kappa_max=cfg.kappa_max,
+    mesh, _, values = retry_mesh_on_bad_conditioning(
+        bc, geom, resolution, kappa_max=cfg.kappa_max,
         max_retries=cfg.kappa_retries,
     )
-    pencil = assemble_pencil(mesh, bc, values, potential, mu=mu)
-    count = cfg.eigen_count if cfg.eigen_count > 0 else None
-    solution = solve_pencil(pencil, count=count)
-    return geom, bc, potential, mesh, values, pencil, solution
+    pencil = assemble_pencil(mesh, bc, values, potential, mu=cfg.mu)
+    return mesh, values, pencil, solve_pencil(pencil, count=count)
 
 
 def _dump_matrix(path: Path, matrix) -> None:
@@ -115,26 +112,25 @@ def _dump_matrix(path: Path, matrix) -> None:
                  [coo.row[order], coo.col[order], data.real, data.imag])
 
 
-def cmd_solve(cfg: JobConfig, out_dir: Path, mu: float, levels: int,
-              dump_pencil: bool = False) -> int:
-    _, _, _, mesh, values, pencil, solution = _solve_problem(cfg, mu)
+def cmd_solve(cfg: JobConfig, out_dir: Path, args: argparse.Namespace) -> None:
+    mesh, values, pencil, solution = _solve_problem(
+        cfg, cfg.resolution, cfg.eigen_count if cfg.eigen_count > 0 else None
+    )
     _write_table(out_dir / "spectrum.csv", ["index", "lambda", "residual"],
                  [range(solution.count), solution.eigenvalues, solution.residuals])
     x_text = None  # the abscissae are the same in every file: format them once
-    for k in range(min(levels, solution.count)):
+    for k in range(min(args.levels or 0, solution.count)):
         x, vals = eigenfunction_samples(solution, mesh, values, k)
         if x_text is None:
-            x_text = [_REAL % v for v in x.tolist()]
+            x_text = [REAL_FORMAT % v for v in x.tolist()]
         _write_table(out_dir / f"eigenfunction_{k}.csv", ["x", "re", "im"],
                      [x_text, vals.real, vals.imag])
-    if dump_pencil:
+    if args.dump_pencil:
         _dump_matrix(out_dir / "pencil_a.csv", pencil.a)
         _dump_matrix(out_dir / "pencil_b.csv", pencil.b)
-    _echo_config(cfg, out_dir)
-    return EXIT_OK
 
 
-def cmd_oracle(cfg: JobConfig, out_dir: Path, mu: float) -> int:
+def cmd_oracle(cfg: JobConfig, out_dir: Path, args: argparse.Namespace) -> None:
     geom, bc, potential = build_problem(cfg)
     lo, hi = cfg.oracle_lambda_min, cfg.oracle_lambda_max
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -147,7 +143,7 @@ def cmd_oracle(cfg: JobConfig, out_dir: Path, mu: float) -> int:
     result = find_spectrum(
         bc, potential, geom,
         (lo, hi),
-        grid_points=grid, mu=mu, return_scan=cfg.oracle_scan_output,
+        grid_points=grid, mu=cfg.mu, return_scan=cfg.oracle_scan_output,
     )
     if cfg.oracle_scan_output:
         roots, scan = result
@@ -158,11 +154,9 @@ def cmd_oracle(cfg: JobConfig, out_dir: Path, mu: float) -> int:
         roots = result
     _write_table(out_dir / "roots.csv", ["index", "lambda"],
                  [range(len(roots)), roots])
-    _echo_config(cfg, out_dir)
-    return EXIT_OK
 
 
-def _ground_state_reference(geom, mu: float):
+def _ground_state_reference(geom):
     """Unit-norm ground state of the Dirichlet problem on a single interval."""
     if geom.n != 1:
         raise ConfigError("the convergence study needs a single interval")
@@ -199,37 +193,30 @@ def _fit_loglog(ns, errors):
     return float(slope), float(stderr)
 
 
-def cmd_convergence(cfg: JobConfig, out_dir: Path, mu: float) -> int:
-    geom, bc, potential = build_problem(cfg)
+def cmd_convergence(cfg: JobConfig, out_dir: Path, args: argparse.Namespace) -> None:
+    geom, _, _ = build_problem(cfg)
     if cfg.boundary_kind != "dirichlet":
         raise ConfigError(
             "the convergence study uses the built-in Dirichlet reference; "
             f"boundary.kind is {cfg.boundary_kind!r}"
         )
-    reference = _ground_state_reference(geom, mu)
+    reference = _ground_state_reference(geom)
     resolutions = list(cfg.convergence_resolutions)
     if not resolutions:
         raise ConfigError("convergence.resolutions is empty")
 
-    def one(n_res):
-        mesh, _, values = retry_mesh_on_bad_conditioning(
-            bc, geom, n_res, kappa_max=cfg.kappa_max, max_retries=cfg.kappa_retries
-        )
-        pencil = assemble_pencil(mesh, bc, values, potential, mu=mu)
-        solution = solve_pencil(pencil, count=1)
-        return h1_error(solution, 0, mesh, values, reference)
-
-    errors = [one(n_res) for n_res in resolutions]
-    rows = [[str(n), _fmt(e)] for n, e in zip(resolutions, errors)]
+    errors = []
+    for n_res in resolutions:
+        mesh, values, _, solution = _solve_problem(cfg, n_res, 1)
+        errors.append(h1_error(solution, 0, mesh, values, reference))
+    rows = [[str(n), format_real(e)] for n, e in zip(resolutions, errors)]
     if len(resolutions) >= 2:
         slope, stderr = _fit_loglog(resolutions, errors)
-        rows.append(["slope", _fmt(slope)])
-        rows.append(["slope_stderr", _fmt(stderr)])
+        rows.append(["slope", format_real(slope)])
+        rows.append(["slope_stderr", format_real(stderr)])
     else:
         rows.append(["fit_status", "insufficient-data"])
     _write_table(out_dir / "convergence.csv", ["N", "h1_error"], zip(*rows))
-    _echo_config(cfg, out_dir)
-    return EXIT_OK
 
 
 def nearest_unitary(matrix: np.ndarray) -> tuple[np.ndarray, float]:
@@ -308,11 +295,7 @@ def _power_law_fit(eps: np.ndarray, k_vals: np.ndarray):
     return float(a), b, float(c)
 
 
-def stability_study(
-    cfg: JobConfig,
-    mu: float,
-    levels: int,
-):
+def stability_study(cfg: JobConfig):
     """Relative eigenvalue sensitivity under boundary perturbations.
 
     The base boundary condition must be periodic.  For each epsilon the
@@ -321,17 +304,17 @@ def stability_study(
     member u(a) = e^{i eps} u(b) of the same family is used ('geodesic'
     mode).
 
-    Tracked level m is the m-th excited energy level, i.e. the m-th
-    near-degenerate cluster above the ground level; in the periodic case
-    these are the double levels 1, 4, 9, 16, ...  K averages
-    |delta lambda| / (eps |lambda|) over the cluster members, matched to
-    the unperturbed members by sorted index (or by nearest value with
-    stability.matching = nearest).
+    Levels 1 .. stability.levels are tracked.  Level m is the m-th excited
+    energy level, i.e. the m-th near-degenerate cluster above the ground
+    level; in the periodic case these are the double levels 1, 4, 9, 16, ...
+    K averages |delta lambda| / (eps |lambda|) over the cluster members,
+    matched to the unperturbed members by sorted index (or by nearest value
+    with stability.matching = nearest).
 
     Returns (rows, fits, distances): per-epsilon per-level ratios K,
     per-level power-law fits K = a eps^b + c, and the re-unitarization
     distances.  Raises ConfigError unless eps_step is finite and positive,
-    0 <= eps_start <= eps_stop (both finite) and levels >= 1.
+    0 <= eps_start <= eps_stop (both finite) and stability.levels >= 1.
     """
     start, stop, step = (cfg.stability_eps_start, cfg.stability_eps_stop,
                          cfg.stability_eps_step)
@@ -341,8 +324,9 @@ def stability_study(
     if not (math.isfinite(start) and math.isfinite(stop) and 0 <= start <= stop):
         raise ConfigError("stability needs finite 0 <= eps_start <= eps_stop, "
                           f"got eps_start = {start}, eps_stop = {stop}")
+    levels = cfg.stability_levels
     if levels < 1:
-        raise ConfigError(f"stability levels must be at least 1, got {levels}")
+        raise ConfigError(f"stability.levels must be at least 1, got {levels}")
     geom, bc, potential = build_problem(cfg)
     periodic = BoundaryCondition.quasi_periodic(0.0)
     if geom.n != 1 or np.max(np.abs(bc.u_endpoint - periodic.u_endpoint)) > 1e-12:
@@ -360,7 +344,7 @@ def stability_study(
     def solution_for(bc_eps: BoundaryCondition):
         system = assemble_boundary_system(bc_eps, mesh)
         values = solve_boundary_values(system, kappa_max=cfg.kappa_max)
-        pencil = assemble_pencil(mesh, bc_eps, values, potential, mu=mu)
+        pencil = assemble_pencil(mesh, bc_eps, values, potential, mu=cfg.mu)
         return solve_pencil(pencil, count=count)
 
     base_solution = solution_for(bc)
@@ -431,37 +415,36 @@ def stability_study(
     return rows, fits, distances
 
 
-def cmd_stability(cfg: JobConfig, out_dir: Path, mu: float, levels: int) -> int:
-    rows, fits, distances = stability_study(cfg, mu, levels)
+def cmd_stability(cfg: JobConfig, out_dir: Path, args: argparse.Namespace) -> None:
+    rows, fits, distances = stability_study(cfg)
     csv_rows = []
     for record, eps, lev, value in rows:
-        rendered = _fmt(value) if isinstance(value, float) else str(value)
-        csv_rows.append([record, _fmt(eps), str(lev), rendered])
+        rendered = format_real(value) if isinstance(value, float) else str(value)
+        csv_rows.append([record, format_real(eps), str(lev), rendered])
     for lev in sorted(fits):
         fit = fits[lev]
         if fit is None:
             csv_rows.append(["fit_status", "", str(lev), "insufficient-data"])
         else:
             a, b, c = fit
-            csv_rows.append(["fit_a", "", str(lev), _fmt(a)])
-            csv_rows.append(["fit_b", "", str(lev), _fmt(b)])
-            csv_rows.append(["fit_c", "", str(lev), _fmt(c)])
+            csv_rows.append(["fit_a", "", str(lev), format_real(a)])
+            csv_rows.append(["fit_b", "", str(lev), format_real(b)])
+            csv_rows.append(["fit_c", "", str(lev), format_real(c)])
     for eps, distance in distances:
-        csv_rows.append(["unitarization_distance", _fmt(eps), "", _fmt(distance)])
+        csv_rows.append(["unitarization_distance", format_real(eps), "",
+                         format_real(distance)])
     _write_table(out_dir / "stability.csv", ["record", "epsilon", "level", "value"],
                  zip(*csv_rows))
-    _echo_config(cfg, out_dir)
-    return EXIT_OK
 
 
-def cmd_condition(cfg: JobConfig, out_dir: Path) -> int:
+def cmd_condition(cfg: JobConfig, out_dir: Path, args: argparse.Namespace) -> None:
     geom, bc, _ = build_problem(cfg)
     mesh = build_mesh(geom, cfg.resolution)
     system = assemble_boundary_system(bc, mesh)
     report = condition_report(system)
-    print(f"kappa_estimate = {_fmt(report.kappa_estimate)}")
-    print(f"bound = {_fmt(report.bound)}")
-    print(f"spectrum_gap = {_fmt(report.spectrum_gap)}")
+    print(f"kappa_estimate = {format_real(report.kappa_estimate)}")
+    print(f"bound = {format_real(report.bound)}")
+    print(f"spectrum_gap = {format_real(report.spectrum_gap)}")
     if report.incompatible:
         print(f"note = {report.note}")
     _write_table(
@@ -470,8 +453,6 @@ def cmd_condition(cfg: JobConfig, out_dir: Path) -> int:
         [[report.kappa_estimate], [report.bound], [report.spectrum_gap],
          ["true" if report.incompatible else "false"]],
     )
-    _echo_config(cfg, out_dir)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -482,21 +463,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "solve the eigenvalue problem and write spectrum.csv"),
-        ("oracle", "locate eigenvalues with the spectral-determinant scan"),
-        ("convergence", "ground-state Sobolev-1 error vs resolution"),
-        ("stability", "eigenvalue sensitivity to boundary perturbations"),
-        ("condition", "conditioning report for the boundary matrix"),
-    ):
+    # The handlers are looked up here, on each call, so that a test can
+    # replace one.  An option whose dest names a JobConfig field overrides
+    # that field (see main).
+    for name, (help_text, handler) in {
+        "solve": ("solve the eigenvalue problem and write spectrum.csv", cmd_solve),
+        "oracle": ("locate eigenvalues with the spectral-determinant scan",
+                   cmd_oracle),
+        "convergence": ("ground-state Sobolev-1 error vs resolution",
+                        cmd_convergence),
+        "stability": ("eigenvalue sensitivity to boundary perturbations",
+                      cmd_stability),
+        "condition": ("conditioning report for the boundary matrix", cmd_condition),
+    }.items():
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(handler=handler)
         cmd.add_argument("--config", required=True, help="configuration file")
         cmd.add_argument("--out", default=".", help="output directory")
-        cmd.add_argument("--mu", type=float, default=None,
-                         help="override the configured mass factor")
-        cmd.add_argument("--levels", type=int, default=None,
-                         help="eigenfunction files (solve) or tracked "
-                         "levels (stability)")
+        cmd.add_argument("--mu", type=float, help="override mu")
+        cmd.add_argument("--levels", type=int,
+                         dest="stability_levels" if name == "stability" else "levels",
+                         help="eigenfunction files (solve) or tracked levels "
+                         "(stability: overrides stability.levels)")
         if name == "solve":
             cmd.add_argument("--dump-pencil", action="store_true",
                              help="write the nonzero entries of A and B "
@@ -505,8 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         try:
             text = Path(args.config).read_text()
@@ -514,30 +501,20 @@ def main(argv=None) -> int:
             print(f"saext: cannot read config: {exc}", file=sys.stderr)
             return EXIT_IO
         cfg = parse_config(text)
-        if args.mu is not None:
-            cfg.mu = args.mu
-        mu = cfg.mu
+        # command-line overrides go into the configuration, so that the
+        # echo written below shows what ran
+        for name, value in vars(args).items():
+            if value is not None and hasattr(cfg, name):
+                setattr(cfg, name, value)
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             print(f"saext: cannot create output directory: {exc}", file=sys.stderr)
             return EXIT_IO
-
-        if args.command == "solve":
-            levels = args.levels if args.levels is not None else 0
-            return cmd_solve(cfg, out_dir, mu, levels,
-                             dump_pencil=args.dump_pencil)
-        if args.command == "oracle":
-            return cmd_oracle(cfg, out_dir, mu)
-        if args.command == "convergence":
-            return cmd_convergence(cfg, out_dir, mu)
-        if args.command == "stability":
-            levels = args.levels if args.levels is not None else cfg.stability_levels
-            return cmd_stability(cfg, out_dir, mu, levels)
-        if args.command == "condition":
-            return cmd_condition(cfg, out_dir)
-        raise AssertionError(f"unhandled command {args.command}")
+        args.handler(cfg, out_dir, args)
+        (out_dir / "resolved_config.txt").write_text(render_config(cfg))
+        return EXIT_OK
     except (ConfigError, GeometryError, PotentialError) as exc:
         print(f"saext: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

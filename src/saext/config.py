@@ -24,13 +24,17 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration."""
 
 
-def _fmt_real(x: float) -> str:
-    return f"{float(x):.17g}"
+# 17 significant digits: every float64 round-trips through its text.
+REAL_FORMAT = "%.17g"
 
 
-def _fmt_complex(z: complex) -> str:
+def format_real(x) -> str:
+    return REAL_FORMAT % float(x)
+
+
+def _format_complex(z) -> str:
     z = complex(z)
-    return f"{_fmt_real(z.real)},{_fmt_real(z.imag)}"
+    return f"{format_real(z.real)},{format_real(z.imag)}"
 
 
 def _parse_real(token: str, key: str) -> float:
@@ -97,34 +101,43 @@ class JobConfig:
     stability_matching: str = "index"
 
 
-# key name -> (attribute, kind); kind in
-# {int, real, bool, string, real_array, int_array, complex_array}
-_KEYS: dict[str, tuple[str, str]] = {
-    "geometry.intervals": ("intervals", "real_array"),
-    "boundary.kind": ("boundary_kind", "string"),
-    "boundary.theta": ("boundary_theta", "real"),
-    "boundary.matrix": ("boundary_matrix", "complex_array"),
-    "boundary.ordering": ("boundary_ordering", "string"),
-    "potential.kind": ("potential_kind", "string"),
-    "potential.values": ("potential_values", "real_array"),
-    "potential.samples_x": ("potential_samples_x", "real_array"),
-    "potential.samples_v": ("potential_samples_v", "real_array"),
-    "resolution": ("resolution", "int"),
-    "mu": ("mu", "real"),
-    "eigen.count": ("eigen_count", "int"),
-    "oracle.lambda_min": ("oracle_lambda_min", "real"),
-    "oracle.lambda_max": ("oracle_lambda_max", "real"),
-    "oracle.grid_points": ("oracle_grid_points", "int"),
-    "oracle.scan_output": ("oracle_scan_output", "bool"),
-    "kappa.max": ("kappa_max", "real"),
-    "kappa.retries": ("kappa_retries", "int"),
-    "convergence.resolutions": ("convergence_resolutions", "int_array"),
-    "stability.eps_start": ("stability_eps_start", "real"),
-    "stability.eps_stop": ("stability_eps_stop", "real"),
-    "stability.eps_step": ("stability_eps_step", "real"),
-    "stability.levels": ("stability_levels", "int"),
-    "stability.mode": ("stability_mode", "string"),
-    "stability.matching": ("stability_matching", "string"),
+# scalar kind -> (parse one token, render one value)
+_KINDS = {
+    "int": (_parse_int, lambda v: str(int(v))),
+    "real": (_parse_real, format_real),
+    "complex": (_parse_complex, _format_complex),
+    "bool": (_parse_bool, lambda v: "true" if v else "false"),
+    "string": (lambda token, key: token, str),
+}
+
+# key name -> (attribute, scalar kind, array); an array value is a
+# whitespace-separated list of tokens of its kind
+_KEYS: dict[str, tuple[str, str, bool]] = {
+    "geometry.intervals": ("intervals", "real", True),
+    "boundary.kind": ("boundary_kind", "string", False),
+    "boundary.theta": ("boundary_theta", "real", False),
+    "boundary.matrix": ("boundary_matrix", "complex", True),
+    "boundary.ordering": ("boundary_ordering", "string", False),
+    "potential.kind": ("potential_kind", "string", False),
+    "potential.values": ("potential_values", "real", True),
+    "potential.samples_x": ("potential_samples_x", "real", True),
+    "potential.samples_v": ("potential_samples_v", "real", True),
+    "resolution": ("resolution", "int", False),
+    "mu": ("mu", "real", False),
+    "eigen.count": ("eigen_count", "int", False),
+    "oracle.lambda_min": ("oracle_lambda_min", "real", False),
+    "oracle.lambda_max": ("oracle_lambda_max", "real", False),
+    "oracle.grid_points": ("oracle_grid_points", "int", False),
+    "oracle.scan_output": ("oracle_scan_output", "bool", False),
+    "kappa.max": ("kappa_max", "real", False),
+    "kappa.retries": ("kappa_retries", "int", False),
+    "convergence.resolutions": ("convergence_resolutions", "int", True),
+    "stability.eps_start": ("stability_eps_start", "real", False),
+    "stability.eps_stop": ("stability_eps_stop", "real", False),
+    "stability.eps_step": ("stability_eps_step", "real", False),
+    "stability.levels": ("stability_levels", "int", False),
+    "stability.mode": ("stability_mode", "string", False),
+    "stability.matching": ("stability_matching", "string", False),
 }
 
 
@@ -160,44 +173,19 @@ def parse_config(text: str) -> JobConfig:
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        attr, kind = _KEYS[key]
-        tokens = value.split()
-        if kind == "int":
-            setattr(cfg, attr, _parse_int(value, key))
-        elif kind == "real":
-            setattr(cfg, attr, _parse_real(value, key))
-        elif kind == "bool":
-            setattr(cfg, attr, _parse_bool(value, key))
-        elif kind == "string":
-            setattr(cfg, attr, value)
-        elif kind == "real_array":
-            setattr(cfg, attr, tuple(_parse_real(t, key) for t in tokens))
-        elif kind == "int_array":
-            setattr(cfg, attr, tuple(_parse_int(t, key) for t in tokens))
-        elif kind == "complex_array":
-            setattr(cfg, attr, tuple(_parse_complex(t, key) for t in tokens))
+        attr, kind, array = _KEYS[key]
+        parse = _KINDS[kind][0]
+        setattr(cfg, attr, tuple(parse(t, key) for t in value.split()) if array
+                else parse(value, key))
     return cfg
 
 
 def render_config(cfg: JobConfig) -> str:
     """Canonical text form of a configuration, all defaults materialized."""
     out = [SCHEMA_HEADER]
-    for key, (attr, kind) in _KEYS.items():
-        value = getattr(cfg, attr)
-        if kind == "int":
-            rendered = str(int(value))
-        elif kind == "real":
-            rendered = _fmt_real(value)
-        elif kind == "bool":
-            rendered = "true" if value else "false"
-        elif kind == "string":
-            rendered = str(value)
-        elif kind == "real_array":
-            rendered = " ".join(_fmt_real(v) for v in value)
-        elif kind == "int_array":
-            rendered = " ".join(str(int(v)) for v in value)
-        elif kind == "complex_array":
-            rendered = " ".join(_fmt_complex(v) for v in value)
+    for key, (attr, kind, array) in _KEYS.items():
+        value, render = getattr(cfg, attr), _KINDS[kind][1]
+        rendered = " ".join(map(render, value)) if array else render(value)
         out.append(f"{key} = {rendered}")
     return "\n".join(out) + "\n"
 

@@ -33,8 +33,13 @@ within :func:`residual_tolerances`; otherwise the reason is logged on the
 ``saext`` logger and the dense path answers, so a wrong count is never
 returned.
 
-Eigenvector phases are fixed by making the largest-magnitude coefficient
-real and positive, so outputs are reproducible across runs and platforms.
+Eigenvector phases are fixed by making the inner product <w, Phi> with a
+fixed generic vector w of positive entries real and positive.  Unlike the
+largest-magnitude coefficient, which ties between symmetric coefficients,
+<w, Phi> is nonzero for every eigenvector with probability one, so both
+paths and every platform turn an eigenvector the same way.  As w is real,
+the eigenvectors of a real pencil come out real, and as w is positive, a
+ground state without nodes comes out positive.
 """
 
 from __future__ import annotations
@@ -103,27 +108,31 @@ class EigenSolution:
         return self.eigenvalues.size
 
     def degenerate_clusters(self, rtol: float = DEGENERACY_RTOL) -> list[list[int]]:
-        """Indices grouped into clusters of eigenvalues within
-        rtol * max(1, |lambda|) of each other; B-orthonormality holds
-        within clusters because the solve orthonormalizes globally."""
-        clusters: list[list[int]] = []
-        for j, lam in enumerate(self.eigenvalues):
-            if clusters and abs(
-                lam - self.eigenvalues[clusters[-1][0]]
-            ) <= rtol * max(1.0, abs(lam)):
-                clusters[-1].append(j)
-            else:
-                clusters.append([j])
-        return clusters
+        """Indices grouped into clusters split at the gaps of
+        :func:`_gaps`; B-orthonormality holds within clusters because the
+        solve orthonormalizes globally."""
+        splits = np.flatnonzero(_gaps(self.eigenvalues, rtol)) + 1
+        return [c.tolist() for c in np.split(np.arange(self.count), splits) if c.size]
+
+
+def _gaps(w: np.ndarray, rtol: float) -> np.ndarray:
+    """gaps[j] tells whether ascending eigenvalues w[j] and w[j + 1] lie in
+    different clusters: they do when they differ by more than
+    rtol * max(1, |w[j + 1]|)."""
+    return np.diff(w) > rtol * np.maximum(1.0, np.abs(w[1:]))
+
+
+def _phase_reference(dim: int) -> np.ndarray:
+    """The fixed vector w of the phase rule: uniform entries in [0, 1)."""
+    return np.random.default_rng(_START_SEED).random(dim)
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        z = col[idx]
-        if z != 0:
-            col *= np.conj(z) / abs(z)
+    """Turn each column in place so that <w, column> is real and positive
+    for w = _phase_reference (a column orthogonal to w stays as it is)."""
+    inner = _phase_reference(vectors.shape[0]) @ vectors
+    vectors *= np.divide(inner.conj(), np.abs(inner), out=np.ones_like(inner),
+                         where=inner != 0)
     return vectors
 
 
@@ -303,9 +312,7 @@ def _solve_partial(pencil: Pencil, count: int) -> EigenSolution | None:
         if ritz is None:
             return None
         w, vectors = ritz
-        wide = np.diff(w[count - 1:]) > DEGENERACY_RTOL * np.maximum(
-            1.0, np.abs(w[count:])
-        )
+        wide = _gaps(w[count - 1:], DEGENERACY_RTOL)
     if not np.any(wide):
         _LOG.warning("no gap above eigenvalue %d; dense fallback", count)
         return None

@@ -306,7 +306,7 @@ def test_criterion_10_stability_exponents():
         + "\nresolution = 250\n"
     )
     cfg = parse_config(text)
-    _, fits, _ = stability_study(cfg, mu=1.0, levels=4)
+    _, fits, _ = stability_study(cfg)
     exponents = [fits[lev][1] for lev in (1, 2, 3, 4)]
     reference = (-0.89, -0.42, -0.03, 0.28)
     within = all(

@@ -226,9 +226,7 @@ def test_cmd_solve_outputs_match_reference_writer(tmp_path):
                  "--levels", "8", "--dump-pencil"]) == EXIT_OK
 
     ref.mkdir()
-    _, _, _, mesh, values, pencil, solution = _solve_problem(
-        parse_config(text), 1.0
-    )
+    mesh, values, pencil, solution = _solve_problem(parse_config(text), 400, 8)
     write_csv_reference(
         ref / "spectrum.csv", ["index", "lambda", "residual"],
         [range(solution.count), solution.eigenvalues, solution.residuals],
@@ -541,6 +539,46 @@ def test_cmd_stability_small(tmp_path):
     assert any(l.startswith("unitarization_distance,") for l in lines)
     # fits need >= 4 points per level
     assert any(l.startswith("fit_b,") for l in lines)
+
+
+@pytest.mark.parametrize("argv, echoed, k_rows", [
+    (["stability", "--levels", "1"], "stability.levels = 1", 4),
+    (["stability", "--levels", "3"], "stability.levels = 3", 12),
+    (["solve", "--mu", "0.5"], "mu = 0.5", 0),
+], ids=["stability-levels-1", "stability-levels-3", "solve-mu"])
+def test_command_line_overrides_are_echoed(tmp_path, argv, echoed, k_rows):
+    # the configuration file says stability.levels = 2 and leaves mu at 1
+    cfg_path = _write(tmp_path, _stability_config())
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    assert echoed in (out / "resolved_config.txt").read_text().splitlines()
+    if argv[0] == "stability":
+        lines = (out / "stability.csv").read_text().splitlines()
+        assert sum(l.startswith("K,") for l in lines) == k_rows
+
+
+def test_stability_nearest_matching_equals_index_matching_on_ring(tmp_path):
+    # the periodic ring's clusters are ordered pairs that move by far less
+    # than their spacing, so both matchings pick the same partners
+    ring = (
+        SCHEMA_HEADER
+        + f"\ngeometry.intervals = 0 {TWO_PI!r}"
+        + "\nboundary.kind = quasi_periodic"
+        + "\nresolution = 40"
+        + "\nstability.eps_start = 1e-4"
+        + "\nstability.eps_stop = 3e-4"
+        + "\nstability.eps_step = 1e-4"
+        + "\nstability.levels = 3"
+    )
+    outputs = []
+    for matching in ("index", "nearest"):
+        cfg_path = _write(tmp_path, ring + f"\nstability.matching = {matching}\n",
+                          f"{matching}.cfg")
+        out = tmp_path / matching
+        assert main(["stability", "--config", str(cfg_path), "--out", str(out)]) == 0
+        outputs.append((out / "stability.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\r\nK,") == 3 * 3
 
 
 def test_stability_modes_agree_to_first_order(tmp_path):

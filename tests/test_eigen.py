@@ -29,6 +29,7 @@ from saext.eigen import (
     EigenSolveError,
     PositiveDefinitenessError,
     _node_value_arrays,
+    _phase_reference,
     _solve_dense,
     eigenfunction_samples,
     h1_error,
@@ -126,18 +127,40 @@ def test_degenerate_cluster_grouping():
         residuals=np.zeros(4),
     )
     assert sol.degenerate_clusters() == [[0], [1, 2], [3]]
+    # a cluster splits only at a gap between neighbours: a chain of close
+    # eigenvalues stays one cluster however wide it spans
+    chained = EigenSolution(
+        eigenvalues=np.array([0.0, 1.0, 1.0 + 0.7e-9, 1.0 + 1.4e-9, 4.0]),
+        eigenvectors=np.zeros((5, 5), dtype=complex),
+        residuals=np.zeros(5),
+    )
+    assert chained.degenerate_clusters() == [[0], [1, 2, 3], [4]]
 
 
-def test_phase_fixing_largest_coefficient_real_positive():
+def test_phase_fixing_reference_inner_product_real_positive():
     rng = np.random.default_rng(7)
     a = random_hermitian(9, rng)
     b = random_spd(9, rng)
     sol = solve_pencil(_raw_pencil(a, b))
-    for j in range(sol.count):
-        col = sol.eigenvectors[:, j]
-        top = col[int(np.argmax(np.abs(col)))]
-        assert top.real > 0
-        assert abs(top.imag) <= 1e-14 * abs(top)
+    inner = _phase_reference(9) @ sol.eigenvectors
+    assert np.all(inner.real > 0)
+    assert np.all(np.abs(inner.imag) <= 1e-14 * np.abs(inner))
+
+
+def test_phase_fixing_agrees_between_sparse_and_dense_paths(caplog):
+    # criterion 10's ring: each excited level is a pair split by ~3e-6, whose
+    # eigenfunctions tie in largest coefficient; the two paths must still
+    # turn every eigenfunction the same way
+    bc = BoundaryCondition.quasi_periodic(0.0)
+    with caplog.at_level(logging.WARNING, logger="saext"):
+        mesh, vals, pencil, sparse = _solve_setup(bc, 250, count=9)
+    assert not caplog.records  # the certified sparse path answered
+    dense = _solve_dense(pencil, None)
+    for k in range(8):
+        _, v_sparse = eigenfunction_samples(sparse, mesh, vals, k)
+        _, v_dense = eigenfunction_samples(dense, mesh, vals, k)
+        assert (np.max(np.abs(v_sparse - v_dense))
+                <= 1e-6 * np.max(np.abs(v_dense))), k
 
 
 def test_dirichlet_free_particle_spectrum():

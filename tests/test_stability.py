@@ -52,8 +52,7 @@ def test_fit_recovers_exact_power_law(a, b, c):
 
 
 def test_fit_matches_multistart_reference_on_criterion_10():
-    rows, fits, _ = stability_study(parse_config(CRITERION_10_CONFIG),
-                                    mu=1.0, levels=4)
+    rows, fits, _ = stability_study(parse_config(CRITERION_10_CONFIG))
     for lev in (1, 2, 3, 4):
         eps = np.array([r[1] for r in rows if r[0] == "K" and r[2] == lev])
         k_vals = np.array([r[3] for r in rows if r[0] == "K" and r[2] == lev])
