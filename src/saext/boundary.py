@@ -18,12 +18,13 @@ monitors the conditioning of F.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .geometry import Mesh
+from .geometry import Mesh, build_mesh
 
 UNITARITY_TOL = 1e-12
 DEFAULT_KAPPA_MAX = 1e8
@@ -171,29 +172,15 @@ class BoundaryCondition:
         )
         return cls.from_matrix(u)
 
-    def admissibility_defect(self, values, normal_derivatives,
-                             ordering: str = "endpoint") -> float:
-        """Norm of (psi - i psid) - U (psi + i psid) for one boundary trace."""
+    def admissibility_defect(self, values, normal_derivatives) -> float:
+        """Norm of (psi - i psid) - U (psi + i psid) for one boundary trace
+        in endpoint order."""
         psi = np.asarray(values, dtype=complex)
         psid = np.asarray(normal_derivatives, dtype=complex)
         if psi.shape != (2 * self.n,) or psid.shape != (2 * self.n,):
             raise BoundaryError("trace vectors must have length 2n")
-        u = self.u_endpoint if ordering == "endpoint" else self.u_block
-        return float(np.linalg.norm((psi - 1j * psid) - u @ (psi + 1j * psid)))
-
-
-@dataclass(frozen=True)
-class BoundaryTrace:
-    """Boundary data (values, outward normal derivatives) in block order."""
-
-    values: np.ndarray
-    normal_derivatives: np.ndarray
-
-    def is_admissible(self, bc: BoundaryCondition, tol: float = _TRACE_TOL) -> bool:
-        defect = bc.admissibility_defect(
-            self.values, self.normal_derivatives, ordering="block"
-        )
-        return defect <= tol
+        return float(np.linalg.norm(
+            (psi - 1j * psid) - self.u_endpoint @ (psi + 1j * psid)))
 
 
 @dataclass(frozen=True)
@@ -289,8 +276,13 @@ def condition_report(sys: BoundarySystem) -> ConditionReport:
     )
 
 
+def _check_kappa_max(kappa_max: float) -> None:
+    if math.isnan(kappa_max):
+        raise ValueError("kappa_max must not be NaN")
+
+
 def solve_boundary_values(
-    sys: BoundarySystem, kappa_max: float | None = DEFAULT_KAPPA_MAX
+    sys: BoundarySystem, kappa_max: float = DEFAULT_KAPPA_MAX
 ) -> BoundaryValues:
     """Solve F V = C and project V onto the weighted-hermitian constraint.
 
@@ -300,11 +292,14 @@ def solve_boundary_values(
 
     Raises
     ------
+    ValueError
+        If ``kappa_max`` is NaN.
     ConditionFailure
         If the condition estimate of F exceeds ``kappa_max``.
     BoundarySolveError
         If the residual or the per-column admissibility gate fails.
     """
+    _check_kappa_max(kappa_max)
     report = condition_report(sys)
     if report.incompatible:
         # With 1 in the spectrum of U0 the matrix F is (numerically) zero,
@@ -315,7 +310,7 @@ def solve_boundary_values(
             kappa_estimate=report.kappa_estimate,
             spectrum_gap=report.spectrum_gap,
         )
-    if kappa_max is not None and not report.kappa_estimate <= kappa_max:
+    if not report.kappa_estimate <= kappa_max:
         raise ConditionFailure(
             f"boundary matrix condition estimate {report.kappa_estimate:.3e} "
             f"exceeds kappa_max = {kappa_max:.3e} "
@@ -371,10 +366,14 @@ def retry_mesh_on_bad_conditioning(
 
     Raises
     ------
+    ValueError
+        If ``kappa_max`` is NaN or ``max_retries`` is negative.
     ConditionFailure
         After exhausting the retries; carries the full kappa history.
     """
-    from .geometry import build_mesh
+    _check_kappa_max(kappa_max)
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
 
     history: list[tuple[int, float]] = []
     for n_try in range(int(resolution), int(resolution) + int(max_retries) + 1):

@@ -11,12 +11,13 @@ condition    conditioning report of the boundary matrix
 Every setting reaches a subcommand through the configuration: ``--mu``
 overrides ``mu`` and, for stability, ``--levels`` overrides
 ``stability.levels``; for solve, ``--levels`` is the number of
-``eigenfunction_<k>.csv`` files.  Outputs are CSV files (RFC-4180 style,
-header row, 17 significant digits) plus ``resolved_config.txt``, the echo of
-the fully resolved configuration that ran.  The stability study fits
-K(eps) = a eps^b + c per level by variable projection: a and c are linear
-least-squares coefficients for each b, and b minimizes the remaining residual
-(a scan of [-4, 4], then golden section).  Exit codes: 0 success,
+``eigenfunction_<k>.csv`` files (>= 0); no other subcommand takes it.
+Outputs are CSV files (RFC-4180 style, header row, 17 significant digits)
+plus ``resolved_config.txt``, the echo of the fully resolved configuration
+that ran.  The stability study fits K(eps) = a eps^b + c per level by
+variable projection: a and c are linear least-squares coefficients for each
+b, and b minimizes the remaining residual (a scan of [-4, 4], then golden
+section).  Exit codes: 0 success,
 2 configuration validation, 3 conditioning failure, 4 solver failure,
 5 I/O failure.  The oracle needs finite oracle.lambda_min < oracle.lambda_max
 and oracle.grid_points >= 0 (0 chooses the grid density automatically).
@@ -113,13 +114,15 @@ def _dump_matrix(path: Path, matrix) -> None:
 
 
 def cmd_solve(cfg: JobConfig, out_dir: Path, args: argparse.Namespace) -> None:
+    if args.levels < 0:
+        raise ConfigError(f"--levels must be >= 0, got {args.levels}")
     mesh, values, pencil, solution = _solve_problem(
         cfg, cfg.resolution, cfg.eigen_count if cfg.eigen_count > 0 else None
     )
     _write_table(out_dir / "spectrum.csv", ["index", "lambda", "residual"],
                  [range(solution.count), solution.eigenvalues, solution.residuals])
     x_text = None  # the abscissae are the same in every file: format them once
-    for k in range(min(args.levels or 0, solution.count)):
+    for k in range(min(args.levels, solution.count)):
         x, vals = eigenfunction_samples(solution, mesh, values, k)
         if x_text is None:
             x_text = [REAL_FORMAT % v for v in x.tolist()]
@@ -481,14 +484,15 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="configuration file")
         cmd.add_argument("--out", default=".", help="output directory")
         cmd.add_argument("--mu", type=float, help="override mu")
-        cmd.add_argument("--levels", type=int,
-                         dest="stability_levels" if name == "stability" else "levels",
-                         help="eigenfunction files (solve) or tracked levels "
-                         "(stability: overrides stability.levels)")
         if name == "solve":
+            cmd.add_argument("--levels", type=int, default=0,
+                             help="number of eigenfunction_<k>.csv files")
             cmd.add_argument("--dump-pencil", action="store_true",
                              help="write the nonzero entries of A and B "
                              "as CSV for debugging")
+        elif name == "stability":
+            cmd.add_argument("--levels", type=int, dest="stability_levels",
+                             help="tracked levels (overrides stability.levels)")
     return parser
 
 

@@ -272,4 +272,8 @@ def build_problem(cfg: JobConfig):
         raise ConfigError(f"mu must be positive and finite, got {cfg.mu}")
     if cfg.eigen_count < 0:
         raise ConfigError(f"eigen.count must be >= 0, got {cfg.eigen_count}")
+    if not cfg.kappa_max > 0:
+        raise ConfigError(f"kappa.max must be positive, got {cfg.kappa_max}")
+    if cfg.kappa_retries < 0:
+        raise ConfigError(f"kappa.retries must be >= 0, got {cfg.kappa_retries}")
     return geom, bc, potential

@@ -383,25 +383,22 @@ def h1_error(
     mesh: Mesh,
     bvals: BoundaryValues,
     reference,
-    quad_order: int = 5,
 ) -> float:
     """Sobolev-1 distance between eigenfunction ``which`` and a reference.
 
     ``reference`` is a pair of callables (psi, dpsi) evaluated at global
     coordinates.  The finite element function is linear on every
     subinterval, so the integral is accumulated per subinterval with
-    Gauss-Legendre quadrature of the given order.  Before differencing,
-    the eigenfunction is multiplied by the unit-modulus phase maximizing
-    the real inner product with the reference.
+    five-point Gauss-Legendre quadrature.  Before differencing, the
+    eigenfunction is multiplied by the unit-modulus phase maximizing the
+    real inner product with the reference.
     """
-    if quad_order < 4:
-        raise ValueError("quad_order must be at least 4")
     psi_ref, dpsi_ref = reference
     basis = BasisMap(mesh)
     coeffs = sol.eigenvectors[:, which]
     per_interval = _node_value_arrays(coeffs, mesh, bvals, basis)
 
-    gauss_x, gauss_w = np.polynomial.legendre.leggauss(int(quad_order))
+    gauss_x, gauss_w = np.polynomial.legendre.leggauss(5)
     t_ref = (gauss_x + 1.0) / 2.0
 
     # Per interval: step, node values, quadrature points, and the finite

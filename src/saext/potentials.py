@@ -24,9 +24,6 @@ class Potential:
         """Constant value of V on interval ``alpha``, or None if non-constant."""
         return None
 
-    def is_constant(self, n: int) -> bool:
-        return all(self.constant_value(alpha) is not None for alpha in range(n))
-
 
 class ZeroPotential(Potential):
     """The free particle, V = 0."""

@@ -52,7 +52,7 @@ from .boundary import BoundaryCondition
 from .geometry import IntervalSet
 from .potentials import Potential, PotentialError
 
-DEFAULT_ODE_STEPS = 2048
+_ODE_STEPS = 2048  # first step count of the halving comparison
 _ODE_RTOL = 1e-9
 _MAX_ODE_STEPS = 1 << 17
 _EXP_DEGENERACY_TOL = 1e-9
@@ -230,14 +230,14 @@ def _rk4_fundamental(potential, alpha, a, b, lam, mu, steps):
     return _ordered_product(_step_matrices(q0, q1, q2, h)).astype(complex)
 
 
-def _integrated_traces(potential, geom, lam, mu, steps):
+def _integrated_traces(potential, geom, lam, mu):
     n = geom.n
     psi_l = np.zeros((n, 2), dtype=complex)
     dpsi_l = np.zeros((n, 2), dtype=complex)
     psi_r = np.zeros((n, 2), dtype=complex)
     dpsi_r = np.zeros((n, 2), dtype=complex)
     for alpha, (a, b) in enumerate(geom.intervals):
-        m = int(steps)
+        m = _ODE_STEPS
         coarse = _rk4_fundamental(potential, alpha, a, b, lam, mu, m)
         while True:
             fine = _rk4_fundamental(potential, alpha, a, b, lam, mu, 2 * m)
@@ -272,7 +272,6 @@ def fundamental_traces(
     lam: float,
     mu: float = 1.0,
     basis: str = "normalized",
-    ode_steps: int = DEFAULT_ODE_STEPS,
 ) -> FundamentalTraces:
     """Boundary traces of a fundamental system at trial eigenvalue ``lam``.
 
@@ -302,7 +301,7 @@ def fundamental_traces(
             raise ValueError(
                 "the exponential basis is only available for constant potentials"
             )
-        arrays = _integrated_traces(potential, geom, lam, mu, ode_steps)
+        arrays = _integrated_traces(potential, geom, lam, mu)
     psi_l, dpsi_l, psi_r, dpsi_r = (np.asarray(a) for a in arrays)
     traces = FundamentalTraces(
         lam=lam, mu=mu, psi_l=psi_l, dpsi_l=dpsi_l, psi_r=psi_r, dpsi_r=dpsi_r

@@ -7,7 +7,6 @@ from helpers import permutation_matrix
 from saext.boundary import (
     BoundaryCondition,
     BoundaryError,
-    BoundaryTrace,
     ConditionFailure,
     assemble_boundary_system,
     condition_report,
@@ -67,11 +66,9 @@ def test_neumann_traces_admissible():
 def test_periodic_traces_admissible():
     bc = BoundaryCondition.quasi_periodic(0.0)
     # u(0) = u(2pi) = v, u'(0) = u'(2pi) = d; normal derivatives (-d, d).
+    # (for n = 1 the endpoint and block orders coincide)
     v, d = 0.7 - 0.2j, 1.1 + 0.4j
-    trace = BoundaryTrace(
-        values=np.array([v, v]), normal_derivatives=np.array([-d, d])
-    )
-    assert trace.is_admissible(bc, tol=1e-12)
+    assert bc.admissibility_defect([v, v], [-d, d]) <= 1e-12
 
 
 def test_quasi_periodic_traces_admissible():
@@ -347,3 +344,21 @@ def test_retry_exhaustion_reports_history():
     assert err.value.history is not None
     assert len(err.value.history) == 6
     assert [n for n, _ in err.value.history] == list(range(40, 46))
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"kappa_max": math.nan}, "NaN"),
+    ({"max_retries": -1}, "max_retries"),
+], ids=["nan-kappa-max", "negative-retries"])
+def test_retry_rejects_bad_settings(kwargs, match):
+    geom = IntervalSet([(0.0, TWO_PI)])
+    with pytest.raises(ValueError, match=match):
+        retry_mesh_on_bad_conditioning(BoundaryCondition.dirichlet(1), geom, 40,
+                                       **kwargs)
+
+
+def test_solve_values_rejects_nan_kappa_max():
+    mesh = build_mesh(IntervalSet([(0.0, TWO_PI)]), 40)
+    system = assemble_boundary_system(BoundaryCondition.dirichlet(1), mesh)
+    with pytest.raises(ValueError, match="NaN"):
+        solve_boundary_values(system, kappa_max=math.nan)

@@ -180,6 +180,25 @@ def test_cmd_solve_eigenfunctions(tmp_path):
     assert (out / "eigenfunction_1.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["oracle", "convergence", "condition"])
+def test_levels_only_on_solve_and_stability(tmp_path, command):
+    cfg_path = _write(tmp_path, DIRICHLET_CONFIG)
+    with pytest.raises(SystemExit) as err:
+        main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+              "--levels", "3"])
+    assert err.value.code == EXIT_CONFIG
+
+
+def test_cmd_solve_rejects_negative_levels(tmp_path, capsys):
+    cfg_path = _write(tmp_path, DIRICHLET_CONFIG)
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(cfg_path), "--out", str(out),
+                 "--levels", "-1"])
+    assert code == EXIT_CONFIG
+    assert "--levels" in capsys.readouterr().err
+    assert not (out / "spectrum.csv").exists()
+
+
 def test_cmd_solve_dump_pencil(tmp_path):
     cfg_path = _write(tmp_path, DIRICHLET_CONFIG)
     out = tmp_path / "out"
@@ -305,6 +324,19 @@ def test_cmd_solve_conditioning_exhaustion(tmp_path):
     cfg_path = _write(tmp_path, text)
     code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONDITIONING
+
+
+@pytest.mark.parametrize("line, key", [
+    ("kappa.max = nan", "kappa.max"),
+    ("kappa.max = 0", "kappa.max"),
+    ("kappa.max = -1e8", "kappa.max"),
+    ("kappa.retries = -1", "kappa.retries"),
+], ids=["max-nan", "max-zero", "max-negative", "retries-negative"])
+def test_bad_kappa_settings_are_config_errors(tmp_path, capsys, line, key):
+    cfg_path = _write(tmp_path, DIRICHLET_CONFIG + line + "\n")
+    code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert key in capsys.readouterr().err
 
 
 def test_missing_config_is_io_error(tmp_path):

@@ -13,14 +13,12 @@ from saext.potentials import (
 def test_zero_is_constant_everywhere():
     pot = ZeroPotential()
     assert pot.constant_value(0) == 0.0
-    assert pot.is_constant(3)
     assert np.array_equal(pot.value(0, [0.1, 0.2]), [0.0, 0.0])
 
 
 def test_constant_per_interval():
     pot = ConstantPotential([1.0, -2.5])
     assert pot.constant_value(1) == -2.5
-    assert pot.is_constant(2)
     assert np.array_equal(pot.value(1, [0.0, 9.0]), [-2.5, -2.5])
 
 
@@ -55,7 +53,6 @@ def test_callable_rejects_complex():
 def test_callable_real_valued_complex_dtype_ok():
     pot = CallablePotential(lambda x: (x + 0j))
     assert np.array_equal(pot.value(0, np.array([1.0, 2.0])), [1.0, 2.0])
-    assert not pot.is_constant(1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

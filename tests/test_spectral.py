@@ -199,8 +199,7 @@ def test_integration_failure_reported(monkeypatch):
     monkeypatch.setattr(spectral, "_MAX_ODE_STEPS", 4096)
     stiff = CallablePotential(lambda x: np.full_like(x, 1e12))
     with pytest.raises(TraceIntegrationError, match="did not reach"):
-        fundamental_traces(stiff, IntervalSet([(0.0, 1.0)]), 0.5, mu=1.0,
-                           ode_steps=1024)
+        fundamental_traces(stiff, IntervalSet([(0.0, 1.0)]), 0.5, mu=1.0)
 
 
 def _sampled_potential(seed, length=TWO_PI / 2, points=17):
