@@ -498,6 +498,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out_dir = Path(args.out)
+    # the directories this run creates, deepest first: a failed run removes
+    # those it leaves empty
+    created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
+    status = None
+    try:
+        status = _run(args, out_dir)
+        return status
+    finally:
+        if status != EXIT_OK:
+            for path in created:
+                try:
+                    path.rmdir()
+                except OSError:  # not empty, or never created
+                    break
+
+
+def _run(args: argparse.Namespace, out_dir: Path) -> int:
+    """Run the parsed command; the exit code."""
     try:
         try:
             text = Path(args.config).read_text()
@@ -510,7 +529,6 @@ def main(argv=None) -> int:
         for name, value in vars(args).items():
             if value is not None and hasattr(cfg, name):
                 setattr(cfg, name, value)
-        out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryCondition
+from .boundary import DEFAULT_KAPPA_MAX, DEFAULT_MAX_RETRIES, BoundaryCondition
 from .geometry import IntervalSet
 from .potentials import ConstantPotential, SampledPotential, ZeroPotential
 
@@ -90,8 +90,8 @@ class JobConfig:
     oracle_lambda_max: float = 10.0
     oracle_grid_points: int = 0  # 0 means automatic density
     oracle_scan_output: bool = False
-    kappa_max: float = 1e8
-    kappa_retries: int = 8
+    kappa_max: float = DEFAULT_KAPPA_MAX
+    kappa_retries: int = DEFAULT_MAX_RETRIES
     convergence_resolutions: tuple[int, ...] = (50, 100, 200, 400, 800)
     stability_eps_start: float = 1e-5
     stability_eps_stop: float = 1e-3

@@ -1,14 +1,19 @@
 """Deterministic solver for the hermitian pencil A Phi = lambda B Phi.
 
-Two paths share one result type.
+Two paths share one result type, and both run in the pencil's dtype:
+:class:`~saext.fem.Pencil` stores A and B as float64 when neither has an
+entry with a nonzero imaginary part and as complex128 otherwise.  A real
+pencil is solved in real arithmetic (LAPACK ``dsygv*``, real ``splu``,
+real ARPACK ``dnaupd``) and has real eigenvectors; a complex one in
+complex arithmetic (``zhegv*``, ``znaupd``).
 
 The dense path is one call of LAPACK's hermitian-definite generalized
-driver (``scipy.linalg.eigh(A, B)``: ``zhegvd`` for full spectra,
-``zhegvx`` for the lowest ``count``), which reduces B by a Cholesky
-factorization instead of running a general QZ iteration and returns
-B-orthonormal eigenvectors.  When the driver fails, a Cholesky
-factorization of B alone tells a mass matrix that is not positive definite
-(with its failing pivot) from any other failure.  The dense path answers
+driver (``scipy.linalg.eigh(A, B)``: ``*gvd`` for full spectra, ``*gvx``
+for the lowest ``count``), which reduces B by a Cholesky factorization
+instead of running a general QZ iteration and returns B-orthonormal
+eigenvectors.  When the driver fails, a Cholesky factorization of B alone
+tells a mass matrix that is not positive definite (with its failing
+pivot) from any other failure.  The dense path answers
 full spectra (``count=None``), pencils too small for ARPACK and hand-built
 pencils without a basis.
 
@@ -96,7 +101,7 @@ class EigenSolution:
     """Sorted, B-orthonormal eigenpairs of a hermitian pencil.
 
     eigenvalues are real ascending; eigenvectors[:, j] holds the basis
-    coefficients of pair j; residuals[j] = ||A Phi_j - lambda_j B Phi_j||.
+    coefficients of pair j, in the pencil's dtype; residuals[j] = ||A Phi_j - lambda_j B Phi_j||.
     """
 
     eigenvalues: np.ndarray
@@ -261,20 +266,37 @@ def _ritz_pairs(pencil: Pencil, k: int, shift: float):
     with complex A) keeps each call's workspace and factorization in a
     reference cycle until the cyclic garbage collector runs, which grew
     the peak memory of a 101-solve sweep by about 12 MiB.
+
+    A real pencil is factored and iterated in real arithmetic.  Real
+    ARPACK returns a degenerate cluster's Ritz vectors as complex
+    combinations whose real parts can be linearly dependent, so the
+    Rayleigh-Ritz step then runs on an orthonormal basis of the real span
+    of the real and imaginary parts of the block, taken from a
+    column-pivoted QR factorization cut at the numerical rank.  That span
+    has k to 2k dimensions; by Cauchy interlacing its lowest k Ritz values
+    are no worse than those of the k-dimensional complex span, so the
+    lowest k pairs are kept.
     """
     b = pencil.b
+    real = not np.iscomplexobj(b)
     start = np.random.default_rng(_START_SEED).standard_normal((2, pencil.dim))
     try:
         shifted = scipy.sparse.linalg.splu((pencil.a - shift * b).tocsc())
         op = scipy.sparse.linalg.LinearOperator(
-            b.shape, matvec=lambda x: shifted.solve(b @ x), dtype=complex
+            b.shape, matvec=lambda x: shifted.solve(b @ x), dtype=b.dtype
         )
         _, block = scipy.sparse.linalg.eigs(
-            op, k=k, v0=start[0] + 1j * start[1], ncv=_arpack_ncv(k)
+            op, k=k, v0=start[0] if real else start[0] + 1j * start[1],
+            ncv=_arpack_ncv(k)
         )
     except RuntimeError as exc:  # ARPACK failure or singular shifted factor
         _LOG.warning("shift-invert ARPACK failed (%s); dense fallback", exc)
         return None
+    if real:
+        span = np.hstack([block.real, block.imag])
+        q, r, _ = scipy.linalg.qr(span, mode="economic", pivoting=True)
+        size = np.abs(r.diagonal())
+        block = q[:, size > size[0] * max(span.shape) * np.finfo(float).eps]
     a_proj = block.conj().T @ (pencil.a @ block)
     b_proj = block.conj().T @ (pencil.b @ block)
     try:
@@ -283,7 +305,7 @@ def _ritz_pairs(pencil: Pencil, k: int, shift: float):
     except scipy.linalg.LinAlgError as exc:
         _LOG.warning("Rayleigh-Ritz step failed (%s); dense fallback", exc)
         return None
-    return w, block @ y
+    return w[:k], block @ y[:, :k]
 
 
 def _solve_partial(pencil: Pencil, count: int) -> EigenSolution | None:

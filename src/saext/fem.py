@@ -123,8 +123,10 @@ class Pencil:
     """Hermitian generalized eigenvalue problem A Phi = lambda B Phi.
 
     ``a`` and ``b`` are always ``scipy.sparse`` CSR arrays; dense inputs of
-    hand-built pencils are converted on construction.  ``basis`` is None
-    for hand-built pencils that do not come from an assembly; the
+    hand-built pencils are converted on construction.  Both are float64
+    when neither has an entry with a nonzero imaginary part, and
+    complex128 otherwise; the eigensolver works in their dtype.  ``basis``
+    is None for hand-built pencils that do not come from an assembly; the
     eigensolver then uses its dense path.  ``v_min`` is the smallest value
     of V at the quadrature points (0 for V = 0 and for hand-built
     pencils); the sparse eigensolver starts its shift search below it.
@@ -138,10 +140,12 @@ class Pencil:
     v_min: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("a", "b"):
-            object.__setattr__(
-                self, name, scipy.sparse.csr_array(getattr(self, name), dtype=complex)
-            )
+        a, b = (scipy.sparse.csr_array(m, dtype=complex) for m in (self.a, self.b))
+        if not (np.any(a.data.imag) or np.any(b.data.imag)):
+            # copies: .real is a view that would keep the complex data alive
+            a, b = a.real.copy(), b.real.copy()
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def dim(self) -> int:

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from helpers import write_csv_reference, write_text_csv_reference
-from saext.boundary import random_unitary
+from saext import fem
+from saext.boundary import DEFAULT_KAPPA_MAX, DEFAULT_MAX_RETRIES, random_unitary
 from saext.cli import (
     EXIT_CONDITIONING,
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
     EXIT_SOLVER,
+    _dump_matrix,
     _solve_problem,
     _write_table,
     console_main,
@@ -55,6 +57,9 @@ def test_parse_and_defaults():
     assert cfg.eigen_count == 5
     assert cfg.mu == 1.0
     assert cfg.kappa_max == 1e8
+    # the CLI's conditioning defaults are the library's
+    assert (cfg.kappa_max, cfg.kappa_retries) == (DEFAULT_KAPPA_MAX,
+                                                  DEFAULT_MAX_RETRIES)
 
 
 def test_removed_seed_key_accepted_and_ignored():
@@ -210,6 +215,77 @@ def test_cmd_solve_dump_pencil(tmp_path):
     # tridiagonal plus boundary couplings: roughly 3 per row
     assert len(lines) > 3 * 119
     assert (out / "pencil_b.csv").exists()
+
+
+# fem-ring's problem in the benchmark: the periodic ring at N = 2000
+RING_CONFIG = f"""\
+{SCHEMA_HEADER}
+geometry.intervals = 0 {TWO_PI!r}
+boundary.kind = matrix
+boundary.ordering = endpoint
+boundary.matrix = 0,0 1,0 1,0 0,0
+potential.kind = zero
+resolution = 2000
+eigen.count = 8
+"""
+
+
+def test_real_ring_dump_matches_complex_storage(tmp_path, monkeypatch):
+    # the ring's pencil is real and stored as float64; its dump equals the
+    # dump of the complex matrices assembly builds, except that the
+    # conjugate-mirrored lower triangle's imaginary zeros lose their sign
+    built = []
+    build = fem._hermitian_from_upper
+
+    def recording(rows, cols, vals, dim):
+        built.append(build(rows, cols, vals, dim))
+        return built[-1]
+
+    monkeypatch.setattr(fem, "_hermitian_from_upper", recording)
+    cfg_path = _write(tmp_path, RING_CONFIG)
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out),
+                 "--dump-pencil"]) == EXIT_OK
+    ref.mkdir()
+    assert [m.dtype for m in built] == [np.complex128, np.complex128]
+    for name, matrix in zip(("pencil_a", "pencil_b"), built):
+        _dump_matrix(ref / f"{name}.csv", matrix)
+        got = [line.split(",") for line in
+               (out / f"{name}.csv").read_text().splitlines()[1:]]
+        want = [line.split(",") for line in
+                (ref / f"{name}.csv").read_text().splitlines()[1:]]
+        assert [g[:3] for g in got] == [w[:3] for w in want]
+        assert {g[3] for g in got} == {"0"}
+        assert all(w[3] == ("-0" if int(w[0]) > int(w[1]) else "0")
+                   for w in want)
+
+
+def test_real_problem_eigenfunctions_have_zero_imaginary_part(tmp_path):
+    cfg_path = _write(tmp_path, DIRICHLET_CONFIG)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out),
+                 "--levels", "5"]) == EXIT_OK
+    for k in range(5):
+        rows = (out / f"eigenfunction_{k}.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[2] for row in rows} == {"0"}, k
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["--levels", "-1"], ""),
+    ([], "kappa.retries = -1\n"),
+], ids=["negative-levels", "negative-retries"])
+def test_failed_run_leaves_no_new_directory(tmp_path, argv, line):
+    cfg_path = _write(tmp_path, DIRICHLET_CONFIG + line)
+    out = tmp_path / "new" / "nested" / "out"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out),
+                 *argv]) == EXIT_CONFIG
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.cfg"]
+    # a directory that existed before the run stays
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert main(["solve", "--config", str(cfg_path), "--out", str(kept / "out"),
+                 *argv]) == EXIT_CONFIG
+    assert kept.is_dir() and not any(kept.iterdir())
 
 
 def test_table_writer_matches_csv_writer_on_special_values(tmp_path):

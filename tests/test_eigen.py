@@ -30,6 +30,7 @@ from saext.eigen import (
     PositiveDefinitenessError,
     _node_value_arrays,
     _phase_reference,
+    _ritz_pairs,
     _solve_dense,
     eigenfunction_samples,
     h1_error,
@@ -235,8 +236,9 @@ def test_dense_failure_with_definite_mass_is_not_a_pivot_error(monkeypatch):
 
 # ------------------------------------------------------ sparse partial path
 
-def _random_pencil(seed):
-    """Random U on 1-3 intervals with zero, constant or sampled V."""
+def _random_pencil(seed, real=False):
+    """Random U on 1-3 intervals with zero, constant or sampled V; with
+    ``real``, a random Robin U = diag(e^{i alpha}), whose pencil is real."""
     rng = np.random.default_rng(seed)
     n = 1 + seed % 3
     geom = IntervalSet([(3.0 * k, 3.0 * k + rng.uniform(1.0, 3.0))
@@ -246,7 +248,9 @@ def _random_pencil(seed):
         ConstantPotential(rng.uniform(-3.0, 5.0, n)),
         SampledPotential(np.linspace(0.0, 9.0, 13), rng.uniform(-2.0, 4.0, 13)),
     )[seed // 3 % 3]
-    bc = BoundaryCondition.from_matrix(random_unitary(2 * n, rng))
+    bc = BoundaryCondition.from_matrix(
+        np.diag(np.exp(1j * rng.uniform(0.0, TWO_PI, 2 * n))) if real
+        else random_unitary(2 * n, rng))
     mesh, _, vals = retry_mesh_on_bad_conditioning(
         bc, geom, int(rng.integers(60, 300))
     )
@@ -274,6 +278,22 @@ def test_sparse_path_matches_dense(seed, caplog):
     assert np.max(np.abs(gram - np.eye(count))) <= 1e-10
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_real_sparse_path_matches_dense(seed, caplog):
+    pencil, count = _random_pencil(seed, real=True)
+    assert pencil.a.dtype == pencil.b.dtype == np.float64
+    with caplog.at_level(logging.WARNING, logger="saext"):
+        part = solve_pencil(pencil, count=count)
+    assert not _sparse_fallbacks(caplog)  # the certified sparse path answered
+    full = _solve_dense(pencil, None)
+    assert part.eigenvectors.dtype == full.eigenvectors.dtype == np.float64
+    assert np.max(np.abs(part.eigenvalues - full.eigenvalues[:count])
+                  / np.maximum(1.0, np.abs(full.eigenvalues[:count]))) <= 1e-10
+    assert np.all(part.residuals <= residual_tolerances(pencil, part.eigenvalues))
+    gram = part.eigenvectors.T @ (pencil.b @ part.eigenvectors)
+    assert np.max(np.abs(gram - np.eye(count))) <= 1e-10
+
+
 @pytest.mark.parametrize("count", [None, 6])
 @pytest.mark.parametrize("seed", range(0, 24, 5))
 def test_dense_path_matches_cholesky_reduction_on_assembled_pencils(seed, count):
@@ -294,6 +314,21 @@ def test_sparse_path_certifies_cluster_straddling_the_count(caplog):
             part = solve_pencil(pencil, count=count)
         assert np.allclose(part.eigenvalues, full[:count], rtol=1e-10, atol=0)
     assert not _sparse_fallbacks(caplog)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_real_ritz_pairs_cover_complex_ritz_vectors(k):
+    # a triple level makes real ARPACK return some Ritz vectors as complex
+    # conjugate pairs, whose real parts alone span too little: the k pairs
+    # must still all come back, accurate
+    geom = IntervalSet([(0.0, 2.0), (3.0, 5.0), (6.0, 8.0)])
+    _, _, pencil, _ = _solve_setup(BoundaryCondition.dirichlet(3), 300,
+                                   count=1, geom=geom)
+    w, vectors = _ritz_pairs(pencil, k, pencil.v_min - 1.0)
+    full = _solve_dense(pencil, k).eigenvalues
+    assert w.shape == (k,) and vectors.shape == (pencil.dim, k)
+    assert vectors.dtype == np.float64
+    assert np.allclose(w, full, rtol=1e-10, atol=0)
 
 
 def test_missed_eigenvalue_falls_back_to_dense(monkeypatch, caplog):

@@ -357,6 +357,40 @@ def test_hermitian_and_positive_definite_random(seed, monkeypatch):
     scipy.linalg.cholesky(b, lower=True)  # must not raise
 
 
+# ------------------------------------------------------------ storage dtype
+
+@pytest.mark.parametrize("n, u, dtype", [
+    (1, -np.eye(2), np.float64),
+    (1, np.eye(2), np.float64),
+    (1, np.diag([1.0, -1.0]), np.float64),
+    (2, -np.eye(4), np.float64),
+    (1, np.diag(np.exp(1j * np.array([0.3, 1.1]))), np.float64),
+    (1, random_unitary(2, np.random.default_rng(3)), np.complex128),
+], ids=["dirichlet", "neumann", "neumann-dirichlet", "dirichlet-two-intervals",
+        "robin", "random"])
+def test_pencil_dtype_follows_boundary_condition(n, u, dtype):
+    # diagonal U, real orthogonal or Robin, give real boundary values, so A
+    # and B are stored and solved in float64; a generic U does not (the
+    # periodic ring's pencil is real where its boundary solve is exactly
+    # real, as on fem-ring's mesh in test_config_cli)
+    _, mesh, bc, vals = _setup(BoundaryCondition.from_matrix(u), n=n)
+    pencil = assemble_pencil(mesh, bc, vals, ConstantPotential([0.7] * n))
+    assert pencil.a.dtype == pencil.b.dtype == dtype
+
+
+def test_hand_built_pencil_dtype_follows_imaginary_parts():
+    mesh = build_mesh(IntervalSet([(0.0, 1.0)]), 2)
+    a = np.array([[2.0, 1.0 + 0.0j], [1.0, 3.0]])
+    b = np.eye(2, dtype=complex)
+    real = fem.Pencil(a=a, b=b, mesh=mesh, basis=None, mu=1.0)
+    assert real.a.dtype == real.b.dtype == np.float64
+    assert np.array_equal(real.a.toarray(), a.real)
+    a[0, 1], a[1, 0] = 1.0 + 0.5j, 1.0 - 0.5j
+    complex_ = fem.Pencil(a=a, b=b, mesh=mesh, basis=None, mu=1.0)
+    # one imaginary part in A keeps both matrices complex
+    assert complex_.a.dtype == complex_.b.dtype == np.complex128
+
+
 def test_assembly_rejects_constraint_violation():
     geom = IntervalSet([(0.0, TWO_PI)])
     mesh = build_mesh(geom, 12)
