@@ -28,12 +28,10 @@ from .eigen import (
 )
 from .fem import (
     AssemblyError,
-    BasisIndex,
     BasisMap,
+    BulkAssembly,
     Pencil,
     assemble_pencil,
-    eval_boundary,
-    eval_bulk,
 )
 from .geometry import GeometryError, IntervalSet, Mesh, build_mesh
 from .potentials import (
@@ -49,8 +47,6 @@ from .spectral import (
     SpectralMatrix,
     find_spectrum,
     fundamental_traces,
-    hadamard_mat,
-    hadamard_vec,
     odot,
     spectral_det,
     spectral_det_closed_1,
@@ -62,11 +58,11 @@ from .spectral import (
 __all__ = [
     "__version__",
     "AssemblyError",
-    "BasisIndex",
     "BasisMap",
     "BoundaryCondition",
     "BoundarySystem",
     "BoundaryValues",
+    "BulkAssembly",
     "CallablePotential",
     "ConditionFailure",
     "ConditionReport",
@@ -90,13 +86,9 @@ __all__ = [
     "condition_report",
     "eigenfunction_samples",
     "endpoint_to_block_permutation",
-    "eval_boundary",
-    "eval_bulk",
     "find_spectrum",
     "fundamental_traces",
     "h1_error",
-    "hadamard_mat",
-    "hadamard_vec",
     "odot",
     "random_unitary",
     "retry_mesh_on_bad_conditioning",

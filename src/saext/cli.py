@@ -54,7 +54,7 @@ from .config import (
     render_config,
 )
 from .eigen import EigenSolveError, eigenfunction_samples, h1_error, solve_pencil
-from .fem import AssemblyError, assemble_pencil
+from .fem import AssemblyError, BulkAssembly, assemble_pencil
 from .geometry import GeometryError, build_mesh
 from .potentials import PotentialError
 from .spectral import TraceIntegrationError, find_spectrum
@@ -343,12 +343,14 @@ def stability_study(cfg: JobConfig):
     # worst case all tracked levels are double plus a simple ground level
     count = 2 * levels + 1
     mesh = build_mesh(geom, cfg.resolution)
+    # only the boundary block of the pencil depends on U: assemble the rest
+    # once for the whole sweep
+    bulk = BulkAssembly(mesh, potential, mu=cfg.mu)
 
     def solution_for(bc_eps: BoundaryCondition):
         system = assemble_boundary_system(bc_eps, mesh)
         values = solve_boundary_values(system, kappa_max=cfg.kappa_max)
-        pencil = assemble_pencil(mesh, bc_eps, values, potential, mu=cfg.mu)
-        return solve_pencil(pencil, count=count)
+        return solve_pencil(bulk.pencil(bc_eps, values), count=count)
 
     base_solution = solution_for(bc)
     base = base_solution.eigenvalues

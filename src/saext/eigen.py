@@ -15,7 +15,7 @@ eigenvectors.  When the driver fails, a Cholesky factorization of B alone
 tells a mass matrix that is not positive definite (with its failing
 pivot) from any other failure.  The dense path answers
 full spectra (``count=None``), pencils too small for ARPACK and hand-built
-pencils without a basis.
+pencils, which carry no arrow blocks.
 
 The sparse path answers the lowest ``count`` pairs of an assembled pencil
 by shift-invert ARPACK (Lehoucq, Sorensen & Yang, ARPACK Users' Guide,
@@ -23,14 +23,21 @@ SIAM 1998) on OP = (A - sigma B)^{-1} B with a shift sigma below the
 spectrum, followed by a Rayleigh-Ritz step on the returned block, so the
 eigenvectors are again B-orthonormal.  The count is certified by
 Sylvester's law of inertia: with B positive definite, the number nu(x) of
-eigenvalues below x is the number of negative eigenvalues of A - x B.  The pencil is tridiagonal except for
-the 2n boundary rows and columns, so Haynsworth's additivity (Linear
+eigenvalues below x is the number of negative eigenvalues of A - x B.  An
+assembled pencil carries the arrow blocks of A and B
+(:class:`~saext.fem.ArrowBlocks`), and Haynsworth's additivity (Linear
 Algebra Appl. 1, 1968) gives
 
-    nu(x) = In_-(T) + In_-(C - E^H T^{-1} E)
+    nu(x) = In_-(T) + In_-(C - E^T T^{-1} E)
 
-with T the real tridiagonal bulk block of A - x B, E its border and C its
-2n x 2n boundary block: O(N) work per evaluation.  sigma steps down from
+with T the real tridiagonal bulk block of A - x B, E its real border and C
+its 2n x 2n boundary block, all read from the blocks: O(N) work per
+evaluation.  In_-(T), and whether T is numerically singular (then the
+count is not trusted), come from Sturm counts of T by LAPACK's bisection
+(``stebz``), without computing eigenvalues.  The same blocks give the matrix norms of
+:func:`residual_tolerances` and the exact hermiticity check: the bands and
+the border are real and symmetric by construction, so only the boundary
+block is compared.  sigma steps down from
 min V - 1 until nu(sigma) = 0.  A partial solve is returned only when
 nu(tau) equals the number of computed eigenvalues below tau, for tau in
 the first gap above the last wanted eigenvalue, and every residual is
@@ -57,7 +64,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .boundary import BoundaryValues
-from .fem import BasisMap, Pencil, boundary_node_values
+from .fem import ArrowBlocks, BasisMap, Pencil, boundary_node_values
 from .geometry import Mesh
 
 RESIDUAL_RTOL = 1e-10
@@ -161,18 +168,17 @@ def solve_pencil(pencil: Pencil, count: int | None = None) -> EigenSolution:
     PositiveDefinitenessError
         If the Cholesky factorization of B fails; carries the pivot index.
     """
-    a, b = pencil.a, pencil.b
-    if (a != a.conj().T).nnz:
-        raise EigenSolveError("A is not hermitian")
-    if (b != b.conj().T).nnz:
-        raise EigenSolveError("B is not hermitian")
+    for name, matrix, blocks in zip("AB", (pencil.a, pencil.b),
+                                    pencil.blocks or (None, None)):
+        if not _is_hermitian(matrix, blocks):
+            raise EigenSolveError(f"{name} is not hermitian")
     dim = pencil.dim
     if count is not None:
         count = int(count)
         if count < 1:
             raise EigenSolveError(f"count must be positive, got {count}")
         count = min(count, dim)
-        if pencil.basis is not None and _arpack_ncv(count + 1) < dim:
+        if pencil.blocks is not None and _arpack_ncv(count + 1) < dim:
             solution = _solve_partial(pencil, count)
             if solution is not None:
                 return solution
@@ -194,6 +200,15 @@ def _solve_dense(pencil: Pencil, count: int | None) -> EigenSolution:
     return _solution(pencil, w, vectors)
 
 
+def _is_hermitian(matrix, blocks: ArrowBlocks | None) -> bool:
+    """Whether a matrix equals its conjugate transpose exactly.  The bands
+    and the border of an assembled matrix are real and symmetric by
+    construction, so only its boundary block is compared."""
+    if blocks is None:
+        return not (matrix != matrix.conj().T).nnz
+    return np.array_equal(blocks.corner, blocks.corner.conj().T)
+
+
 def _solution(pencil: Pencil, w: np.ndarray, vectors: np.ndarray) -> EigenSolution:
     vectors = _fix_phases(vectors)
     av = pencil.a @ vectors
@@ -203,19 +218,23 @@ def _solution(pencil: Pencil, w: np.ndarray, vectors: np.ndarray) -> EigenSoluti
     return EigenSolution(eigenvalues=w, eigenvectors=vectors, residuals=residuals)
 
 
-def _arrow_blocks(m, bulk: np.ndarray, bnd: np.ndarray):
-    """(diagonal, superdiagonal) of the real tridiagonal bulk block, the
-    bulk x boundary border and the boundary block of an arrow matrix."""
-    rows = m[bulk]
-    t = rows[:, bulk]
-    return (t.diagonal().real, t.diagonal(1).real, rows[:, bnd].toarray(),
-            m[bnd][:, bnd].toarray())
+def _tridiagonal_count(d, e, low: float, high: float, bound: float) -> int:
+    """Number of eigenvalues of tridiag(e, d, e) in the half-open
+    (low, high], all of whose eigenvalues lie in [-bound, bound].
+
+    LAPACK's bisection (``stebz``) takes this count from Sturm counts at
+    the two ends; with the whole spectrum's width as its tolerance it
+    does not refine the eigenvalues, which are not used.
+    """
+    return scipy.linalg.eigvalsh_tridiagonal(
+        d, e, select="v", select_range=(low, high), tol=2.0 * bound + 1.0
+    ).size
 
 
 def _negative_count(d, e, border, corner) -> int | None:
     """Negative eigenvalues of the hermitian arrow matrix
-    [[T, E], [E^H, C]] with T = tridiag(e, d, e), as In_-(T) plus
-    In_-(C - E^H T^{-1} E); None when T is numerically singular."""
+    [[T, E], [E^T, C]] with T = tridiag(e, d, e) and E real, as In_-(T)
+    plus In_-(C - E^T T^{-1} E); None when T is numerically singular."""
     negatives = 0
     schur = corner
     if d.size:
@@ -224,36 +243,27 @@ def _negative_count(d, e, border, corner) -> int | None:
         radius[1:] += np.abs(e)
         bound = float(np.max(radius))
         tol = _SINGULAR_RTOL * bound
-        # select="v" returns the eigenvalues in the half-open (low, tol].
-        w = scipy.linalg.eigvalsh_tridiagonal(
-            d, e, select="v", select_range=(-bound - 1.0, tol)
-        )
-        if not np.all(w < -tol):
+        if _tridiagonal_count(d, e, -tol, tol, bound):
             return None
-        negatives = w.size
+        negatives = _tridiagonal_count(d, e, -bound - 1.0, -tol, bound)
         banded = np.zeros((3, d.size))
         banded[0, 1:] = e
         banded[1] = d
         banded[2, :-1] = e
-        schur = corner - border.conj().T @ scipy.linalg.solve_banded(
+        schur = corner - border.T @ scipy.linalg.solve_banded(
             (1, 1), banded, border
         )
     s = scipy.linalg.eigvalsh((schur + schur.conj().T) / 2.0)
     return negatives + int(np.sum(s < 0))
 
 
-class _InertiaCount:
-    """nu(x), the number of eigenvalues of an assembled pencil below x."""
-
-    def __init__(self, pencil: Pencil) -> None:
-        bnd = pencil.basis.boundary_indices()
-        bulk = np.setdiff1d(np.arange(pencil.dim), bnd)
-        self._a = _arrow_blocks(pencil.a, bulk, bnd)
-        self._b = _arrow_blocks(pencil.b, bulk, bnd)
-
-    def __call__(self, x: float) -> int | None:
-        """nu(x), or None when the bulk block of A - x B is singular."""
-        return _negative_count(*(pa - x * pb for pa, pb in zip(self._a, self._b)))
+def _count_below(pencil: Pencil, x: float) -> int | None:
+    """nu(x), the number of eigenvalues of an assembled pencil below x,
+    from the arrow blocks of A - x B; None when its bulk block is
+    singular."""
+    a, b = pencil.blocks
+    return _negative_count(a.diag - x * b.diag, a.upper - x * b.upper,
+                           a.border - x * b.border, a.corner - x * b.corner)
 
 
 def _ritz_pairs(pencil: Pencil, k: int, shift: float):
@@ -317,10 +327,9 @@ def _solve_partial(pencil: Pencil, count: int) -> EigenSolution | None:
     once by 2n, the most eigenvalues one cluster of a problem on n
     intervals has in the continuum.
     """
-    nu = _InertiaCount(pencil)
     for step in range(_MAX_SHIFT_STEPS):
         shift = pencil.v_min - 2.0 ** step
-        if nu(shift) == 0:
+        if _count_below(pencil, shift) == 0:
             break
     else:
         _LOG.warning("no shift below the spectrum found; dense fallback")
@@ -342,7 +351,7 @@ def _solve_partial(pencil: Pencil, count: int) -> EigenSolution | None:
     # Exactly `below` Ritz values lie under the first gap, at tau.
     below = count + int(np.argmax(wide))
     tau = (w[below - 1] + w[below]) / 2.0
-    found = nu(tau)
+    found = _count_below(pencil, tau)
     if found != below:
         _LOG.warning("inertia certificate failed: nu(%.17g) = %s (None: "
                      "singular bulk block), expected %d; dense fallback",
@@ -359,9 +368,12 @@ def _solve_partial(pencil: Pencil, count: int) -> EigenSolution | None:
 
 def residual_tolerances(pencil: Pencil, eigenvalues: np.ndarray) -> np.ndarray:
     """Per-pair residual bound RESIDUAL_RTOL * (||A|| + |lambda| ||B||),
-    with the matrix 1-norm."""
-    a_norm = float(scipy.sparse.linalg.norm(pencil.a, 1))
-    b_norm = float(scipy.sparse.linalg.norm(pencil.b, 1))
+    with the matrix 1-norm (from the arrow blocks of an assembled pencil)."""
+    if pencil.blocks is None:
+        a_norm, b_norm = (float(scipy.sparse.linalg.norm(m, 1))
+                          for m in (pencil.a, pencil.b))
+    else:
+        a_norm, b_norm = (blocks.norm1() for blocks in pencil.blocks)
     return RESIDUAL_RTOL * (a_norm + np.abs(eigenvalues) * b_norm)
 
 

@@ -11,24 +11,35 @@ matrix, so the span satisfies the boundary condition non-trivially.
 
 Global ordering per interval: left boundary function, bulk functions in
 node order, right boundary function; intervals concatenated.  With this
-ordering A and B are tridiagonal except for the rows and columns of the
-2n boundary functions: an arrow matrix with O(N) nonzeros, assembled and
-stored as ``scipy.sparse`` CSR arrays in vectorized numpy.
+ordering A and B are arrow matrices with O(N) nonzeros: the bulk functions
+form a real symmetric tridiagonal block, joined by a real border (one entry
+next to each boundary function's peak) to the hermitian 2n x 2n block of
+the boundary functions.  Assembly keeps these blocks
+(:class:`ArrowBlocks`) for the eigensolver's inertia count and builds the
+``scipy.sparse`` CSR arrays from them once, for factorizations,
+matrix-vector products, the dense path and ``--dump-pencil``.
+
+Only the boundary block depends on U.  The bands, the border, the
+potential moments of the extreme elements, min V and the CSR pattern depend
+only on the mesh, V and mu: :class:`BulkAssembly` computes them once, and
+:meth:`BulkAssembly.pencil` adds the boundary block of one set of boundary
+values.  :func:`assemble_pencil` does both in one call.
 
 The quadratic form behind A is
     Q(f, g) = mu * (<f', g'> - [conj(f) g']_boundary) + <f, V g>,
 where the boundary bracket sums conj(f) g' over right endpoints minus left
 endpoints with one-sided slopes.  B is the exact mass matrix.  Given the
 weighted-hermiticity constraint on the boundary values, Q is hermitian;
-assembly mirrors the upper triangle so A = A^H holds exactly, and aborts
-if the raw (un-mirrored) boundary block deviates beyond roundoff.
+assembly mirrors the upper triangle of the boundary block so A = A^H holds
+exactly, and aborts if the raw (un-mirrored) boundary block deviates
+beyond roundoff.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -48,23 +59,8 @@ class AssemblyError(RuntimeError):
     """Inconsistent inputs detected while building the pencil."""
 
 
-@dataclass(frozen=True)
-class BasisIndex:
-    """Tag of one global basis index: kind is 'bulk' or 'boundary'.
-
-    For bulk: alpha is the interval, k the peak node (2 <= k <= r-1).
-    For boundary: i in 0..2n-1, i = 2 alpha for the left end of interval
-    alpha, i = 2 alpha + 1 for its right end (k is unused, set to -1).
-    """
-
-    kind: str
-    alpha: int
-    k: int = -1
-    i: int = -1
-
-
 class BasisMap:
-    """Bijection between global indices 0..|r|-1 and basis tags.
+    """Global indices 0..|r|-1 of the basis functions of a mesh.
 
     Interval alpha owns the r_alpha consecutive indices from its start
     offset on: left boundary function, bulk functions k = 2 .. r_alpha - 1,
@@ -79,25 +75,6 @@ class BasisMap:
     @property
     def size(self) -> int:
         return self.mesh.dim
-
-    def tag(self, a: int) -> BasisIndex:
-        if not 0 <= a < self.size:
-            raise IndexError(f"basis index {a} out of range [0, {self.size})")
-        alpha = bisect.bisect_right(self._starts, a) - 1
-        offset = a - self._starts[alpha]
-        if offset == 0:
-            return BasisIndex("boundary", alpha, i=2 * alpha)
-        if offset == self.mesh.r[alpha] - 1:
-            return BasisIndex("boundary", alpha, i=2 * alpha + 1)
-        return BasisIndex("bulk", alpha, k=offset + 1)
-
-    def bulk_index(self, alpha: int, k: int) -> int:
-        r_alpha = self.mesh.r[alpha]
-        if not 2 <= k <= r_alpha - 1:
-            raise IndexError(
-                f"bulk node k = {k} out of range [2, {r_alpha - 1}] on interval {alpha}"
-            )
-        return self._starts[alpha] + (k - 1)
 
     def bulk_slice(self, alpha: int) -> slice:
         """Global indices of the bulk functions k = 2 .. r_alpha - 1 of
@@ -118,6 +95,33 @@ class BasisMap:
         return np.array([self.boundary_index(i) for i in range(2 * self.mesh.n)])
 
 
+@dataclass(frozen=True, eq=False)
+class ArrowBlocks:
+    """One hermitian arrow matrix of an assembled pencil, as its blocks.
+
+    ``diag`` and ``upper`` are the diagonal and superdiagonal of the real
+    symmetric tridiagonal block T of the bulk functions, in global order
+    (``upper`` is 0 between the last bulk function of one interval and the
+    first of the next).  ``border`` is the real bulk x boundary block E and
+    ``corner`` the hermitian 2n x 2n boundary block C, both with boundary
+    functions in order i = 0 .. 2n - 1; C has the pencil's dtype.
+    """
+
+    diag: np.ndarray
+    upper: np.ndarray
+    border: np.ndarray
+    corner: np.ndarray
+
+    def norm1(self) -> float:
+        """The matrix 1-norm, the largest absolute column sum."""
+        border = np.abs(self.border)
+        bulk = np.abs(self.diag) + border.sum(axis=1)
+        bulk[:-1] += np.abs(self.upper)
+        bulk[1:] += np.abs(self.upper)
+        boundary = border.sum(axis=0) + np.abs(self.corner).sum(axis=0)
+        return float(max(bulk.max(initial=0.0), boundary.max()))
+
+
 @dataclass(frozen=True)
 class Pencil:
     """Hermitian generalized eigenvalue problem A Phi = lambda B Phi.
@@ -125,11 +129,13 @@ class Pencil:
     ``a`` and ``b`` are always ``scipy.sparse`` CSR arrays; dense inputs of
     hand-built pencils are converted on construction.  Both are float64
     when neither has an entry with a nonzero imaginary part, and
-    complex128 otherwise; the eigensolver works in their dtype.  ``basis``
-    is None for hand-built pencils that do not come from an assembly; the
-    eigensolver then uses its dense path.  ``v_min`` is the smallest value
-    of V at the quadrature points (0 for V = 0 and for hand-built
-    pencils); the sparse eigensolver starts its shift search below it.
+    complex128 otherwise; the eigensolver works in their dtype.  ``blocks``
+    holds the :class:`ArrowBlocks` of A and of B of an assembled pencil
+    (its CSR arrays are built from them); it and ``basis`` are None for
+    hand-built pencils, which the eigensolver solves on its dense path.
+    ``v_min`` is the smallest value of V at the quadrature points (0 for
+    V = 0 and for hand-built pencils); the sparse eigensolver starts its
+    shift search below it.
     """
 
     a: scipy.sparse.csr_array
@@ -138,8 +144,11 @@ class Pencil:
     basis: BasisMap | None
     mu: float
     v_min: float = 0.0
+    blocks: tuple[ArrowBlocks, ArrowBlocks] | None = None
 
     def __post_init__(self) -> None:
+        if self.blocks is not None:
+            return  # built by BulkAssembly.pencil, in the dtype of the blocks
         a, b = (scipy.sparse.csr_array(m, dtype=complex) for m in (self.a, self.b))
         if not (np.any(a.data.imag) or np.any(b.data.imag)):
             # copies: .real is a view that would keep the complex data alive
@@ -150,22 +159,6 @@ class Pencil:
     @property
     def dim(self) -> int:
         return self.a.shape[0]
-
-
-def eval_bulk(mesh: Mesh, alpha: int, k: int, x):
-    """Value of the bulk hat function peaking at node k of interval alpha."""
-    r_alpha = mesh.r[alpha]
-    if not 2 <= k <= r_alpha - 1:
-        raise IndexError(
-            f"bulk node k = {k} out of range [2, {r_alpha - 1}] on interval {alpha}"
-        )
-    a, b = mesh.parent.intervals[alpha]
-    x = np.asarray(x, dtype=float)
-    if np.any(x < a) or np.any(x > b):
-        raise ValueError(f"coordinate outside interval {alpha} = [{a}, {b}]")
-    h = mesh.h[alpha]
-    xk = mesh.nodes[alpha][k]
-    return np.maximum(0.0, 1.0 - np.abs(x - xk) / h)
 
 
 def boundary_node_values(mesh: Mesh, bvals: BoundaryValues, i: int,
@@ -180,23 +173,6 @@ def boundary_node_values(mesh: Mesh, bvals: BoundaryValues, i: int,
     if i == 2 * alpha + 1:
         vals[r_alpha] = 1.0
     return vals
-
-
-def eval_boundary(mesh: Mesh, bvals: BoundaryValues, i: int, alpha: int, x):
-    """Value of boundary function i at coordinates x inside interval alpha."""
-    n = mesh.n
-    if not 0 <= i < 2 * n:
-        raise IndexError(f"boundary function index {i} out of range [0, {2 * n})")
-    a, b = mesh.parent.intervals[alpha]
-    x = np.asarray(x, dtype=float)
-    if np.any(x < a) or np.any(x > b):
-        raise ValueError(f"coordinate outside interval {alpha} = [{a}, {b}]")
-    vals = boundary_node_values(mesh, bvals, i, alpha)
-    h = mesh.h[alpha]
-    s = (x - a) / h
-    j = np.clip(np.floor(s).astype(int), 0, mesh.r[alpha])
-    t = s - j
-    return vals[j] * (1.0 - t) + vals[j + 1] * t
 
 
 def _element_potential(potential: Potential, mesh: Mesh, alpha: int,
@@ -219,25 +195,246 @@ def _element_potential(potential: Potential, mesh: Mesh, alpha: int,
             wv @ t_ref ** 2, float(np.min(vq)))
 
 
-def _hermitian_from_upper(rows, cols, vals, dim: int) -> scipy.sparse.csr_array:
-    """Exactly hermitian CSR matrix from upper-triangle entries (duplicates
-    summed): the strict upper part, its conjugate mirror and the real part
-    of the diagonal, built in one COO -> CSR pass.  Entries that sum to zero
-    are not stored."""
-    upper = scipy.sparse.coo_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
-    upper.sum_duplicates()
-    r, c, v = upper.row, upper.col, upper.data
-    strict = (r < c) & (v != 0)
-    diag = (r == c) & (v.real != 0)
-    return scipy.sparse.csr_array(
-        (np.concatenate([v[strict], v[strict].conj(), v[diag].real]),
-         (np.concatenate([r[strict], c[strict], r[diag]]),
-          np.concatenate([c[strict], r[strict], c[diag]]))),
-        shape=(dim, dim),
-    )
+class _MatrixPart(NamedTuple):
+    """The U-independent part of one matrix of the pencil."""
+
+    bands: tuple  # (diag, upper, border) of its ArrowBlocks
+    corner_from_bands: np.ndarray  # band entries inside the boundary block
+    band_max: float  # largest band entry, for the hermiticity gate's scale
+    data: tuple  # CSR data outside the boundary block: (real, complex)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only: the bands are shared by every pencil of a
+    sweep, and every block must keep matching its pencil's CSR arrays."""
+    array.flags.writeable = False
+    return array
+
+
+class BulkAssembly:
+    """The part of the pencil (A, B) for -mu d^2/dx^2 + V that does not
+    depend on U, built once for one mesh, potential and mass factor.
+
+    The potential term uses Gauss-Legendre quadrature of the given order on
+    every subinterval; stiffness and mass use the exact closed forms for
+    piecewise-linear elements.  The interior elements 1 .. r_alpha - 1 of
+    each interval join two nodes owned by consecutive basis functions and
+    give the tridiagonal bands: the bulk block, the border and the
+    U-independent entries of the boundary block.  The two extreme
+    elements carry every boundary function through its endpoint values;
+    their potential moments are kept for :meth:`pencil`, which adds them and
+    the Lagrange bracket as the boundary block of one set of boundary
+    values.
+
+    Raises
+    ------
+    AssemblyError
+        On a mass factor that is not a positive finite number or a
+        potential that is not finite at a quadrature point.
+    """
+
+    def __init__(
+        self,
+        mesh: Mesh,
+        potential: Potential | None = None,
+        quadrature_order: int = DEFAULT_QUADRATURE_ORDER,
+        mu: float = 1.0,
+    ) -> None:
+        if potential is None:
+            potential = ZeroPotential()
+        if not (np.isfinite(mu) and mu > 0):
+            raise AssemblyError(f"mass factor mu must be positive and finite, got {mu}")
+        self.mesh = mesh
+        self.mu = mu = float(mu)
+        self.basis = basis = BasisMap(mesh)
+        skip_potential = isinstance(potential, ZeroPotential)
+        if not skip_potential:
+            gauss_x, gauss_w = np.polynomial.legendre.leggauss(int(quadrature_order))
+            t_ref = (gauss_x + 1.0) / 2.0  # quadrature abscissae on [0, 1]
+        v_min = 0.0 if skip_potential else np.inf
+
+        # per interval: h, mu / h and the moments (p00, p01, p11) of the
+        # elements 0 and r_alpha
+        self._ends = []
+        rows, cols, a_tri, b_tri = [], [], [], []
+        for alpha, r_alpha in enumerate(mesh.r):
+            h = mesh.h[alpha]
+            if skip_potential:
+                p00 = p01 = p11 = np.zeros(r_alpha + 1)
+            else:
+                p00, p01, p11, v_low = _element_potential(
+                    potential, mesh, alpha, t_ref, gauss_w
+                )
+                v_min = min(v_min, v_low)
+            stiff = mu / h
+            self._ends.append((h, stiff, p00[[0, -1]], p01[[0, -1]], p11[[0, -1]]))
+
+            # Element e = 1 .. r_alpha - 1 joins nodes e and e + 1, whose hats
+            # are the basis functions start + e - 1 and start + e.
+            idx = basis.boundary_index(2 * alpha) + np.arange(r_alpha)
+            a_diag = np.zeros(r_alpha)
+            a_diag[:-1] += stiff + p00[1:-1]
+            a_diag[1:] += stiff + p11[1:-1]
+            b_diag = np.zeros(r_alpha)
+            b_diag[:-1] += 2.0 * h / 6.0
+            b_diag[1:] += 2.0 * h / 6.0
+            rows += [idx, idx[:-1]]
+            cols += [idx, idx[1:]]
+            a_tri += [a_diag, -stiff + p01[1:-1]]
+            b_tri += [b_diag, np.full(r_alpha - 1, h / 6.0)]
+        self.v_min = float(v_min)
+
+        # rows, cols and the band values list the upper triangle of the
+        # tridiagonal part the interior elements give.  Split it by where
+        # row and column lie: bulk block, border or boundary block.
+        dim = basis.size
+        bidx = basis.boundary_indices()
+        local = np.full(dim, -1)
+        local[bidx] = np.arange(bidx.size)
+        bulk = np.flatnonzero(local < 0)
+        position = np.zeros(dim, dtype=int)
+        position[bulk] = np.arange(bulk.size)
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        bulk_row, bulk_col = local[rows] < 0, local[cols] < 0
+        in_corner = ~bulk_row & ~bulk_col
+        on_diag = bulk_row & bulk_col & (rows == cols)
+        on_upper = bulk_row & bulk_col & (rows != cols)
+        row_side = bulk_row & ~bulk_col  # bulk row, boundary column
+        col_side = ~bulk_row & bulk_col
+        self._tri_corner = (local[rows[in_corner]], local[cols[in_corner]])
+
+        # CSR pattern: the band entries outside the boundary block, their
+        # mirror images below the diagonal, and the whole boundary block, in
+        # row-major order.  slot[j] is where entry j of that list is stored.
+        outside = ~in_corner
+        strict = outside & (rows != cols)
+        keys = np.concatenate([rows[outside] * dim + cols[outside],
+                               cols[strict] * dim + rows[strict],
+                               (bidx[:, None] * dim + bidx[None, :]).ravel()])
+        order = np.argsort(keys)
+        slot = np.empty_like(order)
+        slot[order] = np.arange(order.size)
+        band_slots, slot = np.split(slot, [np.count_nonzero(outside)])
+        mirror_slots, self._corner_slots = np.split(slot, [np.count_nonzero(strict)])
+        self._indices = keys[order] % dim
+        self._indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(keys[order] // dim, minlength=dim))]
+        )
+
+        self._parts = []  # A's, then B's
+        for tri in (a_tri, b_tri):
+            vals = np.concatenate(tri)
+            diag = np.zeros(bulk.size)
+            diag[position[rows[on_diag]]] = vals[on_diag]
+            upper = np.zeros(max(bulk.size - 1, 0))
+            upper[position[rows[on_upper]]] = vals[on_upper]
+            border = np.zeros((bulk.size, bidx.size))
+            border[position[rows[row_side]], local[cols[row_side]]] = vals[row_side]
+            border[position[cols[col_side]], local[rows[col_side]]] = vals[col_side]
+            # the CSR data outside the boundary block, real and complex; the
+            # conjugate mirror leaves the lower triangle's imaginary zeros
+            # negative
+            real = np.zeros(order.size)
+            real[band_slots] = vals[outside]
+            real[mirror_slots] = vals[strict]
+            complex_ = real.astype(complex)
+            complex_[mirror_slots] = complex_[mirror_slots].conj()
+            self._parts.append(_MatrixPart(
+                bands=tuple(_frozen(m) for m in (diag, upper, border)),
+                corner_from_bands=vals[in_corner],
+                band_max=max(float(np.max(np.abs(t))) for t in tri),
+                data=(_frozen(real), _frozen(complex_)),
+            ))
+
+    def pencil(self, bc: BoundaryCondition, bvals: BoundaryValues) -> Pencil:
+        """The pencil of boundary condition ``bc`` with its solved boundary
+        values ``bvals``: this bulk part plus the boundary block.
+
+        The boundary block is the Lagrange bracket plus the two extreme
+        elements of every interval; it is the only part checked for raw
+        hermiticity (the rest is real symmetric by construction), and it is
+        built from its upper triangle and mirrored, so A = A^H and B = B^H
+        hold exactly.
+
+        Raises
+        ------
+        AssemblyError
+            On boundary values of another mesh or size, a violated
+            weighted-hermiticity constraint, or a raw boundary block that is
+            not hermitian to roundoff.
+        """
+        mesh, mu = self.mesh, self.mu
+        if bc.n != mesh.n:
+            raise AssemblyError(f"boundary condition n = {bc.n}, mesh n = {mesh.n}")
+        if bvals.v.shape != (2 * mesh.n, 2 * mesh.n):
+            raise AssemblyError(
+                f"boundary values have shape {bvals.v.shape}, expected "
+                f"{(2 * mesh.n, 2 * mesh.n)}"
+            )
+        if not np.array_equal(bvals.h, mesh.h_endpoint):
+            raise AssemblyError("boundary values were solved on a different mesh")
+        if not np.array_equal(bvals.g, bvals.g.conj().T):
+            raise AssemblyError(
+                "boundary values violate the weighted hermiticity constraint; "
+                "solve them through solve_boundary_values"
+            )
+
+        two_n = 2 * mesh.n
+        unit = np.eye(two_n)
+        # Lagrange boundary bracket, nonzero only on the boundary block:
+        # [conj(beta_l) beta_m']_boundary = (G^H V - G^H)[l, m] = (G V - G)[l, m]
+        # since G is exactly hermitian.
+        a_block = -mu * (bvals.g @ bvals.v - bvals.g)
+        b_block = np.zeros((two_n, two_n), dtype=complex)
+        for alpha, (h, stiff, p00, p01, p11) in enumerate(self._ends):
+            # Element 0 runs from the endpoint values V[2 alpha, :] to the
+            # unit peak of function 2 alpha; element r_alpha from the peak of
+            # function 2 alpha + 1 to the endpoint values V[2 alpha + 1, :].
+            for e, left, right in (
+                (0, bvals.v[2 * alpha], unit[2 * alpha]),
+                (1, unit[2 * alpha + 1], bvals.v[2 * alpha + 1]),
+            ):
+                lc, rc = left.conj(), right.conj()
+                ll, lr = np.outer(lc, left), np.outer(lc, right)
+                rl, rr = np.outer(rc, left), np.outer(rc, right)
+                b_block += (h / 6.0) * (2.0 * ll + lr + rl + 2.0 * rr)
+                a_block += (stiff * (ll - lr - rl + rr) + p00[e] * ll
+                            + p01[e] * (lr + rl) + p11[e] * rr)
+
+        iu = np.triu_indices(two_n, 1)
+        diagonal = np.diag_indices(two_n)
+        corners = []
+        for name, raw, part in zip("AB", (a_block, b_block), self._parts):
+            scale = max(1.0, float(np.max(np.abs(raw))), part.band_max)
+            defect = float(np.max(np.abs(raw - raw.conj().T)))
+            if not defect <= _CONSISTENCY_TOL * scale:
+                raise AssemblyError(
+                    f"raw {name} assembly is non-hermitian beyond roundoff "
+                    f"(defect {defect:.3e}, scale {scale:.3e})"
+                )
+            raw[self._tri_corner] += part.corner_from_bands
+            corner = np.zeros_like(raw)
+            corner[iu] = raw[iu]
+            corner[iu[::-1]] = raw[iu].conj()
+            corner[diagonal] = raw.diagonal().real
+            corners.append(corner)
+
+        real = not any(np.any(c.imag) for c in corners)
+        if real:
+            corners = [c.real.copy() for c in corners]
+        dim = self.basis.size
+        blocks, matrices = [], []
+        for part, corner in zip(self._parts, corners):
+            data = part.data[0 if real else 1].copy()
+            data[self._corner_slots] = corner.ravel()
+            matrix = scipy.sparse.csr_array(
+                (data, self._indices.copy(), self._indptr.copy()), shape=(dim, dim)
+            )
+            matrix.eliminate_zeros()
+            matrices.append(matrix)
+            blocks.append(ArrowBlocks(*part.bands, _frozen(corner)))
+        return Pencil(a=matrices[0], b=matrices[1], mesh=mesh, basis=self.basis,
+                      mu=mu, v_min=self.v_min, blocks=tuple(blocks))
 
 
 def assemble_pencil(
@@ -248,19 +445,9 @@ def assemble_pencil(
     quadrature_order: int = DEFAULT_QUADRATURE_ORDER,
     mu: float = 1.0,
 ) -> Pencil:
-    """Assemble the hermitian pencil (A, B) for -mu d^2/dx^2 + V.
-
-    The potential term uses Gauss-Legendre quadrature of the given order on
-    every subinterval; stiffness and mass use the exact closed forms for
-    piecewise-linear elements.
-
-    The interior elements 1 .. r_alpha - 1 of each interval join two nodes
-    owned by consecutive basis functions and give the tridiagonal part.  The
-    two extreme elements carry every boundary function; they and the
-    Lagrange bracket give the dense 2n x 2n boundary block, which is the
-    only part checked for raw hermiticity (the tridiagonal part is real
-    symmetric by construction).  A and B are built from their upper
-    triangles and mirrored, so A = A^H and B = B^H hold exactly.
+    """Assemble the hermitian pencil (A, B) for -mu d^2/dx^2 + V: the
+    :class:`BulkAssembly` of (mesh, V, mu) completed with the boundary
+    block of ``bvals``.
 
     Raises
     ------
@@ -270,94 +457,4 @@ def assemble_pencil(
         violated weighted-hermiticity constraint, or a raw boundary block
         that is not hermitian to roundoff.
     """
-    if potential is None:
-        potential = ZeroPotential()
-    if not (np.isfinite(mu) and mu > 0):
-        raise AssemblyError(f"mass factor mu must be positive and finite, got {mu}")
-    mu = float(mu)
-    if bc.n != mesh.n:
-        raise AssemblyError(f"boundary condition n = {bc.n}, mesh n = {mesh.n}")
-    if bvals.v.shape != (2 * mesh.n, 2 * mesh.n):
-        raise AssemblyError(
-            f"boundary values have shape {bvals.v.shape}, expected "
-            f"{(2 * mesh.n, 2 * mesh.n)}"
-        )
-    if not np.array_equal(bvals.h, mesh.h_endpoint):
-        raise AssemblyError("boundary values were solved on a different mesh")
-    if not np.array_equal(bvals.g, bvals.g.conj().T):
-        raise AssemblyError(
-            "boundary values violate the weighted hermiticity constraint; "
-            "solve them through solve_boundary_values"
-        )
-
-    basis = BasisMap(mesh)
-    two_n = 2 * mesh.n
-    unit = np.eye(two_n)
-    skip_potential = isinstance(potential, ZeroPotential)
-    if not skip_potential:
-        gauss_x, gauss_w = np.polynomial.legendre.leggauss(int(quadrature_order))
-        t_ref = (gauss_x + 1.0) / 2.0  # quadrature abscissae on [0, 1]
-    v_min = 0.0 if skip_potential else np.inf
-
-    # Lagrange boundary bracket, nonzero only on the boundary block:
-    # [conj(beta_l) beta_m']_boundary = (G^H V - G^H)[l, m] = (G V - G)[l, m]
-    # since G is exactly hermitian.
-    a_block = -mu * (bvals.g @ bvals.v - bvals.g)
-    b_block = np.zeros((two_n, two_n), dtype=complex)
-    rows, cols, a_tri, b_tri = [], [], [], []
-    for alpha, r_alpha in enumerate(mesh.r):
-        h = mesh.h[alpha]
-        if skip_potential:
-            p00 = p01 = p11 = np.zeros(r_alpha + 1)
-        else:
-            p00, p01, p11, v_low = _element_potential(
-                potential, mesh, alpha, t_ref, gauss_w
-            )
-            v_min = min(v_min, v_low)
-        stiff = mu / h
-
-        # Element e = 1 .. r_alpha - 1 joins nodes e and e + 1, whose hats are
-        # the basis functions start + e - 1 and start + e.
-        idx = basis.boundary_index(2 * alpha) + np.arange(r_alpha)
-        a_diag = np.zeros(r_alpha)
-        a_diag[:-1] += stiff + p00[1:-1]
-        a_diag[1:] += stiff + p11[1:-1]
-        b_diag = np.zeros(r_alpha)
-        b_diag[:-1] += 2.0 * h / 6.0
-        b_diag[1:] += 2.0 * h / 6.0
-        rows += [idx, idx[:-1]]
-        cols += [idx, idx[1:]]
-        a_tri += [a_diag, -stiff + p01[1:-1]]
-        b_tri += [b_diag, np.full(r_alpha - 1, h / 6.0)]
-
-        # Element 0 runs from the endpoint values V[2 alpha, :] to the unit
-        # peak of function 2 alpha; element r_alpha from the peak of
-        # function 2 alpha + 1 to the endpoint values V[2 alpha + 1, :].
-        for e, left, right in (
-            (0, bvals.v[2 * alpha], unit[2 * alpha]),
-            (r_alpha, unit[2 * alpha + 1], bvals.v[2 * alpha + 1]),
-        ):
-            lc, rc = left.conj(), right.conj()
-            ll, lr = np.outer(lc, left), np.outer(lc, right)
-            rl, rr = np.outer(rc, left), np.outer(rc, right)
-            b_block += (h / 6.0) * (2.0 * ll + lr + rl + 2.0 * rr)
-            a_block += (stiff * (ll - lr - rl + rr) + p00[e] * ll
-                        + p01[e] * (lr + rl) + p11[e] * rr)
-
-    for name, raw, tri in (("A", a_block, a_tri), ("B", b_block, b_tri)):
-        scale = max(1.0, float(np.max(np.abs(raw))),
-                    max(float(np.max(np.abs(t))) for t in tri))
-        defect = float(np.max(np.abs(raw - raw.conj().T)))
-        if not defect <= _CONSISTENCY_TOL * scale:
-            raise AssemblyError(
-                f"raw {name} assembly is non-hermitian beyond roundoff "
-                f"(defect {defect:.3e}, scale {scale:.3e})"
-            )
-
-    bidx = basis.boundary_indices()
-    iu, ju = np.triu_indices(two_n)
-    rows.append(bidx[iu])
-    cols.append(bidx[ju])
-    a = _hermitian_from_upper(rows, cols, a_tri + [a_block[iu, ju]], basis.size)
-    b = _hermitian_from_upper(rows, cols, b_tri + [b_block[iu, ju]], basis.size)
-    return Pencil(a=a, b=b, mesh=mesh, basis=basis, mu=mu, v_min=float(v_min))
+    return BulkAssembly(mesh, potential, quadrature_order, mu).pencil(bc, bvals)

@@ -67,24 +67,6 @@ class TraceIntegrationError(RuntimeError):
     reach its tolerance, or the traces overflow float64."""
 
 
-def hadamard_vec(x, y):
-    """Componentwise product of two vectors of equal length."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return x * y
-
-
-def hadamard_mat(t, x):
-    """The matrix T . X with (T . X) Y = T (X . Y): column j of T scaled by X_j."""
-    t = np.asarray(t)
-    x = np.asarray(x)
-    if t.ndim != 2 or x.ndim != 1 or t.shape[1] != x.shape[0]:
-        raise ValueError(f"shape mismatch: {t.shape} vs {x.shape}")
-    return t * x[None, :]
-
-
 def odot(u, psi):
     """Block extension of the Hadamard product.
 

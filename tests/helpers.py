@@ -158,6 +158,63 @@ def hermitian_from_upper_reference(rows, cols, vals, dim: int):
     return (strict + strict.conj().T + diagonal).tocsr()
 
 
+def assemble_pencil_reference(mesh, bvals, potential=None, quadrature_order=3,
+                              mu=1.0):
+    """(A, B) as complex128 CSR arrays, by the element loop
+    ``saext.fem.assemble_pencil`` ran before it kept the arrow blocks: the
+    upper triangle of every interval's tridiagonal part and of the boundary
+    block as COO entries, mirrored by ``hermitian_from_upper_reference``.
+    Inputs are not validated."""
+    two_n = 2 * mesh.n
+    unit = np.eye(two_n)
+    starts = np.concatenate([[0], np.cumsum(mesh.r[:-1])]).astype(int)
+    a_block = -mu * (bvals.g @ bvals.v - bvals.g)
+    b_block = np.zeros((two_n, two_n), dtype=complex)
+    gauss_x, gauss_w = np.polynomial.legendre.leggauss(int(quadrature_order))
+    t_ref = (gauss_x + 1.0) / 2.0
+    rows, cols, a_tri, b_tri = [], [], [], []
+    for alpha, r_alpha in enumerate(mesh.r):
+        h = mesh.h[alpha]
+        if potential is None:
+            p00 = p01 = p11 = np.zeros(r_alpha + 1)
+        else:
+            xq = mesh.nodes[alpha][:-1, None] + h * t_ref[None, :]
+            wv = (h / 2.0) * gauss_w[None, :] * np.asarray(
+                potential.value(alpha, xq), dtype=float)
+            p00, p01, p11 = (wv @ (1.0 - t_ref) ** 2, wv @ ((1.0 - t_ref) * t_ref),
+                             wv @ t_ref ** 2)
+        stiff = mu / h
+        idx = starts[alpha] + np.arange(r_alpha)
+        a_diag = np.zeros(r_alpha)
+        a_diag[:-1] += stiff + p00[1:-1]
+        a_diag[1:] += stiff + p11[1:-1]
+        b_diag = np.zeros(r_alpha)
+        b_diag[:-1] += 2.0 * h / 6.0
+        b_diag[1:] += 2.0 * h / 6.0
+        rows += [idx, idx[:-1]]
+        cols += [idx, idx[1:]]
+        a_tri += [a_diag, -stiff + p01[1:-1]]
+        b_tri += [b_diag, np.full(r_alpha - 1, h / 6.0)]
+        for e, left, right in (
+            (0, bvals.v[2 * alpha], unit[2 * alpha]),
+            (r_alpha, unit[2 * alpha + 1], bvals.v[2 * alpha + 1]),
+        ):
+            lc, rc = left.conj(), right.conj()
+            ll, lr = np.outer(lc, left), np.outer(lc, right)
+            rl, rr = np.outer(rc, left), np.outer(rc, right)
+            b_block += (h / 6.0) * (2.0 * ll + lr + rl + 2.0 * rr)
+            a_block += (stiff * (ll - lr - rl + rr) + p00[e] * ll
+                        + p01[e] * (lr + rl) + p11[e] * rr)
+    bidx = np.sort(np.concatenate([starts, starts + np.asarray(mesh.r) - 1]))
+    iu, ju = np.triu_indices(two_n)
+    rows.append(bidx[iu])
+    cols.append(bidx[ju])
+    return tuple(
+        hermitian_from_upper_reference(rows, cols, tri + [block[iu, ju]], mesh.dim)
+        for tri, block in ((a_tri, a_block), (b_tri, b_block))
+    )
+
+
 def power_law_fit_multistart(eps: np.ndarray, k_vals: np.ndarray):
     """Fit K(eps) = a * eps**b + c by Levenberg-Marquardt (``curve_fit``)
     from ten deterministic starts; the best residual wins.
@@ -322,6 +379,25 @@ def basis_enumeration_reference(mesh):
     return tags
 
 
+def bulk_index(basis, alpha: int, k: int) -> int:
+    """Global index of the bulk function peaking at node k of interval
+    alpha, the k - 2-th index of ``basis.bulk_slice(alpha)``."""
+    indices = range(basis.size)[basis.bulk_slice(alpha)]
+    if not 0 <= k - 2 < len(indices):
+        raise IndexError(f"bulk node k = {k} out of range on interval {alpha}")
+    return indices[k - 2]
+
+
+def eval_boundary(mesh, bvals, i: int, alpha: int, x):
+    """Value of boundary function i at coordinates x inside interval alpha,
+    interpolated linearly between its node values."""
+    vals = boundary_node_values(mesh, bvals, i, alpha)
+    s = (np.asarray(x, dtype=float) - mesh.parent.intervals[alpha][0]) / mesh.h[alpha]
+    j = np.clip(np.floor(s).astype(int), 0, mesh.r[alpha])
+    t = s - j
+    return vals[j] * (1.0 - t) + vals[j + 1] * t
+
+
 def node_value_arrays_loop(coeffs, mesh, bvals, basis):
     """Per-interval node values of sum_a coeffs[a] f_a with one
     ``bulk_index`` lookup per bulk node: the reference for
@@ -334,6 +410,6 @@ def node_value_arrays_loop(coeffs, mesh, bvals, basis):
             if c != 0:
                 vals += c * boundary_node_values(mesh, bvals, i, alpha)
         for k in range(2, r_alpha):
-            vals[k] += coeffs[basis.bulk_index(alpha, k)]
+            vals[k] += coeffs[bulk_index(basis, alpha, k)]
         out.append(vals)
     return out

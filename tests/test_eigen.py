@@ -28,6 +28,8 @@ from saext.eigen import (
     EigenSolution,
     EigenSolveError,
     PositiveDefinitenessError,
+    _count_below,
+    _negative_count,
     _node_value_arrays,
     _phase_reference,
     _ritz_pairs,
@@ -360,6 +362,28 @@ def test_full_spectrum_never_takes_sparse_path(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", forbidden)
     assert solve_pencil(pencil).count == pencil.dim
+
+
+@pytest.mark.parametrize("seed", range(0, 24, 3))
+def test_inertia_count_matches_dense_spectrum(seed):
+    # nu(x) from the arrow blocks equals the number of dense eigenvalues
+    # below x, between every pair of the lowest levels and far above them
+    pencil, _ = _random_pencil(seed)
+    w = _solve_dense(pencil, None).eigenvalues
+    xs = np.concatenate([[w[0] - 1.0], (w[:12] + w[1:13]) / 2.0,
+                         [w[pencil.dim // 2] + 0.5]])
+    for x in xs:
+        assert _count_below(pencil, x) == np.count_nonzero(w < x)
+
+
+def test_inertia_count_rejects_singular_bulk_block():
+    # T = [[1, 1], [1, 1]] has the eigenvalue 0: no count is trusted, also
+    # not for an eigenvalue within the relative singularity tolerance
+    border, corner = np.zeros((2, 1)), np.ones((1, 1))
+    assert _negative_count(np.ones(2), np.ones(1), border, corner) is None
+    assert _negative_count(np.ones(2) + 1e-12, np.ones(1), border, corner) is None
+    assert _negative_count(np.ones(2) + 1e-6, np.ones(1), border, corner) == 0
+    assert _negative_count(np.ones(2) - 1e-6, np.ones(1), border, -corner) == 2
 
 
 def test_partial_solves_repeat_bytewise():

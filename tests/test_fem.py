@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from helpers import (
     REFERENCE_MESHES,
+    assemble_pencil_reference,
     basis_enumeration_reference,
-    hermitian_from_upper_reference,
+    bulk_index,
+    eval_boundary,
     quad_complex,
     weighted_hermitian_values,
 )
@@ -22,9 +25,8 @@ from saext.boundary import (
 from saext.fem import (
     AssemblyError,
     BasisMap,
+    BulkAssembly,
     assemble_pencil,
-    eval_boundary,
-    eval_bulk,
 )
 from saext.geometry import IntervalSet, build_mesh
 from saext.potentials import (
@@ -66,11 +68,8 @@ def test_basis_ordering_single_interval():
     bm = BasisMap(mesh)
     r = mesh.r[0]
     assert bm.size == r
-    assert bm.tag(0).kind == "boundary" and bm.tag(0).i == 0
-    assert bm.tag(r - 1).kind == "boundary" and bm.tag(r - 1).i == 1
-    for k in range(2, r):
-        tag = bm.tag(bm.bulk_index(0, k))
-        assert (tag.kind, tag.alpha, tag.k) == ("bulk", 0, k)
+    assert bm.boundary_indices().tolist() == [0, r - 1]
+    assert bm.bulk_slice(0) == slice(1, r - 1)
 
 
 def test_basis_ordering_two_intervals():
@@ -78,7 +77,9 @@ def test_basis_ordering_two_intervals():
     mesh = build_mesh(geom, 8)  # r = (3, 7)
     bm = BasisMap(mesh)
     assert bm.size == 10
-    kinds = [bm.tag(a).kind for a in range(10)]
+    kinds = ["bulk"] * 10
+    for a in bm.boundary_indices():
+        kinds[a] = "boundary"
     assert kinds == ["boundary", "bulk", "boundary",
                      "boundary", "bulk", "bulk", "bulk", "bulk", "bulk", "boundary"]
     assert bm.boundary_index(0) == 0
@@ -95,51 +96,21 @@ def test_basis_map_matches_enumeration(intervals, resolution, r):
     reference = basis_enumeration_reference(mesh)
     assert bm.size == len(reference)
     for a, (kind, alpha, k, i) in enumerate(reference):
-        tag = bm.tag(a)
-        assert (tag.kind, tag.alpha, tag.k, tag.i) == (kind, alpha, k, i)
-        if kind == "bulk":
-            assert bm.bulk_index(alpha, k) == a
-        else:
+        if kind == "boundary":
             assert bm.boundary_index(i) == a
     assert bm.boundary_indices().tolist() == [
         a for a, tag in enumerate(reference) if tag[0] == "boundary"
     ]
-    for a in (-1, bm.size):
-        with pytest.raises(IndexError):
-            bm.tag(a)
-    for alpha, r_alpha in enumerate(r):
+    for alpha in range(len(r)):
         assert list(range(bm.size))[bm.bulk_slice(alpha)] == [
             a for a, tag in enumerate(reference) if tag[:2] == ("bulk", alpha)
         ]
-        for k in (1, r_alpha):
-            with pytest.raises(IndexError):
-                bm.bulk_index(alpha, k)
     for i in (-1, 2 * mesh.n):
         with pytest.raises(IndexError):
             bm.boundary_index(i)
 
 
 # -------------------------------------------------------------- evaluation
-
-def test_bulk_values_at_nodes_and_midpoint():
-    _, mesh, _, _ = _setup(resolution=12)
-    h = mesh.h[0]
-    x = mesh.nodes[0]
-    assert eval_bulk(mesh, 0, 3, x[3]) == 1.0
-    assert eval_bulk(mesh, 0, 3, x[2]) == 0.0
-    assert eval_bulk(mesh, 0, 3, x[4]) == 0.0
-    assert eval_bulk(mesh, 0, 3, x[3] + h / 2) == pytest.approx(0.5)
-
-
-def test_bulk_range_checks():
-    _, mesh, _, _ = _setup(resolution=12)
-    with pytest.raises(IndexError):
-        eval_bulk(mesh, 0, 1, 0.5)
-    with pytest.raises(IndexError):
-        eval_bulk(mesh, 0, mesh.r[0], 0.5)
-    with pytest.raises(ValueError):
-        eval_bulk(mesh, 0, 3, -0.1)
-
 
 def test_boundary_function_dirichlet_is_clamped_hat():
     _, mesh, _, vals = _setup(BoundaryCondition.dirichlet, resolution=12)
@@ -173,12 +144,6 @@ def test_boundary_function_generic_endpoint_values():
         assert eval_boundary(mesh, vals, i, 0, x[r]) == (1.0 if i == 1 else 0.0)
         # vanish on the interior plateau
         assert eval_boundary(mesh, vals, i, 0, x[3]) == 0.0
-
-
-def test_eval_boundary_range_check():
-    _, mesh, _, vals = _setup(resolution=12)
-    with pytest.raises(IndexError):
-        eval_boundary(mesh, vals, 2, 0, 0.5)
 
 
 # ---------------------------------------------------- reference corner blocks
@@ -324,18 +289,9 @@ def test_sampled_potential_matches_callable_on_linear():
 # ------------------------------------------------- hermiticity / definiteness
 
 @pytest.mark.parametrize("seed", range(12))
-def test_hermitian_and_positive_definite_random(seed, monkeypatch):
-    # every CSR build must equal the sparse-algebra reference, stored
-    # entries and their order included
-    builds = []
-    build = fem._hermitian_from_upper
-
-    def recording(rows, cols, vals, dim):
-        got = build(rows, cols, vals, dim)
-        builds.append((got, hermitian_from_upper_reference(rows, cols, vals, dim)))
-        return got
-
-    monkeypatch.setattr(fem, "_hermitian_from_upper", recording)
+def test_hermitian_and_positive_definite_random(seed):
+    # the CSR arrays built from the arrow blocks must equal the element-loop
+    # reference, stored entries and their order included
     n = 1 + seed % 2
     geom = (IntervalSet([(0.0, TWO_PI)]) if n == 1
             else IntervalSet([(0.0, 1.0), (0.5, 2.1)]))
@@ -346,8 +302,7 @@ def test_hermitian_and_positive_definite_random(seed, monkeypatch):
     sys = assemble_boundary_system(bc, mesh)
     vals = solve_boundary_values(sys)
     pencil = assemble_pencil(mesh, bc, vals)
-    assert len(builds) == 2
-    for got, ref in builds:
+    for got, ref in zip((pencil.a, pencil.b), assemble_pencil_reference(mesh, vals)):
         assert np.array_equal(got.indptr, ref.indptr)
         assert np.array_equal(got.indices, ref.indices)
         assert np.array_equal(got.data, ref.data)
@@ -355,6 +310,76 @@ def test_hermitian_and_positive_definite_random(seed, monkeypatch):
     assert np.array_equal(a, a.conj().T)
     assert np.array_equal(b, b.conj().T)
     scipy.linalg.cholesky(b, lower=True)  # must not raise
+
+
+# ------------------------------------------------------------- arrow blocks
+
+def _arrow_pencil(seed, resolution=30):
+    """Random U and sampled V on 1 to 3 intervals; seed 2 has an interval
+    without bulk functions (r = 2)."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 3
+    geom = IntervalSet([(3.0 * k, 3.0 * k + (0.2 if seed == 2 and k == 0 else 2.0))
+                        for k in range(n)])
+    mesh = build_mesh(geom, resolution)
+    potential = SampledPotential(np.linspace(0.0, 9.0, 7), rng.uniform(-2.0, 4.0, 7))
+    bc = BoundaryCondition.from_matrix(random_unitary(2 * n, rng))
+    vals = solve_boundary_values(assemble_boundary_system(bc, mesh))
+    return mesh, potential, bc, vals
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_arrow_blocks_rebuild_the_csr_matrices(seed):
+    mesh, potential, bc, vals = _arrow_pencil(seed)
+    if seed == 2:
+        assert min(mesh.r) == 2
+    pencil = assemble_pencil(mesh, bc, vals, potential, mu=0.7)
+    bnd = pencil.basis.boundary_indices()
+    bulk = np.setdiff1d(np.arange(pencil.dim), bnd)
+    for matrix, blocks in zip((pencil.a, pencil.b), pencil.blocks):
+        dense = matrix.toarray()
+        tri = (np.diag(blocks.diag) + np.diag(blocks.upper, 1)
+               + np.diag(blocks.upper, -1))
+        assert np.array_equal(dense[np.ix_(bulk, bulk)], tri)
+        assert np.array_equal(dense[np.ix_(bulk, bnd)], blocks.border)
+        assert np.array_equal(dense[np.ix_(bnd, bulk)], blocks.border.T)
+        assert np.array_equal(dense[np.ix_(bnd, bnd)], blocks.corner)
+        for part in (blocks.diag, blocks.upper, blocks.border):
+            assert part.dtype == np.float64
+        assert blocks.corner.dtype == matrix.dtype
+        assert blocks.norm1() == pytest.approx(
+            scipy.sparse.linalg.norm(matrix, 1), rel=1e-15)
+
+
+def test_bulk_assembly_serves_a_sweep_over_u():
+    # one bulk part, pencils for several U: each bit-identical to a full
+    # assembly, real and complex alike, and the shared part left as it was
+    mesh, potential, _, _ = _arrow_pencil(1)
+    bulk = BulkAssembly(mesh, potential, mu=1.3)
+    shared = [m.copy() for blocks in bulk.pencil(*_boundary(mesh, -np.eye(4))).blocks
+              for m in (blocks.diag, blocks.upper, blocks.border)]
+    for u in (random_unitary(4, np.random.default_rng(7)), -np.eye(4),
+              np.diag(np.exp(1j * np.arange(4.0))),
+              random_unitary(4, np.random.default_rng(8))):
+        bc, vals = _boundary(mesh, u)
+        got = bulk.pencil(bc, vals)
+        want = assemble_pencil(mesh, bc, vals, potential, mu=1.3)
+        assert got.v_min == want.v_min
+        for g, w in ((got.a, want.a), (got.b, want.b)):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g.indptr, w.indptr)
+            assert np.array_equal(g.indices, w.indices)
+            assert g.data.tobytes() == w.data.tobytes()
+    after = [m for blocks in got.blocks for m in (blocks.diag, blocks.upper,
+                                                  blocks.border)]
+    assert all(np.array_equal(x, y) for x, y in zip(shared, after))
+    with pytest.raises(ValueError):
+        after[0][0] = 1.0  # shared by every pencil of the sweep: read-only
+
+
+def _boundary(mesh, u):
+    bc = BoundaryCondition.from_matrix(u)
+    return bc, solve_boundary_values(assemble_boundary_system(bc, mesh))
 
 
 # ------------------------------------------------------------ storage dtype
@@ -460,11 +485,11 @@ def test_sparsity_pattern_and_case_analysis():
     bm = pencil.basis
     bidx = set(bm.boundary_indices().tolist())
     # interior bulk couples only to neighbors
-    g = bm.bulk_index(1, 5)
+    g = bulk_index(bm, 1, 5)
     allowed = {g - 1, g, g + 1}
     assert set(np.nonzero(pattern[g])[0].tolist()) <= allowed
     # extreme bulk couples to its boundary function and the next bulk
-    g2 = bm.bulk_index(0, 2)
+    g2 = bulk_index(bm, 0, 2)
     assert set(np.nonzero(pattern[g2])[0].tolist()) <= {
         bm.boundary_index(0), g2, g2 + 1
     }
@@ -472,7 +497,7 @@ def test_sparsity_pattern_and_case_analysis():
     gb = bm.boundary_index(2)
     neighbors = set(np.nonzero(pattern[gb])[0].tolist())
     assert bidx <= neighbors
-    assert bm.bulk_index(1, 2) in neighbors
+    assert bulk_index(bm, 1, 2) in neighbors
     # O(N) storage: at most three entries per bulk row, 2n + 2 per boundary row
     n_bnd = len(bidx)
     assert pencil.a.nnz <= 3 * (pencil.dim - n_bnd) + n_bnd * (n_bnd + 2)

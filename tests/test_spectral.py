@@ -19,8 +19,6 @@ from saext.spectral import (
     TraceIntegrationError,
     find_spectrum,
     fundamental_traces,
-    hadamard_mat,
-    hadamard_vec,
     odot,
     secular_matrix,
     spectral_det,
@@ -37,37 +35,6 @@ FREE = ZeroPotential()
 
 # ------------------------------------------------------------ hadamard algebra
 
-def test_hadamard_identity_vector():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    assert np.array_equal(hadamard_vec(x, np.ones(5)), x)
-
-
-def test_hadamard_matrix_defining_property():
-    rng = np.random.default_rng(1)
-    t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    lhs = hadamard_mat(t, x) @ y
-    rhs = t @ hadamard_vec(x, y)
-    assert np.max(np.abs(lhs - rhs)) <= 1e-13
-
-
-def test_hadamard_matrix_componentwise_form():
-    rng = np.random.default_rng(2)
-    t = rng.standard_normal((3, 3))
-    x = rng.standard_normal(3)
-    tiled = np.tile(x, (3, 1))
-    assert np.array_equal(hadamard_mat(t, x), t * tiled)
-
-
-def test_hadamard_shape_checks():
-    with pytest.raises(ValueError):
-        hadamard_vec(np.ones(3), np.ones(4))
-    with pytest.raises(ValueError):
-        hadamard_mat(np.ones((3, 3)), np.ones(4))
-
-
 def test_odot_against_direct_blocks():
     rng = np.random.default_rng(3)
     for n in (1, 3):
@@ -82,6 +49,11 @@ def test_odot_against_direct_blocks():
             bottom = u21 * pl[:, col][None, :] + u22 * pr[:, col][None, :]
             assert np.array_equal(out[:n, col * n:(col + 1) * n], top)
             assert np.array_equal(out[n:, col * n:(col + 1) * n], bottom)
+            # the Hadamard matrix T . X acts as (T . X) y = T (X . y)
+            y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            assert np.allclose(out[:, col * n:(col + 1) * n] @ y,
+                               u[:, :n] @ (pl[:, col] * y) + u[:, n:] @ (pr[:, col] * y),
+                               rtol=0, atol=1e-13)
 
 
 def test_odot_shape_checks():
@@ -503,7 +475,7 @@ def test_deep_level_is_reported_once():
     # two intervals of length 2, zero V, a level near -74.63 whose traces
     # grow like e^17: FEM's inertia count has exactly one level there
     from saext.boundary import assemble_boundary_system, solve_boundary_values
-    from saext.eigen import _InertiaCount, solve_pencil
+    from saext.eigen import _count_below, solve_pencil
     from saext.fem import assemble_pencil
     from saext.geometry import build_mesh
 
@@ -514,8 +486,7 @@ def test_deep_level_is_reported_once():
     mesh = build_mesh(geom, 400)
     pencil = assemble_pencil(
         mesh, bc, solve_boundary_values(assemble_boundary_system(bc, mesh)))
-    nu = _InertiaCount(pencil)
-    assert roots.size == nu(hi) - nu(lo) == 1
+    assert roots.size == _count_below(pencil, hi) - _count_below(pencil, lo) == 1
     # conforming FEM lies above the exact level
     fem = solve_pencil(pencil, count=1).eigenvalues[0]
     assert roots[0] <= fem <= roots[0] + 2e-3 * abs(roots[0])
