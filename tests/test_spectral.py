@@ -49,11 +49,21 @@ def test_odot_against_direct_blocks():
             bottom = u21 * pl[:, col][None, :] + u22 * pr[:, col][None, :]
             assert np.array_equal(out[:n, col * n:(col + 1) * n], top)
             assert np.array_equal(out[n:, col * n:(col + 1) * n], bottom)
-            # the Hadamard matrix T . X acts as (T . X) y = T (X . y)
-            y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            assert np.allclose(out[:, col * n:(col + 1) * n] @ y,
-                               u[:, :n] @ (pl[:, col] * y) + u[:, n:] @ (pr[:, col] * y),
-                               rtol=0, atol=1e-13)
+
+
+def test_hadamard_matrix_defining_property():
+    # each column block of odot is a Hadamard matrix T . X with
+    # (T . X) y = T (X . y), X . y the componentwise product
+    rng = np.random.default_rng(1)
+    n = 2
+    t = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+    psi = rng.standard_normal((2 * n, 2)) + 1j * rng.standard_normal((2 * n, 2))
+    out = odot(t, psi)
+    for col in (0, 1):
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        lhs = out[:, col * n:(col + 1) * n] @ y
+        rhs = t @ (psi[:, col] * np.concatenate([y, y]))
+        assert np.max(np.abs(lhs - rhs)) <= 1e-13
 
 
 def test_odot_shape_checks():
