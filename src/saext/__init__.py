@@ -29,7 +29,6 @@ from .eigen import (
 from .fem import (
     AssemblyError,
     BasisMap,
-    BulkAssembly,
     Pencil,
     assemble_pencil,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "BoundaryCondition",
     "BoundarySystem",
     "BoundaryValues",
-    "BulkAssembly",
     "CallablePotential",
     "ConditionFailure",
     "ConditionReport",

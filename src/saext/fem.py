@@ -38,7 +38,7 @@ beyond roundoff.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -112,15 +112,6 @@ class ArrowBlocks:
     border: np.ndarray
     corner: np.ndarray
 
-    def norm1(self) -> float:
-        """The matrix 1-norm, the largest absolute column sum."""
-        border = np.abs(self.border)
-        bulk = np.abs(self.diag) + border.sum(axis=1)
-        bulk[:-1] += np.abs(self.upper)
-        bulk[1:] += np.abs(self.upper)
-        boundary = border.sum(axis=0) + np.abs(self.corner).sum(axis=0)
-        return float(max(bulk.max(initial=0.0), boundary.max()))
-
 
 @dataclass(frozen=True)
 class Pencil:
@@ -130,25 +121,24 @@ class Pencil:
     hand-built pencils are converted on construction.  Both are float64
     when neither has an entry with a nonzero imaginary part, and
     complex128 otherwise; the eigensolver works in their dtype.  ``blocks``
-    holds the :class:`ArrowBlocks` of A and of B of an assembled pencil
-    (its CSR arrays are built from them); it and ``basis`` are None for
-    hand-built pencils, which the eigensolver solves on its dense path.
-    ``v_min`` is the smallest value of V at the quadrature points (0 for
-    V = 0 and for hand-built pencils); the sparse eigensolver starts its
-    shift search below it.
+    holds the :class:`ArrowBlocks` of A and of B from which
+    :meth:`BulkAssembly.pencil` built the CSR arrays; only assembly sets
+    it, and it is None for hand-built pencils, which the eigensolver solves
+    on its dense path.  ``v_min`` is the smallest value of V at the
+    quadrature points (0 for V = 0 and for hand-built pencils); the sparse
+    eigensolver starts its shift search below it.
     """
 
     a: scipy.sparse.csr_array
     b: scipy.sparse.csr_array
     mesh: Mesh
-    basis: BasisMap | None
     mu: float
     v_min: float = 0.0
-    blocks: tuple[ArrowBlocks, ArrowBlocks] | None = None
+    blocks: tuple[ArrowBlocks, ArrowBlocks] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        if self.blocks is not None:
-            return  # built by BulkAssembly.pencil, in the dtype of the blocks
         a, b = (scipy.sparse.csr_array(m, dtype=complex) for m in (self.a, self.b))
         if not (np.any(a.data.imag) or np.any(b.data.imag)):
             # copies: .real is a view that would keep the complex data alive
@@ -246,7 +236,7 @@ class BulkAssembly:
             raise AssemblyError(f"mass factor mu must be positive and finite, got {mu}")
         self.mesh = mesh
         self.mu = mu = float(mu)
-        self.basis = basis = BasisMap(mesh)
+        basis = BasisMap(mesh)
         skip_potential = isinstance(potential, ZeroPotential)
         if not skip_potential:
             gauss_x, gauss_w = np.polynomial.legendre.leggauss(int(quadrature_order))
@@ -422,7 +412,7 @@ class BulkAssembly:
         real = not any(np.any(c.imag) for c in corners)
         if real:
             corners = [c.real.copy() for c in corners]
-        dim = self.basis.size
+        dim = mesh.dim
         blocks, matrices = [], []
         for part, corner in zip(self._parts, corners):
             data = part.data[0 if real else 1].copy()
@@ -433,8 +423,10 @@ class BulkAssembly:
             matrix.eliminate_zeros()
             matrices.append(matrix)
             blocks.append(ArrowBlocks(*part.bands, _frozen(corner)))
-        return Pencil(a=matrices[0], b=matrices[1], mesh=mesh, basis=self.basis,
-                      mu=mu, v_min=self.v_min, blocks=tuple(blocks))
+        pencil = Pencil(a=matrices[0], b=matrices[1], mesh=mesh, mu=mu,
+                        v_min=self.v_min)
+        object.__setattr__(pencil, "blocks", tuple(blocks))
+        return pencil
 
 
 def assemble_pencil(

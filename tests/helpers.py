@@ -158,6 +158,31 @@ def hermitian_from_upper_reference(rows, cols, vals, dim: int):
     return (strict + strict.conj().T + diagonal).tocsr()
 
 
+def assert_conjugate_mirror(rows, cols, data, boundary) -> None:
+    """Assert the bits of a complex hermitian matrix as assembly stores it,
+    given as (row, column, value) entries: every entry below the diagonal
+    is the exact conjugate of its mirror image, signs of zero included; the
+    diagonal's imaginary parts are +0; and outside the boundary block (row
+    or column not in ``boundary``) every entry is real, with imaginary part
+    +0 above the diagonal and -0 below."""
+    rows, cols, data = np.asarray(rows), np.asarray(cols), np.asarray(data)
+    dim = int(max(rows.max(), cols.max())) + 1
+    keys = rows * dim + cols
+    order = np.argsort(keys)
+    lower = np.flatnonzero(rows > cols)
+    assert lower.size == np.count_nonzero(rows < cols)
+    mirror_keys = cols[lower] * dim + rows[lower]
+    mirror = order[np.searchsorted(keys[order], mirror_keys)]
+    assert np.array_equal(keys[mirror], mirror_keys)
+    assert data[lower].tobytes() == data[mirror].conj().tobytes()
+    on_diagonal = data[rows == cols].imag
+    assert not np.any(on_diagonal) and not np.any(np.signbit(on_diagonal))
+    outside = ~(np.isin(rows, boundary) & np.isin(cols, boundary))
+    assert not np.any(data[outside].imag)
+    assert np.array_equal(np.signbit(data[outside].imag),
+                          rows[outside] > cols[outside])
+
+
 def assemble_pencil_reference(mesh, bvals, potential=None, quadrature_order=3,
                               mu=1.0):
     """(A, B) as complex128 CSR arrays, by the element loop

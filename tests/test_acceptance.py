@@ -331,7 +331,7 @@ def test_criterion_11_small_scale_eigensolver_oracle():
         rng = np.random.default_rng(seed)
         a = random_hermitian(6, rng)
         b = random_spd(6, rng)
-        pencil = Pencil(a=a, b=b, mesh=mesh, basis=None, mu=1.0)
+        pencil = Pencil(a=a, b=b, mesh=mesh, mu=1.0)
         solution = solve_pencil(pencil)
         reference = charpoly_eigenvalues(a, b)
         dev = float(

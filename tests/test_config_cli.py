@@ -10,6 +10,7 @@ import pytest
 import saext
 from helpers import (
     assemble_pencil_reference,
+    assert_conjugate_mirror,
     write_csv_reference,
     write_text_csv_reference,
 )
@@ -35,6 +36,7 @@ from saext.config import (
     render_config,
 )
 from saext.eigen import eigenfunction_samples
+from saext.fem import BasisMap
 
 TWO_PI = 2 * math.pi
 
@@ -239,7 +241,8 @@ eigen.count = 8
 def test_real_ring_dump_matches_complex_storage(tmp_path):
     # the ring's pencil is real and stored as float64; its dump equals the
     # dump of the complex matrices of the element-loop assembly, up to the
-    # sign of the imaginary zeros
+    # sign of the imaginary zeros (a complex pencil's signs are pinned in
+    # test_complex_dump_is_an_exact_conjugate_mirror)
     cfg_path = _write(tmp_path, RING_CONFIG)
     out, ref = tmp_path / "out", tmp_path / "ref"
     assert main(["solve", "--config", str(cfg_path), "--out", str(out),
@@ -258,6 +261,41 @@ def test_real_ring_dump_matches_complex_storage(tmp_path):
         assert [g[:3] for g in got] == [w[:3] for w in want]
         assert {g[3] for g in got} == {"0"}
         assert {w[3] for w in want} <= {"0", "-0"}
+
+
+# the quasi-periodic ring: a complex pencil
+QUASI_RING_CONFIG = f"""\
+{SCHEMA_HEADER}
+geometry.intervals = 0 {TWO_PI!r}
+boundary.kind = quasi_periodic
+boundary.theta = 0.7
+potential.kind = zero
+resolution = 200
+eigen.count = 4
+"""
+
+
+def test_complex_dump_is_an_exact_conjugate_mirror(tmp_path):
+    # a complex pencil is dumped with the bits assembly stores: the lower
+    # triangle is the exact conjugate of the upper one, so the imaginary
+    # zeros of the bands read 0 above the diagonal and -0 below it
+    cfg_path = _write(tmp_path, QUASI_RING_CONFIG)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out),
+                 "--dump-pencil"]) == EXIT_OK
+    mesh, _, pencil, _ = _solve_problem(parse_config(QUASI_RING_CONFIG), 200, 4)
+    assert pencil.a.dtype == pencil.b.dtype == np.complex128
+    boundary = BasisMap(mesh).boundary_indices()
+    for name in ("pencil_a", "pencil_b"):
+        lines = [line.split(",") for line in
+                 (out / f"{name}.csv").read_text().splitlines()[1:]]
+        rows, cols = (np.array([int(w[k]) for w in lines]) for k in (0, 1))
+        data = np.array([complex(float(w[2]), float(w[3])) for w in lines])
+        assert_conjugate_mirror(rows, cols, data, boundary)
+        bands = [w for w in lines if not (int(w[0]) in boundary
+                                          and int(w[1]) in boundary)]
+        assert {w[3] for w in bands if int(w[0]) > int(w[1])} == {"-0"}
+        assert {w[3] for w in bands if int(w[0]) <= int(w[1])} == {"0"}
 
 
 def test_real_problem_eigenfunctions_have_zero_imaginary_part(tmp_path):

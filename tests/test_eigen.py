@@ -25,6 +25,7 @@ from saext.boundary import (
     solve_boundary_values,
 )
 from saext.eigen import (
+    RESIDUAL_RTOL,
     EigenSolution,
     EigenSolveError,
     PositiveDefinitenessError,
@@ -50,7 +51,7 @@ def _raw_pencil(a, b):
     geom = IntervalSet([(0.0, 1.0)])
     mesh = build_mesh(geom, max(2, a.shape[0] - 1))
     # mesh/basis are placeholders for hand-made matrices
-    return Pencil(a=a, b=b, mesh=mesh, basis=None, mu=1.0)
+    return Pencil(a=a, b=b, mesh=mesh, mu=1.0)
 
 
 def _solve_setup(bc, resolution, mu=1.0, count=None, geom=None):
@@ -374,6 +375,16 @@ def test_inertia_count_matches_dense_spectrum(seed):
                          [w[pencil.dim // 2] + 0.5]])
     for x in xs:
         assert _count_below(pencil, x) == np.count_nonzero(w < x)
+
+
+@pytest.mark.parametrize("seed, real", [(0, False), (4, False), (8, False),
+                                        (1, True), (5, True)])
+def test_residual_tolerances_use_the_matrix_one_norm(seed, real):
+    pencil, _ = _random_pencil(seed, real)
+    lam = np.array([-3.5, 0.0, 2.0, 40.0])
+    a_norm, b_norm = (scipy.sparse.linalg.norm(m, 1) for m in (pencil.a, pencil.b))
+    assert np.array_equal(residual_tolerances(pencil, lam),
+                          RESIDUAL_RTOL * (a_norm + np.abs(lam) * b_norm))
 
 
 def test_inertia_count_rejects_singular_bulk_block():
