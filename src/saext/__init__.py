@@ -28,7 +28,6 @@ from .eigen import (
 )
 from .fem import (
     AssemblyError,
-    BasisMap,
     Pencil,
     assemble_pencil,
 )
@@ -57,7 +56,6 @@ from .spectral import (
 __all__ = [
     "__version__",
     "AssemblyError",
-    "BasisMap",
     "BoundaryCondition",
     "BoundarySystem",
     "BoundaryValues",

@@ -50,7 +50,9 @@ class ConditionFailure(RuntimeError):
     Attributes
     ----------
     kappa_estimate : float
-        Condition number estimate that triggered the failure.
+        Condition number estimate that triggered the failure; inf when the
+        system is incompatible at its step vector, where the estimate is
+        meaningless.
     spectrum_gap : float
         Distance from 1 to the spectrum of U0 = U D conj(D)^-1.
     history : list of (int, float)
@@ -307,7 +309,7 @@ def solve_boundary_values(
         raise ConditionFailure(
             f"boundary system incompatible at this step vector "
             f"(spectrum gap {report.spectrum_gap:.3e})",
-            kappa_estimate=report.kappa_estimate,
+            kappa_estimate=float("inf"),
             spectrum_gap=report.spectrum_gap,
         )
     if not report.kappa_estimate <= kappa_max:
@@ -379,13 +381,10 @@ def retry_mesh_on_bad_conditioning(
     for n_try in range(int(resolution), int(resolution) + int(max_retries) + 1):
         mesh = build_mesh(geom, n_try)
         sys = assemble_boundary_system(bc, mesh)
-        report = condition_report(sys)
-        history.append(
-            (n_try, float("inf") if report.incompatible else report.kappa_estimate)
-        )
-        if not report.incompatible and report.kappa_estimate <= kappa_max:
-            values = solve_boundary_values(sys, kappa_max=kappa_max)
-            return mesh, sys, values
+        try:
+            return mesh, sys, solve_boundary_values(sys, kappa_max=kappa_max)
+        except ConditionFailure as exc:
+            history.append((n_try, exc.kappa_estimate))
     raise ConditionFailure(
         f"no resolution in [{resolution}, {resolution + max_retries}] met "
         f"kappa_max = {kappa_max:.3e}; history: "

@@ -5,7 +5,10 @@ Two paths share one result type, and both run in the pencil's dtype:
 entry with a nonzero imaginary part and as complex128 otherwise.  A real
 pencil is solved in real arithmetic (LAPACK ``dsygv*``, real ``splu``,
 real ARPACK ``dnaupd``) and has real eigenvectors; a complex one in
-complex arithmetic (``zhegv*``, ``znaupd``).
+complex arithmetic (``zhegv*``, ``znaupd``).  Before either path runs,
+:func:`solve_pencil` checks that A and B are square, of one shape, finite
+and exactly hermitian, so a bad hand-built pencil gets an
+:class:`EigenSolveError` that names the matrix and its defect.
 
 The dense path is one call of LAPACK's hermitian-definite generalized
 driver (``scipy.linalg.eigh(A, B)``: ``*gvd`` for full spectra, ``*gvx``
@@ -24,18 +27,19 @@ spectrum, followed by a Rayleigh-Ritz step on the returned block, so the
 eigenvectors are again B-orthonormal.  The count is certified by
 Sylvester's law of inertia: with B positive definite, the number nu(x) of
 eigenvalues below x is the number of negative eigenvalues of A - x B.  An
-assembled pencil carries the arrow blocks of A and B
-(:class:`~saext.fem.ArrowBlocks`), and Haynsworth's additivity (Linear
-Algebra Appl. 1, 1968) gives
+assembled pencil carries the arrow blocks of A and B and min V
+(:class:`~saext.fem.ArrowBlocks`, which gives the blocks of A - x B), and
+Haynsworth's additivity (Linear Algebra Appl. 1, 1968) gives
 
     nu(x) = In_-(T) + In_-(C - E^T T^{-1} E)
 
 with T the real tridiagonal bulk block of A - x B, E its real border and C
-its 2n x 2n boundary block, all read from the blocks: O(N) work per
-evaluation.  In_-(T), and whether T is numerically singular (then the
-count is not trusted), come from Sturm counts of T by LAPACK's bisection
-(``stebz``), without computing eigenvalues.  sigma steps down from
-min V - 1 until nu(sigma) = 0.  A partial solve is returned only when
+its 2n x 2n boundary block: O(N) work per evaluation.  In_-(T), and
+whether T is numerically singular (then the count is not trusted), come
+from Sturm counts of T by LAPACK's bisection (``stebz``), without
+computing eigenvalues.  sigma steps down from min V - 1 until
+nu(sigma) = 0, and the widened block of a straddling cluster takes 2n
+from the size of C.  A partial solve is returned only when
 nu(tau) equals the number of computed eigenvalues below tau, for tau in
 the first gap above the last wanted eigenvalue, and every residual is
 within :func:`residual_tolerances`; otherwise the reason is logged on the
@@ -61,8 +65,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .boundary import BoundaryValues
-from .fem import BasisMap, Pencil, boundary_node_values
-from .geometry import Mesh
+from .fem import Pencil, node_values
 
 RESIDUAL_RTOL = 1e-10
 DEGENERACY_RTOL = 1e-9  # eigenvalues this close count as one cluster
@@ -160,23 +163,30 @@ def solve_pencil(pencil: Pencil, count: int | None = None) -> EigenSolution:
     Raises
     ------
     EigenSolveError
-        If A or B is not hermitian (exact check; assembled pencils satisfy
-        it by construction).
+        If A or B is not square, their shapes differ, or either has a
+        non-finite entry or is not hermitian (exact check; assembled
+        pencils satisfy all of these by construction).
     PositiveDefinitenessError
         If the Cholesky factorization of B fails; carries the pivot index.
     """
     a, b = pencil.a, pencil.b
-    if (a != a.conj().T).nnz:
-        raise EigenSolveError("A is not hermitian")
-    if (b != b.conj().T).nnz:
-        raise EigenSolveError("B is not hermitian")
+    for name, m in (("A", a), ("B", b)):
+        if m.shape[0] != m.shape[1]:
+            raise EigenSolveError(f"{name} is not square: shape {m.shape}")
+    if a.shape != b.shape:
+        raise EigenSolveError(f"A and B differ in shape: {a.shape} and {b.shape}")
+    for name, m in (("A", a), ("B", b)):
+        if not np.all(np.isfinite(m.data)):
+            raise EigenSolveError(f"{name} has a non-finite entry")
+        if (m != m.conj().T).nnz:
+            raise EigenSolveError(f"{name} is not hermitian")
     dim = pencil.dim
     if count is not None:
         count = int(count)
         if count < 1:
             raise EigenSolveError(f"count must be positive, got {count}")
         count = min(count, dim)
-        if pencil.blocks is not None and _arpack_ncv(count + 1) < dim:
+        if pencil.arrow is not None and _arpack_ncv(count + 1) < dim:
             solution = _solve_partial(pencil, count)
             if solution is not None:
                 return solution
@@ -250,9 +260,7 @@ def _count_below(pencil: Pencil, x: float) -> int | None:
     """nu(x), the number of eigenvalues of an assembled pencil below x,
     from the arrow blocks of A - x B; None when its bulk block is
     singular."""
-    a, b = pencil.blocks
-    return _negative_count(a.diag - x * b.diag, a.upper - x * b.upper,
-                           a.border - x * b.border, a.corner - x * b.corner)
+    return _negative_count(*pencil.arrow.minus(x))
 
 
 def _ritz_pairs(pencil: Pencil, k: int, shift: float):
@@ -316,8 +324,9 @@ def _solve_partial(pencil: Pencil, count: int) -> EigenSolution | None:
     once by 2n, the most eigenvalues one cluster of a problem on n
     intervals has in the continuum.
     """
+    arrow = pencil.arrow
     for step in range(_MAX_SHIFT_STEPS):
-        shift = pencil.v_min - 2.0 ** step
+        shift = arrow.v_min - 2.0 ** step
         if _count_below(pencil, shift) == 0:
             break
     else:
@@ -325,7 +334,8 @@ def _solve_partial(pencil: Pencil, count: int) -> EigenSolution | None:
         return None
 
     wide = np.zeros(0, dtype=bool)
-    for k in (count + 1, count + 1 + 2 * pencil.mesh.n):
+    two_n = arrow.a[-1].shape[0]  # the boundary block is 2n x 2n
+    for k in (count + 1, count + 1 + two_n):
         if np.any(wide) or _arpack_ncv(k) >= pencil.dim:
             break
         ritz = _ritz_pairs(pencil, k, shift)
@@ -366,25 +376,9 @@ def residual_tolerances(pencil: Pencil, eigenvalues: np.ndarray) -> np.ndarray:
     return RESIDUAL_RTOL * (a_norm + np.abs(eigenvalues) * b_norm)
 
 
-def _node_value_arrays(
-    coeffs: np.ndarray, mesh: Mesh, bvals: BoundaryValues, basis: BasisMap
-) -> list[np.ndarray]:
-    """Per-interval node values of sum_a coeffs[a] f_a, endpoints included."""
-    out = []
-    for alpha, r_alpha in enumerate(mesh.r):
-        vals = np.zeros(r_alpha + 2, dtype=complex)
-        for i in range(2 * mesh.n):
-            c = coeffs[basis.boundary_index(i)]
-            if c != 0:
-                vals += c * boundary_node_values(mesh, bvals, i, alpha)
-        vals[2:r_alpha] += coeffs[basis.bulk_slice(alpha)]
-        out.append(vals)
-    return out
-
-
 def eigenfunction_samples(
     sol: EigenSolution,
-    mesh: Mesh,
+    mesh,
     bvals: BoundaryValues,
     which: int,
 ):
@@ -395,15 +389,14 @@ def eigenfunction_samples(
     """
     if not 0 <= which < sol.count:
         raise IndexError(f"eigenpair index {which} out of range [0, {sol.count})")
-    coeffs = sol.eigenvectors[:, which]
-    per_interval = _node_value_arrays(coeffs, mesh, bvals, BasisMap(mesh))
+    per_interval = node_values(mesh, bvals, sol.eigenvectors[:, which])
     return np.concatenate(mesh.nodes), np.concatenate(per_interval)
 
 
 def h1_error(
     sol: EigenSolution,
     which: int,
-    mesh: Mesh,
+    mesh,
     bvals: BoundaryValues,
     reference,
 ) -> float:
@@ -417,9 +410,7 @@ def h1_error(
     real inner product with the reference.
     """
     psi_ref, dpsi_ref = reference
-    basis = BasisMap(mesh)
-    coeffs = sol.eigenvectors[:, which]
-    per_interval = _node_value_arrays(coeffs, mesh, bvals, basis)
+    per_interval = node_values(mesh, bvals, sol.eigenvectors[:, which])
 
     gauss_x, gauss_w = np.polynomial.legendre.leggauss(5)
     t_ref = (gauss_x + 1.0) / 2.0

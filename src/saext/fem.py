@@ -14,10 +14,12 @@ node order, right boundary function; intervals concatenated.  With this
 ordering A and B are arrow matrices with O(N) nonzeros: the bulk functions
 form a real symmetric tridiagonal block, joined by a real border (one entry
 next to each boundary function's peak) to the hermitian 2n x 2n block of
-the boundary functions.  Assembly keeps these blocks
-(:class:`ArrowBlocks`) for the eigensolver's inertia count and builds the
-``scipy.sparse`` CSR arrays from them once, for factorizations,
-matrix-vector products, the dense path and ``--dump-pencil``.
+the boundary functions.  This module alone knows that order
+(:func:`boundary_indices`, :func:`node_values`).  Assembly builds the
+``scipy.sparse`` CSR arrays of the pencil from these blocks once, for
+factorizations, matrix-vector products, the dense path and
+``--dump-pencil``, and attaches the blocks and min V to the pencil
+(:class:`ArrowBlocks`) for the eigensolver's inertia count.
 
 Only the boundary block depends on U.  The bands, the border, the
 potential moments of the extreme elements, min V and the CSR pattern depend
@@ -37,7 +39,6 @@ beyond roundoff.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -48,8 +49,6 @@ from .boundary import BoundaryCondition, BoundaryValues
 from .geometry import Mesh
 from .potentials import Potential, ZeroPotential
 
-DEFAULT_QUADRATURE_ORDER = 3
-
 # Raw assembly asymmetry beyond this (relative to the largest entry) means
 # the inputs were inconsistent, not mere roundoff.
 _CONSISTENCY_TOL = 1e-12
@@ -59,58 +58,61 @@ class AssemblyError(RuntimeError):
     """Inconsistent inputs detected while building the pencil."""
 
 
-class BasisMap:
-    """Global indices 0..|r|-1 of the basis functions of a mesh.
+def boundary_indices(mesh: Mesh) -> np.ndarray:
+    """Global indices of the boundary functions i = 0 .. 2n - 1.
 
-    Interval alpha owns the r_alpha consecutive indices from its start
-    offset on: left boundary function, bulk functions k = 2 .. r_alpha - 1,
-    right boundary function.  Only the n start offsets are stored; every
-    lookup is arithmetic on them.
+    Interval alpha owns r_alpha consecutive indices: its left boundary
+    function, its bulk functions k = 2 .. r_alpha - 1 in node order, its
+    right boundary function.  So the coefficient of the function peaking at
+    interior node k of interval alpha is the global coefficient
+    sum(r[:alpha]) + k - 1.
     """
+    ends = np.cumsum(mesh.r)
+    return np.column_stack([ends - mesh.r, ends - 1]).ravel()
 
-    def __init__(self, mesh: Mesh) -> None:
-        self.mesh = mesh
-        self._starts = (0, *itertools.accumulate(mesh.r[:-1]))
 
-    @property
-    def size(self) -> int:
-        return self.mesh.dim
+def node_values(mesh: Mesh, bvals: BoundaryValues,
+                coeffs: np.ndarray) -> list[np.ndarray]:
+    """Node values of sum_a coeffs[a] f_a on every interval, endpoints
+    included.
 
-    def bulk_slice(self, alpha: int) -> slice:
-        """Global indices of the bulk functions k = 2 .. r_alpha - 1 of
-        interval alpha, in node order."""
-        start = self._starts[alpha]
-        return slice(start + 1, start + self.mesh.r[alpha] - 1)
-
-    def boundary_index(self, i: int) -> int:
-        n = self.mesh.n
-        if not 0 <= i < 2 * n:
-            raise IndexError(f"boundary function index {i} out of range [0, {2 * n})")
-        alpha, side = divmod(i, 2)
-        if side == 0:
-            return self._starts[alpha]
-        return self._starts[alpha] + self.mesh.r[alpha] - 1
-
-    def boundary_indices(self) -> np.ndarray:
-        return np.array([self.boundary_index(i) for i in range(2 * self.mesh.n)])
+    The interior node values are the coefficients themselves, in global
+    order; the endpoint values are sum_i c_i V[:, i] over the boundary
+    coefficients c_i != 0.
+    """
+    boundary = coeffs[boundary_indices(mesh)]
+    ends = np.zeros(2 * mesh.n, dtype=complex)
+    for i in np.flatnonzero(boundary):
+        ends += boundary[i] * bvals.v[:, i]
+    interior = np.zeros(mesh.dim, dtype=complex)
+    interior += coeffs  # -0 parts read +0, as in a sum over basis functions
+    return [np.concatenate(([ends[2 * alpha]], part, [ends[2 * alpha + 1]]))
+            for alpha, part in enumerate(np.split(interior, np.cumsum(mesh.r)[:-1]))]
 
 
 @dataclass(frozen=True, eq=False)
 class ArrowBlocks:
-    """One hermitian arrow matrix of an assembled pencil, as its blocks.
+    """What assembly knows of its pencil beyond A and B: their arrow blocks
+    and min V.
 
-    ``diag`` and ``upper`` are the diagonal and superdiagonal of the real
-    symmetric tridiagonal block T of the bulk functions, in global order
-    (``upper`` is 0 between the last bulk function of one interval and the
-    first of the next).  ``border`` is the real bulk x boundary block E and
-    ``corner`` the hermitian 2n x 2n boundary block C, both with boundary
-    functions in order i = 0 .. 2n - 1; C has the pencil's dtype.
+    ``a`` and ``b`` each hold the blocks (diag, upper, border, corner) of
+    one hermitian arrow matrix.  ``diag`` and ``upper`` are the diagonal
+    and superdiagonal of the real symmetric tridiagonal block T of the bulk
+    functions, in global order (``upper`` is 0 between the last bulk
+    function of one interval and the first of the next).  ``border`` is the
+    real bulk x boundary block E and ``corner`` the hermitian 2n x 2n
+    boundary block C, both with boundary functions in order
+    i = 0 .. 2n - 1; C has the pencil's dtype.  ``v_min`` is the smallest
+    value of V at the quadrature points (0 for V = 0).
     """
 
-    diag: np.ndarray
-    upper: np.ndarray
-    border: np.ndarray
-    corner: np.ndarray
+    a: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    b: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    v_min: float
+
+    def minus(self, x: float) -> tuple[np.ndarray, ...]:
+        """The blocks (diag, upper, border, corner) of A - x B."""
+        return tuple(p - x * q for p, q in zip(self.a, self.b))
 
 
 @dataclass(frozen=True)
@@ -120,21 +122,15 @@ class Pencil:
     ``a`` and ``b`` are always ``scipy.sparse`` CSR arrays; dense inputs of
     hand-built pencils are converted on construction.  Both are float64
     when neither has an entry with a nonzero imaginary part, and
-    complex128 otherwise; the eigensolver works in their dtype.  ``blocks``
-    holds the :class:`ArrowBlocks` of A and of B from which
-    :meth:`BulkAssembly.pencil` built the CSR arrays; only assembly sets
-    it, and it is None for hand-built pencils, which the eigensolver solves
-    on its dense path.  ``v_min`` is the smallest value of V at the
-    quadrature points (0 for V = 0 and for hand-built pencils); the sparse
-    eigensolver starts its shift search below it.
+    complex128 otherwise; the eigensolver works in their dtype.  ``arrow``
+    holds the :class:`ArrowBlocks` from which :meth:`BulkAssembly.pencil`
+    built the CSR arrays; only assembly sets it, and it is None for
+    hand-built pencils, which the eigensolver solves on its dense path.
     """
 
     a: scipy.sparse.csr_array
     b: scipy.sparse.csr_array
-    mesh: Mesh
-    mu: float
-    v_min: float = 0.0
-    blocks: tuple[ArrowBlocks, ArrowBlocks] | None = field(
+    arrow: ArrowBlocks | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -149,20 +145,6 @@ class Pencil:
     @property
     def dim(self) -> int:
         return self.a.shape[0]
-
-
-def boundary_node_values(mesh: Mesh, bvals: BoundaryValues, i: int,
-                         alpha: int) -> np.ndarray:
-    """Node values of boundary function i restricted to interval alpha."""
-    r_alpha = mesh.r[alpha]
-    vals = np.zeros(r_alpha + 2, dtype=complex)
-    vals[0] = bvals.v[2 * alpha, i]
-    vals[r_alpha + 1] = bvals.v[2 * alpha + 1, i]
-    if i == 2 * alpha:
-        vals[1] = 1.0
-    if i == 2 * alpha + 1:
-        vals[r_alpha] = 1.0
-    return vals
 
 
 def _element_potential(potential: Potential, mesh: Mesh, alpha: int,
@@ -188,7 +170,7 @@ def _element_potential(potential: Potential, mesh: Mesh, alpha: int,
 class _MatrixPart(NamedTuple):
     """The U-independent part of one matrix of the pencil."""
 
-    bands: tuple  # (diag, upper, border) of its ArrowBlocks
+    bands: tuple  # (diag, upper, border) of its arrow blocks
     corner_from_bands: np.ndarray  # band entries inside the boundary block
     band_max: float  # largest band entry, for the hermiticity gate's scale
     data: tuple  # CSR data outside the boundary block: (real, complex)
@@ -205,8 +187,8 @@ class BulkAssembly:
     """The part of the pencil (A, B) for -mu d^2/dx^2 + V that does not
     depend on U, built once for one mesh, potential and mass factor.
 
-    The potential term uses Gauss-Legendre quadrature of the given order on
-    every subinterval; stiffness and mass use the exact closed forms for
+    The potential term uses three-point Gauss-Legendre quadrature on every
+    subinterval; stiffness and mass use the exact closed forms for
     piecewise-linear elements.  The interior elements 1 .. r_alpha - 1 of
     each interval join two nodes owned by consecutive basis functions and
     give the tridiagonal bands: the bulk block, the border and the
@@ -227,7 +209,6 @@ class BulkAssembly:
         self,
         mesh: Mesh,
         potential: Potential | None = None,
-        quadrature_order: int = DEFAULT_QUADRATURE_ORDER,
         mu: float = 1.0,
     ) -> None:
         if potential is None:
@@ -236,10 +217,10 @@ class BulkAssembly:
             raise AssemblyError(f"mass factor mu must be positive and finite, got {mu}")
         self.mesh = mesh
         self.mu = mu = float(mu)
-        basis = BasisMap(mesh)
+        bidx = boundary_indices(mesh)
         skip_potential = isinstance(potential, ZeroPotential)
         if not skip_potential:
-            gauss_x, gauss_w = np.polynomial.legendre.leggauss(int(quadrature_order))
+            gauss_x, gauss_w = np.polynomial.legendre.leggauss(3)
             t_ref = (gauss_x + 1.0) / 2.0  # quadrature abscissae on [0, 1]
         v_min = 0.0 if skip_potential else np.inf
 
@@ -260,8 +241,9 @@ class BulkAssembly:
             self._ends.append((h, stiff, p00[[0, -1]], p01[[0, -1]], p11[[0, -1]]))
 
             # Element e = 1 .. r_alpha - 1 joins nodes e and e + 1, whose hats
-            # are the basis functions start + e - 1 and start + e.
-            idx = basis.boundary_index(2 * alpha) + np.arange(r_alpha)
+            # are the basis functions start + e - 1 and start + e, from the
+            # interval's left boundary function start = bidx[2 alpha] on.
+            idx = bidx[2 * alpha] + np.arange(r_alpha)
             a_diag = np.zeros(r_alpha)
             a_diag[:-1] += stiff + p00[1:-1]
             a_diag[1:] += stiff + p11[1:-1]
@@ -277,8 +259,7 @@ class BulkAssembly:
         # rows, cols and the band values list the upper triangle of the
         # tridiagonal part the interior elements give.  Split it by where
         # row and column lie: bulk block, border or boundary block.
-        dim = basis.size
-        bidx = basis.boundary_indices()
+        dim = mesh.dim
         local = np.full(dim, -1)
         local[bidx] = np.arange(bidx.size)
         bulk = np.flatnonzero(local < 0)
@@ -422,10 +403,9 @@ class BulkAssembly:
             )
             matrix.eliminate_zeros()
             matrices.append(matrix)
-            blocks.append(ArrowBlocks(*part.bands, _frozen(corner)))
-        pencil = Pencil(a=matrices[0], b=matrices[1], mesh=mesh, mu=mu,
-                        v_min=self.v_min)
-        object.__setattr__(pencil, "blocks", tuple(blocks))
+            blocks.append((*part.bands, _frozen(corner)))
+        pencil = Pencil(a=matrices[0], b=matrices[1])
+        object.__setattr__(pencil, "arrow", ArrowBlocks(*blocks, self.v_min))
         return pencil
 
 
@@ -434,7 +414,6 @@ def assemble_pencil(
     bc: BoundaryCondition,
     bvals: BoundaryValues,
     potential: Potential | None = None,
-    quadrature_order: int = DEFAULT_QUADRATURE_ORDER,
     mu: float = 1.0,
 ) -> Pencil:
     """Assemble the hermitian pencil (A, B) for -mu d^2/dx^2 + V: the
@@ -449,4 +428,4 @@ def assemble_pencil(
         violated weighted-hermiticity constraint, or a raw boundary block
         that is not hermitian to roundoff.
     """
-    return BulkAssembly(mesh, potential, quadrature_order, mu).pencil(bc, bvals)
+    return BulkAssembly(mesh, potential, mu).pencil(bc, bvals)

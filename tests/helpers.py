@@ -17,7 +17,6 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 
-from saext.fem import boundary_node_values
 from saext.spectral import FundamentalTraces
 
 
@@ -393,7 +392,7 @@ REFERENCE_MESHES = (
 
 def basis_enumeration_reference(mesh):
     """Every global basis index of ``mesh`` as a (kind, alpha, k, i) tuple,
-    in index order, by the per-index loop ``BasisMap`` used to run: per
+    in index order, by the per-index loop the basis map used to run: per
     interval the left boundary function, the bulk functions by peak node,
     the right boundary function."""
     tags = []
@@ -404,13 +403,31 @@ def basis_enumeration_reference(mesh):
     return tags
 
 
-def bulk_index(basis, alpha: int, k: int) -> int:
+def boundary_index(mesh, i: int) -> int:
+    """Global index of boundary function i (at endpoint i of interval
+    i // 2), looked up in ``basis_enumeration_reference``."""
+    return basis_enumeration_reference(mesh).index(("boundary", i // 2, -1, i))
+
+
+def bulk_index(mesh, alpha: int, k: int) -> int:
     """Global index of the bulk function peaking at node k of interval
-    alpha, the k - 2-th index of ``basis.bulk_slice(alpha)``."""
-    indices = range(basis.size)[basis.bulk_slice(alpha)]
-    if not 0 <= k - 2 < len(indices):
-        raise IndexError(f"bulk node k = {k} out of range on interval {alpha}")
-    return indices[k - 2]
+    alpha, looked up in ``basis_enumeration_reference``."""
+    return basis_enumeration_reference(mesh).index(("bulk", alpha, k, -1))
+
+
+def boundary_node_values(mesh, bvals, i: int, alpha: int) -> np.ndarray:
+    """Node values of boundary function i restricted to interval alpha,
+    endpoints included: its endpoint values from column i of V, and 1 at
+    its peak node."""
+    r_alpha = mesh.r[alpha]
+    vals = np.zeros(r_alpha + 2, dtype=complex)
+    vals[0] = bvals.v[2 * alpha, i]
+    vals[r_alpha + 1] = bvals.v[2 * alpha + 1, i]
+    if i == 2 * alpha:
+        vals[1] = 1.0
+    if i == 2 * alpha + 1:
+        vals[r_alpha] = 1.0
+    return vals
 
 
 def eval_boundary(mesh, bvals, i: int, alpha: int, x):
@@ -423,18 +440,18 @@ def eval_boundary(mesh, bvals, i: int, alpha: int, x):
     return vals[j] * (1.0 - t) + vals[j + 1] * t
 
 
-def node_value_arrays_loop(coeffs, mesh, bvals, basis):
-    """Per-interval node values of sum_a coeffs[a] f_a with one
-    ``bulk_index`` lookup per bulk node: the reference for
-    ``saext.eigen._node_value_arrays``."""
+def node_value_arrays_loop(coeffs, mesh, bvals):
+    """Per-interval node values of sum_a coeffs[a] f_a, summed function by
+    function with one index lookup each, as the eigensolver's post-processing
+    used to: the reference for ``saext.fem.node_values``."""
     out = []
     for alpha, r_alpha in enumerate(mesh.r):
         vals = np.zeros(r_alpha + 2, dtype=complex)
         for i in range(2 * mesh.n):
-            c = coeffs[basis.boundary_index(i)]
+            c = coeffs[boundary_index(mesh, i)]
             if c != 0:
                 vals += c * boundary_node_values(mesh, bvals, i, alpha)
         for k in range(2, r_alpha):
-            vals[k] += coeffs[bulk_index(basis, alpha, k)]
+            vals[k] += coeffs[bulk_index(mesh, alpha, k)]
         out.append(vals)
     return out

@@ -344,6 +344,15 @@ def test_retry_exhaustion_reports_history():
     assert err.value.history is not None
     assert len(err.value.history) == 6
     assert [n for n, _ in err.value.history] == list(range(40, 46))
+    for n, kappa in err.value.history:
+        system = assemble_boundary_system(bc, build_mesh(geom, n))
+        assert kappa == condition_report(system).kappa_estimate
+    # a step vector at which the system is incompatible enters as inf
+    geom, mesh = _mesh()
+    with pytest.raises(ConditionFailure) as err:
+        retry_mesh_on_bad_conditioning(geom=geom, bc=_degenerate_bc(mesh),
+                                       resolution=40, max_retries=0)
+    assert err.value.history == [(40, math.inf)]
 
 
 @pytest.mark.parametrize("kwargs, match", [

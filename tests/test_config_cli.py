@@ -36,7 +36,7 @@ from saext.config import (
     render_config,
 )
 from saext.eigen import eigenfunction_samples
-from saext.fem import BasisMap
+from saext.fem import boundary_indices
 
 TWO_PI = 2 * math.pi
 
@@ -285,7 +285,7 @@ def test_complex_dump_is_an_exact_conjugate_mirror(tmp_path):
                  "--dump-pencil"]) == EXIT_OK
     mesh, _, pencil, _ = _solve_problem(parse_config(QUASI_RING_CONFIG), 200, 4)
     assert pencil.a.dtype == pencil.b.dtype == np.complex128
-    boundary = BasisMap(mesh).boundary_indices()
+    boundary = boundary_indices(mesh)
     for name in ("pencil_a", "pencil_b"):
         lines = [line.split(",") for line in
                  (out / f"{name}.csv").read_text().splitlines()[1:]]

@@ -8,6 +8,8 @@ import scipy.sparse.linalg
 
 from helpers import (
     REFERENCE_MESHES,
+    boundary_index,
+    bulk_index,
     charpoly_eigenvalues,
     cholesky_pencil_reference,
     h1_error_two_pass_reference,
@@ -31,7 +33,6 @@ from saext.eigen import (
     PositiveDefinitenessError,
     _count_below,
     _negative_count,
-    _node_value_arrays,
     _phase_reference,
     _ritz_pairs,
     _solve_dense,
@@ -40,18 +41,11 @@ from saext.eigen import (
     residual_tolerances,
     solve_pencil,
 )
-from saext.fem import BasisMap, Pencil, assemble_pencil
+from saext.fem import Pencil, assemble_pencil, node_values
 from saext.geometry import IntervalSet, build_mesh
 from saext.potentials import ConstantPotential, SampledPotential, ZeroPotential
 
 TWO_PI = 2 * math.pi
-
-
-def _raw_pencil(a, b):
-    geom = IntervalSet([(0.0, 1.0)])
-    mesh = build_mesh(geom, max(2, a.shape[0] - 1))
-    # mesh/basis are placeholders for hand-made matrices
-    return Pencil(a=a, b=b, mesh=mesh, mu=1.0)
 
 
 def _solve_setup(bc, resolution, mu=1.0, count=None, geom=None):
@@ -68,7 +62,7 @@ def _solve_setup(bc, resolution, mu=1.0, count=None, geom=None):
 def test_diagonal_two_by_two():
     a = np.diag([1.0, 2.0]).astype(complex)
     b = np.eye(2, dtype=complex)
-    sol = solve_pencil(_raw_pencil(a, b))
+    sol = solve_pencil(Pencil(a, b))
     assert np.allclose(sol.eigenvalues, [1.0, 2.0])
     assert np.allclose(np.abs(sol.eigenvectors), np.eye(2), atol=1e-14)
 
@@ -78,7 +72,7 @@ def test_matches_characteristic_polynomial_oracle(seed):
     rng = np.random.default_rng(seed)
     a = random_hermitian(6, rng)
     b = random_spd(6, rng)
-    sol = solve_pencil(_raw_pencil(a, b))
+    sol = solve_pencil(Pencil(a, b))
     reference = charpoly_eigenvalues(a, b)
     assert np.max(np.abs(sol.eigenvalues - reference)
                   / np.maximum(1.0, np.abs(reference))) <= 1e-8
@@ -90,8 +84,8 @@ def test_shift_consistency(seed):
     a = random_hermitian(7, rng)
     b = random_spd(7, rng)
     shift = float(rng.uniform(-5, 5))
-    base = solve_pencil(_raw_pencil(a, b))
-    shifted = solve_pencil(_raw_pencil((a + shift * b + (a + shift * b).conj().T) / 2, b))
+    base = solve_pencil(Pencil(a, b))
+    shifted = solve_pencil(Pencil((a + shift * b + (a + shift * b).conj().T) / 2, b))
     assert np.max(np.abs(shifted.eigenvalues - (base.eigenvalues + shift))) <= 1e-9 * (
         1 + np.max(np.abs(base.eigenvalues))
     )
@@ -101,7 +95,7 @@ def test_b_orthonormality_and_residuals_random():
     rng = np.random.default_rng(42)
     a = random_hermitian(20, rng)
     b = random_spd(20, rng)
-    pencil = _raw_pencil(a, b)
+    pencil = Pencil(a, b)
     sol = solve_pencil(pencil)
     gram = sol.eigenvectors.conj().T @ b @ sol.eigenvectors
     assert np.max(np.abs(gram - np.eye(20))) <= 1e-10
@@ -145,7 +139,7 @@ def test_phase_fixing_reference_inner_product_real_positive():
     rng = np.random.default_rng(7)
     a = random_hermitian(9, rng)
     b = random_spd(9, rng)
-    sol = solve_pencil(_raw_pencil(a, b))
+    sol = solve_pencil(Pencil(a, b))
     inner = _phase_reference(9) @ sol.eigenvectors
     assert np.all(inner.real > 0)
     assert np.all(np.abs(inner.imag) <= 1e-14 * np.abs(inner))
@@ -192,15 +186,30 @@ def test_rejects_non_hermitian():
     a = np.array([[1.0, 2.0], [0.5, 1.0]], dtype=complex)
     b = np.eye(2, dtype=complex)
     with pytest.raises(EigenSolveError, match="hermitian"):
-        solve_pencil(_raw_pencil(a, b))
+        solve_pencil(Pencil(a, b))
 
 
 def test_reports_failing_pivot():
     a = np.eye(3, dtype=complex)
     b = np.diag([1.0, -1.0, 1.0]).astype(complex)
     with pytest.raises(PositiveDefinitenessError) as err:
-        solve_pencil(_raw_pencil(a, b))
+        solve_pencil(Pencil(a, b))
     assert err.value.pivot == 2
+
+
+@pytest.mark.parametrize("which", ["A", "B"])
+@pytest.mark.parametrize("bad, message", [
+    (np.ones((3, 2)), "{which} is not square"),
+    (np.eye(2), "A and B differ in shape"),
+    (np.diag([2.0, np.nan, 4.0]), "{which} has a non-finite entry"),
+    (np.diag([2.0, 3.0, np.inf]), "{which} has a non-finite entry"),
+], ids=["not-square", "shape-mismatch", "nan", "inf"])
+def test_rejects_bad_hand_built_matrix(which, bad, message):
+    # the error names the bad matrix and its defect
+    good = np.diag([2.0, 3.0, 4.0])
+    a, b = (bad, good) if which == "A" else (good, bad)
+    with pytest.raises(EigenSolveError, match="^" + message.format(which=which)):
+        solve_pencil(Pencil(a, b))
 
 
 def _assert_matches_cholesky_reduction(sol, a, b, count):
@@ -222,7 +231,7 @@ def test_dense_path_matches_cholesky_reduction(seed, count):
     dim = 5 + 3 * seed
     a = random_hermitian(dim, rng)
     b = random_spd(dim, rng)
-    sol = solve_pencil(_raw_pencil(a, b), count=count)
+    sol = solve_pencil(Pencil(a, b), count=count)
     _assert_matches_cholesky_reduction(sol, a, b, count)
 
 
@@ -232,8 +241,8 @@ def test_dense_failure_with_definite_mass_is_not_a_pivot_error(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eigh", fail)
     with pytest.raises(EigenSolveError, match="forced failure") as err:
-        solve_pencil(_raw_pencil(np.eye(3, dtype=complex),
-                                 np.eye(3, dtype=complex)))
+        solve_pencil(Pencil(np.eye(3, dtype=complex),
+                            np.eye(3, dtype=complex)))
     assert not isinstance(err.value, PositiveDefinitenessError)
 
 
@@ -327,7 +336,7 @@ def test_real_ritz_pairs_cover_complex_ritz_vectors(k):
     geom = IntervalSet([(0.0, 2.0), (3.0, 5.0), (6.0, 8.0)])
     _, _, pencil, _ = _solve_setup(BoundaryCondition.dirichlet(3), 300,
                                    count=1, geom=geom)
-    w, vectors = _ritz_pairs(pencil, k, pencil.v_min - 1.0)
+    w, vectors = _ritz_pairs(pencil, k, pencil.arrow.v_min - 1.0)
     full = _solve_dense(pencil, k).eigenvalues
     assert w.shape == (k,) and vectors.shape == (pencil.dim, k)
     assert vectors.dtype == np.float64
@@ -443,14 +452,16 @@ def test_node_value_arrays_match_per_node_loop(intervals, resolution, r):
     h = mesh.h_endpoint
     v = weighted_hermitian_values(mesh.n, h, rng)
     bvals = BoundaryValues(v=v, g=(1.0 / h)[:, None] * v, h=h)
-    basis = BasisMap(mesh)
     coeffs = rng.standard_normal(mesh.dim) + 1j * rng.standard_normal(mesh.dim)
-    coeffs[basis.boundary_index(0)] = 0.0  # a zero boundary coefficient
-    got = _node_value_arrays(coeffs, mesh, bvals, basis)
-    expected = node_value_arrays_loop(coeffs, mesh, bvals, basis)
-    assert len(got) == len(expected) == mesh.n
-    for g, e in zip(got, expected):
-        assert g.tobytes() == e.tobytes()
+    coeffs[boundary_index(mesh, 0)] = 0.0  # a zero boundary coefficient
+    coeffs[bulk_index(mesh, mesh.n - 1, 2)] = complex(-0.0, -0.0)
+    # complex eigenvectors, and the real ones of a real pencil
+    for c in (coeffs, coeffs.real.copy()):
+        got = node_values(mesh, bvals, c)
+        expected = node_value_arrays_loop(c, mesh, bvals)
+        assert len(got) == len(expected) == mesh.n
+        for g, e in zip(got, expected):
+            assert g.tobytes() == e.tobytes()
 
 
 def test_sample_index_out_of_range():
@@ -532,7 +543,7 @@ def test_h1_error_matches_two_pass_reference(intervals, resolution, r):
                         residuals=np.zeros(2))
     reference = (lambda x: np.exp(0.3j * x) * np.sin(x),
                  lambda x: np.exp(0.3j * x) * (np.cos(x) + 0.3j * np.sin(x)))
-    per_interval = _node_value_arrays(vectors[:, 1], mesh, bvals, BasisMap(mesh))
+    per_interval = node_values(mesh, bvals, vectors[:, 1])
     assert h1_error(sol, 1, mesh, bvals, reference) == \
         h1_error_two_pass_reference(per_interval, mesh, reference)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from helpers import (
     assemble_pencil_reference,
     assert_conjugate_mirror,
     basis_enumeration_reference,
+    boundary_index,
     bulk_index,
     eval_boundary,
     quad_complex,
@@ -24,9 +26,9 @@ from saext.boundary import (
 )
 from saext.fem import (
     AssemblyError,
-    BasisMap,
     BulkAssembly,
     assemble_pencil,
+    boundary_indices,
 )
 from saext.geometry import IntervalSet, build_mesh
 from saext.potentials import (
@@ -65,49 +67,33 @@ def _values_from_matrix(mesh, v):
 
 def test_basis_ordering_single_interval():
     _, mesh, _, _ = _setup(resolution=8)
-    bm = BasisMap(mesh)
     r = mesh.r[0]
-    assert bm.size == r
-    assert bm.boundary_indices().tolist() == [0, r - 1]
-    assert bm.bulk_slice(0) == slice(1, r - 1)
+    assert mesh.dim == r
+    assert boundary_indices(mesh).tolist() == [0, r - 1]
 
 
 def test_basis_ordering_two_intervals():
     geom = IntervalSet([(0.0, 1.0), (0.0, 3.0)])
     mesh = build_mesh(geom, 8)  # r = (3, 7)
-    bm = BasisMap(mesh)
-    assert bm.size == 10
+    assert mesh.dim == 10
     kinds = ["bulk"] * 10
-    for a in bm.boundary_indices():
+    for a in boundary_indices(mesh):
         kinds[a] = "boundary"
     assert kinds == ["boundary", "bulk", "boundary",
                      "boundary", "bulk", "bulk", "bulk", "bulk", "bulk", "boundary"]
-    assert bm.boundary_index(0) == 0
-    assert bm.boundary_index(1) == 2
-    assert bm.boundary_index(2) == 3
-    assert bm.boundary_index(3) == 9
+    assert boundary_indices(mesh).tolist() == [0, 2, 3, 9]
 
 
 @pytest.mark.parametrize("intervals, resolution, r", REFERENCE_MESHES)
 def test_basis_map_matches_enumeration(intervals, resolution, r):
     mesh = build_mesh(IntervalSet(intervals), resolution)
     assert mesh.r == r
-    bm = BasisMap(mesh)
     reference = basis_enumeration_reference(mesh)
-    assert bm.size == len(reference)
-    for a, (kind, alpha, k, i) in enumerate(reference):
-        if kind == "boundary":
-            assert bm.boundary_index(i) == a
-    assert bm.boundary_indices().tolist() == [
-        a for a, tag in enumerate(reference) if tag[0] == "boundary"
-    ]
-    for alpha in range(len(r)):
-        assert list(range(bm.size))[bm.bulk_slice(alpha)] == [
-            a for a, tag in enumerate(reference) if tag[:2] == ("bulk", alpha)
-        ]
-    for i in (-1, 2 * mesh.n):
-        with pytest.raises(IndexError):
-            bm.boundary_index(i)
+    assert mesh.dim == len(reference)
+    by_function = sorted((i, a) for a, (kind, _, _, i) in enumerate(reference)
+                         if kind == "boundary")
+    assert [i for i, _ in by_function] == list(range(2 * mesh.n))
+    assert boundary_indices(mesh).tolist() == [a for _, a in by_function]
 
 
 # -------------------------------------------------------------- evaluation
@@ -231,13 +217,12 @@ def test_boundary_overlaps_against_adaptive_quadrature():
     vals = _values_from_matrix(mesh, v)
     bc = BoundaryCondition.dirichlet(1)
     pencil = assemble_pencil(mesh, bc, vals)
-    bm = BasisMap(mesh)
     a0, b0 = geom.intervals[0]
 
     for i in range(2):
         for j in range(2):
-            gi = bm.boundary_index(i)
-            gj = bm.boundary_index(j)
+            gi = boundary_index(mesh, i)
+            gj = boundary_index(mesh, j)
             mass_quad = quad_complex(
                 lambda x: np.conj(eval_boundary(mesh, vals, i, 0, x))
                 * eval_boundary(mesh, vals, j, 0, x),
@@ -267,9 +252,10 @@ def test_quadrature_order_convergence_quartic():
     sys = assemble_boundary_system(bc, mesh)
     vals = solve_boundary_values(sys)
     quartic = CallablePotential(lambda x: (x / math.pi - 1.0) ** 4)
-    p3 = assemble_pencil(mesh, bc, vals, quartic, quadrature_order=3)
-    p6 = assemble_pencil(mesh, bc, vals, quartic, quadrature_order=6)
-    assert np.max(np.abs(p3.a.toarray() - p6.a.toarray())) < 1e-10
+    # assembly's three-point rule against the six-point element loop
+    p3 = assemble_pencil(mesh, bc, vals, quartic)
+    a6, _ = assemble_pencil_reference(mesh, vals, quartic, quadrature_order=6)
+    assert np.max(np.abs(p3.a.toarray() - a6.toarray())) < 1e-10
 
 
 def test_sampled_potential_matches_callable_on_linear():
@@ -334,19 +320,21 @@ def test_arrow_blocks_rebuild_the_csr_matrices(seed):
     if seed == 2:
         assert min(mesh.r) == 2
     pencil = assemble_pencil(mesh, bc, vals, potential, mu=0.7)
-    bnd = BasisMap(mesh).boundary_indices()
+    bnd = boundary_indices(mesh)
     bulk = np.setdiff1d(np.arange(pencil.dim), bnd)
-    for matrix, blocks in zip((pencil.a, pencil.b), pencil.blocks):
-        dense = matrix.toarray()
-        tri = (np.diag(blocks.diag) + np.diag(blocks.upper, 1)
-               + np.diag(blocks.upper, -1))
+    a, b, x = pencil.a.toarray(), pencil.b.toarray(), 2.3
+    arrow = pencil.arrow
+    for dense, (diag, upper, border, corner) in (
+        (a, arrow.a), (b, arrow.b), (a - x * b, arrow.minus(x))
+    ):
+        tri = np.diag(diag) + np.diag(upper, 1) + np.diag(upper, -1)
         assert np.array_equal(dense[np.ix_(bulk, bulk)], tri)
-        assert np.array_equal(dense[np.ix_(bulk, bnd)], blocks.border)
-        assert np.array_equal(dense[np.ix_(bnd, bulk)], blocks.border.T)
-        assert np.array_equal(dense[np.ix_(bnd, bnd)], blocks.corner)
-        for part in (blocks.diag, blocks.upper, blocks.border):
+        assert np.array_equal(dense[np.ix_(bulk, bnd)], border)
+        assert np.array_equal(dense[np.ix_(bnd, bulk)], border.T)
+        assert np.array_equal(dense[np.ix_(bnd, bnd)], corner)
+        for part in (diag, upper, border):
             assert part.dtype == np.float64
-        assert blocks.corner.dtype == matrix.dtype
+        assert corner.dtype == pencil.a.dtype
 
 
 def test_bulk_assembly_serves_a_sweep_over_u():
@@ -354,18 +342,18 @@ def test_bulk_assembly_serves_a_sweep_over_u():
     # assembly, real and complex alike, complex ones stored as exact
     # conjugate mirrors, and the shared part left as it was
     mesh, potential, _, _ = _arrow_pencil(1)
-    boundary = BasisMap(mesh).boundary_indices()
+    boundary = boundary_indices(mesh)
     bulk = BulkAssembly(mesh, potential, mu=1.3)
     complex_pencils = 0
-    shared = [m.copy() for blocks in bulk.pencil(*_boundary(mesh, -np.eye(4))).blocks
-              for m in (blocks.diag, blocks.upper, blocks.border)]
+    first = bulk.pencil(*_boundary(mesh, -np.eye(4))).arrow
+    shared = [m.copy() for blocks in (first.a, first.b) for m in blocks[:3]]
     for u in (random_unitary(4, np.random.default_rng(7)), -np.eye(4),
               np.diag(np.exp(1j * np.arange(4.0))),
               random_unitary(4, np.random.default_rng(8))):
         bc, vals = _boundary(mesh, u)
         got = bulk.pencil(bc, vals)
         want = assemble_pencil(mesh, bc, vals, potential, mu=1.3)
-        assert got.v_min == want.v_min
+        assert got.arrow.v_min == want.arrow.v_min
         for g, w in ((got.a, want.a), (got.b, want.b)):
             assert g.dtype == w.dtype
             assert np.array_equal(g.indptr, w.indptr)
@@ -376,8 +364,7 @@ def test_bulk_assembly_serves_a_sweep_over_u():
                 coo = g.tocoo()
                 assert_conjugate_mirror(coo.row, coo.col, coo.data, boundary)
     assert complex_pencils == 4  # A and B of both random U
-    after = [m for blocks in got.blocks for m in (blocks.diag, blocks.upper,
-                                                  blocks.border)]
+    after = [m for blocks in (got.arrow.a, got.arrow.b) for m in blocks[:3]]
     assert all(np.array_equal(x, y) for x, y in zip(shared, after))
     with pytest.raises(ValueError):
         after[0][0] = 1.0  # shared by every pencil of the sweep: read-only
@@ -410,20 +397,21 @@ def test_pencil_dtype_follows_boundary_condition(n, u, dtype):
 
 
 def test_hand_built_pencil_dtype_follows_imaginary_parts():
-    mesh = build_mesh(IntervalSet([(0.0, 1.0)]), 2)
     a = np.array([[2.0, 1.0 + 0.0j], [1.0, 3.0]])
     b = np.eye(2, dtype=complex)
-    real = fem.Pencil(a=a, b=b, mesh=mesh, mu=1.0)
+    real = fem.Pencil(a=a, b=b)
     assert real.a.dtype == real.b.dtype == np.float64
     assert np.array_equal(real.a.toarray(), a.real)
     a[0, 1], a[1, 0] = 1.0 + 0.5j, 1.0 - 0.5j
-    complex_ = fem.Pencil(a=a, b=b, mesh=mesh, mu=1.0)
+    complex_ = fem.Pencil(a=a, b=b)
     # one imaginary part in A keeps both matrices complex
     assert complex_.a.dtype == complex_.b.dtype == np.complex128
-    # only assembly attaches arrow blocks, which must match the CSR arrays
-    assert real.blocks is complex_.blocks is None
+    # a pencil is (A, B); only assembly attaches arrow blocks, which must
+    # match the CSR arrays
+    assert [f.name for f in dataclasses.fields(fem.Pencil) if f.init] == ["a", "b"]
+    assert real.arrow is complex_.arrow is None
     with pytest.raises(TypeError):
-        fem.Pencil(a=a, b=b, mesh=mesh, mu=1.0, blocks=None)
+        fem.Pencil(a=a, b=b, arrow=None)
 
 
 def test_assembly_rejects_constraint_violation():
@@ -492,22 +480,21 @@ def test_sparsity_pattern_and_case_analysis():
     for m in (pencil.a.tocoo(), pencil.b.tocoo()):
         pattern[m.row, m.col] = True
 
-    bm = BasisMap(mesh)
-    bidx = set(bm.boundary_indices().tolist())
+    bidx = set(boundary_indices(mesh).tolist())
     # interior bulk couples only to neighbors
-    g = bulk_index(bm, 1, 5)
+    g = bulk_index(mesh, 1, 5)
     allowed = {g - 1, g, g + 1}
     assert set(np.nonzero(pattern[g])[0].tolist()) <= allowed
     # extreme bulk couples to its boundary function and the next bulk
-    g2 = bulk_index(bm, 0, 2)
+    g2 = bulk_index(mesh, 0, 2)
     assert set(np.nonzero(pattern[g2])[0].tolist()) <= {
-        bm.boundary_index(0), g2, g2 + 1
+        boundary_index(mesh, 0), g2, g2 + 1
     }
     # boundary functions couple to all boundary functions and one extreme bulk
-    gb = bm.boundary_index(2)
+    gb = boundary_index(mesh, 2)
     neighbors = set(np.nonzero(pattern[gb])[0].tolist())
     assert bidx <= neighbors
-    assert bulk_index(bm, 1, 2) in neighbors
+    assert bulk_index(mesh, 1, 2) in neighbors
     # O(N) storage: at most three entries per bulk row, 2n + 2 per boundary row
     n_bnd = len(bidx)
     assert pencil.a.nnz <= 3 * (pencil.dim - n_bnd) + n_bnd * (n_bnd + 2)
