@@ -24,6 +24,11 @@ class Potential:
         """Constant value of V on interval ``alpha``, or None if non-constant."""
         return None
 
+    def knots(self, alpha: int):
+        """Abscissae between which V is linear on interval ``alpha``, or
+        None when V declares no such pieces."""
+        return None
+
 
 class ZeroPotential(Potential):
     """The free particle, V = 0."""
@@ -73,6 +78,9 @@ class SampledPotential(Potential):
 
     def value(self, alpha, x):
         return np.interp(np.asarray(x, dtype=float), self.x, self.v)
+
+    def knots(self, alpha):
+        return self.x
 
 
 class CallablePotential(Potential):

@@ -29,15 +29,24 @@ a nonzero factor and moves no zeros.
 
 Numerical integration
 ---------------------
-Non-constant potentials are integrated by fixed-step RK4.  The system
-Psi' = A(x) Psi is linear, so each RK4 step is an exact 2x2 map M_n built
-from V at x_n, x_n + h/2 and x_n + h, and the state after m steps is the
-ordered product M_{m-1} ... M_0.  V is tabulated with one vectorized
-``potential.value`` call per node set, the step maps are built as an
-(m, 2, 2) array and multiplied pairwise in order.  A result is accepted
-when m and 2m steps agree to 1e-9 (non-finite states never agree); the
-step count doubles up to 2**17 before ``TraceIntegrationError``.  A
-non-finite tabulated V raises ``PotentialError`` at once.
+Non-constant potentials are integrated by a sixth-order Magnus method
+(Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999; Blanes, Casas &
+Ros, BIT 40, 2000).  Each step takes V at its three Gauss points, forms
+the traceless 2x2 exponent Omega of Psi' = A(x) Psi in closed form and
+maps the state by exp(Omega) = c I + s Omega, with c, s = cosh w,
+sinh(w) / w (or cos w, sin(w) / w) of w = sqrt(|det Omega|).  The step is
+exact for constant V and keeps its order where V is smooth.  The steps
+end on every knot of V inside the interval (``Potential.knots``: the
+abscissae of a ``SampledPotential``), so each step lies on one linear
+piece; each piece starts with 8 equal steps (fewer when more than 8192
+pieces would put the doubled count over the cap), and a V that declares
+no knots starts with 2048 steps across the interval.  V is tabulated with
+one vectorized ``potential.value`` call per step count, and the state is
+the ordered product of the step maps, multiplied pairwise.  A result is
+accepted when m and 2m steps agree to 1e-9; the step count doubles up to
+2**17 before ``TraceIntegrationError``.  A state that is not finite (the
+solutions overflow float64, far below V) raises ``TraceIntegrationError``
+at once, and a non-finite tabulated V raises ``PotentialError``.
 """
 
 from __future__ import annotations
@@ -52,7 +61,8 @@ from .boundary import BoundaryCondition
 from .geometry import IntervalSet
 from .potentials import Potential, PotentialError
 
-_ODE_STEPS = 2048  # first step count of the halving comparison
+_ODE_STEPS = 2048  # first step count of the halving comparison without knots
+_PIECE_STEPS = 8  # first step count per linear piece of a table
 _ODE_RTOL = 1e-9
 _MAX_ODE_STEPS = 1 << 17
 _EXP_DEGENERACY_TOL = 1e-9
@@ -160,25 +170,48 @@ def _closed_form_traces(geom, lam, mu, constants, basis):
     return psi_l, dpsi_l, psi_r, dpsi_r
 
 
-def _step_matrices(q0, q1, q2, h):
-    """The (m, 2, 2) stack of RK4 step maps for Psi' = A(x) Psi.
+# Gauss-Legendre nodes of one step, as fractions of it
+_GAUSS_NODES = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
 
-    With A(q) = [[0, 1], [q, 0]] and q0, q1, q2 the values of
-    (V - lambda) / mu at x_n, x_n + h/2 and x_n + h, one RK4 step is the
-    exact linear map M_n = I + h/6 (K1 + 2 K2 + 2 K3 + K4), where
-    K1 = A(q0), K2 = A(q1)(I + h/2 K1), K3 = A(q1)(I + h/2 K2) and
-    K4 = A(q2)(I + h K3); the entries below are that sum multiplied out.
+
+def _magnus_step_maps(z, h):
+    """The (m, 2, 2) stack of sixth-order Magnus step maps for Psi' = A Psi.
+
+    A = [[0, 1], [q, 0]] with q = (V - lambda) / mu; ``z`` is (3, m), the
+    values of h^2 q at the three Gauss nodes of each step of width ``h``.
+    With A_i = A(q_i), a1 = h A_2, a2 = sqrt(15) h / 3 (A_3 - A_1) and
+    a3 = 10 h / 3 (A_3 - 2 A_2 + A_1), the step's exponent is
+    Omega = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240 with
+    C1 = [a1, a2] and C2 = -[a1, 2 a3 + C1] / 60 (Blanes, Casas & Ros,
+    BIT 40, 2000).  a2 and a3 are multiples of E = [[0, 0], [1, 0]], and
+    the brackets close on F = [[0, 1], [0, 0]], E and H = [F, E] =
+    diag(1, -1); multiplied out, Omega = [[p, h r], [s / h, -p]] below,
+    with d2 = sqrt(15) / 3 (z_3 - z_1) and d3 = 10 / 3 (z_3 - 2 z_2 + z_1).
+    Omega is traceless, so Omega^2 = (p^2 + r s) I and
+    exp(Omega) = cosh(w) I + (sinh(w) / w) Omega with w = sqrt(p^2 + r s),
+    in cos and sin of sqrt(-(p^2 + r s)) when that is negative.  Exact
+    for constant q; sixth order on each step where q is smooth, which a
+    linear piece of a sampled table is.
     """
-    h2 = h * h
-    c = 1.0 + (h2 / 4.0) * q0
-    d = 1.0 + (h2 / 4.0) * q1
-    e = 1.0 + (h2 / 2.0) * q1
-    m = np.empty((q0.size, 2, 2))
-    m[:, 0, 0] = 1.0 + (h2 / 6.0) * (q0 + q1 + q1 * c)
-    m[:, 0, 1] = h + (h * h2 / 6.0) * q1
-    m[:, 1, 0] = (h / 6.0) * (q0 + 2.0 * q1 + 2.0 * q1 * c + q2 * e)
-    m[:, 1, 1] = 1.0 + (h2 / 6.0) * (2.0 * q1 + q2 * d)
-    return m
+    z1, z2, z3 = z
+    d2 = (math.sqrt(15.0) / 3.0) * (z3 - z1)
+    d3 = (10.0 / 3.0) * (z3 - 2.0 * z2 + z1)
+    d2_sq = d2 * d2
+    p = d2 * ((1.0 / 180.0) * z2 + d3 / 7200.0 - 1.0 / 12.0)
+    r = 1.0 + (d2_sq - 20.0 * d3) / 3600.0
+    s = z2 + d3 / 12.0 + (d3 * (20.0 * z2 + d3) - d2_sq * (30.0 - z2)) / 3600.0
+    det = p * p + r * s
+    w = np.sqrt(np.abs(det))
+    grows = det > 0
+    cos_w = np.where(grows, np.cosh(w), np.cos(w))
+    sinc_w = np.divide(np.where(grows, np.sinh(w), np.sin(w)), w,
+                       out=np.ones_like(w), where=w > 0)
+    maps = np.empty((w.size, 2, 2))
+    maps[:, 0, 0] = cos_w + sinc_w * p
+    maps[:, 0, 1] = sinc_w * r * h
+    maps[:, 1, 0] = sinc_w * s / h
+    maps[:, 1, 1] = cos_w - sinc_w * p
+    return maps
 
 
 def _ordered_product(mats):
@@ -191,25 +224,42 @@ def _ordered_product(mats):
     return mats[0]
 
 
-def _rk4_fundamental(potential, alpha, a, b, lam, mu, steps):
-    """Integrate the 2x2 fundamental system from a to b with fixed-step RK4.
+def _pieces(potential, alpha, a, b):
+    """Edges of the pieces of (a, b) between V's knots, and the first
+    step count per piece: ``_PIECE_STEPS`` for a table, whose pieces are
+    linear, as long as twice that on every piece stays within the cap;
+    ``_ODE_STEPS`` for a V that declares no knots."""
+    knots = potential.knots(alpha)
+    if knots is None:
+        return np.array([a, b]), _ODE_STEPS
+    knots = np.asarray(knots, dtype=float)
+    edges = np.concatenate(([a], knots[(knots > a) & (knots < b)], [b]))
+    pieces = edges.size - 1
+    return edges, max(1, min(_PIECE_STEPS, _MAX_ODE_STEPS // (2 * pieces)))
 
-    V is tabulated once at the step nodes x_n, x_n + h/2 and x_n + h (the
-    nodes accumulate x += h from a, as a stepping loop would), and the
-    state is the ordered product of the per-step transfer matrices.
-    Returns the complex 2x2 state with rows Psi, Psi' and one column per
-    fundamental solution.
+
+def _magnus_fundamental(potential, alpha, edges, per_piece, lam, mu):
+    """Integrate the 2x2 fundamental system across ``edges`` with
+    ``per_piece`` equal Magnus steps on each piece.
+
+    V is tabulated with one ``potential.value`` call at the three Gauss
+    nodes of every step.  Returns the real 2x2 state with rows Psi, Psi'
+    and one column per fundamental solution; it is not finite when the
+    solutions overflow float64.
     """
-    h = (b - a) / steps
-    x = np.add.accumulate(np.concatenate(([a], np.full(steps - 1, h))))
-    v = [np.asarray(potential.value(alpha, nodes), dtype=float)
-         for nodes in (x, x + h / 2, x + h)]
-    if not all(np.all(np.isfinite(t)) for t in v):
+    widths = np.diff(edges)
+    h = np.repeat(widths / per_piece, per_piece)
+    left = (edges[:-1, None]
+            + widths[:, None] * (np.arange(per_piece) / per_piece)).ravel()
+    nodes = left + np.multiply.outer(_GAUSS_NODES, h)
+    v = np.asarray(potential.value(alpha, nodes.ravel()), dtype=float)
+    if not np.all(np.isfinite(v)):
         raise PotentialError(
-            f"potential is not finite on interval {alpha} ({a}, {b})"
+            f"potential is not finite on interval {alpha} ({edges[0]}, {edges[-1]})"
         )
-    q0, q1, q2 = ((t - lam) / mu for t in v)
-    return _ordered_product(_step_matrices(q0, q1, q2, h)).astype(complex)
+    z = ((v - lam) / mu).reshape(nodes.shape) * (h * h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _ordered_product(_magnus_step_maps(z, h))
 
 
 def _integrated_traces(potential, geom, lam, mu):
@@ -219,20 +269,26 @@ def _integrated_traces(potential, geom, lam, mu):
     psi_r = np.zeros((n, 2), dtype=complex)
     dpsi_r = np.zeros((n, 2), dtype=complex)
     for alpha, (a, b) in enumerate(geom.intervals):
-        m = _ODE_STEPS
-        coarse = _rk4_fundamental(potential, alpha, a, b, lam, mu, m)
+        edges, per_piece = _pieces(potential, alpha, a, b)
+        pieces = edges.size - 1
+        coarse = _magnus_fundamental(potential, alpha, edges, per_piece, lam, mu)
         while True:
-            fine = _rk4_fundamental(potential, alpha, a, b, lam, mu, 2 * m)
-            scale = max(1.0, float(np.max(np.abs(fine))))
-            if float(np.max(np.abs(fine - coarse))) <= _ODE_RTOL * scale:
-                break
-            m *= 2
-            if 2 * m > _MAX_ODE_STEPS:
+            if not np.all(np.isfinite(coarse)):
+                raise TraceIntegrationError(
+                    f"fundamental solutions on interval {alpha} overflow "
+                    f"float64 at lambda = {lam!r}"
+                )
+            per_piece *= 2
+            if per_piece * pieces > _MAX_ODE_STEPS:
                 raise TraceIntegrationError(
                     f"fundamental-solution integration on interval {alpha} "
                     f"did not reach rtol {_ODE_RTOL:.1e} within "
                     f"{_MAX_ODE_STEPS} steps"
                 )
+            fine = _magnus_fundamental(potential, alpha, edges, per_piece, lam, mu)
+            scale = max(1.0, float(np.max(np.abs(fine))))
+            if float(np.max(np.abs(fine - coarse))) <= _ODE_RTOL * scale:
+                break
             coarse = fine
         psi_l[alpha] = (1.0, 0.0)
         dpsi_l[alpha] = (0.0, -1.0)
@@ -259,11 +315,14 @@ def fundamental_traces(
 
     Constant (including zero) potentials use closed forms; other potentials
     are integrated from the left endpoint with initial data (1, 0) and
-    (0, 1) by fixed-step RK4, accepted only when a step-halving comparison
-    agrees to 1e-9.  Raises ``PotentialError`` when V is not finite at an
-    integration node and ``TraceIntegrationError`` when the step halving
-    does not converge or the closed-form traces overflow (lambda far below
-    V on a long interval).
+    (0, 1) by the sixth-order Magnus method of the module docstring, on
+    steps that end on every knot of V inside the interval (8 per linear
+    piece of a table at first, 2048 across the interval for a V without
+    knots), accepted only when a step-halving comparison agrees to 1e-9
+    within 2**17 steps.  Raises ``PotentialError`` when V is not finite at
+    an integration node and ``TraceIntegrationError`` when the step
+    halving does not converge or the traces overflow float64, in closed
+    form or integrated (lambda far below V on a long interval).
     """
     if basis not in ("normalized", "exponential"):
         raise ValueError(f"unknown basis {basis!r}")

@@ -122,8 +122,8 @@ def weighted_hermitian_values(
 def rk4_fundamental_loop(potential, alpha, a, b, lam, mu, steps):
     """Fixed-step RK4 for the 2x2 fundamental system, one step at a time.
 
-    The reference for the library's transfer-matrix integrator: a plain
-    stepping loop with one scalar ``potential.value`` call per stage.
+    The reference for ``rk4_fundamental``: a plain stepping loop with one
+    scalar ``potential.value`` call per stage.
     Returns the complex state with rows Psi, Psi' after ``steps`` steps.
     """
     h = (b - a) / steps
@@ -142,6 +142,79 @@ def rk4_fundamental_loop(potential, alpha, a, b, lam, mu, steps):
         state = state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         x += h
     return state
+
+
+def rk4_fundamental(potential, alpha, a, b, lam, mu, steps):
+    """Fixed-step RK4 for the 2x2 fundamental system as one product of
+    step matrices.
+
+    V is tabulated with one vectorized ``potential.value`` call each at
+    x_n, x_n + h/2 and x_n + h (x_n accumulates x += h from a, as
+    ``rk4_fundamental_loop`` does).  With A(q) = [[0, 1], [q, 0]] and
+    q = (V - lam) / mu at those nodes, one step is the exact linear map
+    M_n = I + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = A(q0),
+    K2 = A(q1)(I + h/2 K1), K3 = A(q1)(I + h/2 K2), K4 = A(q2)(I + h K3),
+    multiplied out below; the maps are multiplied pairwise in order.
+    Returns the complex state with rows Psi, Psi' after ``steps`` steps.
+    """
+    h = (b - a) / steps
+    x = np.add.accumulate(np.concatenate(([a], np.full(steps - 1, h))))
+    q0, q1, q2 = ((np.asarray(potential.value(alpha, nodes), dtype=float) - lam) / mu
+                  for nodes in (x, x + h / 2, x + h))
+    h2 = h * h
+    c = 1.0 + (h2 / 4.0) * q0
+    d = 1.0 + (h2 / 4.0) * q1
+    e = 1.0 + (h2 / 2.0) * q1
+    mats = np.empty((steps, 2, 2))
+    mats[:, 0, 0] = 1.0 + (h2 / 6.0) * (q0 + q1 + q1 * c)
+    mats[:, 0, 1] = h + (h * h2 / 6.0) * q1
+    mats[:, 1, 0] = (h / 6.0) * (q0 + 2.0 * q1 + 2.0 * q1 * c + q2 * e)
+    mats[:, 1, 1] = 1.0 + (h2 / 6.0) * (2.0 * q1 + q2 * d)
+    while mats.shape[0] > 1:
+        if mats.shape[0] % 2:
+            mats = np.concatenate((mats, np.eye(2)[None]))
+        mats = mats[1::2] @ mats[0::2]
+    return mats[0].astype(complex)
+
+
+def rk4_piecewise(potential, alpha, a, b, lam, mu, steps_per_piece):
+    """``rk4_fundamental`` run piece by piece between the knots of a
+    sampled table inside (a, b), so that no RK4 step straddles a kink of
+    V; the pieces' states are multiplied in order."""
+    knots = potential.x[(potential.x > a) & (potential.x < b)]
+    edges = np.concatenate(([a], knots, [b]))
+    state = np.eye(2, dtype=complex)
+    for left, right in zip(edges[:-1], edges[1:]):
+        state = rk4_fundamental(potential, alpha, left, right, lam, mu,
+                                steps_per_piece) @ state
+    return state
+
+
+def magnus6_step_reference(q, h):
+    """One sixth-order Magnus step map for Psi' = [[0, 1], [q(x), 0]] Psi,
+    from the commutator formula as published and ``scipy.linalg.expm``.
+
+    ``q`` holds q at the step's Gauss nodes 1/2 -+ sqrt(15)/10 and 1/2
+    (order: left, middle, right).  With A_i = A(q_i), a1 = h A_2,
+    a2 = sqrt(15) h / 3 (A_3 - A_1), a3 = 10 h / 3 (A_3 - 2 A_2 + A_1),
+    C1 = [a1, a2], C2 = -[a1, 2 a3 + C1] / 60 and
+    Omega = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240
+    (Blanes, Casas & Ros, BIT 40, 2000); the map is exp(Omega).
+    """
+    def a(qi):
+        return np.array([[0.0, 1.0], [qi, 0.0]])
+
+    def bracket(x, y):
+        return x @ y - y @ x
+
+    a_1, a_2, a_3 = (a(qi) for qi in q)
+    a1 = h * a_2
+    a2 = (np.sqrt(15.0) * h / 3.0) * (a_3 - a_1)
+    a3 = (10.0 * h / 3.0) * (a_3 - 2.0 * a_2 + a_1)
+    c1 = bracket(a1, a2)
+    c2 = -bracket(a1, 2.0 * a3 + c1) / 60.0
+    omega = a1 + a3 / 12.0 + bracket(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+    return scipy.linalg.expm(omega)
 
 
 def hermitian_from_upper_reference(rows, cols, vals, dim: int):

@@ -576,7 +576,8 @@ def test_cmd_oracle_rejects_bad_range(tmp_path, capsys, keys):
 
 
 def test_cmd_oracle_overflow_is_solver_failure(tmp_path, capsys):
-    # the closed-form traces overflow far below the potential
+    # the closed-form and the integrated traces overflow far below the
+    # potential
     text = (
         SCHEMA_HEADER
         + f"\ngeometry.intervals = 0 {math.pi!r}"
@@ -585,11 +586,14 @@ def test_cmd_oracle_overflow_is_solver_failure(tmp_path, capsys):
         + "\noracle.lambda_min = -100000"
         + "\noracle.lambda_max = -90000\n"
     )
-    cfg_path = _write(tmp_path, text)
-    out = tmp_path / "out"
-    assert main(["oracle", "--config", str(cfg_path), "--out", str(out)]) == EXIT_SOLVER
-    assert "overflow" in capsys.readouterr().err
-    assert not (out / "roots.csv").exists()
+    sampled = ("potential.kind = sampled\npotential.samples_x = 0 1 2 4"
+               "\npotential.samples_v = 0 1 0.5 2\n")
+    for name, body in (("closed", text), ("sampled", text + sampled)):
+        cfg_path = _write(tmp_path, body, f"{name}.cfg")
+        out = tmp_path / name
+        assert main(["oracle", "--config", str(cfg_path), "--out", str(out)]) == EXIT_SOLVER
+        assert "overflow" in capsys.readouterr().err
+        assert not (out / "roots.csv").exists()
 
 
 # --------------------------------------------------------------- convergence

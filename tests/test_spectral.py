@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import rk4_fundamental_loop, spectral_matrix_reference
+from helpers import (
+    magnus6_step_reference,
+    rk4_fundamental,
+    rk4_fundamental_loop,
+    rk4_piecewise,
+    spectral_matrix_reference,
+)
 from saext import spectral
 from saext.boundary import BoundaryCondition, random_unitary
 from saext.geometry import IntervalSet
@@ -143,15 +149,27 @@ def test_below_plateau_traces_are_real_growing():
 
 
 def test_integrated_traces_match_closed_form():
-    # same constant potential via the generic integrator
-    closed = fundamental_traces(ConstantPotential([1.5]), GEOM, 3.2, mu=1.0)
-    integrated = fundamental_traces(
-        CallablePotential(lambda x: np.full_like(x, 1.5)), GEOM, 3.2, mu=1.0
-    )
-    for attr in ("psi_l", "dpsi_l", "psi_r", "dpsi_r"):
-        a = getattr(closed, attr)
-        b = getattr(integrated, attr)
-        assert np.max(np.abs(a - b)) <= 1e-9 * max(1.0, np.max(np.abs(a)))
+    # same constant potential via the generic integrator.  Magnus steps
+    # are exact for constant V, so the first comparison (2048 against 4096
+    # steps) accepts, and the first count's state differs from the closed
+    # form by rounding only.  All 2048 step maps are equal, so their
+    # rounding adds up: below V, where the solutions grow to 1e6, that
+    # reaches 1.7e-13 of the scale, within 2048 eps.
+    edges = np.array([0.0, TWO_PI])
+    for lam, tol in ((3.2, 1e-13), (-4.0, 2048 * np.finfo(float).eps)):
+        calls = []
+
+        def constant(x):
+            calls.append(x.size)
+            return np.full_like(x, 1.5)
+
+        pot = CallablePotential(constant)
+        closed = fundamental_traces(ConstantPotential([1.5]), GEOM, lam, mu=1.0)
+        fundamental_traces(pot, GEOM, lam, mu=1.0)
+        assert calls == [3 * 2048, 3 * 4096]
+        first = spectral._magnus_fundamental(pot, 0, edges, 2048, lam, 1.0)
+        ref = np.array([closed.psi_r[0], closed.dpsi_r[0]]).real
+        assert np.max(np.abs(first - ref)) <= tol * max(1.0, np.max(np.abs(ref)))
 
 
 def test_integrated_traces_multi_interval_constant_mix():
@@ -172,43 +190,69 @@ def test_closed_form_overflow_reported(lam):
         fundamental_traces(FREE, IntervalSet([(0.0, math.pi)]), lam, mu=1.0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_integration_failure_reported(monkeypatch):
-    import saext.spectral as spectral
-
-    # a stiff potential the capped step-halving cannot resolve
+    # a jump of V between step nodes keeps the step halving at low order,
+    # so 2048 and 4096 steps (the patched cap) disagree
     monkeypatch.setattr(spectral, "_MAX_ODE_STEPS", 4096)
-    stiff = CallablePotential(lambda x: np.full_like(x, 1e12))
+    jump = CallablePotential(lambda x: np.where(x > 1.0 / 3.0, 50.0, 0.0))
     with pytest.raises(TraceIntegrationError, match="did not reach"):
-        fundamental_traces(stiff, IntervalSet([(0.0, 1.0)]), 0.5, mu=1.0)
+        fundamental_traces(jump, IntervalSet([(0.0, 1.0)]), 0.5, mu=1.0)
+
+
+@pytest.mark.parametrize("case", ["sampled", "constant"])
+def test_integrated_overflow_reported(case):
+    # cosh(sqrt(1e5) pi) and cosh(1e6) overflow float64: the first
+    # integration is not finite and is reported as such, without halving
+    table = _sampled_potential(0)
+    calls = []
+
+    def v(x):
+        calls.append(x.size)
+        return table.value(0, x) if case == "sampled" else np.full_like(x, 1e12)
+
+    pot, lam = ((_sampled_table(v, table), -1e5) if case == "sampled"
+                else (CallablePotential(v), 0.5))
+    with pytest.raises(TraceIntegrationError, match="overflow"):
+        fundamental_traces(pot, IntervalSet([(0.0, TWO_PI / 2)]), lam)
+    assert 1 <= len(calls) <= 2
 
 
 def _sampled_potential(seed, length=TWO_PI / 2, points=17):
-    # table knots fall on RK4 step nodes for power-of-two step counts on
-    # (0, length), so step halving converges there at fourth order
     rng = np.random.default_rng(seed)
     return SampledPotential(np.linspace(0.0, length, points),
                             rng.uniform(0.0, 2.0, points))
 
 
+def _sampled_table(value, table):
+    """A sampled potential with ``table``'s knots whose values come from
+    ``value(x)``, so a test can record the nodes V is tabulated at."""
+
+    class Recorded(SampledPotential):
+        def value(self, alpha, x):
+            return value(np.asarray(x, dtype=float))
+
+    return Recorded(table.x, table.v)
+
+
 @pytest.mark.parametrize("steps", [1, 3, 1023])
 @pytest.mark.parametrize("seed", range(3))
 def test_transfer_matrix_rk4_matches_stepping_loop(seed, steps):
-    # V ranges over [0, 2]: lambda below, inside and above that range, two
+    # the vectorized RK4 reference against its stepping loop.  V ranges
+    # over [0, 2]: lambda below, inside and above that range, two
     # intervals of the shared table, mu != 1
     pot = _sampled_potential(seed)
     for alpha, (a, b) in enumerate([(0.0, 1.2), (0.5, 3.0)]):
         for lam in (-3.0, 0.7, 25.0):
             for mu in (1.0, 0.35):
                 ref = rk4_fundamental_loop(pot, alpha, a, b, lam, mu, steps)
-                got = spectral._rk4_fundamental(pot, alpha, a, b, lam, mu, steps)
+                got = rk4_fundamental(pot, alpha, a, b, lam, mu, steps)
                 assert got.dtype == complex and got.shape == (2, 2)
                 assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_transfer_matrix_rk4_nodes_match_stepping_loop():
-    # V is tabulated at exactly the abscissae the stepping loop visits
+    # the RK4 reference tabulates V at exactly the abscissae the stepping
+    # loop visits
     seen = []
 
     def record(x):
@@ -216,7 +260,7 @@ def test_transfer_matrix_rk4_nodes_match_stepping_loop():
         return np.zeros_like(x)
 
     a, b, steps = 0.1, 2.9, 777
-    spectral._rk4_fundamental(CallablePotential(record), 0, a, b, 1.0, 1.0, steps)
+    rk4_fundamental(CallablePotential(record), 0, a, b, 1.0, 1.0, steps)
     assert len(seen) == 3
     h = (b - a) / steps
     x, left, mid, right = a, [], [], []
@@ -229,20 +273,143 @@ def test_transfer_matrix_rk4_nodes_match_stepping_loop():
         assert np.array_equal(got, np.array(ref))
 
 
-def test_sampled_traces_tabulate_v_three_times_per_integration():
+def _step_bounds(nodes):
+    """Left and right ends of the steps whose three Gauss nodes are
+    ``nodes``, laid out as one (3, m) array raveled."""
+    x1, _, x3 = np.asarray(nodes).reshape(3, -1)
+    c1, _, c3 = spectral._GAUSS_NODES
+    h = (x3 - x1) / (c3 - c1)
+    left = x1 - c1 * h
+    return left, left + h
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.013, 0.3])
+def test_magnus_steps_end_on_every_knot(shift):
+    # every knot inside (a, b) is a step boundary, so each step lies on
+    # one linear piece of the table; the knots outside are ignored
+    table = SampledPotential(np.linspace(-0.5, 3.5, 23) + shift,
+                             np.random.default_rng(7).uniform(0.0, 2.0, 23))
+    seen = []
+
+    def record(x):
+        seen.append(x.copy())
+        return table.value(0, x)
+
+    a, b = 0.2, 2.9
+    fundamental_traces(_sampled_table(record, table), IntervalSet([(a, b)]), 1.3)
+    knots = table.x[(table.x > a) & (table.x < b)]
+    for nodes in seen:
+        left, right = _step_bounds(nodes)
+        tol = 1e-12
+        assert abs(left[0] - a) <= tol and abs(right[-1] - b) <= tol
+        assert np.max(np.abs(left[1:] - right[:-1])) <= tol
+        assert all(np.min(np.abs(left - k)) <= tol for k in knots)
+        assert not np.any((left[:, None] < knots - tol)
+                          & (knots + tol < right[:, None]))
+
+
+def test_sampled_traces_tabulate_v_once_per_step_count():
+    table = _sampled_potential(4)
+    geom = IntervalSet([(0.0, TWO_PI / 2)])
     calls = []
-    pot = _sampled_potential(4)
 
     def count(x):
         calls.append(x.size)
-        return pot.value(0, x)
+        return table.value(0, x)
 
-    fundamental_traces(CallablePotential(count), IntervalSet([(0.0, TWO_PI / 2)]), 1.3)
-    # coarse (2048 steps) and fine (4096) integration, three node sets each
-    assert calls == [2048] * 3 + [4096] * 3
+    # a table starts at 8 steps on each of its 16 linear pieces, a V that
+    # declares no knots at 2048 steps; three Gauss nodes a step, one call
+    # for each of the coarse and the fine integration
+    fundamental_traces(_sampled_table(count, table), geom, 1.3)
+    assert calls == [3 * 128, 3 * 256]
+    calls.clear()
+    fundamental_traces(CallablePotential(count), geom, 1.3)
+    assert calls == [3 * 2048, 3 * 4096]
 
 
-def test_non_finite_potential_in_rk4_raises_potential_error():
+def test_magnus_step_maps_match_commutator_formula():
+    # the multiplied-out exponent and the closed-form 2x2 exponential
+    # against the published commutators and expm, on steps whose terms of
+    # every order matter: growing, oscillating and near-zero exponents
+    rng = np.random.default_rng(11)
+    h = np.concatenate((rng.uniform(0.05, 1.5, 40), [0.3, 0.3]))
+    q = np.concatenate((rng.uniform(-30.0, 30.0, (3, 40)),
+                        [[0.0, 1e-9], [0.0, 1e-9], [0.0, 1e-9]]), axis=1)
+    got = spectral._magnus_step_maps(q * h * h, h)
+    for j in range(h.size):
+        ref = magnus6_step_reference(q[:, j], h[j])
+        assert np.max(np.abs(got[j] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_magnus_is_sixth_order_on_smooth_potential():
+    # successive step-halving differences on V = cos x fall by about
+    # 2**6; a wrong commutator coefficient still converges, at lower order
+    pot = CallablePotential(np.cos)
+    edges = np.array([0.0, 3.0])
+    states = [spectral._magnus_fundamental(pot, 0, edges, m, 2.0, 1.0)
+              for m in (4, 8, 16, 32, 64)]
+    diffs = [np.max(np.abs(fine - coarse))
+             for coarse, fine in zip(states, states[1:])]
+    for coarse, fine in zip(diffs, diffs[1:]):
+        assert coarse / fine >= 2**5
+
+
+def _piecewise_reference(pot, a, b, lam):
+    # 32768 RK4 steps per piece for |lambda| >= 1e4, where 4096 are
+    # themselves off by about 1e-6
+    per_piece = 32768 if abs(lam) >= 1e4 else 4096
+    return rk4_piecewise(pot, 0, a, b, lam, 1.0, per_piece)
+
+
+def _table_40():
+    rng = np.random.default_rng(40)
+    return SampledPotential(np.linspace(0.0, 6.0, 40), rng.uniform(0.0, 2.0, 40))
+
+
+def _table_shifted():
+    rng = np.random.default_rng(17)
+    return SampledPotential(np.linspace(0.0, TWO_PI / 2, 17) + 0.013,
+                            rng.uniform(0.0, 2.0, 17))
+
+
+def _table_random():
+    # non-uniform knots reaching past both ends: V clamps outside them
+    rng = np.random.default_rng(5)
+    return SampledPotential(np.sort(rng.uniform(-0.5, 3.6, 23)),
+                            rng.uniform(0.0, 2.0, 23))
+
+
+@pytest.mark.parametrize("table, b, lam", [
+    (_table_40, 6.0, 1.3),
+    (_table_shifted, TWO_PI / 2, 1.3),
+    (_table_random, TWO_PI / 2, 25.0),
+    (lambda: _sampled_potential(0), TWO_PI / 2, -3e4),
+], ids=["40-knots", "shifted-17", "random-knots", "17-knots-below"])
+def test_sampled_traces_match_piecewise_rk4(table, b, lam):
+    # knots off the step grid used to stall RK4's step halving at second
+    # order: the 40-knot table reached 2**17 steps, and lambda = -3e4
+    # never reached rtol
+    pot = table()
+    traces = fundamental_traces(pot, IntervalSet([(0.0, b)]), lam)
+    got = np.array([traces.psi_r[0], traces.dpsi_r[0]])
+    ref = _piecewise_reference(pot, 0.0, b, lam)
+    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_dense_table_stays_within_step_cap():
+    # 20000 pieces: fewer first steps per piece keep the fine count
+    # within 2**17.  Linear interpolation of sin 3x on the table is off by
+    # up to 3e-9, which bounds the agreement with the smooth V.
+    x = np.linspace(0.0, 1.0, 20001)
+    pot = SampledPotential(x, np.sin(3.0 * x))
+    traces = fundamental_traces(pot, IntervalSet([(0.0, 1.0)]), 2.0)
+    got = np.array([traces.psi_r[0], traces.dpsi_r[0]])
+    ref = rk4_fundamental(CallablePotential(lambda t: np.sin(3.0 * t)),
+                          0, 0.0, 1.0, 2.0, 1.0, 4096)
+    assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+def test_non_finite_potential_in_integration_raises_potential_error():
     nan_tail = CallablePotential(lambda x: np.where(x > 0.8, np.nan, 1.0))
     with pytest.raises(PotentialError, match="not finite"):
         fundamental_traces(nan_tail, IntervalSet([(0.0, 1.0)]), 0.5)
