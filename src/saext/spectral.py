@@ -40,13 +40,26 @@ end on every knot of V inside the interval (``Potential.knots``: the
 abscissae of a ``SampledPotential``), so each step lies on one linear
 piece; each piece starts with 8 equal steps (fewer when more than 8192
 pieces would put the doubled count over the cap), and a V that declares
-no knots starts with 2048 steps across the interval.  V is tabulated with
-one vectorized ``potential.value`` call per step count, and the state is
-the ordered product of the step maps, multiplied pairwise.  A result is
+no knots starts with 2048 steps across the interval.  The state is the
+ordered product of the step maps, multiplied pairwise.  A result is
 accepted when m and 2m steps agree to 1e-9; the step count doubles up to
 2**17 before ``TraceIntegrationError``.  A state that is not finite (the
 solutions overflow float64, far below V) raises ``TraceIntegrationError``
 at once, and a non-finite tabulated V raises ``PotentialError``.
+
+Batches over lambda
+-------------------
+Every trace computation takes an array of trial lambdas.  Closed forms
+run elementwise over a (lambda, interval) array.  The Magnus method
+forms a (lambda, step) stack of step maps and reduces it along the step
+axis; every operation is elementwise over lambda, so each lambda's state
+rounds exactly as it would alone.  V does not depend on lambda: it is
+tabulated with one vectorized ``potential.value`` call per (interval,
+step count) and reused by every later trial lambda of the same
+``find_spectrum`` call.  The step count doubles per lambda: the lambdas
+whose m and 2m steps agree are done, the others go on to 4m.  A batch
+holds at most ``_BATCH_ELEMENTS`` lambda-steps, so memory stays bounded
+on any grid.
 """
 
 from __future__ import annotations
@@ -66,6 +79,8 @@ _PIECE_STEPS = 8  # first step count per linear piece of a table
 _ODE_RTOL = 1e-9
 _MAX_ODE_STEPS = 1 << 17
 _EXP_DEGENERACY_TOL = 1e-9
+# lambda-steps per batch of Magnus step maps; a batch peaks near 13 MiB
+_BATCH_ELEMENTS = 1 << 16
 
 DEFAULT_GRID_DENSITY = 2000  # scan points per unit of sign(lam)*sqrt(|lam|)
 REFINE_WIDTH = 1e-10  # relative width of the bracket a root is reported from
@@ -82,7 +97,8 @@ def odot(u, psi):
 
     ``u`` is 2n x 2n in block ordering, ``psi`` a 2n x 2 matrix whose
     columns stack (left traces; right traces) for the two fundamental
-    solutions.  The result is the 2n x 2n matrix with n x n blocks
+    solutions, or a stack of them with shape (..., 2n, 2).  The result is
+    the 2n x 2n matrix (or the stack of them) with n x n blocks
     B[Ij] = u^{I1} . psi_l^j + u^{I2} . psi_r^j, built as its two column
     blocks u[:, :n] . psi_l^j + u[:, n:] . psi_r^j (j = 1, 2).
     """
@@ -91,22 +107,24 @@ def odot(u, psi):
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] % 2 != 0:
         raise ValueError(f"u must be square of even dimension, got {u.shape}")
     n = u.shape[0] // 2
-    if psi.shape != (2 * n, 2):
-        raise ValueError(f"psi must have shape {(2 * n, 2)}, got {psi.shape}")
-    return np.hstack([u[:, :n] * psi[:n, col] + u[:, n:] * psi[n:, col]
-                      for col in (0, 1)])
+    if psi.shape[-2:] != (2 * n, 2):
+        raise ValueError(f"psi must have shape (..., {2 * n}, 2), got {psi.shape}")
+    return np.concatenate([u[:, :n] * psi[..., None, :n, col]
+                           + u[:, n:] * psi[..., None, n:, col]
+                           for col in (0, 1)], axis=-1)
 
 
 @dataclass(frozen=True)
 class FundamentalTraces:
     """Boundary traces of the two fundamental solutions per interval.
 
-    Arrays have shape (n, 2), indexed [alpha, sigma].  ``dpsi_l`` and
-    ``dpsi_r`` hold outward normal derivatives: -Psi'(a) on the left,
+    Arrays have shape (..., n, 2), indexed [..., alpha, sigma]; leading
+    axes, when present, run over the trial lambdas in ``lam``.  ``dpsi_l``
+    and ``dpsi_r`` hold outward normal derivatives: -Psi'(a) on the left,
     +Psi'(b) on the right.
     """
 
-    lam: float
+    lam: float | np.ndarray
     mu: float
     psi_l: np.ndarray
     dpsi_l: np.ndarray
@@ -115,14 +133,14 @@ class FundamentalTraces:
 
     @property
     def n(self) -> int:
-        return self.psi_l.shape[0]
+        return self.psi_l.shape[-2]
 
     def wronskians(self) -> np.ndarray:
         """Wronskian Psi^1 (Psi^2)' - (Psi^1)' Psi^2 at each left endpoint."""
         # Psi'(a) = -dpsi_l.
         return (
-            -self.psi_l[:, 0] * self.dpsi_l[:, 1]
-            + self.dpsi_l[:, 0] * self.psi_l[:, 1]
+            -self.psi_l[..., 0] * self.dpsi_l[..., 1]
+            + self.dpsi_l[..., 0] * self.psi_l[..., 1]
         )
 
     def trace_matrix(self, sign: int) -> np.ndarray:
@@ -131,43 +149,70 @@ class FundamentalTraces:
             raise ValueError("sign must be +1 or -1")
         top = self.psi_l + 1j * sign * self.dpsi_l
         bottom = self.psi_r + 1j * sign * self.dpsi_r
-        return np.vstack([top, bottom])
+        return np.concatenate([top, bottom], axis=-2)
 
 
-def _closed_form_traces(geom, lam, mu, constants, basis):
+def _normalized_traces(lam, mu, psi_r, dpsi_r) -> FundamentalTraces:
+    """Traces of the normalized basis, initial data (1, 0) and (0, 1) at
+    the left endpoint, from its real right traces of shape (..., n, 2)."""
+    shape = psi_r.shape
+    return FundamentalTraces(
+        lam=lam, mu=mu,
+        psi_l=np.broadcast_to(np.array([1.0, 0.0], dtype=complex), shape),
+        dpsi_l=np.broadcast_to(np.array([0.0, -1.0], dtype=complex), shape),
+        psi_r=psi_r.astype(complex), dpsi_r=dpsi_r.astype(complex),
+    )
+
+
+def _exponential_traces(geom, lam, mu, constants) -> FundamentalTraces:
+    """Traces of the basis exp(+- i k x') for constant V at one lambda."""
     n = geom.n
-    psi_l = np.zeros((n, 2), dtype=complex)
+    psi_l = np.ones((n, 2), dtype=complex)
     dpsi_l = np.zeros((n, 2), dtype=complex)
     psi_r = np.zeros((n, 2), dtype=complex)
     dpsi_r = np.zeros((n, 2), dtype=complex)
     for alpha, (a, b) in enumerate(geom.intervals):
         length = b - a
         k = cmath.sqrt(complex(lam - constants[alpha]) / mu)
-        if basis == "exponential":
-            if abs(k) * length < _EXP_DEGENERACY_TOL:
-                raise ValueError(
-                    "exponential fundamental basis degenerates as k -> 0; "
-                    "use the normalized basis near lambda = V"
-                )
+        if abs(k) * length < _EXP_DEGENERACY_TOL:
+            raise ValueError(
+                "exponential fundamental basis degenerates as k -> 0; "
+                "use the normalized basis near lambda = V"
+            )
+        try:
             e_plus = cmath.exp(1j * k * length)
             e_minus = cmath.exp(-1j * k * length)
-            psi_l[alpha] = (1.0, 1.0)
-            dpsi_l[alpha] = (-1j * k, 1j * k)  # -Psi'(a)
-            psi_r[alpha] = (e_plus, e_minus)
-            dpsi_r[alpha] = (1j * k * e_plus, -1j * k * e_minus)
-        else:
-            cos_l = cmath.cos(k * length)
-            sin_over_k = length if k == 0 else cmath.sin(k * length) / k
-            psi_l[alpha] = (1.0, 0.0)
-            dpsi_l[alpha] = (0.0, -1.0)
-            psi_r[alpha] = (cos_l, sin_over_k)
-            dpsi_r[alpha] = (-(k * k) * sin_over_k, cos_l)
-    # cmath's cos, sin and exp raise OverflowError themselves once
-    # |Im k| L passes about 710; the derivatives, products with k, can
-    # reach inf a little before that.
+        except OverflowError as exc:
+            raise TraceIntegrationError(
+                f"fundamental traces overflow at lambda = {lam!r}: {exc}"
+            ) from exc
+        dpsi_l[alpha] = (-1j * k, 1j * k)  # -Psi'(a)
+        psi_r[alpha] = (e_plus, e_minus)
+        dpsi_r[alpha] = (1j * k * e_plus, -1j * k * e_minus)
     if not np.isfinite(dpsi_r).all():
-        raise OverflowError("closed-form traces are not finite")
-    return psi_l, dpsi_l, psi_r, dpsi_r
+        raise TraceIntegrationError(f"fundamental traces overflow at lambda = {lam!r}")
+    return FundamentalTraces(lam, mu, psi_l, dpsi_l, psi_r, dpsi_r)
+
+
+def _closed_form_traces(lengths, constants, lam, mu):
+    """Right traces (psi_r, dpsi_r) of the normalized basis for constant V,
+    real arrays of shape (lambda, n, 2): cos(k x') and sin(k x') / k, with
+    k = sqrt((lambda - V) / mu) on each interval.  They are not finite
+    where they overflow float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = np.sqrt((lam[:, None] - constants) / mu + 0j)
+        kl = k * lengths
+        cos_kl = np.cos(kl).real
+        sin_kl = np.sin(kl)
+        # k and sin(kL) are both real or both imaginary, so sin(kL) / k
+        # divides their nonzero parts: one real division (numpy's complex
+        # division multiplies by a reciprocal, a rounding more)
+        sin_over_k = np.divide(sin_kl.real + sin_kl.imag, k.real + k.imag,
+                               out=np.broadcast_to(lengths, k.shape).copy(),
+                               where=k != 0)
+        psi_r = np.stack((cos_kl, sin_over_k), axis=-1)
+        dpsi_r = np.stack(((-(k * k) * sin_over_k).real, cos_kl), axis=-1)
+    return psi_r, dpsi_r
 
 
 # Gauss-Legendre nodes of one step, as fractions of it
@@ -175,10 +220,12 @@ _GAUSS_NODES = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
 
 
 def _magnus_step_maps(z, h):
-    """The (m, 2, 2) stack of sixth-order Magnus step maps for Psi' = A Psi.
+    """The (..., m, 2, 2) stack of sixth-order Magnus step maps for
+    Psi' = A Psi.
 
-    A = [[0, 1], [q, 0]] with q = (V - lambda) / mu; ``z`` is (3, m), the
-    values of h^2 q at the three Gauss nodes of each step of width ``h``.
+    A = [[0, 1], [q, 0]] with q = (V - lambda) / mu; ``z`` is (3, ..., m),
+    the values of h^2 q at the three Gauss nodes of each step of width
+    ``h``, for any number of leading (lambda) axes.
     With A_i = A(q_i), a1 = h A_2, a2 = sqrt(15) h / 3 (A_3 - A_1) and
     a3 = 10 h / 3 (A_3 - 2 A_2 + A_1), the step's exponent is
     Omega = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240 with
@@ -191,7 +238,8 @@ def _magnus_step_maps(z, h):
     exp(Omega) = cosh(w) I + (sinh(w) / w) Omega with w = sqrt(p^2 + r s),
     in cos and sin of sqrt(-(p^2 + r s)) when that is negative.  Exact
     for constant q; sixth order on each step where q is smooth, which a
-    linear piece of a sampled table is.
+    linear piece of a sampled table is.  Every operation is elementwise,
+    so a stack over lambda rounds each map as a stack of one does.
     """
     z1, z2, z3 = z
     d2 = (math.sqrt(15.0) / 3.0) * (z3 - z1)
@@ -206,22 +254,23 @@ def _magnus_step_maps(z, h):
     cos_w = np.where(grows, np.cosh(w), np.cos(w))
     sinc_w = np.divide(np.where(grows, np.sinh(w), np.sin(w)), w,
                        out=np.ones_like(w), where=w > 0)
-    maps = np.empty((w.size, 2, 2))
-    maps[:, 0, 0] = cos_w + sinc_w * p
-    maps[:, 0, 1] = sinc_w * r * h
-    maps[:, 1, 0] = sinc_w * s / h
-    maps[:, 1, 1] = cos_w - sinc_w * p
+    maps = np.empty(w.shape + (2, 2))
+    maps[..., 0, 0] = cos_w + sinc_w * p
+    maps[..., 0, 1] = sinc_w * r * h
+    maps[..., 1, 0] = sinc_w * s / h
+    maps[..., 1, 1] = cos_w - sinc_w * p
     return maps
 
 
 def _ordered_product(mats):
-    """M_{m-1} ... M_0 of an (m, 2, 2) stack, multiplied pairwise in order."""
-    identity = np.eye(2)[None]
-    while mats.shape[0] > 1:
-        if mats.shape[0] % 2:
-            mats = np.concatenate((mats, identity))
-        mats = mats[1::2] @ mats[0::2]
-    return mats[0]
+    """M_{m-1} ... M_0 of an (..., m, 2, 2) stack, multiplied pairwise in
+    order along the step axis."""
+    while mats.shape[-3] > 1:
+        if mats.shape[-3] % 2:
+            identity = np.broadcast_to(np.eye(2), mats.shape[:-3] + (1, 2, 2))
+            mats = np.concatenate((mats, identity), axis=-3)
+        mats = mats[..., 1::2, :, :] @ mats[..., 0::2, :, :]
+    return mats[..., 0, :, :]
 
 
 def _pieces(potential, alpha, a, b):
@@ -238,63 +287,118 @@ def _pieces(potential, alpha, a, b):
     return edges, max(1, min(_PIECE_STEPS, _MAX_ODE_STEPS // (2 * pieces)))
 
 
-def _magnus_fundamental(potential, alpha, edges, per_piece, lam, mu):
-    """Integrate the 2x2 fundamental system across ``edges`` with
-    ``per_piece`` equal Magnus steps on each piece.
+class _RightTraces:
+    """Right traces of the normalized fundamental system of one problem,
+    for 1-D arrays of trial lambda.
 
-    V is tabulated with one ``potential.value`` call at the three Gauss
-    nodes of every step.  Returns the real 2x2 state with rows Psi, Psi'
-    and one column per fundamental solution; it is not finite when the
-    solutions overflow float64.
+    Calling it with lambda returns real (lambda, n, 2) arrays psi_r and
+    dpsi_r.  Constant V takes the closed form; any other V is integrated
+    by the Magnus method on every interval, the step count doubling per
+    lambda until two counts agree.  V is tabulated once per (interval,
+    step count), at the first call that needs it, and reused by every
+    later call.  Raises ``PotentialError`` for a V that is not finite at
+    a node, and ``TraceIntegrationError`` naming the first lambda of the
+    batch whose traces overflow float64, or when the step halving does not
+    converge.
     """
-    widths = np.diff(edges)
-    h = np.repeat(widths / per_piece, per_piece)
-    left = (edges[:-1, None]
-            + widths[:, None] * (np.arange(per_piece) / per_piece)).ravel()
-    nodes = left + np.multiply.outer(_GAUSS_NODES, h)
-    v = np.asarray(potential.value(alpha, nodes.ravel()), dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise PotentialError(
-            f"potential is not finite on interval {alpha} ({edges[0]}, {edges[-1]})"
-        )
-    z = ((v - lam) / mu).reshape(nodes.shape) * (h * h)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _ordered_product(_magnus_step_maps(z, h))
 
+    def __init__(self, potential: Potential, geom: IntervalSet, mu: float) -> None:
+        self.potential = potential
+        self.mu = mu
+        constants = [potential.constant_value(alpha) for alpha in range(geom.n)]
+        self.closed = None not in constants
+        self.constants = np.array(constants, dtype=float) if self.closed else None
+        self.lengths = np.array([b - a for a, b in geom.intervals])
+        self.pieces = [_pieces(potential, alpha, a, b)
+                       for alpha, (a, b) in enumerate(geom.intervals)]
+        self.tables = {}  # (alpha, steps per piece) -> (V, h, h^2)
 
-def _integrated_traces(potential, geom, lam, mu):
-    n = geom.n
-    psi_l = np.zeros((n, 2), dtype=complex)
-    dpsi_l = np.zeros((n, 2), dtype=complex)
-    psi_r = np.zeros((n, 2), dtype=complex)
-    dpsi_r = np.zeros((n, 2), dtype=complex)
-    for alpha, (a, b) in enumerate(geom.intervals):
-        edges, per_piece = _pieces(potential, alpha, a, b)
-        pieces = edges.size - 1
-        coarse = _magnus_fundamental(potential, alpha, edges, per_piece, lam, mu)
+    def __call__(self, lam):
+        lam = np.asarray(lam, dtype=float)
+        if self.closed:
+            psi_r, dpsi_r = _closed_form_traces(self.lengths, self.constants,
+                                                lam, self.mu)
+            finite = np.isfinite(dpsi_r).all(axis=(1, 2))
+            if not finite.all():
+                raise TraceIntegrationError(
+                    "fundamental traces overflow float64 at lambda = "
+                    f"{float(lam[np.argmin(finite)])!r}"
+                )
+            return psi_r, dpsi_r
+        states = np.stack([self._integrated(alpha, lam)
+                           for alpha in range(self.lengths.size)], axis=1)
+        return states[:, :, 0], states[:, :, 1]
+
+    def _integrated(self, alpha, lam):
+        """The (lambda, 2, 2) states on interval ``alpha``, rows Psi, Psi'
+        at its right end: each lambda's from the first step count that
+        agrees with half of it to ``_ODE_RTOL``."""
+        per_piece = self.pieces[alpha][1]
+        out = np.empty((lam.size, 2, 2))
+        todo = np.arange(lam.size)
+        coarse, fine = self._states(alpha, [per_piece, 2 * per_piece], lam)
         while True:
-            if not np.all(np.isfinite(coarse)):
+            scale = np.maximum(1.0, np.abs(fine).max(axis=(1, 2)))
+            done = np.abs(fine - coarse).max(axis=(1, 2)) <= _ODE_RTOL * scale
+            out[todo[done]] = fine[done]
+            todo, coarse = todo[~done], fine[~done]
+            if not todo.size:
+                return out
+            per_piece *= 2
+            fine, = self._states(alpha, [2 * per_piece], lam[todo])
+
+    def _states(self, alpha, counts, lam):
+        """The (lambda, 2, 2) Magnus states across interval ``alpha``, one
+        for each number of equal steps per piece in ``counts``.  The step
+        maps of all counts are formed together, in batches of at most
+        ``_BATCH_ELEMENTS`` lambda-steps.  Raises ``TraceIntegrationError``
+        when a count would take more than ``_MAX_ODE_STEPS`` steps, and,
+        naming the first such lambda, when a state is not finite."""
+        if max(counts) * (self.pieces[alpha][0].size - 1) > _MAX_ODE_STEPS:
+            raise TraceIntegrationError(
+                f"fundamental-solution integration on interval {alpha} "
+                f"did not reach rtol {_ODE_RTOL:.1e} within "
+                f"{_MAX_ODE_STEPS} steps"
+            )
+        tables = [self._table(alpha, per_piece) for per_piece in counts]
+        v, h, h_sq = (np.concatenate(parts, axis=-1) for parts in zip(*tables))
+        ends = np.cumsum([table[1].size for table in tables])[:-1]
+        states = np.empty((len(counts), lam.size, 2, 2))
+        chunk = max(1, _BATCH_ELEMENTS // h.size)
+        for start in range(0, lam.size, chunk):
+            part = slice(start, start + chunk)
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = ((v[:, None] - lam[part, None]) / self.mu) * h_sq
+                maps = np.split(_magnus_step_maps(z, h), ends, axis=-3)
+                states[:, part] = [_ordered_product(m) for m in maps]
+            finite = np.isfinite(states[:, part]).all(axis=(0, 2, 3))
+            if not finite.all():
                 raise TraceIntegrationError(
                     f"fundamental solutions on interval {alpha} overflow "
-                    f"float64 at lambda = {lam!r}"
+                    f"float64 at lambda = {float(lam[part][np.argmin(finite)])!r}"
                 )
-            per_piece *= 2
-            if per_piece * pieces > _MAX_ODE_STEPS:
-                raise TraceIntegrationError(
-                    f"fundamental-solution integration on interval {alpha} "
-                    f"did not reach rtol {_ODE_RTOL:.1e} within "
-                    f"{_MAX_ODE_STEPS} steps"
+        return states
+
+    def _table(self, alpha, per_piece):
+        """V at the three Gauss nodes of every step, shape (3, m), with the
+        step widths h and h^2: one ``potential.value`` call per (interval,
+        steps per piece)."""
+        key = (alpha, per_piece)
+        if key not in self.tables:
+            edges = self.pieces[alpha][0]
+            widths = np.diff(edges)
+            h = np.repeat(widths / per_piece, per_piece)
+            left = (edges[:-1, None]
+                    + widths[:, None] * (np.arange(per_piece) / per_piece)).ravel()
+            nodes = left + np.multiply.outer(_GAUSS_NODES, h)
+            v = np.asarray(self.potential.value(alpha, nodes.ravel()), dtype=float)
+            if not np.all(np.isfinite(v)):
+                raise PotentialError(
+                    f"potential is not finite on interval {alpha} "
+                    f"({edges[0]}, {edges[-1]})"
                 )
-            fine = _magnus_fundamental(potential, alpha, edges, per_piece, lam, mu)
-            scale = max(1.0, float(np.max(np.abs(fine))))
-            if float(np.max(np.abs(fine - coarse))) <= _ODE_RTOL * scale:
-                break
-            coarse = fine
-        psi_l[alpha] = (1.0, 0.0)
-        dpsi_l[alpha] = (0.0, -1.0)
-        psi_r[alpha] = fine[0]
-        dpsi_r[alpha] = fine[1]
-    return psi_l, dpsi_l, psi_r, dpsi_r
+            self.tables[key] = v.reshape(nodes.shape), h, h * h
+        return self.tables[key]
 
 
 def _positive_mu(mu) -> float:
@@ -313,52 +417,43 @@ def fundamental_traces(
 ) -> FundamentalTraces:
     """Boundary traces of a fundamental system at trial eigenvalue ``lam``.
 
-    Constant (including zero) potentials use closed forms; other potentials
-    are integrated from the left endpoint with initial data (1, 0) and
-    (0, 1) by the sixth-order Magnus method of the module docstring, on
-    steps that end on every knot of V inside the interval (8 per linear
-    piece of a table at first, 2048 across the interval for a V without
-    knots), accepted only when a step-halving comparison agrees to 1e-9
-    within 2**17 steps.  Raises ``PotentialError`` when V is not finite at
-    an integration node and ``TraceIntegrationError`` when the step
-    halving does not converge or the traces overflow float64, in closed
-    form or integrated (lambda far below V on a long interval).
+    The normalized basis is the one-lambda view of the batched traces that
+    ``find_spectrum`` uses: constant (including zero) potentials take
+    closed forms; other potentials are integrated from the left endpoint
+    with initial data (1, 0) and (0, 1) by the sixth-order Magnus method
+    of the module docstring, on steps that end on every knot of V inside
+    the interval (8 per linear piece of a table at first, 2048 across the
+    interval for a V without knots), accepted only when a step-halving
+    comparison agrees to 1e-9 within 2**17 steps.  The exponential basis
+    is a closed form for constant V only.  Raises ``PotentialError`` when
+    V is not finite at an integration node and ``TraceIntegrationError``
+    when the step halving does not converge or the traces overflow
+    float64, in closed form or integrated (lambda far below V on a long
+    interval).
     """
     if basis not in ("normalized", "exponential"):
         raise ValueError(f"unknown basis {basis!r}")
     lam = float(lam)
     mu = _positive_mu(mu)
-    n = geom.n
-    constants = [potential.constant_value(alpha) for alpha in range(n)]
-    if all(c is not None for c in constants):
-        try:
-            arrays = _closed_form_traces(geom, lam, mu, constants, basis)
-        except OverflowError as exc:
-            raise TraceIntegrationError(
-                f"fundamental traces overflow at lambda = {lam!r}: {exc}"
-            ) from exc
-    else:
-        if basis == "exponential":
+    if basis == "exponential":
+        constants = [potential.constant_value(alpha) for alpha in range(geom.n)]
+        if any(c is None for c in constants):
             raise ValueError(
                 "the exponential basis is only available for constant potentials"
             )
-        arrays = _integrated_traces(potential, geom, lam, mu)
-    psi_l, dpsi_l, psi_r, dpsi_r = (np.asarray(a) for a in arrays)
-    traces = FundamentalTraces(
-        lam=lam, mu=mu, psi_l=psi_l, dpsi_l=dpsi_l, psi_r=psi_r, dpsi_r=dpsi_r
-    )
-    if np.any(np.abs(traces.wronskians()) == 0):
-        raise TraceIntegrationError("fundamental system is degenerate (zero Wronskian)")
-    return traces
+        return _exponential_traces(geom, lam, mu, constants)
+    psi_r, dpsi_r = _RightTraces(potential, geom, mu)(np.array([lam]))
+    return _normalized_traces(lam, mu, psi_r[0], dpsi_r[0])
 
 
 @dataclass(frozen=True)
 class SpectralMatrix:
-    """M(U, lambda) together with its determinant."""
+    """M(U, lambda) together with its determinant; a stack of them, and
+    an array of determinants, for traces with a leading lambda axis."""
 
     m: np.ndarray
-    lam: float
-    detval: complex
+    lam: float | np.ndarray
+    detval: complex | np.ndarray
 
 
 def spectral_matrix(bc: BoundaryCondition, traces: FundamentalTraces) -> SpectralMatrix:
@@ -368,7 +463,7 @@ def spectral_matrix(bc: BoundaryCondition, traces: FundamentalTraces) -> Spectra
         raise ValueError(f"boundary condition n = {bc.n}, traces n = {traces.n}")
     m = (odot(np.eye(2 * bc.n), traces.trace_matrix(-1))
          - odot(bc.u_block, traces.trace_matrix(+1)))
-    return SpectralMatrix(m=m, lam=traces.lam, detval=complex(np.linalg.det(m)))
+    return SpectralMatrix(m=m, lam=traces.lam, detval=np.linalg.det(m))
 
 
 def spectral_det(bc: BoundaryCondition, traces: FundamentalTraces) -> complex:
@@ -494,15 +589,20 @@ def _wrapped_phases(w: np.ndarray) -> np.ndarray:
     return np.mod(np.angle(np.linalg.eigvals(w)), _TWO_PI)
 
 
-def _crossings(ph_a: np.ndarray, ph_b: np.ndarray) -> tuple[int, float]:
-    """Crossings of 0 by the eigenphases between two samples of their
-    wrapped values, and the advance of arg det W.  Each eigenphase
-    increases, so advance = sum(ph_b) - sum(ph_a) + 2 pi * crossings; the
-    advance is read modulo 2 pi nearest to 0, exact while it is below pi.
+def _crossings(ph_a: np.ndarray, ph_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Crossings of 0 by the eigenphases between pairs of samples of their
+    wrapped values (rows of ``ph_a`` and ``ph_b``), and the advance of
+    arg det W.  Each eigenphase increases, so
+    advance = sum(ph_b) - sum(ph_a) + 2 pi * crossings; the advance is read
+    modulo 2 pi nearest to 0, exact while it is below pi.
     """
-    change = float(ph_b.sum() - ph_a.sum())
-    advance = math.remainder(change, _TWO_PI)
-    return round((advance - change) / _TWO_PI), advance
+    change = ph_b.sum(axis=-1) - ph_a.sum(axis=-1)
+    # the IEEE remainder, as math.remainder: fmod is exact, and so is the
+    # shift by 2 pi of a value beyond pi
+    advance = np.fmod(change, _TWO_PI)
+    advance = np.where(advance > math.pi, advance - _TWO_PI,
+                       np.where(advance < -math.pi, advance + _TWO_PI, advance))
+    return np.rint((advance - change) / _TWO_PI).astype(int), advance
 
 
 def find_spectrum(
@@ -527,7 +627,11 @@ def find_spectrum(
     one, which regula falsi on the crossing eigenphase then narrows to
     REFINE_WIDTH * max(1, |lambda|).  A bracket that reaches that width
     still holding c crossings (a degenerate level) is reported c times.
-    Each trial lambda costs one ``fundamental_traces`` call.
+
+    The work is batched over lambda: the grid's traces come from one
+    call, and refinement runs in rounds, each splitting every open cell
+    at once with one trace call for all the split points.  V is tabulated
+    once per (interval, step count) for the whole call.
 
     Returns the ascending array of roots; with ``return_scan`` also a
     (lambda, |det|, Re det, Im det) record of det M(U, lambda) on the grid.
@@ -550,55 +654,53 @@ def find_spectrum(
 
     s_grid = np.linspace(s_lo, s_hi, grid_points)
     lam_grid = lam_of(s_grid)
+    traces = _RightTraces(potential, geom, mu)
+    u_h = bc.u_block.conj().T
 
     def width(lam):
-        return REFINE_WIDTH * max(1.0, abs(lam))
+        return REFINE_WIDTH * np.maximum(1.0, np.abs(lam))
 
-    def phases_at(lam):
-        traces = fundamental_traces(potential, geom, lam, mu=mu)
-        return _wrapped_phases(secular_matrix(bc, traces))
+    psi_r, dpsi_r = traces(lam_grid)
+    grid_phases = _wrapped_phases(u_h @ _scattering_matrix(psi_r, dpsi_r))
+    if return_scan:
+        raw_det = spectral_matrix(
+            bc, _normalized_traces(lam_grid, mu, psi_r, dpsi_r)).detval
 
-    right_traces = np.empty((2, grid_points, geom.n, 2))
-    raw_det = np.empty(grid_points, dtype=complex)
-    for i, lam in enumerate(lam_grid):
-        traces = fundamental_traces(potential, geom, lam, mu=mu)
-        right_traces[:, i] = traces.psi_r.real, traces.dpsi_r.real
-        if return_scan:
-            raw_det[i] = spectral_matrix(bc, traces).detval
-    grid_phases = _wrapped_phases(
-        bc.u_block.conj().T @ _scattering_matrix(*right_traces))
-
-    def located(a, ph_a, b, ph_b, depth=0):
-        """The crossings in (a, b], splitting it while its count is not
-        exact or it holds a crossing and is wider than ``width``.  A single
-        crossing is estimated by regula falsi on its eigenphase (the
-        largest wrapped phase less 2 pi left of it, the smallest right of
-        it) and split there, half a width inside; other cells and every
-        third level split at the midpoint."""
-        count, advance = _crossings(ph_a, ph_b)
-        exact = abs(advance) <= math.pi / 2
-        if exact and count <= 0:
-            return []
-        single = exact and count == 1
-        x = 0.5 * (a + b)
-        if single:
-            fa, fb = ph_a.max() - _TWO_PI, ph_b.min()
-            x = a - fa * (b - a) / (fb - fa)
-        if b - a <= width(b):
-            return [x] * max(count, 0)
-        if single and depth % 3 < 2:
-            x = min(max(x, a + 0.5 * width(x)), b - 0.5 * width(x))
-        else:
-            x = 0.5 * (a + b)
-        ph_x = phases_at(x)
-        return (located(a, ph_a, x, ph_x, depth + 1)
-                + located(x, ph_x, b, ph_b, depth + 1))
-
+    # Every cell (a, b] still open is split each round, so all share one
+    # depth.  A cell closes when its count is exact and zero, or when it
+    # is no wider than ``width``, with its crossings as roots at x.  A
+    # single crossing is estimated by regula falsi on its eigenphase (the
+    # largest wrapped phase less 2 pi left of it, the smallest right of
+    # it) and split there, half a width inside; other cells and every
+    # third round split at the midpoint.
+    a, b = lam_grid[:-1], lam_grid[1:]
+    ph_a, ph_b = grid_phases[:-1], grid_phases[1:]
     roots = []
-    for i in range(grid_points - 1):
-        roots += located(lam_grid[i], grid_phases[i],
-                         lam_grid[i + 1], grid_phases[i + 1])
-    result = np.array(sorted(roots))
+    depth = 0
+    while True:
+        count, advance = _crossings(ph_a, ph_b)
+        exact = np.abs(advance) <= math.pi / 2
+        single = exact & (count == 1)
+        fa, fb = ph_a.max(axis=-1) - _TWO_PI, ph_b.min(axis=-1)
+        mid = 0.5 * (a + b)
+        x = np.where(single, a - fa * (b - a) / (fb - fa), mid)
+        narrow = b - a <= width(b)
+        roots.append(np.repeat(x[narrow], np.maximum(count[narrow], 0)))
+        split = ~narrow & (~exact | (count > 0))
+        if not split.any():
+            break
+        a, b, ph_a, ph_b, single, x, mid = (
+            t[split] for t in (a, b, ph_a, ph_b, single, x, mid))
+        if depth % 3 < 2:
+            x = np.where(single, np.minimum(np.maximum(x, a + 0.5 * width(x)),
+                                            b - 0.5 * width(x)), mid)
+        else:
+            x = mid
+        ph_x = _wrapped_phases(u_h @ _scattering_matrix(*traces(x)))
+        a, b = np.concatenate((a, x)), np.concatenate((x, b))
+        ph_a, ph_b = np.concatenate((ph_a, ph_x)), np.concatenate((ph_x, ph_b))
+        depth += 1
+    result = np.sort(np.concatenate(roots))
     if return_scan:
         scan = np.rec.fromarrays(
             [lam_grid, np.abs(raw_det), raw_det.real, raw_det.imag],

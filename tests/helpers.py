@@ -8,7 +8,9 @@ through generic numpy/scipy machinery only.
 
 from __future__ import annotations
 
+import cmath
 import csv
+import math
 import warnings
 
 import numpy as np
@@ -17,6 +19,7 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 
+from saext import spectral
 from saext.spectral import FundamentalTraces
 
 
@@ -528,3 +531,176 @@ def node_value_arrays_loop(coeffs, mesh, bvals):
             vals[k] += coeffs[bulk_index(mesh, alpha, k)]
         out.append(vals)
     return out
+
+def magnus_fundamental_reference(potential, alpha, edges, per_piece, lam, mu):
+    """The 2x2 state (rows Psi, Psi') across ``edges`` with ``per_piece``
+    equal Magnus steps on each piece, at one lambda, as the oracle computed
+    it before it was batched over lambda: V tabulated afresh with one
+    ``potential.value`` call at the three Gauss nodes of every step."""
+    widths = np.diff(edges)
+    h = np.repeat(widths / per_piece, per_piece)
+    left = (edges[:-1, None]
+            + widths[:, None] * (np.arange(per_piece) / per_piece)).ravel()
+    nodes = left + np.multiply.outer(spectral._GAUSS_NODES, h)
+    v = np.asarray(potential.value(alpha, nodes.ravel()), dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise spectral.PotentialError(
+            f"potential is not finite on interval {alpha} ({edges[0]}, {edges[-1]})"
+        )
+    z = ((v - lam) / mu).reshape(nodes.shape) * (h * h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return spectral._ordered_product(spectral._magnus_step_maps(z, h))
+
+
+def integrated_traces_reference(potential, geom, lam, mu):
+    """(psi_l, dpsi_l, psi_r, dpsi_r) of the normalized basis at one lambda
+    by the scalar step-halving loop: per interval, the step count doubles
+    until m and 2m steps agree to the oracle's rtol."""
+    n = geom.n
+    psi_l = np.zeros((n, 2), dtype=complex)
+    dpsi_l = np.zeros((n, 2), dtype=complex)
+    psi_r = np.zeros((n, 2), dtype=complex)
+    dpsi_r = np.zeros((n, 2), dtype=complex)
+    for alpha, (a, b) in enumerate(geom.intervals):
+        edges, per_piece = spectral._pieces(potential, alpha, a, b)
+        pieces = edges.size - 1
+        coarse = magnus_fundamental_reference(potential, alpha, edges, per_piece,
+                                              lam, mu)
+        while True:
+            if not np.all(np.isfinite(coarse)):
+                raise spectral.TraceIntegrationError(
+                    f"fundamental solutions on interval {alpha} overflow "
+                    f"float64 at lambda = {lam!r}"
+                )
+            per_piece *= 2
+            if per_piece * pieces > spectral._MAX_ODE_STEPS:
+                raise spectral.TraceIntegrationError(
+                    f"fundamental-solution integration on interval {alpha} "
+                    "did not reach rtol"
+                )
+            fine = magnus_fundamental_reference(potential, alpha, edges,
+                                                per_piece, lam, mu)
+            scale = max(1.0, float(np.max(np.abs(fine))))
+            if float(np.max(np.abs(fine - coarse))) <= spectral._ODE_RTOL * scale:
+                break
+            coarse = fine
+        psi_l[alpha] = (1.0, 0.0)
+        dpsi_l[alpha] = (0.0, -1.0)
+        psi_r[alpha] = fine[0]
+        dpsi_r[alpha] = fine[1]
+    return psi_l, dpsi_l, psi_r, dpsi_r
+
+
+def closed_form_traces_reference(geom, lam, mu, constants):
+    """(psi_l, dpsi_l, psi_r, dpsi_r) of the normalized basis for constant V
+    at one lambda, in ``cmath``: cos(k x') and sin(k x') / k."""
+    n = geom.n
+    psi_l = np.zeros((n, 2), dtype=complex)
+    dpsi_l = np.zeros((n, 2), dtype=complex)
+    psi_r = np.zeros((n, 2), dtype=complex)
+    dpsi_r = np.zeros((n, 2), dtype=complex)
+    for alpha, (a, b) in enumerate(geom.intervals):
+        length = b - a
+        k = cmath.sqrt(complex(lam - constants[alpha]) / mu)
+        try:
+            cos_l = cmath.cos(k * length)
+            sin_over_k = length if k == 0 else cmath.sin(k * length) / k
+        except OverflowError as exc:
+            raise spectral.TraceIntegrationError(
+                f"fundamental traces overflow at lambda = {lam!r}: {exc}"
+            ) from exc
+        psi_l[alpha] = (1.0, 0.0)
+        dpsi_l[alpha] = (0.0, -1.0)
+        psi_r[alpha] = (cos_l, sin_over_k)
+        dpsi_r[alpha] = (-(k * k) * sin_over_k, cos_l)
+    if not np.isfinite(dpsi_r).all():
+        raise spectral.TraceIntegrationError(
+            f"fundamental traces overflow at lambda = {lam!r}")
+    return psi_l, dpsi_l, psi_r, dpsi_r
+
+
+def fundamental_traces_reference(potential, geom, lam, mu=1.0):
+    """Normalized-basis ``FundamentalTraces`` at one lambda by the scalar
+    closed form or the scalar step-halving loop."""
+    constants = [potential.constant_value(alpha) for alpha in range(geom.n)]
+    if all(c is not None for c in constants):
+        arrays = closed_form_traces_reference(geom, lam, mu, constants)
+    else:
+        arrays = integrated_traces_reference(potential, geom, lam, mu)
+    return FundamentalTraces(lam, mu, *arrays)
+
+
+def crossings_reference(ph_a, ph_b):
+    """Eigenphase crossings and advance of arg det W between two samples,
+    one cell at a time with ``math.remainder``."""
+    change = float(ph_b.sum() - ph_a.sum())
+    advance = math.remainder(change, 2.0 * math.pi)
+    return round((advance - change) / (2.0 * math.pi)), advance
+
+
+def find_spectrum_reference(bc, potential, geom, lambda_range, grid_points=None,
+                            mu=1.0, return_scan=False):
+    """``saext.spectral.find_spectrum`` as it ran one trial lambda at a time:
+    one scalar trace evaluation per grid point and per split point, one
+    recursive ``located`` call per grid cell, det M one matrix at a time."""
+    two_pi = 2.0 * math.pi
+    lo, hi = float(lambda_range[0]), float(lambda_range[1])
+
+    def s_of(lam):
+        return np.sign(lam) * np.sqrt(np.abs(lam))
+
+    def lam_of(s):
+        return np.sign(s) * s * s
+
+    s_lo, s_hi = s_of(lo), s_of(hi)
+    if grid_points is None:
+        grid_points = max(64, int(np.ceil(spectral.DEFAULT_GRID_DENSITY
+                                          * (s_hi - s_lo))))
+    grid_points = max(int(grid_points), 8)
+    lam_grid = lam_of(np.linspace(s_lo, s_hi, grid_points))
+
+    def width(lam):
+        return spectral.REFINE_WIDTH * max(1.0, abs(lam))
+
+    def phases_at(lam):
+        traces = fundamental_traces_reference(potential, geom, lam, mu)
+        return spectral._wrapped_phases(spectral.secular_matrix(bc, traces))
+
+    right_traces = np.empty((2, grid_points, geom.n, 2))
+    raw_det = np.empty(grid_points, dtype=complex)
+    for i, lam in enumerate(lam_grid):
+        traces = fundamental_traces_reference(potential, geom, lam, mu)
+        right_traces[:, i] = traces.psi_r.real, traces.dpsi_r.real
+        if return_scan:
+            raw_det[i] = spectral.spectral_matrix(bc, traces).detval
+    grid_phases = spectral._wrapped_phases(
+        bc.u_block.conj().T @ spectral._scattering_matrix(*right_traces))
+
+    def located(a, ph_a, b, ph_b, depth=0):
+        count, advance = crossings_reference(ph_a, ph_b)
+        exact = abs(advance) <= math.pi / 2
+        if exact and count <= 0:
+            return []
+        single = exact and count == 1
+        x = 0.5 * (a + b)
+        if single:
+            fa, fb = ph_a.max() - two_pi, ph_b.min()
+            x = a - fa * (b - a) / (fb - fa)
+        if b - a <= width(b):
+            return [x] * max(count, 0)
+        if single and depth % 3 < 2:
+            x = min(max(x, a + 0.5 * width(x)), b - 0.5 * width(x))
+        else:
+            x = 0.5 * (a + b)
+        ph_x = phases_at(x)
+        return (located(a, ph_a, x, ph_x, depth + 1)
+                + located(x, ph_x, b, ph_b, depth + 1))
+
+    roots = []
+    for i in range(grid_points - 1):
+        roots += located(lam_grid[i], grid_phases[i],
+                         lam_grid[i + 1], grid_phases[i + 1])
+    result = np.array(sorted(roots))
+    if return_scan:
+        return result, (lam_grid, raw_det)
+    return result

@@ -596,6 +596,68 @@ def test_cmd_oracle_overflow_is_solver_failure(tmp_path, capsys):
         assert not (out / "roots.csv").exists()
 
 
+def _oracle_config(tmp_path, lo, hi, grid, extra=""):
+    text = (
+        SCHEMA_HEADER
+        + f"\ngeometry.intervals = 0 {math.pi!r}"
+        + "\nboundary.kind = dirichlet"
+        + "\nresolution = 10"
+        + f"\noracle.lambda_min = {lo!r}"
+        + f"\noracle.lambda_max = {hi!r}"
+        + f"\noracle.grid_points = {grid}\n"
+        + extra
+    )
+    return _write(tmp_path, text)
+
+
+def test_cmd_oracle_scan_overflow_names_first_lambda(tmp_path, capsys):
+    # the 17-point table of the benchmark's sampled oracle, a scan down to
+    # lambda = -1e5: the batch of grid traces overflows at its lowest lambda
+    rng = np.random.default_rng(0)
+    table = ("potential.kind = sampled\npotential.samples_x = "
+             + " ".join(repr(float(x)) for x in np.linspace(0.0, math.pi, 17))
+             + "\npotential.samples_v = "
+             + " ".join(repr(float(v)) for v in rng.uniform(0.0, 2.0, 17)) + "\n")
+    cfg_path = _oracle_config(tmp_path, -1e5, 10.0, 64, table)
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", str(cfg_path), "--out", str(out)]) == EXIT_SOLVER
+    s = -math.sqrt(1e5)
+    assert f"overflow float64 at lambda = {-(s * s)!r}" in capsys.readouterr().err
+    assert not (out / "roots.csv").exists()
+
+
+@pytest.mark.parametrize("case, code, message", [
+    ("nan-node", EXIT_CONFIG, "not finite"),
+    ("did-not-reach", EXIT_SOLVER, "did not reach"),
+])
+def test_cmd_oracle_batch_failures_keep_exit_codes(tmp_path, capsys, monkeypatch,
+                                                  case, code, message):
+    # a callable V with one NaN among the nodes of a batch, and one whose
+    # jump keeps the step halving from converging under a patched cap
+    from saext import cli, spectral
+    from saext.potentials import CallablePotential
+
+    def one_nan(x):
+        v = np.ones_like(x)
+        v[x.size // 3] = np.nan
+        return v
+
+    def jump(x):
+        return np.where(x > 1.0 / 3.0, 50.0, 0.0)
+
+    def with_callable(cfg):
+        geom, bc, _ = build_problem(cfg)
+        return geom, bc, CallablePotential(one_nan if case == "nan-node" else jump)
+
+    monkeypatch.setattr(cli, "build_problem", with_callable)
+    monkeypatch.setattr(spectral, "_MAX_ODE_STEPS", 4096)
+    cfg_path = _oracle_config(tmp_path, 0.5, 60.0, 16)
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", str(cfg_path), "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not (out / "roots.csv").exists()
+
+
 # --------------------------------------------------------------- convergence
 
 def test_cmd_convergence_small(tmp_path):

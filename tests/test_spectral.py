@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import (
+    closed_form_traces_reference,
+    find_spectrum_reference,
+    fundamental_traces_reference,
     magnus6_step_reference,
     rk4_fundamental,
     rk4_fundamental_loop,
@@ -148,6 +152,13 @@ def test_below_plateau_traces_are_real_growing():
     assert dd == pytest.approx((5.0 - 1.0) / 1.0 * math.cosh(kappa * x), rel=1e-6)
 
 
+def _magnus_state(potential, geom, per_piece, lam, mu=1.0):
+    """The oracle's Magnus state across interval 0 with ``per_piece``
+    steps on each piece, at one lambda."""
+    right = spectral._RightTraces(potential, geom, mu)
+    return right._states(0, [per_piece], np.array([lam]))[0, 0]
+
+
 def test_integrated_traces_match_closed_form():
     # same constant potential via the generic integrator.  Magnus steps
     # are exact for constant V, so the first comparison (2048 against 4096
@@ -155,7 +166,6 @@ def test_integrated_traces_match_closed_form():
     # form by rounding only.  All 2048 step maps are equal, so their
     # rounding adds up: below V, where the solutions grow to 1e6, that
     # reaches 1.7e-13 of the scale, within 2048 eps.
-    edges = np.array([0.0, TWO_PI])
     for lam, tol in ((3.2, 1e-13), (-4.0, 2048 * np.finfo(float).eps)):
         calls = []
 
@@ -167,7 +177,7 @@ def test_integrated_traces_match_closed_form():
         closed = fundamental_traces(ConstantPotential([1.5]), GEOM, lam, mu=1.0)
         fundamental_traces(pot, GEOM, lam, mu=1.0)
         assert calls == [3 * 2048, 3 * 4096]
-        first = spectral._magnus_fundamental(pot, 0, edges, 2048, lam, 1.0)
+        first = _magnus_state(pot, GEOM, 2048, lam)
         ref = np.array([closed.psi_r[0], closed.dpsi_r[0]]).real
         assert np.max(np.abs(first - ref)) <= tol * max(1.0, np.max(np.abs(ref)))
 
@@ -325,6 +335,25 @@ def test_sampled_traces_tabulate_v_once_per_step_count():
     calls.clear()
     fundamental_traces(CallablePotential(count), geom, 1.3)
     assert calls == [3 * 2048, 3 * 4096]
+    # a whole scan, grid and refinement, tabulates V once per (interval,
+    # step count): lambda = -3e4 needs four step counts, the other trial
+    # lambdas fewer
+    seen = []
+
+    class Recorded(SampledPotential):
+        def value(self, alpha, x):
+            seen.append((alpha, x.size))
+            return super().value(alpha, x)
+
+    two = IntervalSet([(0.0, TWO_PI / 2), (0.5, 2.5)])
+    bc = BoundaryCondition.from_matrix(random_unitary(4, np.random.default_rng(1)))
+    roots = find_spectrum(bc, Recorded(table.x, table.v), two, (-3e4, 400.0),
+                          grid_points=200)
+    assert roots.size > 0
+    assert len(seen) == len(set(seen))
+    assert sorted(seen) == [(alpha, 3 * steps * 2**k)
+                            for alpha, steps in ((0, 128), (1, 88))
+                            for k in range(4)]
 
 
 def test_magnus_step_maps_match_commutator_formula():
@@ -345,9 +374,8 @@ def test_magnus_is_sixth_order_on_smooth_potential():
     # successive step-halving differences on V = cos x fall by about
     # 2**6; a wrong commutator coefficient still converges, at lower order
     pot = CallablePotential(np.cos)
-    edges = np.array([0.0, 3.0])
-    states = [spectral._magnus_fundamental(pot, 0, edges, m, 2.0, 1.0)
-              for m in (4, 8, 16, 32, 64)]
+    geom = IntervalSet([(0.0, 3.0)])
+    states = [_magnus_state(pot, geom, m, 2.0) for m in (4, 8, 16, 32, 64)]
     diffs = [np.max(np.abs(fine - coarse))
              for coarse, fine in zip(states, states[1:])]
     for coarse, fine in zip(diffs, diffs[1:]):
@@ -633,19 +661,22 @@ def test_root_count_stable_under_grid_halving(theta):
 
 
 def test_refinement_needs_few_trace_evaluations_per_root(monkeypatch):
-    # regula falsi on the crossing eigenphase; bisection alone needs ~29
-    calls = []
+    # regula falsi on the crossing eigenphase; bisection alone needs ~29.
+    # The scan evaluates traces in batches, so count trial lambdas.
+    sizes = []
+    batched = spectral._RightTraces.__call__
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return fundamental_traces(*args, **kwargs)
+    def counted(self, lam):
+        sizes.append(np.size(lam))
+        return batched(self, lam)
 
-    monkeypatch.setattr(spectral, "fundamental_traces", counted)
+    monkeypatch.setattr(spectral._RightTraces, "__call__", counted)
     roots = find_spectrum(
         BoundaryCondition.dirichlet(1), FREE, GEOM, (0.1, 5.0), grid_points=64
     )
     assert roots.size == 4
-    assert len(calls) - 64 <= 10 * roots.size
+    assert sizes[0] == 64
+    assert sum(sizes) - 64 <= 10 * roots.size
 
 
 def test_deep_level_is_reported_once():
@@ -745,3 +776,182 @@ def test_fundamental_traces_rejects_bad_mass_factor(mu):
 def test_find_spectrum_rejects_bad_mass_factor(mu):
     with pytest.raises(ValueError, match="mu"):
         find_spectrum(BoundaryCondition.dirichlet(1), FREE, GEOM, (0.0, 2.0), mu=mu)
+
+
+# -------------------------------------------- batched oracle against scalar paths
+
+EQUIVALENCE_LAMBDAS = np.array([-3e4, -50.0, 0.7, 25.0, 400.0, 1e4])
+
+
+def _equivalence_cases():
+    """(potential, geometry) pairs on 1 to 3 intervals, none longer than
+    3.5, where every lambda of ``EQUIVALENCE_LAMBDAS`` stays finite."""
+    return [
+        (_sampled_potential(0), IntervalSet([(0.0, TWO_PI / 2)])),
+        (_table_40(), IntervalSet([(0.0, 3.1), (2.5, 6.0)])),
+        (_table_random(), IntervalSet([(0.0, 1.2), (1.0, 2.2), (2.0, 3.4)])),
+        (CallablePotential(lambda x: 1.0 + np.cos(3.0 * x)),
+         IntervalSet([(0.0, 1.0), (0.5, 2.5)])),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4),
+                         ids=["17-knots", "40-knots", "random-knots", "callable"])
+def test_batched_magnus_traces_equal_scalar_reference(case):
+    # one batch of all six lambdas against the scalar step-halving loop,
+    # bit for bit; the columns accept at different step counts
+    potential, geom = _equivalence_cases()[case]
+    for mu in (1.0, 2.5):
+        psi_r, dpsi_r = spectral._RightTraces(potential, geom, mu)(EQUIVALENCE_LAMBDAS)
+        for i, lam in enumerate(EQUIVALENCE_LAMBDAS):
+            ref = fundamental_traces_reference(potential, geom, float(lam), mu)
+            assert np.array_equal(psi_r[i], ref.psi_r.real)
+            assert np.array_equal(dpsi_r[i], ref.dpsi_r.real)
+            one = fundamental_traces(potential, geom, lam, mu=mu)
+            assert one.psi_r.tobytes() == ref.psi_r.tobytes()
+            assert one.dpsi_r.tobytes() == ref.dpsi_r.tobytes()
+
+
+def test_batch_columns_accept_at_different_step_counts():
+    # lambda = 1e4 needs 2048 steps on the 17-knot table, 0.7 only 256:
+    # one batch tabulates V at every count up to the largest, once
+    table = _sampled_potential(0)
+    sizes = []
+
+    def count(x):
+        sizes.append(x.size)
+        return table.value(0, x)
+
+    pot = _sampled_table(count, table)
+    geom = IntervalSet([(0.0, TWO_PI / 2)])
+    spectral._RightTraces(pot, geom, 1.0)(EQUIVALENCE_LAMBDAS)
+    assert sizes == [3 * 128, 3 * 256, 3 * 512, 3 * 1024, 3 * 2048]
+    sizes.clear()
+    spectral._RightTraces(pot, geom, 1.0)(np.array([0.7]))
+    assert sizes == [3 * 128, 3 * 256]
+
+
+def test_batched_closed_form_equals_cmath_reference():
+    # numpy's complex sqrt, cos and sin agree with cmath on the real and
+    # imaginary arguments that real lambda and V give, and sin(kL) / k is
+    # one real division: the bound is 0 ulp, signs of zero included
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 3):
+        geom = IntervalSet([(2.0 * k, 2.0 * k + rng.uniform(0.3, 3.0))
+                            for k in range(n)])
+        constants = rng.uniform(-5.0, 5.0, n)
+        lams = np.concatenate((rng.uniform(-2000.0, 3000.0, 60), constants, [0.0]))
+        for mu in (1.0, 0.5, 2.7):
+            right = spectral._RightTraces(ConstantPotential(constants), geom, mu)
+            psi_r, dpsi_r = right(lams)
+            for i, lam in enumerate(lams):
+                ref = closed_form_traces_reference(geom, float(lam), mu, list(constants))
+                assert psi_r[i].tobytes() == ref[2].real.tobytes()
+                assert dpsi_r[i].tobytes() == ref[3].real.tobytes()
+
+
+def _scan_cases():
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 3
+        geom = IntervalSet([(2.0 * k, 2.0 * k + rng.uniform(0.5, 2.5))
+                            for k in range(n)])
+        bc = BoundaryCondition.from_matrix(random_unitary(2 * n, rng))
+        yield "constant", bc, ConstantPotential(rng.uniform(-2.0, 3.0, n)), geom
+        table = SampledPotential(np.linspace(0.0, 8.0, 17), rng.uniform(0.0, 2.0, 17))
+        yield "sampled", bc, table, geom
+
+
+def test_find_spectrum_equals_scalar_reference_scan():
+    # sampled V: identical roots; constant V: within REFINE_WIDTH
+    # max(1, |lambda|), and in fact identical too (largest deviation 0).
+    # The raw det M of scan.csv is identical byte for byte.
+    found = 0
+    for kind, bc, potential, geom in _scan_cases():
+        roots, scan = find_spectrum(bc, potential, geom, (-5.0, 40.0),
+                                    grid_points=300, return_scan=True)
+        ref, (lam_grid, det) = find_spectrum_reference(
+            bc, potential, geom, (-5.0, 40.0), grid_points=300, return_scan=True)
+        assert roots.size == ref.size
+        found += roots.size
+        if kind == "sampled":
+            assert roots.tobytes() == ref.tobytes()
+        else:
+            width = spectral.REFINE_WIDTH * np.maximum(1.0, np.abs(ref))
+            assert np.all(np.abs(roots - ref) <= width)
+            assert np.max(np.abs(roots - ref), initial=0.0) == 0.0
+        assert scan.lam.tobytes() == lam_grid.tobytes()
+        assert scan.redet.tobytes() == det.real.tobytes()
+        assert scan.imdet.tobytes() == det.imag.tobytes()
+    assert found > 50
+
+
+def test_default_grid_scan_memory_is_bounded(monkeypatch):
+    # about 8300 trial lambdas in batches of at most _BATCH_ELEMENTS
+    # lambda-steps: the peak reads 13 MiB, and one batch of all of them
+    # reads 980 MiB.  A V without knots starts
+    # at 256 steps here instead of 2048, which keeps the two scans short;
+    # the batches are bounded in lambda-steps, so the peak does not
+    # depend on it.  Chunking changes no root.
+    monkeypatch.setattr(spectral, "_ODE_STEPS", 256)
+    potential = CallablePotential(lambda x: 1.0 + np.cos(x))
+    geom = IntervalSet([(0.0, math.pi)])
+    bc = BoundaryCondition.from_matrix(random_unitary(2, np.random.default_rng(3)))
+    tracemalloc.start()
+    try:
+        roots = find_spectrum(bc, potential, geom, (-1.0, 10.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
+    assert roots.size == 4
+    ref = find_spectrum_reference(bc, potential, geom, (-1.0, 10.0))
+    assert roots.tobytes() == ref.tobytes()
+
+
+# ----------------------------------------------------------- error parity
+
+def _first_grid_lambda(lo):
+    """The first trial lambda of a scan from ``lo``, as the grid rounds it."""
+    s = -math.sqrt(-lo)
+    return float(np.sign(s) * s * s)
+
+
+def test_scan_overflow_names_first_lambda():
+    # lambda = -1e5 on (0, pi) overflows float64 at the first step count;
+    # the batch raises at once, naming the lowest lambda of the grid
+    table = _sampled_potential(0)
+    calls = []
+
+    def count(x):
+        calls.append(x.size)
+        return table.value(0, x)
+
+    pot = _sampled_table(count, table)
+    with pytest.raises(TraceIntegrationError, match="overflow") as info:
+        find_spectrum(BoundaryCondition.dirichlet(1), pot,
+                      IntervalSet([(0.0, TWO_PI / 2)]), (-1e5, 10.0), grid_points=64)
+    assert repr(_first_grid_lambda(-1e5)) in str(info.value)
+    assert 1 <= len(calls) <= 2
+
+
+def test_batch_with_one_nan_node_raises_potential_error():
+    table = _sampled_potential(0)
+
+    def one_nan(x):
+        v = table.value(0, x)
+        v[v.size // 3] = np.nan
+        return v
+
+    with pytest.raises(PotentialError, match="not finite"):
+        find_spectrum(BoundaryCondition.dirichlet(1), _sampled_table(one_nan, table),
+                      IntervalSet([(0.0, TWO_PI / 2)]), (0.5, 5.0), grid_points=16)
+
+
+def test_under_resolved_scan_did_not_reach(monkeypatch):
+    # as test_integration_failure_reported, for a whole batch
+    monkeypatch.setattr(spectral, "_MAX_ODE_STEPS", 4096)
+    jump = CallablePotential(lambda x: np.where(x > 1.0 / 3.0, 50.0, 0.0))
+    with pytest.raises(TraceIntegrationError, match="did not reach"):
+        find_spectrum(BoundaryCondition.dirichlet(1), jump,
+                      IntervalSet([(0.0, 1.0)]), (0.5, 60.0), grid_points=16)
