@@ -26,6 +26,7 @@ and oracle.grid_points >= 0 (0 chooses the grid density automatically).
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import sys
@@ -468,21 +469,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    # The handlers are looked up here, on each call, so that a test can
-    # replace one.  An option whose dest names a JobConfig field overrides
-    # that field (see main).
-    for name, (help_text, handler) in {
-        "solve": ("solve the eigenvalue problem and write spectrum.csv", cmd_solve),
-        "oracle": ("locate eigenvalues with the spectral-determinant scan",
-                   cmd_oracle),
-        "convergence": ("ground-state Sobolev-1 error vs resolution",
-                        cmd_convergence),
-        "stability": ("eigenvalue sensitivity to boundary perturbations",
-                      cmd_stability),
-        "condition": ("conditioning report for the boundary matrix", cmd_condition),
+    # Subcommand <name> runs cmd_<name>.  An option whose dest names a
+    # JobConfig field overrides that field (see _run).
+    for name, help_text in {
+        "solve": "solve the eigenvalue problem and write spectrum.csv",
+        "oracle": "locate eigenvalues with the spectral-determinant scan",
+        "convergence": "ground-state Sobolev-1 error vs resolution",
+        "stability": "eigenvalue sensitivity to boundary perturbations",
+        "condition": "conditioning report for the boundary matrix",
     }.items():
         cmd = sub.add_parser(name, help=help_text)
-        cmd.set_defaults(handler=handler)
         cmd.add_argument("--config", required=True, help="configuration file")
         cmd.add_argument("--out", default=".", help="output directory")
         cmd.add_argument("--mu", type=float, help="override mu")
@@ -498,8 +494,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and each parse returns a new namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     out_dir = Path(args.out)
     # the directories this run creates, deepest first: a failed run removes
     # those it leaves empty
@@ -536,7 +539,8 @@ def _run(args: argparse.Namespace, out_dir: Path) -> int:
         except OSError as exc:
             print(f"saext: cannot create output directory: {exc}", file=sys.stderr)
             return EXIT_IO
-        args.handler(cfg, out_dir, args)
+        # looked up on each call, so that a test can replace a handler
+        globals()[f"cmd_{args.command}"](cfg, out_dir, args)
         (out_dir / "resolved_config.txt").write_text(render_config(cfg))
         return EXIT_OK
     except (ConfigError, GeometryError, PotentialError) as exc:

@@ -9,7 +9,8 @@ when det M(U, lambda) = 0.  The same traces give the unitary scattering
 matrix S(lambda) of each interval, and lambda is an eigenvalue exactly when
 W = U^H S has eigenvalue 1.  The eigenphases of W increase with lambda, so
 ``find_spectrum`` counts eigenvalues as eigenphase crossings of 0 and
-refines each crossing inside its bracket.
+refines each crossing inside its bracket by the Illinois variant of
+regula falsi.
 
 Fundamental-solution bases
 --------------------------
@@ -38,14 +39,17 @@ sinh(w) / w (or cos w, sin(w) / w) of w = sqrt(|det Omega|).  The step is
 exact for constant V and keeps its order where V is smooth.  The steps
 end on every knot of V inside the interval (``Potential.knots``: the
 abscissae of a ``SampledPotential``), so each step lies on one linear
-piece; each piece starts with 8 equal steps (fewer when more than 8192
-pieces would put the doubled count over the cap), and a V that declares
-no knots starts with 2048 steps across the interval.  The state is the
+piece.  The widest piece starts with 8 equal steps (fewer when more than
+8192 pieces would put the doubled count over the cap) and every other
+piece with a count in proportion to its width, rounded up, so the steps
+are about equally wide and equal pieces get 8 each; a V that declares no
+knots starts with 2048 steps across the interval.  The state is the
 ordered product of the step maps, multiplied pairwise.  A result is
-accepted when m and 2m steps agree to 1e-9; the step count doubles up to
-2**17 before ``TraceIntegrationError``.  A state that is not finite (the
-solutions overflow float64, far below V) raises ``TraceIntegrationError``
-at once, and a non-finite tabulated V raises ``PotentialError``.
+accepted when m and 2m steps agree to 1e-9; every piece's step count
+doubles, up to 2**17 steps in all, before ``TraceIntegrationError``.  A
+state that is not finite (the solutions overflow float64, far below V)
+raises ``TraceIntegrationError`` at once, and a non-finite tabulated V
+raises ``PotentialError``.
 
 Batches over lambda
 -------------------
@@ -275,16 +279,21 @@ def _ordered_product(mats):
 
 def _pieces(potential, alpha, a, b):
     """Edges of the pieces of (a, b) between V's knots, and the first
-    step count per piece: ``_PIECE_STEPS`` for a table, whose pieces are
-    linear, as long as twice that on every piece stays within the cap;
-    ``_ODE_STEPS`` for a V that declares no knots."""
+    step count of each piece.  For a table, whose pieces are linear, the
+    widest piece gets ``_PIECE_STEPS`` (fewer when twice that on every
+    piece would pass the cap) and every other piece a count in proportion
+    to its width, rounded up, so the steps are about equally wide; equal
+    pieces get equal counts.  A V that declares no knots gets
+    ``_ODE_STEPS``."""
     knots = potential.knots(alpha)
     if knots is None:
-        return np.array([a, b]), _ODE_STEPS
+        return np.array([a, b]), np.array([_ODE_STEPS])
     knots = np.asarray(knots, dtype=float)
     edges = np.concatenate(([a], knots[(knots > a) & (knots < b)], [b]))
-    pieces = edges.size - 1
-    return edges, max(1, min(_PIECE_STEPS, _MAX_ODE_STEPS // (2 * pieces)))
+    widths = np.diff(edges)
+    widest = max(1, min(_PIECE_STEPS, _MAX_ODE_STEPS // (2 * widths.size)))
+    # widths / max <= 1 rounds to at most 1, so no count passes ``widest``
+    return edges, np.ceil(widest * (widths / widths.max())).astype(int)
 
 
 class _RightTraces:
@@ -311,7 +320,7 @@ class _RightTraces:
         self.lengths = np.array([b - a for a, b in geom.intervals])
         self.pieces = [_pieces(potential, alpha, a, b)
                        for alpha, (a, b) in enumerate(geom.intervals)]
-        self.tables = {}  # (alpha, steps per piece) -> (V, h, h^2)
+        self.tables = {}  # (alpha, step-count factor) -> (V, h, h^2)
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -333,10 +342,10 @@ class _RightTraces:
         """The (lambda, 2, 2) states on interval ``alpha``, rows Psi, Psi'
         at its right end: each lambda's from the first step count that
         agrees with half of it to ``_ODE_RTOL``."""
-        per_piece = self.pieces[alpha][1]
+        factor = 1
         out = np.empty((lam.size, 2, 2))
         todo = np.arange(lam.size)
-        coarse, fine = self._states(alpha, [per_piece, 2 * per_piece], lam)
+        coarse, fine = self._states(alpha, [1, 2], lam)
         while True:
             scale = np.maximum(1.0, np.abs(fine).max(axis=(1, 2)))
             done = np.abs(fine - coarse).max(axis=(1, 2)) <= _ODE_RTOL * scale
@@ -344,26 +353,27 @@ class _RightTraces:
             todo, coarse = todo[~done], fine[~done]
             if not todo.size:
                 return out
-            per_piece *= 2
-            fine, = self._states(alpha, [2 * per_piece], lam[todo])
+            factor *= 2
+            fine, = self._states(alpha, [2 * factor], lam[todo])
 
-    def _states(self, alpha, counts, lam):
+    def _states(self, alpha, factors, lam):
         """The (lambda, 2, 2) Magnus states across interval ``alpha``, one
-        for each number of equal steps per piece in ``counts``.  The step
-        maps of all counts are formed together, in batches of at most
-        ``_BATCH_ELEMENTS`` lambda-steps.  Raises ``TraceIntegrationError``
-        when a count would take more than ``_MAX_ODE_STEPS`` steps, and,
-        naming the first such lambda, when a state is not finite."""
-        if max(counts) * (self.pieces[alpha][0].size - 1) > _MAX_ODE_STEPS:
+        for each multiple in ``factors`` of the first step counts of its
+        pieces.  The step maps of all factors are formed together, in
+        batches of at most ``_BATCH_ELEMENTS`` lambda-steps.  Raises
+        ``TraceIntegrationError`` when a factor would take more than
+        ``_MAX_ODE_STEPS`` steps, and, naming the first such lambda, when a
+        state is not finite."""
+        if max(factors) * self.pieces[alpha][1].sum() > _MAX_ODE_STEPS:
             raise TraceIntegrationError(
                 f"fundamental-solution integration on interval {alpha} "
                 f"did not reach rtol {_ODE_RTOL:.1e} within "
                 f"{_MAX_ODE_STEPS} steps"
             )
-        tables = [self._table(alpha, per_piece) for per_piece in counts]
+        tables = [self._table(alpha, factor) for factor in factors]
         v, h, h_sq = (np.concatenate(parts, axis=-1) for parts in zip(*tables))
         ends = np.cumsum([table[1].size for table in tables])[:-1]
-        states = np.empty((len(counts), lam.size, 2, 2))
+        states = np.empty((len(factors), lam.size, 2, 2))
         chunk = max(1, _BATCH_ELEMENTS // h.size)
         for start in range(0, lam.size, chunk):
             part = slice(start, start + chunk)
@@ -379,17 +389,22 @@ class _RightTraces:
                 )
         return states
 
-    def _table(self, alpha, per_piece):
+    def _table(self, alpha, factor):
         """V at the three Gauss nodes of every step, shape (3, m), with the
-        step widths h and h^2: one ``potential.value`` call per (interval,
-        steps per piece)."""
-        key = (alpha, per_piece)
+        step widths h and h^2, for ``factor`` times the first step count of
+        each piece, in equal steps: one ``potential.value`` call per
+        (interval, factor)."""
+        key = (alpha, factor)
         if key not in self.tables:
-            edges = self.pieces[alpha][0]
+            edges, first = self.pieces[alpha]
+            counts = factor * first
             widths = np.diff(edges)
-            h = np.repeat(widths / per_piece, per_piece)
-            left = (edges[:-1, None]
-                    + widths[:, None] * (np.arange(per_piece) / per_piece)).ravel()
+            h = np.repeat(widths / counts, counts)
+            # step j of a piece of c steps starts at a fraction j / c of it
+            starts = np.cumsum(counts) - counts
+            step = np.arange(counts.sum()) - np.repeat(starts, counts)
+            left = (np.repeat(edges[:-1], counts)
+                    + np.repeat(widths, counts) * (step / np.repeat(counts, counts)))
             nodes = left + np.multiply.outer(_GAUSS_NODES, h)
             v = np.asarray(self.potential.value(alpha, nodes.ravel()), dtype=float)
             if not np.all(np.isfinite(v)):
@@ -422,14 +437,14 @@ def fundamental_traces(
     closed forms; other potentials are integrated from the left endpoint
     with initial data (1, 0) and (0, 1) by the sixth-order Magnus method
     of the module docstring, on steps that end on every knot of V inside
-    the interval (8 per linear piece of a table at first, 2048 across the
-    interval for a V without knots), accepted only when a step-halving
-    comparison agrees to 1e-9 within 2**17 steps.  The exponential basis
-    is a closed form for constant V only.  Raises ``PotentialError`` when
-    V is not finite at an integration node and ``TraceIntegrationError``
-    when the step halving does not converge or the traces overflow
-    float64, in closed form or integrated (lambda far below V on a long
-    interval).
+    the interval (at first 8 on the widest linear piece of a table and
+    about as wide on the others, 2048 across the interval for a V without
+    knots), accepted only when a step-halving comparison agrees to 1e-9
+    within 2**17 steps.  The exponential basis is a closed form for
+    constant V only.  Raises ``PotentialError`` when V is not finite at an
+    integration node and ``TraceIntegrationError`` when the step halving
+    does not converge or the traces overflow float64, in closed form or
+    integrated (lambda far below V on a long interval).
     """
     if basis not in ("normalized", "exponential"):
         raise ValueError(f"unknown basis {basis!r}")
@@ -624,9 +639,14 @@ def find_spectrum(
     a cell is halved while the phase of det W advances by more than pi / 2
     across it, the resolution at which its count is exact.  A cell with
     several crossings is bisected on the count until each bracket holds
-    one, which regula falsi on the crossing eigenphase then narrows to
-    REFINE_WIDTH * max(1, |lambda|).  A bracket that reaches that width
-    still holding c crossings (a degenerate level) is reported c times.
+    one, which the Illinois variant of regula falsi on the crossing
+    eigenphase (Dowell & Jarratt, BIT 11, 1971) then narrows to
+    REFINE_WIDTH * max(1, |lambda|): when a bracket keeps the same
+    endpoint k > 1 times in a row, the phase there counts 2**(1 - k) in
+    the next estimate, so the estimates land on both sides of the root
+    instead of creeping up on it from one side.  A bracket that reaches
+    that width still holding c crossings (a degenerate level) is reported
+    c times.
 
     The work is batched over lambda: the grid's traces come from one
     call, and refinement runs in rounds, each splitting every open cell
@@ -666,40 +686,40 @@ def find_spectrum(
         raw_det = spectral_matrix(
             bc, _normalized_traces(lam_grid, mu, psi_r, dpsi_r)).detval
 
-    # Every cell (a, b] still open is split each round, so all share one
-    # depth.  A cell closes when its count is exact and zero, or when it
-    # is no wider than ``width``, with its crossings as roots at x.  A
-    # single crossing is estimated by regula falsi on its eigenphase (the
-    # largest wrapped phase less 2 pi left of it, the smallest right of
-    # it) and split there, half a width inside; other cells and every
-    # third round split at the midpoint.
+    # Every cell (a, b] still open is split each round.  A cell closes when
+    # its count is exact and zero, or when it is no wider than ``width``,
+    # with its crossings as roots at x.  A single crossing is estimated by
+    # regula falsi on its eigenphase (the largest wrapped phase less 2 pi
+    # left of it, the smallest right of it) and split there, half a width
+    # inside; other cells split at the midpoint.  ``kept`` records which
+    # endpoint the splits that made a cell kept, and how many times in a
+    # row: -k for a, +k for b, 0 for a grid cell.  The phase at an endpoint
+    # kept k > 1 times counts 2**(1 - k) (the Illinois step).
     a, b = lam_grid[:-1], lam_grid[1:]
     ph_a, ph_b = grid_phases[:-1], grid_phases[1:]
+    kept = np.zeros(a.size, dtype=int)
     roots = []
-    depth = 0
     while True:
         count, advance = _crossings(ph_a, ph_b)
         exact = np.abs(advance) <= math.pi / 2
         single = exact & (count == 1)
         fa, fb = ph_a.max(axis=-1) - _TWO_PI, ph_b.min(axis=-1)
-        mid = 0.5 * (a + b)
-        x = np.where(single, a - fa * (b - a) / (fb - fa), mid)
+        fa = np.ldexp(fa, np.minimum(kept + 1, 0))
+        fb = np.ldexp(fb, np.minimum(1 - kept, 0))
+        x = np.where(single, a - fa * (b - a) / (fb - fa), 0.5 * (a + b))
         narrow = b - a <= width(b)
         roots.append(np.repeat(x[narrow], np.maximum(count[narrow], 0)))
         split = ~narrow & (~exact | (count > 0))
         if not split.any():
             break
-        a, b, ph_a, ph_b, single, x, mid = (
-            t[split] for t in (a, b, ph_a, ph_b, single, x, mid))
-        if depth % 3 < 2:
-            x = np.where(single, np.minimum(np.maximum(x, a + 0.5 * width(x)),
-                                            b - 0.5 * width(x)), mid)
-        else:
-            x = mid
+        a, b, ph_a, ph_b, single, x, kept = (
+            t[split] for t in (a, b, ph_a, ph_b, single, x, kept))
+        x = np.where(single, np.minimum(np.maximum(x, a + 0.5 * width(x)),
+                                        b - 0.5 * width(x)), x)
         ph_x = _wrapped_phases(u_h @ _scattering_matrix(*traces(x)))
         a, b = np.concatenate((a, x)), np.concatenate((x, b))
         ph_a, ph_b = np.concatenate((ph_a, ph_x)), np.concatenate((ph_x, ph_b))
-        depth += 1
+        kept = np.concatenate((np.minimum(kept, 0) - 1, np.maximum(kept, 0) + 1))
     result = np.sort(np.concatenate(roots))
     if return_scan:
         scan = np.rec.fromarrays(

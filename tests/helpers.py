@@ -533,14 +533,17 @@ def node_value_arrays_loop(coeffs, mesh, bvals):
     return out
 
 def magnus_fundamental_reference(potential, alpha, edges, per_piece, lam, mu):
-    """The 2x2 state (rows Psi, Psi') across ``edges`` with ``per_piece``
-    equal Magnus steps on each piece, at one lambda, as the oracle computed
+    """The 2x2 state (rows Psi, Psi') across ``edges`` with ``per_piece[i]``
+    equal Magnus steps on piece i, at one lambda, as the oracle computed
     it before it was batched over lambda: V tabulated afresh with one
-    ``potential.value`` call at the three Gauss nodes of every step."""
-    widths = np.diff(edges)
-    h = np.repeat(widths / per_piece, per_piece)
-    left = (edges[:-1, None]
-            + widths[:, None] * (np.arange(per_piece) / per_piece)).ravel()
+    ``potential.value`` call at the three Gauss nodes of every step, the
+    steps laid out one piece at a time."""
+    h, left = [], []
+    for lo, hi, count in zip(edges[:-1], edges[1:], per_piece):
+        width = hi - lo
+        h.append(np.full(count, width / count))
+        left.append(lo + width * (np.arange(count) / count))
+    h, left = np.concatenate(h), np.concatenate(left)
     nodes = left + np.multiply.outer(spectral._GAUSS_NODES, h)
     v = np.asarray(potential.value(alpha, nodes.ravel()), dtype=float)
     if not np.all(np.isfinite(v)):
@@ -563,7 +566,6 @@ def integrated_traces_reference(potential, geom, lam, mu):
     dpsi_r = np.zeros((n, 2), dtype=complex)
     for alpha, (a, b) in enumerate(geom.intervals):
         edges, per_piece = spectral._pieces(potential, alpha, a, b)
-        pieces = edges.size - 1
         coarse = magnus_fundamental_reference(potential, alpha, edges, per_piece,
                                               lam, mu)
         while True:
@@ -572,8 +574,8 @@ def integrated_traces_reference(potential, geom, lam, mu):
                     f"fundamental solutions on interval {alpha} overflow "
                     f"float64 at lambda = {lam!r}"
                 )
-            per_piece *= 2
-            if per_piece * pieces > spectral._MAX_ODE_STEPS:
+            per_piece = 2 * per_piece
+            if per_piece.sum() > spectral._MAX_ODE_STEPS:
                 raise spectral.TraceIntegrationError(
                     f"fundamental-solution integration on interval {alpha} "
                     "did not reach rtol"
@@ -676,7 +678,8 @@ def find_spectrum_reference(bc, potential, geom, lambda_range, grid_points=None,
     grid_phases = spectral._wrapped_phases(
         bc.u_block.conj().T @ spectral._scattering_matrix(*right_traces))
 
-    def located(a, ph_a, b, ph_b, depth=0):
+    def located(a, ph_a, b, ph_b, kept=0):
+        # kept: -k when the last k splits kept a, +k when they kept b
         count, advance = crossings_reference(ph_a, ph_b)
         exact = abs(advance) <= math.pi / 2
         if exact and count <= 0:
@@ -685,16 +688,18 @@ def find_spectrum_reference(bc, potential, geom, lambda_range, grid_points=None,
         x = 0.5 * (a + b)
         if single:
             fa, fb = ph_a.max() - two_pi, ph_b.min()
+            if kept < -1:
+                fa = fa * 0.5 ** (-kept - 1)
+            elif kept > 1:
+                fb = fb * 0.5 ** (kept - 1)
             x = a - fa * (b - a) / (fb - fa)
         if b - a <= width(b):
             return [x] * max(count, 0)
-        if single and depth % 3 < 2:
+        if single:
             x = min(max(x, a + 0.5 * width(x)), b - 0.5 * width(x))
-        else:
-            x = 0.5 * (a + b)
         ph_x = phases_at(x)
-        return (located(a, ph_a, x, ph_x, depth + 1)
-                + located(x, ph_x, b, ph_b, depth + 1))
+        return (located(a, ph_a, x, ph_x, min(kept, 0) - 1)
+                + located(x, ph_x, b, ph_b, max(kept, 0) + 1))
 
     roots = []
     for i in range(grid_points - 1):

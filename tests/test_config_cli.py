@@ -466,8 +466,12 @@ def test_eigensolver_failure_exit_code(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise EigenSolveError("forced failure")
 
-    monkeypatch.setattr(cli, "cmd_solve", boom)
+    # the parser is built by the first call and kept; the handler is
+    # looked up at each dispatch, so replacing it afterwards takes effect
     cfg_path = _write(tmp_path, DIRICHLET_CONFIG)
+    assert main(["solve", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "ok")]) == EXIT_OK
+    monkeypatch.setattr(cli, "cmd_solve", boom)
     code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert code == EXIT_SOLVER
 
@@ -767,6 +771,27 @@ def test_command_line_overrides_are_echoed(tmp_path, argv, echoed, k_rows):
     if argv[0] == "stability":
         lines = (out / "stability.csv").read_text().splitlines()
         assert sum(l.startswith("K,") for l in lines) == k_rows
+
+
+@pytest.mark.parametrize("first, second", [
+    (["solve", "--mu", "0.5"], ["solve"]),
+    (["solve", "--levels", "2"], ["stability"]),
+], ids=["mu-then-no-mu", "solve-levels-then-stability"])
+def test_second_call_keeps_nothing_of_the_first(tmp_path, first, second):
+    # main parses with one parser per process: the first call's options
+    # reach neither the second call's run nor its echo
+    text = _stability_config()
+    cfg_path = _write(tmp_path, text)
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for argv, out in zip((first, second), outs):
+        assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    assert ((outs[0] / "resolved_config.txt").read_text()
+            != render_config(parse_config(text))) == (first[1] == "--mu")
+    assert (outs[1] / "resolved_config.txt").read_text() == render_config(
+        parse_config(text))
+    if second[0] == "stability":
+        lines = (outs[1] / "stability.csv").read_text().splitlines()
+        assert sum(l.startswith("K,") for l in lines) == 4 * 2
 
 
 def test_stability_nearest_matching_equals_index_matching_on_ring(tmp_path):

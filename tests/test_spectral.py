@@ -156,7 +156,9 @@ def _magnus_state(potential, geom, per_piece, lam, mu=1.0):
     """The oracle's Magnus state across interval 0 with ``per_piece``
     steps on each piece, at one lambda."""
     right = spectral._RightTraces(potential, geom, mu)
-    return right._states(0, [per_piece], np.array([lam]))[0, 0]
+    edges, first = right.pieces[0]
+    right.pieces[0] = edges, np.full(first.size, per_piece)
+    return right._states(0, [1], np.array([lam]))[0, 0]
 
 
 def test_integrated_traces_match_closed_form():
@@ -327,7 +329,7 @@ def test_sampled_traces_tabulate_v_once_per_step_count():
         calls.append(x.size)
         return table.value(0, x)
 
-    # a table starts at 8 steps on each of its 16 linear pieces, a V that
+    # a table starts at 8 steps on each of its 16 equal linear pieces, a V that
     # declares no knots at 2048 steps; three Gauss nodes a step, one call
     # for each of the coarse and the fine integration
     fundamental_traces(_sampled_table(count, table), geom, 1.3)
@@ -351,8 +353,10 @@ def test_sampled_traces_tabulate_v_once_per_step_count():
                           grid_points=200)
     assert roots.size > 0
     assert len(seen) == len(set(seen))
+    # (0.5, 2.5) holds nine whole pieces, 8 steps each, and end pieces
+    # 0.45 and 0.73 of a whole one wide, 4 and 6 steps
     assert sorted(seen) == [(alpha, 3 * steps * 2**k)
-                            for alpha, steps in ((0, 128), (1, 88))
+                            for alpha, steps in ((0, 128), (1, 82))
                             for k in range(4)]
 
 
@@ -421,6 +425,27 @@ def test_sampled_traces_match_piecewise_rk4(table, b, lam):
     traces = fundamental_traces(pot, IntervalSet([(0.0, b)]), lam)
     got = np.array([traces.psi_r[0], traces.dpsi_r[0]])
     ref = _piecewise_reference(pot, 0.0, b, lam)
+    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_unequal_pieces_take_steps_in_proportion_to_width():
+    # the random-knot table's 17 pieces on (0, pi) are 0.012 to 0.53 wide.
+    # With 8 first steps on every piece it accepted at 2176 steps (128 on
+    # each) at lambda = 400; in proportion to width it takes 928, with the
+    # same number of doublings
+    table = _table_random()
+    sizes = []
+
+    def count(x):
+        sizes.append(x.size)
+        return table.value(0, x)
+
+    geom = IntervalSet([(0.0, TWO_PI / 2)])
+    traces = fundamental_traces(_sampled_table(count, table), geom, 400.0)
+    assert len(sizes) == 5
+    assert sizes[-1] < 3 * 2176
+    got = np.array([traces.psi_r[0], traces.dpsi_r[0]])
+    ref = _piecewise_reference(table, 0.0, TWO_PI / 2, 400.0)
     assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
@@ -660,9 +685,8 @@ def test_root_count_stable_under_grid_halving(theta):
         assert np.max(np.abs(roots - _ring_levels(theta))) <= 1e-8
 
 
-def test_refinement_needs_few_trace_evaluations_per_root(monkeypatch):
-    # regula falsi on the crossing eigenphase; bisection alone needs ~29.
-    # The scan evaluates traces in batches, so count trial lambdas.
+def _counted_batches(monkeypatch):
+    """The sizes of the batches of trial lambdas traced from now on."""
     sizes = []
     batched = spectral._RightTraces.__call__
 
@@ -671,12 +695,77 @@ def test_refinement_needs_few_trace_evaluations_per_root(monkeypatch):
         return batched(self, lam)
 
     monkeypatch.setattr(spectral._RightTraces, "__call__", counted)
+    return sizes
+
+
+def test_refinement_needs_few_trace_evaluations_per_root(monkeypatch):
+    # regula falsi on the crossing eigenphase; bisection alone needs ~29.
+    # The scan evaluates traces in batches, so count trial lambdas.
+    sizes = _counted_batches(monkeypatch)
     roots = find_spectrum(
         BoundaryCondition.dirichlet(1), FREE, GEOM, (0.1, 5.0), grid_points=64
     )
     assert roots.size == 4
     assert sizes[0] == 64
-    assert sum(sizes) - 64 <= 10 * roots.size
+    assert len(sizes) - 1 <= 6
+    assert sum(sizes) - 64 <= 6 * roots.size
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_narrow_sampled_scan_needs_at_most_five_refinement_rounds(seed, monkeypatch):
+    # the oracle-sampled benchmark's shape: a 17-point table on (0, pi), a
+    # random 2x2 U and 8 grid points on s_c (1 -+ 0.03) in s = sqrt(lambda)
+    # around one level s_c^2.  A midpoint every third round took 7 or 8.
+    pot = _sampled_potential(seed)
+    bc = BoundaryCondition.from_matrix(random_unitary(2, np.random.default_rng(seed)))
+    geom = IntervalSet([(0.0, TWO_PI / 2)])
+    levels = find_spectrum(bc, pot, geom, (2.0, 12.0), grid_points=200)
+    s_c = math.sqrt(levels[0])
+    window = ((0.97 * s_c) ** 2, (1.03 * s_c) ** 2)
+    sizes = _counted_batches(monkeypatch)
+    roots = find_spectrum(bc, pot, geom, window, grid_points=8)
+    assert sizes[0] == 8
+    assert len(sizes) - 1 <= 5
+    expected = levels[(levels > window[0]) & (levels < window[1])]
+    assert roots.size == expected.size == 1
+    assert abs(roots[0] - expected[0]) <= spectral.REFINE_WIDTH * max(1.0, roots[0])
+
+
+def test_strongly_curved_crossing_phase_converges(monkeypatch):
+    # W = diag(exp(i theta(lambda)), -1) with theta = 1e-3 (exp(40 (lambda
+    # - 0.3)) - 1): across the last bracket the crossing phase is nearly
+    # flat at the root and steep at the right end, where plain regula falsi
+    # creeps up on the root from the left, keeping the right end (149
+    # rounds with the half-width clamp alone, 74 when the kept end's phase
+    # is halved only once, 20 with a midpoint every third round)
+    root = 0.3
+
+    class LambdaTraces:
+        def __init__(self, *args):
+            pass
+
+        def __call__(self, lam):
+            lam = np.asarray(lam, dtype=float)[:, None, None]
+            return lam, lam
+
+    def scattering(psi_r, dpsi_r):
+        lam = psi_r[..., 0, 0]
+        s = np.zeros(lam.shape + (2, 2), dtype=complex)
+        s[..., 0, 0] = np.exp(1j * 1e-3 * np.expm1(40.0 * (lam - root)))
+        s[..., 1, 1] = -1.0
+        return s
+
+    monkeypatch.setattr(spectral, "_RightTraces", LambdaTraces)
+    monkeypatch.setattr(spectral, "_scattering_matrix", scattering)
+    phases = []
+    wrapped = spectral._wrapped_phases
+    monkeypatch.setattr(spectral, "_wrapped_phases",
+                        lambda w: phases.append(len(w)) or wrapped(w))
+    roots = find_spectrum(BoundaryCondition.from_matrix(np.eye(2)), FREE,
+                          IntervalSet([(0.0, 1.0)]), (0.01, 0.5), grid_points=8)
+    assert roots.size == 1
+    assert abs(roots[0] - root) <= spectral.REFINE_WIDTH
+    assert len(phases) - 1 <= 12
 
 
 def test_deep_level_is_reported_once():
