@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .geometry import Mesh, build_mesh
 
@@ -283,6 +283,28 @@ def _check_kappa_max(kappa_max: float) -> None:
         raise ValueError("kappa_max must not be NaN")
 
 
+def _solve_square(f: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """F^{-1} C by the LAPACK routines ``scipy.linalg.solve`` picks for the
+    2n x 2n boundary matrix, called directly: the symmetric factorization
+    (``zsytrf`` + ``zsytrs``) when F == F^T exactly, as on the periodic
+    ring, where it keeps the solution of a real-valued system exactly real,
+    and ``zgesv`` otherwise.  The boundary values stay bit-identical to
+    that function's, without its structure detection and batching layer.
+    """
+    lapack = scipy.linalg.lapack
+    if np.array_equal(f, f.T):
+        factor, pivots, info = lapack.zsytrf(f)
+        if info == 0:
+            x, info = lapack.zsytrs(factor, pivots, c)
+    else:
+        *_, x, info = lapack.zgesv(f, c)
+    if info > 0:
+        raise BoundarySolveError(f"boundary matrix is singular: pivot {info} is zero")
+    if info < 0:
+        raise ValueError(f"LAPACK rejected argument {-info}")
+    return x
+
+
 def solve_boundary_values(
     sys: BoundarySystem, kappa_max: float = DEFAULT_KAPPA_MAX
 ) -> BoundaryValues:
@@ -321,7 +343,7 @@ def solve_boundary_values(
             spectrum_gap=report.spectrum_gap,
         )
 
-    v_raw = scipy.linalg.solve(sys.f, sys.c)
+    v_raw = _solve_square(sys.f, sys.c)
     inv_h = 1.0 / sys.h
     g = inv_h[:, None] * v_raw
     g = (g + g.conj().T) / 2.0

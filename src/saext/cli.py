@@ -224,8 +224,17 @@ def cmd_convergence(cfg: JobConfig, out_dir: Path, args: argparse.Namespace) -> 
 
 
 def nearest_unitary(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """Polar factor of a matrix and its distance to the input."""
-    u, _ = scipy.linalg.polar(matrix)
+    """Polar factor of a matrix and its distance to the input.
+
+    The polar factor is W V^H from the thin SVD W S V^H by LAPACK's
+    ``gesdd``, called directly: the factor ``scipy.linalg.polar`` computes,
+    bit for bit, without its wrapper layer.
+    """
+    gesdd, = scipy.linalg.get_lapack_funcs(("gesdd",), (matrix,))
+    w, _, vh, info = gesdd(matrix, compute_uv=1, full_matrices=0)
+    if info:
+        raise EigenSolveError(f"SVD for the nearest unitary failed: gesdd info {info}")
+    u = w @ vh
     return u, float(np.linalg.norm(matrix - u))
 
 
@@ -348,10 +357,10 @@ def stability_study(cfg: JobConfig):
     # once for the whole sweep
     bulk = BulkAssembly(mesh, potential, mu=cfg.mu)
 
-    def solution_for(bc_eps: BoundaryCondition):
+    def solution_for(bc_eps: BoundaryCondition, start=None):
         system = assemble_boundary_system(bc_eps, mesh)
         values = solve_boundary_values(system, kappa_max=cfg.kappa_max)
-        return solve_pencil(bulk.pencil(bc_eps, values), count=count)
+        return solve_pencil(bulk.pencil(bc_eps, values), count=count, start=start)
 
     base_solution = solution_for(bc)
     base = base_solution.eigenvalues
@@ -380,7 +389,9 @@ def stability_study(cfg: JobConfig):
         else:
             bc_eps = BoundaryCondition.quasi_periodic(eps)
             distance = 0.0
-        return solution_for(bc_eps).eigenvalues, distance
+        # every perturbed pencil starts from the base eigenvectors, so
+        # that no result depends on the order of the sweep
+        return solution_for(bc_eps, base_solution.eigenvectors).eigenvalues, distance
 
     results = [one(eps) for eps in eps_list]
 

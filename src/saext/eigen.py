@@ -34,7 +34,8 @@ Haynsworth's additivity (Linear Algebra Appl. 1, 1968) gives
     nu(x) = In_-(T) + In_-(C - E^T T^{-1} E)
 
 with T the real tridiagonal bulk block of A - x B, E its real border and C
-its 2n x 2n boundary block: O(N) work per evaluation.  In_-(T), and
+its 2n x 2n boundary block: O(N) work per evaluation, one ``dgtsv`` for
+T^{-1} E (:func:`~saext.fem.arrow_schur`).  In_-(T), and
 whether T is numerically singular (then the count is not trusted), come
 from Sturm counts of T by LAPACK's bisection (``stebz``), without
 computing eigenvalues.  sigma steps down from min V - 1 until
@@ -45,6 +46,26 @@ the first gap above the last wanted eigenvalue, and every residual is
 within :func:`residual_tolerances`; otherwise the reason is logged on the
 ``saext`` logger and the dense path answers, so a wrong count is never
 returned.
+
+The warm path answers a partial solve of an assembled pencil given a start
+block, such as the eigenvectors of a nearby pencil: the stability study
+solves each perturbed pencil from the eigenvectors of its base pencil.  A
+Rayleigh-Ritz step on the span of the start block gives Ritz pairs
+(theta_j, v_j); each round adds one inverse step
+w_j = (A - theta_j B)^{-1} B v_j for every wanted pair and takes a
+Rayleigh-Ritz step on [V, W] (Parlett, The Symmetric Eigenvalue Problem,
+SIAM 1998, ch. 4 and 11), for at most three rounds, until every wanted
+residual is within its tolerance.  The inverse step eliminates the arrow
+blocks (:meth:`~saext.fem.ArrowBlocks.solve`): one ``dgtsv`` on T(theta)
+with the border and the right-hand side as columns, then a 2n x 2n Schur
+solve; a shift on which either is exactly singular is moved by a few ulps.
+The warm result passes the sparse path's certificate (the gap, nu(tau)
+and the residual gate, :func:`_certified`) or the sparse path answers,
+with the reason logged.  Dense work on this path goes through numpy, and
+LAPACK through direct ``scipy.linalg.lapack`` calls: scipy's high-level
+wrappers (``solve``, ``eigvalsh``, ``qr``, ...) interleaved with numpy's
+threaded BLAS cost milliseconds per call on a 2-core host, as the two
+libraries' OpenBLAS thread pools contend.
 
 Eigenvector phases are fixed by making the inner product <w, Phi> with a
 fixed generic vector w of positive entries real and positive.  Unlike the
@@ -62,10 +83,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse.linalg
 
 from .boundary import BoundaryValues
-from .fem import Pencil, node_values
+from .fem import Pencil, arrow_schur, node_values
 
 RESIDUAL_RTOL = 1e-10
 DEGENERACY_RTOL = 1e-9  # eigenvalues this close count as one cluster
@@ -78,6 +100,11 @@ _SINGULAR_RTOL = 1e-10
 # spectrum a finite pencil can have.
 _MAX_SHIFT_STEPS = 64
 _START_SEED = 1103  # fixed ARPACK start vector, so solves are reproducible
+# A warm solve takes at most this many rounds of inverse steps.
+_WARM_ROUNDS = 3
+# A shift on which A - theta B is exactly singular moves up by this many
+# ulps of max(1, |theta|).
+_NUDGE_ULPS = 4.0
 
 _LOG = logging.getLogger(__name__)
 
@@ -153,19 +180,25 @@ def _arpack_ncv(k: int) -> int:
     return max(2 * k + 1, 20)
 
 
-def solve_pencil(pencil: Pencil, count: int | None = None) -> EigenSolution:
+def solve_pencil(pencil: Pencil, count: int | None = None,
+                 start: np.ndarray | None = None) -> EigenSolution:
     """Solve A Phi = lambda B Phi for all (or the lowest ``count``) pairs.
 
     Partial spectra of assembled pencils large enough for ARPACK take the
     certified sparse path; everything else, and every partial solve whose
     certificate fails, takes the dense path (see the module docstring).
+    ``start``, a block of vectors (one per column) near the wanted
+    eigenvectors, such as those of a nearby pencil, puts a partial solve of
+    an assembled pencil on the warm path first; where its certificate
+    fails, the sparse path answers.  Other solves ignore ``start``.
 
     Raises
     ------
     EigenSolveError
         If A or B is not square, their shapes differ, or either has a
         non-finite entry or is not hermitian (exact check; assembled
-        pencils satisfy all of these by construction).
+        pencils satisfy all of these by construction); or if ``start`` is
+        not a finite 2-D block with one row per basis function.
     PositiveDefinitenessError
         If the Cholesky factorization of B fails; carries the pivot index.
     """
@@ -181,13 +214,24 @@ def solve_pencil(pencil: Pencil, count: int | None = None) -> EigenSolution:
         if (m != m.conj().T).nnz:
             raise EigenSolveError(f"{name} is not hermitian")
     dim = pencil.dim
+    if start is not None:
+        start = np.asarray(start)
+        if start.ndim != 2 or start.shape[0] != dim:
+            raise EigenSolveError(f"start block has shape {start.shape}, "
+                                  f"expected ({dim}, k)")
+        if not np.all(np.isfinite(start)):
+            raise EigenSolveError("start block has a non-finite entry")
     if count is not None:
         count = int(count)
         if count < 1:
             raise EigenSolveError(f"count must be positive, got {count}")
         count = min(count, dim)
         if pencil.arrow is not None and _arpack_ncv(count + 1) < dim:
-            solution = _solve_partial(pencil, count)
+            solution = None
+            if start is not None:
+                solution = _solve_warm(pencil, count, start)
+            if solution is None:
+                solution = _solve_partial(pencil, count)
             if solution is not None:
                 return solution
     return _solve_dense(pencil, count)
@@ -225,17 +269,20 @@ def _tridiagonal_count(d, e, low: float, high: float, bound: float) -> int:
     the two ends; with the whole spectrum's width as its tolerance it
     does not refine the eigenvalues, which are not used.
     """
-    return scipy.linalg.eigvalsh_tridiagonal(
-        d, e, select="v", select_range=(low, high), tol=2.0 * bound + 1.0
-    ).size
+    found, *_, info = scipy.linalg.lapack.dstebz(
+        d, e, 1, low, high, 1, 1, 2.0 * bound + 1.0, "E"
+    )
+    if info:
+        raise EigenSolveError(f"Sturm count failed: dstebz info {info}")
+    return found
 
 
 def _negative_count(d, e, border, corner) -> int | None:
     """Negative eigenvalues of the hermitian arrow matrix
     [[T, E], [E^T, C]] with T = tridiag(e, d, e) and E real, as In_-(T)
-    plus In_-(C - E^T T^{-1} E); None when T is numerically singular."""
+    plus In_-(C - E^T T^{-1} E) (:func:`~saext.fem.arrow_schur`); None
+    when T is numerically singular."""
     negatives = 0
-    schur = corner
     if d.size:
         radius = np.abs(d)
         radius[:-1] += np.abs(e)
@@ -245,14 +292,11 @@ def _negative_count(d, e, border, corner) -> int | None:
         if _tridiagonal_count(d, e, -tol, tol, bound):
             return None
         negatives = _tridiagonal_count(d, e, -bound - 1.0, -tol, bound)
-        banded = np.zeros((3, d.size))
-        banded[0, 1:] = e
-        banded[1] = d
-        banded[2, :-1] = e
-        schur = corner - border.T @ scipy.linalg.solve_banded(
-            (1, 1), banded, border
-        )
-    s = scipy.linalg.eigvalsh((schur + schur.conj().T) / 2.0)
+    try:
+        schur, *_ = arrow_schur(d, e, border, corner)
+    except np.linalg.LinAlgError:
+        return None
+    s = np.linalg.eigvalsh((schur + schur.conj().T) / 2.0)
     return negatives + int(np.sum(s < 0))
 
 
@@ -343,8 +387,25 @@ def _solve_partial(pencil: Pencil, count: int) -> EigenSolution | None:
             return None
         w, vectors = ritz
         wide = _gaps(w[count - 1:], DEGENERACY_RTOL)
+    return _certified(pencil, count, w, vectors, fallback="dense")
+
+
+def _certified(pencil: Pencil, count: int, w: np.ndarray, vectors: np.ndarray,
+               fallback: str) -> EigenSolution | None:
+    """The lowest ``count`` of the ascending Ritz pairs (w, vectors), when
+    their certificate holds; otherwise None, with the reason logged and the
+    ``fallback`` path named.
+
+    The certificate: a gap wider than DEGENERACY_RTOL above Ritz value
+    ``count``; nu(tau) equal to the number of Ritz values below tau, for
+    tau in the middle of that gap; every residual within
+    :func:`residual_tolerances`.  Ritz values bound the eigenvalues of
+    their index from above, so nu(tau) can only equal that number when no
+    eigenvalue below tau was missed.
+    """
+    wide = _gaps(w[count - 1:], DEGENERACY_RTOL)
     if not np.any(wide):
-        _LOG.warning("no gap above eigenvalue %d; dense fallback", count)
+        _LOG.warning("no gap above eigenvalue %d; %s fallback", count, fallback)
         return None
 
     # Exactly `below` Ritz values lie under the first gap, at tau.
@@ -353,16 +414,101 @@ def _solve_partial(pencil: Pencil, count: int) -> EigenSolution | None:
     found = _count_below(pencil, tau)
     if found != below:
         _LOG.warning("inertia certificate failed: nu(%.17g) = %s (None: "
-                     "singular bulk block), expected %d; dense fallback",
-                     tau, found, below)
+                     "singular bulk block), expected %d; %s fallback",
+                     tau, found, below, fallback)
         return None
 
     solution = _solution(pencil, w[:count], vectors[:, :count])
     if not np.all(solution.residuals
                   <= residual_tolerances(pencil, solution.eigenvalues)):
-        _LOG.warning("sparse residuals exceed their tolerances; dense fallback")
+        _LOG.warning("Ritz residuals exceed their tolerances; %s fallback",
+                     fallback)
         return None
     return solution
+
+
+def _rayleigh_ritz(pencil: Pencil, basis: np.ndarray):
+    """Ritz pairs of the pencil on the span of the columns of ``basis``:
+    the ascending Ritz values, the B-orthonormal Ritz vectors and B times
+    them.
+
+    The columns, scaled to unit norm so that none is lost beside a longer
+    one, are orthonormalized by Householder QR, which keeps the span of
+    nearly dependent columns such as a converged vector and its inverse
+    step.  The projected pencil (Q^H A Q, Q^H B Q) is reduced to standard
+    form by the Cholesky factor of Q^H B Q, which is as well conditioned as
+    the mass matrix.  All of it is numpy.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        When Q^H B Q is not numerically positive definite.
+    """
+    norms = np.linalg.norm(basis, axis=0)
+    q, _ = np.linalg.qr(basis[:, norms > 0] / norms[norms > 0])
+    aq, bq = pencil.a @ q, pencil.b @ q
+    a_proj, b_proj = q.conj().T @ aq, q.conj().T @ bq
+    inverse = np.linalg.inv(np.linalg.cholesky((b_proj + b_proj.conj().T) / 2.0))
+    reduced = inverse @ a_proj @ inverse.conj().T
+    w, z = np.linalg.eigh((reduced + reduced.conj().T) / 2.0)
+    y = inverse.conj().T @ z
+    return w, q @ y, bq @ y
+
+
+def _inverse_step(pencil: Pencil, theta: float, rhs: np.ndarray) -> np.ndarray:
+    """(A - theta B)^{-1} rhs by the arrow blocks.
+
+    A shift on an eigenvalue, a Ritz value that has converged exactly, can
+    make a pivot exactly zero; it is then moved by _NUDGE_ULPS, which keeps
+    the inverse step pointing along the eigenvector.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        When A - theta B is exactly singular at the nudged shift too.
+    """
+    try:
+        return pencil.arrow.solve(theta, rhs)
+    except np.linalg.LinAlgError:
+        nudged = theta + _NUDGE_ULPS * np.finfo(float).eps * max(1.0, abs(theta))
+        try:
+            return pencil.arrow.solve(nudged, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(f"inverse step at {theta!r}: {exc}") from exc
+
+
+def _solve_warm(pencil: Pencil, count: int, start: np.ndarray) -> EigenSolution | None:
+    """Certified lowest ``count`` pairs from the start block by Rayleigh-Ritz
+    steps with inverse steps, or None (with the reason logged) when the
+    sparse path has to answer.
+
+    A Rayleigh-Ritz step on span(start) gives Ritz pairs (theta_j, v_j).
+    Each round adds one inverse step w_j = (A - theta_j B)^{-1} B v_j for
+    every j < ``count`` and takes a Rayleigh-Ritz step on [V, W] (Parlett,
+    The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4 and 11).  Rounds
+    stop once the lowest ``count`` residuals are within their tolerances,
+    or after _WARM_ROUNDS; the result then has to pass the certificate of
+    :func:`_certified`.  A real pencil keeps real vectors: a complex start
+    block is replaced by its real and imaginary parts.
+    """
+    if np.iscomplexobj(start) and not np.iscomplexobj(pencil.b):
+        start = np.hstack([start.real, start.imag])
+    low = slice(0, count)
+    try:
+        w, vectors, b_vectors = _rayleigh_ritz(pencil, start)
+        for _ in range(_WARM_ROUNDS):
+            steps = [_inverse_step(pencil, theta, b_vectors[:, j])
+                     for j, theta in enumerate(w[low])]
+            w, vectors, b_vectors = _rayleigh_ritz(
+                pencil, np.column_stack([vectors, *steps]))
+            residuals = np.linalg.norm(pencil.a @ vectors[:, low]
+                                       - b_vectors[:, low] * w[low], axis=0)
+            if np.all(residuals <= residual_tolerances(pencil, w[low])):
+                break
+    except np.linalg.LinAlgError as exc:
+        _LOG.warning("warm path failed (%s); cold fallback", exc)
+        return None
+    return _certified(pencil, count, w, vectors, fallback="cold")
 
 
 def residual_tolerances(pencil: Pencil, eigenvalues: np.ndarray) -> np.ndarray:

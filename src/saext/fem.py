@@ -18,8 +18,10 @@ the boundary functions.  This module alone knows that order
 (:func:`boundary_indices`, :func:`node_values`).  Assembly builds the
 ``scipy.sparse`` CSR arrays of the pencil from these blocks once, for
 factorizations, matrix-vector products, the dense path and
-``--dump-pencil``, and attaches the blocks and min V to the pencil
-(:class:`ArrowBlocks`) for the eigensolver's inertia count.
+``--dump-pencil``, and attaches the blocks, their basis order and min V
+to the pencil (:class:`ArrowBlocks`) for the eigensolver's inertia count
+and its shifted solves, which eliminate the blocks
+(:func:`arrow_schur`).
 
 Only the boundary block depends on U.  The bands, the border, the
 potential moments of the extreme elements, min V and the CSR pattern depend
@@ -43,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg.lapack
 import scipy.sparse
 
 from .boundary import BoundaryCondition, BoundaryValues
@@ -90,10 +93,47 @@ def node_values(mesh: Mesh, bvals: BoundaryValues,
             for alpha, part in enumerate(np.split(interior, np.cumsum(mesh.r)[:-1]))]
 
 
+def arrow_schur(diag, upper, border, corner, rhs=None):
+    """Eliminate the bulk block of the hermitian arrow matrix
+    [[T, E], [E^T, C]] with T = tridiag(upper, diag, upper) and E real.
+
+    Returns (S, T^{-1} E, T^{-1} rhs) with S = C - E^T T^{-1} E; ``rhs``,
+    one vector over the bulk rows, is optional, and without it the last
+    entry is None.  One LAPACK ``dgtsv`` call (Gaussian elimination with
+    partial pivoting) solves for the border and the real and imaginary
+    parts of ``rhs`` as its columns.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        When T has an exactly zero pivot.
+    """
+    if not diag.size:
+        return corner, border, rhs
+    columns = [border]
+    if rhs is not None:
+        columns += [rhs.real, rhs.imag] if np.iscomplexobj(rhs) else [rhs]
+    *_, solved, info = scipy.linalg.lapack.dgtsv(upper, diag, upper,
+                                                 np.column_stack(columns))
+    if info > 0:
+        raise np.linalg.LinAlgError(f"bulk block is singular: pivot {info} is zero")
+    if info < 0:
+        raise ValueError(f"dgtsv rejected argument {-info}")
+    two_n = border.shape[1]
+    t_border = solved[:, :two_n]
+    schur = corner - border.T @ t_border
+    if rhs is None:
+        return schur, t_border, None
+    t_rhs = solved[:, two_n]
+    if np.iscomplexobj(rhs):
+        t_rhs = t_rhs + 1j * solved[:, two_n + 1]
+    return schur, t_border, t_rhs
+
+
 @dataclass(frozen=True, eq=False)
 class ArrowBlocks:
-    """What assembly knows of its pencil beyond A and B: their arrow blocks
-    and min V.
+    """What assembly knows of its pencil beyond A and B: their arrow blocks,
+    the basis order they use and min V.
 
     ``a`` and ``b`` each hold the blocks (diag, upper, border, corner) of
     one hermitian arrow matrix.  ``diag`` and ``upper`` are the diagonal
@@ -102,17 +142,50 @@ class ArrowBlocks:
     function of one interval and the first of the next).  ``border`` is the
     real bulk x boundary block E and ``corner`` the hermitian 2n x 2n
     boundary block C, both with boundary functions in order
-    i = 0 .. 2n - 1; C has the pencil's dtype.  ``v_min`` is the smallest
-    value of V at the quadrature points (0 for V = 0).
+    i = 0 .. 2n - 1; C has the pencil's dtype.  ``order`` lists the global
+    index of every row of the arrow matrix: the bulk functions, then the
+    boundary functions.  ``v_min`` is the smallest value of V at the
+    quadrature points (0 for V = 0).
     """
 
     a: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     b: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    order: np.ndarray
     v_min: float
 
     def minus(self, x: float) -> tuple[np.ndarray, ...]:
         """The blocks (diag, upper, border, corner) of A - x B."""
         return tuple(p - x * q for p, q in zip(self.a, self.b))
+
+    def solve(self, x: float, rhs: np.ndarray) -> np.ndarray:
+        """(A - x B)^{-1} rhs for one vector ``rhs`` in global basis order.
+
+        :func:`arrow_schur` eliminates the bulk block T(x) of A - x B; the
+        2n x 2n Schur complement S(x) is then solved by LAPACK's ``gesv``
+        and the bulk part recovered from T(x)^{-1} rhs - T(x)^{-1} E z.
+
+        Raises
+        ------
+        numpy.linalg.LinAlgError
+            When T(x) or S(x) has an exactly zero pivot.
+        """
+        diag, upper, border, corner = self.minus(x)
+        arrow_rhs = rhs[self.order]
+        bulk = diag.size
+        schur, t_border, t_rhs = arrow_schur(diag, upper, border, corner,
+                                             arrow_rhs[:bulk])
+        tail = arrow_rhs[bulk:] - border.T @ t_rhs
+        gesv = (scipy.linalg.lapack.zgesv if np.iscomplexobj(schur)
+                or np.iscomplexobj(tail) else scipy.linalg.lapack.dgesv)
+        *_, z, info = gesv(schur, tail)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"boundary Schur complement is singular: pivot {info} is zero")
+        if info < 0:
+            raise ValueError(f"gesv rejected argument {-info}")
+        out = np.empty(rhs.shape, dtype=z.dtype)
+        out[self.order] = np.concatenate([t_rhs - t_border @ z, z])
+        return out
 
 
 @dataclass(frozen=True)
@@ -273,6 +346,7 @@ class BulkAssembly:
         row_side = bulk_row & ~bulk_col  # bulk row, boundary column
         col_side = ~bulk_row & bulk_col
         self._tri_corner = (local[rows[in_corner]], local[cols[in_corner]])
+        self._order = _frozen(np.concatenate([bulk, bidx]))
 
         # CSR pattern: the band entries outside the boundary block, their
         # mirror images below the diagonal, and the whole boundary block, in
@@ -405,7 +479,8 @@ class BulkAssembly:
             matrices.append(matrix)
             blocks.append((*part.bands, _frozen(corner)))
         pencil = Pencil(a=matrices[0], b=matrices[1])
-        object.__setattr__(pencil, "arrow", ArrowBlocks(*blocks, self.v_min))
+        object.__setattr__(pencil, "arrow",
+                           ArrowBlocks(*blocks, self._order, self.v_min))
         return pencil
 
 

@@ -371,3 +371,63 @@ def test_solve_values_rejects_nan_kappa_max():
     system = assemble_boundary_system(BoundaryCondition.dirichlet(1), mesh)
     with pytest.raises(ValueError, match="NaN"):
         solve_boundary_values(system, kappa_max=math.nan)
+
+
+# ------------------------------------------------ LAPACK drivers of the solve
+
+def _reflection(dim, rng):
+    """A real symmetric orthogonal U (a Householder reflection): on
+    intervals of one length it gives a symmetric, non-diagonal F."""
+    v = rng.standard_normal(dim)
+    return np.eye(dim) - 2.0 * np.outer(v, v) / (v @ v)
+
+
+def _solve_cases():
+    from saext.cli import nearest_unitary
+
+    ring = IntervalSet([(0.0, TWO_PI)])
+    periodic = BoundaryCondition.quasi_periodic(0.0)
+    generator = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    cases = {
+        "ring-250": (periodic, ring, 250),
+        "ring-2000": (periodic, ring, 2000),
+        "dirichlet": (BoundaryCondition.dirichlet(1), ring, 100),
+        "neumann": (BoundaryCondition.neumann(1), ring, 100),
+        "neumann-3": (BoundaryCondition.neumann(3),
+                      IntervalSet([(0.0, 1.0), (2.0, 4.0), (5.0, 5.5)]), 90),
+        "quasi-periodic-0.7": (BoundaryCondition.quasi_periodic(0.7), ring, 300),
+    }
+    for eps in (1e-5, 4.7e-4, 1e-3):  # criterion 10's U_eps
+        u_eps, _ = nearest_unitary(periodic.u_endpoint + 1j * eps * generator)
+        cases[f"u-eps-{eps:g}"] = (BoundaryCondition.from_matrix(u_eps), ring, 250)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 3
+        geom = IntervalSet([(3.0 * k, 3.0 * k + rng.uniform(1.0, 3.0))
+                            for k in range(n)])
+        cases[f"random-{n}-intervals-{seed}"] = (
+            BoundaryCondition.from_matrix(random_unitary(2 * n, rng)), geom,
+            int(rng.integers(60, 300)))
+        equal = IntervalSet([(3.0 * k, 3.0 * k + 2.0) for k in range(n)])
+        cases[f"reflection-{n}-intervals-{seed}"] = (
+            BoundaryCondition.from_matrix(_reflection(2 * n, rng)), equal, 120)
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_solve_cases()))
+def test_boundary_values_match_scipy_solve_bitwise(name, monkeypatch):
+    # the raw LAPACK calls are the ones scipy.linalg.solve makes: the
+    # boundary values, and so every pencil, are bit-identical to its
+    import scipy.linalg
+
+    from saext import boundary
+
+    bc, geom, resolution = _solve_cases()[name]
+    system = assemble_boundary_system(bc, build_mesh(geom, resolution))
+    got = solve_boundary_values(system)
+    monkeypatch.setattr(boundary, "_solve_square", scipy.linalg.solve)
+    want = solve_boundary_values(system)
+    assert got.v.tobytes() == want.v.tobytes()
+    assert got.g.tobytes() == want.g.tobytes()
+    if name == "ring-2000":
+        assert not np.any(got.v.imag)  # the ring's symmetric solve stays real

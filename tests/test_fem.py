@@ -337,6 +337,39 @@ def test_arrow_blocks_rebuild_the_csr_matrices(seed):
         assert corner.dtype == pencil.a.dtype
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_arrow_solve_matches_dense_shifted_solve(seed):
+    # (A - x B)^{-1} rhs by block elimination, in global basis order, for a
+    # complex and a real right-hand side
+    mesh, potential, bc, vals = _arrow_pencil(seed)
+    pencil = assemble_pencil(mesh, bc, vals, potential, mu=0.7)
+    rng = np.random.default_rng(seed)
+    shifted = pencil.a.toarray() - 2.3 * pencil.b.toarray()
+    for rhs in (rng.standard_normal(pencil.dim) + 1j * rng.standard_normal(pencil.dim),
+                rng.standard_normal(pencil.dim)):
+        got = pencil.arrow.solve(2.3, rhs)
+        want = scipy.linalg.solve(shifted, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def _diagonal_arrow(t_diag, c_diag):
+    """Arrow blocks of A = diag(t_diag, c_diag) with B = I and no border."""
+    bulk, two_n = len(t_diag), len(c_diag)
+    border = np.zeros((bulk, two_n))
+    return fem.ArrowBlocks(
+        a=(np.array(t_diag, float), np.zeros(bulk - 1), border, np.diag(c_diag) + 0j),
+        b=(np.ones(bulk), np.zeros(bulk - 1), border, np.eye(two_n) + 0j),
+        order=np.arange(bulk + two_n), v_min=0.0)
+
+
+@pytest.mark.parametrize("x, match", [(1.0, "bulk block"), (3.0, "Schur complement")])
+def test_arrow_solve_raises_on_an_exactly_singular_shift(x, match):
+    arrow = _diagonal_arrow([1.0, 2.0], [3.0, 5.0])
+    with pytest.raises(np.linalg.LinAlgError, match=match):
+        arrow.solve(x, np.ones(4))
+    assert np.allclose(arrow.solve(1.5, np.ones(4)), 1.0 / (np.array([1, 2, 3, 5]) - 1.5))
+
+
 def test_bulk_assembly_serves_a_sweep_over_u():
     # one bulk part, pencils for several U: each bit-identical to a full
     # assembly, real and complex alike, complex ones stored as exact

@@ -10,11 +10,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import saext
+from saext import cli
 from helpers import power_law_fit_multistart
 from saext.boundary import assemble_boundary_system, solve_boundary_values
-from saext.cli import EXIT_CONFIG, _power_law_fit, main, stability_study
+from saext.boundary import BoundaryCondition
+from saext.cli import (
+    EXIT_CONFIG,
+    _power_law_fit,
+    main,
+    nearest_unitary,
+    stability_study,
+)
 from saext.config import SCHEMA_HEADER, build_problem, parse_config
 from saext.eigen import solve_pencil
 from saext.fem import assemble_pencil
@@ -94,6 +103,44 @@ def test_cli_import_leaves_scipy_optimize_out():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+# --------------------------------------------------------------- the sweep
+
+def test_nearest_unitary_is_the_scipy_polar_factor_bitwise():
+    ring = BoundaryCondition.quasi_periodic(0.0).u_endpoint
+    generator = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    rng = np.random.default_rng(11)
+    matrices = [ring + 1j * eps * generator for eps in EPS] + [
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for n in (2, 4, 6) for _ in range(5)]
+    for matrix in matrices:
+        u, distance = nearest_unitary(matrix)
+        want, _ = scipy.linalg.polar(matrix)
+        assert u.tobytes() == want.tobytes()
+        assert distance == float(np.linalg.norm(matrix - want))
+
+
+def test_sweep_starts_every_solve_from_the_base_eigenvectors(monkeypatch, caplog):
+    # each perturbed pencil is solved warm from the base solution's
+    # eigenvectors, not from its neighbour's, and certified without fallback
+    calls = []
+    solve = cli.solve_pencil
+
+    def recording(pencil, count=None, start=None):
+        solution = solve(pencil, count=count, start=start)
+        calls.append((start, solution))
+        return solution
+
+    monkeypatch.setattr(cli, "solve_pencil", recording)
+    cfg = parse_config(CRITERION_10_CONFIG + "stability.eps_start = 1e-4\n"
+                       "stability.eps_stop = 1e-3\nstability.eps_step = 1e-4\n")
+    with caplog.at_level(logging.WARNING, logger="saext"):
+        stability_study(cfg)
+    assert not [r for r in caplog.records if "fallback" in r.getMessage()]
+    (base_start, base), *perturbed = calls
+    assert base_start is None and len(perturbed) == 10
+    assert all(start is base.eigenvectors for start, _ in perturbed)
 
 
 # ------------------------------------------------------------ level clusters

@@ -1,0 +1,194 @@
+"""The warm path of the eigensolver: Rayleigh-Ritz from a start block with
+inverse steps by the arrow blocks, under the sparse path's certificate."""
+
+import logging
+import math
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from saext import fem
+from saext.boundary import (
+    BoundaryCondition,
+    assemble_boundary_system,
+    random_unitary,
+    solve_boundary_values,
+)
+from saext.cli import nearest_unitary
+from saext.eigen import EigenSolveError, _solve_dense, solve_pencil
+from saext.fem import BulkAssembly
+from saext.geometry import IntervalSet, build_mesh
+from saext.potentials import ConstantPotential
+
+TWO_PI = 2 * math.pi
+
+
+def _pencil_for(bulk, u):
+    bc = BoundaryCondition.from_matrix(u)
+    values = solve_boundary_values(assemble_boundary_system(bc, bulk.mesh))
+    return bulk.pencil(bc, values)
+
+
+def _fallbacks(caplog):
+    return [r.getMessage() for r in caplog.records if "fallback" in r.getMessage()]
+
+
+def _relative(got, want):
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+
+
+@pytest.fixture
+def inverse_steps(monkeypatch):
+    """Counts the inverse steps (arrow-block solves) of each solve."""
+    calls = []
+    solve = fem.ArrowBlocks.solve
+
+    def counted(self, x, rhs):
+        calls.append(x)
+        return solve(self, x, rhs)
+
+    monkeypatch.setattr(fem.ArrowBlocks, "solve", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def criterion_10():
+    """The bulk part, base solution and 100 perturbed pencils of criterion
+    10's sweep: the periodic ring at N = 250, U_eps the nearest unitary to
+    U + i eps [[0, 1], [-1, 0]], eps = 1e-5 .. 1e-3."""
+    bulk = BulkAssembly(build_mesh(IntervalSet([(0.0, TWO_PI)]), 250))
+    ring = BoundaryCondition.quasi_periodic(0.0).u_endpoint
+    base = solve_pencil(_pencil_for(bulk, ring), count=9)
+    generator = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    pencils = [_pencil_for(bulk, nearest_unitary(ring + 1j * eps * generator)[0])
+               for eps in 1e-5 * np.arange(1, 101)]
+    return base, pencils
+
+
+def test_warm_matches_cold_and_dense_on_criterion_10(criterion_10, caplog,
+                                                     inverse_steps):
+    base, pencils = criterion_10
+    warm = []
+    for pencil in pencils:
+        caplog.clear()
+        inverse_steps.clear()
+        with caplog.at_level(logging.WARNING, logger="saext"):
+            warm.append(solve_pencil(pencil, count=9, start=base.eigenvectors))
+        assert not _fallbacks(caplog)  # certified on the warm path
+        assert len(inverse_steps) == 9  # in one round
+        gram = warm[-1].eigenvectors.conj().T @ (pencil.b @ warm[-1].eigenvectors)
+        assert np.max(np.abs(gram - np.eye(9))) <= 1e-10
+    # the references run after all warm solves: alternating the two paths
+    # slows both, as their BLAS thread pools contend; the dense one on every
+    # tenth pencil keeps the test short
+    cold = [solve_pencil(pencil, count=9).eigenvalues for pencil in pencils]
+    assert max(map(_relative, (w.eigenvalues for w in warm), cold)) <= 1e-11
+    dense = [_solve_dense(pencil, 9).eigenvalues for pencil in pencils[::10]]
+    assert max(map(_relative, (w.eigenvalues for w in warm[::10]), dense)) <= 1e-11
+
+
+def test_warm_follows_a_perturbed_three_interval_u(caplog, inverse_steps):
+    # a random 6x6 U turned by expm(i eps H): one round while the turn is
+    # small, at most all three rounds as it grows, never a fallback
+    rng = np.random.default_rng(2)
+    mesh = build_mesh(IntervalSet([(0.0, 1.5), (2.0, 3.0), (4.0, 6.5)]), 200)
+    bulk = BulkAssembly(mesh, ConstantPotential([0.5, -1.0, 2.0]), mu=0.8)
+    u0 = random_unitary(6, rng)
+    h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    h = (h + h.conj().T) / 2.0
+    count = 8
+    base = solve_pencil(_pencil_for(bulk, u0), count=count)
+    rounds = []
+    for eps in (1e-5, 1e-4, 1e-3, 1e-2, 1e-1):
+        pencil = _pencil_for(bulk, scipy.linalg.expm(1j * eps * h) @ u0)
+        inverse_steps.clear()
+        with caplog.at_level(logging.WARNING, logger="saext"):
+            warm = solve_pencil(pencil, count=count, start=base.eigenvectors)
+        assert not _fallbacks(caplog)
+        rounds.append(len(inverse_steps) // count)
+        assert _relative(warm.eigenvalues, _solve_dense(pencil, count).eigenvalues) <= 1e-11
+    assert rounds[:2] == [1, 1]
+    assert all(1 <= r <= 3 for r in rounds)
+    assert rounds == sorted(rounds)
+
+
+def test_warm_path_keeps_a_real_pencil_real(caplog):
+    # Robin conditions give real pencils; a complex start block enters by
+    # its real span
+    mesh = build_mesh(IntervalSet([(0.0, 2.0), (3.0, 5.5)]), 240)
+    bulk = BulkAssembly(mesh, ConstantPotential([1.0, -0.5]))
+    angles = np.array([0.3, 1.1, 2.0, 2.9])
+    base = solve_pencil(_pencil_for(bulk, np.diag(np.exp(1j * angles))), count=6)
+    pencil = _pencil_for(bulk, np.diag(np.exp(1j * (angles + 1e-3))))
+    assert pencil.a.dtype == base.eigenvectors.dtype == np.float64
+    dense = _solve_dense(pencil, 6)
+    for start in (base.eigenvectors, base.eigenvectors * np.exp(0.4j)):
+        with caplog.at_level(logging.WARNING, logger="saext"):
+            warm = solve_pencil(pencil, count=6, start=start)
+        assert not _fallbacks(caplog)
+        assert warm.eigenvectors.dtype == np.float64
+        assert _relative(warm.eigenvalues, dense.eigenvalues) <= 1e-11
+
+
+def test_random_start_falls_back_to_the_cold_result(criterion_10, caplog):
+    _, pencils = criterion_10
+    pencil = pencils[40]
+    start = np.random.default_rng(5).standard_normal((pencil.dim, 9))
+    with caplog.at_level(logging.WARNING, logger="saext"):
+        warm = solve_pencil(pencil, count=9, start=start)
+    assert any("cold fallback" in m for m in _fallbacks(caplog))
+    cold = solve_pencil(pencil, count=9)
+    assert warm.eigenvalues.tobytes() == cold.eigenvalues.tobytes()
+    assert warm.eigenvectors.tobytes() == cold.eigenvectors.tobytes()
+
+
+def test_exactly_singular_shift_is_nudged(criterion_10, caplog, monkeypatch):
+    # an inverse step whose shift makes A - theta B exactly singular is
+    # taken a few ulps away, and the solve still certifies
+    base, pencils = criterion_10
+    solve = fem.ArrowBlocks.solve
+    shifts = []
+
+    def singular_on_first_try(self, x, rhs):
+        shifts.append(x)
+        if len(shifts) % 2:
+            raise np.linalg.LinAlgError("bulk block is singular: pivot 1 is zero")
+        return solve(self, x, rhs)
+
+    monkeypatch.setattr(fem.ArrowBlocks, "solve", singular_on_first_try)
+    with caplog.at_level(logging.WARNING, logger="saext"):
+        warm = solve_pencil(pencils[0], count=9, start=base.eigenvectors)
+    assert not _fallbacks(caplog)
+    assert len(shifts) == 18
+    for theta, nudged in zip(shifts[::2], shifts[1::2]):
+        assert theta < nudged <= theta + 8 * np.finfo(float).eps * max(1.0, abs(theta))
+    assert _relative(warm.eigenvalues, _solve_dense(pencils[0], 9).eigenvalues) <= 1e-11
+
+
+def test_singular_shifted_pencil_falls_back(criterion_10, caplog, monkeypatch):
+    base, pencils = criterion_10
+
+    def singular(self, x, rhs):
+        raise np.linalg.LinAlgError("boundary Schur complement is singular")
+
+    monkeypatch.setattr(fem.ArrowBlocks, "solve", singular)
+    with caplog.at_level(logging.WARNING, logger="saext"):
+        warm = solve_pencil(pencils[0], count=9, start=base.eigenvectors)
+    assert any("inverse step" in m and "cold fallback" in m
+               for m in _fallbacks(caplog))
+    monkeypatch.undo()
+    cold = solve_pencil(pencils[0], count=9)
+    assert warm.eigenvalues.tobytes() == cold.eigenvalues.tobytes()
+
+
+@pytest.mark.parametrize("shape, fill, message", [
+    (lambda dim: (dim - 1, 3), 1.0, "shape"),
+    (lambda dim: (dim,), 1.0, "shape"),
+    (lambda dim: (dim, 2), np.nan, "non-finite"),
+], ids=["rows", "one-dimensional", "nan"])
+def test_rejects_bad_start_block(criterion_10, shape, fill, message):
+    _, pencils = criterion_10
+    start = np.full(shape(pencils[0].dim), fill)
+    with pytest.raises(EigenSolveError, match=message):
+        solve_pencil(pencils[0], count=3, start=start)
