@@ -46,11 +46,7 @@ from .spectral import (
     find_spectrum,
     fundamental_traces,
     odot,
-    spectral_det,
-    spectral_det_closed_1,
-    spectral_det_parametrized,
     spectral_matrix,
-    unitary_from_su2_phase,
 )
 
 __all__ = [
@@ -90,9 +86,5 @@ __all__ = [
     "retry_mesh_on_bad_conditioning",
     "solve_boundary_values",
     "solve_pencil",
-    "spectral_det",
-    "spectral_det_closed_1",
-    "spectral_det_parametrized",
     "spectral_matrix",
-    "unitary_from_su2_phase",
 ]

@@ -398,10 +398,14 @@ def _certified(pencil: Pencil, count: int, w: np.ndarray, vectors: np.ndarray,
 
     The certificate: a gap wider than DEGENERACY_RTOL above Ritz value
     ``count``; nu(tau) equal to the number of Ritz values below tau, for
-    tau in the middle of that gap; every residual within
-    :func:`residual_tolerances`.  Ritz values bound the eigenvalues of
-    their index from above, so nu(tau) can only equal that number when no
-    eigenvalue below tau was missed.
+    tau half of DEGENERACY_RTOL above the lower end of that gap; every
+    residual within :func:`residual_tolerances`.  Ritz values bound the
+    eigenvalues of their index from above, so nu(tau) is at least that
+    number, and equals it only when no eigenvalue below tau was missed;
+    any tau inside the gap certifies.  Near its lower end tau also
+    certifies a Ritz value above the gap that lies far above its
+    eigenvalue, as after inverse steps from converged vectors, which add
+    only rounding noise to the basis.
     """
     wide = _gaps(w[count - 1:], DEGENERACY_RTOL)
     if not np.any(wide):
@@ -410,7 +414,7 @@ def _certified(pencil: Pencil, count: int, w: np.ndarray, vectors: np.ndarray,
 
     # Exactly `below` Ritz values lie under the first gap, at tau.
     below = count + int(np.argmax(wide))
-    tau = (w[below - 1] + w[below]) / 2.0
+    tau = w[below - 1] + 0.5 * DEGENERACY_RTOL * max(1.0, abs(w[below]))
     found = _count_below(pencil, tau)
     if found != below:
         _LOG.warning("inertia certificate failed: nu(%.17g) = %s (None: "

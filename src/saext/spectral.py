@@ -12,21 +12,17 @@ W = U^H S has eigenvalue 1.  The eigenphases of W increase with lambda, so
 refines each crossing inside its bracket by the Illinois variant of
 regula falsi.
 
-Fundamental-solution bases
+Fundamental-solution basis
 --------------------------
-``normalized`` (default): the pair with initial data (1, 0) and (0, 1) at
-the left endpoint.  For constant potentials these are cos(k x') and
-sin(k x')/k in the local coordinate x', entire in lambda, so the
+Every interval carries the normalized pair, with initial data (1, 0) and
+(0, 1) at its left endpoint.  For constant potentials these are cos(k x')
+and sin(k x')/k in the local coordinate x', entire in lambda, so the
 determinant has no spurious zero or branch point anywhere on the real
 axis, including at lambda equal to the potential plateau.  The numerical
 integrator produces the same basis, which makes the two paths directly
-comparable.
-
-``exponential``: exp(+- i k x') for constant potentials.  This is the
-basis in which the closed-form single-interval expressions take their
-familiar shape; it degenerates as k -> 0, so it is rejected near that
-point.  Any nondegenerate basis change only multiplies the determinant by
-a nonzero factor and moves no zeros.
+comparable.  Any other nondegenerate basis, such as the exponential one
+of the paper's worked example, only multiplies the determinant by a
+nonzero factor and moves no zeros.
 
 Numerical integration
 ---------------------
@@ -68,7 +64,6 @@ on any grid.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -82,7 +77,6 @@ _ODE_STEPS = 2048  # first step count of the halving comparison without knots
 _PIECE_STEPS = 8  # first step count per linear piece of a table
 _ODE_RTOL = 1e-9
 _MAX_ODE_STEPS = 1 << 17
-_EXP_DEGENERACY_TOL = 1e-9
 # lambda-steps per batch of Magnus step maps; a batch peaks near 13 MiB
 _BATCH_ELEMENTS = 1 << 16
 
@@ -139,14 +133,6 @@ class FundamentalTraces:
     def n(self) -> int:
         return self.psi_l.shape[-2]
 
-    def wronskians(self) -> np.ndarray:
-        """Wronskian Psi^1 (Psi^2)' - (Psi^1)' Psi^2 at each left endpoint."""
-        # Psi'(a) = -dpsi_l.
-        return (
-            -self.psi_l[..., 0] * self.dpsi_l[..., 1]
-            + self.dpsi_l[..., 0] * self.psi_l[..., 1]
-        )
-
     def trace_matrix(self, sign: int) -> np.ndarray:
         """The 2n x 2 matrix stacking psi_{l,sign} over psi_{r,sign}."""
         if sign not in (+1, -1):
@@ -166,36 +152,6 @@ def _normalized_traces(lam, mu, psi_r, dpsi_r) -> FundamentalTraces:
         dpsi_l=np.broadcast_to(np.array([0.0, -1.0], dtype=complex), shape),
         psi_r=psi_r.astype(complex), dpsi_r=dpsi_r.astype(complex),
     )
-
-
-def _exponential_traces(geom, lam, mu, constants) -> FundamentalTraces:
-    """Traces of the basis exp(+- i k x') for constant V at one lambda."""
-    n = geom.n
-    psi_l = np.ones((n, 2), dtype=complex)
-    dpsi_l = np.zeros((n, 2), dtype=complex)
-    psi_r = np.zeros((n, 2), dtype=complex)
-    dpsi_r = np.zeros((n, 2), dtype=complex)
-    for alpha, (a, b) in enumerate(geom.intervals):
-        length = b - a
-        k = cmath.sqrt(complex(lam - constants[alpha]) / mu)
-        if abs(k) * length < _EXP_DEGENERACY_TOL:
-            raise ValueError(
-                "exponential fundamental basis degenerates as k -> 0; "
-                "use the normalized basis near lambda = V"
-            )
-        try:
-            e_plus = cmath.exp(1j * k * length)
-            e_minus = cmath.exp(-1j * k * length)
-        except OverflowError as exc:
-            raise TraceIntegrationError(
-                f"fundamental traces overflow at lambda = {lam!r}: {exc}"
-            ) from exc
-        dpsi_l[alpha] = (-1j * k, 1j * k)  # -Psi'(a)
-        psi_r[alpha] = (e_plus, e_minus)
-        dpsi_r[alpha] = (1j * k * e_plus, -1j * k * e_minus)
-    if not np.isfinite(dpsi_r).all():
-        raise TraceIntegrationError(f"fundamental traces overflow at lambda = {lam!r}")
-    return FundamentalTraces(lam, mu, psi_l, dpsi_l, psi_r, dpsi_r)
 
 
 def _closed_form_traces(lengths, constants, lam, mu):
@@ -428,11 +384,11 @@ def fundamental_traces(
     geom: IntervalSet,
     lam: float,
     mu: float = 1.0,
-    basis: str = "normalized",
 ) -> FundamentalTraces:
-    """Boundary traces of a fundamental system at trial eigenvalue ``lam``.
+    """Boundary traces of the normalized fundamental system at trial
+    eigenvalue ``lam``.
 
-    The normalized basis is the one-lambda view of the batched traces that
+    They are the one-lambda view of the batched traces that
     ``find_spectrum`` uses: constant (including zero) potentials take
     closed forms; other potentials are integrated from the left endpoint
     with initial data (1, 0) and (0, 1) by the sixth-order Magnus method
@@ -440,23 +396,13 @@ def fundamental_traces(
     the interval (at first 8 on the widest linear piece of a table and
     about as wide on the others, 2048 across the interval for a V without
     knots), accepted only when a step-halving comparison agrees to 1e-9
-    within 2**17 steps.  The exponential basis is a closed form for
-    constant V only.  Raises ``PotentialError`` when V is not finite at an
-    integration node and ``TraceIntegrationError`` when the step halving
-    does not converge or the traces overflow float64, in closed form or
-    integrated (lambda far below V on a long interval).
+    within 2**17 steps.  Raises ``PotentialError`` when V is not finite at
+    an integration node and ``TraceIntegrationError`` when the step
+    halving does not converge or the traces overflow float64, in closed
+    form or integrated (lambda far below V on a long interval).
     """
-    if basis not in ("normalized", "exponential"):
-        raise ValueError(f"unknown basis {basis!r}")
     lam = float(lam)
     mu = _positive_mu(mu)
-    if basis == "exponential":
-        constants = [potential.constant_value(alpha) for alpha in range(geom.n)]
-        if any(c is None for c in constants):
-            raise ValueError(
-                "the exponential basis is only available for constant potentials"
-            )
-        return _exponential_traces(geom, lam, mu, constants)
     psi_r, dpsi_r = _RightTraces(potential, geom, mu)(np.array([lam]))
     return _normalized_traces(lam, mu, psi_r[0], dpsi_r[0])
 
@@ -479,82 +425,6 @@ def spectral_matrix(bc: BoundaryCondition, traces: FundamentalTraces) -> Spectra
     m = (odot(np.eye(2 * bc.n), traces.trace_matrix(-1))
          - odot(bc.u_block, traces.trace_matrix(+1)))
     return SpectralMatrix(m=m, lam=traces.lam, detval=np.linalg.det(m))
-
-
-def spectral_det(bc: BoundaryCondition, traces: FundamentalTraces) -> complex:
-    """Value of the spectral function: det M(U, lambda)."""
-    return spectral_matrix(bc, traces).detval
-
-
-def _w_combo(traces: FundamentalTraces, side1: str, side2: str,
-             sign1: int, sign2: int) -> complex:
-    """Single-interval 2x2 determinant of (psi_{side1, sign1}, psi_{side2, sign2})."""
-    if traces.n != 1:
-        raise ValueError("W combinations are defined for a single interval")
-
-    def vec(side, sign):
-        psi = traces.psi_l if side == "l" else traces.psi_r
-        dpsi = traces.dpsi_l if side == "l" else traces.dpsi_r
-        return (psi + 1j * sign * dpsi)[0]
-
-    u = vec(side1, sign1)
-    v = vec(side2, sign2)
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def spectral_det_closed_1(bc: BoundaryCondition, traces: FundamentalTraces) -> complex:
-    """Closed-form spectral function for a single interval.
-
-    Expands det M(U, lambda) into the six trace determinants weighted by
-    the entries of U; an independent code path from the block assembly.
-    """
-    if bc.n != 1 or traces.n != 1:
-        raise ValueError("closed form requires a single interval")
-    u = bc.u_block
-    w = lambda s1, s2, g1, g2: _w_combo(traces, s1, s2, g1, g2)
-    return (
-        w("l", "r", -1, -1)
-        + u[0, 0] * w("r", "l", -1, +1)
-        + u[1, 1] * w("r", "l", +1, -1)
-        + u[0, 1] * w("r", "r", -1, +1)
-        + u[1, 0] * w("l", "l", +1, -1)
-        + complex(np.linalg.det(u)) * w("l", "r", +1, +1)
-    )
-
-
-def unitary_from_su2_phase(theta: float, alpha: complex, beta: complex) -> np.ndarray:
-    """U(2) element e^{i theta/2} [[alpha, beta], [-conj(beta), conj(alpha)]]
-    with |alpha|^2 + |beta|^2 = 1."""
-    norm = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"|alpha|^2 + |beta|^2 = {norm} must be 1")
-    phase = cmath.exp(1j * theta / 2.0)
-    return phase * np.array(
-        [[alpha, beta], [-np.conj(beta), np.conj(alpha)]], dtype=complex
-    )
-
-
-def spectral_det_parametrized(
-    theta: float, alpha: complex, beta: complex, traces: FundamentalTraces
-) -> complex:
-    """Spectral function under the phase/SU(2) parametrization of U(2).
-
-    Every term linear in the entries of U carries the overall phase
-    e^{i theta/2}; the determinant term carries e^{i theta}.
-    """
-    w = lambda s1, s2, g1, g2: _w_combo(traces, s1, s2, g1, g2)
-    half = cmath.exp(1j * theta / 2.0)
-    return (
-        w("l", "r", -1, -1)
-        + half
-        * (
-            alpha * w("r", "l", -1, +1)
-            + np.conj(alpha) * w("r", "l", +1, -1)
-            + beta * w("r", "r", -1, +1)
-            - np.conj(beta) * w("l", "l", +1, -1)
-        )
-        + cmath.exp(1j * theta) * w("l", "r", +1, +1)
-    )
 
 
 def _scattering_matrix(psi_r: np.ndarray, dpsi_r: np.ndarray) -> np.ndarray:

@@ -632,6 +632,118 @@ def fundamental_traces_reference(potential, geom, lam, mu=1.0):
     return FundamentalTraces(lam, mu, *arrays)
 
 
+# Degeneracy bound of the exponential basis: |k| L below it is rejected.
+EXP_DEGENERACY_TOL = 1e-9
+
+
+def exponential_traces(geom, lam, mu, constants) -> FundamentalTraces:
+    """Traces of the basis exp(+- i k x') for constant V at one lambda.
+
+    The basis of the paper's single-interval closed forms; it degenerates
+    as k -> 0, so it is rejected there (``ValueError``).  The library only
+    uses the normalized basis, which differs from this one by a
+    nondegenerate change of basis per interval.
+    """
+    n = geom.n
+    psi_l = np.ones((n, 2), dtype=complex)
+    dpsi_l = np.zeros((n, 2), dtype=complex)
+    psi_r = np.zeros((n, 2), dtype=complex)
+    dpsi_r = np.zeros((n, 2), dtype=complex)
+    for alpha, (a, b) in enumerate(geom.intervals):
+        length = b - a
+        k = cmath.sqrt(complex(lam - constants[alpha]) / mu)
+        if abs(k) * length < EXP_DEGENERACY_TOL:
+            raise ValueError(
+                "exponential fundamental basis degenerates as k -> 0; "
+                "use the normalized basis near lambda = V"
+            )
+        try:
+            e_plus = cmath.exp(1j * k * length)
+            e_minus = cmath.exp(-1j * k * length)
+        except OverflowError as exc:
+            raise spectral.TraceIntegrationError(
+                f"fundamental traces overflow at lambda = {lam!r}: {exc}"
+            ) from exc
+        dpsi_l[alpha] = (-1j * k, 1j * k)  # -Psi'(a)
+        psi_r[alpha] = (e_plus, e_minus)
+        dpsi_r[alpha] = (1j * k * e_plus, -1j * k * e_minus)
+    if not np.isfinite(dpsi_r).all():
+        raise spectral.TraceIntegrationError(
+            f"fundamental traces overflow at lambda = {lam!r}")
+    return FundamentalTraces(lam, mu, psi_l, dpsi_l, psi_r, dpsi_r)
+
+
+def w_combo(traces: FundamentalTraces, side1: str, side2: str,
+            sign1: int, sign2: int) -> complex:
+    """Single-interval 2x2 determinant of (psi_{side1, sign1}, psi_{side2, sign2})."""
+    if traces.n != 1:
+        raise ValueError("W combinations are defined for a single interval")
+
+    def vec(side, sign):
+        psi = traces.psi_l if side == "l" else traces.psi_r
+        dpsi = traces.dpsi_l if side == "l" else traces.dpsi_r
+        return (psi + 1j * sign * dpsi)[0]
+
+    u = vec(side1, sign1)
+    v = vec(side2, sign2)
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def spectral_det_closed_1(bc, traces: FundamentalTraces) -> complex:
+    """Closed-form spectral function for a single interval.
+
+    Expands det M(U, lambda) into the six trace determinants weighted by
+    the entries of U; an independent code path from the block assembly.
+    """
+    if bc.n != 1 or traces.n != 1:
+        raise ValueError("closed form requires a single interval")
+    u = bc.u_block
+    w = lambda s1, s2, g1, g2: w_combo(traces, s1, s2, g1, g2)
+    return (
+        w("l", "r", -1, -1)
+        + u[0, 0] * w("r", "l", -1, +1)
+        + u[1, 1] * w("r", "l", +1, -1)
+        + u[0, 1] * w("r", "r", -1, +1)
+        + u[1, 0] * w("l", "l", +1, -1)
+        + complex(np.linalg.det(u)) * w("l", "r", +1, +1)
+    )
+
+
+def unitary_from_su2_phase(theta: float, alpha: complex, beta: complex) -> np.ndarray:
+    """U(2) element e^{i theta/2} [[alpha, beta], [-conj(beta), conj(alpha)]]
+    with |alpha|^2 + |beta|^2 = 1."""
+    norm = abs(alpha) ** 2 + abs(beta) ** 2
+    if abs(norm - 1.0) > 1e-12:
+        raise ValueError(f"|alpha|^2 + |beta|^2 = {norm} must be 1")
+    phase = cmath.exp(1j * theta / 2.0)
+    return phase * np.array(
+        [[alpha, beta], [-np.conj(beta), np.conj(alpha)]], dtype=complex
+    )
+
+
+def spectral_det_parametrized(
+    theta: float, alpha: complex, beta: complex, traces: FundamentalTraces
+) -> complex:
+    """Spectral function under the phase/SU(2) parametrization of U(2).
+
+    Every term linear in the entries of U carries the overall phase
+    e^{i theta/2}; the determinant term carries e^{i theta}.
+    """
+    w = lambda s1, s2, g1, g2: w_combo(traces, s1, s2, g1, g2)
+    half = cmath.exp(1j * theta / 2.0)
+    return (
+        w("l", "r", -1, -1)
+        + half
+        * (
+            alpha * w("r", "l", -1, +1)
+            + np.conj(alpha) * w("r", "l", +1, -1)
+            + beta * w("r", "r", -1, +1)
+            - np.conj(beta) * w("l", "l", +1, -1)
+        )
+        + cmath.exp(1j * theta) * w("l", "r", +1, +1)
+    )
+
+
 def crossings_reference(ph_a, ph_b):
     """Eigenphase crossings and advance of arg det W between two samples,
     one cell at a time with ``math.remainder``."""

@@ -8,7 +8,17 @@ import pytest
 import scipy.linalg
 
 from conftest import record_criterion
-from helpers import _column_scales, charpoly_eigenvalues, random_hermitian, random_spd
+from helpers import (
+    _column_scales,
+    charpoly_eigenvalues,
+    exponential_traces,
+    random_hermitian,
+    random_spd,
+    spectral_det_closed_1,
+    spectral_det_parametrized,
+    unitary_from_su2_phase,
+    w_combo,
+)
 from saext.boundary import (
     BoundaryCondition,
     assemble_boundary_system,
@@ -22,14 +32,7 @@ from saext.eigen import h1_error, residual_tolerances, solve_pencil
 from saext.fem import Pencil, assemble_pencil
 from saext.geometry import IntervalSet, build_mesh
 from saext.potentials import ZeroPotential
-from saext.spectral import (
-    find_spectrum,
-    fundamental_traces,
-    spectral_det,
-    spectral_det_closed_1,
-    spectral_det_parametrized,
-    unitary_from_su2_phase,
-)
+from saext.spectral import find_spectrum, fundamental_traces, spectral_matrix
 
 TWO_PI = 2 * math.pi
 GEOM = IntervalSet([(0.0, TWO_PI)])
@@ -184,8 +187,6 @@ def _free_particle_trace_terms(lam):
 
 
 def test_criterion_07_oracle_internal_consistency():
-    from saext.spectral import _w_combo
-
     rng = np.random.default_rng(2024)
     worst = 0.0
     ok = True
@@ -207,11 +208,10 @@ def test_criterion_07_oracle_internal_consistency():
             traces = fundamental_traces(FREE, GEOM, lam, mu=1.0)
         else:
             lam = float(rng.uniform(0.05, 12.0))
-            traces = fundamental_traces(FREE, GEOM, lam, mu=0.5,
-                                        basis="exponential")
+            traces = exponential_traces(GEOM, lam, 0.5, [0.0])
         scales = _column_scales(traces)
         scale = max(1.0, float(scales[0] * scales[1]))
-        d_block = spectral_det(bc, traces)
+        d_block = spectral_matrix(bc, traces).detval
         d_closed = spectral_det_closed_1(bc, traces)
         d_param = spectral_det_parametrized(theta, alpha, beta, traces)
         dev = max(abs(d_block - d_closed), abs(d_closed - d_param)) / scale
@@ -221,9 +221,9 @@ def test_criterion_07_oracle_internal_consistency():
     # worked free-particle formula, term by term and assembled
     term_worst = 0.0
     for lam in (0.37, 1.21, 3.8, 7.6):
-        traces = fundamental_traces(FREE, GEOM, lam, mu=0.5, basis="exponential")
+        traces = exponential_traces(GEOM, lam, 0.5, [0.0])
         for key, expected in _free_particle_trace_terms(lam).items():
-            got = _w_combo(traces, *key)
+            got = w_combo(traces, *key)
             term_worst = max(
                 term_worst, abs(got - expected) / max(1.0, abs(expected))
             )

@@ -6,13 +6,18 @@ import pytest
 
 from helpers import (
     closed_form_traces_reference,
+    exponential_traces,
     find_spectrum_reference,
     fundamental_traces_reference,
     magnus6_step_reference,
     rk4_fundamental,
     rk4_fundamental_loop,
     rk4_piecewise,
+    spectral_det_closed_1,
+    spectral_det_parametrized,
     spectral_matrix_reference,
+    unitary_from_su2_phase,
+    w_combo,
 )
 from saext import spectral
 from saext.boundary import BoundaryCondition, random_unitary
@@ -31,11 +36,7 @@ from saext.spectral import (
     fundamental_traces,
     odot,
     secular_matrix,
-    spectral_det,
-    spectral_det_closed_1,
-    spectral_det_parametrized,
     spectral_matrix,
-    unitary_from_su2_phase,
 )
 
 TWO_PI = 2 * math.pi
@@ -100,22 +101,26 @@ def _paper_wronskians(lam):
     }
 
 
-def _w(traces, side1, side2, sign1, sign2):
-    from saext.spectral import _w_combo
-
-    return _w_combo(traces, side1, side2, sign1, sign2)
-
-
 @pytest.mark.parametrize("lam", [0.3, 1.7, 4.9, 8.25])
 def test_exponential_traces_reproduce_trace_determinants(lam):
-    traces = fundamental_traces(FREE, GEOM, lam, mu=0.5, basis="exponential")
+    traces = exponential_traces(GEOM, lam, 0.5, [0.0])
     for key, expected in _paper_wronskians(lam).items():
-        got = _w(traces, *key)
+        got = w_combo(traces, *key)
         assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
+def _det_t_defect(traces):
+    """max |det T - 1| / max(1, max |T|^2) over the intervals, T the right
+    traces [[psi_r], [dpsi_r]] of the normalized basis; det T = 1 because
+    the Wronskian is constant in x and 1 at the left end."""
+    t00, t01 = traces.psi_r[..., 0].real, traces.psi_r[..., 1].real
+    t10, t11 = traces.dpsi_r[..., 0].real, traces.dpsi_r[..., 1].real
+    scale = max(1.0, float(np.max(np.abs([t00, t01, t10, t11]))) ** 2)
+    return float(np.max(np.abs(t00 * t11 - t01 * t10 - 1.0))) / scale
+
+
 def test_normalized_traces_at_zero_energy():
-    # limit basis {1, x}: finite traces, unit wronskian
+    # limit basis {1, x}: finite traces, unit determinant of the right traces
     traces = fundamental_traces(FREE, GEOM, 0.0, mu=1.0)
     assert traces.psi_l[0, 0] == 1.0
     assert traces.dpsi_l[0, 0] == 0.0
@@ -125,16 +130,16 @@ def test_normalized_traces_at_zero_energy():
     assert traces.dpsi_l[0, 1] == -1.0
     assert traces.psi_r[0, 1] == pytest.approx(TWO_PI)
     assert traces.dpsi_r[0, 1] == 1.0
-    assert traces.wronskians()[0] == pytest.approx(1.0)
+    assert _det_t_defect(traces) == 0.0
 
 
 def test_exponential_basis_rejected_at_degeneracy():
     with pytest.raises(ValueError, match="degenerates"):
-        fundamental_traces(FREE, GEOM, 0.0, mu=1.0, basis="exponential")
+        exponential_traces(GEOM, 0.0, 1.0, [0.0])
 
 
 def test_below_plateau_traces_are_real_growing():
-    # constant V = 5, lam = 1 < 5: hyperbolic solutions, nonzero wronskian
+    # constant V = 5, lam = 1 < 5: hyperbolic solutions, cosh^2 - sinh^2 = 1
     pot = ConstantPotential([5.0])
     traces = fundamental_traces(pot, GEOM, 1.0, mu=1.0)
     kappa = math.sqrt(4.0)
@@ -143,13 +148,34 @@ def test_below_plateau_traces_are_real_growing():
     assert traces.psi_r[0, 1] == pytest.approx(
         math.sinh(kappa * length) / kappa, rel=1e-12
     )
-    assert abs(traces.wronskians()[0] - 1.0) <= 1e-12
+    assert _det_t_defect(traces) <= 1e-12
     # oracle: the closed forms satisfy the differential equation; check the
     # second difference of cosh against (V - lam) / mu times the value
     x = 1.3
     dd = (math.cosh(kappa * (x + 1e-4)) - 2 * math.cosh(kappa * x)
           + math.cosh(kappa * (x - 1e-4))) / 1e-8
     assert dd == pytest.approx((5.0 - 1.0) / 1.0 * math.cosh(kappa * x), rel=1e-6)
+
+
+_TWO_INTERVALS = IntervalSet([(0.0, 1.3), (1.3, 3.0)])
+
+
+def _det_t_potential(kind):
+    if kind == "constant":
+        return ConstantPotential([1.5, -0.7])
+    if kind == "sampled":
+        rng = np.random.default_rng(23)
+        return SampledPotential(np.linspace(0.0, 3.0, 23), rng.uniform(-1.0, 3.0, 23))
+    return CallablePotential(lambda x: 2.0 * np.cos(3.0 * x) + 0.5 * x)
+
+
+@pytest.mark.parametrize("lam", [-3.0, 0.2, 5.0, 40.0, 300.0])
+@pytest.mark.parametrize("kind", ["constant", "sampled", "callable"])
+def test_right_traces_have_unit_determinant(kind, lam):
+    # det T = 1 on every interval, closed form or integrated;
+    # _scattering_matrix relies on it
+    traces = fundamental_traces(_det_t_potential(kind), _TWO_INTERVALS, lam, mu=0.8)
+    assert _det_t_defect(traces) <= 1e-12
 
 
 def _magnus_state(potential, geom, per_piece, lam, mu=1.0):
@@ -488,7 +514,7 @@ def test_block_path_equals_closed_form(seed):
     bc = BoundaryCondition.from_matrix(random_unitary(2, rng))
     lam = float(rng.uniform(-2.0, 12.0))
     traces = fundamental_traces(FREE, GEOM, lam, mu=1.0)
-    d_block = spectral_det(bc, traces)
+    d_block = spectral_matrix(bc, traces).detval
     d_closed = spectral_det_closed_1(bc, traces)
     scale = max(1.0, float(np.max(np.abs(traces.psi_r))) ** 2)
     assert abs(d_block - d_closed) <= 1e-12 * scale
@@ -505,7 +531,7 @@ def test_parametrized_form_equals_closed_form(seed):
     u = unitary_from_su2_phase(theta, alpha, beta)
     bc = BoundaryCondition.from_matrix(u, ordering="block")
     lam = float(rng.uniform(0.05, 10.0))
-    traces = fundamental_traces(FREE, GEOM, lam, mu=0.5, basis="exponential")
+    traces = exponential_traces(GEOM, lam, 0.5, [0.0])
     d1 = spectral_det_closed_1(bc, traces)
     d2 = spectral_det_parametrized(theta, alpha, beta, traces)
     assert abs(d1 - d2) <= 1e-12 * max(1.0, abs(d1))
@@ -530,11 +556,11 @@ def test_worked_free_particle_formula():
             * (4j * alpha.real * (1 - 2 * lam) * s + 8j * beta.imag * k)
             + np.exp(1j * theta) * (-2j * (1 + 2 * lam) * s + 4 * k * c)
         )
-        traces = fundamental_traces(FREE, GEOM, lam, mu=0.5, basis="exponential")
+        traces = exponential_traces(GEOM, lam, 0.5, [0.0])
         bc = BoundaryCondition.from_matrix(
             unitary_from_su2_phase(theta, alpha, beta), ordering="block"
         )
-        value = spectral_det(bc, traces)
+        value = spectral_matrix(bc, traces).detval
         assert abs(value - formula) <= 1e-11 * max(1.0, abs(formula))
 
 
@@ -827,7 +853,7 @@ def test_secular_matrix_eigenvalue_one_where_det_m_vanishes(seed):
         assert np.min(np.abs(phases)) <= 1e-8
         # each term of det M carries two traces per interval
         scale = np.prod(np.abs(traces.psi_r).max(axis=1) + 1.0) ** 2
-        assert abs(spectral_det(bc, traces)) <= 1e-9 * scale
+        assert abs(spectral_matrix(bc, traces).detval) <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("seed", range(4))

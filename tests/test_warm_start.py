@@ -192,3 +192,26 @@ def test_rejects_bad_start_block(criterion_10, shape, fill, message):
     start = np.full(shape(pencils[0].dim), fill)
     with pytest.raises(EigenSolveError, match=message):
         solve_pencil(pencils[0], count=3, start=start)
+
+
+@pytest.mark.parametrize("case", ["periodic ring", "neumann", "random u"])
+def test_own_eigenvectors_certify_warm(case, caplog):
+    # a start block of the pencil's own converged eigenvectors: the inverse
+    # steps add only rounding noise, so Ritz value 9 stays far above
+    # eigenvalue 9, and tau must sit just above Ritz value 8 for nu(tau)
+    # to certify
+    if case == "periodic ring":
+        mesh = build_mesh(IntervalSet([(0.0, TWO_PI)]), 250)
+        u = BoundaryCondition.quasi_periodic(0.0).u_endpoint
+    elif case == "neumann":
+        mesh = build_mesh(IntervalSet([(0.0, math.pi)]), 200)
+        u = np.eye(2)
+    else:
+        mesh = build_mesh(IntervalSet([(0.0, 1.5), (2.0, 4.5)]), 300)
+        u = random_unitary(4, np.random.default_rng(9))
+    pencil = _pencil_for(BulkAssembly(mesh), u)
+    cold = solve_pencil(pencil, count=9)
+    with caplog.at_level(logging.WARNING, logger="saext"):
+        warm = solve_pencil(pencil, count=9, start=cold.eigenvectors)
+    assert not _fallbacks(caplog)
+    assert _relative(warm.eigenvalues, cold.eigenvalues) <= 1e-11
