@@ -535,7 +535,8 @@ def eigenfunction_samples(
     """Sample eigenfunction ``which`` at the mesh nodes.
 
     Returns (x, values) with both arrays concatenated over the intervals.
-    Endpoint samples include the boundary-function contributions.
+    Endpoint samples include the boundary-function contributions.  Raises
+    ``IndexError`` when ``which`` is not in [0, count).
     """
     if not 0 <= which < sol.count:
         raise IndexError(f"eigenpair index {which} out of range [0, {sol.count})")
@@ -557,8 +558,11 @@ def h1_error(
     subinterval, so the integral is accumulated per subinterval with
     five-point Gauss-Legendre quadrature.  Before differencing, the
     eigenfunction is multiplied by the unit-modulus phase maximizing the
-    real inner product with the reference.
+    real inner product with the reference.  Raises ``IndexError`` when
+    ``which`` is not in [0, count).
     """
+    if not 0 <= which < sol.count:
+        raise IndexError(f"eigenpair index {which} out of range [0, {sol.count})")
     psi_ref, dpsi_ref = reference
     per_interval = node_values(mesh, bvals, sol.eigenvectors[:, which])
 

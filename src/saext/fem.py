@@ -27,7 +27,10 @@ Only the boundary block depends on U.  The bands, the border, the
 potential moments of the extreme elements, min V and the CSR pattern depend
 only on the mesh, V and mu: :class:`BulkAssembly` computes them once, and
 :meth:`BulkAssembly.pencil` adds the boundary block of one set of boundary
-values.  :func:`assemble_pencil` does both in one call.
+values.  :func:`assemble_pencil` does both in one call.  scipy lays out the
+CSR pattern once; each pencil's CSR data is gathered from one complex
+template per matrix and its boundary block, and :class:`Pencil` picks the
+dtype.
 
 The quadratic form behind A is
     Q(f, g) = mu * (<f', g'> - [conj(f) g']_boundary) + <f, V g>,
@@ -246,7 +249,7 @@ class _MatrixPart(NamedTuple):
     bands: tuple  # (diag, upper, border) of its arrow blocks
     corner_from_bands: np.ndarray  # band entries inside the boundary block
     band_max: float  # largest band entry, for the hermiticity gate's scale
-    data: tuple  # CSR data outside the boundary block: (real, complex)
+    template: np.ndarray  # complex CSR data outside the boundary block
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -271,6 +274,11 @@ class BulkAssembly:
     the Lagrange bracket as the boundary block of one set of boundary
     values.
 
+    Outside the boundary block the CSR data of each matrix is one complex
+    template, the band values and then their conjugate mirrors, laid out
+    by one scipy COO-to-CSR conversion.  :class:`Pencil` chooses the
+    dtype, and the boundary blocks follow it.
+
     Raises
     ------
     AssemblyError
@@ -291,11 +299,9 @@ class BulkAssembly:
         self.mesh = mesh
         self.mu = mu = float(mu)
         bidx = boundary_indices(mesh)
-        skip_potential = isinstance(potential, ZeroPotential)
-        if not skip_potential:
-            gauss_x, gauss_w = np.polynomial.legendre.leggauss(3)
-            t_ref = (gauss_x + 1.0) / 2.0  # quadrature abscissae on [0, 1]
-        v_min = 0.0 if skip_potential else np.inf
+        gauss_x, gauss_w = np.polynomial.legendre.leggauss(3)
+        t_ref = (gauss_x + 1.0) / 2.0  # quadrature abscissae on [0, 1]
+        v_min = np.inf
 
         # per interval: h, mu / h and the moments (p00, p01, p11) of the
         # elements 0 and r_alpha
@@ -303,13 +309,9 @@ class BulkAssembly:
         rows, cols, a_tri, b_tri = [], [], [], []
         for alpha, r_alpha in enumerate(mesh.r):
             h = mesh.h[alpha]
-            if skip_potential:
-                p00 = p01 = p11 = np.zeros(r_alpha + 1)
-            else:
-                p00, p01, p11, v_low = _element_potential(
-                    potential, mesh, alpha, t_ref, gauss_w
-                )
-                v_min = min(v_min, v_low)
+            p00, p01, p11, v_low = _element_potential(potential, mesh, alpha,
+                                                      t_ref, gauss_w)
+            v_min = min(v_min, v_low)
             stiff = mu / h
             self._ends.append((h, stiff, p00[[0, -1]], p01[[0, -1]], p11[[0, -1]]))
 
@@ -349,22 +351,20 @@ class BulkAssembly:
         self._order = _frozen(np.concatenate([bulk, bidx]))
 
         # CSR pattern: the band entries outside the boundary block, their
-        # mirror images below the diagonal, and the whole boundary block, in
-        # row-major order.  slot[j] is where entry j of that list is stored.
+        # mirror images below the diagonal, and the whole boundary block.
+        # scipy lays out entries tagged 1 .. m once; take[k] is the place in
+        # that list of the entry stored k-th.
         outside = ~in_corner
         strict = outside & (rows != cols)
-        keys = np.concatenate([rows[outside] * dim + cols[outside],
-                               cols[strict] * dim + rows[strict],
-                               (bidx[:, None] * dim + bidx[None, :]).ravel()])
-        order = np.argsort(keys)
-        slot = np.empty_like(order)
-        slot[order] = np.arange(order.size)
-        band_slots, slot = np.split(slot, [np.count_nonzero(outside)])
-        mirror_slots, self._corner_slots = np.split(slot, [np.count_nonzero(strict)])
-        self._indices = keys[order] % dim
-        self._indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(keys[order] // dim, minlength=dim))]
+        coords = (
+            np.concatenate([rows[outside], cols[strict], np.repeat(bidx, bidx.size)]),
+            np.concatenate([cols[outside], rows[strict], np.tile(bidx, bidx.size)]),
         )
+        pattern = scipy.sparse.csr_array(
+            (np.arange(1.0, coords[0].size + 1.0), coords), shape=(dim, dim)
+        )
+        self._take = pattern.data.astype(int) - 1
+        self._indices, self._indptr = pattern.indices, pattern.indptr
 
         self._parts = []  # A's, then B's
         for tri in (a_tri, b_tri):
@@ -376,19 +376,15 @@ class BulkAssembly:
             border = np.zeros((bulk.size, bidx.size))
             border[position[rows[row_side]], local[cols[row_side]]] = vals[row_side]
             border[position[cols[col_side]], local[rows[col_side]]] = vals[col_side]
-            # the CSR data outside the boundary block, real and complex; the
-            # conjugate mirror leaves the lower triangle's imaginary zeros
+            # the conjugate mirror leaves the lower triangle's imaginary zeros
             # negative
-            real = np.zeros(order.size)
-            real[band_slots] = vals[outside]
-            real[mirror_slots] = vals[strict]
-            complex_ = real.astype(complex)
-            complex_[mirror_slots] = complex_[mirror_slots].conj()
+            template = np.concatenate([vals[outside],
+                                       vals[strict].astype(complex).conj()])
             self._parts.append(_MatrixPart(
                 bands=tuple(_frozen(m) for m in (diag, upper, border)),
                 corner_from_bands=vals[in_corner],
                 band_max=max(float(np.max(np.abs(t))) for t in tri),
-                data=(_frozen(real), _frozen(complex_)),
+                template=_frozen(template),
             ))
 
     def pencil(self, bc: BoundaryCondition, bvals: BoundaryValues) -> Pencil:
@@ -464,21 +460,20 @@ class BulkAssembly:
             corner[diagonal] = raw.diagonal().real
             corners.append(corner)
 
-        real = not any(np.any(c.imag) for c in corners)
-        if real:
-            corners = [c.real.copy() for c in corners]
         dim = mesh.dim
-        blocks, matrices = [], []
+        matrices = []
         for part, corner in zip(self._parts, corners):
-            data = part.data[0 if real else 1].copy()
-            data[self._corner_slots] = corner.ravel()
+            data = np.concatenate([part.template, corner.ravel()])[self._take]
             matrix = scipy.sparse.csr_array(
                 (data, self._indices.copy(), self._indptr.copy()), shape=(dim, dim)
             )
             matrix.eliminate_zeros()
             matrices.append(matrix)
-            blocks.append((*part.bands, _frozen(corner)))
         pencil = Pencil(a=matrices[0], b=matrices[1])
+        # the boundary blocks take the dtype Pencil chose
+        real = not np.iscomplexobj(pencil.a)
+        blocks = [(*part.bands, _frozen(c.real.copy() if real else c))
+                  for part, c in zip(self._parts, corners)]
         object.__setattr__(pencil, "arrow",
                            ArrowBlocks(*blocks, self._order, self.v_min))
         return pencil

@@ -399,9 +399,13 @@ def fundamental_traces(
     within 2**17 steps.  Raises ``PotentialError`` when V is not finite at
     an integration node and ``TraceIntegrationError`` when the step
     halving does not converge or the traces overflow float64, in closed
-    form or integrated (lambda far below V on a long interval).
+    form or integrated (lambda far below V on a long interval), and
+    ``ValueError`` for a ``lam`` that is not finite or a mass factor that
+    is not positive and finite.
     """
     lam = float(lam)
+    if not np.isfinite(lam):
+        raise ValueError(f"trial eigenvalue lam must be finite, got {lam}")
     mu = _positive_mu(mu)
     psi_r, dpsi_r = _RightTraces(potential, geom, mu)(np.array([lam]))
     return _normalized_traces(lam, mu, psi_r[0], dpsi_r[0])
@@ -523,6 +527,11 @@ def find_spectrum(
     at once with one trace call for all the split points.  V is tabulated
     once per (interval, step count) for the whole call.
 
+    ``grid_points`` is the number of scan points, at least 8 (a count of
+    1 to 7 is raised to 8); None chooses it from the range.  Raises
+    ``ValueError`` for a count below 1, a mass factor that is not positive
+    and finite, or an empty or non-finite ``lambda_range``.
+
     Returns the ascending array of roots; with ``return_scan`` also a
     (lambda, |det|, Re det, Im det) record of det M(U, lambda) on the grid.
     """
@@ -540,6 +549,8 @@ def find_spectrum(
     s_lo, s_hi = s_of(lo), s_of(hi)
     if grid_points is None:
         grid_points = max(64, int(np.ceil(DEFAULT_GRID_DENSITY * (s_hi - s_lo))))
+    elif grid_points < 1:
+        raise ValueError(f"grid_points must be at least 1, got {grid_points}")
     grid_points = max(int(grid_points), 8)
 
     s_grid = np.linspace(s_lo, s_hi, grid_points)

@@ -473,6 +473,14 @@ def test_sample_index_out_of_range():
 
 # ----------------------------------------------------------------- h1 error
 
+@pytest.mark.parametrize("which", [-1, 3])
+def test_h1_error_index_out_of_range(which):
+    bc = BoundaryCondition.dirichlet(1)
+    mesh, vals, _, sol = _solve_setup(bc, 30, count=3)
+    with pytest.raises(IndexError, match=r"eigenpair index .* out of range \[0, 3\)"):
+        h1_error(sol, which, mesh, vals, (np.sin, np.cos))
+
+
 def test_h1_error_vanishes_against_itself():
     bc = BoundaryCondition.dirichlet(1)
     mesh, vals, _, sol = _solve_setup(bc, 40, count=1)

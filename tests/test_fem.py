@@ -277,18 +277,24 @@ def test_sampled_potential_matches_callable_on_linear():
 @pytest.mark.parametrize("seed", range(12))
 def test_hermitian_and_positive_definite_random(seed):
     # the CSR arrays built from the arrow blocks must equal the element-loop
-    # reference, stored entries and their order included
+    # reference, stored entries and their order included; seed % 3 picks a
+    # zero, a constant or a sampled V, so each meets one and two intervals
     n = 1 + seed % 2
     geom = (IntervalSet([(0.0, TWO_PI)]) if n == 1
             else IntervalSet([(0.0, 1.0), (0.5, 2.1)]))
     mesh = build_mesh(geom, 14 + seed)
-    bc = BoundaryCondition.from_matrix(
-        random_unitary(2 * n, np.random.default_rng(seed))
-    )
+    rng = np.random.default_rng(seed)
+    bc = BoundaryCondition.from_matrix(random_unitary(2 * n, rng))
+    potential = (
+        ZeroPotential(),
+        ConstantPotential(rng.uniform(-2.0, 3.0, n)),
+        SampledPotential(np.linspace(-0.5, 7.0, 17), rng.uniform(-2.0, 3.0, 17)),
+    )[seed % 3]
     sys = assemble_boundary_system(bc, mesh)
     vals = solve_boundary_values(sys)
-    pencil = assemble_pencil(mesh, bc, vals)
-    for got, ref in zip((pencil.a, pencil.b), assemble_pencil_reference(mesh, vals)):
+    pencil = assemble_pencil(mesh, bc, vals, potential)
+    reference = assemble_pencil_reference(mesh, vals, potential)
+    for got, ref in zip((pencil.a, pencil.b), reference):
         assert np.array_equal(got.indptr, ref.indptr)
         assert np.array_equal(got.indices, ref.indices)
         assert np.array_equal(got.data, ref.data)

@@ -887,6 +887,22 @@ def test_fundamental_traces_rejects_bad_mass_factor(mu):
         fundamental_traces(FREE, GEOM, 1.0, mu=mu)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_fundamental_traces_rejects_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match=f"lam must be finite, got {lam}"):
+        fundamental_traces(FREE, GEOM, lam)
+
+
+@pytest.mark.parametrize("grid_points", [0, -3])
+def test_find_spectrum_rejects_grid_points_below_one(grid_points):
+    bc = BoundaryCondition.dirichlet(1)
+    with pytest.raises(ValueError, match=f"grid_points must be at least 1, got {grid_points}"):
+        find_spectrum(bc, FREE, GEOM, (0.1, 5.0), grid_points=grid_points)
+    # a count of 1 to 7 is raised to 8
+    assert np.array_equal(find_spectrum(bc, FREE, GEOM, (0.1, 5.0), grid_points=1),
+                          find_spectrum(bc, FREE, GEOM, (0.1, 5.0), grid_points=8))
+
+
 @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan])
 def test_find_spectrum_rejects_bad_mass_factor(mu):
     with pytest.raises(ValueError, match="mu"):
