@@ -12,7 +12,9 @@ is stored explicitly as an index array, never recomputed inline.
 
 This module also builds and solves the linear system F V = C whose solution
 column i holds the endpoint values of the i-th boundary basis function, and
-monitors the conditioning of F.
+monitors the conditioning of F.  A symmetric U (U == U^T) is a real
+condition: conjugation maps its domain onto itself, its exact V is real,
+and the solve keeps V real by rule, so its pencil is real too.
 """
 
 from __future__ import annotations
@@ -283,36 +285,19 @@ def _check_kappa_max(kappa_max: float) -> None:
         raise ValueError("kappa_max must not be NaN")
 
 
-def _solve_square(f: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """F^{-1} C by the LAPACK routines ``scipy.linalg.solve`` picks for the
-    2n x 2n boundary matrix, called directly: the symmetric factorization
-    (``zsytrf`` + ``zsytrs``) when F == F^T exactly, as on the periodic
-    ring, where it keeps the solution of a real-valued system exactly real,
-    and ``zgesv`` otherwise.  The boundary values stay bit-identical to
-    that function's, without its structure detection and batching layer.
-    """
-    lapack = scipy.linalg.lapack
-    if np.array_equal(f, f.T):
-        factor, pivots, info = lapack.zsytrf(f)
-        if info == 0:
-            x, info = lapack.zsytrs(factor, pivots, c)
-    else:
-        *_, x, info = lapack.zgesv(f, c)
-    if info > 0:
-        raise BoundarySolveError(f"boundary matrix is singular: pivot {info} is zero")
-    if info < 0:
-        raise ValueError(f"LAPACK rejected argument {-info}")
-    return x
-
-
 def solve_boundary_values(
     sys: BoundarySystem, kappa_max: float = DEFAULT_KAPPA_MAX
 ) -> BoundaryValues:
     """Solve F V = C and project V onto the weighted-hermitian constraint.
 
-    The projection replaces G = diag(1/h) V by its hermitian part; this is
-    the minimal symmetric correction in the correctly weighted variable and
-    is what keeps the assembled pencil hermitian exactly.
+    The solve is LAPACK's general ``zgesv`` for every U.  When U == U^T
+    exactly, V keeps only its real part: then conj(U) = U^{-1}, so
+    -U conj(F) = F and -U conj(C) = C, and conj(V) solves the same
+    nonsingular system, i.e. the exact V is real (conjugation maps the
+    domain of a symmetric U onto itself).  The projection replaces
+    G = diag(1/h) V by its hermitian part; this is the minimal symmetric
+    correction in the correctly weighted variable and is what keeps the
+    assembled pencil hermitian exactly.
 
     Raises
     ------
@@ -343,7 +328,13 @@ def solve_boundary_values(
             spectrum_gap=report.spectrum_gap,
         )
 
-    v_raw = _solve_square(sys.f, sys.c)
+    *_, v_raw, info = scipy.linalg.lapack.zgesv(sys.f, sys.c)
+    if info > 0:
+        raise BoundarySolveError(f"boundary matrix is singular: pivot {info} is zero")
+    if info < 0:
+        raise ValueError(f"LAPACK rejected argument {-info}")
+    if np.array_equal(sys.u, sys.u.T):
+        v_raw.imag = 0.0
     inv_h = 1.0 / sys.h
     g = inv_h[:, None] * v_raw
     g = (g + g.conj().T) / 2.0

@@ -571,3 +571,7 @@ def _run(args: argparse.Namespace, out_dir: Path) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

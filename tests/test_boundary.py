@@ -15,7 +15,9 @@ from saext.boundary import (
     retry_mesh_on_bad_conditioning,
     solve_boundary_values,
 )
+from saext.fem import assemble_pencil
 from saext.geometry import IntervalSet, build_mesh
+from saext.potentials import ConstantPotential
 
 TWO_PI = 2 * math.pi
 
@@ -389,6 +391,7 @@ def _solve_cases():
     periodic = BoundaryCondition.quasi_periodic(0.0)
     generator = np.array([[0.0, 1.0], [-1.0, 0.0]])
     cases = {
+        "ring-16": (periodic, ring, 16),
         "ring-250": (periodic, ring, 250),
         "ring-2000": (periodic, ring, 2000),
         "dirichlet": (BoundaryCondition.dirichlet(1), ring, 100),
@@ -396,6 +399,12 @@ def _solve_cases():
         "neumann-3": (BoundaryCondition.neumann(3),
                       IntervalSet([(0.0, 1.0), (2.0, 4.0), (5.0, 5.5)]), 90),
         "quasi-periodic-0.7": (BoundaryCondition.quasi_periodic(0.7), ring, 300),
+        # exp(i pi) rounds to -1 + 1.2e-16 i: U is not exactly symmetric
+        "antiperiodic": (BoundaryCondition.quasi_periodic(math.pi), ring, 16),
+        # b_1 glued to a_2 and b_2 to a_1: a symmetric permutation U makes
+        # a ring of two unequal intervals
+        "gluing-unequal": (BoundaryCondition.from_matrix(np.eye(4)[[3, 2, 1, 0]]),
+                           IntervalSet([(0.0, 1.0), (2.0, 4.5)]), 150),
     }
     for eps in (1e-5, 4.7e-4, 1e-3):  # criterion 10's U_eps
         u_eps, _ = nearest_unitary(periodic.u_endpoint + 1j * eps * generator)
@@ -415,19 +424,40 @@ def _solve_cases():
 
 
 @pytest.mark.parametrize("name", list(_solve_cases()))
-def test_boundary_values_match_scipy_solve_bitwise(name, monkeypatch):
-    # the raw LAPACK calls are the ones scipy.linalg.solve makes: the
-    # boundary values, and so every pencil, are bit-identical to its
+def test_boundary_values_match_scipy_solve_bitwise(name):
+    # one general LAPACK solve (zgesv) for every U: a U that is not exactly
+    # symmetric gives boundary values bit-identical to scipy.linalg.solve's
+    # after the weighted-hermitian projection; a symmetric U keeps the real
+    # part of the general solve, bit for bit, and no imaginary part
     import scipy.linalg
-
-    from saext import boundary
 
     bc, geom, resolution = _solve_cases()[name]
     system = assemble_boundary_system(bc, build_mesh(geom, resolution))
     got = solve_boundary_values(system)
-    monkeypatch.setattr(boundary, "_solve_square", scipy.linalg.solve)
-    want = solve_boundary_values(system)
-    assert got.v.tobytes() == want.v.tobytes()
-    assert got.g.tobytes() == want.g.tobytes()
-    if name == "ring-2000":
-        assert not np.any(got.v.imag)  # the ring's symmetric solve stays real
+    symmetric = np.array_equal(bc.u_endpoint, bc.u_endpoint.T)
+    assert symmetric == name.startswith(("ring", "dirichlet", "neumann",
+                                         "reflection", "gluing"))
+    if symmetric:
+        x = scipy.linalg.lapack.zgesv(system.f, system.c)[2].real.astype(complex)
+    else:
+        x = scipy.linalg.solve(system.f, system.c)
+    inv_h = 1.0 / system.h
+    g = inv_h[:, None] * x
+    g = (g + g.conj().T) / 2.0
+    v = system.h[:, None] * g
+    assert got.v.tobytes() == v.tobytes()
+    assert got.g.tobytes() == g.tobytes()
+    assert symmetric == (not np.any(v.imag))
+
+
+@pytest.mark.parametrize("name", list(_solve_cases()))
+def test_symmetric_u_gives_a_real_pencil(name):
+    # U == U^T exactly makes the boundary values real by rule, so the
+    # pencil is stored and solved in float64 at any resolution
+    bc, geom, resolution = _solve_cases()[name]
+    mesh = build_mesh(geom, resolution)
+    values = solve_boundary_values(assemble_boundary_system(bc, mesh))
+    pencil = assemble_pencil(mesh, bc, values, ConstantPotential([0.7] * geom.n))
+    symmetric = np.array_equal(bc.u_endpoint, bc.u_endpoint.T)
+    assert pencil.a.dtype == pencil.b.dtype == (np.float64 if symmetric
+                                                else np.complex128)

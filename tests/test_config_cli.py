@@ -426,6 +426,53 @@ def test_cmd_rejects_nan_boundary_matrix(tmp_path, capsys, command):
     assert "not unitary" in capsys.readouterr().err
 
 
+_RING_HEAD = (f"{SCHEMA_HEADER}\ngeometry.intervals = 0 {TWO_PI!r}\n"
+              "boundary.kind = quasi_periodic\nresolution = 40\n")
+
+
+@pytest.mark.parametrize("command, text, fragment", [
+    ("solve", DIRICHLET_CONFIG + "mu = fast\n", "expected a real number"),
+    ("solve", DIRICHLET_CONFIG.replace("eigen.count = 5", "eigen.count = 2.5"),
+     "expected an integer"),
+    ("oracle", DIRICHLET_CONFIG + "oracle.scan_output = yes\n",
+     "expected true or false"),
+    ("solve", "# only a comment\n", "empty configuration"),
+    ("solve", DIRICHLET_CONFIG + "mu 0.5\n", "expected 'key = value'"),
+    ("solve", f"{SCHEMA_HEADER}\nboundary.kind = dirichlet\nresolution = 40\n",
+     "geometry.intervals is required"),
+    ("solve", DIRICHLET_CONFIG.replace(f"0 {TWO_PI!r}", "0 1 2"), "even token count"),
+    ("solve", DIRICHLET_CONFIG.replace(f"0 {TWO_PI!r}", "0 inf"),
+     "non-finite endpoints"),
+    ("solve", _RING_HEAD.replace(f"0 {TWO_PI!r}", "0 1 2 3"), "need n = 1"),
+    ("solve", DIRICHLET_CONFIG.replace("dirichlet", "matrix")
+     + "boundary.matrix = 1,0 0,0 0,0\n", "needs 4 entries"),
+    ("solve", DIRICHLET_CONFIG.replace("dirichlet", "matrix")
+     + "boundary.matrix = 1,0 0,0 0,0 1,0\nboundary.ordering = row\n",
+     "endpoint or block"),
+    ("solve", DIRICHLET_CONFIG.replace("dirichlet", "robin"),
+     "boundary.kind must be"),
+    ("oracle", DIRICHLET_CONFIG + "potential.kind = harmonic\n",
+     "potential.kind must be"),
+    ("solve", DIRICHLET_CONFIG.replace("eigen.count = 5", "eigen.count = -2"),
+     "eigen.count must be >= 0"),
+    ("stability", _RING_HEAD + "stability.mode = cubic\n", "unknown stability.mode"),
+    ("stability", _RING_HEAD + "stability.matching = closest\n",
+     "unknown stability.matching"),
+    ("convergence", DIRICHLET_CONFIG + "convergence.resolutions =\n",
+     "convergence.resolutions is empty"),
+], ids=["not-a-real", "not-an-integer", "not-a-bool", "empty", "no-equals",
+        "no-intervals", "odd-tokens", "non-finite-endpoint", "quasi-periodic-n2",
+        "matrix-entry-count", "bad-ordering", "unknown-boundary-kind",
+        "unknown-potential-kind", "negative-eigen-count", "unknown-stability-mode",
+        "unknown-stability-matching", "empty-resolutions"])
+def test_config_errors_exit_2(tmp_path, capsys, command, text, fragment):
+    cfg_path = _write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cmd_solve_conditioning_exhaustion(tmp_path):
     text = (
         SCHEMA_HEADER
@@ -926,17 +973,49 @@ def test_threads_env_does_not_change_output(tmp_path):
     convergence = _write(tmp_path, DIRICHLET_CONFIG.replace(
         "resolution = 120", "resolution = 40\nconvergence.resolutions = 40 60 80 100"))
     ring = _write(tmp_path, RING_CONFIG, "ring.cfg")
+    # criterion 10's ring and base solve: its symmetric U makes the pencil real
+    ring_250 = _write(tmp_path, f"""\
+{SCHEMA_HEADER}
+geometry.intervals = 0 {TWO_PI!r}
+boundary.kind = quasi_periodic
+boundary.theta = 0
+resolution = 250
+eigen.count = 9
+""", "ring-250.cfg")
     outputs = {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
         _run_cli_process(["convergence", "--config", str(convergence),
                           "--out", str(out / "convergence")], threads)
-        _run_cli_process(["solve", "--levels", "8", "--config", str(ring),
-                          "--out", str(out / "ring")], threads)
+        for name, cfg in (("ring", ring), ("ring-250", ring_250)):
+            _run_cli_process(["solve", "--levels", "8", "--config", str(cfg),
+                              "--out", str(out / name)], threads)
         outputs[threads] = {path.relative_to(out): path.read_bytes()
                             for path in sorted(out.rglob("*.csv"))}
-    assert len(outputs["1"]) == 10  # convergence, spectrum, 8 eigenfunctions
+    # convergence, and per ring a spectrum and 8 eigenfunctions
+    assert len(outputs["1"]) == 19
     assert outputs["1"] == outputs["2"]
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    # ``python -m saext.cli`` runs the same entry point as the saext script
+    good = _write(tmp_path, DIRICHLET_CONFIG)
+    bad = _write(tmp_path, DIRICHLET_CONFIG.replace("eigen.count = 5", "eigen.count = -1"),
+                 "bad.cfg")
+    env = dict(os.environ, PYTHONPATH=str(Path(saext.__file__).resolve().parents[1]))
+
+    def run(cfg, out):
+        return subprocess.run([sys.executable, "-m", "saext.cli", "solve", "--config",
+                               str(cfg), "--out", str(tmp_path / out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+
+    ok = run(good, "D")
+    assert ok.returncode == EXIT_OK, ok.stderr
+    assert (tmp_path / "D" / "spectrum.csv").is_file()
+    failed = run(bad, "E")
+    assert failed.returncode == EXIT_CONFIG
+    assert "eigen.count must be >= 0" in failed.stderr
+    assert not (tmp_path / "E").exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "oracle"])

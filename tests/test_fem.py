@@ -427,9 +427,9 @@ def _boundary(mesh, u):
         "robin", "random"])
 def test_pencil_dtype_follows_boundary_condition(n, u, dtype):
     # diagonal U, real orthogonal or Robin, give real boundary values, so A
-    # and B are stored and solved in float64; a generic U does not (the
-    # periodic ring's pencil is real where its boundary solve is exactly
-    # real, as on fem-ring's mesh in test_config_cli)
+    # and B are stored and solved in float64; a generic U does not (for a
+    # symmetric, non-diagonal U see test_boundary's
+    # test_symmetric_u_gives_a_real_pencil)
     _, mesh, bc, vals = _setup(BoundaryCondition.from_matrix(u), n=n)
     pencil = assemble_pencil(mesh, bc, vals, ConstantPotential([0.7] * n))
     assert pencil.a.dtype == pencil.b.dtype == dtype
