@@ -16,8 +16,8 @@ Outputs are CSV files (RFC-4180 style, header row, 17 significant digits)
 plus ``resolved_config.txt``, the echo of the fully resolved configuration
 that ran.  The stability study fits K(eps) = a eps^b + c per level by
 variable projection: a and c are linear least-squares coefficients for each
-b, and b minimizes the remaining residual (a scan of [-4, 4], then golden
-section).  Exit codes: 0 success,
+b, and b minimizes the remaining residual (a scan of [-4, 4], then finer scans
+around the best point).  Exit codes: 0 success,
 2 configuration validation, 3 conditioning failure, 4 solver failure,
 5 I/O failure.  The oracle needs finite oracle.lambda_min < oracle.lambda_max
 and oracle.grid_points >= 0 (0 chooses the grid density automatically).
@@ -178,23 +178,31 @@ def _ground_state_reference(geom):
     return psi, dpsi
 
 
+def _linear_lstsq(p, k):
+    """Centred linear least squares k ~ a p + c along the last axis,
+    vectorized over the leading axes of p: a = <p - mean p, k - mean k> /
+    |p - mean p|^2 and c = mean k - a mean p.  Returns (a, c, squared
+    residual), the residual +inf where it is not finite."""
+    k_mean = k.mean()
+    k_c = k - k_mean
+    with np.errstate(all="ignore"):
+        p_mean = p.mean(axis=-1)
+        p_c = p - p_mean[..., None]
+        a = np.sum(p_c * k_c, axis=-1) / np.sum(p_c * p_c, axis=-1)
+        resid = k_c - a[..., None] * p_c
+        cost = np.sum(resid * resid, axis=-1)
+    return a, k_mean - a * p_mean, np.where(np.isfinite(cost), cost, np.inf)
+
+
 def _fit_loglog(ns, errors):
-    """Least-squares slope of log(error) vs log(N) and its standard error."""
+    """Least-squares slope of log(error) vs log(N) and its standard error,
+    nan with fewer than three points (no residual degree of freedom)."""
     logn = np.log(np.asarray(ns, dtype=float))
-    loge = np.log(np.asarray(errors, dtype=float))
+    slope, _, cost = _linear_lstsq(logn, np.log(np.asarray(errors, dtype=float)))
     m = logn.size
-    design = np.vstack([logn, np.ones(m)]).T
-    coeffs, *_ = np.linalg.lstsq(design, loge, rcond=None)
-    slope, intercept = coeffs
-    fitted = design @ coeffs
-    if m > 2:
-        resid = loge - fitted
-        s2 = float(resid @ resid) / (m - 2)
-        denom = float(np.sum((logn - logn.mean()) ** 2))
-        stderr = math.sqrt(s2 / denom)
-    else:
-        stderr = 0.0
-    return float(slope), float(stderr)
+    if m < 3:
+        return float(slope), math.nan
+    return float(slope), math.sqrt(cost / (m - 2) / np.sum((logn - logn.mean()) ** 2))
 
 
 def cmd_convergence(cfg: JobConfig, out_dir: Path, args: argparse.Namespace) -> None:
@@ -208,6 +216,9 @@ def cmd_convergence(cfg: JobConfig, out_dir: Path, args: argparse.Namespace) -> 
     resolutions = list(cfg.convergence_resolutions)
     if not resolutions:
         raise ConfigError("convergence.resolutions is empty")
+    if len(set(resolutions)) != len(resolutions):
+        raise ConfigError("convergence.resolutions must be distinct, got "
+                          + " ".join(map(str, resolutions)))
 
     errors = []
     for n_res in resolutions:
@@ -238,74 +249,33 @@ def nearest_unitary(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     return u, float(np.linalg.norm(matrix - u))
 
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(f, a: float, b: float, xatol: float, maxiter: int = 300):
-    """Golden-section minimization on [a, b], returning the best point seen
-    once the bracket is narrower than ``xatol``."""
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
-    for _ in range(maxiter):
-        if (b - a) <= xatol:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = f(x2)
-        if f1 < best_f:
-            best_x, best_f = x1, f1
-        if f2 < best_f:
-            best_x, best_f = x2, f2
-    return best_x, best_f
-
-
 def _power_law_fit(eps: np.ndarray, k_vals: np.ndarray):
     """Fit K(eps) = a * eps**b + c by variable projection.
 
     The model is linear in a and c, so they are eliminated in closed form
     (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973) and the fit reduces to
     a 1-D minimization of the remaining residual over b: a scan of
-    _FIT_EXPONENTS, then golden section in the bracket around the best grid
-    point.  Returns (a, b, c), or None when the residual is finite for no b.
+    _FIT_EXPONENTS, then rescans of 41 exponents on the bracket around the
+    best point until their spacing is below 1e-12.  Returns (a, b, c), or
+    None when the residual is finite for no b.
     """
-    k_mean = k_vals.mean()
-    k_c = k_vals - k_mean
-
     def projection(b):
-        # centred linear least squares for fixed b (vectorized over b):
-        # p = eps**b, a = <p - mean p, K - mean K> / |p - mean p|^2,
-        # c = mean K - a mean p; the cost is the squared residual, +inf
-        # where it is not finite
-        b = np.asarray(b, dtype=float)[..., None]
         with np.errstate(all="ignore"):
-            p = eps ** b
-            p_mean = p.mean(axis=-1)
-            p_c = p - p_mean[..., None]
-            a = np.sum(p_c * k_c, axis=-1) / np.sum(p_c * p_c, axis=-1)
-            resid = k_c - a[..., None] * p_c
-            cost = np.sum(resid * resid, axis=-1)
-        return a, k_mean - a * p_mean, np.where(np.isfinite(cost), cost, np.inf)
+            return _linear_lstsq(eps ** np.asarray(b)[..., None], k_vals)
 
     grid = _FIT_EXPONENTS
-    costs = projection(grid)[2]
+    a, c, costs = projection(grid)
     i = int(np.argmin(costs))
     if not np.isfinite(costs[i]):
         return None
     if i in (0, grid.size - 1):
         _LOG.warning("power-law fit: best exponent %g lies on the edge of the "
                      "search grid [%g, %g]", grid[i], grid[0], grid[-1])
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-    b, _ = _golden_min(lambda x: float(projection(x)[2]),
-                       float(lo), float(hi), 1e-12)
-    a, c, _ = projection(b)
-    return float(a), b, float(c)
+    while grid[1] - grid[0] >= 1e-12:
+        grid = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], 41)
+        a, c, costs = projection(grid)
+        i = int(np.argmin(costs))
+    return float(a[i]), float(grid[i]), float(c[i])
 
 
 def stability_study(cfg: JobConfig):

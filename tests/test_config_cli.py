@@ -22,6 +22,7 @@ from saext.cli import (
     EXIT_OK,
     EXIT_SOLVER,
     _dump_matrix,
+    _fit_loglog,
     _solve_problem,
     _write_table,
     console_main,
@@ -460,11 +461,18 @@ _RING_HEAD = (f"{SCHEMA_HEADER}\ngeometry.intervals = 0 {TWO_PI!r}\n"
      "unknown stability.matching"),
     ("convergence", DIRICHLET_CONFIG + "convergence.resolutions =\n",
      "convergence.resolutions is empty"),
+    ("convergence", DIRICHLET_CONFIG + "convergence.resolutions = 100 100 100\n",
+     "must be distinct"),
+    ("convergence", DIRICHLET_CONFIG + "convergence.resolutions = 50 50\n",
+     "must be distinct"),
+    ("convergence", DIRICHLET_CONFIG + "convergence.resolutions = 40 80 80\n",
+     "must be distinct"),
 ], ids=["not-a-real", "not-an-integer", "not-a-bool", "empty", "no-equals",
         "no-intervals", "odd-tokens", "non-finite-endpoint", "quasi-periodic-n2",
         "matrix-entry-count", "bad-ordering", "unknown-boundary-kind",
         "unknown-potential-kind", "negative-eigen-count", "unknown-stability-mode",
-        "unknown-stability-matching", "empty-resolutions"])
+        "unknown-stability-matching", "empty-resolutions", "resolutions-all-equal",
+        "resolutions-pair-equal", "resolutions-repeated"])
 def test_config_errors_exit_2(tmp_path, capsys, command, text, fragment):
     cfg_path = _write(tmp_path, text)
     out = tmp_path / "out"
@@ -743,6 +751,41 @@ def test_cmd_convergence_single_point(tmp_path):
     assert main(["convergence", "--config", str(cfg_path), "--out", str(out)]) == 0
     lines = (out / "convergence.csv").read_text().splitlines()
     assert "fit_status,insufficient-data" in lines
+
+
+def test_cmd_convergence_two_points_stderr_is_nan(tmp_path):
+    # no residual degree of freedom: the standard error is undefined
+    cfg_path = _write(tmp_path, DIRICHLET_CONFIG + "convergence.resolutions = 50 100\n")
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", str(cfg_path), "--out", str(out)]) == 0
+    lines = (out / "convergence.csv").read_text().splitlines()
+    assert len(lines) == 5
+    assert lines[3].startswith("slope,")
+    assert lines[4] == "slope_stderr,nan"
+
+
+def test_fit_loglog_recovers_exact_power_law():
+    ns = np.array([50, 100, 200, 400, 800])
+    slope, stderr = _fit_loglog(ns, 3.0 / ns)
+    assert slope == pytest.approx(-1.0, rel=1e-13)
+    assert stderr < 1e-13
+
+
+@pytest.mark.parametrize("ns", [[40, 80, 160], [30, 50, 90, 200],
+                                [25, 50, 100, 200, 400]])
+def test_fit_loglog_matches_textbook_formulas(ns):
+    m = len(ns)
+    noise = np.exp(np.random.default_rng(m).normal(0.0, 0.05, m))
+    errors = 2.0 * np.asarray(ns, dtype=float) ** -1.1 * noise
+    x, y = np.log(np.asarray(ns, dtype=float)), np.log(errors)
+    x_mean, y_mean = math.fsum(x) / m, math.fsum(y) / m
+    sxx = math.fsum((x - x_mean) ** 2)
+    slope = math.fsum((x - x_mean) * (y - y_mean)) / sxx
+    resid = y - (y_mean + slope * (x - x_mean))
+    stderr = math.sqrt(math.fsum(resid ** 2) / (m - 2) / sxx)
+    fit = _fit_loglog(ns, errors)
+    assert fit[0] == pytest.approx(slope, rel=1e-12)
+    assert fit[1] == pytest.approx(stderr, rel=1e-12)
 
 
 def test_cmd_convergence_wrong_bc(tmp_path):
