@@ -62,10 +62,22 @@ solve; a shift on which either is exactly singular is moved by a few ulps.
 The warm result passes the sparse path's certificate (the gap, nu(tau)
 and the residual gate, :func:`_certified`) or the sparse path answers,
 with the reason logged.  Dense work on this path goes through numpy, and
-LAPACK through direct ``scipy.linalg.lapack`` calls: scipy's high-level
-wrappers (``solve``, ``eigvalsh``, ``qr``, ...) interleaved with numpy's
-threaded BLAS cost milliseconds per call on a 2-core host, as the two
-libraries' OpenBLAS thread pools contend.
+LAPACK through direct ``scipy.linalg.lapack`` calls.
+
+The warm and sparse paths run with every OpenBLAS of the process (numpy
+and scipy each load their own) at one thread, and give each its previous
+count back on return, also on an exception.  Their dense work is small
+and bound by call overhead (blocks of at most dim x 36 columns, 18 x 18
+projections); split across threads, it costs more, and an idle worker
+keeps spinning after each call: ``np.linalg.qr`` on a (251, 36) complex
+block took 1.0 ms at two threads against 0.34-0.47 ms at one, a Python
+loop right after it ran at CPU/wall 1.9-2.1 against 1.0, and criterion
+10's sweep used twice its wall time in CPU time (2-core host).  At one
+thread their results also do not depend on the caller's thread count.
+The dense path keeps the caller's count, as it is the one large BLAS job:
+the lowest 8 levels at N = 4000 took 46 s at two threads against 78 s at
+one.  Where no OpenBLAS thread control is found (MKL, Accelerate, another
+OS), BLAS keeps its thread count.
 
 Eigenvector phases are fixed by making the inner product <w, Phi> with a
 fixed generic vector w of positive entries real and positive.  Unlike the
@@ -78,7 +90,10 @@ ground state without nodes comes out positive.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import logging
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +120,11 @@ _WARM_ROUNDS = 3
 # A shift on which A - theta B is exactly singular moves up by this many
 # ulps of max(1, |theta|).
 _NUDGE_ULPS = 4.0
+# The (prefix, suffix) of OpenBLAS's thread-count functions: plain builds
+# export openblas_*, the numpy and scipy wheels scipy_openblas_*, and builds
+# with 64-bit integers append 64_.
+_OPENBLAS_NAMES = (("openblas_", ""), ("openblas_", "64_"),
+                   ("scipy_openblas_", ""), ("scipy_openblas_", "64_"))
 
 _LOG = logging.getLogger(__name__)
 
@@ -180,6 +200,90 @@ def _arpack_ncv(k: int) -> int:
     return max(2 * k + 1, 20)
 
 
+@functools.cache
+def _openblas_libraries() -> tuple:
+    """The (get, set) thread-count functions of every OpenBLAS mapped into
+    the process, looked up once per process in ``/proc/self/maps``; empty
+    where that file or the functions are missing (MKL, Accelerate, another
+    OS).  numpy and scipy each bring their own OpenBLAS."""
+    try:
+        with open("/proc/self/maps") as maps:
+            # address, permissions, offset, device, inode, path
+            paths = sorted({line.split(None, 5)[-1].strip() for line in maps
+                            if "openblas" in line.lower()})
+    except OSError:
+        paths = []
+    found = []
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in _OPENBLAS_NAMES:
+            get = getattr(library, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(library, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
+                break
+    if not found:
+        _LOG.debug("no OpenBLAS thread control found; BLAS keeps its "
+                   "thread count")
+    return tuple(found)
+
+
+class _OneBlasThread:
+    """Context manager that runs its block with every OpenBLAS of the
+    process at one thread and gives each its previous count back on exit,
+    also on an exception.  The thread count is process-wide, so entries
+    nest and may come from several threads: the first entry saves and
+    sets, the last exit restores."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = ()
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = tuple((set_, get())
+                                    for get, set_ in _openblas_libraries())
+                for set_, _ in self._saved:
+                    set_(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for set_, threads in self._saved:
+                    set_(threads)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
+def _is_hermitian(m) -> bool:
+    """Whether the CSR array ``m`` equals its conjugate transpose exactly,
+    entry by entry as ``(m != m.conj().T).nnz == 0`` compares them.
+
+    The CSR arrays of m's transpose are the CSC arrays of m.  When they
+    equal m's own, with the data conjugated, the stored entries are
+    closed under conjugate transposition, so m is hermitian.  That holds
+    for every assembled pencil and costs about a quarter of the entrywise
+    comparison (50 against 200 us a matrix at N = 250), which answers
+    every other m, such as one with an explicitly stored zero mirrored by
+    a structural zero or with unsorted indices.
+    """
+    t = m.tocsc()
+    if (np.array_equal(m.indptr, t.indptr) and np.array_equal(m.indices, t.indices)
+            and np.array_equal(m.data, t.data.conj())):
+        return True
+    return not (m != m.conj().T).nnz
+
+
 def solve_pencil(pencil: Pencil, count: int | None = None,
                  start: np.ndarray | None = None) -> EigenSolution:
     """Solve A Phi = lambda B Phi for all (or the lowest ``count``) pairs.
@@ -211,7 +315,7 @@ def solve_pencil(pencil: Pencil, count: int | None = None,
     for name, m in (("A", a), ("B", b)):
         if not np.all(np.isfinite(m.data)):
             raise EigenSolveError(f"{name} has a non-finite entry")
-        if (m != m.conj().T).nnz:
+        if not _is_hermitian(m):
             raise EigenSolveError(f"{name} is not hermitian")
     dim = pencil.dim
     if start is not None:
@@ -227,11 +331,12 @@ def solve_pencil(pencil: Pencil, count: int | None = None,
             raise EigenSolveError(f"count must be positive, got {count}")
         count = min(count, dim)
         if pencil.arrow is not None and _arpack_ncv(count + 1) < dim:
-            solution = None
-            if start is not None:
-                solution = _solve_warm(pencil, count, start)
-            if solution is None:
-                solution = _solve_partial(pencil, count)
+            with _one_blas_thread:
+                solution = None
+                if start is not None:
+                    solution = _solve_warm(pencil, count, start)
+                if solution is None:
+                    solution = _solve_partial(pencil, count)
             if solution is not None:
                 return solution
     return _solve_dense(pencil, count)
@@ -320,13 +425,18 @@ def _ritz_pairs(pencil: Pencil, k: int, shift: float):
     68 to 81 MiB with it, while real pencils did not grow (2-core host).
 
     This Rayleigh-Ritz step keeps scipy's wrappers and the warm path's
-    :func:`_rayleigh_ritz` keeps numpy, as each is the faster on its path
-    (2-core host, in-process).  With ``_rayleigh_ritz`` here, a cold solve
-    of the lowest 8 levels of the N = 2000 ring took up to 0.19 s against
-    at most 0.06 s, as ``np.linalg.qr`` took 22 ms a call against 1.2 ms
-    for ``scipy.linalg.qr`` (cProfile).  With raw ``geqrf``/``orgqr``
-    (scipy's BLAS pool) in ``_rayleigh_ritz``, criterion 10's stability
-    sweep took 1.46-1.49 s against 0.39-0.41 s (medians).
+    :func:`_rayleigh_ritz` keeps numpy.  Before both paths ran at one BLAS
+    thread, each was the faster on its path, as numpy's and scipy's thread
+    pools contended: with ``_rayleigh_ritz`` here, ``np.linalg.qr`` took
+    22 ms a call on the cold N = 2000 ring against 1.2 ms for
+    ``scipy.linalg.qr``.  Re-measured at one BLAS thread (2-core host,
+    medians of 15 cold solves of the lowest 8 levels and of 5 criterion-10
+    sweeps, three fresh processes each): with ``_rayleigh_ritz`` here the
+    real N = 2000 ring took 10.1-17.4 ms against 9.6-14.8 ms, and the
+    complex ring (quasi-periodic, theta = 0.7) 14.0-15.2 ms against
+    18.8-22.0 ms; with scipy's ``qr`` and ``eigh`` in ``_rayleigh_ritz``
+    the sweep took 0.41-0.51 s against 0.31-0.35 s.  numpy is no longer
+    slower here, so the two steps could become one.
 
     A real pencil is factored and iterated in real arithmetic.  Real
     ARPACK returns a degenerate cluster's Ritz vectors as complex

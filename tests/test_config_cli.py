@@ -1011,20 +1011,34 @@ def _run_cli_process(argv, threads: str) -> None:
 
 
 def test_threads_env_does_not_change_output(tmp_path):
-    # the real path rounds the same at one and at two BLAS threads, so its
-    # outputs are byte-identical; the complex sparse path is not (see README)
+    # the real path rounds the same at one and at two BLAS threads, and the
+    # sparse and warm paths run on one BLAS thread whatever the caller's
+    # count, so the outputs of real and complex pencils are byte-identical
     convergence = _write(tmp_path, DIRICHLET_CONFIG.replace(
         "resolution = 120", "resolution = 40\nconvergence.resolutions = 40 60 80 100"))
     ring = _write(tmp_path, RING_CONFIG, "ring.cfg")
     # criterion 10's ring and base solve: its symmetric U makes the pencil real
-    ring_250 = _write(tmp_path, f"""\
+    criterion_10 = f"""\
 {SCHEMA_HEADER}
 geometry.intervals = 0 {TWO_PI!r}
 boundary.kind = quasi_periodic
 boundary.theta = 0
 resolution = 250
-eigen.count = 9
-""", "ring-250.cfg")
+"""
+    ring_250 = _write(tmp_path, criterion_10 + "eigen.count = 9\n", "ring-250.cfg")
+    # criterion 10's sweep: 100 complex pencils on the warm path
+    stability = _write(tmp_path, criterion_10, "stability.cfg")
+    # a random U on two intervals: a complex pencil on the cold sparse path
+    u = random_unitary(4, np.random.default_rng(2011))
+    entries = " ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in u.ravel())
+    random_u = _write(tmp_path, f"""\
+{SCHEMA_HEADER}
+geometry.intervals = 0 1 2 3.5
+boundary.kind = matrix
+boundary.matrix = {entries}
+resolution = 400
+eigen.count = 8
+""", "random-u.cfg")
     outputs = {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
@@ -1033,10 +1047,15 @@ eigen.count = 9
         for name, cfg in (("ring", ring), ("ring-250", ring_250)):
             _run_cli_process(["solve", "--levels", "8", "--config", str(cfg),
                               "--out", str(out / name)], threads)
+        _run_cli_process(["stability", "--config", str(stability),
+                          "--out", str(out / "stability")], threads)
+        _run_cli_process(["solve", "--levels", "4", "--dump-pencil", "--config",
+                          str(random_u), "--out", str(out / "random-u")], threads)
         outputs[threads] = {path.relative_to(out): path.read_bytes()
                             for path in sorted(out.rglob("*.csv"))}
-    # convergence, and per ring a spectrum and 8 eigenfunctions
-    assert len(outputs["1"]) == 19
+    # convergence; per ring a spectrum and 8 eigenfunctions; stability; and
+    # for the random U a spectrum, 4 eigenfunctions and the two matrices
+    assert len(outputs["1"]) == 27
     assert outputs["1"] == outputs["2"]
 
 

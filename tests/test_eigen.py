@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 
 from helpers import (
@@ -18,6 +19,7 @@ from helpers import (
     random_spd,
     weighted_hermitian_values,
 )
+from saext import eigen
 from saext.boundary import (
     BoundaryCondition,
     BoundaryValues,
@@ -32,7 +34,10 @@ from saext.eigen import (
     EigenSolveError,
     PositiveDefinitenessError,
     _count_below,
+    _is_hermitian,
     _negative_count,
+    _one_blas_thread,
+    _openblas_libraries,
     _phase_reference,
     _ritz_pairs,
     _solve_dense,
@@ -187,6 +192,95 @@ def test_rejects_non_hermitian():
     b = np.eye(2, dtype=complex)
     with pytest.raises(EigenSolveError, match="hermitian"):
         solve_pencil(Pencil(a, b))
+
+
+def _csr_arrays(m):
+    return [x.copy() for x in (m.data, m.indptr, m.indices)]
+
+
+def test_explicit_zero_mirrored_by_structural_zero_is_hermitian():
+    # A stores an explicit zero at (0, 1); its mirror (1, 0) is not stored
+    a = scipy.sparse.csr_array((np.array([2.0, 0.0, 3.0]), np.array([0, 1, 1]),
+                                np.array([0, 2, 3])), shape=(2, 2))
+    pencil = Pencil(a, np.eye(2))
+    assert pencil.a.nnz == 3
+    stored = _csr_arrays(pencil.a)
+    assert np.array_equal(solve_pencil(pencil).eigenvalues, [2.0, 3.0])
+    for got, want in zip(_csr_arrays(pencil.a), stored):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("which", ["A", "B"])
+def test_one_ulp_asymmetry_is_not_hermitian(which, real):
+    pencil, count = _random_pencil(4, real=real)
+    a, b = pencil.a.copy(), pencil.b.copy()
+    m = a if which == "A" else b
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    k = np.flatnonzero(m.indices > rows)[0]  # one entry above the diagonal
+    m.data[k] += np.spacing(m.data[k].real)
+    with pytest.raises(EigenSolveError, match=f"^{which} is not hermitian$"):
+        solve_pencil(Pencil(a, b), count=count)
+
+
+def _csr(dim, rows, cols, values):
+    """A CSR array with exactly the given entries stored, in row order and
+    in the given order within each row (duplicates and explicit zeros
+    kept)."""
+    rows = np.asarray(rows)
+    order = np.argsort(rows, kind="stable")
+    indptr = np.searchsorted(rows[order], np.arange(dim + 1))
+    return scipy.sparse.csr_array(
+        (np.asarray(values, dtype=complex)[order], np.asarray(cols)[order], indptr),
+        shape=(dim, dim))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hermitian_check_accepts_what_the_entrywise_comparison_accepts(seed):
+    # the fast comparison of CSR against CSC arrays neither accepts nor
+    # rejects a matrix the entrywise m != m^H decides otherwise, and leaves
+    # m as it was
+    rng = np.random.default_rng(seed)
+    dim = 7
+    full = random_hermitian(dim, rng) * (rng.random((dim, dim)) < 0.4)
+    full = full + full.conj().T + np.diag(rng.standard_normal(dim))
+    full[0, dim - 1] = full[dim - 1, 0] = 0.0
+    rows, cols = np.nonzero(full)
+    values = full[rows, cols]
+    upper = np.flatnonzero(rows < cols)[0]  # an entry above the diagonal
+    swapped = np.arange(rows.size)
+    swapped[[0, 1]] = [1, 0]
+    variants = {
+        "hermitian": (rows, cols, values),
+        # every entry stored twice, as two halves
+        "duplicates": (np.r_[rows, rows], np.r_[cols, cols],
+                       np.r_[values, values] / 2.0),
+        "unsorted indices": (rows[swapped], cols[swapped], values[swapped]),
+        "explicit zero": (np.r_[rows, 0], np.r_[cols, dim - 1], np.r_[values, 0.0]),
+        "signed zero": (np.r_[rows, 0, dim - 1], np.r_[cols, dim - 1, 0],
+                        np.r_[values, -0.0, 0.0]),
+        "one ulp": (rows, cols, values + np.spacing(values.real)
+                    * (np.arange(rows.size) == upper)),
+        "imaginary diagonal": (np.r_[rows, 0], np.r_[cols, 0], np.r_[values, 1j]),
+        "unmirrored entry": (np.r_[rows, cols[upper]], np.r_[cols, rows[upper]],
+                             np.r_[values, 1.0]),
+    }
+    decided = {}
+    for name, entries in variants.items():
+        complex_m = _csr(dim, *entries)
+        decided[name] = []
+        for m in (complex_m, complex_m.real.copy()):
+            stored = _csr_arrays(m)
+            decided[name].append(_is_hermitian(m))
+            assert decided[name][-1] == (not (m != m.conj().T).nnz), name
+            for got, want in zip(_csr_arrays(m), stored):
+                assert np.array_equal(got, want), name
+    for name in ("hermitian", "duplicates", "unsorted indices", "explicit zero",
+                 "signed zero"):
+        assert decided[name] == [True, True], name
+    for name in ("one ulp", "unmirrored entry"):
+        assert decided[name] == [False, False], name
+    assert decided["imaginary diagonal"] == [False, True]
 
 
 def test_reports_failing_pivot():
@@ -412,6 +506,83 @@ def test_partial_solves_repeat_bytewise():
     second = solve_pencil(pencil, count=9)
     assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
     assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
+
+
+# -------------------------------------------------------------- BLAS threads
+
+def _blas_threads():
+    return [get() for get, _ in _openblas_libraries()]
+
+
+needs_openblas = pytest.mark.skipif(
+    not _openblas_libraries(),
+    reason="no OpenBLAS thread-count functions in this process "
+           "(another BLAS, such as MKL or Accelerate, or no /proc/self/maps)")
+
+
+@pytest.fixture(params=[1, 2], ids=["caller-1", "caller-2"])
+def caller_threads(request):
+    """Every OpenBLAS set to the parameter's thread count for the test, so
+    that a limiter restoring a fixed count fails at one of them."""
+    libraries = _openblas_libraries()
+    saved = _blas_threads()
+    for _, set_ in libraries:
+        set_(request.param)
+    yield _blas_threads()
+    for (_, set_), threads in zip(libraries, saved):
+        set_(threads)
+
+
+@needs_openblas
+@pytest.mark.parametrize("case", ["warm", "cold", "dense fallback",
+                                  "warm raises", "full spectrum"])
+def test_one_blas_thread_scope(case, caller_threads, monkeypatch):
+    # the warm and sparse paths run with every OpenBLAS at one thread, the
+    # dense path at the caller's counts, which every solve gives back
+    pencil, _ = _random_pencil(7)
+    start = solve_pencil(pencil, count=9).eigenvectors
+    before = _blas_threads()
+    assert before == caller_threads
+    inside, dense = [], []
+
+    def recording(function, record):
+        def wrapper(*args, **kwargs):
+            record.append(_blas_threads())
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name in ("_rayleigh_ritz", "_ritz_pairs"):
+        monkeypatch.setattr(eigen, name, recording(getattr(eigen, name), inside))
+    monkeypatch.setattr(eigen, "_solve_dense", recording(eigen._solve_dense, dense))
+    if case == "dense fallback":
+        monkeypatch.setattr(eigen, "residual_tolerances",
+                            lambda pencil, w: np.zeros_like(w))
+    if case == "warm raises":
+        def failing(*args):
+            inside.append(_blas_threads())
+            raise RuntimeError("warm path broke")
+        monkeypatch.setattr(eigen, "_solve_warm", failing)
+        with pytest.raises(RuntimeError, match="warm path broke"):
+            solve_pencil(pencil, count=9, start=start)
+    else:
+        solve_pencil(pencil, count=None if case == "full spectrum" else 9,
+                     start=start if case in ("warm", "dense fallback") else None)
+    assert _blas_threads() == before
+    assert dense == ([before] if case in ("dense fallback", "full spectrum") else [])
+    if case == "full spectrum":
+        assert not inside
+    else:
+        assert inside and all(threads == [1] * len(before) for threads in inside)
+
+
+@needs_openblas
+def test_one_blas_thread_nests(caller_threads):
+    before = _blas_threads()
+    with _one_blas_thread:
+        with _one_blas_thread:
+            assert _blas_threads() == [1] * len(before)
+        assert _blas_threads() == [1] * len(before)
+    assert _blas_threads() == before
 
 
 # ----------------------------------------------------------------- sampling
