@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg.lapack
+import scipy
 
 from .geometry import Mesh, build_mesh
 

@@ -33,7 +33,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from . import __version__
 from .boundary import (
@@ -78,15 +78,23 @@ def _write_table(path: Path, header: list[str], columns) -> None:
     row, then row m of the columns, integer cells as %d, float cells as
     REAL_FORMAT and text cells as they are, every row rendered by one
     %-format call.  Text cells are never quoted, so they hold no comma,
-    quote or line break."""
-    arrays = [np.asarray(col) for col in columns]
-    rows, width = len(arrays[0]), len(arrays)
+    quote or line break.  A list or tuple whose first cell is a str is a
+    text column and is written as it is, without a numpy round trip."""
+    formats, values = [], []
+    for col in columns:
+        if isinstance(col, (list, tuple)) and col and isinstance(col[0], str):
+            formats.append("%s")
+            values.append(col)
+            continue
+        array = np.asarray(col)
+        formats.append("%d" if array.dtype.kind in "iu" else
+                       "%s" if array.dtype.kind in "OU" else REAL_FORMAT)
+        values.append(array.tolist())
+    rows, width = len(values[0]), len(values)
     cells = [None] * (rows * width)
-    for j, array in enumerate(arrays):
-        cells[j::width] = array.tolist()
-    line = ",".join("%d" if a.dtype.kind in "iu" else "%s" if a.dtype.kind in "OU"
-                    else REAL_FORMAT for a in arrays)
-    body = ((line + "\r\n") * rows) % tuple(cells)
+    for j, column in enumerate(values):
+        cells[j::width] = column
+    body = ((",".join(formats) + "\r\n") * rows) % tuple(cells)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n" + body)
 
@@ -211,6 +219,12 @@ def cmd_convergence(cfg: JobConfig, out_dir: Path, args: argparse.Namespace) -> 
         raise ConfigError(
             "the convergence study uses the built-in Dirichlet reference; "
             f"boundary.kind is {cfg.boundary_kind!r}"
+        )
+    if cfg.potential_kind not in ("zero", "constant"):
+        # the free sine is an eigenfunction only where V is constant
+        raise ConfigError(
+            "the convergence study's Dirichlet sine reference needs a zero or "
+            f"constant potential; potential.kind is {cfg.potential_kind!r}"
         )
     reference = _ground_state_reference(geom)
     resolutions = list(cfg.convergence_resolutions)

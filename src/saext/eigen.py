@@ -97,9 +97,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.lapack
-import scipy.sparse.linalg
+import scipy
 
 from .boundary import BoundaryValues
 from .fem import Pencil, arrow_schur, node_values
@@ -205,7 +203,11 @@ def _openblas_libraries() -> tuple:
     """The (get, set) thread-count functions of every OpenBLAS mapped into
     the process, looked up once per process in ``/proc/self/maps``; empty
     where that file or the functions are missing (MKL, Accelerate, another
-    OS).  numpy and scipy each bring their own OpenBLAS."""
+    OS).  numpy and scipy each bring their own OpenBLAS; scipy maps its
+    own with ``scipy.linalg``, which ``import scipy`` leaves unloaded, so
+    it is loaded here before the lookup."""
+    import scipy.linalg
+
     try:
         with open("/proc/self/maps") as maps:
             # address, permissions, offset, device, inode, path
@@ -448,6 +450,9 @@ def _ritz_pairs(pencil: Pencil, k: int, shift: float):
     are no worse than those of the k-dimensional complex span, so the
     lowest k pairs are kept.
     """
+    # the only user of scipy.sparse.linalg: loaded on the first cold solve
+    import scipy.sparse.linalg
+
     b = pencil.b
     real = not np.iscomplexobj(b)
     start = np.random.default_rng(_START_SEED).standard_normal((2, pencil.dim))

@@ -48,8 +48,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg.lapack
-import scipy.sparse
+import scipy
 
 from .boundary import BoundaryCondition, BoundaryValues
 from .geometry import Mesh

@@ -467,12 +467,17 @@ _RING_HEAD = (f"{SCHEMA_HEADER}\ngeometry.intervals = 0 {TWO_PI!r}\n"
      "must be distinct"),
     ("convergence", DIRICHLET_CONFIG + "convergence.resolutions = 40 80 80\n",
      "must be distinct"),
+    ("convergence", SCHEMA_HEADER + f"\ngeometry.intervals = 0 {math.pi!r}\n"
+     "boundary.kind = dirichlet\nresolution = 50\n"
+     "convergence.resolutions = 50 100 200 400\npotential.kind = sampled\n"
+     f"potential.samples_x = 0 1 2 {math.pi!r}\npotential.samples_v = 0 20 -5 10\n",
+     "needs a zero or constant potential"),
 ], ids=["not-a-real", "not-an-integer", "not-a-bool", "empty", "no-equals",
         "no-intervals", "odd-tokens", "non-finite-endpoint", "quasi-periodic-n2",
         "matrix-entry-count", "bad-ordering", "unknown-boundary-kind",
         "unknown-potential-kind", "negative-eigen-count", "unknown-stability-mode",
         "unknown-stability-matching", "empty-resolutions", "resolutions-all-equal",
-        "resolutions-pair-equal", "resolutions-repeated"])
+        "resolutions-pair-equal", "resolutions-repeated", "convergence-sampled-v"])
 def test_config_errors_exit_2(tmp_path, capsys, command, text, fragment):
     cfg_path = _write(tmp_path, text)
     out = tmp_path / "out"
@@ -736,6 +741,26 @@ def test_cmd_convergence_small(tmp_path):
     assert slope_line
     slope = float(slope_line[0].split(",")[1])
     assert slope == pytest.approx(-1.0, abs=0.1)
+
+
+def test_cmd_convergence_constant_potential(tmp_path):
+    # a constant V shifts the levels and leaves the Dirichlet sine the
+    # ground state, so the study still measures the FEM's H1 rate
+    text = (
+        SCHEMA_HEADER
+        + f"\ngeometry.intervals = 0 {TWO_PI!r}"
+        + "\nboundary.kind = dirichlet"
+        + "\npotential.kind = constant"
+        + "\npotential.values = 1.5"
+        + "\nresolution = 40"
+        + "\nconvergence.resolutions = 40 80 160\n"
+    )
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", str(_write(tmp_path, text)),
+                 "--out", str(out)]) == EXIT_OK
+    [slope] = [line for line in (out / "convergence.csv").read_text().splitlines()
+               if line.startswith("slope,")]
+    assert float(slope.split(",")[1]) == pytest.approx(-1.0, abs=0.1)
 
 
 def test_cmd_convergence_single_point(tmp_path):
