@@ -292,6 +292,28 @@ def _power_law_fit(eps: np.ndarray, k_vals: np.ndarray):
     return float(a[i]), float(grid[i]), float(c[i])
 
 
+def _sweep_start(pencil, solution, clusters) -> np.ndarray:
+    """The start block of every perturbed solve of a stability sweep: the
+    base eigenvectors, then the boundary responses R(sigma_c)
+    (:meth:`~saext.fem.ArrowBlocks.boundary_response`) at the mean sigma_c
+    of each cluster of base eigenvalues.
+
+    Only the boundary block of the pencil depends on U, so the bulk part of
+    a perturbed eigenvector near sigma_c lies close to the span of
+    R(sigma_c), and the base eigenvectors carry the rest.  A cluster whose
+    T(sigma_c) has an exactly zero pivot gives no responses; the warm path's
+    inverse steps then find its levels.
+    """
+    columns = [solution.eigenvectors]
+    for members in clusters:
+        sigma = float(np.mean(solution.eigenvalues[members]))
+        try:
+            columns.append(pencil.arrow.boundary_response(sigma))
+        except np.linalg.LinAlgError as exc:
+            _LOG.debug("no boundary responses at %.17g (%s)", sigma, exc)
+    return np.column_stack(columns)
+
+
 def stability_study(cfg: JobConfig):
     """Relative eigenvalue sensitivity under boundary perturbations.
 
@@ -307,6 +329,12 @@ def stability_study(cfg: JobConfig):
     K averages |delta lambda| / (eps |lambda|) over the cluster members,
     matched to the unperturbed members by sorted index (or by nearest value
     with stability.matching = nearest).
+
+    Every perturbed pencil is solved on the warm path from one start block
+    (:func:`_sweep_start`): the base eigenvectors and the boundary responses
+    at each base level cluster.  So no result depends on the order of the
+    sweep, and on criterion 10's sweep one Rayleigh-Ritz step certifies each
+    pencil, without inverse steps.
 
     Returns (rows, fits, distances): per-epsilon per-level ratios K,
     per-level power-law fits K = a eps^b + c, and the re-unitarization
@@ -341,12 +369,13 @@ def stability_study(cfg: JobConfig):
     # once for the whole sweep
     bulk = BulkAssembly(mesh, potential, mu=cfg.mu)
 
-    def solution_for(bc_eps: BoundaryCondition, start=None):
+    def pencil_for(bc_eps: BoundaryCondition):
         system = assemble_boundary_system(bc_eps, mesh)
         values = solve_boundary_values(system, kappa_max=cfg.kappa_max)
-        return solve_pencil(bulk.pencil(bc_eps, values), count=count, start=start)
+        return bulk.pencil(bc_eps, values)
 
-    base_solution = solution_for(bc)
+    base_pencil = pencil_for(bc)
+    base_solution = solve_pencil(base_pencil, count=count)
     base = base_solution.eigenvalues
     # distinct energy levels: the periodic ring has a simple ground level and
     # double levels split only at discretization-error size
@@ -356,6 +385,7 @@ def stability_study(cfg: JobConfig):
             f"only {len(clusters)} distinct levels available, "
             f"need {levels + 1} (ground + {levels})"
         )
+    start_block = _sweep_start(base_pencil, base_solution, clusters)
 
     n_steps = int(round((stop - start) / step)) + 1
     eps_list = [start + i * step for i in range(n_steps)]
@@ -373,9 +403,8 @@ def stability_study(cfg: JobConfig):
         else:
             bc_eps = BoundaryCondition.quasi_periodic(eps)
             distance = 0.0
-        # every perturbed pencil starts from the base eigenvectors, so
-        # that no result depends on the order of the sweep
-        return solution_for(bc_eps, base_solution.eigenvectors).eigenvalues, distance
+        solution = solve_pencil(pencil_for(bc_eps), count=count, start=start_block)
+        return solution.eigenvalues, distance
 
     results = [one(eps) for eps in eps_list]
 

@@ -48,26 +48,32 @@ within :func:`residual_tolerances`; otherwise the reason is logged on the
 returned.
 
 The warm path answers a partial solve of an assembled pencil given a start
-block, such as the eigenvectors of a nearby pencil: the stability study
-solves each perturbed pencil from the eigenvectors of its base pencil.  A
-Rayleigh-Ritz step on the span of the start block gives Ritz pairs
-(theta_j, v_j); each round adds one inverse step
-w_j = (A - theta_j B)^{-1} B v_j for every wanted pair and takes a
-Rayleigh-Ritz step on [V, W] (Parlett, The Symmetric Eigenvalue Problem,
-SIAM 1998, ch. 4 and 11), for at most three rounds, until every wanted
-residual is within its tolerance.  The inverse step eliminates the arrow
-blocks (:meth:`~saext.fem.ArrowBlocks.solve`): one ``dgtsv`` on T(theta)
-with the border and the right-hand side as columns, then a 2n x 2n Schur
-solve; a shift on which either is exactly singular is moved by a few ulps.
-The warm result passes the sparse path's certificate (the gap, nu(tau)
-and the residual gate, :func:`_certified`) or the sparse path answers,
-with the reason logged.  Dense work on this path goes through numpy, and
-LAPACK through direct ``scipy.linalg.lapack`` calls.
+block, such as the eigenvectors of a nearby pencil.  A Rayleigh-Ritz step
+on the span of the start block gives Ritz pairs (theta_j, v_j).  When the
+block has more than ``count`` columns and every wanted residual is already
+within its tolerance, that step is the answer.  Otherwise each round adds
+one inverse step w_j = (A - theta_j B)^{-1} B v_j for every wanted pair and
+takes a Rayleigh-Ritz step on [V, W] (Parlett, The Symmetric Eigenvalue
+Problem, SIAM 1998, ch. 4 and 11), for at most three rounds, until every
+wanted residual is within its tolerance.  The stability study solves each
+perturbed pencil from one block: the base eigenvectors and the boundary
+responses R(sigma) = [-T(sigma)^{-1} E(sigma); I] at each base level
+(:meth:`~saext.fem.ArrowBlocks.boundary_response`).  The bulk part of an
+eigenvector at lambda is -T(lambda)^{-1} E(lambda) times its boundary
+part, and T and E do not depend on U, so on criterion 10's sweep the first
+Rayleigh-Ritz step certifies every pencil.  The inverse step eliminates
+the arrow blocks (:meth:`~saext.fem.ArrowBlocks.solve`): one ``dgtsv`` on
+T(theta) with the border and the right-hand side as columns, then a
+2n x 2n Schur solve; a shift on which either is exactly singular is moved
+by a few ulps.  The warm result passes the sparse path's certificate (the
+gap, nu(tau) and the residual gate, :func:`_certified`) or the sparse path
+answers, with the reason logged.  Dense work on this path goes through
+numpy, and LAPACK through direct ``scipy.linalg.lapack`` calls.
 
 The warm and sparse paths run with every OpenBLAS of the process (numpy
 and scipy each load their own) at one thread, and give each its previous
 count back on return, also on an exception.  Their dense work is small
-and bound by call overhead (blocks of at most dim x 36 columns, 18 x 18
+and bound by call overhead (blocks of at most dim x 46 columns and their
 projections); split across threads, it costs more, and an idle worker
 keeps spinning after each call: ``np.linalg.qr`` on a (251, 36) complex
 block took 1.0 ms at two threads against 0.34-0.47 ms at one, a Python
@@ -617,22 +623,31 @@ def _solve_warm(pencil: Pencil, count: int, start: np.ndarray) -> EigenSolution 
     The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4 and 11).  Rounds
     stop once the lowest ``count`` residuals are within their tolerances,
     or after _WARM_ROUNDS; the result then has to pass the certificate of
-    :func:`_certified`.  A real pencil keeps real vectors: a complex start
+    :func:`_certified`.  A start block of more than ``count`` columns that
+    already holds the wanted pairs, such as the stability study's base
+    eigenvectors with their boundary responses, takes no round at all.  One
+    of ``count`` columns always takes one: the certificate needs a Ritz
+    value above the gap.  A real pencil keeps real vectors: a complex start
     block is replaced by its real and imaginary parts.
     """
     if np.iscomplexobj(start) and not np.iscomplexobj(pencil.b):
         start = np.hstack([start.real, start.imag])
     low = slice(0, count)
+
+    def converged(w, vectors, b_vectors):
+        residuals = np.linalg.norm(pencil.a @ vectors[:, low]
+                                   - b_vectors[:, low] * w[low], axis=0)
+        return np.all(residuals <= residual_tolerances(pencil, w[low]))
+
     try:
         w, vectors, b_vectors = _rayleigh_ritz(pencil, start)
-        for _ in range(_WARM_ROUNDS):
+        done = w.size > count and converged(w, vectors, b_vectors)
+        for _ in range(0 if done else _WARM_ROUNDS):
             steps = [_inverse_step(pencil, theta, b_vectors[:, j])
                      for j, theta in enumerate(w[low])]
             w, vectors, b_vectors = _rayleigh_ritz(
                 pencil, np.column_stack([vectors, *steps]))
-            residuals = np.linalg.norm(pencil.a @ vectors[:, low]
-                                       - b_vectors[:, low] * w[low], axis=0)
-            if np.all(residuals <= residual_tolerances(pencil, w[low])):
+            if converged(w, vectors, b_vectors):
                 break
     except np.linalg.LinAlgError as exc:
         _LOG.warning("warm path failed (%s); cold fallback", exc)

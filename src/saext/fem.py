@@ -189,6 +189,28 @@ class ArrowBlocks:
         out[self.order] = np.concatenate([t_rhs - t_border @ z, z])
         return out
 
+    def boundary_response(self, x: float) -> np.ndarray:
+        """The real dim x 2n block R(x) = [-T(x)^{-1} E(x); I] of the
+        boundary responses, with rows in global basis order.
+
+        Column i has the boundary coefficients e_i and the bulk part that
+        makes the bulk rows of (A - x B) R(x) vanish; the boundary rows of
+        (A - x B) R(x) are the Schur complement S(x) of :func:`arrow_schur`.
+        The bulk part x_b of an eigenvector at level lambda solves
+        T(lambda) x_b = -E(lambda) x_c, so the eigenvector is R(lambda) x_c.
+        Only T and E enter, and they do not depend on U.
+
+        Raises
+        ------
+        numpy.linalg.LinAlgError
+            When T(x) has an exactly zero pivot.
+        """
+        _, t_border, _ = arrow_schur(*self.minus(x))
+        two_n = t_border.shape[1]
+        out = np.empty((self.order.size, two_n))
+        out[self.order] = np.vstack([-t_border, np.eye(two_n)])
+        return out
+
 
 @dataclass(frozen=True)
 class Pencil:

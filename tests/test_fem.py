@@ -376,6 +376,35 @@ def test_arrow_solve_raises_on_an_exactly_singular_shift(x, match):
     assert np.allclose(arrow.solve(1.5, np.ones(4)), 1.0 / (np.array([1, 2, 3, 5]) - 1.5))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_boundary_response_solves_the_bulk_rows(seed):
+    # (A - x B) R(x) vanishes on the bulk rows to rounding, equals the Schur
+    # complement S(x) on the boundary rows, and R(x) is I there
+    mesh, potential, bc, vals = _arrow_pencil(seed)
+    pencil = assemble_pencil(mesh, bc, vals, potential, mu=0.7)
+    bnd = boundary_indices(mesh)
+    bulk = np.setdiff1d(np.arange(pencil.dim), bnd)
+    x = 2.3
+    response = pencil.arrow.boundary_response(x)
+    assert response.shape == (pencil.dim, bnd.size)
+    assert response.dtype == np.float64
+    assert np.array_equal(response[bnd], np.eye(bnd.size))
+    shifted = pencil.a.toarray() - x * pencil.b.toarray()
+    product = shifted @ response
+    scale = np.max(np.abs(shifted)) * np.max(np.abs(response))
+    assert np.max(np.abs(product[bulk]), initial=0.0) <= 1e-13 * scale
+    schur, *_ = fem.arrow_schur(*pencil.arrow.minus(x))
+    assert np.max(np.abs(product[bnd] - schur)) <= 1e-13 * scale
+
+
+def test_boundary_response_raises_on_an_exactly_singular_bulk_block():
+    arrow = _diagonal_arrow([1.0, 2.0], [3.0, 5.0])
+    with pytest.raises(np.linalg.LinAlgError, match="bulk block"):
+        arrow.boundary_response(2.0)
+    # no border: the responses are the boundary unit vectors
+    assert np.array_equal(arrow.boundary_response(3.0), np.eye(4)[:, 2:])
+
+
 def test_bulk_assembly_serves_a_sweep_over_u():
     # one bulk part, pencils for several U: each bit-identical to a full
     # assembly, real and complex alike, complex ones stored as exact

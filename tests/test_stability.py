@@ -122,8 +122,9 @@ def test_nearest_unitary_is_the_scipy_polar_factor_bitwise():
 
 
 def test_sweep_starts_every_solve_from_the_base_eigenvectors(monkeypatch, caplog):
-    # each perturbed pencil is solved warm from the base solution's
-    # eigenvectors, not from its neighbour's, and certified without fallback
+    # every perturbed pencil is solved warm from one shared start block, not
+    # from its neighbour's solution: the base eigenvectors, bit for bit,
+    # then the boundary responses; each certifies without fallback
     calls = []
     solve = cli.solve_pencil
 
@@ -140,7 +141,11 @@ def test_sweep_starts_every_solve_from_the_base_eigenvectors(monkeypatch, caplog
     assert not [r for r in caplog.records if "fallback" in r.getMessage()]
     (base_start, base), *perturbed = calls
     assert base_start is None and len(perturbed) == 10
-    assert all(start is base.eigenvectors for start, _ in perturbed)
+    start = perturbed[0][0]
+    assert all(s is start for s, _ in perturbed)
+    count = base.count
+    assert start.shape[1] > count
+    assert start[:, :count].tobytes() == base.eigenvectors.tobytes()
 
 
 # ------------------------------------------------------------ level clusters

@@ -15,7 +15,7 @@ from saext.boundary import (
     random_unitary,
     solve_boundary_values,
 )
-from saext.cli import nearest_unitary
+from saext.cli import _sweep_start, nearest_unitary
 from saext.eigen import EigenSolveError, _solve_dense, solve_pencil
 from saext.fem import BulkAssembly
 from saext.geometry import IntervalSet, build_mesh
@@ -52,23 +52,30 @@ def inverse_steps(monkeypatch):
     return calls
 
 
+def _enriched_start(pencil, solution):
+    """The stability study's start block: the eigenvectors of ``solution``
+    with the boundary responses of ``pencil`` at its level clusters."""
+    return _sweep_start(pencil, solution, solution.degenerate_clusters(rtol=1e-3))
+
+
 @pytest.fixture(scope="module")
 def criterion_10():
-    """The bulk part, base solution and 100 perturbed pencils of criterion
-    10's sweep: the periodic ring at N = 250, U_eps the nearest unitary to
-    U + i eps [[0, 1], [-1, 0]], eps = 1e-5 .. 1e-3."""
+    """The base solution, 100 perturbed pencils and the sweep's start block
+    of criterion 10: the periodic ring at N = 250, U_eps the nearest unitary
+    to U + i eps [[0, 1], [-1, 0]], eps = 1e-5 .. 1e-3."""
     bulk = BulkAssembly(build_mesh(IntervalSet([(0.0, TWO_PI)]), 250))
     ring = BoundaryCondition.quasi_periodic(0.0).u_endpoint
-    base = solve_pencil(_pencil_for(bulk, ring), count=9)
+    base_pencil = _pencil_for(bulk, ring)
+    base = solve_pencil(base_pencil, count=9)
     generator = np.array([[0.0, 1.0], [-1.0, 0.0]])
     pencils = [_pencil_for(bulk, nearest_unitary(ring + 1j * eps * generator)[0])
                for eps in 1e-5 * np.arange(1, 101)]
-    return base, pencils
+    return base, pencils, _enriched_start(base_pencil, base)
 
 
 def test_warm_matches_cold_and_dense_on_criterion_10(criterion_10, caplog,
                                                      inverse_steps):
-    base, pencils = criterion_10
+    base, pencils, _ = criterion_10
     warm = []
     for pencil in pencils:
         caplog.clear()
@@ -88,9 +95,56 @@ def test_warm_matches_cold_and_dense_on_criterion_10(criterion_10, caplog,
     assert max(map(_relative, (w.eigenvalues for w in warm[::10]), dense)) <= 1e-11
 
 
-def test_warm_follows_a_perturbed_three_interval_u(caplog, inverse_steps):
-    # a random 6x6 U turned by expm(i eps H): one round while the turn is
-    # small, at most all three rounds as it grows, never a fallback
+def test_sweep_start_certifies_criterion_10_without_inverse_steps(
+        criterion_10, caplog, inverse_steps):
+    # the base eigenvectors with the boundary responses at the five level
+    # clusters: 9 + 5 * 2 columns, one Rayleigh-Ritz step a pencil
+    base, pencils, start = criterion_10
+    assert start.shape == (pencils[0].dim, 19)
+    assert start[:, :9].tobytes() == base.eigenvectors.tobytes()
+    with caplog.at_level(logging.WARNING, logger="saext"):
+        warm = [solve_pencil(pencil, count=9, start=start) for pencil in pencils]
+    assert not _fallbacks(caplog)
+    assert not inverse_steps
+    cold = [solve_pencil(pencil, count=9).eigenvalues for pencil in pencils]
+    assert max(map(_relative, (w.eigenvalues for w in warm), cold)) <= 1e-11
+    dense = [_solve_dense(pencil, 9).eigenvalues for pencil in pencils[::10]]
+    assert max(map(_relative, (w.eigenvalues for w in warm[::10]), dense)) <= 1e-11
+
+
+def test_sweep_start_drops_a_cluster_on_an_exactly_singular_bulk_block(
+        criterion_10, caplog, monkeypatch, inverse_steps):
+    # T(sigma_c) with an exactly zero pivot at the second cluster: its two
+    # responses are left out, and the warm path's inverse steps find the
+    # levels they would have given
+    base, pencils, start = criterion_10
+    dgtsv = scipy.linalg.lapack.dgtsv
+    calls = []
+
+    def singular_on_second_call(dl, d, du, b):
+        calls.append(d)
+        if len(calls) == 2:
+            return dl, d, du, b, 1
+        return dgtsv(dl, d, du, b)
+
+    clusters = base.degenerate_clusters(rtol=1e-3)
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.linalg.lapack, "dgtsv", singular_on_second_call)
+        dropped = _sweep_start(pencils[0], base, clusters)
+    assert len(calls) == len(clusters)
+    assert dropped.tobytes() == np.delete(start, [11, 12], axis=1).tobytes()
+    with caplog.at_level(logging.WARNING, logger="saext"):
+        warm = solve_pencil(pencils[40], count=9, start=dropped)
+    assert not _fallbacks(caplog)
+    assert len(inverse_steps) == 9  # in one round
+    assert _relative(warm.eigenvalues, _solve_dense(pencils[40], 9).eigenvalues) <= 1e-11
+
+
+def _three_interval_rounds(caplog, inverse_steps, enriched):
+    """Rounds of inverse steps the warm path takes on a random 6x6 U on
+    three intervals turned by expm(i eps H), eps = 1e-5 .. 1e-1, from the
+    base eigenvectors alone or with their boundary responses; every solve
+    is checked against the dense path and must not fall back."""
     rng = np.random.default_rng(2)
     mesh = build_mesh(IntervalSet([(0.0, 1.5), (2.0, 3.0), (4.0, 6.5)]), 200)
     bulk = BulkAssembly(mesh, ConstantPotential([0.5, -1.0, 2.0]), mu=0.8)
@@ -98,19 +152,37 @@ def test_warm_follows_a_perturbed_three_interval_u(caplog, inverse_steps):
     h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     h = (h + h.conj().T) / 2.0
     count = 8
-    base = solve_pencil(_pencil_for(bulk, u0), count=count)
+    base_pencil = _pencil_for(bulk, u0)
+    base = solve_pencil(base_pencil, count=count)
+    start = _enriched_start(base_pencil, base) if enriched else base.eigenvectors
     rounds = []
     for eps in (1e-5, 1e-4, 1e-3, 1e-2, 1e-1):
         pencil = _pencil_for(bulk, scipy.linalg.expm(1j * eps * h) @ u0)
         inverse_steps.clear()
         with caplog.at_level(logging.WARNING, logger="saext"):
-            warm = solve_pencil(pencil, count=count, start=base.eigenvectors)
+            warm = solve_pencil(pencil, count=count, start=start)
         assert not _fallbacks(caplog)
         rounds.append(len(inverse_steps) // count)
         assert _relative(warm.eigenvalues, _solve_dense(pencil, count).eigenvalues) <= 1e-11
+    return rounds
+
+
+def test_warm_follows_a_perturbed_three_interval_u(caplog, inverse_steps):
+    # one round while the turn is small, at most all three rounds as it
+    # grows, never a fallback
+    rounds = _three_interval_rounds(caplog, inverse_steps, enriched=False)
     assert rounds[:2] == [1, 1]
     assert all(1 <= r <= 3 for r in rounds)
     assert rounds == sorted(rounds)
+
+
+def test_sweep_start_follows_a_perturbed_three_interval_u(caplog, inverse_steps):
+    # the boundary responses save the smallest turn its round and never
+    # cost one; no fallback
+    plain = _three_interval_rounds(caplog, inverse_steps, enriched=False)
+    rounds = _three_interval_rounds(caplog, inverse_steps, enriched=True)
+    assert rounds[0] == 0
+    assert all(r <= p for r, p in zip(rounds, plain))
 
 
 def test_warm_path_keeps_a_real_pencil_real(caplog):
@@ -132,7 +204,7 @@ def test_warm_path_keeps_a_real_pencil_real(caplog):
 
 
 def test_random_start_falls_back_to_the_cold_result(criterion_10, caplog):
-    _, pencils = criterion_10
+    _, pencils, _ = criterion_10
     pencil = pencils[40]
     start = np.random.default_rng(5).standard_normal((pencil.dim, 9))
     with caplog.at_level(logging.WARNING, logger="saext"):
@@ -146,7 +218,7 @@ def test_random_start_falls_back_to_the_cold_result(criterion_10, caplog):
 def test_exactly_singular_shift_is_nudged(criterion_10, caplog, monkeypatch):
     # an inverse step whose shift makes A - theta B exactly singular is
     # taken a few ulps away, and the solve still certifies
-    base, pencils = criterion_10
+    base, pencils, _ = criterion_10
     solve = fem.ArrowBlocks.solve
     shifts = []
 
@@ -167,7 +239,7 @@ def test_exactly_singular_shift_is_nudged(criterion_10, caplog, monkeypatch):
 
 
 def test_singular_shifted_pencil_falls_back(criterion_10, caplog, monkeypatch):
-    base, pencils = criterion_10
+    base, pencils, _ = criterion_10
 
     def singular(self, x, rhs):
         raise np.linalg.LinAlgError("boundary Schur complement is singular")
@@ -188,7 +260,7 @@ def test_singular_shifted_pencil_falls_back(criterion_10, caplog, monkeypatch):
     (lambda dim: (dim, 2), np.nan, "non-finite"),
 ], ids=["rows", "one-dimensional", "nan"])
 def test_rejects_bad_start_block(criterion_10, shape, fill, message):
-    _, pencils = criterion_10
+    _, pencils, _ = criterion_10
     start = np.full(shape(pencils[0].dim), fill)
     with pytest.raises(EigenSolveError, match=message):
         solve_pencil(pencils[0], count=3, start=start)
