@@ -623,7 +623,7 @@ def test_cmd_oracle_scan_output(tmp_path):
     "oracle.lambda_min = nan",
     "oracle.lambda_max = inf",
     "oracle.grid_points = -4",
-], ids=lambda keys: keys.replace("\n", "; "))
+])
 def test_cmd_oracle_rejects_bad_range(tmp_path, capsys, keys):
     text = (
         SCHEMA_HEADER
