@@ -54,7 +54,14 @@ from .config import (
     parse_config,
     render_config,
 )
-from .eigen import EigenSolveError, eigenfunction_samples, h1_error, solve_pencil
+from .eigen import (
+    EigenSolveError,
+    _one_blas_thread,
+    _SearchSpace,
+    eigenfunction_samples,
+    h1_error,
+    solve_pencil,
+)
 from .fem import AssemblyError, BulkAssembly, assemble_pencil
 from .geometry import GeometryError, build_mesh
 from .potentials import PotentialError
@@ -330,11 +337,16 @@ def stability_study(cfg: JobConfig):
     matched to the unperturbed members by sorted index (or by nearest value
     with stability.matching = nearest).
 
-    Every perturbed pencil is solved on the warm path from one start block
+    Every perturbed pencil is solved from one start block
     (:func:`_sweep_start`): the base eigenvectors and the boundary responses
     at each base level cluster.  So no result depends on the order of the
-    sweep, and on criterion 10's sweep one Rayleigh-Ritz step certifies each
-    pencil, without inverse steps.
+    sweep.  Only the boundary block depends on U, so the span of the block
+    is projected once (:class:`~saext.eigen._SearchSpace`), and each
+    perturbed U costs its arrow blocks (:meth:`~saext.fem.BulkAssembly.arrow`)
+    and one small Rayleigh-Ritz step under the sparse path's certificate;
+    on criterion 10's sweep that certifies every pencil.  Where the
+    certificate fails, the pencil's CSR arrays are built and the warm path
+    of :func:`~saext.eigen.solve_pencil` answers from the same block.
 
     Returns (rows, fits, distances): per-epsilon per-level ratios K,
     per-level power-law fits K = a eps^b + c, and the re-unitarization
@@ -369,12 +381,11 @@ def stability_study(cfg: JobConfig):
     # once for the whole sweep
     bulk = BulkAssembly(mesh, potential, mu=cfg.mu)
 
-    def pencil_for(bc_eps: BoundaryCondition):
+    def values_for(bc_eps: BoundaryCondition):
         system = assemble_boundary_system(bc_eps, mesh)
-        values = solve_boundary_values(system, kappa_max=cfg.kappa_max)
-        return bulk.pencil(bc_eps, values)
+        return solve_boundary_values(system, kappa_max=cfg.kappa_max)
 
-    base_pencil = pencil_for(bc)
+    base_pencil = bulk.pencil(bc, values_for(bc))
     base_solution = solve_pencil(base_pencil, count=count)
     base = base_solution.eigenvalues
     # distinct energy levels: the periodic ring has a simple ground level and
@@ -386,6 +397,7 @@ def stability_study(cfg: JobConfig):
             f"need {levels + 1} (ground + {levels})"
         )
     start_block = _sweep_start(base_pencil, base_solution, clusters)
+    space = _SearchSpace(base_pencil.arrow, start_block)
 
     n_steps = int(round((stop - start) / step)) + 1
     eps_list = [start + i * step for i in range(n_steps)]
@@ -403,7 +415,13 @@ def stability_study(cfg: JobConfig):
         else:
             bc_eps = BoundaryCondition.quasi_periodic(eps)
             distance = 0.0
-        solution = solve_pencil(pencil_for(bc_eps), count=count, start=start_block)
+        values = values_for(bc_eps)
+        with _one_blas_thread:
+            solution = space.solve(bulk.arrow(bc_eps, values), count,
+                                   fallback="warm")
+        if solution is None:
+            solution = solve_pencil(bulk.pencil(bc_eps, values), count=count,
+                                    start=start_block)
         return solution.eigenvalues, distance
 
     results = [one(eps) for eps in eps_list]

@@ -52,23 +52,33 @@ block, such as the eigenvectors of a nearby pencil.  A Rayleigh-Ritz step
 on the span of the start block gives Ritz pairs (theta_j, v_j).  When the
 block has more than ``count`` columns and every wanted residual is already
 within its tolerance, that step is the answer.  Otherwise each round adds
-one inverse step w_j = (A - theta_j B)^{-1} B v_j for every wanted pair and
-takes a Rayleigh-Ritz step on [V, W] (Parlett, The Symmetric Eigenvalue
-Problem, SIAM 1998, ch. 4 and 11), for at most three rounds, until every
-wanted residual is within its tolerance.  The stability study solves each
-perturbed pencil from one block: the base eigenvectors and the boundary
-responses R(sigma) = [-T(sigma)^{-1} E(sigma); I] at each base level
-(:meth:`~saext.fem.ArrowBlocks.boundary_response`).  The bulk part of an
-eigenvector at lambda is -T(lambda)^{-1} E(lambda) times its boundary
-part, and T and E do not depend on U, so on criterion 10's sweep the first
-Rayleigh-Ritz step certifies every pencil.  The inverse step eliminates
-the arrow blocks (:meth:`~saext.fem.ArrowBlocks.solve`): one ``dgtsv`` on
-T(theta) with the border and the right-hand side as columns, then a
-2n x 2n Schur solve; a shift on which either is exactly singular is moved
-by a few ulps.  The warm result passes the sparse path's certificate (the
-gap, nu(tau) and the residual gate, :func:`_certified`) or the sparse path
-answers, with the reason logged.  Dense work on this path goes through
-numpy, and LAPACK through direct ``scipy.linalg.lapack`` calls.
+one inverse step w_j = (A - theta_j B)^{-1} B v_j for every wanted pair to
+the block and takes a Rayleigh-Ritz step on its span, that of [V, W]
+(Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4 and 11), for
+at most three rounds, until every wanted residual is within its tolerance.
+The inverse step eliminates the arrow blocks
+(:meth:`~saext.fem.ArrowBlocks.solve`): one ``dgtsv`` on T(theta) with the
+border and the right-hand side as columns, then a 2n x 2n Schur solve; a
+shift on which either is exactly singular is moved by a few ulps.  Every
+Rayleigh-Ritz step projects its span through :class:`_SearchSpace`, which
+works on the arrow blocks: only the 2n x 2n boundary block C depends on U,
+so the space keeps its orthonormal basis Q, the products of A and B with C
+left out, their projections and Q's boundary rows, and a step for one
+pencil adds Q_c^H C Q_c and takes its residuals from the stored products
+plus C Q_c y.  The stability study builds one such space per sweep from
+the base eigenvectors and the boundary responses
+R(sigma) = [-T(sigma)^{-1} E(sigma); I] at each base level
+(:meth:`~saext.fem.ArrowBlocks.boundary_response`) and solves each
+perturbed pencil in it from its arrow blocks alone, without CSR arrays.
+The bulk part of an eigenvector at lambda is -T(lambda)^{-1} E(lambda)
+times its boundary part, and T and E do not depend on U, so on criterion
+10's sweep that one step certifies every pencil.  The warm result passes
+the sparse path's certificate (the gap, nu(tau) and the residual gate,
+:func:`_certified`, with the matrix 1-norms summed over the arrow blocks)
+or the next path answers, with the reason logged: the sparse path for
+:func:`solve_pencil`, the warm path of :func:`solve_pencil` for the sweep.
+Dense work on this path goes through numpy, and LAPACK through direct
+``scipy.linalg.lapack`` calls.
 
 The warm and sparse paths run with every OpenBLAS of the process (numpy
 and scipy each load their own) at one thread, and give each its previous
@@ -101,12 +111,13 @@ import functools
 import logging
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy
 
 from .boundary import BoundaryValues
-from .fem import Pencil, arrow_schur, node_values
+from .fem import ArrowBlocks, Pencil, arrow_schur, node_values
 
 RESIDUAL_RTOL = 1e-10
 DEGENERACY_RTOL = 1e-9  # eigenvalues this close count as one cluster
@@ -185,17 +196,26 @@ def _gaps(w: np.ndarray, rtol: float) -> np.ndarray:
     return np.diff(w) > rtol * np.maximum(1.0, np.abs(w[1:]))
 
 
+@functools.cache
 def _phase_reference(dim: int) -> np.ndarray:
-    """The fixed vector w of the phase rule: uniform entries in [0, 1)."""
-    return np.random.default_rng(_START_SEED).random(dim)
+    """The fixed vector w of the phase rule: uniform entries in [0, 1),
+    drawn once per dimension and read-only."""
+    w = np.random.default_rng(_START_SEED).random(dim)
+    w.flags.writeable = False
+    return w
+
+
+def _phase_factors(inner: np.ndarray) -> np.ndarray:
+    """The unit factors that turn each column with inner product ``inner``
+    with w so that it is real and positive (1 where it is 0)."""
+    return np.divide(inner.conj(), np.abs(inner), out=np.ones_like(inner),
+                     where=inner != 0)
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Turn each column in place so that <w, column> is real and positive
     for w = _phase_reference (a column orthogonal to w stays as it is)."""
-    inner = _phase_reference(vectors.shape[0]) @ vectors
-    vectors *= np.divide(inner.conj(), np.abs(inner), out=np.ones_like(inner),
-                         where=inner != 0)
+    vectors *= _phase_factors(_phase_reference(vectors.shape[0]) @ vectors)
     return vectors
 
 
@@ -327,12 +347,7 @@ def solve_pencil(pencil: Pencil, count: int | None = None,
             raise EigenSolveError(f"{name} is not hermitian")
     dim = pencil.dim
     if start is not None:
-        start = np.asarray(start)
-        if start.ndim != 2 or start.shape[0] != dim:
-            raise EigenSolveError(f"start block has shape {start.shape}, "
-                                  f"expected ({dim}, k)")
-        if not np.all(np.isfinite(start)):
-            raise EigenSolveError("start block has a non-finite entry")
+        start = _checked_start(start, dim)
     if count is not None:
         count = int(count)
         if count < 1:
@@ -348,6 +363,24 @@ def solve_pencil(pencil: Pencil, count: int | None = None,
             if solution is not None:
                 return solution
     return _solve_dense(pencil, count)
+
+
+def _checked_start(start, dim: int) -> np.ndarray:
+    """``start`` as an array, when it is a finite 2-D block with ``dim``
+    rows.
+
+    Raises
+    ------
+    EigenSolveError
+        Otherwise.
+    """
+    start = np.asarray(start)
+    if start.ndim != 2 or start.shape[0] != dim:
+        raise EigenSolveError(f"start block has shape {start.shape}, "
+                              f"expected ({dim}, k)")
+    if not np.all(np.isfinite(start)):
+        raise EigenSolveError("start block has a non-finite entry")
+    return start
 
 
 def _solve_dense(pencil: Pencil, count: int | None) -> EigenSolution:
@@ -433,18 +466,19 @@ def _ritz_pairs(pencil: Pencil, k: int, shift: float):
     68 to 81 MiB with it, while real pencils did not grow (2-core host).
 
     This Rayleigh-Ritz step keeps scipy's wrappers and the warm path's
-    :func:`_rayleigh_ritz` keeps numpy.  Before both paths ran at one BLAS
+    (:class:`_SearchSpace`) keeps numpy.  Before both paths ran at one BLAS
     thread, each was the faster on its path, as numpy's and scipy's thread
-    pools contended: with ``_rayleigh_ritz`` here, ``np.linalg.qr`` took
+    pools contended: with the warm step's numpy here, ``np.linalg.qr`` took
     22 ms a call on the cold N = 2000 ring against 1.2 ms for
     ``scipy.linalg.qr``.  Re-measured at one BLAS thread (2-core host,
     medians of 15 cold solves of the lowest 8 levels and of 5 criterion-10
-    sweeps, three fresh processes each): with ``_rayleigh_ritz`` here the
-    real N = 2000 ring took 10.1-17.4 ms against 9.6-14.8 ms, and the
+    sweeps, three fresh processes each): with the warm step's numpy here
+    the real N = 2000 ring took 10.1-17.4 ms against 9.6-14.8 ms, and the
     complex ring (quasi-periodic, theta = 0.7) 14.0-15.2 ms against
-    18.8-22.0 ms; with scipy's ``qr`` and ``eigh`` in ``_rayleigh_ritz``
-    the sweep took 0.41-0.51 s against 0.31-0.35 s.  numpy is no longer
-    slower here, so the two steps could become one.
+    18.8-22.0 ms; with scipy's ``qr`` and ``eigh`` in the warm step the
+    sweep took 0.41-0.51 s against 0.31-0.35 s.  numpy is no longer
+    slower here.  The warm step works on the arrow blocks and this one on
+    ARPACK's block of a CSR pencil, so they stay two.
 
     A real pencil is factored and iterated in real arithmetic.  Real
     ARPACK returns a degenerate cluster's Ritz vectors as complex
@@ -518,23 +552,28 @@ def _solve_partial(pencil: Pencil, count: int) -> EigenSolution | None:
             return None
         w, vectors = ritz
         wide = _gaps(w[count - 1:], DEGENERACY_RTOL)
-    return _certified(pencil, count, w, vectors, fallback="dense")
+    solution = _solution(pencil, w[:count], vectors[:, :count])
+    return _certified(pencil.arrow, count, w, solution,
+                      residual_tolerances(pencil, solution.eigenvalues),
+                      fallback="dense")
 
 
-def _certified(pencil: Pencil, count: int, w: np.ndarray, vectors: np.ndarray,
+def _certified(arrow: ArrowBlocks, count: int, w: np.ndarray,
+               solution: EigenSolution, tolerances: np.ndarray,
                fallback: str) -> EigenSolution | None:
-    """The lowest ``count`` of the ascending Ritz pairs (w, vectors), when
-    their certificate holds; otherwise None, with the reason logged and the
+    """``solution``, the lowest ``count`` of the ascending Ritz pairs with
+    Ritz values ``w`` of the pencil with arrow blocks ``arrow``, when their
+    certificate holds; otherwise None, with the reason logged and the
     ``fallback`` path named.
 
     The certificate: a gap wider than DEGENERACY_RTOL above Ritz value
     ``count``; nu(tau) equal to the number of Ritz values below tau, for
     tau half of DEGENERACY_RTOL above the lower end of that gap; every
-    residual within :func:`residual_tolerances`.  Ritz values bound the
-    eigenvalues of their index from above, so nu(tau) is at least that
-    number, and equals it only when no eigenvalue below tau was missed;
-    any tau inside the gap certifies.  Near its lower end tau also
-    certifies a Ritz value above the gap that lies far above its
+    residual within ``tolerances`` (:func:`residual_tolerances`).  Ritz
+    values bound the eigenvalues of their index from above, so nu(tau) is
+    at least that number, and equals it only when no eigenvalue below tau
+    was missed; any tau inside the gap certifies.  Near its lower end tau
+    also certifies a Ritz value above the gap that lies far above its
     eigenvalue, as after inverse steps from converged vectors, which add
     only rounding noise to the basis.
     """
@@ -546,51 +585,169 @@ def _certified(pencil: Pencil, count: int, w: np.ndarray, vectors: np.ndarray,
     # Exactly `below` Ritz values lie under the first gap, at tau.
     below = count + int(np.argmax(wide))
     tau = w[below - 1] + 0.5 * DEGENERACY_RTOL * max(1.0, abs(w[below]))
-    found = _count_below(pencil, tau)
+    found = _negative_count(*arrow.minus(tau))
     if found != below:
         _LOG.warning("inertia certificate failed: nu(%.17g) = %s (None: "
                      "singular bulk block), expected %d; %s fallback",
                      tau, found, below, fallback)
         return None
 
-    solution = _solution(pencil, w[:count], vectors[:, :count])
-    if not np.all(solution.residuals
-                  <= residual_tolerances(pencil, solution.eigenvalues)):
+    if not np.all(solution.residuals <= tolerances):
         _LOG.warning("Ritz residuals exceed their tolerances; %s fallback",
                      fallback)
         return None
     return solution
 
 
-def _rayleigh_ritz(pencil: Pencil, basis: np.ndarray):
-    """Ritz pairs of the pencil on the span of the columns of ``basis``:
-    the ascending Ritz values, the B-orthonormal Ritz vectors and B times
-    them.
+def _free_product(blocks, q: np.ndarray, bulk: int) -> np.ndarray:
+    """M_f Q for the arrow matrix M with blocks (diag, upper, border,
+    corner) and its boundary block left out, Q in arrow row order: the
+    bulk rows T Q_b + E Q_c and the boundary rows E^T Q_b."""
+    diag, upper, border, _ = blocks
+    q_b, q_c = q[:bulk], q[bulk:]
+    out = np.empty_like(q)
+    t_q = diag[:, None] * q_b
+    t_q[:-1] += upper[:, None] * q_b[1:]
+    t_q[1:] += upper[:, None] * q_b[:-1]
+    out[:bulk] = t_q + border @ q_c
+    out[bulk:] = border.T @ q_b
+    return out
 
-    The columns, scaled to unit norm so that none is lost beside a longer
-    one, are orthonormalized by Householder QR, which keeps the span of
-    nearly dependent columns such as a converged vector and its inverse
-    step.  The projected pencil (Q^H A Q, Q^H B Q) is reduced to standard
-    form by the Cholesky factor of Q^H B Q, which is as well conditioned as
-    the mass matrix.  All of it is numpy.
+
+class _Ritz(NamedTuple):
+    """A Rayleigh-Ritz step of :class:`_SearchSpace`: all ascending Ritz
+    values, the lowest ``count`` pairs with their residuals, B times their
+    vectors (global order) and the residual tolerances."""
+
+    w: np.ndarray
+    solution: EigenSolution
+    b_vectors: np.ndarray
+    tolerances: np.ndarray
+
+    @property
+    def converged(self) -> bool:
+        return bool(np.all(self.solution.residuals <= self.tolerances))
+
+
+class _SearchSpace:
+    """The span of a start block, projected once for every pencil whose
+    arrow blocks share the bands of ``arrow``.
+
+    Only the 2n x 2n boundary block C of an assembled pencil depends on U;
+    the bands and the border come from one :class:`~saext.fem.BulkAssembly`.
+    So all the rest is kept here, in arrow row order (bulk rows, then
+    boundary rows): the orthonormal basis Q of the block, the products
+    A_f Q and B_f Q with the boundary block left out, which the bands and
+    the border give, Q^H A_f Q and Q^H B_f Q, and Q's boundary rows Q_c.
+    A Rayleigh-Ritz step for one pencil (:meth:`ritz`) adds Q_c^H C Q_c to
+    each projection, and its residuals come from the stored products plus
+    C Q_c y.
+
+    The columns of the block, scaled to unit norm so that none is lost
+    beside a longer one, are orthonormalized by Householder QR, which keeps
+    the span of nearly dependent columns such as a converged vector and its
+    inverse step.  A real pencil keeps real vectors: for a real ``arrow`` a
+    complex block is replaced by its real and imaginary parts.  All of it
+    is numpy.
 
     Raises
     ------
-    numpy.linalg.LinAlgError
-        When Q^H B Q is not numerically positive definite.
+    EigenSolveError
+        When ``block`` is not a finite 2-D block with one row per basis
+        function.
     """
-    norms = np.linalg.norm(basis, axis=0)
-    q, _ = np.linalg.qr(basis[:, norms > 0] / norms[norms > 0])
-    aq, bq = pencil.a @ q, pencil.b @ q
-    a_proj, b_proj = q.conj().T @ aq, q.conj().T @ bq
-    inverse = np.linalg.inv(np.linalg.cholesky((b_proj + b_proj.conj().T) / 2.0))
-    reduced = inverse @ a_proj @ inverse.conj().T
-    w, z = np.linalg.eigh((reduced + reduced.conj().T) / 2.0)
-    y = inverse.conj().T @ z
-    return w, q @ y, bq @ y
+
+    def __init__(self, arrow: ArrowBlocks, block: np.ndarray) -> None:
+        order = arrow.order
+        block = _checked_start(block, order.size)
+        if np.iscomplexobj(block) and not np.iscomplexobj(arrow.b[-1]):
+            block = np.hstack([block.real, block.imag])
+        self.block = block
+        basis = block[order]
+        norms = np.linalg.norm(basis, axis=0)
+        q, _ = np.linalg.qr(basis[:, norms > 0] / norms[norms > 0])
+        bulk = arrow.a[0].size
+        self._bands = (*arrow.a[:3], *arrow.b[:3])
+        self._order, self._bulk, self._q, self._q_c = order, bulk, q, q[bulk:]
+        self._free = [_free_product(blocks, q, bulk) for blocks in (arrow.a, arrow.b)]
+        self._projected = [q.conj().T @ free for free in self._free]
+        self._reference = _phase_reference(order.size)[order] @ q
+        # the band part of each matrix's absolute column sums: the largest
+        # over the bulk columns, and the border's over the boundary columns
+        self._column_sums = []
+        for diag, upper, border, _ in (arrow.a, arrow.b):
+            bulk_sums = np.abs(diag) + np.abs(border).sum(axis=1)
+            bulk_sums[:-1] += np.abs(upper)
+            bulk_sums[1:] += np.abs(upper)
+            self._column_sums.append((bulk_sums.max(initial=0.0),
+                                      np.abs(border).sum(axis=0)))
+
+    def ritz(self, arrow: ArrowBlocks, count: int) -> _Ritz:
+        """The Rayleigh-Ritz step of the pencil with arrow blocks ``arrow``
+        on this space, with its lowest ``count`` pairs.
+
+        The projected pencil (Q^H A Q, Q^H B Q) is reduced to standard form
+        by the Cholesky factor of Q^H B Q, which is as well conditioned as
+        the mass matrix.  The phases of the wanted vectors are fixed before
+        their residuals are taken.
+
+        Raises
+        ------
+        EigenSolveError
+            When the bands of ``arrow`` are not this space's, as for the
+            blocks of another assembly.
+        numpy.linalg.LinAlgError
+            When C has a non-finite entry or Q^H B Q is not numerically
+            positive definite.
+        """
+        if any(mine is not theirs for mine, theirs
+               in zip(self._bands, (*arrow.a[:3], *arrow.b[:3]))):
+            raise EigenSolveError("arrow blocks of another assembly: their "
+                                  "bands are not this search space's")
+        corners = arrow.a[3], arrow.b[3]
+        if not all(np.all(np.isfinite(c)) for c in corners):
+            raise np.linalg.LinAlgError("boundary block has a non-finite entry")
+        q_c = self._q_c
+        c_q = [c @ q_c for c in corners]
+        a_proj, b_proj = (p + q_c.conj().T @ cq
+                          for p, cq in zip(self._projected, c_q))
+        inverse = np.linalg.inv(np.linalg.cholesky((b_proj + b_proj.conj().T) / 2.0))
+        reduced = inverse @ a_proj @ inverse.conj().T
+        w, z = np.linalg.eigh((reduced + reduced.conj().T) / 2.0)
+        y = inverse.conj().T @ z[:, :count]
+        y *= _phase_factors(self._reference @ y)
+
+        av, bv = (free @ y for free in self._free)
+        av[self._bulk:] += c_q[0] @ y
+        bv[self._bulk:] += c_q[1] @ y
+        low = w[:count]
+        residuals = np.linalg.norm(av - bv * low, axis=0)
+        vectors, b_vectors = np.empty_like(av), np.empty_like(bv)
+        vectors[self._order] = self._q @ y
+        b_vectors[self._order] = bv
+        a_norm, b_norm = (max(bulk_max, float(np.max(sums + np.abs(c).sum(axis=0))))
+                          for (bulk_max, sums), c in zip(self._column_sums, corners))
+        solution = EigenSolution(eigenvalues=low, eigenvectors=vectors,
+                                 residuals=residuals)
+        return _Ritz(w, solution, b_vectors, _tolerances(a_norm, b_norm, low))
+
+    def solve(self, arrow: ArrowBlocks, count: int,
+              fallback: str) -> EigenSolution | None:
+        """The lowest ``count`` pairs of the pencil with arrow blocks
+        ``arrow`` from one Rayleigh-Ritz step on this space, when their
+        certificate (:func:`_certified`) holds; otherwise None, with the
+        reason logged and the ``fallback`` path named."""
+        try:
+            ritz = self.ritz(arrow, count)
+        except np.linalg.LinAlgError as exc:
+            _LOG.warning("Rayleigh-Ritz step failed (%s); %s fallback",
+                         exc, fallback)
+            return None
+        return _certified(arrow, count, ritz.w, ritz.solution, ritz.tolerances,
+                          fallback)
 
 
-def _inverse_step(pencil: Pencil, theta: float, rhs: np.ndarray) -> np.ndarray:
+def _inverse_step(arrow: ArrowBlocks, theta: float, rhs: np.ndarray) -> np.ndarray:
     """(A - theta B)^{-1} rhs by the arrow blocks.
 
     A shift on an eigenvalue, a Ritz value that has converged exactly, can
@@ -600,16 +757,20 @@ def _inverse_step(pencil: Pencil, theta: float, rhs: np.ndarray) -> np.ndarray:
     Raises
     ------
     numpy.linalg.LinAlgError
-        When A - theta B is exactly singular at the nudged shift too.
+        When A - theta B is exactly singular at the nudged shift too, or
+        the step overflows (a search space takes finite blocks only).
     """
     try:
-        return pencil.arrow.solve(theta, rhs)
+        step = arrow.solve(theta, rhs)
     except np.linalg.LinAlgError:
         nudged = theta + _NUDGE_ULPS * np.finfo(float).eps * max(1.0, abs(theta))
         try:
-            return pencil.arrow.solve(nudged, rhs)
+            step = arrow.solve(nudged, rhs)
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(f"inverse step at {theta!r}: {exc}") from exc
+    if not np.all(np.isfinite(step)):
+        raise np.linalg.LinAlgError(f"inverse step at {theta!r} is not finite")
+    return step
 
 
 def _solve_warm(pencil: Pencil, count: int, start: np.ndarray) -> EigenSolution | None:
@@ -617,9 +778,10 @@ def _solve_warm(pencil: Pencil, count: int, start: np.ndarray) -> EigenSolution 
     steps with inverse steps, or None (with the reason logged) when the
     sparse path has to answer.
 
-    A Rayleigh-Ritz step on span(start) gives Ritz pairs (theta_j, v_j).
-    Each round adds one inverse step w_j = (A - theta_j B)^{-1} B v_j for
-    every j < ``count`` and takes a Rayleigh-Ritz step on [V, W] (Parlett,
+    A Rayleigh-Ritz step on span(start) (:class:`_SearchSpace`) gives Ritz
+    pairs (theta_j, v_j).  Each round adds one inverse step
+    w_j = (A - theta_j B)^{-1} B v_j for every j < ``count`` to the block
+    and takes a Rayleigh-Ritz step on its span, that of [V, W] (Parlett,
     The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4 and 11).  Rounds
     stop once the lowest ``count`` residuals are within their tolerances,
     or after _WARM_ROUNDS; the result then has to pass the certificate of
@@ -627,43 +789,42 @@ def _solve_warm(pencil: Pencil, count: int, start: np.ndarray) -> EigenSolution 
     already holds the wanted pairs, such as the stability study's base
     eigenvectors with their boundary responses, takes no round at all.  One
     of ``count`` columns always takes one: the certificate needs a Ritz
-    value above the gap.  A real pencil keeps real vectors: a complex start
-    block is replaced by its real and imaginary parts.
+    value above the gap.
     """
-    if np.iscomplexobj(start) and not np.iscomplexobj(pencil.b):
-        start = np.hstack([start.real, start.imag])
-    low = slice(0, count)
-
-    def converged(w, vectors, b_vectors):
-        residuals = np.linalg.norm(pencil.a @ vectors[:, low]
-                                   - b_vectors[:, low] * w[low], axis=0)
-        return np.all(residuals <= residual_tolerances(pencil, w[low]))
-
+    arrow = pencil.arrow
     try:
-        w, vectors, b_vectors = _rayleigh_ritz(pencil, start)
-        done = w.size > count and converged(w, vectors, b_vectors)
+        space = _SearchSpace(arrow, start)
+        ritz = space.ritz(arrow, count)
+        done = ritz.w.size > count and ritz.converged
         for _ in range(0 if done else _WARM_ROUNDS):
-            steps = [_inverse_step(pencil, theta, b_vectors[:, j])
-                     for j, theta in enumerate(w[low])]
-            w, vectors, b_vectors = _rayleigh_ritz(
-                pencil, np.column_stack([vectors, *steps]))
-            if converged(w, vectors, b_vectors):
+            steps = [_inverse_step(arrow, theta, ritz.b_vectors[:, j])
+                     for j, theta in enumerate(ritz.w[:count])]
+            space = _SearchSpace(arrow, np.column_stack([space.block, *steps]))
+            ritz = space.ritz(arrow, count)
+            if ritz.converged:
                 break
     except np.linalg.LinAlgError as exc:
         _LOG.warning("warm path failed (%s); cold fallback", exc)
         return None
-    return _certified(pencil, count, w, vectors, fallback="cold")
+    return _certified(arrow, count, ritz.w, ritz.solution, ritz.tolerances,
+                      fallback="cold")
+
+
+def _tolerances(a_norm: float, b_norm: float, eigenvalues: np.ndarray) -> np.ndarray:
+    """RESIDUAL_RTOL * (||A|| + |lambda| ||B||) for each eigenvalue."""
+    return RESIDUAL_RTOL * (a_norm + np.abs(eigenvalues) * b_norm)
 
 
 def residual_tolerances(pencil: Pencil, eigenvalues: np.ndarray) -> np.ndarray:
     """Per-pair residual bound RESIDUAL_RTOL * (||A|| + |lambda| ||B||),
     with the matrix 1-norm, the largest absolute column sum (summed over
-    the CSR entries, about 20x faster than ``scipy.sparse.linalg.norm``)."""
+    the CSR entries, about 20x faster than ``scipy.sparse.linalg.norm``;
+    the warm path sums the arrow blocks instead)."""
     a_norm, b_norm = (
         np.bincount(m.indices, weights=np.abs(m.data), minlength=m.shape[1]).max()
         for m in (pencil.a, pencil.b)
     )
-    return RESIDUAL_RTOL * (a_norm + np.abs(eigenvalues) * b_norm)
+    return _tolerances(a_norm, b_norm, eigenvalues)
 
 
 def eigenfunction_samples(

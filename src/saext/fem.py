@@ -25,12 +25,16 @@ and its shifted solves, which eliminate the blocks
 
 Only the boundary block depends on U.  The bands, the border, the
 potential moments of the extreme elements, min V and the CSR pattern depend
-only on the mesh, V and mu: :class:`BulkAssembly` computes them once, and
-:meth:`BulkAssembly.pencil` adds the boundary block of one set of boundary
-values.  :func:`assemble_pencil` does both in one call.  scipy lays out the
-CSR pattern once; each pencil's CSR data is gathered from one complex
-template per matrix and its boundary block, and :class:`Pencil` picks the
-dtype.
+only on the mesh, V and mu: :class:`BulkAssembly` computes them once.
+:meth:`BulkAssembly.arrow` builds the boundary block of one set of boundary
+values and returns it with the shared bands as :class:`ArrowBlocks`;
+:meth:`BulkAssembly.pencil` adds the CSR arrays, gathered from one complex
+template per matrix and that boundary block (scipy lays out the CSR
+pattern once), and :class:`Pencil` picks the dtype.
+:func:`assemble_pencil` builds the bulk part and one pencil in one call.
+The stability sweep builds CSR arrays for its base pencil only: each
+perturbed U needs its arrow blocks alone, since the eigensolver projects
+everything else once per sweep.
 
 The quadratic form behind A is
     Q(f, g) = mu * (<f', g'> - [conj(f) g']_boundary) + <f, V g>,
@@ -144,7 +148,9 @@ class ArrowBlocks:
     function of one interval and the first of the next).  ``border`` is the
     real bulk x boundary block E and ``corner`` the hermitian 2n x 2n
     boundary block C, both with boundary functions in order
-    i = 0 .. 2n - 1; C has the pencil's dtype.  ``order`` lists the global
+    i = 0 .. 2n - 1; C has the pencil's dtype.  Every set of blocks one
+    :class:`BulkAssembly` builds holds the same read-only arrays for
+    diag, upper and border.  ``order`` lists the global
     index of every row of the arrow matrix: the bulk functions, then the
     boundary functions.  ``v_min`` is the smallest value of V at the
     quadrature points (0 for V = 0).
@@ -291,7 +297,7 @@ class BulkAssembly:
     give the tridiagonal bands: the bulk block, the border and the
     U-independent entries of the boundary block.  The two extreme
     elements carry every boundary function through its endpoint values;
-    their potential moments are kept for :meth:`pencil`, which adds them and
+    their potential moments are kept for :meth:`arrow`, which adds them and
     the Lagrange bracket as the boundary block of one set of boundary
     values.
 
@@ -369,6 +375,8 @@ class BulkAssembly:
         row_side = bulk_row & ~bulk_col  # bulk row, boundary column
         col_side = ~bulk_row & bulk_col
         self._tri_corner = (local[rows[in_corner]], local[cols[in_corner]])
+        self._upper = np.triu_indices(bidx.size, 1)
+        self._diagonal = np.diag_indices(bidx.size)
         self._order = _frozen(np.concatenate([bulk, bidx]))
 
         # CSR pattern: the band entries outside the boundary block, their
@@ -408,15 +416,19 @@ class BulkAssembly:
                 template=_frozen(template),
             ))
 
-    def pencil(self, bc: BoundaryCondition, bvals: BoundaryValues) -> Pencil:
-        """The pencil of boundary condition ``bc`` with its solved boundary
-        values ``bvals``: this bulk part plus the boundary block.
+    def arrow(self, bc: BoundaryCondition, bvals: BoundaryValues) -> ArrowBlocks:
+        """The arrow blocks of the pencil of boundary condition ``bc`` with
+        its solved boundary values ``bvals``: this bulk part's bands, shared
+        by every set of blocks it builds, and the boundary block of
+        ``bvals``.
 
         The boundary block is the Lagrange bracket plus the two extreme
         elements of every interval; it is the only part checked for raw
         hermiticity (the rest is real symmetric by construction), and it is
         built from its upper triangle and mirrored, so A = A^H and B = B^H
-        hold exactly.
+        hold exactly.  Both corners are float64 when neither has an entry
+        with a nonzero imaginary part, the dtype :class:`Pencil` picks for
+        the CSR arrays of :meth:`pencil`, and complex128 otherwise.
 
         Raises
         ------
@@ -463,8 +475,7 @@ class BulkAssembly:
                 a_block += (stiff * (ll - lr - rl + rr) + p00[e] * ll
                             + p01[e] * (lr + rl) + p11[e] * rr)
 
-        iu = np.triu_indices(two_n, 1)
-        diagonal = np.diag_indices(two_n)
+        iu, diagonal = self._upper, self._diagonal
         corners = []
         for name, raw, part in zip("AB", (a_block, b_block), self._parts):
             scale = max(1.0, float(np.max(np.abs(raw))), part.band_max)
@@ -481,22 +492,34 @@ class BulkAssembly:
             corner[diagonal] = raw.diagonal().real
             corners.append(corner)
 
-        dim = mesh.dim
+        real = not any(np.any(c.imag) for c in corners)
+        blocks = [(*part.bands, _frozen(c.real.copy() if real else c))
+                  for part, c in zip(self._parts, corners)]
+        return ArrowBlocks(*blocks, self._order, self.v_min)
+
+    def pencil(self, bc: BoundaryCondition, bvals: BoundaryValues) -> Pencil:
+        """The pencil of boundary condition ``bc`` with its solved boundary
+        values ``bvals``: the CSR arrays of A and B gathered from this bulk
+        part's templates and the boundary blocks of :meth:`arrow`, which
+        the pencil carries.
+
+        Raises
+        ------
+        AssemblyError
+            As :meth:`arrow`.
+        """
+        arrow = self.arrow(bc, bvals)
+        dim = self.mesh.dim
         matrices = []
-        for part, corner in zip(self._parts, corners):
-            data = np.concatenate([part.template, corner.ravel()])[self._take]
+        for part, blocks in zip(self._parts, (arrow.a, arrow.b)):
+            data = np.concatenate([part.template, blocks[-1].ravel()])[self._take]
             matrix = scipy.sparse.csr_array(
                 (data, self._indices.copy(), self._indptr.copy()), shape=(dim, dim)
             )
             matrix.eliminate_zeros()
             matrices.append(matrix)
         pencil = Pencil(a=matrices[0], b=matrices[1])
-        # the boundary blocks take the dtype Pencil chose
-        real = not np.iscomplexobj(pencil.a)
-        blocks = [(*part.bands, _frozen(c.real.copy() if real else c))
-                  for part, c in zip(self._parts, corners)]
-        object.__setattr__(pencil, "arrow",
-                           ArrowBlocks(*blocks, self._order, self.v_min))
+        object.__setattr__(pencil, "arrow", arrow)
         return pencil
 
 

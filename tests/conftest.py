@@ -2,8 +2,12 @@
 
 The acceptance module records one line per criterion; the terminal-summary
 hook prints them at the end of the run so the pass/fail report is visible
-without -s.
+without -s.  ``inverse_steps`` counts the warm path's inverse steps.
 """
+
+import pytest
+
+from saext import fem
 
 ACCEPTANCE_RESULTS: list[str] = []
 
@@ -23,3 +27,17 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_sep("=", "acceptance criteria")
     for line in sorted(ACCEPTANCE_RESULTS):
         terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def inverse_steps(monkeypatch):
+    """Counts the inverse steps (arrow-block solves) of each solve."""
+    calls = []
+    solve = fem.ArrowBlocks.solve
+
+    def counted(self, x, rhs):
+        calls.append(x)
+        return solve(self, x, rhs)
+
+    monkeypatch.setattr(fem.ArrowBlocks, "solve", counted)
+    return calls

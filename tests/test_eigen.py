@@ -150,6 +150,14 @@ def test_phase_fixing_reference_inner_product_real_positive():
     assert np.all(np.abs(inner.imag) <= 1e-14 * np.abs(inner))
 
 
+def test_phase_reference_is_drawn_once_per_dimension():
+    first = _phase_reference(251)
+    assert _phase_reference(251) is first
+    assert not first.flags.writeable
+    fresh = np.random.default_rng(1103).random(251)
+    assert first.tobytes() == fresh.tobytes()
+
+
 def test_phase_fixing_agrees_between_sparse_and_dense_paths(caplog):
     # criterion 10's ring: each excited level is a pair split by ~3e-6, whose
     # eigenfunctions tie in largest coefficient; the two paths must still
@@ -490,6 +498,28 @@ def test_residual_tolerances_use_the_matrix_one_norm(seed, real):
                           RESIDUAL_RTOL * (a_norm + np.abs(lam) * b_norm))
 
 
+def _bump_pencil():
+    """A random U on one interval with a potential bump of 1e6 inside it:
+    A's largest column sum is a bulk column away from the border."""
+    mesh = build_mesh(IntervalSet([(0.0, 3.0)]), 120)
+    bump = SampledPotential([0.0, 1.4, 1.5, 1.6, 3.0], [0.0, 0.0, 1e6, 0.0, 0.0])
+    bc = BoundaryCondition.from_matrix(random_unitary(2, np.random.default_rng(3)))
+    vals = solve_boundary_values(assemble_boundary_system(bc, mesh))
+    return assemble_pencil(mesh, bc, vals, bump)
+
+
+@pytest.mark.parametrize("seed, real", [(0, False), (4, False), (8, False),
+                                        (1, True), (5, True), (None, False)])
+def test_search_space_tolerances_use_the_matrix_one_norm(seed, real):
+    # the warm path sums the 1-norms over the arrow blocks, not the CSR
+    # entries: the same norms up to the order of the sums
+    pencil = _bump_pencil() if seed is None else _random_pencil(seed, real)[0]
+    block = np.random.default_rng(seed).standard_normal((pencil.dim, 6))
+    ritz = eigen._SearchSpace(pencil.arrow, block).ritz(pencil.arrow, 4)
+    want = residual_tolerances(pencil, ritz.solution.eigenvalues)
+    assert np.allclose(ritz.tolerances, want, rtol=1e-14, atol=0)
+
+
 def test_inertia_count_rejects_singular_bulk_block():
     # T = [[1, 1], [1, 1]] has the eigenvalue 0: no count is trusted, also
     # not for an eigenvalue within the relative singularity tolerance
@@ -551,12 +581,14 @@ def test_one_blas_thread_scope(case, caller_threads, monkeypatch):
             return function(*args, **kwargs)
         return wrapper
 
-    for name in ("_rayleigh_ritz", "_ritz_pairs"):
-        monkeypatch.setattr(eigen, name, recording(getattr(eigen, name), inside))
+    # the Rayleigh-Ritz steps of the warm and the sparse path
+    monkeypatch.setattr(eigen._SearchSpace, "ritz",
+                        recording(eigen._SearchSpace.ritz, inside))
+    monkeypatch.setattr(eigen, "_ritz_pairs", recording(eigen._ritz_pairs, inside))
     monkeypatch.setattr(eigen, "_solve_dense", recording(eigen._solve_dense, dense))
     if case == "dense fallback":
-        monkeypatch.setattr(eigen, "residual_tolerances",
-                            lambda pencil, w: np.zeros_like(w))
+        # no residual meets a zero tolerance, on the warm or the sparse path
+        monkeypatch.setattr(eigen, "RESIDUAL_RTOL", 0.0)
     if case == "warm raises":
         def failing(*args):
             inside.append(_blas_threads())

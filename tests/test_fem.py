@@ -408,7 +408,8 @@ def test_boundary_response_raises_on_an_exactly_singular_bulk_block():
 def test_bulk_assembly_serves_a_sweep_over_u():
     # one bulk part, pencils for several U: each bit-identical to a full
     # assembly, real and complex alike, complex ones stored as exact
-    # conjugate mirrors, and the shared part left as it was
+    # conjugate mirrors, and the shared part left as it was; the arrow
+    # blocks alone are those of the pencil, in its dtype, on the same bands
     mesh, potential, _, _ = _arrow_pencil(1)
     boundary = boundary_indices(mesh)
     bulk = BulkAssembly(mesh, potential, mu=1.3)
@@ -431,6 +432,14 @@ def test_bulk_assembly_serves_a_sweep_over_u():
                 complex_pencils += 1
                 coo = g.tocoo()
                 assert_conjugate_mirror(coo.row, coo.col, coo.data, boundary)
+        alone = bulk.arrow(bc, vals)
+        for blocks, in_pencil, in_first in zip((alone.a, alone.b),
+                                               (got.arrow.a, got.arrow.b),
+                                               (first.a, first.b)):
+            assert all(x is y is z for x, y, z
+                       in zip(blocks[:3], in_pencil[:3], in_first[:3]))
+            assert blocks[3].dtype == got.a.dtype
+            assert blocks[3].tobytes() == in_pencil[3].tobytes()
     assert complex_pencils == 4  # A and B of both random U
     after = [m for blocks in (got.arrow.a, got.arrow.b) for m in blocks[:3]]
     assert all(np.array_equal(x, y) for x, y in zip(shared, after))

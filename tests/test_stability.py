@@ -1,6 +1,7 @@
 """The stability study: input validation, level clusters and the
 variable-projection power-law fit."""
 
+import dataclasses
 import logging
 import math
 import os
@@ -13,19 +14,20 @@ import pytest
 import scipy.linalg
 
 import saext
-from saext import cli
+from saext import cli, fem
 from helpers import power_law_fit_multistart
 from saext.boundary import assemble_boundary_system, solve_boundary_values
 from saext.boundary import BoundaryCondition
 from saext.cli import (
     EXIT_CONFIG,
+    EXIT_SOLVER,
     _power_law_fit,
     main,
     nearest_unitary,
     stability_study,
 )
 from saext.config import SCHEMA_HEADER, build_problem, parse_config
-from saext.eigen import solve_pencil
+from saext.eigen import _solve_dense, solve_pencil
 from saext.fem import assemble_pencil
 from saext.geometry import build_mesh
 
@@ -121,31 +123,152 @@ def test_nearest_unitary_is_the_scipy_polar_factor_bitwise():
         assert distance == float(np.linalg.norm(matrix - want))
 
 
-def test_sweep_starts_every_solve_from_the_base_eigenvectors(monkeypatch, caplog):
-    # every perturbed pencil is solved warm from one shared start block, not
-    # from its neighbour's solution: the base eigenvectors, bit for bit,
-    # then the boundary responses; each certifies without fallback
-    calls = []
+def _recorded_sweep(monkeypatch, cfg):
+    """Runs ``stability_study(cfg)`` and returns its result with what it
+    did: the (pencil, start, solution) of each ``solve_pencil`` call, the
+    (arrow, block) of each search space it built, the (space, bulk
+    assembly, bc, values, solution) of each solve in a space, and the
+    number of CSR pencils it built."""
+    calls, arrows, spaces, solves, pencils = [], [], [], [], []
     solve = cli.solve_pencil
+    arrow = fem.BulkAssembly.arrow
+    pencil = fem.BulkAssembly.pencil
 
-    def recording(pencil, count=None, start=None):
+    def recording_solve(pencil, count=None, start=None):
         solution = solve(pencil, count=count, start=start)
-        calls.append((start, solution))
+        calls.append((pencil, start, solution))
         return solution
 
-    monkeypatch.setattr(cli, "solve_pencil", recording)
+    def recording_arrow(self, bc, values):
+        blocks = arrow(self, bc, values)
+        arrows.append((self, bc, values, blocks))
+        return blocks
+
+    def recording_pencil(self, bc, values):
+        pencils.append(bc)
+        return pencil(self, bc, values)
+
+    class RecordingSpace(cli._SearchSpace):
+        def __init__(self, blocks, block):
+            super().__init__(blocks, block)
+            spaces.append((blocks, block))
+
+        def solve(self, blocks, count, fallback):
+            solution = super().solve(blocks, count, fallback)
+            bulk, bc, values, made = arrows[-1]
+            assert made is blocks
+            solves.append((self, bulk, bc, values, solution))
+            return solution
+
+    monkeypatch.setattr(cli, "solve_pencil", recording_solve)
+    monkeypatch.setattr(fem.BulkAssembly, "arrow", recording_arrow)
+    monkeypatch.setattr(fem.BulkAssembly, "pencil", recording_pencil)
+    monkeypatch.setattr(cli, "_SearchSpace", RecordingSpace)
+    return stability_study(cfg), calls, spaces, solves, len(pencils)
+
+
+def _fallbacks(caplog):
+    return [r.getMessage() for r in caplog.records if "fallback" in r.getMessage()]
+
+
+def test_sweep_starts_every_solve_from_the_base_eigenvectors(monkeypatch, caplog):
+    # one search space for the whole sweep, built from the base pencil's
+    # arrow blocks and one start block: the base eigenvectors, bit for bit,
+    # then the boundary responses.  Every perturbed pencil is solved in it
+    # and certifies, so the base is the one CSR pencil and the one
+    # solve_pencil call.
     cfg = parse_config(CRITERION_10_CONFIG + "stability.eps_start = 1e-4\n"
                        "stability.eps_stop = 1e-3\nstability.eps_step = 1e-4\n")
     with caplog.at_level(logging.WARNING, logger="saext"):
-        stability_study(cfg)
-    assert not [r for r in caplog.records if "fallback" in r.getMessage()]
-    (base_start, base), *perturbed = calls
-    assert base_start is None and len(perturbed) == 10
-    start = perturbed[0][0]
-    assert all(s is start for s, _ in perturbed)
-    count = base.count
-    assert start.shape[1] > count
-    assert start[:, :count].tobytes() == base.eigenvectors.tobytes()
+        _, calls, spaces, solves, pencils = _recorded_sweep(monkeypatch, cfg)
+    assert not _fallbacks(caplog)
+    assert pencils == 1
+    [(base_pencil, base_start, base)] = calls
+    assert base_start is None
+    [(blocks, start)] = spaces
+    assert blocks is base_pencil.arrow
+    assert start.shape[1] > base.count
+    assert start[:, :base.count].tobytes() == base.eigenvectors.tobytes()
+    assert len(solves) == 10
+    assert all(space is solves[0][0] and solution is not None
+               for space, *_, solution in solves)
+
+
+def test_sweep_solves_criterion_10_in_its_search_space(monkeypatch, caplog,
+                                                       inverse_steps):
+    # all 100 perturbed pencils certify after one Rayleigh-Ritz step, with no
+    # inverse step and no CSR pencil but the base, and agree with the cold
+    # and dense paths on the same pencils
+    with caplog.at_level(logging.WARNING, logger="saext"):
+        _, calls, spaces, solves, pencils = _recorded_sweep(
+            monkeypatch, parse_config(CRITERION_10_CONFIG))
+    assert not _fallbacks(caplog)
+    assert not inverse_steps
+    assert (len(calls), len(spaces), pencils, len(solves)) == (1, 1, 1, 100)
+    warm = [solution.eigenvalues for *_, solution in solves]
+    pencils = [bulk.pencil(bc, values) for _, bulk, bc, values, _ in solves]
+    cold = [solve_pencil(pencil, count=9).eigenvalues for pencil in pencils]
+    dense = [_solve_dense(pencil, 9).eigenvalues for pencil in pencils[::10]]
+
+    def relative(got, want):
+        return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+
+    assert max(map(relative, warm, cold)) <= 1e-11
+    assert max(map(relative, warm[::10], dense)) <= 1e-11
+
+
+def test_sweep_random_start_falls_back_to_the_cold_path(monkeypatch, caplog):
+    # a start block that misses the levels fails the search space's
+    # certificate on every pencil: each is built as a CSR pencil and solved
+    # by solve_pencil from the same block, and so by the cold path
+    def random_start(pencil, solution, clusters):
+        return np.random.default_rng(5).standard_normal((pencil.dim, 19))
+
+    monkeypatch.setattr(cli, "_sweep_start", random_start)
+    cfg = parse_config(CRITERION_10_CONFIG + "stability.eps_start = 1e-4\n"
+                       "stability.eps_stop = 3e-4\nstability.eps_step = 1e-4\n")
+    with caplog.at_level(logging.WARNING, logger="saext"):
+        _, calls, spaces, solves, pencils = _recorded_sweep(monkeypatch, cfg)
+    messages = _fallbacks(caplog)
+    assert sum("warm fallback" in m for m in messages) == 3
+    assert sum("cold fallback" in m for m in messages) == 3
+    assert pencils == len(calls) == 4
+    [(_, block)] = spaces
+    assert all(solution is None for *_, solution in solves)
+    for pencil, start, solution in calls[1:]:
+        assert start is block
+        cold = solve_pencil(pencil, count=9)
+        assert solution.eigenvalues.tobytes() == cold.eigenvalues.tobytes()
+
+
+def test_sweep_non_finite_boundary_block_exits_solver(monkeypatch, tmp_path, caplog,
+                                                     capsys):
+    # a NaN in a perturbed boundary block fails the search space's step, and
+    # the CSR pencil built for the fallback fails solve_pencil's input check
+    arrow = fem.BulkAssembly.arrow
+    made = []
+
+    def poisoned(self, bc, values):
+        blocks = arrow(self, bc, values)
+        made.append(blocks)
+        if len(made) == 1:  # the base pencil
+            return blocks
+        corner = blocks.a[3].copy()
+        corner[0, 0] = np.nan
+        return dataclasses.replace(blocks, a=(*blocks.a[:3], corner))
+
+    monkeypatch.setattr(fem.BulkAssembly, "arrow", poisoned)
+    cfg_path = tmp_path / "job.cfg"
+    cfg_path.write_text(CRITERION_10_CONFIG + "stability.eps_start = 1e-4\n"
+                        "stability.eps_stop = 3e-4\nstability.eps_step = 1e-4\n")
+    with caplog.at_level(logging.WARNING, logger="saext"):
+        code = main(["stability", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")])
+    assert code == EXIT_SOLVER
+    assert len(made) == 3  # the base, then the perturbed arrow and its pencil
+    assert _fallbacks(caplog) == ["Rayleigh-Ritz step failed (boundary block "
+                                  "has a non-finite entry); warm fallback"]
+    assert "solver failure: A has a non-finite entry" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ level clusters

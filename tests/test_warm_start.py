@@ -16,7 +16,14 @@ from saext.boundary import (
     solve_boundary_values,
 )
 from saext.cli import _sweep_start, nearest_unitary
-from saext.eigen import EigenSolveError, _solve_dense, solve_pencil
+from saext.eigen import (
+    EigenSolveError,
+    _phase_reference,
+    _SearchSpace,
+    _solve_dense,
+    residual_tolerances,
+    solve_pencil,
+)
 from saext.fem import BulkAssembly
 from saext.geometry import IntervalSet, build_mesh
 from saext.potentials import ConstantPotential
@@ -36,20 +43,6 @@ def _fallbacks(caplog):
 
 def _relative(got, want):
     return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
-
-
-@pytest.fixture
-def inverse_steps(monkeypatch):
-    """Counts the inverse steps (arrow-block solves) of each solve."""
-    calls = []
-    solve = fem.ArrowBlocks.solve
-
-    def counted(self, x, rhs):
-        calls.append(x)
-        return solve(self, x, rhs)
-
-    monkeypatch.setattr(fem.ArrowBlocks, "solve", counted)
-    return calls
 
 
 def _enriched_start(pencil, solution):
@@ -110,6 +103,51 @@ def test_sweep_start_certifies_criterion_10_without_inverse_steps(
     assert max(map(_relative, (w.eigenvalues for w in warm), cold)) <= 1e-11
     dense = [_solve_dense(pencil, 9).eigenvalues for pencil in pencils[::10]]
     assert max(map(_relative, (w.eigenvalues for w in warm[::10]), dense)) <= 1e-11
+
+
+def test_search_space_certifies_criterion_10_in_one_step(criterion_10, caplog,
+                                                         inverse_steps):
+    # the sweep's start block projected once: each pencil takes its boundary
+    # block and one Rayleigh-Ritz step, whose vectors are B-orthonormal and
+    # turned by the phase rule, and whose residuals and tolerances are those
+    # its CSR arrays give (eigenvalues against the cold and dense paths:
+    # test_stability's test_sweep_solves_criterion_10_in_its_search_space)
+    _, pencils, start = criterion_10
+    space = _SearchSpace(pencils[0].arrow, start)  # only its bands count
+    with caplog.at_level(logging.WARNING, logger="saext"):
+        for pencil in pencils:
+            solution = space.solve(pencil.arrow, 9, fallback="warm")
+            vectors, w = solution.eigenvectors, solution.eigenvalues
+            assert vectors.dtype == np.complex128
+            gram = vectors.conj().T @ (pencil.b @ vectors)
+            assert np.max(np.abs(gram - np.eye(9))) <= 1e-10
+            inner = _phase_reference(pencil.dim) @ vectors
+            assert np.all(inner.real > 0)
+            assert np.all(np.abs(inner.imag) <= 1e-13 * inner.real)
+            residuals = np.linalg.norm(pencil.a @ vectors - (pencil.b @ vectors) * w,
+                                       axis=0)
+            tolerances = residual_tolerances(pencil, w)
+            assert np.all(np.abs(solution.residuals - residuals) <= 1e-3 * tolerances)
+            assert np.all(solution.residuals <= tolerances)
+            # the 1-norms summed over the arrow blocks, not the CSR entries
+            ritz = space.ritz(pencil.arrow, 9)
+            assert np.allclose(ritz.tolerances, tolerances, rtol=1e-14, atol=0)
+    assert not _fallbacks(caplog)
+    assert not inverse_steps
+
+
+def test_search_space_rejects_the_blocks_of_another_assembly(criterion_10):
+    _, pencils, start = criterion_10
+    space = _SearchSpace(pencils[0].arrow, start)
+    other = BulkAssembly(build_mesh(IntervalSet([(0.0, TWO_PI)]), 250))
+    ring = BoundaryCondition.quasi_periodic(0.0).u_endpoint
+    # equal bands, but not the same arrays
+    twin = _pencil_for(other, ring).arrow
+    assert all(np.array_equal(x, y) for x, y in zip(twin.a, pencils[0].arrow.a[:3]))
+    with pytest.raises(EigenSolveError, match="another assembly"):
+        space.ritz(twin, 9)
+    with pytest.raises(EigenSolveError, match="another assembly"):
+        space.solve(twin, 9, fallback="warm")
 
 
 def test_sweep_start_drops_a_cluster_on_an_exactly_singular_bulk_block(
@@ -254,6 +292,20 @@ def test_singular_shifted_pencil_falls_back(criterion_10, caplog, monkeypatch):
     assert warm.eigenvalues.tobytes() == cold.eigenvalues.tobytes()
 
 
+def test_non_finite_inverse_step_falls_back(criterion_10, caplog, monkeypatch):
+    # an inverse step that overflows ends the warm path, not the solve
+    base, pencils, _ = criterion_10
+    monkeypatch.setattr(fem.ArrowBlocks, "solve",
+                        lambda self, x, rhs: np.full(rhs.shape, np.inf))
+    with caplog.at_level(logging.WARNING, logger="saext"):
+        warm = solve_pencil(pencils[0], count=9, start=base.eigenvectors)
+    assert any("is not finite" in m and "cold fallback" in m
+               for m in _fallbacks(caplog))
+    monkeypatch.undo()
+    cold = solve_pencil(pencils[0], count=9)
+    assert warm.eigenvalues.tobytes() == cold.eigenvalues.tobytes()
+
+
 @pytest.mark.parametrize("shape, fill, message", [
     (lambda dim: (dim - 1, 3), 1.0, "shape"),
     (lambda dim: (dim,), 1.0, "shape"),
@@ -264,6 +316,18 @@ def test_rejects_bad_start_block(criterion_10, shape, fill, message):
     start = np.full(shape(pencils[0].dim), fill)
     with pytest.raises(EigenSolveError, match=message):
         solve_pencil(pencils[0], count=3, start=start)
+
+
+@pytest.mark.parametrize("shape, fill, message", [
+    (lambda dim: (dim - 1, 3), 1.0, "shape"),
+    (lambda dim: (dim,), 1.0, "shape"),
+    (lambda dim: (dim, 2), np.nan, "non-finite"),
+], ids=["rows", "one-dimensional", "nan"])
+def test_search_space_rejects_bad_start_block(criterion_10, shape, fill, message):
+    _, pencils, _ = criterion_10
+    start = np.full(shape(pencils[0].dim), fill)
+    with pytest.raises(EigenSolveError, match=message):
+        _SearchSpace(pencils[0].arrow, start)
 
 
 @pytest.mark.parametrize("case", ["periodic ring", "neumann", "random u"])
