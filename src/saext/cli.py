@@ -56,7 +56,6 @@ from .config import (
 )
 from .eigen import (
     EigenSolveError,
-    _one_blas_thread,
     _SearchSpace,
     eigenfunction_samples,
     h1_error,
@@ -343,15 +342,18 @@ def stability_study(cfg: JobConfig):
     sweep.  Only the boundary block depends on U, so the span of the block
     is projected once (:class:`~saext.eigen._SearchSpace`), and each
     perturbed U costs its arrow blocks (:meth:`~saext.fem.BulkAssembly.arrow`)
-    and one small Rayleigh-Ritz step under the sparse path's certificate;
-    on criterion 10's sweep that certifies every pencil.  Where the
-    certificate fails, the pencil's CSR arrays are built and the warm path
-    of :func:`~saext.eigen.solve_pencil` answers from the same block.
+    and the warm solve in that space (:meth:`~saext.eigen._SearchSpace.solve`):
+    one small Rayleigh-Ritz step, then rounds of inverse steps where that
+    step misses, under the sparse path's certificate.  On criterion 10's
+    sweep the first step certifies every pencil.  Where the certificate
+    fails, the pencil's CSR arrays are built and the cold path,
+    :func:`~saext.eigen.solve_pencil`, answers.
 
     Returns (rows, fits, distances): per-epsilon per-level ratios K,
     per-level power-law fits K = a eps^b + c, and the re-unitarization
     distances.  Raises ConfigError unless eps_step is finite and positive,
-    0 <= eps_start <= eps_stop (both finite) and stability.levels >= 1.
+    0 <= eps_start <= eps_stop (both finite), their number of steps
+    (eps_stop - eps_start) / eps_step is finite and stability.levels >= 1.
     """
     start, stop, step = (cfg.stability_eps_start, cfg.stability_eps_stop,
                          cfg.stability_eps_step)
@@ -361,6 +363,10 @@ def stability_study(cfg: JobConfig):
     if not (math.isfinite(start) and math.isfinite(stop) and 0 <= start <= stop):
         raise ConfigError("stability needs finite 0 <= eps_start <= eps_stop, "
                           f"got eps_start = {start}, eps_stop = {stop}")
+    steps = (stop - start) / step
+    if not math.isfinite(steps):
+        raise ConfigError(f"stability.eps_step = {step} is too small: "
+                          "(eps_stop - eps_start) / eps_step overflows")
     levels = cfg.stability_levels
     if levels < 1:
         raise ConfigError(f"stability.levels must be at least 1, got {levels}")
@@ -396,10 +402,10 @@ def stability_study(cfg: JobConfig):
             f"only {len(clusters)} distinct levels available, "
             f"need {levels + 1} (ground + {levels})"
         )
-    start_block = _sweep_start(base_pencil, base_solution, clusters)
-    space = _SearchSpace(base_pencil.arrow, start_block)
+    space = _SearchSpace(base_pencil.arrow,
+                         _sweep_start(base_pencil, base_solution, clusters))
 
-    n_steps = int(round((stop - start) / step)) + 1
+    n_steps = int(round(steps)) + 1
     eps_list = [start + i * step for i in range(n_steps)]
     eps_list = [e for e in eps_list if e <= stop * (1 + 1e-12)]
 
@@ -416,12 +422,9 @@ def stability_study(cfg: JobConfig):
             bc_eps = BoundaryCondition.quasi_periodic(eps)
             distance = 0.0
         values = values_for(bc_eps)
-        with _one_blas_thread:
-            solution = space.solve(bulk.arrow(bc_eps, values), count,
-                                   fallback="warm")
+        solution = space.solve(bulk.arrow(bc_eps, values), count)
         if solution is None:
-            solution = solve_pencil(bulk.pencil(bc_eps, values), count=count,
-                                    start=start_block)
+            solution = solve_pencil(bulk.pencil(bc_eps, values), count=count)
         return solution.eigenvalues, distance
 
     results = [one(eps) for eps in eps_list]

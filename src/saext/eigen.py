@@ -47,38 +47,38 @@ within :func:`residual_tolerances`; otherwise the reason is logged on the
 ``saext`` logger and the dense path answers, so a wrong count is never
 returned.
 
-The warm path answers a partial solve of an assembled pencil given a start
-block, such as the eigenvectors of a nearby pencil.  A Rayleigh-Ritz step
-on the span of the start block gives Ritz pairs (theta_j, v_j).  When the
-block has more than ``count`` columns and every wanted residual is already
-within its tolerance, that step is the answer.  Otherwise each round adds
-one inverse step w_j = (A - theta_j B)^{-1} B v_j for every wanted pair to
-the block and takes a Rayleigh-Ritz step on its span, that of [V, W]
-(Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4 and 11), for
-at most three rounds, until every wanted residual is within its tolerance.
-The inverse step eliminates the arrow blocks
-(:meth:`~saext.fem.ArrowBlocks.solve`): one ``dgtsv`` on T(theta) with the
-border and the right-hand side as columns, then a 2n x 2n Schur solve; a
-shift on which either is exactly singular is moved by a few ulps.  Every
-Rayleigh-Ritz step projects its span through :class:`_SearchSpace`, which
-works on the arrow blocks: only the 2n x 2n boundary block C depends on U,
-so the space keeps its orthonormal basis Q, the products of A and B with C
-left out, their projections and Q's boundary rows, and a step for one
-pencil adds Q_c^H C Q_c and takes its residuals from the stored products
-plus C Q_c y.  The stability study builds one such space per sweep from
-the base eigenvectors and the boundary responses
+The warm path answers a partial solve of an assembled pencil from a start
+block, such as the eigenvectors of a nearby pencil; its one entry point is
+:meth:`_SearchSpace.solve`.  A Rayleigh-Ritz step on the span of the start
+block gives Ritz pairs (theta_j, v_j).  When the block has more than
+``count`` columns and every wanted residual is already within its
+tolerance, that step is the answer.  Otherwise each round adds one inverse
+step w_j = (A - theta_j B)^{-1} B v_j for every wanted pair to the block
+and takes a Rayleigh-Ritz step on its span, that of [V, W] (Parlett, The
+Symmetric Eigenvalue Problem, SIAM 1998, ch. 4 and 11), for at most three
+rounds, until every wanted residual is within its tolerance.  The inverse
+step eliminates the arrow blocks (:meth:`~saext.fem.ArrowBlocks.solve`):
+one ``dgtsv`` on T(theta) with the border and the right-hand side as
+columns, then a 2n x 2n Schur solve; a shift on which either is exactly
+singular is moved by a few ulps.  Every Rayleigh-Ritz step projects its
+span through :class:`_SearchSpace`, which works on the arrow blocks: only
+the 2n x 2n boundary block C depends on U, so the space keeps its
+orthonormal basis Q, the products of A and B with C left out, their
+projections and Q's boundary rows, and a step for one pencil adds
+Q_c^H C Q_c and takes its residuals from the stored products plus
+C Q_c y.  The stability study builds one such space per sweep from the
+base eigenvectors and the boundary responses
 R(sigma) = [-T(sigma)^{-1} E(sigma); I] at each base level
 (:meth:`~saext.fem.ArrowBlocks.boundary_response`) and solves each
 perturbed pencil in it from its arrow blocks alone, without CSR arrays.
 The bulk part of an eigenvector at lambda is -T(lambda)^{-1} E(lambda)
 times its boundary part, and T and E do not depend on U, so on criterion
-10's sweep that one step certifies every pencil.  The warm result passes
+10's sweep the first step certifies every pencil.  The warm result passes
 the sparse path's certificate (the gap, nu(tau) and the residual gate,
-:func:`_certified`, with the matrix 1-norms summed over the arrow blocks)
-or the next path answers, with the reason logged: the sparse path for
-:func:`solve_pencil`, the warm path of :func:`solve_pencil` for the sweep.
-Dense work on this path goes through numpy, and LAPACK through direct
-``scipy.linalg.lapack`` calls.
+:func:`_certified`, with the matrix 1-norms summed over the arrow blocks);
+otherwise the reason is logged and the caller's cold path,
+:func:`solve_pencil`, answers.  Dense work on this path goes through numpy,
+and LAPACK through direct ``scipy.linalg.lapack`` calls.
 
 The warm and sparse paths run with every OpenBLAS of the process (numpy
 and scipy each load their own) at one thread, and give each its previous
@@ -312,25 +312,21 @@ def _is_hermitian(m) -> bool:
     return not (m != m.conj().T).nnz
 
 
-def solve_pencil(pencil: Pencil, count: int | None = None,
-                 start: np.ndarray | None = None) -> EigenSolution:
+def solve_pencil(pencil: Pencil, count: int | None = None) -> EigenSolution:
     """Solve A Phi = lambda B Phi for all (or the lowest ``count``) pairs.
 
     Partial spectra of assembled pencils large enough for ARPACK take the
     certified sparse path; everything else, and every partial solve whose
     certificate fails, takes the dense path (see the module docstring).
-    ``start``, a block of vectors (one per column) near the wanted
-    eigenvectors, such as those of a nearby pencil, puts a partial solve of
-    an assembled pencil on the warm path first; where its certificate
-    fails, the sparse path answers.  Other solves ignore ``start``.
+    A partial solve from a block of vectors near the wanted eigenvectors
+    takes the warm path, :meth:`_SearchSpace.solve`, instead.
 
     Raises
     ------
     EigenSolveError
         If A or B is not square, their shapes differ, or either has a
         non-finite entry or is not hermitian (exact check; assembled
-        pencils satisfy all of these by construction); or if ``start`` is
-        not a finite 2-D block with one row per basis function.
+        pencils satisfy all of these by construction).
     PositiveDefinitenessError
         If the Cholesky factorization of B fails; carries the pivot index.
     """
@@ -346,8 +342,6 @@ def solve_pencil(pencil: Pencil, count: int | None = None,
         if not _is_hermitian(m):
             raise EigenSolveError(f"{name} is not hermitian")
     dim = pencil.dim
-    if start is not None:
-        start = _checked_start(start, dim)
     if count is not None:
         count = int(count)
         if count < 1:
@@ -355,32 +349,10 @@ def solve_pencil(pencil: Pencil, count: int | None = None,
         count = min(count, dim)
         if pencil.arrow is not None and _arpack_ncv(count + 1) < dim:
             with _one_blas_thread:
-                solution = None
-                if start is not None:
-                    solution = _solve_warm(pencil, count, start)
-                if solution is None:
-                    solution = _solve_partial(pencil, count)
+                solution = _solve_partial(pencil, count)
             if solution is not None:
                 return solution
     return _solve_dense(pencil, count)
-
-
-def _checked_start(start, dim: int) -> np.ndarray:
-    """``start`` as an array, when it is a finite 2-D block with ``dim``
-    rows.
-
-    Raises
-    ------
-    EigenSolveError
-        Otherwise.
-    """
-    start = np.asarray(start)
-    if start.ndim != 2 or start.shape[0] != dim:
-        raise EigenSolveError(f"start block has shape {start.shape}, "
-                              f"expected ({dim}, k)")
-    if not np.all(np.isfinite(start)):
-        raise EigenSolveError("start block has a non-finite entry")
-    return start
 
 
 def _solve_dense(pencil: Pencil, count: int | None) -> EigenSolution:
@@ -659,7 +631,12 @@ class _SearchSpace:
 
     def __init__(self, arrow: ArrowBlocks, block: np.ndarray) -> None:
         order = arrow.order
-        block = _checked_start(block, order.size)
+        block = np.asarray(block)
+        if block.ndim != 2 or block.shape[0] != order.size:
+            raise EigenSolveError(f"start block has shape {block.shape}, "
+                                  f"expected ({order.size}, k)")
+        if not np.all(np.isfinite(block)):
+            raise EigenSolveError("start block has a non-finite entry")
         if np.iscomplexobj(block) and not np.iscomplexobj(arrow.b[-1]):
             block = np.hstack([block.real, block.imag])
         self.block = block
@@ -731,20 +708,47 @@ class _SearchSpace:
                                  residuals=residuals)
         return _Ritz(w, solution, b_vectors, _tolerances(a_norm, b_norm, low))
 
-    def solve(self, arrow: ArrowBlocks, count: int,
-              fallback: str) -> EigenSolution | None:
-        """The lowest ``count`` pairs of the pencil with arrow blocks
-        ``arrow`` from one Rayleigh-Ritz step on this space, when their
-        certificate (:func:`_certified`) holds; otherwise None, with the
-        reason logged and the ``fallback`` path named."""
-        try:
-            ritz = self.ritz(arrow, count)
-        except np.linalg.LinAlgError as exc:
-            _LOG.warning("Rayleigh-Ritz step failed (%s); %s fallback",
-                         exc, fallback)
-            return None
-        return _certified(arrow, count, ritz.w, ritz.solution, ritz.tolerances,
-                          fallback)
+    def solve(self, arrow: ArrowBlocks, count: int) -> EigenSolution | None:
+        """Certified lowest ``count`` pairs of the pencil with arrow blocks
+        ``arrow`` by Rayleigh-Ritz steps with inverse steps from this
+        space, at one BLAS thread, or None (with the reason logged) when the
+        cold path has to answer.
+
+        A Rayleigh-Ritz step on this space (:meth:`ritz`) gives Ritz pairs
+        (theta_j, v_j).  Each round adds one inverse step
+        w_j = (A - theta_j B)^{-1} B v_j for every j < ``count`` to the block
+        and takes a Rayleigh-Ritz step on its span, that of [V, W] (Parlett,
+        The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4 and 11).  Rounds
+        stop once the lowest ``count`` residuals are within their tolerances,
+        or after _WARM_ROUNDS; the result then has to pass the certificate of
+        :func:`_certified`.  A block of more than ``count`` columns that
+        already holds the wanted pairs, such as the stability study's base
+        eigenvectors with their boundary responses, takes no round at all.
+        One of ``count`` columns always takes one: the certificate needs a
+        Ritz value above the gap.
+
+        Raises
+        ------
+        EigenSolveError
+            When the bands of ``arrow`` are not this space's.
+        """
+        with _one_blas_thread:
+            try:
+                space, ritz = self, self.ritz(arrow, count)
+                done = ritz.w.size > count and ritz.converged
+                for _ in range(0 if done else _WARM_ROUNDS):
+                    steps = [_inverse_step(arrow, theta, ritz.b_vectors[:, j])
+                             for j, theta in enumerate(ritz.w[:count])]
+                    space = _SearchSpace(arrow,
+                                         np.column_stack([space.block, *steps]))
+                    ritz = space.ritz(arrow, count)
+                    if ritz.converged:
+                        break
+            except np.linalg.LinAlgError as exc:
+                _LOG.warning("warm path failed (%s); cold fallback", exc)
+                return None
+            return _certified(arrow, count, ritz.w, ritz.solution,
+                              ritz.tolerances, fallback="cold")
 
 
 def _inverse_step(arrow: ArrowBlocks, theta: float, rhs: np.ndarray) -> np.ndarray:
@@ -771,43 +775,6 @@ def _inverse_step(arrow: ArrowBlocks, theta: float, rhs: np.ndarray) -> np.ndarr
     if not np.all(np.isfinite(step)):
         raise np.linalg.LinAlgError(f"inverse step at {theta!r} is not finite")
     return step
-
-
-def _solve_warm(pencil: Pencil, count: int, start: np.ndarray) -> EigenSolution | None:
-    """Certified lowest ``count`` pairs from the start block by Rayleigh-Ritz
-    steps with inverse steps, or None (with the reason logged) when the
-    sparse path has to answer.
-
-    A Rayleigh-Ritz step on span(start) (:class:`_SearchSpace`) gives Ritz
-    pairs (theta_j, v_j).  Each round adds one inverse step
-    w_j = (A - theta_j B)^{-1} B v_j for every j < ``count`` to the block
-    and takes a Rayleigh-Ritz step on its span, that of [V, W] (Parlett,
-    The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4 and 11).  Rounds
-    stop once the lowest ``count`` residuals are within their tolerances,
-    or after _WARM_ROUNDS; the result then has to pass the certificate of
-    :func:`_certified`.  A start block of more than ``count`` columns that
-    already holds the wanted pairs, such as the stability study's base
-    eigenvectors with their boundary responses, takes no round at all.  One
-    of ``count`` columns always takes one: the certificate needs a Ritz
-    value above the gap.
-    """
-    arrow = pencil.arrow
-    try:
-        space = _SearchSpace(arrow, start)
-        ritz = space.ritz(arrow, count)
-        done = ritz.w.size > count and ritz.converged
-        for _ in range(0 if done else _WARM_ROUNDS):
-            steps = [_inverse_step(arrow, theta, ritz.b_vectors[:, j])
-                     for j, theta in enumerate(ritz.w[:count])]
-            space = _SearchSpace(arrow, np.column_stack([space.block, *steps]))
-            ritz = space.ritz(arrow, count)
-            if ritz.converged:
-                break
-    except np.linalg.LinAlgError as exc:
-        _LOG.warning("warm path failed (%s); cold fallback", exc)
-        return None
-    return _certified(arrow, count, ritz.w, ritz.solution, ritz.tolerances,
-                      fallback="cold")
 
 
 def _tolerances(a_norm: float, b_norm: float, eigenvalues: np.ndarray) -> np.ndarray:

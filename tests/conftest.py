@@ -2,7 +2,7 @@
 
 The acceptance module records one line per criterion; the terminal-summary
 hook prints them at the end of the run so the pass/fail report is visible
-without -s.  ``inverse_steps`` counts the warm path's inverse steps.
+without -s.  ``inverse_steps`` counts the warm solver's inverse steps.
 """
 
 import pytest
@@ -31,7 +31,9 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def inverse_steps(monkeypatch):
-    """Counts the inverse steps (arrow-block solves) of each solve."""
+    """Counts the inverse steps (arrow-block solves) of each solve: the
+    rounds of the warm solver, ``eigen._SearchSpace.solve``, are the only
+    caller in the library."""
     calls = []
     solve = fem.ArrowBlocks.solve
 

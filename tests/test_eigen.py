@@ -593,12 +593,16 @@ def test_one_blas_thread_scope(case, caller_threads, monkeypatch):
         def failing(*args):
             inside.append(_blas_threads())
             raise RuntimeError("warm path broke")
-        monkeypatch.setattr(eigen, "_solve_warm", failing)
+        monkeypatch.setattr(eigen._SearchSpace, "ritz", failing)
         with pytest.raises(RuntimeError, match="warm path broke"):
-            solve_pencil(pencil, count=9, start=start)
+            eigen._SearchSpace(pencil.arrow, start).solve(pencil.arrow, 9)
+    elif case in ("warm", "dense fallback"):
+        warm = eigen._SearchSpace(pencil.arrow, start).solve(pencil.arrow, 9)
+        assert (warm is None) == (case == "dense fallback")
+        if warm is None:  # the caller's cold path, which falls back to dense
+            solve_pencil(pencil, count=9)
     else:
-        solve_pencil(pencil, count=None if case == "full spectrum" else 9,
-                     start=start if case in ("warm", "dense fallback") else None)
+        solve_pencil(pencil, count=None if case == "full spectrum" else 9)
     assert _blas_threads() == before
     assert dense == ([before] if case in ("dense fallback", "full spectrum") else [])
     if case == "full spectrum":

@@ -125,7 +125,7 @@ def test_nearest_unitary_is_the_scipy_polar_factor_bitwise():
 
 def _recorded_sweep(monkeypatch, cfg):
     """Runs ``stability_study(cfg)`` and returns its result with what it
-    did: the (pencil, start, solution) of each ``solve_pencil`` call, the
+    did: the (pencil, solution) of each ``solve_pencil`` call, the
     (arrow, block) of each search space it built, the (space, bulk
     assembly, bc, values, solution) of each solve in a space, and the
     number of CSR pencils it built."""
@@ -134,9 +134,9 @@ def _recorded_sweep(monkeypatch, cfg):
     arrow = fem.BulkAssembly.arrow
     pencil = fem.BulkAssembly.pencil
 
-    def recording_solve(pencil, count=None, start=None):
-        solution = solve(pencil, count=count, start=start)
-        calls.append((pencil, start, solution))
+    def recording_solve(pencil, count=None):
+        solution = solve(pencil, count=count)
+        calls.append((pencil, solution))
         return solution
 
     def recording_arrow(self, bc, values):
@@ -153,8 +153,8 @@ def _recorded_sweep(monkeypatch, cfg):
             super().__init__(blocks, block)
             spaces.append((blocks, block))
 
-        def solve(self, blocks, count, fallback):
-            solution = super().solve(blocks, count, fallback)
+        def solve(self, blocks, count):
+            solution = super().solve(blocks, count)
             bulk, bc, values, made = arrows[-1]
             assert made is blocks
             solves.append((self, bulk, bc, values, solution))
@@ -171,6 +171,10 @@ def _fallbacks(caplog):
     return [r.getMessage() for r in caplog.records if "fallback" in r.getMessage()]
 
 
+def _relative(got, want):
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+
+
 def test_sweep_starts_every_solve_from_the_base_eigenvectors(monkeypatch, caplog):
     # one search space for the whole sweep, built from the base pencil's
     # arrow blocks and one start block: the base eigenvectors, bit for bit,
@@ -183,8 +187,7 @@ def test_sweep_starts_every_solve_from_the_base_eigenvectors(monkeypatch, caplog
         _, calls, spaces, solves, pencils = _recorded_sweep(monkeypatch, cfg)
     assert not _fallbacks(caplog)
     assert pencils == 1
-    [(base_pencil, base_start, base)] = calls
-    assert base_start is None
+    [(base_pencil, base)] = calls
     [(blocks, start)] = spaces
     assert blocks is base_pencil.arrow
     assert start.shape[1] > base.count
@@ -209,18 +212,14 @@ def test_sweep_solves_criterion_10_in_its_search_space(monkeypatch, caplog,
     pencils = [bulk.pencil(bc, values) for _, bulk, bc, values, _ in solves]
     cold = [solve_pencil(pencil, count=9).eigenvalues for pencil in pencils]
     dense = [_solve_dense(pencil, 9).eigenvalues for pencil in pencils[::10]]
-
-    def relative(got, want):
-        return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
-
-    assert max(map(relative, warm, cold)) <= 1e-11
-    assert max(map(relative, warm[::10], dense)) <= 1e-11
+    assert max(map(_relative, warm, cold)) <= 1e-11
+    assert max(map(_relative, warm[::10], dense)) <= 1e-11
 
 
 def test_sweep_random_start_falls_back_to_the_cold_path(monkeypatch, caplog):
     # a start block that misses the levels fails the search space's
-    # certificate on every pencil: each is built as a CSR pencil and solved
-    # by solve_pencil from the same block, and so by the cold path
+    # certificate on every pencil, after its rounds of inverse steps: each
+    # is built as a CSR pencil and solved by the cold path
     def random_start(pencil, solution, clusters):
         return np.random.default_rng(5).standard_normal((pencil.dim, 19))
 
@@ -230,15 +229,35 @@ def test_sweep_random_start_falls_back_to_the_cold_path(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="saext"):
         _, calls, spaces, solves, pencils = _recorded_sweep(monkeypatch, cfg)
     messages = _fallbacks(caplog)
-    assert sum("warm fallback" in m for m in messages) == 3
+    assert sum("warm fallback" in m for m in messages) == 0
     assert sum("cold fallback" in m for m in messages) == 3
     assert pencils == len(calls) == 4
-    [(_, block)] = spaces
+    assert len(spaces) == 1
     assert all(solution is None for *_, solution in solves)
-    for pencil, start, solution in calls[1:]:
-        assert start is block
+    for pencil, solution in calls[1:]:
         cold = solve_pencil(pencil, count=9)
         assert solution.eigenvalues.tobytes() == cold.eigenvalues.tobytes()
+
+
+def test_sweep_recovers_by_inverse_step_rounds(monkeypatch, caplog,
+                                               inverse_steps):
+    # at eps = 0.02 .. 0.06 the first Rayleigh-Ritz step in the sweep's
+    # search space misses; one round of inverse steps in the same solve
+    # certifies each pencil, with no fallback and no CSR pencil but the
+    # base, and agrees with the cold and dense paths on the same pencils
+    cfg = parse_config(CRITERION_10_CONFIG + "stability.eps_start = 0.02\n"
+                       "stability.eps_stop = 0.06\nstability.eps_step = 0.02\n")
+    with caplog.at_level(logging.WARNING, logger="saext"):
+        _, calls, spaces, solves, pencils = _recorded_sweep(monkeypatch, cfg)
+    assert not _fallbacks(caplog)
+    assert (len(calls), len(spaces), pencils, len(solves)) == (1, 1, 1, 3)
+    assert len(inverse_steps) == 3 * 9  # one round of 9 steps a pencil
+    warm = [solution.eigenvalues for *_, solution in solves]
+    pencils = [bulk.pencil(bc, values) for _, bulk, bc, values, _ in solves]
+    cold = [solve_pencil(pencil, count=9).eigenvalues for pencil in pencils]
+    dense = [_solve_dense(pencil, 9).eigenvalues for pencil in pencils]
+    assert max(map(_relative, warm, cold)) <= 1e-11
+    assert max(map(_relative, warm, dense)) <= 1e-11
 
 
 def test_sweep_non_finite_boundary_block_exits_solver(monkeypatch, tmp_path, caplog,
@@ -266,8 +285,8 @@ def test_sweep_non_finite_boundary_block_exits_solver(monkeypatch, tmp_path, cap
                      "--out", str(tmp_path / "o")])
     assert code == EXIT_SOLVER
     assert len(made) == 3  # the base, then the perturbed arrow and its pencil
-    assert _fallbacks(caplog) == ["Rayleigh-Ritz step failed (boundary block "
-                                  "has a non-finite entry); warm fallback"]
+    assert _fallbacks(caplog) == ["warm path failed (boundary block has a "
+                                  "non-finite entry); cold fallback"]
     assert "solver failure: A has a non-finite entry" in capsys.readouterr().err
 
 
@@ -294,10 +313,12 @@ def test_criterion_10_base_levels_cluster_in_pairs():
     ("stability.eps_start = -1e-4", []),
     ("stability.eps_start = 1e-3\nstability.eps_stop = 1e-4", []),
     ("stability.eps_stop = inf", []),
+    ("stability.eps_step = 5e-324", []),
     ("", ["--levels", "-1"]),
     ("", ["--levels", "0"]),
 ], ids=["zero-step", "nan-step", "negative-step", "negative-start",
-        "start-above-stop", "infinite-stop", "negative-levels", "zero-levels"])
+        "start-above-stop", "infinite-stop", "overflowing-step",
+        "negative-levels", "zero-levels"])
 def test_bad_stability_input_exits_config(tmp_path, lines, extra_args):
     cfg_path = tmp_path / "job.cfg"
     cfg_path.write_text(
