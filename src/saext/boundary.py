@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,7 +224,13 @@ class BoundaryValues:
     def normal_derivatives(self) -> np.ndarray:
         """Matrix whose column i holds the outward normal derivatives of
         boundary function i at the 2n endpoints (endpoint ordering)."""
-        return self.g - np.diag(1.0 / self.h)
+        return _normal_derivatives(self.g, self.h)
+
+
+def _normal_derivatives(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """G - diag(1/h), the normal derivatives of boundary values with
+    weighted matrix ``g`` and step vector ``h``, also for stacks of them."""
+    return g - np.eye(h.shape[-1]) * (1.0 / h)[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -260,24 +267,33 @@ def condition_report(sys: BoundarySystem) -> ConditionReport:
     is (numerically) in the spectrum of U0 and the system is incompatible
     at this step vector.
     """
-    svals = np.linalg.svd(sys.f, compute_uv=False)
-    smin = svals[-1]
-    kappa = float(svals[0] / smin) if smin > 0 else float("inf")
+    return _condition_reports([sys])[0]
 
-    d = 1.0 + 1j / sys.h
-    u0 = sys.u * (d / np.conj(d))[None, :]
-    gap = float(np.min(np.abs(1.0 - np.linalg.eigvals(u0))))
-    ratio = float(np.max(sys.h) / np.min(sys.h))
-    bound = ratio * 2.0 / gap if gap > 0 else float("inf")
+
+def _condition_reports(systems: Sequence[BoundarySystem]) -> list[ConditionReport]:
+    """:func:`condition_report` of each of a stack of systems of one shape,
+    by one batched SVD of the F and one batched eigenvalue call on the U0;
+    LAPACK factors each matrix of a stack as it factors it alone."""
+    f, u, h = (np.stack([getattr(s, name) for s in systems]) for name in "fuh")
+    svals = np.linalg.svd(f, compute_uv=False)
+    smin = svals[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.where(smin > 0, svals[:, 0] / smin, np.inf)
+
+    d = 1.0 + 1j / h
+    u0 = u * (d / np.conj(d))[:, None, :]
+    gap = np.min(np.abs(1.0 - np.linalg.eigvals(u0)), axis=-1)
+    ratio = np.max(h, axis=-1) / np.min(h, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.where(gap > 0, ratio * 2.0 / gap, np.inf)
     incompatible = gap < 1e-12
-    note = "system incompatible at this h" if incompatible else ""
-    return ConditionReport(
-        kappa_estimate=kappa,
-        bound=bound,
-        spectrum_gap=gap,
-        incompatible=incompatible,
-        note=note,
-    )
+    return [ConditionReport(
+        kappa_estimate=float(k),
+        bound=float(b),
+        spectrum_gap=float(g),
+        incompatible=bool(bad),
+        note="system incompatible at this h" if bad else "",
+    ) for k, b, g, bad in zip(kappa, bound, gap, incompatible)]
 
 
 def _check_kappa_max(kappa_max: float) -> None:
@@ -308,63 +324,87 @@ def solve_boundary_values(
     BoundarySolveError
         If the residual or the per-column admissibility gate fails.
     """
+    return _solve_boundary_stack([sys], kappa_max)[0]
+
+
+def _solve_boundary_stack(
+    systems: Sequence[BoundarySystem], kappa_max: float = DEFAULT_KAPPA_MAX
+) -> list[BoundaryValues]:
+    """:func:`solve_boundary_values` of each of a stack of systems of one
+    shape.  ``zgesv`` runs once per system; the condition report, the
+    projection and the residual and trace gates run once over the stack.
+    The gates are then read system by system, each in the order
+    :func:`solve_boundary_values` has them, so the first system that fails
+    raises the error it raises alone.
+
+    Raises
+    ------
+    As :func:`solve_boundary_values`.
+    """
     _check_kappa_max(kappa_max)
-    report = condition_report(sys)
-    if report.incompatible:
-        # With 1 in the spectrum of U0 the matrix F is (numerically) zero,
-        # which leaves the condition estimate meaningless: refuse outright.
-        raise ConditionFailure(
-            f"boundary system incompatible at this step vector "
-            f"(spectrum gap {report.spectrum_gap:.3e})",
-            kappa_estimate=float("inf"),
-            spectrum_gap=report.spectrum_gap,
-        )
-    if not report.kappa_estimate <= kappa_max:
-        raise ConditionFailure(
-            f"boundary matrix condition estimate {report.kappa_estimate:.3e} "
-            f"exceeds kappa_max = {kappa_max:.3e} "
-            f"(spectrum gap {report.spectrum_gap:.3e})",
-            kappa_estimate=report.kappa_estimate,
-            spectrum_gap=report.spectrum_gap,
-        )
-
-    *_, v_raw, info = scipy.linalg.lapack.zgesv(sys.f, sys.c)
-    if info > 0:
-        raise BoundarySolveError(f"boundary matrix is singular: pivot {info} is zero")
-    if info < 0:
-        raise ValueError(f"LAPACK rejected argument {-info}")
-    if np.array_equal(sys.u, sys.u.T):
-        v_raw.imag = 0.0
-    inv_h = 1.0 / sys.h
-    g = inv_h[:, None] * v_raw
-    g = (g + g.conj().T) / 2.0
-    v = sys.h[:, None] * g
-
-    c_norm = float(np.linalg.norm(sys.c))
-    if c_norm == 0.0:
-        if not float(np.linalg.norm(v)) <= _ZERO_RHS_TOL:
-            raise BoundarySolveError(
-                "homogeneous boundary system produced a nonzero solution"
-            )
-    else:
-        residual = float(np.linalg.norm(sys.f @ v - sys.c))
-        if not residual <= _SOLVE_RTOL * c_norm:
-            raise BoundarySolveError(
-                f"boundary solve residual {residual:.3e} exceeds "
-                f"{_SOLVE_RTOL:.1e} * ||C|| = {_SOLVE_RTOL * c_norm:.3e}"
-            )
-
+    reports = _condition_reports(systems)
+    solved = []
+    for sys in systems:
+        *_, v_raw, info = scipy.linalg.lapack.zgesv(sys.f, sys.c)
+        if np.array_equal(sys.u, sys.u.T):
+            v_raw.imag = 0.0
+        solved.append((v_raw, info))
+    f, c, u, h = (np.stack([getattr(s, name) for s in systems]) for name in "fcuh")
+    inv_h = 1.0 / h
+    g = inv_h[:, :, None] * np.stack([v_raw for v_raw, _ in solved])
+    g = (g + g.conj().swapaxes(-1, -2)) / 2.0
+    v = h[:, :, None] * g
+    c_norms = np.linalg.norm(c, axis=(-2, -1))
+    residuals = np.linalg.norm(f @ v - c, axis=(-2, -1))
+    v_norms = np.linalg.norm(v, axis=(-2, -1))
     # Per-column admissibility: each boundary function must satisfy the
     # boundary condition within the trace tolerance.
-    values = BoundaryValues(v=_frozen(v), g=_frozen(g), h=sys.h)
-    beta_dot = values.normal_derivatives()
-    lhs = (v - 1j * beta_dot) - sys.u @ (v + 1j * beta_dot)
-    worst = float(np.max(np.linalg.norm(lhs, axis=0)))
-    if not worst <= _TRACE_TOL:
-        raise BoundarySolveError(
-            f"boundary-function trace defect {worst:.3e} exceeds {_TRACE_TOL:.1e}"
-        )
-    return values
+    beta_dot = _normal_derivatives(g, h)
+    lhs = (v - 1j * beta_dot) - u @ (v + 1j * beta_dot)
+    worst = np.max(np.linalg.norm(lhs, axis=-2), axis=-1)
+
+    out = []
+    for i, (sys, report, (_, info)) in enumerate(zip(systems, reports, solved)):
+        if report.incompatible:
+            # With 1 in the spectrum of U0 the matrix F is (numerically)
+            # zero, which leaves the condition estimate meaningless: refuse
+            # outright.
+            raise ConditionFailure(
+                f"boundary system incompatible at this step vector "
+                f"(spectrum gap {report.spectrum_gap:.3e})",
+                kappa_estimate=float("inf"),
+                spectrum_gap=report.spectrum_gap,
+            )
+        if not report.kappa_estimate <= kappa_max:
+            raise ConditionFailure(
+                f"boundary matrix condition estimate {report.kappa_estimate:.3e} "
+                f"exceeds kappa_max = {kappa_max:.3e} "
+                f"(spectrum gap {report.spectrum_gap:.3e})",
+                kappa_estimate=report.kappa_estimate,
+                spectrum_gap=report.spectrum_gap,
+            )
+        if info > 0:
+            raise BoundarySolveError(
+                f"boundary matrix is singular: pivot {info} is zero")
+        if info < 0:
+            raise ValueError(f"LAPACK rejected argument {-info}")
+        if c_norms[i] == 0.0:
+            if not v_norms[i] <= _ZERO_RHS_TOL:
+                raise BoundarySolveError(
+                    "homogeneous boundary system produced a nonzero solution"
+                )
+        elif not residuals[i] <= _SOLVE_RTOL * c_norms[i]:
+            raise BoundarySolveError(
+                f"boundary solve residual {residuals[i]:.3e} exceeds "
+                f"{_SOLVE_RTOL:.1e} * ||C|| = {_SOLVE_RTOL * c_norms[i]:.3e}"
+            )
+        if not worst[i] <= _TRACE_TOL:
+            raise BoundarySolveError(
+                f"boundary-function trace defect {worst[i]:.3e} exceeds "
+                f"{_TRACE_TOL:.1e}"
+            )
+        out.append(BoundaryValues(v=_frozen(v[i]), g=_frozen(g[i]), h=sys.h))
+    return out
 
 
 def retry_mesh_on_bad_conditioning(

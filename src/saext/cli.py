@@ -41,6 +41,7 @@ from .boundary import (
     BoundarySolveError,
     ConditionFailure,
     assemble_boundary_system,
+    _solve_boundary_stack,
     condition_report,
     retry_mesh_on_bad_conditioning,
     solve_boundary_values,
@@ -56,6 +57,7 @@ from .config import (
 )
 from .eigen import (
     EigenSolveError,
+    _one_blas_thread,
     _SearchSpace,
     eigenfunction_samples,
     h1_error,
@@ -73,6 +75,15 @@ EXIT_SOLVER = 4
 EXIT_IO = 5
 
 _LOG = logging.getLogger(__name__)
+
+# The stability sweep takes its perturbed pencils in stacks of this many:
+# one boundary solve, one boundary-block build and one Rayleigh-Ritz step
+# per stack.  Measured on criterion 10's sweep (100 U, N = 250; 2-core
+# host, medians of 15 in-process sweeps): 55, 53 and 52 ms at 15, 20 and
+# 25, against 105 ms at 1; its peak RSS rose 0.7, 0.6 and 1.4 MiB over the
+# sweep one U at a time (12 MiB at 100), as the (stack, dim, count)
+# products grow.
+_SWEEP_CHUNK = 20
 
 # Exponent grid of the power-law fit.  Its spacing 8/799 keeps b = 0 off the
 # grid: there eps**b is constant and a is undetermined.
@@ -194,11 +205,12 @@ def _ground_state_reference(geom):
 
 def _linear_lstsq(p, k):
     """Centred linear least squares k ~ a p + c along the last axis,
-    vectorized over the leading axes of p: a = <p - mean p, k - mean k> /
-    |p - mean p|^2 and c = mean k - a mean p.  Returns (a, c, squared
-    residual), the residual +inf where it is not finite."""
-    k_mean = k.mean()
-    k_c = k - k_mean
+    vectorized over the leading axes of p and k, which broadcast:
+    a = <p - mean p, k - mean k> / |p - mean p|^2 and c = mean k - a mean p.
+    Returns (a, c, squared residual), the residual +inf where it is not
+    finite."""
+    k_mean = k.mean(axis=-1)
+    k_c = k - k_mean[..., None]
     with np.errstate(all="ignore"):
         p_mean = p.mean(axis=-1)
         p_c = p - p_mean[..., None]
@@ -270,32 +282,56 @@ def nearest_unitary(matrix: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _power_law_fit(eps: np.ndarray, k_vals: np.ndarray):
-    """Fit K(eps) = a * eps**b + c by variable projection.
+    """Fit K(eps) = a * eps**b + c by variable projection: (a, b, c), or
+    None when the residual is finite for no b (see :func:`_power_law_fits`).
+    """
+    return _power_law_fits(eps, np.asarray(k_vals)[None])[0]
+
+
+def _power_law_fits(eps: np.ndarray, k_rows: np.ndarray) -> list:
+    """Fit K(eps) = a * eps**b + c by variable projection to each row of
+    ``k_rows`` (levels x eps), all rows in one pass.
 
     The model is linear in a and c, so they are eliminated in closed form
     (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973) and the fit reduces to
     a 1-D minimization of the remaining residual over b: a scan of
     _FIT_EXPONENTS, then rescans of 41 exponents on the bracket around the
-    best point until their spacing is below 1e-12.  Returns (a, b, c), or
-    None when the residual is finite for no b.
+    best point until their spacing is below 1e-12.  Each row gets the same
+    arithmetic as alone: the first scan shares eps**b and takes the rows
+    one at a time, and each rescan takes all rows still refining at once,
+    each on its own bracket.  Returns (a, b, c) per row, or None for
+    a row whose residual is finite for no b.
     """
-    def projection(b):
-        with np.errstate(all="ignore"):
-            return _linear_lstsq(eps ** np.asarray(b)[..., None], k_vals)
-
+    k = np.asarray(k_rows)
     grid = _FIT_EXPONENTS
-    a, c, costs = projection(grid)
-    i = int(np.argmin(costs))
-    if not np.isfinite(costs[i]):
-        return None
-    if i in (0, grid.size - 1):
+    with np.errstate(all="ignore"):
+        powers = eps ** grid[:, None]
+    # row by row: a (rows, grid, eps) stack would triple the fit's peak memory
+    a, c, costs = (np.array(parts) for parts
+                   in zip(*(_linear_lstsq(powers, row) for row in k)))
+    k = k[:, None, :]
+    rows = np.arange(k.shape[0])
+    i = np.argmin(costs, axis=-1)
+    fits = np.isfinite(costs[rows, i])
+    for j in np.flatnonzero(fits & ((i == 0) | (i == grid.size - 1))):
         _LOG.warning("power-law fit: best exponent %g lies on the edge of the "
-                     "search grid [%g, %g]", grid[i], grid[0], grid[-1])
-    while grid[1] - grid[0] >= 1e-12:
-        grid = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], 41)
-        a, c, costs = projection(grid)
-        i = int(np.argmin(costs))
-    return float(a[i]), float(grid[i]), float(c[i])
+                     "search grid [%g, %g]", grid[i[j]], grid[0], grid[-1])
+    best = [a[rows, i], grid[i], c[rows, i]]
+    low, high = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, grid.size - 1)]
+    active = fits & (grid[1] - grid[0] >= 1e-12)
+    while np.any(active):
+        grid = np.linspace(low[active], high[active], 41, axis=-1)
+        with np.errstate(all="ignore"):
+            a, c, costs = _linear_lstsq(eps ** grid[..., None], k[active])
+        rows = np.arange(grid.shape[0])
+        i = np.argmin(costs, axis=-1)
+        for value, new in zip(best, (a[rows, i], grid[rows, i], c[rows, i])):
+            value[active] = new
+        low[active] = grid[rows, np.maximum(i - 1, 0)]
+        high[active] = grid[rows, np.minimum(i + 1, grid.shape[1] - 1)]
+        active[active] = grid[:, 1] - grid[:, 0] >= 1e-12
+    return [tuple(map(float, abc)) if fit else None
+            for fit, *abc in zip(fits, *best)]
 
 
 def _sweep_start(pencil, solution, clusters) -> np.ndarray:
@@ -340,14 +376,22 @@ def stability_study(cfg: JobConfig):
     (:func:`_sweep_start`): the base eigenvectors and the boundary responses
     at each base level cluster.  So no result depends on the order of the
     sweep.  Only the boundary block depends on U, so the span of the block
-    is projected once (:class:`~saext.eigen._SearchSpace`), and each
-    perturbed U costs its arrow blocks (:meth:`~saext.fem.BulkAssembly.arrow`)
-    and the warm solve in that space (:meth:`~saext.eigen._SearchSpace.solve`):
-    one small Rayleigh-Ritz step, then rounds of inverse steps where that
-    step misses, under the sparse path's certificate.  On criterion 10's
-    sweep the first step certifies every pencil.  Where the certificate
+    is projected once (:class:`~saext.eigen._SearchSpace`).  The perturbed
+    U are then taken in stacks of _SWEEP_CHUNK, each at one BLAS thread:
+    one boundary solve of the stack (:func:`~saext.boundary._solve_boundary_stack`),
+    one build of its boundary blocks (``BulkAssembly._arrow_stack``) and
+    one stacked Rayleigh-Ritz step in the space
+    (:meth:`~saext.eigen._SearchSpace.solve_stack`), which forms no
+    eigenvectors; each U then gets the sparse path's certificate, and a U
+    whose step misses takes rounds of inverse steps first.  Each U gets
+    bit for bit the eigenvalues it gets alone.  On criterion 10's sweep
+    the stacked step certifies every pencil.  Where the certificate
     fails, the pencil's CSR arrays are built and the cold path,
-    :func:`~saext.eigen.solve_pencil`, answers.
+    :func:`~saext.eigen.solve_pencil`, answers.  One INFO record on the
+    ``saext`` logger counts the pencils the stacked step, the rounds and
+    the cold path answered.  Within a stack every boundary solve runs
+    before any eigensolve, so a conditioning failure there is reported
+    before a solver failure of an earlier eps of the same stack.
 
     Returns (rows, fits, distances): per-epsilon per-level ratios K,
     per-level power-law fits K = a eps^b + c, and the re-unitarization
@@ -387,11 +431,8 @@ def stability_study(cfg: JobConfig):
     # once for the whole sweep
     bulk = BulkAssembly(mesh, potential, mu=cfg.mu)
 
-    def values_for(bc_eps: BoundaryCondition):
-        system = assemble_boundary_system(bc_eps, mesh)
-        return solve_boundary_values(system, kappa_max=cfg.kappa_max)
-
-    base_pencil = bulk.pencil(bc, values_for(bc))
+    base_pencil = bulk.pencil(bc, solve_boundary_values(
+        assemble_boundary_system(bc, mesh), kappa_max=cfg.kappa_max))
     base_solution = solve_pencil(base_pencil, count=count)
     base = base_solution.eigenvalues
     # distinct energy levels: the periodic ring has a simple ground level and
@@ -411,23 +452,42 @@ def stability_study(cfg: JobConfig):
 
     generator = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-    def one(eps):
-        if eps == 0.0:
-            return None, 0.0
+    def perturbed(eps):
         if cfg.stability_mode == "linear":
-            perturbed = bc.u_endpoint + 1j * eps * generator
-            u_eps, distance = nearest_unitary(perturbed)
-            bc_eps = BoundaryCondition.from_matrix(u_eps)
-        else:
-            bc_eps = BoundaryCondition.quasi_periodic(eps)
-            distance = 0.0
-        values = values_for(bc_eps)
-        solution = space.solve(bulk.arrow(bc_eps, values), count)
-        if solution is None:
-            solution = solve_pencil(bulk.pencil(bc_eps, values), count=count)
-        return solution.eigenvalues, distance
+            u_eps, distance = nearest_unitary(bc.u_endpoint + 1j * eps * generator)
+            return BoundaryCondition.from_matrix(u_eps), distance
+        return BoundaryCondition.quasi_periodic(eps), 0.0
 
-    results = [one(eps) for eps in eps_list]
+    paths = {"stacked": 0, "rounds": 0, "cold": 0}
+
+    def solve_chunk(chunk):
+        """(eigenvalues, distance) of each eps of ``chunk``, as one stack."""
+        conditions = [perturbed(eps) for eps in chunk]
+        bcs = [bc_eps for bc_eps, _ in conditions]
+        with _one_blas_thread:
+            values = _solve_boundary_stack(
+                [assemble_boundary_system(bc_eps, mesh) for bc_eps in bcs],
+                kappa_max=cfg.kappa_max)
+            answers = space.solve_stack(bulk._arrow_stack(bcs, values), count)
+        out = []
+        for (bc_eps, distance), bvals, ritz in zip(conditions, values, answers):
+            if ritz is None:
+                paths["cold"] += 1
+                lam = solve_pencil(bulk.pencil(bc_eps, bvals), count=count).eigenvalues
+            else:
+                paths["stacked" if ritz.space is space else "rounds"] += 1
+                lam = ritz.eigenvalues
+            out.append((lam, distance))
+        return out
+
+    todo = [eps for eps in eps_list if eps != 0.0]
+    solved = iter([pair for first in range(0, len(todo), _SWEEP_CHUNK)
+                   for pair in solve_chunk(todo[first:first + _SWEEP_CHUNK])])
+    results = [(None, 0.0) if eps == 0.0 else next(solved) for eps in eps_list]
+    _LOG.info("stability sweep: %d perturbed pencils: %d certified by the "
+              "stacked Rayleigh-Ritz step, %d after inverse-step rounds, %d "
+              "by the cold path", len(todo), paths["stacked"], paths["rounds"],
+              paths["cold"])
 
     rows = []  # (record, epsilon, level, value)
     distances = []
@@ -455,14 +515,14 @@ def stability_study(cfg: JobConfig):
             rows.append(("K", eps, lev, ratio))
             per_level[lev].append((eps, ratio))
 
-    fits = {}
-    for lev, pairs in per_level.items():
-        if len(pairs) >= 4:
-            e_arr = np.array([p[0] for p in pairs])
-            k_arr = np.array([p[1] for p in pairs])
-            fits[lev] = _power_law_fit(e_arr, k_arr)
-        else:
-            fits[lev] = None
+    # the skipped rule depends on the level alone, so every fitted level
+    # has the same eps list
+    fitted = [lev for lev, pairs in per_level.items() if len(pairs) >= 4]
+    fits = dict.fromkeys(per_level)
+    if fitted:
+        e_arr = np.array([p[0] for p in per_level[fitted[0]]])
+        k_rows = np.array([[p[1] for p in per_level[lev]] for lev in fitted])
+        fits.update(zip(fitted, _power_law_fits(e_arr, k_rows)))
     return rows, fits, distances
 
 

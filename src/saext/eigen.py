@@ -42,15 +42,18 @@ computing eigenvalues.  sigma steps down from min V - 1 until
 nu(sigma) = 0, and the widened block of a straddling cluster takes 2n
 from the size of C.  A partial solve is returned only when
 nu(tau) equals the number of computed eigenvalues below tau, for tau in
-the first gap above the last wanted eigenvalue, and every residual is
-within :func:`residual_tolerances`; otherwise the reason is logged on the
+the first gap above the last wanted eigenvalue (a point deeper in the gap
+where T(tau) is numerically singular), and every residual is within
+:func:`residual_tolerances`; otherwise the reason is logged on the
 ``saext`` logger and the dense path answers, so a wrong count is never
 returned.
 
 The warm path answers a partial solve of an assembled pencil from a start
 block, such as the eigenvectors of a nearby pencil; its one entry point is
-:meth:`_SearchSpace.solve`.  A Rayleigh-Ritz step on the span of the start
-block gives Ritz pairs (theta_j, v_j).  When the block has more than
+:meth:`_SearchSpace.solve_stack`, which takes a stack of pencils that share
+their bands (:meth:`_SearchSpace.solve` is the stack of one).  A
+Rayleigh-Ritz step on the span of the start block gives Ritz pairs
+(theta_j, v_j).  When the block has more than
 ``count`` columns and every wanted residual is already within its
 tolerance, that step is the answer.  Otherwise each round adds one inverse
 step w_j = (A - theta_j B)^{-1} B v_j for every wanted pair to the block
@@ -64,20 +67,26 @@ singular is moved by a few ulps.  Every Rayleigh-Ritz step projects its
 span through :class:`_SearchSpace`, which works on the arrow blocks: only
 the 2n x 2n boundary block C depends on U, so the space keeps its
 orthonormal basis Q, the products of A and B with C left out, their
-projections and Q's boundary rows, and a step for one pencil adds
-Q_c^H C Q_c and takes its residuals from the stored products plus
-C Q_c y.  The stability study builds one such space per sweep from the
+projections and Q's boundary rows, and a step adds Q_c^H C Q_c and takes
+its residuals from the stored products plus C Q_c y.  The first step
+takes the whole stack at once: the boundary blocks stacked, one batched
+``cholesky``, ``inv`` and ``eigh`` and stacked residuals, each pencil with
+the same LAPACK calls and products as alone, so no result depends on the
+stack; eigenvectors are formed only for a caller that reads them.  A stack
+whose step raises is taken pencil by pencil, so only the pencil at fault
+falls back.  The inverse-step rounds and the certificate run pencil by
+pencil.  The stability study builds one such space per sweep from the
 base eigenvectors and the boundary responses
 R(sigma) = [-T(sigma)^{-1} E(sigma); I] at each base level
-(:meth:`~saext.fem.ArrowBlocks.boundary_response`) and solves each
-perturbed pencil in it from its arrow blocks alone, without CSR arrays.
-The bulk part of an eigenvector at lambda is -T(lambda)^{-1} E(lambda)
-times its boundary part, and T and E do not depend on U, so on criterion
-10's sweep the first step certifies every pencil.  The warm result passes
-the sparse path's certificate (the gap, nu(tau) and the residual gate,
-:func:`_certified`, with the matrix 1-norms summed over the arrow blocks);
-otherwise the reason is logged and the caller's cold path,
-:func:`solve_pencil`, answers.  Dense work on this path goes through numpy,
+(:meth:`~saext.fem.ArrowBlocks.boundary_response`) and solves its
+perturbed pencils in it, a stack at a time, from their arrow blocks
+alone, without CSR arrays.  The bulk part of an eigenvector at lambda is
+-T(lambda)^{-1} E(lambda) times its boundary part, and T and E do not
+depend on U, so on criterion 10's sweep the first step certifies every
+pencil.  The warm result passes the sparse path's certificate (the gap,
+nu(tau) and the residual gate, :func:`_certified`, with the matrix
+1-norms summed over the arrow blocks); otherwise the reason is logged and
+the caller's cold path, :func:`solve_pencil`, answers.  Dense work on this path goes through numpy,
 and LAPACK through direct ``scipy.linalg.lapack`` calls.
 
 The warm and sparse paths run with every OpenBLAS of the process (numpy
@@ -110,8 +119,8 @@ import ctypes
 import functools
 import logging
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -132,6 +141,9 @@ _MAX_SHIFT_STEPS = 64
 _START_SEED = 1103  # fixed ARPACK start vector, so solves are reproducible
 # A warm solve takes at most this many rounds of inverse steps.
 _WARM_ROUNDS = 3
+# Where nu(tau) is not trusted just above the last wanted Ritz value, the
+# certificate tries these fractions of the way up the gap above it.
+_GAP_FRACTIONS = (1e-2, 1e-1, 0.5)
 # A shift on which A - theta B is exactly singular moves up by this many
 # ulps of max(1, |theta|).
 _NUDGE_ULPS = 4.0
@@ -319,7 +331,7 @@ def solve_pencil(pencil: Pencil, count: int | None = None) -> EigenSolution:
     certified sparse path; everything else, and every partial solve whose
     certificate fails, takes the dense path (see the module docstring).
     A partial solve from a block of vectors near the wanted eigenvectors
-    takes the warm path, :meth:`_SearchSpace.solve`, instead.
+    takes the warm path, :meth:`_SearchSpace.solve_stack`, instead.
 
     Raises
     ------
@@ -525,50 +537,59 @@ def _solve_partial(pencil: Pencil, count: int) -> EigenSolution | None:
         w, vectors = ritz
         wide = _gaps(w[count - 1:], DEGENERACY_RTOL)
     solution = _solution(pencil, w[:count], vectors[:, :count])
-    return _certified(pencil.arrow, count, w, solution,
-                      residual_tolerances(pencil, solution.eigenvalues),
-                      fallback="dense")
+    if _certified(pencil.arrow, count, w, solution.residuals,
+                  residual_tolerances(pencil, solution.eigenvalues),
+                  fallback="dense"):
+        return solution
+    return None
 
 
 def _certified(arrow: ArrowBlocks, count: int, w: np.ndarray,
-               solution: EigenSolution, tolerances: np.ndarray,
-               fallback: str) -> EigenSolution | None:
-    """``solution``, the lowest ``count`` of the ascending Ritz pairs with
-    Ritz values ``w`` of the pencil with arrow blocks ``arrow``, when their
-    certificate holds; otherwise None, with the reason logged and the
+               residuals: np.ndarray, tolerances: np.ndarray,
+               fallback: str) -> bool:
+    """Whether the lowest ``count`` of the ascending Ritz values ``w`` of
+    the pencil with arrow blocks ``arrow``, with their ``residuals``, are
+    certified; when they are not, the reason is logged with the
     ``fallback`` path named.
 
     The certificate: a gap wider than DEGENERACY_RTOL above Ritz value
-    ``count``; nu(tau) equal to the number of Ritz values below tau, for
-    tau half of DEGENERACY_RTOL above the lower end of that gap; every
-    residual within ``tolerances`` (:func:`residual_tolerances`).  Ritz
-    values bound the eigenvalues of their index from above, so nu(tau) is
-    at least that number, and equals it only when no eigenvalue below tau
-    was missed; any tau inside the gap certifies.  Near its lower end tau
-    also certifies a Ritz value above the gap that lies far above its
-    eigenvalue, as after inverse steps from converged vectors, which add
-    only rounding noise to the basis.
+    ``count``; nu(tau) equal to the number of Ritz values below tau, for a
+    tau inside that gap; every residual within ``tolerances``
+    (:func:`residual_tolerances`).  Ritz values bound the eigenvalues of
+    their index from above, so nu(tau) is at least that number, and equals
+    it only when no eigenvalue below tau was missed; any tau inside the gap
+    certifies.  The first tau lies half of DEGENERACY_RTOL above the lower
+    end of the gap.  Near that end tau also certifies a Ritz value above
+    the gap that lies far above its eigenvalue, as after inverse steps from
+    converged vectors, which add only rounding noise to the basis.  When
+    the bulk block T(tau) is numerically singular there, nu(tau) is not
+    trusted, and the points _GAP_FRACTIONS of the way up the gap are tried
+    in turn.
     """
     wide = _gaps(w[count - 1:], DEGENERACY_RTOL)
     if not np.any(wide):
         _LOG.warning("no gap above eigenvalue %d; %s fallback", count, fallback)
-        return None
+        return False
 
-    # Exactly `below` Ritz values lie under the first gap, at tau.
+    # Exactly `below` Ritz values lie under the first gap, at every tau.
     below = count + int(np.argmax(wide))
-    tau = w[below - 1] + 0.5 * DEGENERACY_RTOL * max(1.0, abs(w[below]))
-    found = _negative_count(*arrow.minus(tau))
+    low, high = w[below - 1], w[below]
+    for tau in (low + 0.5 * DEGENERACY_RTOL * max(1.0, abs(high)),
+                *(low + fraction * (high - low) for fraction in _GAP_FRACTIONS)):
+        found = _negative_count(*arrow.minus(tau))
+        if found is not None:
+            break
     if found != below:
         _LOG.warning("inertia certificate failed: nu(%.17g) = %s (None: "
                      "singular bulk block), expected %d; %s fallback",
                      tau, found, below, fallback)
-        return None
+        return False
 
-    if not np.all(solution.residuals <= tolerances):
+    if not np.all(residuals <= tolerances):
         _LOG.warning("Ritz residuals exceed their tolerances; %s fallback",
                      fallback)
-        return None
-    return solution
+        return False
+    return True
 
 
 def _free_product(blocks, q: np.ndarray, bulk: int) -> np.ndarray:
@@ -586,19 +607,41 @@ def _free_product(blocks, q: np.ndarray, bulk: int) -> np.ndarray:
     return out
 
 
-class _Ritz(NamedTuple):
-    """A Rayleigh-Ritz step of :class:`_SearchSpace`: all ascending Ritz
-    values, the lowest ``count`` pairs with their residuals, B times their
-    vectors (global order) and the residual tolerances."""
+class _Ritz:
+    """A Rayleigh-Ritz step of one pencil on the :class:`_SearchSpace`
+    ``space``: all ascending Ritz values ``w``, the projected coefficients
+    ``y`` of the lowest ``count`` pairs (phases fixed), B times their
+    vectors in arrow row order, their residuals and the residual
+    tolerances.  The vectors in global order are formed on first use of
+    :attr:`solution` or :attr:`b_vectors`; a caller that reads only the
+    eigenvalues never forms them."""
 
-    w: np.ndarray
-    solution: EigenSolution
-    b_vectors: np.ndarray
-    tolerances: np.ndarray
+    def __init__(self, space: "_SearchSpace", w: np.ndarray, y: np.ndarray,
+                 bv: np.ndarray, residuals: np.ndarray, tolerances: np.ndarray):
+        self.space, self.w, self._y, self._bv = space, w, y, bv
+        self.residuals, self.tolerances = residuals, tolerances
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.w[:self._y.shape[1]]
 
     @property
     def converged(self) -> bool:
-        return bool(np.all(self.solution.residuals <= self.tolerances))
+        return bool(np.all(self.residuals <= self.tolerances))
+
+    @functools.cached_property
+    def solution(self) -> EigenSolution:
+        vectors = np.empty_like(self._bv)
+        vectors[self.space._order] = self.space._q @ self._y
+        return EigenSolution(eigenvalues=self.eigenvalues, eigenvectors=vectors,
+                             residuals=self.residuals)
+
+    @functools.cached_property
+    def b_vectors(self) -> np.ndarray:
+        """B times the wanted Ritz vectors, in global order."""
+        out = np.empty_like(self._bv)
+        out[self.space._order] = self._bv
+        return out
 
 
 class _SearchSpace:
@@ -611,9 +654,13 @@ class _SearchSpace:
     boundary rows): the orthonormal basis Q of the block, the products
     A_f Q and B_f Q with the boundary block left out, which the bands and
     the border give, Q^H A_f Q and Q^H B_f Q, and Q's boundary rows Q_c.
-    A Rayleigh-Ritz step for one pencil (:meth:`ritz`) adds Q_c^H C Q_c to
-    each projection, and its residuals come from the stored products plus
-    C Q_c y.
+    A Rayleigh-Ritz step (:meth:`steps`) adds Q_c^H C Q_c to each
+    projection, and its residuals come from the stored products plus
+    C Q_c y.  It takes a stack of pencils at once: their boundary blocks
+    stacked, one batched call each of ``cholesky``, ``inv`` and ``eigh``
+    and stacked residuals, where each pencil gets the same LAPACK call and
+    the same products as alone, so its result does not depend on the
+    stack.  :meth:`ritz` is the stack of one.
 
     The columns of the block, scaled to unit norm so that none is lost
     beside a longer one, are orthonormalized by Householder QR, which keeps
@@ -661,7 +708,20 @@ class _SearchSpace:
 
     def ritz(self, arrow: ArrowBlocks, count: int) -> _Ritz:
         """The Rayleigh-Ritz step of the pencil with arrow blocks ``arrow``
-        on this space, with its lowest ``count`` pairs.
+        on this space, with its lowest ``count`` pairs: :meth:`steps` for a
+        stack of one.
+
+        Raises
+        ------
+        As :meth:`steps`.
+        """
+        return self.steps([arrow], count)[0]
+
+    def steps(self, arrows: Sequence[ArrowBlocks], count: int) -> list[_Ritz]:
+        """The Rayleigh-Ritz step on this space of each pencil with arrow
+        blocks in ``arrows``, with its lowest ``count`` pairs, taken for the
+        whole stack at once.  Boundary blocks of one dtype make one stack;
+        a stack that mixes real and complex ones is taken as two.
 
         The projected pencil (Q^H A Q, Q^H B Q) is reduced to standard form
         by the Cholesky factor of Q^H B Q, which is as well conditioned as
@@ -671,84 +731,138 @@ class _SearchSpace:
         Raises
         ------
         EigenSolveError
-            When the bands of ``arrow`` are not this space's, as for the
+            When the bands of an ``arrow`` are not this space's, as for the
             blocks of another assembly.
         numpy.linalg.LinAlgError
-            When C has a non-finite entry or Q^H B Q is not numerically
-            positive definite.
+            When a C has a non-finite entry or a Q^H B Q is not numerically
+            positive definite, for the whole stack.
         """
-        if any(mine is not theirs for mine, theirs
-               in zip(self._bands, (*arrow.a[:3], *arrow.b[:3]))):
-            raise EigenSolveError("arrow blocks of another assembly: their "
-                                  "bands are not this search space's")
-        corners = arrow.a[3], arrow.b[3]
+        for arrow in arrows:
+            if any(mine is not theirs for mine, theirs
+                   in zip(self._bands, (*arrow.a[:3], *arrow.b[:3]))):
+                raise EigenSolveError("arrow blocks of another assembly: their "
+                                      "bands are not this search space's")
+        kinds = [np.iscomplexobj(arrow.a[3]) for arrow in arrows]
+        if len(set(kinds)) > 1:  # real and complex blocks: a stack each
+            out = [None] * len(arrows)
+            for kind in (False, True):
+                where = [i for i, k in enumerate(kinds) if k == kind]
+                for i, ritz in zip(where, self.steps([arrows[i] for i in where],
+                                                     count)):
+                    out[i] = ritz
+            return out
+
+        corners = [np.stack([arrow.a[3] for arrow in arrows]),
+                   np.stack([arrow.b[3] for arrow in arrows])]
         if not all(np.all(np.isfinite(c)) for c in corners):
             raise np.linalg.LinAlgError("boundary block has a non-finite entry")
         q_c = self._q_c
         c_q = [c @ q_c for c in corners]
         a_proj, b_proj = (p + q_c.conj().T @ cq
                           for p, cq in zip(self._projected, c_q))
-        inverse = np.linalg.inv(np.linalg.cholesky((b_proj + b_proj.conj().T) / 2.0))
-        reduced = inverse @ a_proj @ inverse.conj().T
-        w, z = np.linalg.eigh((reduced + reduced.conj().T) / 2.0)
-        y = inverse.conj().T @ z[:, :count]
-        y *= _phase_factors(self._reference @ y)
+        inverse = np.linalg.inv(np.linalg.cholesky(
+            (b_proj + _adjoint(b_proj)) / 2.0))
+        reduced = inverse @ a_proj @ _adjoint(inverse)
+        w, z = np.linalg.eigh((reduced + _adjoint(reduced)) / 2.0)
+        y = _adjoint(inverse) @ z[:, :, :count]
+        y *= _phase_factors(self._reference @ y)[:, None, :]
 
         av, bv = (free @ y for free in self._free)
-        av[self._bulk:] += c_q[0] @ y
-        bv[self._bulk:] += c_q[1] @ y
-        low = w[:count]
-        residuals = np.linalg.norm(av - bv * low, axis=0)
-        vectors, b_vectors = np.empty_like(av), np.empty_like(bv)
-        vectors[self._order] = self._q @ y
-        b_vectors[self._order] = bv
-        a_norm, b_norm = (max(bulk_max, float(np.max(sums + np.abs(c).sum(axis=0))))
-                          for (bulk_max, sums), c in zip(self._column_sums, corners))
-        solution = EigenSolution(eigenvalues=low, eigenvectors=vectors,
-                                 residuals=residuals)
-        return _Ritz(w, solution, b_vectors, _tolerances(a_norm, b_norm, low))
+        av[:, self._bulk:] += c_q[0] @ y
+        bv[:, self._bulk:] += c_q[1] @ y
+        low = w[:, :count]
+        av -= bv * low[:, None, :]
+        residuals = np.linalg.norm(av, axis=-2)
+        a_norm, b_norm = (
+            np.maximum(bulk_max, np.max(sums + np.abs(c).sum(axis=-2), axis=-1))
+            for (bulk_max, sums), c in zip(self._column_sums, corners))
+        tolerances = _tolerances(a_norm[:, None], b_norm[:, None], low)
+        return [_Ritz(self, *parts) for parts in zip(w, y, bv, residuals, tolerances)]
 
     def solve(self, arrow: ArrowBlocks, count: int) -> EigenSolution | None:
         """Certified lowest ``count`` pairs of the pencil with arrow blocks
         ``arrow`` by Rayleigh-Ritz steps with inverse steps from this
         space, at one BLAS thread, or None (with the reason logged) when the
-        cold path has to answer.
-
-        A Rayleigh-Ritz step on this space (:meth:`ritz`) gives Ritz pairs
-        (theta_j, v_j).  Each round adds one inverse step
-        w_j = (A - theta_j B)^{-1} B v_j for every j < ``count`` to the block
-        and takes a Rayleigh-Ritz step on its span, that of [V, W] (Parlett,
-        The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4 and 11).  Rounds
-        stop once the lowest ``count`` residuals are within their tolerances,
-        or after _WARM_ROUNDS; the result then has to pass the certificate of
-        :func:`_certified`.  A block of more than ``count`` columns that
-        already holds the wanted pairs, such as the stability study's base
-        eigenvectors with their boundary responses, takes no round at all.
-        One of ``count`` columns always takes one: the certificate needs a
-        Ritz value above the gap.
+        cold path has to answer: :meth:`solve_stack` for a stack of one.
 
         Raises
         ------
         EigenSolveError
             When the bands of ``arrow`` are not this space's.
         """
+        ritz, = self.solve_stack([arrow], count)
+        return None if ritz is None else ritz.solution
+
+    def solve_stack(self, arrows: Sequence[ArrowBlocks],
+                    count: int) -> list[_Ritz | None]:
+        """For each pencil with arrow blocks in ``arrows``, the certified
+        Rayleigh-Ritz step of its lowest ``count`` pairs, or None (with the
+        reason logged) when the cold path has to answer; at one BLAS thread.
+
+        One stacked step on this space (:meth:`steps`) gives each pencil
+        its Ritz pairs (theta_j, v_j).  A stack whose step raises (a
+        non-finite boundary block, a failed Cholesky factorization) is
+        taken pencil by pencil, so only the pencil at fault falls back, and
+        the others get the results they get alone.  Then, pencil by pencil,
+        each round adds one inverse step w_j = (A - theta_j B)^{-1} B v_j for
+        every j < ``count`` to the block and takes a Rayleigh-Ritz step on
+        its span, that of [V, W] (Parlett, The Symmetric Eigenvalue Problem,
+        SIAM 1998, ch. 4 and 11).  Rounds stop once the lowest ``count``
+        residuals are within their tolerances, or after _WARM_ROUNDS; the
+        result then has to pass the certificate of :func:`_certified`.  A
+        block of more than ``count`` columns that already holds the wanted
+        pairs, such as the stability study's base eigenvectors with their
+        boundary responses, takes no round at all, and the step that
+        answers is then a step on this space.  One of ``count`` columns
+        always takes one: the certificate needs a Ritz value above the gap.
+
+        Raises
+        ------
+        EigenSolveError
+            When the bands of an ``arrow`` are not this space's.
+        """
         with _one_blas_thread:
             try:
-                space, ritz = self, self.ritz(arrow, count)
-                done = ritz.w.size > count and ritz.converged
-                for _ in range(0 if done else _WARM_ROUNDS):
-                    steps = [_inverse_step(arrow, theta, ritz.b_vectors[:, j])
-                             for j, theta in enumerate(ritz.w[:count])]
-                    space = _SearchSpace(arrow,
-                                         np.column_stack([space.block, *steps]))
-                    ritz = space.ritz(arrow, count)
-                    if ritz.converged:
-                        break
-            except np.linalg.LinAlgError as exc:
-                _LOG.warning("warm path failed (%s); cold fallback", exc)
-                return None
-            return _certified(arrow, count, ritz.w, ritz.solution,
-                              ritz.tolerances, fallback="cold")
+                firsts = self.steps(arrows, count)
+            except np.linalg.LinAlgError:
+                firsts = [self._alone(arrow, count) for arrow in arrows]
+            return [None if ritz is None else self._rounds(arrow, count, ritz)
+                    for arrow, ritz in zip(arrows, firsts)]
+
+    def _alone(self, arrow: ArrowBlocks, count: int) -> _Ritz | None:
+        """The first step of :meth:`solve_stack` for one pencil, or None
+        (with the reason logged) when it raises."""
+        try:
+            return self.ritz(arrow, count)
+        except np.linalg.LinAlgError as exc:
+            _LOG.warning("warm path failed (%s); cold fallback", exc)
+            return None
+
+    def _rounds(self, arrow: ArrowBlocks, count: int, ritz: _Ritz) -> _Ritz | None:
+        """The inverse-step rounds and the certificate of
+        :meth:`solve_stack` for one pencil from its first step ``ritz``."""
+        try:
+            space = self
+            done = ritz.w.size > count and ritz.converged
+            for _ in range(0 if done else _WARM_ROUNDS):
+                steps = [_inverse_step(arrow, theta, ritz.b_vectors[:, j])
+                         for j, theta in enumerate(ritz.w[:count])]
+                space = _SearchSpace(arrow, np.column_stack([space.block, *steps]))
+                ritz = space.ritz(arrow, count)
+                if ritz.converged:
+                    break
+        except np.linalg.LinAlgError as exc:
+            _LOG.warning("warm path failed (%s); cold fallback", exc)
+            return None
+        if _certified(arrow, count, ritz.w, ritz.residuals, ritz.tolerances,
+                      fallback="cold"):
+            return ritz
+        return None
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def _inverse_step(arrow: ArrowBlocks, theta: float, rhs: np.ndarray) -> np.ndarray:

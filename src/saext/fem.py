@@ -34,7 +34,9 @@ pattern once), and :class:`Pencil` picks the dtype.
 :func:`assemble_pencil` builds the bulk part and one pencil in one call.
 The stability sweep builds CSR arrays for its base pencil only: each
 perturbed U needs its arrow blocks alone, since the eigensolver projects
-everything else once per sweep.
+everything else once per sweep, and it builds the boundary blocks of a
+stack of U at once (``BulkAssembly._arrow_stack``, of which
+:meth:`BulkAssembly.arrow` is the stack of one).
 
 The quadratic form behind A is
     Q(f, g) = mu * (<f', g'> - [conj(f) g']_boundary) + <f, V g>,
@@ -48,6 +50,7 @@ beyond roundoff.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -437,65 +440,93 @@ class BulkAssembly:
             weighted-hermiticity constraint, or a raw boundary block that is
             not hermitian to roundoff.
         """
-        mesh, mu = self.mesh, self.mu
-        if bc.n != mesh.n:
-            raise AssemblyError(f"boundary condition n = {bc.n}, mesh n = {mesh.n}")
-        if bvals.v.shape != (2 * mesh.n, 2 * mesh.n):
-            raise AssemblyError(
-                f"boundary values have shape {bvals.v.shape}, expected "
-                f"{(2 * mesh.n, 2 * mesh.n)}"
-            )
-        if not np.array_equal(bvals.h, mesh.h_endpoint):
-            raise AssemblyError("boundary values were solved on a different mesh")
-        if not np.array_equal(bvals.g, bvals.g.conj().T):
-            raise AssemblyError(
-                "boundary values violate the weighted hermiticity constraint; "
-                "solve them through solve_boundary_values"
-            )
+        return self._arrow_stack([bc], [bvals])[0]
 
+    def _arrow_stack(self, bcs: Sequence[BoundaryCondition],
+                     values: Sequence[BoundaryValues]) -> list[ArrowBlocks]:
+        """:meth:`arrow` of each (bc, bvals) pair, with the boundary blocks
+        built as one (m, 2n, 2n) stack: the same operations as for one
+        pair, element by element, so each set of blocks is bitwise the one
+        :meth:`arrow` gives.  Every input check runs pair by pair before the
+        build, and the raw hermiticity gate after it, pair by pair.
+
+        Raises
+        ------
+        AssemblyError
+            As :meth:`arrow`, for the first pair that fails.
+        """
+        mesh, mu = self.mesh, self.mu
         two_n = 2 * mesh.n
+        for bc, bvals in zip(bcs, values):
+            if bc.n != mesh.n:
+                raise AssemblyError(f"boundary condition n = {bc.n}, mesh n = {mesh.n}")
+            if bvals.v.shape != (two_n, two_n):
+                raise AssemblyError(
+                    f"boundary values have shape {bvals.v.shape}, expected "
+                    f"{(two_n, two_n)}"
+                )
+            if not np.array_equal(bvals.h, mesh.h_endpoint):
+                raise AssemblyError("boundary values were solved on a different mesh")
+            if not np.array_equal(bvals.g, bvals.g.conj().T):
+                raise AssemblyError(
+                    "boundary values violate the weighted hermiticity constraint; "
+                    "solve them through solve_boundary_values"
+                )
+
+        v = np.stack([bvals.v for bvals in values])
+        g = np.stack([bvals.g for bvals in values])
         unit = np.eye(two_n)
         # Lagrange boundary bracket, nonzero only on the boundary block:
         # [conj(beta_l) beta_m']_boundary = (G^H V - G^H)[l, m] = (G V - G)[l, m]
         # since G is exactly hermitian.
-        a_block = -mu * (bvals.g @ bvals.v - bvals.g)
-        b_block = np.zeros((two_n, two_n), dtype=complex)
+        a_block = -mu * (g @ v - g)
+        b_block = np.zeros(v.shape, dtype=complex)
         for alpha, (h, stiff, p00, p01, p11) in enumerate(self._ends):
             # Element 0 runs from the endpoint values V[2 alpha, :] to the
             # unit peak of function 2 alpha; element r_alpha from the peak of
             # function 2 alpha + 1 to the endpoint values V[2 alpha + 1, :].
             for e, left, right in (
-                (0, bvals.v[2 * alpha], unit[2 * alpha]),
-                (1, unit[2 * alpha + 1], bvals.v[2 * alpha + 1]),
+                (0, v[:, 2 * alpha], unit[2 * alpha]),
+                (1, unit[2 * alpha + 1], v[:, 2 * alpha + 1]),
             ):
-                lc, rc = left.conj(), right.conj()
-                ll, lr = np.outer(lc, left), np.outer(lc, right)
-                rl, rr = np.outer(rc, left), np.outer(rc, right)
+                lc, rc = left.conj()[..., :, None], right.conj()[..., :, None]
+                left, right = left[..., None, :], right[..., None, :]
+                ll, lr, rl, rr = lc * left, lc * right, rc * left, rc * right
                 b_block += (h / 6.0) * (2.0 * ll + lr + rl + 2.0 * rr)
                 a_block += (stiff * (ll - lr - rl + rr) + p00[e] * ll
                             + p01[e] * (lr + rl) + p11[e] * rr)
 
-        iu, diagonal = self._upper, self._diagonal
+        raws = (a_block, b_block)
+        scales = [np.max(np.abs(raw), axis=(-2, -1)) for raw in raws]
+        defects = [np.max(np.abs(raw - raw.conj().swapaxes(-1, -2)), axis=(-2, -1))
+                   for raw in raws]
+        for i in range(len(values)):
+            for name, part, scale, defect in zip("AB", self._parts, scales, defects):
+                scale = max(1.0, float(scale[i]), part.band_max)
+                if not defect[i] <= _CONSISTENCY_TOL * scale:
+                    raise AssemblyError(
+                        f"raw {name} assembly is non-hermitian beyond roundoff "
+                        f"(defect {defect[i]:.3e}, scale {scale:.3e})"
+                    )
+
+        (iu, ju), (di, dj) = self._upper, self._diagonal
+        tri_i, tri_j = self._tri_corner
         corners = []
-        for name, raw, part in zip("AB", (a_block, b_block), self._parts):
-            scale = max(1.0, float(np.max(np.abs(raw))), part.band_max)
-            defect = float(np.max(np.abs(raw - raw.conj().T)))
-            if not defect <= _CONSISTENCY_TOL * scale:
-                raise AssemblyError(
-                    f"raw {name} assembly is non-hermitian beyond roundoff "
-                    f"(defect {defect:.3e}, scale {scale:.3e})"
-                )
-            raw[self._tri_corner] += part.corner_from_bands
+        for raw, part in zip(raws, self._parts):
+            raw[:, tri_i, tri_j] += part.corner_from_bands
             corner = np.zeros_like(raw)
-            corner[iu] = raw[iu]
-            corner[iu[::-1]] = raw[iu].conj()
-            corner[diagonal] = raw.diagonal().real
+            corner[:, iu, ju] = raw[:, iu, ju]
+            corner[:, ju, iu] = raw[:, iu, ju].conj()
+            corner[:, di, dj] = raw[:, di, dj].real
             corners.append(corner)
 
-        real = not any(np.any(c.imag) for c in corners)
-        blocks = [(*part.bands, _frozen(c.real.copy() if real else c))
-                  for part, c in zip(self._parts, corners)]
-        return ArrowBlocks(*blocks, self._order, self.v_min)
+        out = []
+        for a_corner, b_corner in zip(*corners):
+            real = not (np.any(a_corner.imag) or np.any(b_corner.imag))
+            blocks = [(*part.bands, _frozen(c.real.copy() if real else c))
+                      for part, c in zip(self._parts, (a_corner, b_corner))]
+            out.append(ArrowBlocks(*blocks, self._order, self.v_min))
+        return out
 
     def pencil(self, bc: BoundaryCondition, bvals: BoundaryValues) -> Pencil:
         """The pencil of boundary condition ``bc`` with its solved boundary

@@ -465,6 +465,31 @@ def test_missed_eigenvalue_falls_back_to_dense(monkeypatch, caplog):
     assert np.allclose(sol.eigenvalues, reference.eigenvalues[:6], rtol=0, atol=1e-10)
 
 
+def test_certificate_tries_deeper_in_the_gap(monkeypatch, caplog):
+    # the Robin-like U = e^{ia} I_2, kappa = -tan(a / 2) = 1000, on
+    # (0, 2 pi) at N = 6000: T(tau) is numerically singular at the first tau,
+    # just above the fourth Ritz value, and nu is trusted 1% into the gap,
+    # so the partial solve certifies there instead of a dense fallback
+    u = np.exp(-2j * math.atan(1000.0)) * np.eye(2)
+    _, _, pencil, _ = _solve_setup(BoundaryCondition.from_matrix(u), 6000,
+                                   count=1)
+    counts = []
+    negative_count = eigen._negative_count
+
+    def recording(*blocks):
+        counts.append(negative_count(*blocks))
+        return counts[-1]
+
+    monkeypatch.setattr(eigen, "_negative_count", recording)
+    with caplog.at_level(logging.WARNING, logger="saext"):
+        solution = solve_pencil(pencil, count=4)
+    assert not caplog.records
+    assert counts[-2:] == [None, 4]
+    assert solution.count == 4
+    assert np.all(solution.residuals <= residual_tolerances(pencil,
+                                                            solution.eigenvalues))
+
+
 def test_full_spectrum_never_takes_sparse_path(monkeypatch):
     bc = BoundaryCondition.quasi_periodic(0.0)
     _, _, pencil, _ = _solve_setup(bc, 200, count=3)

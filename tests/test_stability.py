@@ -14,11 +14,12 @@ import pytest
 import scipy.linalg
 
 import saext
-from saext import cli, fem
+from saext import cli, eigen, fem
 from helpers import power_law_fit_multistart
 from saext.boundary import assemble_boundary_system, solve_boundary_values
-from saext.boundary import BoundaryCondition
+from saext.boundary import BoundaryCondition, ConditionFailure
 from saext.cli import (
+    EXIT_CONDITIONING,
     EXIT_CONFIG,
     EXIT_SOLVER,
     _power_law_fit,
@@ -127,11 +128,12 @@ def _recorded_sweep(monkeypatch, cfg):
     """Runs ``stability_study(cfg)`` and returns its result with what it
     did: the (pencil, solution) of each ``solve_pencil`` call, the
     (arrow, block) of each search space it built, the (space, bulk
-    assembly, bc, values, solution) of each solve in a space, and the
-    number of CSR pencils it built."""
-    calls, arrows, spaces, solves, pencils = [], [], [], [], []
+    assembly, bc, values, certified step or None) of each pencil its
+    stacked solves in a space took, and the number of CSR pencils it
+    built."""
+    calls, stacks, spaces, solves, pencils = [], [], [], [], []
     solve = cli.solve_pencil
-    arrow = fem.BulkAssembly.arrow
+    arrow_stack = fem.BulkAssembly._arrow_stack
     pencil = fem.BulkAssembly.pencil
 
     def recording_solve(pencil, count=None):
@@ -139,9 +141,9 @@ def _recorded_sweep(monkeypatch, cfg):
         calls.append((pencil, solution))
         return solution
 
-    def recording_arrow(self, bc, values):
-        blocks = arrow(self, bc, values)
-        arrows.append((self, bc, values, blocks))
+    def recording_arrow_stack(self, bcs, values):
+        blocks = arrow_stack(self, bcs, values)
+        stacks.append((self, bcs, values, blocks))
         return blocks
 
     def recording_pencil(self, bc, values):
@@ -153,15 +155,16 @@ def _recorded_sweep(monkeypatch, cfg):
             super().__init__(blocks, block)
             spaces.append((blocks, block))
 
-        def solve(self, blocks, count):
-            solution = super().solve(blocks, count)
-            bulk, bc, values, made = arrows[-1]
+        def solve_stack(self, blocks, count):
+            answers = super().solve_stack(blocks, count)
+            bulk, bcs, values, made = stacks[-1]
             assert made is blocks
-            solves.append((self, bulk, bc, values, solution))
-            return solution
+            solves.extend((self, bulk, bc, vals, answer)
+                          for bc, vals, answer in zip(bcs, values, answers))
+            return answers
 
     monkeypatch.setattr(cli, "solve_pencil", recording_solve)
-    monkeypatch.setattr(fem.BulkAssembly, "arrow", recording_arrow)
+    monkeypatch.setattr(fem.BulkAssembly, "_arrow_stack", recording_arrow_stack)
     monkeypatch.setattr(fem.BulkAssembly, "pencil", recording_pencil)
     monkeypatch.setattr(cli, "_SearchSpace", RecordingSpace)
     return stability_study(cfg), calls, spaces, solves, len(pencils)
@@ -173,6 +176,13 @@ def _fallbacks(caplog):
 
 def _relative(got, want):
     return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+
+
+def _paths(caplog):
+    """The (stacked step, inverse-step rounds, cold path) counts of each
+    sweep record on the saext logger."""
+    return [tuple(record.args[1:]) for record in caplog.records
+            if record.getMessage().startswith("stability sweep:")]
 
 
 def test_sweep_starts_every_solve_from_the_base_eigenvectors(monkeypatch, caplog):
@@ -226,9 +236,10 @@ def test_sweep_random_start_falls_back_to_the_cold_path(monkeypatch, caplog):
     monkeypatch.setattr(cli, "_sweep_start", random_start)
     cfg = parse_config(CRITERION_10_CONFIG + "stability.eps_start = 1e-4\n"
                        "stability.eps_stop = 3e-4\nstability.eps_step = 1e-4\n")
-    with caplog.at_level(logging.WARNING, logger="saext"):
+    with caplog.at_level(logging.INFO, logger="saext"):
         _, calls, spaces, solves, pencils = _recorded_sweep(monkeypatch, cfg)
     messages = _fallbacks(caplog)
+    assert _paths(caplog) == [(0, 0, 3)]
     assert sum("warm fallback" in m for m in messages) == 0
     assert sum("cold fallback" in m for m in messages) == 3
     assert pencils == len(calls) == 4
@@ -262,21 +273,22 @@ def test_sweep_recovers_by_inverse_step_rounds(monkeypatch, caplog,
 
 def test_sweep_non_finite_boundary_block_exits_solver(monkeypatch, tmp_path, caplog,
                                                      capsys):
-    # a NaN in a perturbed boundary block fails the search space's step, and
-    # the CSR pencil built for the fallback fails solve_pencil's input check
-    arrow = fem.BulkAssembly.arrow
+    # a NaN in the first perturbed boundary block fails its step alone, and
+    # the CSR pencil built for its fallback fails solve_pencil's input check
+    arrow_stack = fem.BulkAssembly._arrow_stack
     made = []
 
-    def poisoned(self, bc, values):
-        blocks = arrow(self, bc, values)
+    def poisoned(self, bcs, values):
+        blocks = arrow_stack(self, bcs, values)
         made.append(blocks)
         if len(made) == 1:  # the base pencil
             return blocks
-        corner = blocks.a[3].copy()
+        corner = blocks[0].a[3].copy()
         corner[0, 0] = np.nan
-        return dataclasses.replace(blocks, a=(*blocks.a[:3], corner))
+        return [dataclasses.replace(blocks[0], a=(*blocks[0].a[:3], corner)),
+                *blocks[1:]]
 
-    monkeypatch.setattr(fem.BulkAssembly, "arrow", poisoned)
+    monkeypatch.setattr(fem.BulkAssembly, "_arrow_stack", poisoned)
     cfg_path = tmp_path / "job.cfg"
     cfg_path.write_text(CRITERION_10_CONFIG + "stability.eps_start = 1e-4\n"
                         "stability.eps_stop = 3e-4\nstability.eps_step = 1e-4\n")
@@ -284,10 +296,82 @@ def test_sweep_non_finite_boundary_block_exits_solver(monkeypatch, tmp_path, cap
         code = main(["stability", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")])
     assert code == EXIT_SOLVER
-    assert len(made) == 3  # the base, then the perturbed arrow and its pencil
+    # the base, then the perturbed stack and the pencil of its first U
+    assert [len(blocks) for blocks in made] == [1, 3, 1]
     assert _fallbacks(caplog) == ["warm path failed (boundary block has a "
                                   "non-finite entry); cold fallback"]
     assert "solver failure: A has a non-finite entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines, paths", [
+    ("", (100, 0, 0)),
+    ("stability.eps_start = 0.02\nstability.eps_stop = 0.06\n"
+     "stability.eps_step = 0.02\n", (0, 3, 0)),
+], ids=["criterion-10", "rounds"])
+def test_sweep_logs_the_path_of_each_pencil(caplog, lines, paths):
+    # one record a sweep: the pencils the stacked step certified, those
+    # that took inverse-step rounds and those the cold path answered
+    with caplog.at_level(logging.INFO, logger="saext"):
+        stability_study(parse_config(CRITERION_10_CONFIG + lines))
+    assert _paths(caplog) == [paths]
+    [message] = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("stability sweep:")]
+    assert message == (
+        f"stability sweep: {sum(paths)} perturbed pencils: {paths[0]} "
+        f"certified by the stacked Rayleigh-Ritz step, {paths[1]} after "
+        f"inverse-step rounds, {paths[2]} by the cold path")
+
+
+def test_sweep_stacks_match_single_pencil_solves(monkeypatch):
+    # 47 perturbed pencils, 2 full stacks and a short one: each boundary
+    # solve, boundary block and eigenvalue list is bitwise the one the
+    # single-pencil calls give
+    cfg = parse_config(CRITERION_10_CONFIG + "stability.eps_start = 1e-5\n"
+                       "stability.eps_stop = 4.7e-4\nstability.eps_step = 1e-5\n")
+    _, _, [(blocks, block)], solves, _ = _recorded_sweep(monkeypatch, cfg)
+    assert len(solves) == 47 and len(solves) % cli._SWEEP_CHUNK
+    assert len(solves) > 2 * cli._SWEEP_CHUNK
+    space = eigen._SearchSpace(blocks, block)
+    for _, bulk, bc, values, ritz in solves:
+        alone = solve_boundary_values(assemble_boundary_system(bc, bulk.mesh))
+        assert alone.v.tobytes() == values.v.tobytes()
+        assert alone.g.tobytes() == values.g.tobytes()
+        arrow = bulk.arrow(bc, alone)
+        solution = space.solve(arrow, 9)
+        assert ritz.eigenvalues.tobytes() == solution.eigenvalues.tobytes()
+        assert ritz.residuals.tobytes() == solution.residuals.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["incompatible", "kappa"])
+@pytest.mark.parametrize("k", [0, 25, 46])
+def test_sweep_condition_failure_at_one_eps_exits_conditioning(
+        monkeypatch, tmp_path, capsys, kind, k):
+    # the k-th perturbed U makes F V = C incompatible or too ill-conditioned:
+    # the sweep exits 3 with the message the single boundary solve raises
+    mesh = build_mesh(build_problem(parse_config(CRITERION_10_CONFIG))[0], 250)
+    d = 1.0 + 1j / mesh.h_endpoint
+    turns = [0.0, 0.0] if kind == "incompatible" else [1e-10, 1.0]
+    bad = np.diag(np.conj(d) / d * np.exp(1j * np.array(turns)))
+    with pytest.raises(ConditionFailure) as failure:
+        solve_boundary_values(assemble_boundary_system(
+            BoundaryCondition.from_matrix(bad), mesh))
+    unitary, seen = cli.nearest_unitary, []
+
+    def bad_at_k(matrix):
+        seen.append(matrix)
+        return (bad, 0.0) if len(seen) == k + 1 else unitary(matrix)
+
+    monkeypatch.setattr(cli, "nearest_unitary", bad_at_k)
+    cfg_path = tmp_path / "job.cfg"
+    cfg_path.write_text(CRITERION_10_CONFIG + "stability.eps_start = 1e-5\n"
+                        "stability.eps_stop = 4.7e-4\nstability.eps_step = 1e-5\n")
+    code = main(["stability", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONDITIONING
+    assert len(seen) > k
+    err = capsys.readouterr().err
+    assert err == f"saext: conditioning failure: {failure.value}\n"
+    assert ("incompatible" if kind == "incompatible" else "exceeds kappa_max") in err
 
 
 # ------------------------------------------------------------ level clusters

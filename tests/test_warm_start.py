@@ -1,6 +1,7 @@
 """The warm path of the eigensolver: Rayleigh-Ritz from a start block with
 inverse steps by the arrow blocks, under the sparse path's certificate."""
 
+import dataclasses
 import logging
 import math
 
@@ -153,6 +154,49 @@ def test_search_space_rejects_the_blocks_of_another_assembly(criterion_10):
         space.ritz(twin, 9)
     with pytest.raises(EigenSolveError, match="another assembly"):
         space.solve(twin, 9)
+
+
+@pytest.mark.parametrize("odd", ["nan corner", "failed cholesky", "real corner"])
+def test_one_pencil_of_a_stack_is_taken_alone(criterion_10, caplog, odd):
+    # the middle pencil of a stack of seven cannot share its step: a NaN in
+    # its boundary block or a Q^H B Q that is not positive definite makes it
+    # fall back alone, and a real boundary block among complex ones takes
+    # its own stack.  Every other pencil gets what it gets alone, bit for bit.
+    _, pencils, start = criterion_10
+    space = _SearchSpace(pencils[0].arrow, start)
+    arrows = [pencil.arrow for pencil in pencils[:7]]
+    middle = arrows[3]
+    if odd == "nan corner":
+        corner = middle.a[3].copy()
+        corner[0, 1] = np.nan
+        arrows[3] = dataclasses.replace(middle, a=(*middle.a[:3], corner))
+    elif odd == "failed cholesky":
+        arrows[3] = dataclasses.replace(middle, b=(*middle.b[:3], -1e3 * middle.b[3]))
+    else:
+        arrows[3] = dataclasses.replace(
+            middle, a=(*middle.a[:3], middle.a[3].real.copy()),
+            b=(*middle.b[:3], middle.b[3].real.copy()))
+    with caplog.at_level(logging.WARNING, logger="saext"):
+        answers = space.solve_stack(arrows, 9)
+    messages = _fallbacks(caplog)
+    caplog.clear()
+    if odd == "real corner":
+        assert not messages
+        assert answers[3].solution.eigenvectors.dtype == np.float64
+    else:
+        assert answers[3] is None
+        assert len(messages) == 1
+        assert messages[0].startswith("warm path failed (")
+        assert messages[0].endswith("); cold fallback")
+    for i, (arrow, answer) in enumerate(zip(arrows, answers)):
+        alone = space.solve(arrow, 9)
+        if answer is None:
+            assert alone is None and i == 3
+            continue
+        assert answer.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
+        assert answer.residuals.tobytes() == alone.residuals.tobytes()
+        assert (answer.solution.eigenvectors.tobytes()
+                == alone.eigenvectors.tobytes())
 
 
 def test_sweep_start_drops_a_cluster_on_an_exactly_singular_bulk_block(
