@@ -23,8 +23,11 @@ pencils, which carry no arrow blocks.
 The sparse path answers the lowest ``count`` pairs of an assembled pencil
 by shift-invert ARPACK (Lehoucq, Sorensen & Yang, ARPACK Users' Guide,
 SIAM 1998) on OP = (A - sigma B)^{-1} B with a shift sigma below the
-spectrum, followed by a Rayleigh-Ritz step on the returned block, so the
-eigenvectors are again B-orthonormal.  The count is certified by
+spectrum.  ARPACK's block goes through the one Rayleigh-Ritz step of the
+module, that of :class:`_SearchSpace` on the pencil's arrow blocks, so the
+eigenvectors are again B-orthonormal, and every partial solve has one
+residual rule: RESIDUAL_RTOL * (||A|| + |lambda| ||B||), with the matrix
+1-norms summed over the arrow blocks.  The count is certified by
 Sylvester's law of inertia: with B positive definite, the number nu(x) of
 eigenvalues below x is the number of negative eigenvalues of A - x B.  An
 assembled pencil carries the arrow blocks of A and B and min V
@@ -43,8 +46,8 @@ nu(sigma) = 0, and the widened block of a straddling cluster takes 2n
 from the size of C.  A partial solve is returned only when
 nu(tau) equals the number of computed eigenvalues below tau, for tau in
 the first gap above the last wanted eigenvalue (a point deeper in the gap
-where T(tau) is numerically singular), and every residual is within
-:func:`residual_tolerances`; otherwise the reason is logged on the
+where T(tau) is numerically singular), and every residual is within its
+tolerance (:func:`_certified`); otherwise the reason is logged on the
 ``saext`` logger and the dense path answers, so a wrong count is never
 returned.
 
@@ -84,10 +87,11 @@ alone, without CSR arrays.  The bulk part of an eigenvector at lambda is
 -T(lambda)^{-1} E(lambda) times its boundary part, and T and E do not
 depend on U, so on criterion 10's sweep the first step certifies every
 pencil.  The warm result passes the sparse path's certificate (the gap,
-nu(tau) and the residual gate, :func:`_certified`, with the matrix
-1-norms summed over the arrow blocks); otherwise the reason is logged and
-the caller's cold path, :func:`solve_pencil`, answers.  Dense work on this path goes through numpy,
-and LAPACK through direct ``scipy.linalg.lapack`` calls.
+nu(tau) and the residual gate, :func:`_certified`); otherwise the reason
+is logged and the caller's cold path, :func:`solve_pencil`, answers.  The
+Rayleigh-Ritz step is numpy; the tridiagonal solves and Sturm counts are
+direct ``scipy.linalg.lapack`` calls, and the sparse path's LU factor and
+ARPACK are ``scipy.sparse.linalg``'s.
 
 The warm and sparse paths run with every OpenBLAS of the process (numpy
 and scipy each load their own) at one thread, and give each its previous
@@ -437,10 +441,9 @@ def _count_below(pencil: Pencil, x: float) -> int | None:
     return _negative_count(*pencil.arrow.minus(x))
 
 
-def _ritz_pairs(pencil: Pencil, k: int, shift: float):
-    """k pairs nearest ``shift`` by shift-invert ARPACK, refined by a
-    Rayleigh-Ritz step on the returned block so that the vectors are
-    B-orthonormal; None (with the reason logged) on failure.
+def _arpack_block(pencil: Pencil, k: int, shift: float) -> np.ndarray | None:
+    """ARPACK's block of the k Ritz vectors nearest ``shift`` by shift-invert
+    ARPACK, or None (with the reason logged) on failure.
 
     ARPACK iterates on OP = (A - shift B)^{-1} B in its standard mode.
     scipy's generalized shift-invert mode (``eigsh(A, M=B, sigma=...)``)
@@ -449,30 +452,10 @@ def _ritz_pairs(pencil: Pencil, k: int, shift: float):
     random-U problems on two intervals at N = 600 raised the peak RSS from
     68 to 81 MiB with it, while real pencils did not grow (2-core host).
 
-    This Rayleigh-Ritz step keeps scipy's wrappers and the warm path's
-    (:class:`_SearchSpace`) keeps numpy.  Before both paths ran at one BLAS
-    thread, each was the faster on its path, as numpy's and scipy's thread
-    pools contended: with the warm step's numpy here, ``np.linalg.qr`` took
-    22 ms a call on the cold N = 2000 ring against 1.2 ms for
-    ``scipy.linalg.qr``.  Re-measured at one BLAS thread (2-core host,
-    medians of 15 cold solves of the lowest 8 levels and of 5 criterion-10
-    sweeps, three fresh processes each): with the warm step's numpy here
-    the real N = 2000 ring took 10.1-17.4 ms against 9.6-14.8 ms, and the
-    complex ring (quasi-periodic, theta = 0.7) 14.0-15.2 ms against
-    18.8-22.0 ms; with scipy's ``qr`` and ``eigh`` in the warm step the
-    sweep took 0.41-0.51 s against 0.31-0.35 s.  numpy is no longer
-    slower here.  The warm step works on the arrow blocks and this one on
-    ARPACK's block of a CSR pencil, so they stay two.
-
     A real pencil is factored and iterated in real arithmetic.  Real
     ARPACK returns a degenerate cluster's Ritz vectors as complex
-    combinations whose real parts can be linearly dependent, so the
-    Rayleigh-Ritz step then runs on an orthonormal basis of the real span
-    of the real and imaginary parts of the block, taken from a
-    column-pivoted QR factorization cut at the numerical rank.  That span
-    has k to 2k dimensions; by Cauchy interlacing its lowest k Ritz values
-    are no worse than those of the k-dimensional complex span, so the
-    lowest k pairs are kept.
+    combinations, so the block of a real pencil can be complex; the
+    Rayleigh-Ritz step (:class:`_SearchSpace`) takes its real span.
     """
     # the only user of scipy.sparse.linalg: loaded on the first cold solve
     import scipy.sparse.linalg
@@ -492,24 +475,12 @@ def _ritz_pairs(pencil: Pencil, k: int, shift: float):
     except RuntimeError as exc:  # ARPACK failure or singular shifted factor
         _LOG.warning("shift-invert ARPACK failed (%s); dense fallback", exc)
         return None
-    if real:
-        span = np.hstack([block.real, block.imag])
-        q, r, _ = scipy.linalg.qr(span, mode="economic", pivoting=True)
-        size = np.abs(r.diagonal())
-        block = q[:, size > size[0] * max(span.shape) * np.finfo(float).eps]
-    a_proj = block.conj().T @ (pencil.a @ block)
-    b_proj = block.conj().T @ (pencil.b @ block)
-    try:
-        w, y = scipy.linalg.eigh((a_proj + a_proj.conj().T) / 2.0,
-                                 (b_proj + b_proj.conj().T) / 2.0)
-    except scipy.linalg.LinAlgError as exc:
-        _LOG.warning("Rayleigh-Ritz step failed (%s); dense fallback", exc)
-        return None
-    return w[:k], block @ y[:, :k]
+    return block
 
 
 def _solve_partial(pencil: Pencil, count: int) -> EigenSolution | None:
-    """Certified lowest ``count`` pairs by shift-invert ARPACK, or None
+    """Certified lowest ``count`` pairs by shift-invert ARPACK and a
+    Rayleigh-Ritz step on its block in a :class:`_SearchSpace`, or None
     (with the reason logged) when the dense path has to answer.
 
     The certificate needs a gap wider than DEGENERACY_RTOL above eigenvalue
@@ -531,34 +502,35 @@ def _solve_partial(pencil: Pencil, count: int) -> EigenSolution | None:
     for k in (count + 1, count + 1 + two_n):
         if np.any(wide) or _arpack_ncv(k) >= pencil.dim:
             break
-        ritz = _ritz_pairs(pencil, k, shift)
-        if ritz is None:
+        block = _arpack_block(pencil, k, shift)
+        if block is None:
             return None
-        w, vectors = ritz
-        wide = _gaps(w[count - 1:], DEGENERACY_RTOL)
-    solution = _solution(pencil, w[:count], vectors[:, :count])
-    if _certified(pencil.arrow, count, w, solution.residuals,
-                  residual_tolerances(pencil, solution.eigenvalues),
-                  fallback="dense"):
-        return solution
+        try:
+            ritz = _SearchSpace(arrow, block).ritz(arrow, count)
+        except np.linalg.LinAlgError as exc:
+            _LOG.warning("Rayleigh-Ritz step failed (%s); dense fallback", exc)
+            return None
+        # a real span has up to 2k Ritz values: the first k decide
+        wide = _gaps(ritz.w[count - 1:k], DEGENERACY_RTOL)
+    if _certified(arrow, count, ritz, fallback="dense"):
+        return ritz.solution
     return None
 
 
-def _certified(arrow: ArrowBlocks, count: int, w: np.ndarray,
-               residuals: np.ndarray, tolerances: np.ndarray,
+def _certified(arrow: ArrowBlocks, count: int, ritz: _Ritz,
                fallback: str) -> bool:
-    """Whether the lowest ``count`` of the ascending Ritz values ``w`` of
-    the pencil with arrow blocks ``arrow``, with their ``residuals``, are
-    certified; when they are not, the reason is logged with the
-    ``fallback`` path named.
+    """Whether the lowest ``count`` pairs of the Rayleigh-Ritz step
+    ``ritz`` of the pencil with arrow blocks ``arrow`` are certified; when
+    they are not, the reason is logged with the ``fallback`` path named.
 
     The certificate: a gap wider than DEGENERACY_RTOL above Ritz value
-    ``count``; nu(tau) equal to the number of Ritz values below tau, for a
-    tau inside that gap; every residual within ``tolerances``
-    (:func:`residual_tolerances`).  Ritz values bound the eigenvalues of
-    their index from above, so nu(tau) is at least that number, and equals
-    it only when no eigenvalue below tau was missed; any tau inside the gap
-    certifies.  The first tau lies half of DEGENERACY_RTOL above the lower
+    ``count`` of the ascending ``ritz.w``; nu(tau) equal to the number of
+    Ritz values below tau, for a tau inside that gap; every residual within
+    its tolerance, RESIDUAL_RTOL * (||A|| + |lambda| ||B||) with the matrix
+    1-norms summed over the arrow blocks (:meth:`_SearchSpace.steps`).
+    Ritz values bound the eigenvalues of their index from above, so
+    nu(tau) is at least that number, and equals it only when no eigenvalue
+    below tau was missed; any tau inside the gap certifies.  The first tau lies half of DEGENERACY_RTOL above the lower
     end of the gap.  Near that end tau also certifies a Ritz value above
     the gap that lies far above its eigenvalue, as after inverse steps from
     converged vectors, which add only rounding noise to the basis.  When
@@ -566,6 +538,7 @@ def _certified(arrow: ArrowBlocks, count: int, w: np.ndarray,
     trusted, and the points _GAP_FRACTIONS of the way up the gap are tried
     in turn.
     """
+    w = ritz.w
     wide = _gaps(w[count - 1:], DEGENERACY_RTOL)
     if not np.any(wide):
         _LOG.warning("no gap above eigenvalue %d; %s fallback", count, fallback)
@@ -585,7 +558,7 @@ def _certified(arrow: ArrowBlocks, count: int, w: np.ndarray,
                      tau, found, below, fallback)
         return False
 
-    if not np.all(residuals <= tolerances):
+    if not ritz.converged:
         _LOG.warning("Ritz residuals exceed their tolerances; %s fallback",
                      fallback)
         return False
@@ -666,8 +639,12 @@ class _SearchSpace:
     beside a longer one, are orthonormalized by Householder QR, which keeps
     the span of nearly dependent columns such as a converged vector and its
     inverse step.  A real pencil keeps real vectors: for a real ``arrow`` a
-    complex block is replaced by its real and imaginary parts.  All of it
-    is numpy.
+    complex block, such as real ARPACK's Ritz vectors of a degenerate
+    cluster (complex combinations whose real parts can be linearly
+    dependent), is replaced by its real and imaginary parts.  That real
+    span of k columns has k to 2k dimensions and contains their complex
+    span, so by Cauchy interlacing its lowest k Ritz values are no worse
+    than those of the k-dimensional complex span.  All of it is numpy.
 
     Raises
     ------
@@ -854,8 +831,7 @@ class _SearchSpace:
         except np.linalg.LinAlgError as exc:
             _LOG.warning("warm path failed (%s); cold fallback", exc)
             return None
-        if _certified(arrow, count, ritz.w, ritz.residuals, ritz.tolerances,
-                      fallback="cold"):
+        if _certified(arrow, count, ritz, fallback="cold"):
             return ritz
         return None
 
@@ -894,18 +870,6 @@ def _inverse_step(arrow: ArrowBlocks, theta: float, rhs: np.ndarray) -> np.ndarr
 def _tolerances(a_norm: float, b_norm: float, eigenvalues: np.ndarray) -> np.ndarray:
     """RESIDUAL_RTOL * (||A|| + |lambda| ||B||) for each eigenvalue."""
     return RESIDUAL_RTOL * (a_norm + np.abs(eigenvalues) * b_norm)
-
-
-def residual_tolerances(pencil: Pencil, eigenvalues: np.ndarray) -> np.ndarray:
-    """Per-pair residual bound RESIDUAL_RTOL * (||A|| + |lambda| ||B||),
-    with the matrix 1-norm, the largest absolute column sum (summed over
-    the CSR entries, about 20x faster than ``scipy.sparse.linalg.norm``;
-    the warm path sums the arrow blocks instead)."""
-    a_norm, b_norm = (
-        np.bincount(m.indices, weights=np.abs(m.data), minlength=m.shape[1]).max()
-        for m in (pencil.a, pencil.b)
-    )
-    return _tolerances(a_norm, b_norm, eigenvalues)
 
 
 def eigenfunction_samples(

@@ -14,6 +14,7 @@ from helpers import (
     exponential_traces,
     random_hermitian,
     random_spd,
+    residual_tolerances,
     spectral_det_closed_1,
     spectral_det_parametrized,
     unitary_from_su2_phase,
@@ -28,7 +29,7 @@ from saext.boundary import (
 )
 from saext.cli import stability_study
 from saext.config import SCHEMA_HEADER, parse_config
-from saext.eigen import h1_error, residual_tolerances, solve_pencil
+from saext.eigen import h1_error, solve_pencil
 from saext.fem import Pencil, assemble_pencil
 from saext.geometry import IntervalSet, build_mesh
 from saext.potentials import ZeroPotential

@@ -17,6 +17,7 @@ from helpers import (
     node_value_arrays_loop,
     random_hermitian,
     random_spd,
+    residual_tolerances,
     weighted_hermitian_values,
 )
 from saext import eigen
@@ -33,17 +34,17 @@ from saext.eigen import (
     EigenSolution,
     EigenSolveError,
     PositiveDefinitenessError,
+    _arpack_block,
     _count_below,
     _is_hermitian,
     _negative_count,
     _one_blas_thread,
     _openblas_libraries,
     _phase_reference,
-    _ritz_pairs,
+    _SearchSpace,
     _solve_dense,
     eigenfunction_samples,
     h1_error,
-    residual_tolerances,
     solve_pencil,
 )
 from saext.fem import Pencil, assemble_pencil, node_values
@@ -433,16 +434,60 @@ def test_sparse_path_certifies_cluster_straddling_the_count(caplog):
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_real_ritz_pairs_cover_complex_ritz_vectors(k):
     # a triple level makes real ARPACK return some Ritz vectors as complex
-    # conjugate pairs, whose real parts alone span too little: the k pairs
-    # must still all come back, accurate
+    # conjugate pairs, whose real parts alone span too little: the search
+    # space takes their real span, and the k pairs must still all come
+    # back, accurate
     geom = IntervalSet([(0.0, 2.0), (3.0, 5.0), (6.0, 8.0)])
     _, _, pencil, _ = _solve_setup(BoundaryCondition.dirichlet(3), 300,
                                    count=1, geom=geom)
-    w, vectors = _ritz_pairs(pencil, k, pencil.arrow.v_min - 1.0)
+    block = _arpack_block(pencil, k, pencil.arrow.v_min - 1.0)
+    solution = _SearchSpace(pencil.arrow, block).ritz(pencil.arrow, k).solution
     full = _solve_dense(pencil, k).eigenvalues
+    w, vectors = solution.eigenvalues, solution.eigenvectors
     assert w.shape == (k,) and vectors.shape == (pencil.dim, k)
     assert vectors.dtype == np.float64
     assert np.allclose(w, full, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("case", ["real ring", "complex random U",
+                                  "widened triple"])
+def test_cold_path_is_the_search_space_step_on_arpacks_block(case, monkeypatch):
+    # one Rayleigh-Ritz implementation: the cold solve is the search space's
+    # step on ARPACK's last block (widened once when a triple level
+    # straddles the count), byte for byte, and its residuals are the CSR
+    # pencil's ||A v - lambda B v||
+    if case == "real ring":
+        _, _, pencil, _ = _solve_setup(BoundaryCondition.quasi_periodic(0.0),
+                                       250, count=1)
+        count = 8
+    elif case == "complex random U":
+        pencil, count = _random_pencil(7)
+    else:
+        geom = IntervalSet([(0.0, 2.0), (3.0, 5.0), (6.0, 8.0)])
+        _, _, pencil, _ = _solve_setup(BoundaryCondition.dirichlet(3), 300,
+                                       count=1, geom=geom)
+        count = 2
+    blocks = []
+
+    def recording(*args):
+        blocks.append(_arpack_block(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(eigen, "_arpack_block", recording)
+    cold = solve_pencil(pencil, count=count)
+    assert len(blocks) == (2 if case == "widened triple" else 1)
+    assert blocks[-1] is not None
+    with _one_blas_thread:
+        step = _SearchSpace(pencil.arrow, blocks[-1]).ritz(pencil.arrow, count)
+    assert step.converged
+    want = step.solution
+    for name in ("eigenvalues", "eigenvectors", "residuals"):
+        got, expected = getattr(cold, name), getattr(want, name)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    vectors, w = cold.eigenvectors, cold.eigenvalues
+    residuals = np.linalg.norm(pencil.a @ vectors - (pencil.b @ vectors) * w, axis=0)
+    tolerances = residual_tolerances(pencil, w)
+    assert np.all(np.abs(cold.residuals - residuals) <= 1e-3 * tolerances)
 
 
 def test_missed_eigenvalue_falls_back_to_dense(monkeypatch, caplog):
@@ -609,7 +654,8 @@ def test_one_blas_thread_scope(case, caller_threads, monkeypatch):
     # the Rayleigh-Ritz steps of the warm and the sparse path
     monkeypatch.setattr(eigen._SearchSpace, "ritz",
                         recording(eigen._SearchSpace.ritz, inside))
-    monkeypatch.setattr(eigen, "_ritz_pairs", recording(eigen._ritz_pairs, inside))
+    monkeypatch.setattr(eigen, "_arpack_block",
+                        recording(eigen._arpack_block, inside))
     monkeypatch.setattr(eigen, "_solve_dense", recording(eigen._solve_dense, dense))
     if case == "dense fallback":
         # no residual meets a zero tolerance, on the warm or the sparse path

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from helpers import residual_tolerances
 from saext import fem
 from saext.boundary import (
     BoundaryCondition,
@@ -22,7 +23,6 @@ from saext.eigen import (
     _phase_reference,
     _SearchSpace,
     _solve_dense,
-    residual_tolerances,
     solve_pencil,
 )
 from saext.fem import BulkAssembly
