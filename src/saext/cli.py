@@ -57,7 +57,6 @@ from .config import (
 )
 from .eigen import (
     EigenSolveError,
-    _one_blas_thread,
     _SearchSpace,
     eigenfunction_samples,
     h1_error,
@@ -75,15 +74,6 @@ EXIT_SOLVER = 4
 EXIT_IO = 5
 
 _LOG = logging.getLogger(__name__)
-
-# The stability sweep takes its perturbed pencils in stacks of this many:
-# one boundary solve, one boundary-block build and one Rayleigh-Ritz step
-# per stack.  Measured on criterion 10's sweep (100 U, N = 250; 2-core
-# host, medians of 15 in-process sweeps): 55, 53 and 52 ms at 15, 20 and
-# 25, against 105 ms at 1; its peak RSS rose 0.7, 0.6 and 1.4 MiB over the
-# sweep one U at a time (12 MiB at 100), as the (stack, dim, count)
-# products grow.
-_SWEEP_CHUNK = 20
 
 # Exponent grid of the power-law fit.  Its spacing 8/799 keeps b = 0 off the
 # grid: there eps**b is constant and a is undetermined.
@@ -281,13 +271,6 @@ def nearest_unitary(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     return u, float(np.linalg.norm(matrix - u))
 
 
-def _power_law_fit(eps: np.ndarray, k_vals: np.ndarray):
-    """Fit K(eps) = a * eps**b + c by variable projection: (a, b, c), or
-    None when the residual is finite for no b (see :func:`_power_law_fits`).
-    """
-    return _power_law_fits(eps, np.asarray(k_vals)[None])[0]
-
-
 def _power_law_fits(eps: np.ndarray, k_rows: np.ndarray) -> list:
     """Fit K(eps) = a * eps**b + c by variable projection to each row of
     ``k_rows`` (levels x eps), all rows in one pass.
@@ -376,22 +359,15 @@ def stability_study(cfg: JobConfig):
     (:func:`_sweep_start`): the base eigenvectors and the boundary responses
     at each base level cluster.  So no result depends on the order of the
     sweep.  Only the boundary block depends on U, so the span of the block
-    is projected once (:class:`~saext.eigen._SearchSpace`).  The perturbed
-    U are then taken in stacks of _SWEEP_CHUNK, each at one BLAS thread:
-    one boundary solve of the stack (:func:`~saext.boundary._solve_boundary_stack`),
-    one build of its boundary blocks (``BulkAssembly._arrow_stack``) and
-    one stacked Rayleigh-Ritz step in the space
-    (:meth:`~saext.eigen._SearchSpace.solve_stack`), which forms no
-    eigenvectors; each U then gets the sparse path's certificate, and a U
-    whose step misses takes rounds of inverse steps first.  Each U gets
-    bit for bit the eigenvalues it gets alone.  On criterion 10's sweep
-    the stacked step certifies every pencil.  Where the certificate
-    fails, the pencil's CSR arrays are built and the cold path,
-    :func:`~saext.eigen.solve_pencil`, answers.  One INFO record on the
-    ``saext`` logger counts the pencils the stacked step, the rounds and
-    the cold path answered.  Within a stack every boundary solve runs
-    before any eigensolve, so a conditioning failure there is reported
-    before a solver failure of an earlier eps of the same stack.
+    is projected once (:class:`~saext.eigen._SearchSpace`).  The sweep then
+    solves the boundary systems of all its perturbed U as one stack
+    (:func:`~saext.boundary._solve_boundary_stack`), so a conditioning
+    failure at any eps is reported before any eigensolve, builds their
+    boundary blocks as one stack (``BulkAssembly._arrow_stack``) and takes
+    their eigenvalues from one
+    :meth:`~saext.eigen._SearchSpace.solve_stack`, which certifies each
+    pencil and hands one it cannot certify to the cold path.  Each U gets
+    bit for bit the eigenvalues it gets alone.
 
     Returns (rows, fits, distances): per-epsilon per-level ratios K,
     per-level power-law fits K = a eps^b + c, and the re-unitarization
@@ -449,6 +425,10 @@ def stability_study(cfg: JobConfig):
     n_steps = int(round(steps)) + 1
     eps_list = [start + i * step for i in range(n_steps)]
     eps_list = [e for e in eps_list if e <= stop * (1 + 1e-12)]
+    rows = []  # (record, epsilon, level, value)
+    if eps_list[0] == 0.0:  # only the first eps can be 0
+        rows.append(("skipped_epsilon", eps_list.pop(0), "",
+                     "K undefined at epsilon = 0"))
 
     generator = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -458,47 +438,20 @@ def stability_study(cfg: JobConfig):
             return BoundaryCondition.from_matrix(u_eps), distance
         return BoundaryCondition.quasi_periodic(eps), 0.0
 
-    paths = {"stacked": 0, "rounds": 0, "cold": 0}
-
-    def solve_chunk(chunk):
-        """(eigenvalues, distance) of each eps of ``chunk``, as one stack."""
-        conditions = [perturbed(eps) for eps in chunk]
+    conditions = [perturbed(eps) for eps in eps_list]
+    distances = [(eps, distance) for eps, (_, distance) in zip(eps_list, conditions)]
+    spectra = []
+    if conditions:  # a stack holds at least one U
         bcs = [bc_eps for bc_eps, _ in conditions]
-        with _one_blas_thread:
-            values = _solve_boundary_stack(
-                [assemble_boundary_system(bc_eps, mesh) for bc_eps in bcs],
-                kappa_max=cfg.kappa_max)
-            answers = space.solve_stack(bulk._arrow_stack(bcs, values), count)
-        out = []
-        for (bc_eps, distance), bvals, ritz in zip(conditions, values, answers):
-            if ritz is None:
-                paths["cold"] += 1
-                lam = solve_pencil(bulk.pencil(bc_eps, bvals), count=count).eigenvalues
-            else:
-                paths["stacked" if ritz.space is space else "rounds"] += 1
-                lam = ritz.eigenvalues
-            out.append((lam, distance))
-        return out
+        values = _solve_boundary_stack(
+            [assemble_boundary_system(bc_eps, mesh) for bc_eps in bcs],
+            kappa_max=cfg.kappa_max)
+        spectra = space.solve_stack(bulk._arrow_stack(bcs, values), count)
 
-    todo = [eps for eps in eps_list if eps != 0.0]
-    solved = iter([pair for first in range(0, len(todo), _SWEEP_CHUNK)
-                   for pair in solve_chunk(todo[first:first + _SWEEP_CHUNK])])
-    results = [(None, 0.0) if eps == 0.0 else next(solved) for eps in eps_list]
-    _LOG.info("stability sweep: %d perturbed pencils: %d certified by the "
-              "stacked Rayleigh-Ritz step, %d after inverse-step rounds, %d "
-              "by the cold path", len(todo), paths["stacked"], paths["rounds"],
-              paths["cold"])
-
-    rows = []  # (record, epsilon, level, value)
-    distances = []
     per_level: dict[int, list[tuple[float, float]]] = {
         lev: [] for lev in range(1, levels + 1)
     }
-    for eps, (lam_eps, distance) in zip(eps_list, results):
-        if lam_eps is None:
-            rows.append(("skipped_epsilon", eps, "", "K undefined at epsilon = 0"))
-            continue
-        distances.append((eps, distance))
+    for eps, lam_eps in zip(eps_list, spectra):
         for lev in range(1, levels + 1):
             members = clusters[lev]
             if any(abs(base[i]) < 1e-6 for i in members):

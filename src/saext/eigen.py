@@ -51,47 +51,46 @@ tolerance (:func:`_certified`); otherwise the reason is logged on the
 ``saext`` logger and the dense path answers, so a wrong count is never
 returned.
 
-The warm path answers a partial solve of an assembled pencil from a start
-block, such as the eigenvectors of a nearby pencil; its one entry point is
-:meth:`_SearchSpace.solve_stack`, which takes a stack of pencils that share
-their bands (:meth:`_SearchSpace.solve` is the stack of one).  A
-Rayleigh-Ritz step on the span of the start block gives Ritz pairs
-(theta_j, v_j).  When the block has more than
-``count`` columns and every wanted residual is already within its
-tolerance, that step is the answer.  Otherwise each round adds one inverse
-step w_j = (A - theta_j B)^{-1} B v_j for every wanted pair to the block
-and takes a Rayleigh-Ritz step on its span, that of [V, W] (Parlett, The
-Symmetric Eigenvalue Problem, SIAM 1998, ch. 4 and 11), for at most three
-rounds, until every wanted residual is within its tolerance.  The inverse
-step eliminates the arrow blocks (:meth:`~saext.fem.ArrowBlocks.solve`):
-one ``dgtsv`` on T(theta) with the border and the right-hand side as
-columns, then a 2n x 2n Schur solve; a shift on which either is exactly
-singular is moved by a few ulps.  Every Rayleigh-Ritz step projects its
-span through :class:`_SearchSpace`, which works on the arrow blocks: only
-the 2n x 2n boundary block C depends on U, so the space keeps its
-orthonormal basis Q, the products of A and B with C left out, their
-projections and Q's boundary rows, and a step adds Q_c^H C Q_c and takes
-its residuals from the stored products plus C Q_c y.  The first step
-takes the whole stack at once: the boundary blocks stacked, one batched
-``cholesky``, ``inv`` and ``eigh`` and stacked residuals, each pencil with
-the same LAPACK calls and products as alone, so no result depends on the
-stack; eigenvectors are formed only for a caller that reads them.  A stack
-whose step raises is taken pencil by pencil, so only the pencil at fault
-falls back.  The inverse-step rounds and the certificate run pencil by
-pencil.  The stability study builds one such space per sweep from the
-base eigenvectors and the boundary responses
+The warm path answers the lowest ``count`` eigenvalues of a stack of
+assembled pencils that share their bands from one start block, such as
+the eigenvectors of a nearby pencil.  Its one entry point is
+:meth:`_SearchSpace.solve_stack`, and it answers every pencil: where the
+warm path fails it hands the pencil to the cold path, :func:`solve_pencil`
+on the CSR arrays built from its blocks.  A Rayleigh-Ritz step on the span
+of the start block gives Ritz pairs (theta_j, v_j).  When the block has
+more than ``count`` columns and every wanted residual is already within
+its tolerance, that step is the answer.  Otherwise each round adds one
+inverse step w_j = (A - theta_j B)^{-1} B v_j for every wanted pair to the
+block and takes a Rayleigh-Ritz step on its span, that of [V, W]
+(Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4 and 11), for
+at most three rounds, until every wanted residual is within its
+tolerance.  The inverse step eliminates the arrow blocks
+(:meth:`~saext.fem.ArrowBlocks.solve`): one ``dgtsv`` on T(theta) with the
+border and the right-hand side as columns, then a 2n x 2n Schur solve; a
+shift on which either is exactly singular is moved by a few ulps.  Every
+Rayleigh-Ritz step projects its span through :class:`_SearchSpace`, which
+works on the arrow blocks: only the 2n x 2n boundary block C depends on U,
+so the space keeps its orthonormal basis Q, the products of A and B with C
+left out, their projections and Q's boundary rows, and a step adds
+Q_c^H C Q_c and takes its residuals from the stored products plus
+C Q_c y.  The first step takes a chunk of the stack at once: the boundary
+blocks stacked, one batched ``cholesky``, ``inv`` and ``eigh`` and stacked
+residuals, each pencil with the same LAPACK calls and products as alone,
+so no result depends on the stack, and no eigenvector is formed.  A chunk
+whose step raises goes to the cold path whole.  The inverse-step rounds
+and the certificate run pencil by pencil, and the warm result has to pass
+the sparse path's certificate (the gap, nu(tau) and the residual gate,
+:func:`_certified`).  The stability study builds one such space per sweep
+from the base eigenvectors and the boundary responses
 R(sigma) = [-T(sigma)^{-1} E(sigma); I] at each base level
-(:meth:`~saext.fem.ArrowBlocks.boundary_response`) and solves its
-perturbed pencils in it, a stack at a time, from their arrow blocks
-alone, without CSR arrays.  The bulk part of an eigenvector at lambda is
--T(lambda)^{-1} E(lambda) times its boundary part, and T and E do not
-depend on U, so on criterion 10's sweep the first step certifies every
-pencil.  The warm result passes the sparse path's certificate (the gap,
-nu(tau) and the residual gate, :func:`_certified`); otherwise the reason
-is logged and the caller's cold path, :func:`solve_pencil`, answers.  The
-Rayleigh-Ritz step is numpy; the tridiagonal solves and Sturm counts are
-direct ``scipy.linalg.lapack`` calls, and the sparse path's LU factor and
-ARPACK are ``scipy.sparse.linalg``'s.
+(:meth:`~saext.fem.ArrowBlocks.boundary_response`) and solves all its
+perturbed pencils in it from their arrow blocks.  The bulk part of an
+eigenvector at lambda is -T(lambda)^{-1} E(lambda) times its boundary
+part, and T and E do not depend on U, so on criterion 10's sweep the first
+step certifies every pencil.  The Rayleigh-Ritz step is numpy; the
+tridiagonal solves and Sturm counts are direct ``scipy.linalg.lapack``
+calls, and the sparse path's LU factor and ARPACK are
+``scipy.sparse.linalg``'s.
 
 The warm and sparse paths run with every OpenBLAS of the process (numpy
 and scipy each load their own) at one thread, and give each its previous
@@ -145,6 +144,13 @@ _MAX_SHIFT_STEPS = 64
 _START_SEED = 1103  # fixed ARPACK start vector, so solves are reproducible
 # A warm solve takes at most this many rounds of inverse steps.
 _WARM_ROUNDS = 3
+# The warm solver takes a stack of pencils in chunks of this many: one
+# stacked Rayleigh-Ritz step per chunk.  Measured on criterion 10's sweep
+# (100 U, N = 250; 2-core host, medians of 15 in-process sweeps): 55, 53
+# and 52 ms at 15, 20 and 25, against 105 ms at 1; its peak RSS rose 0.7,
+# 0.6 and 1.4 MiB over the sweep one U at a time (12 MiB at 100), as the
+# (chunk, dim, count) products grow.
+_SWEEP_CHUNK = 20
 # Where nu(tau) is not trusted just above the last wanted Ritz value, the
 # certificate tries these fractions of the way up the gap above it.
 _GAP_FRACTIONS = (1e-2, 1e-1, 0.5)
@@ -334,8 +340,8 @@ def solve_pencil(pencil: Pencil, count: int | None = None) -> EigenSolution:
     Partial spectra of assembled pencils large enough for ARPACK take the
     certified sparse path; everything else, and every partial solve whose
     certificate fails, takes the dense path (see the module docstring).
-    A partial solve from a block of vectors near the wanted eigenvectors
-    takes the warm path, :meth:`_SearchSpace.solve_stack`, instead.
+    Partial solves from a block of vectors near the wanted eigenvectors
+    take the warm path, :meth:`_SearchSpace.solve_stack`, instead.
 
     Raises
     ------
@@ -434,13 +440,6 @@ def _negative_count(d, e, border, corner) -> int | None:
     return negatives + int(np.sum(s < 0))
 
 
-def _count_below(pencil: Pencil, x: float) -> int | None:
-    """nu(x), the number of eigenvalues of an assembled pencil below x,
-    from the arrow blocks of A - x B; None when its bulk block is
-    singular."""
-    return _negative_count(*pencil.arrow.minus(x))
-
-
 def _arpack_block(pencil: Pencil, k: int, shift: float) -> np.ndarray | None:
     """ARPACK's block of the k Ritz vectors nearest ``shift`` by shift-invert
     ARPACK, or None (with the reason logged) on failure.
@@ -491,7 +490,7 @@ def _solve_partial(pencil: Pencil, count: int) -> EigenSolution | None:
     arrow = pencil.arrow
     for step in range(_MAX_SHIFT_STEPS):
         shift = arrow.v_min - 2.0 ** step
-        if _count_below(pencil, shift) == 0:
+        if _negative_count(*arrow.minus(shift)) == 0:
             break
     else:
         _LOG.warning("no shift below the spectrum found; dense fallback")
@@ -506,7 +505,7 @@ def _solve_partial(pencil: Pencil, count: int) -> EigenSolution | None:
         if block is None:
             return None
         try:
-            ritz = _SearchSpace(arrow, block).ritz(arrow, count)
+            ritz = _SearchSpace(arrow, block).steps([arrow], count)[0]
         except np.linalg.LinAlgError as exc:
             _LOG.warning("Rayleigh-Ritz step failed (%s); dense fallback", exc)
             return None
@@ -633,7 +632,7 @@ class _SearchSpace:
     stacked, one batched call each of ``cholesky``, ``inv`` and ``eigh``
     and stacked residuals, where each pencil gets the same LAPACK call and
     the same products as alone, so its result does not depend on the
-    stack.  :meth:`ritz` is the stack of one.
+    stack.  ``steps([arrow], count)[0]`` is the step of one pencil.
 
     The columns of the block, scaled to unit norm so that none is lost
     beside a longer one, are orthonormalized by Householder QR, which keeps
@@ -682,17 +681,6 @@ class _SearchSpace:
             bulk_sums[1:] += np.abs(upper)
             self._column_sums.append((bulk_sums.max(initial=0.0),
                                       np.abs(border).sum(axis=0)))
-
-    def ritz(self, arrow: ArrowBlocks, count: int) -> _Ritz:
-        """The Rayleigh-Ritz step of the pencil with arrow blocks ``arrow``
-        on this space, with its lowest ``count`` pairs: :meth:`steps` for a
-        stack of one.
-
-        Raises
-        ------
-        As :meth:`steps`.
-        """
-        return self.steps([arrow], count)[0]
 
     def steps(self, arrows: Sequence[ArrowBlocks], count: int) -> list[_Ritz]:
         """The Rayleigh-Ritz step on this space of each pencil with arrow
@@ -756,68 +744,78 @@ class _SearchSpace:
         tolerances = _tolerances(a_norm[:, None], b_norm[:, None], low)
         return [_Ritz(self, *parts) for parts in zip(w, y, bv, residuals, tolerances)]
 
-    def solve(self, arrow: ArrowBlocks, count: int) -> EigenSolution | None:
-        """Certified lowest ``count`` pairs of the pencil with arrow blocks
-        ``arrow`` by Rayleigh-Ritz steps with inverse steps from this
-        space, at one BLAS thread, or None (with the reason logged) when the
-        cold path has to answer: :meth:`solve_stack` for a stack of one.
-
-        Raises
-        ------
-        EigenSolveError
-            When the bands of ``arrow`` are not this space's.
-        """
-        ritz, = self.solve_stack([arrow], count)
-        return None if ritz is None else ritz.solution
-
     def solve_stack(self, arrows: Sequence[ArrowBlocks],
-                    count: int) -> list[_Ritz | None]:
-        """For each pencil with arrow blocks in ``arrows``, the certified
-        Rayleigh-Ritz step of its lowest ``count`` pairs, or None (with the
-        reason logged) when the cold path has to answer; at one BLAS thread.
+                    count: int) -> list[np.ndarray]:
+        """The certified lowest ``count`` eigenvalues of each pencil with
+        arrow blocks in ``arrows``.
 
-        One stacked step on this space (:meth:`steps`) gives each pencil
-        its Ritz pairs (theta_j, v_j).  A stack whose step raises (a
-        non-finite boundary block, a failed Cholesky factorization) is
-        taken pencil by pencil, so only the pencil at fault falls back, and
-        the others get the results they get alone.  Then, pencil by pencil,
-        each round adds one inverse step w_j = (A - theta_j B)^{-1} B v_j for
-        every j < ``count`` to the block and takes a Rayleigh-Ritz step on
-        its span, that of [V, W] (Parlett, The Symmetric Eigenvalue Problem,
-        SIAM 1998, ch. 4 and 11).  Rounds stop once the lowest ``count``
-        residuals are within their tolerances, or after _WARM_ROUNDS; the
-        result then has to pass the certificate of :func:`_certified`.  A
-        block of more than ``count`` columns that already holds the wanted
-        pairs, such as the stability study's base eigenvectors with their
-        boundary responses, takes no round at all, and the step that
-        answers is then a step on this space.  One of ``count`` columns
-        always takes one: the certificate needs a Ritz value above the gap.
+        The pencils are taken in chunks of _SWEEP_CHUNK, each at one BLAS
+        thread.  One stacked step on this space (:meth:`steps`) gives each
+        pencil of a chunk its Ritz pairs (theta_j, v_j).  Then, pencil by
+        pencil, each round adds one inverse step
+        w_j = (A - theta_j B)^{-1} B v_j for every j < ``count`` to the
+        block and takes a Rayleigh-Ritz step on its span, that of [V, W]
+        (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4 and
+        11).  Rounds stop once the lowest ``count`` residuals are within
+        their tolerances, or after _WARM_ROUNDS; the result then has to
+        pass the certificate of :func:`_certified`.  A block of more than
+        ``count`` columns that already holds the wanted pairs, such as the
+        stability study's base eigenvectors with their boundary responses,
+        takes no round at all.  One of ``count`` columns always takes one:
+        the certificate needs a Ritz value above the gap.
+
+        A pencil that fails, and every pencil of a chunk whose stacked step
+        raises (a non-finite boundary block, a failed Cholesky
+        factorization), is answered by the cold path, :func:`solve_pencil`
+        on the CSR arrays of its blocks
+        (:meth:`~saext.fem.ArrowBlocks.pencil`), with the reason logged.
+        The cold path runs after the chunk's one-thread scope, so a dense
+        fallback keeps the caller's BLAS threads.  One INFO record on the
+        ``saext`` logger counts the pencils the stacked step, the rounds
+        and the cold path answered.
 
         Raises
         ------
         EigenSolveError
-            When the bands of an ``arrow`` are not this space's.
+            When the bands of an ``arrow`` are not this space's, or as
+            :func:`solve_pencil` for a pencil on the cold path.
         """
+        answers, paths = [], {"stacked": 0, "rounds": 0, "cold": 0}
+        for first in range(0, len(arrows), _SWEEP_CHUNK):
+            answers += self._solve_chunk(arrows[first:first + _SWEEP_CHUNK],
+                                         count, paths)
+        _LOG.info("warm solve of %d pencils: %d certified by the stacked "
+                  "Rayleigh-Ritz step, %d after inverse-step rounds, %d by the "
+                  "cold path", len(arrows), *paths.values())
+        return answers
+
+    def _solve_chunk(self, arrows: Sequence[ArrowBlocks], count: int,
+                     paths: dict) -> list[np.ndarray]:
+        """:meth:`solve_stack` of one chunk, with the path of each pencil
+        counted in ``paths``; the chunk's steps are released on return."""
         with _one_blas_thread:
             try:
-                firsts = self.steps(arrows, count)
-            except np.linalg.LinAlgError:
-                firsts = [self._alone(arrow, count) for arrow in arrows]
-            return [None if ritz is None else self._rounds(arrow, count, ritz)
-                    for arrow, ritz in zip(arrows, firsts)]
-
-    def _alone(self, arrow: ArrowBlocks, count: int) -> _Ritz | None:
-        """The first step of :meth:`solve_stack` for one pencil, or None
-        (with the reason logged) when it raises."""
-        try:
-            return self.ritz(arrow, count)
-        except np.linalg.LinAlgError as exc:
-            _LOG.warning("warm path failed (%s); cold fallback", exc)
-            return None
+                steps = self.steps(arrows, count)
+            except np.linalg.LinAlgError as exc:
+                _LOG.warning("warm path failed (%s); cold fallback", exc)
+                steps = [None] * len(arrows)
+            steps = [None if ritz is None else self._rounds(arrow, count, ritz)
+                     for arrow, ritz in zip(arrows, steps)]
+        out = []
+        for arrow, ritz in zip(arrows, steps):
+            if ritz is None:
+                paths["cold"] += 1
+                out.append(solve_pencil(arrow.pencil(), count).eigenvalues)
+            else:
+                paths["stacked" if ritz.space is self else "rounds"] += 1
+                out.append(ritz.eigenvalues)
+        return out
 
     def _rounds(self, arrow: ArrowBlocks, count: int, ritz: _Ritz) -> _Ritz | None:
         """The inverse-step rounds and the certificate of
-        :meth:`solve_stack` for one pencil from its first step ``ritz``."""
+        :meth:`solve_stack` for one pencil from its first step ``ritz``:
+        the certified step, or None (with the reason logged) when the cold
+        path has to answer."""
         try:
             space = self
             done = ritz.w.size > count and ritz.converged
@@ -825,7 +823,7 @@ class _SearchSpace:
                 steps = [_inverse_step(arrow, theta, ritz.b_vectors[:, j])
                          for j, theta in enumerate(ritz.w[:count])]
                 space = _SearchSpace(arrow, np.column_stack([space.block, *steps]))
-                ritz = space.ritz(arrow, count)
+                ritz = space.steps([arrow], count)[0]
                 if ritz.converged:
                     break
         except np.linalg.LinAlgError as exc:

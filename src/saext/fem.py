@@ -15,28 +15,25 @@ ordering A and B are arrow matrices with O(N) nonzeros: the bulk functions
 form a real symmetric tridiagonal block, joined by a real border (one entry
 next to each boundary function's peak) to the hermitian 2n x 2n block of
 the boundary functions.  This module alone knows that order
-(:func:`boundary_indices`, :func:`node_values`).  Assembly builds the
-``scipy.sparse`` CSR arrays of the pencil from these blocks once, for
+(:func:`boundary_indices`, :func:`node_values`).  Assembly returns these
+blocks, their basis order and min V as :class:`ArrowBlocks`, which the
+eigensolver uses for its inertia count and its shifted solves (they
+eliminate the blocks, :func:`arrow_schur`).  :meth:`ArrowBlocks.pencil`
+builds the ``scipy.sparse`` CSR arrays of the pencil from the blocks, for
 factorizations, matrix-vector products, the dense path and
-``--dump-pencil``, and attaches the blocks, their basis order and min V
-to the pencil (:class:`ArrowBlocks`) for the eigensolver's inertia count
-and its shifted solves, which eliminate the blocks
-(:func:`arrow_schur`).
+``--dump-pencil``, and the pencil carries the blocks.
 
 Only the boundary block depends on U.  The bands, the border, the
-potential moments of the extreme elements, min V and the CSR pattern depend
-only on the mesh, V and mu: :class:`BulkAssembly` computes them once.
+potential moments of the extreme elements and min V depend only on the
+mesh, V and mu: :class:`BulkAssembly` computes them once.
 :meth:`BulkAssembly.arrow` builds the boundary block of one set of boundary
 values and returns it with the shared bands as :class:`ArrowBlocks`;
-:meth:`BulkAssembly.pencil` adds the CSR arrays, gathered from one complex
-template per matrix and that boundary block (scipy lays out the CSR
-pattern once), and :class:`Pencil` picks the dtype.
+:meth:`BulkAssembly.pencil` is its :meth:`ArrowBlocks.pencil`.
 :func:`assemble_pencil` builds the bulk part and one pencil in one call.
-The stability sweep builds CSR arrays for its base pencil only: each
-perturbed U needs its arrow blocks alone, since the eigensolver projects
-everything else once per sweep, and it builds the boundary blocks of a
-stack of U at once (``BulkAssembly._arrow_stack``, of which
-:meth:`BulkAssembly.arrow` is the stack of one).
+The stability sweep builds the boundary blocks of all its U at once
+(``BulkAssembly._arrow_stack``, of which :meth:`BulkAssembly.arrow` is the
+stack of one) and CSR arrays only for its base pencil and for a perturbed
+pencil that the eigensolver hands to its cold path.
 
 The quadratic form behind A is
     Q(f, g) = mu * (<f', g'> - [conj(f) g']_boundary) + <f, V g>,
@@ -141,8 +138,8 @@ def arrow_schur(diag, upper, border, corner, rhs=None):
 
 @dataclass(frozen=True, eq=False)
 class ArrowBlocks:
-    """What assembly knows of its pencil beyond A and B: their arrow blocks,
-    the basis order they use and min V.
+    """An assembled pencil (A, B) as its arrow blocks, with the basis order
+    they use and min V; :meth:`pencil` builds the CSR arrays of A and B.
 
     ``a`` and ``b`` each hold the blocks (diag, upper, border, corner) of
     one hermitian arrow matrix.  ``diag`` and ``upper`` are the diagonal
@@ -220,6 +217,38 @@ class ArrowBlocks:
         out[self.order] = np.vstack([-t_border, np.eye(two_n)])
         return out
 
+    def pencil(self) -> Pencil:
+        """The pencil of these blocks: the CSR arrays of A and B, which
+        carry the blocks as their ``arrow``.
+
+        Each entry of the bands and the border is written once, at
+        (min, max) of its global (row, col), and its mirror as its
+        conjugate; the boundary block is written whole.  Entries that are
+        exactly zero are dropped.
+        """
+        bulk = self.a[0].size
+        rows = np.arange(bulk)
+        bidx = self.order[bulk:]
+        matrices = []
+        for diag, upper, border, corner in (self.a, self.b):
+            side_row, side_col = np.nonzero(border)
+            i = self.order[np.concatenate([rows, rows[:-1], side_row])]
+            j = self.order[np.concatenate([rows, rows[1:], bulk + side_col])]
+            i, j = np.minimum(i, j), np.maximum(i, j)
+            vals = np.concatenate([diag, upper, border[side_row, side_col]])
+            vals = vals.astype(corner.dtype)
+            strict = i != j
+            matrix = scipy.sparse.csr_array(
+                (np.concatenate([vals, vals[strict].conj(), corner.ravel()]),
+                 (np.concatenate([i, j[strict], np.repeat(bidx, bidx.size)]),
+                  np.concatenate([j, i[strict], np.tile(bidx, bidx.size)]))),
+                shape=(self.order.size,) * 2)
+            matrix.eliminate_zeros()
+            matrices.append(matrix)
+        pencil = Pencil(a=matrices[0], b=matrices[1])
+        object.__setattr__(pencil, "arrow", self)
+        return pencil
+
 
 @dataclass(frozen=True)
 class Pencil:
@@ -229,7 +258,7 @@ class Pencil:
     hand-built pencils are converted on construction.  Both are float64
     when neither has an entry with a nonzero imaginary part, and
     complex128 otherwise; the eigensolver works in their dtype.  ``arrow``
-    holds the :class:`ArrowBlocks` from which :meth:`BulkAssembly.pencil`
+    holds the :class:`ArrowBlocks` from which :meth:`ArrowBlocks.pencil`
     built the CSR arrays; only assembly sets it, and it is None for
     hand-built pencils, which the eigensolver solves on its dense path.
     """
@@ -279,7 +308,6 @@ class _MatrixPart(NamedTuple):
     bands: tuple  # (diag, upper, border) of its arrow blocks
     corner_from_bands: np.ndarray  # band entries inside the boundary block
     band_max: float  # largest band entry, for the hermiticity gate's scale
-    template: np.ndarray  # complex CSR data outside the boundary block
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -304,10 +332,7 @@ class BulkAssembly:
     the Lagrange bracket as the boundary block of one set of boundary
     values.
 
-    Outside the boundary block the CSR data of each matrix is one complex
-    template, the band values and then their conjugate mirrors, laid out
-    by one scipy COO-to-CSR conversion.  :class:`Pencil` chooses the
-    dtype, and the boundary blocks follow it.
+    :class:`Pencil` chooses the dtype, and the boundary blocks follow it.
 
     Raises
     ------
@@ -382,22 +407,6 @@ class BulkAssembly:
         self._diagonal = np.diag_indices(bidx.size)
         self._order = _frozen(np.concatenate([bulk, bidx]))
 
-        # CSR pattern: the band entries outside the boundary block, their
-        # mirror images below the diagonal, and the whole boundary block.
-        # scipy lays out entries tagged 1 .. m once; take[k] is the place in
-        # that list of the entry stored k-th.
-        outside = ~in_corner
-        strict = outside & (rows != cols)
-        coords = (
-            np.concatenate([rows[outside], cols[strict], np.repeat(bidx, bidx.size)]),
-            np.concatenate([cols[outside], rows[strict], np.tile(bidx, bidx.size)]),
-        )
-        pattern = scipy.sparse.csr_array(
-            (np.arange(1.0, coords[0].size + 1.0), coords), shape=(dim, dim)
-        )
-        self._take = pattern.data.astype(int) - 1
-        self._indices, self._indptr = pattern.indices, pattern.indptr
-
         self._parts = []  # A's, then B's
         for tri in (a_tri, b_tri):
             vals = np.concatenate(tri)
@@ -408,15 +417,10 @@ class BulkAssembly:
             border = np.zeros((bulk.size, bidx.size))
             border[position[rows[row_side]], local[cols[row_side]]] = vals[row_side]
             border[position[cols[col_side]], local[rows[col_side]]] = vals[col_side]
-            # the conjugate mirror leaves the lower triangle's imaginary zeros
-            # negative
-            template = np.concatenate([vals[outside],
-                                       vals[strict].astype(complex).conj()])
             self._parts.append(_MatrixPart(
                 bands=tuple(_frozen(m) for m in (diag, upper, border)),
                 corner_from_bands=vals[in_corner],
                 band_max=max(float(np.max(np.abs(t))) for t in tri),
-                template=_frozen(template),
             ))
 
     def arrow(self, bc: BoundaryCondition, bvals: BoundaryValues) -> ArrowBlocks:
@@ -431,7 +435,8 @@ class BulkAssembly:
         built from its upper triangle and mirrored, so A = A^H and B = B^H
         hold exactly.  Both corners are float64 when neither has an entry
         with a nonzero imaginary part, the dtype :class:`Pencil` picks for
-        the CSR arrays of :meth:`pencil`, and complex128 otherwise.
+        the CSR arrays of :meth:`ArrowBlocks.pencil`, and complex128
+        otherwise.
 
         Raises
         ------
@@ -530,28 +535,14 @@ class BulkAssembly:
 
     def pencil(self, bc: BoundaryCondition, bvals: BoundaryValues) -> Pencil:
         """The pencil of boundary condition ``bc`` with its solved boundary
-        values ``bvals``: the CSR arrays of A and B gathered from this bulk
-        part's templates and the boundary blocks of :meth:`arrow`, which
-        the pencil carries.
+        values ``bvals``: :meth:`ArrowBlocks.pencil` of :meth:`arrow`.
 
         Raises
         ------
         AssemblyError
             As :meth:`arrow`.
         """
-        arrow = self.arrow(bc, bvals)
-        dim = self.mesh.dim
-        matrices = []
-        for part, blocks in zip(self._parts, (arrow.a, arrow.b)):
-            data = np.concatenate([part.template, blocks[-1].ravel()])[self._take]
-            matrix = scipy.sparse.csr_array(
-                (data, self._indices.copy(), self._indptr.copy()), shape=(dim, dim)
-            )
-            matrix.eliminate_zeros()
-            matrices.append(matrix)
-        pencil = Pencil(a=matrices[0], b=matrices[1])
-        object.__setattr__(pencil, "arrow", arrow)
-        return pencil
+        return self.arrow(bc, bvals).pencil()
 
 
 def assemble_pencil(

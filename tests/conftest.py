@@ -32,8 +32,8 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def inverse_steps(monkeypatch):
     """Counts the inverse steps (arrow-block solves) of each solve: the
-    rounds of the warm solver, ``eigen._SearchSpace.solve``, are the only
-    caller in the library."""
+    rounds of the warm solver, ``eigen._SearchSpace.solve_stack``, are the
+    only caller in the library."""
     calls = []
     solve = fem.ArrowBlocks.solve
 

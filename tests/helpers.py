@@ -19,8 +19,9 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 
-from saext import spectral
+from saext import fem, spectral
 from saext.eigen import RESIDUAL_RTOL
+from saext.potentials import ZeroPotential
 from saext.spectral import FundamentalTraces
 
 
@@ -314,6 +315,62 @@ def assemble_pencil_reference(mesh, bvals, potential=None, quadrature_order=3,
         hermitian_from_upper_reference(rows, cols, tri + [block[iu, ju]], mesh.dim)
         for tri, block in ((a_tri, a_block), (b_tri, b_block))
     )
+
+
+def template_gather_pencil(mesh, bc, bvals, potential=None, mu=1.0):
+    """The pencil as ``saext.fem.BulkAssembly.pencil`` built it before
+    ``ArrowBlocks.pencil``: one complex data template per matrix (the band
+    values outside the boundary block, then their conjugate mirrors) and
+    the boundary block of ``BulkAssembly.arrow``, gathered into a CSR
+    pattern that one scipy COO-to-CSR conversion laid out, explicit zeros
+    dropped, then passed through ``Pencil``.  Inputs are not validated."""
+    bulk = fem.BulkAssembly(mesh, potential, mu)
+    arrow = bulk.arrow(bc, bvals)
+    if potential is None:
+        potential = ZeroPotential()
+    bidx = fem.boundary_indices(mesh)
+    gauss_x, gauss_w = np.polynomial.legendre.leggauss(3)
+    t_ref = (gauss_x + 1.0) / 2.0
+    rows, cols, a_tri, b_tri = [], [], [], []
+    for alpha, r_alpha in enumerate(mesh.r):
+        h = mesh.h[alpha]
+        p00, p01, p11, _ = fem._element_potential(potential, mesh, alpha,
+                                                  t_ref, gauss_w)
+        stiff = mu / h
+        idx = bidx[2 * alpha] + np.arange(r_alpha)
+        a_diag = np.zeros(r_alpha)
+        a_diag[:-1] += stiff + p00[1:-1]
+        a_diag[1:] += stiff + p11[1:-1]
+        b_diag = np.zeros(r_alpha)
+        b_diag[:-1] += 2.0 * h / 6.0
+        b_diag[1:] += 2.0 * h / 6.0
+        rows += [idx, idx[:-1]]
+        cols += [idx, idx[1:]]
+        a_tri += [a_diag, -stiff + p01[1:-1]]
+        b_tri += [b_diag, np.full(r_alpha - 1, h / 6.0)]
+    dim = mesh.dim
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    outside = ~(np.isin(rows, bidx) & np.isin(cols, bidx))
+    strict = outside & (rows != cols)
+    coords = (
+        np.concatenate([rows[outside], cols[strict], np.repeat(bidx, bidx.size)]),
+        np.concatenate([cols[outside], rows[strict], np.tile(bidx, bidx.size)]),
+    )
+    pattern = scipy.sparse.csr_array(
+        (np.arange(1.0, coords[0].size + 1.0), coords), shape=(dim, dim)
+    )
+    take = pattern.data.astype(int) - 1
+    matrices = []
+    for tri, blocks in ((a_tri, arrow.a), (b_tri, arrow.b)):
+        vals = np.concatenate(tri)
+        template = np.concatenate([vals[outside], vals[strict].astype(complex).conj()])
+        data = np.concatenate([template, blocks[-1].ravel()])[take]
+        matrix = scipy.sparse.csr_array(
+            (data, pattern.indices.copy(), pattern.indptr.copy()), shape=(dim, dim)
+        )
+        matrix.eliminate_zeros()
+        matrices.append(matrix)
+    return fem.Pencil(a=matrices[0], b=matrices[1])
 
 
 def power_law_fit_multistart(eps: np.ndarray, k_vals: np.ndarray):

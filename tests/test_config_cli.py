@@ -618,8 +618,8 @@ def test_cmd_oracle_scan_output(tmp_path):
 
 
 @pytest.mark.parametrize("keys", [
-    "oracle.lambda_min = 2\noracle.lambda_max = 1",
-    "oracle.lambda_min = 1\noracle.lambda_max = 1",
+    pytest.param("oracle.lambda_min = 2\noracle.lambda_max = 1", id="min-above-max"),
+    pytest.param("oracle.lambda_min = 1\noracle.lambda_max = 1", id="min-equals-max"),
     "oracle.lambda_min = nan",
     "oracle.lambda_max = inf",
     "oracle.grid_points = -4",

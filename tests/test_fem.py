@@ -14,6 +14,7 @@ from helpers import (
     bulk_index,
     eval_boundary,
     quad_complex,
+    template_gather_pencil,
     weighted_hermitian_values,
 )
 from saext import fem
@@ -450,6 +451,46 @@ def test_bulk_assembly_serves_a_sweep_over_u():
 def _boundary(mesh, u):
     bc = BoundaryCondition.from_matrix(u)
     return bc, solve_boundary_values(assemble_boundary_system(bc, mesh))
+
+
+@pytest.mark.parametrize("case", ["ring 250", "ring 2000", "theta 0.7",
+                                  "random u on three intervals", "robin pair",
+                                  "r = 2", "sampled v"])
+def test_pencil_csr_arrays_match_the_template_gather(case):
+    # the CSR arrays built from the arrow blocks are, byte for byte, those
+    # the template gather of the bulk assembly gave
+    ring = IntervalSet([(0.0, TWO_PI)])
+    potential, mu = None, 1.0
+    if case.startswith("ring"):
+        mesh = build_mesh(ring, int(case.split()[1]))
+        u = BoundaryCondition.quasi_periodic(0.0).u_endpoint
+    elif case == "theta 0.7":
+        mesh = build_mesh(ring, 400)
+        u = BoundaryCondition.quasi_periodic(0.7).u_endpoint
+    elif case == "random u on three intervals":
+        mesh = build_mesh(IntervalSet([(0.0, 1.5), (2.0, 3.0), (4.0, 6.5)]), 200)
+        u = random_unitary(6, np.random.default_rng(2))
+        potential, mu = ConstantPotential([0.5, -1.0, 2.0]), 0.8
+    elif case == "robin pair":
+        mesh = build_mesh(IntervalSet([(0.0, 2.0), (3.0, 5.5)]), 240)
+        u = np.diag(np.exp(1j * np.array([0.3, 1.1, 2.0, 2.9])))
+    elif case == "r = 2":
+        mesh = build_mesh(IntervalSet([(0.0, 1.0), (0.0, 6.0)]), 12)
+        assert mesh.r[0] == 2
+        u = random_unitary(4, np.random.default_rng(1))
+    else:
+        mesh = build_mesh(ring, 300)
+        u = BoundaryCondition.quasi_periodic(0.3).u_endpoint
+        potential = SampledPotential([0.0, 1.0, 2.0, TWO_PI], [0.0, 20.0, -5.0, 10.0])
+    bc, vals = _boundary(mesh, u)
+    got = BulkAssembly(mesh, potential, mu).pencil(bc, vals)
+    want = template_gather_pencil(mesh, bc, vals, potential, mu)
+    for g, w in ((got.a, want.a), (got.b, want.b)):
+        for name in ("data", "indices", "indptr"):
+            x, y = getattr(g, name), getattr(w, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert got.a.dtype == (np.float64 if case in ("ring 250", "ring 2000", "robin pair")
+                           else np.complex128)
 
 
 # ------------------------------------------------------------ storage dtype

@@ -798,7 +798,7 @@ def test_deep_level_is_reported_once():
     # two intervals of length 2, zero V, a level near -74.63 whose traces
     # grow like e^17: FEM's inertia count has exactly one level there
     from saext.boundary import assemble_boundary_system, solve_boundary_values
-    from saext.eigen import _count_below, solve_pencil
+    from saext.eigen import _negative_count, solve_pencil
     from saext.fem import assemble_pencil
     from saext.geometry import build_mesh
 
@@ -809,7 +809,8 @@ def test_deep_level_is_reported_once():
     mesh = build_mesh(geom, 400)
     pencil = assemble_pencil(
         mesh, bc, solve_boundary_values(assemble_boundary_system(bc, mesh)))
-    assert roots.size == _count_below(pencil, hi) - _count_below(pencil, lo) == 1
+    nu = [_negative_count(*pencil.arrow.minus(x)) for x in (lo, hi)]
+    assert roots.size == nu[1] - nu[0] == 1
     # conforming FEM lies above the exact level
     fem = solve_pencil(pencil, count=1).eigenvalues[0]
     assert roots[0] <= fem <= roots[0] + 2e-3 * abs(roots[0])

@@ -22,7 +22,7 @@ from saext.cli import (
     EXIT_CONDITIONING,
     EXIT_CONFIG,
     EXIT_SOLVER,
-    _power_law_fit,
+    _power_law_fits,
     main,
     nearest_unitary,
     stability_study,
@@ -66,7 +66,7 @@ def _cost(eps, k_vals, fit):
 @pytest.mark.parametrize("b", [-0.9, -0.03, 0.03, 0.3])
 @pytest.mark.parametrize("a, c", [(0.7, -0.2), (-0.45, 0.3)])
 def test_fit_recovers_exact_power_law(a, b, c):
-    fit = _power_law_fit(EPS, a * EPS ** b + c)
+    fit = _power_law_fits(EPS, (a * EPS ** b + c)[None])[0]
     assert fit[0] == pytest.approx(a, rel=1e-8)
     assert fit[1] == pytest.approx(b, abs=1e-8)
     assert fit[2] == pytest.approx(c, rel=1e-8, abs=1e-8)
@@ -79,7 +79,7 @@ def test_fit_matches_multistart_reference_on_criterion_10():
         k_vals = np.array([r[3] for r in rows if r[0] == "K" and r[2] == lev])
         assert eps.size == 100
         reference = power_law_fit_multistart(eps, k_vals)
-        assert fits[lev] == _power_law_fit(eps, k_vals)
+        assert fits[lev] == _power_law_fits(eps, k_vals[None])[0]
         # the two optima agree to about 5e-15 relative at level 1, below the
         # rounding of the cost itself: compare within that rounding
         (cost, noise), (ref_cost, ref_noise) = (
@@ -89,12 +89,12 @@ def test_fit_matches_multistart_reference_on_criterion_10():
 
 
 def test_fit_of_all_nan_data_is_none():
-    assert _power_law_fit(EPS, np.full(EPS.size, np.nan)) is None
+    assert _power_law_fits(EPS, np.full((1, EPS.size), np.nan))[0] is None
 
 
 def test_fit_logs_exponent_on_grid_edge(caplog):
     with caplog.at_level(logging.WARNING, logger="saext"):
-        fit = _power_law_fit(EPS, 2.0 * (EPS / EPS[-1]) ** 6.0 + 1.0)
+        fit = _power_law_fits(EPS, (2.0 * (EPS / EPS[-1]) ** 6.0 + 1.0)[None])[0]
     assert fit is not None
     assert any("edge of the search grid" in r.getMessage() for r in caplog.records)
 
@@ -126,15 +126,15 @@ def test_nearest_unitary_is_the_scipy_polar_factor_bitwise():
 
 def _recorded_sweep(monkeypatch, cfg):
     """Runs ``stability_study(cfg)`` and returns its result with what it
-    did: the (pencil, solution) of each ``solve_pencil`` call, the
-    (arrow, block) of each search space it built, the (space, bulk
-    assembly, bc, values, certified step or None) of each pencil its
-    stacked solves in a space took, and the number of CSR pencils it
-    built."""
+    did: the (pencil, solution) of each ``solve_pencil`` call, the base's
+    and those of the cold path, the (arrow, block) of each search space it
+    built, the (space, bulk assembly, bc, values, eigenvalues) of each
+    pencil its stacked solve in a space took, and the number of CSR
+    pencils it built."""
     calls, stacks, spaces, solves, pencils = [], [], [], [], []
-    solve = cli.solve_pencil
+    solve = eigen.solve_pencil
     arrow_stack = fem.BulkAssembly._arrow_stack
-    pencil = fem.BulkAssembly.pencil
+    pencil = fem.ArrowBlocks.pencil
 
     def recording_solve(pencil, count=None):
         solution = solve(pencil, count=count)
@@ -146,9 +146,9 @@ def _recorded_sweep(monkeypatch, cfg):
         stacks.append((self, bcs, values, blocks))
         return blocks
 
-    def recording_pencil(self, bc, values):
-        pencils.append(bc)
-        return pencil(self, bc, values)
+    def recording_pencil(self):
+        pencils.append(self)
+        return pencil(self)
 
     class RecordingSpace(cli._SearchSpace):
         def __init__(self, blocks, block):
@@ -164,8 +164,9 @@ def _recorded_sweep(monkeypatch, cfg):
             return answers
 
     monkeypatch.setattr(cli, "solve_pencil", recording_solve)
+    monkeypatch.setattr(eigen, "solve_pencil", recording_solve)
     monkeypatch.setattr(fem.BulkAssembly, "_arrow_stack", recording_arrow_stack)
-    monkeypatch.setattr(fem.BulkAssembly, "pencil", recording_pencil)
+    monkeypatch.setattr(fem.ArrowBlocks, "pencil", recording_pencil)
     monkeypatch.setattr(cli, "_SearchSpace", RecordingSpace)
     return stability_study(cfg), calls, spaces, solves, len(pencils)
 
@@ -180,9 +181,9 @@ def _relative(got, want):
 
 def _paths(caplog):
     """The (stacked step, inverse-step rounds, cold path) counts of each
-    sweep record on the saext logger."""
+    warm solve record on the saext logger."""
     return [tuple(record.args[1:]) for record in caplog.records
-            if record.getMessage().startswith("stability sweep:")]
+            if record.getMessage().startswith("warm solve of")]
 
 
 def test_sweep_starts_every_solve_from_the_base_eigenvectors(monkeypatch, caplog):
@@ -203,8 +204,7 @@ def test_sweep_starts_every_solve_from_the_base_eigenvectors(monkeypatch, caplog
     assert start.shape[1] > base.count
     assert start[:, :base.count].tobytes() == base.eigenvectors.tobytes()
     assert len(solves) == 10
-    assert all(space is solves[0][0] and solution is not None
-               for space, *_, solution in solves)
+    assert all(space is solves[0][0] for space, *_ in solves)
 
 
 def test_sweep_solves_criterion_10_in_its_search_space(monkeypatch, caplog,
@@ -218,7 +218,7 @@ def test_sweep_solves_criterion_10_in_its_search_space(monkeypatch, caplog,
     assert not _fallbacks(caplog)
     assert not inverse_steps
     assert (len(calls), len(spaces), pencils, len(solves)) == (1, 1, 1, 100)
-    warm = [solution.eigenvalues for *_, solution in solves]
+    warm = [eigenvalues for *_, eigenvalues in solves]
     pencils = [bulk.pencil(bc, values) for _, bulk, bc, values, _ in solves]
     cold = [solve_pencil(pencil, count=9).eigenvalues for pencil in pencils]
     dense = [_solve_dense(pencil, 9).eigenvalues for pencil in pencils[::10]]
@@ -228,8 +228,9 @@ def test_sweep_solves_criterion_10_in_its_search_space(monkeypatch, caplog,
 
 def test_sweep_random_start_falls_back_to_the_cold_path(monkeypatch, caplog):
     # a start block that misses the levels fails the search space's
-    # certificate on every pencil, after its rounds of inverse steps: each
-    # is built as a CSR pencil and solved by the cold path
+    # certificate on every pencil, after its rounds of inverse steps: the
+    # stacked solve builds each as a CSR pencil and answers it by the cold
+    # path
     def random_start(pencil, solution, clusters):
         return np.random.default_rng(5).standard_normal((pencil.dim, 19))
 
@@ -244,10 +245,10 @@ def test_sweep_random_start_falls_back_to_the_cold_path(monkeypatch, caplog):
     assert sum("cold fallback" in m for m in messages) == 3
     assert pencils == len(calls) == 4
     assert len(spaces) == 1
-    assert all(solution is None for *_, solution in solves)
-    for pencil, solution in calls[1:]:
+    for (pencil, solution), (*_, eigenvalues) in zip(calls[1:], solves, strict=True):
         cold = solve_pencil(pencil, count=9)
-        assert solution.eigenvalues.tobytes() == cold.eigenvalues.tobytes()
+        assert eigenvalues.tobytes() == solution.eigenvalues.tobytes()
+        assert eigenvalues.tobytes() == cold.eigenvalues.tobytes()
 
 
 def test_sweep_recovers_by_inverse_step_rounds(monkeypatch, caplog,
@@ -263,7 +264,7 @@ def test_sweep_recovers_by_inverse_step_rounds(monkeypatch, caplog,
     assert not _fallbacks(caplog)
     assert (len(calls), len(spaces), pencils, len(solves)) == (1, 1, 1, 3)
     assert len(inverse_steps) == 3 * 9  # one round of 9 steps a pencil
-    warm = [solution.eigenvalues for *_, solution in solves]
+    warm = [eigenvalues for *_, eigenvalues in solves]
     pencils = [bulk.pencil(bc, values) for _, bulk, bc, values, _ in solves]
     cold = [solve_pencil(pencil, count=9).eigenvalues for pencil in pencils]
     dense = [_solve_dense(pencil, 9).eigenvalues for pencil in pencils]
@@ -273,8 +274,9 @@ def test_sweep_recovers_by_inverse_step_rounds(monkeypatch, caplog,
 
 def test_sweep_non_finite_boundary_block_exits_solver(monkeypatch, tmp_path, caplog,
                                                      capsys):
-    # a NaN in the first perturbed boundary block fails its step alone, and
-    # the CSR pencil built for its fallback fails solve_pencil's input check
+    # a NaN in the first perturbed boundary block fails the stacked step,
+    # which hands its whole chunk to the cold path, and the CSR pencil built
+    # there for the first U fails solve_pencil's input check
     arrow_stack = fem.BulkAssembly._arrow_stack
     made = []
 
@@ -296,8 +298,8 @@ def test_sweep_non_finite_boundary_block_exits_solver(monkeypatch, tmp_path, cap
         code = main(["stability", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")])
     assert code == EXIT_SOLVER
-    # the base, then the perturbed stack and the pencil of its first U
-    assert [len(blocks) for blocks in made] == [1, 3, 1]
+    # the base, then the perturbed stack
+    assert [len(blocks) for blocks in made] == [1, 3]
     assert _fallbacks(caplog) == ["warm path failed (boundary block has a "
                                   "non-finite entry); cold fallback"]
     assert "solver failure: A has a non-finite entry" in capsys.readouterr().err
@@ -309,37 +311,55 @@ def test_sweep_non_finite_boundary_block_exits_solver(monkeypatch, tmp_path, cap
      "stability.eps_step = 0.02\n", (0, 3, 0)),
 ], ids=["criterion-10", "rounds"])
 def test_sweep_logs_the_path_of_each_pencil(caplog, lines, paths):
-    # one record a sweep: the pencils the stacked step certified, those
-    # that took inverse-step rounds and those the cold path answered
+    # one record a sweep, from its one stacked solve: the pencils the
+    # stacked step certified, those that took inverse-step rounds and those
+    # the cold path answered
     with caplog.at_level(logging.INFO, logger="saext"):
         stability_study(parse_config(CRITERION_10_CONFIG + lines))
     assert _paths(caplog) == [paths]
     [message] = [r.getMessage() for r in caplog.records
-                 if r.getMessage().startswith("stability sweep:")]
+                 if r.getMessage().startswith("warm solve of")]
     assert message == (
-        f"stability sweep: {sum(paths)} perturbed pencils: {paths[0]} "
-        f"certified by the stacked Rayleigh-Ritz step, {paths[1]} after "
-        f"inverse-step rounds, {paths[2]} by the cold path")
+        f"warm solve of {sum(paths)} pencils: {paths[0]} certified by the "
+        f"stacked Rayleigh-Ritz step, {paths[1]} after inverse-step rounds, "
+        f"{paths[2]} by the cold path")
 
 
 def test_sweep_stacks_match_single_pencil_solves(monkeypatch):
-    # 47 perturbed pencils, 2 full stacks and a short one: each boundary
-    # solve, boundary block and eigenvalue list is bitwise the one the
-    # single-pencil calls give
+    # 47 perturbed pencils, 2 full chunks of the stacked solve and a short
+    # one: each boundary solve, boundary block and eigenvalue list is
+    # bitwise the one the single-pencil calls give
     cfg = parse_config(CRITERION_10_CONFIG + "stability.eps_start = 1e-5\n"
                        "stability.eps_stop = 4.7e-4\nstability.eps_step = 1e-5\n")
     _, _, [(blocks, block)], solves, _ = _recorded_sweep(monkeypatch, cfg)
-    assert len(solves) == 47 and len(solves) % cli._SWEEP_CHUNK
-    assert len(solves) > 2 * cli._SWEEP_CHUNK
+    assert len(solves) == 47 and len(solves) % eigen._SWEEP_CHUNK
+    assert len(solves) > 2 * eigen._SWEEP_CHUNK
     space = eigen._SearchSpace(blocks, block)
-    for _, bulk, bc, values, ritz in solves:
+    for _, bulk, bc, values, eigenvalues in solves:
         alone = solve_boundary_values(assemble_boundary_system(bc, bulk.mesh))
         assert alone.v.tobytes() == values.v.tobytes()
         assert alone.g.tobytes() == values.g.tobytes()
         arrow = bulk.arrow(bc, alone)
-        solution = space.solve(arrow, 9)
-        assert ritz.eigenvalues.tobytes() == solution.eigenvalues.tobytes()
-        assert ritz.residuals.tobytes() == solution.residuals.tobytes()
+        [single] = space.solve_stack([arrow], 9)
+        assert eigenvalues.tobytes() == single.tobytes()
+
+
+def test_sweep_skips_epsilon_zero():
+    # eps = 0 gives the first row, skipped_epsilon, and no K, distance or
+    # solve; a sweep of eps = 0 alone gives that row only
+    skipped = ("skipped_epsilon", 0.0, "", "K undefined at epsilon = 0")
+    rows, fits, distances = stability_study(parse_config(
+        CRITERION_10_CONFIG + "stability.eps_start = 0\n"
+        "stability.eps_stop = 3e-4\nstability.eps_step = 1e-4\n"))
+    assert rows[0] == skipped
+    eps_list = [i * 1e-4 for i in (1, 2, 3)]
+    assert [eps for eps, _ in distances] == eps_list
+    assert sorted({eps for _, eps, *_ in rows[1:]}) == eps_list
+    assert len(rows) == 1 + 3 * 4 and all(row[0] == "K" for row in rows[1:])
+    rows, fits, distances = stability_study(parse_config(
+        CRITERION_10_CONFIG + "stability.eps_start = 0\nstability.eps_stop = 0\n"))
+    assert rows == [skipped] and distances == []
+    assert all(fit is None for fit in fits.values())
 
 
 @pytest.mark.parametrize("kind", ["incompatible", "kappa"])

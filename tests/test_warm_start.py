@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 
 from helpers import residual_tolerances
-from saext import fem
+from saext import eigen, fem
 from saext.boundary import (
     BoundaryCondition,
     assemble_boundary_system,
@@ -20,6 +20,7 @@ from saext.boundary import (
 from saext.cli import _sweep_start, nearest_unitary
 from saext.eigen import (
     EigenSolveError,
+    _one_blas_thread,
     _phase_reference,
     _SearchSpace,
     _solve_dense,
@@ -43,8 +44,13 @@ def _fallbacks(caplog):
 
 
 def _warm(pencil, count, start):
-    """The warm solve of ``pencil`` in the search space of ``start``."""
-    return _SearchSpace(pencil.arrow, start).solve(pencil.arrow, count)
+    """The warm path of ``_SearchSpace.solve_stack`` for ``pencil`` alone,
+    in the search space of ``start``: its certified solution, or None where
+    the cold path answers."""
+    space = _SearchSpace(pencil.arrow, start)
+    with _one_blas_thread:
+        ritz = space._rounds(pencil.arrow, count, space.steps([pencil.arrow], count)[0])
+    return None if ritz is None else ritz.solution
 
 
 def _relative(got, want):
@@ -122,7 +128,8 @@ def test_search_space_certifies_criterion_10_in_one_step(criterion_10, caplog,
     space = _SearchSpace(pencils[0].arrow, start)  # only its bands count
     with caplog.at_level(logging.WARNING, logger="saext"):
         for pencil in pencils:
-            solution = space.solve(pencil.arrow, 9)
+            [ritz] = space.steps([pencil.arrow], 9)
+            solution = ritz.solution
             vectors, w = solution.eigenvectors, solution.eigenvalues
             assert vectors.dtype == np.complex128
             gram = vectors.conj().T @ (pencil.b @ vectors)
@@ -136,8 +143,12 @@ def test_search_space_certifies_criterion_10_in_one_step(criterion_10, caplog,
             assert np.all(np.abs(solution.residuals - residuals) <= 1e-3 * tolerances)
             assert np.all(solution.residuals <= tolerances)
             # the 1-norms summed over the arrow blocks, not the CSR entries
-            ritz = space.ritz(pencil.arrow, 9)
             assert np.allclose(ritz.tolerances, tolerances, rtol=1e-14, atol=0)
+        # and the stacked solve answers each pencil by that step
+        answers = space.solve_stack([pencil.arrow for pencil in pencils], 9)
+        for pencil, answer in zip(pencils, answers):
+            step = space.steps([pencil.arrow], 9)[0].eigenvalues
+            assert answer.tobytes() == step.tobytes()
     assert not _fallbacks(caplog)
     assert not inverse_steps
 
@@ -151,17 +162,20 @@ def test_search_space_rejects_the_blocks_of_another_assembly(criterion_10):
     twin = _pencil_for(other, ring).arrow
     assert all(np.array_equal(x, y) for x, y in zip(twin.a, pencils[0].arrow.a[:3]))
     with pytest.raises(EigenSolveError, match="another assembly"):
-        space.ritz(twin, 9)
+        space.steps([twin], 9)
     with pytest.raises(EigenSolveError, match="another assembly"):
-        space.solve(twin, 9)
+        space.solve_stack([twin], 9)
 
 
 @pytest.mark.parametrize("odd", ["nan corner", "failed cholesky", "real corner"])
-def test_one_pencil_of_a_stack_is_taken_alone(criterion_10, caplog, odd):
-    # the middle pencil of a stack of seven cannot share its step: a NaN in
-    # its boundary block or a Q^H B Q that is not positive definite makes it
-    # fall back alone, and a real boundary block among complex ones takes
-    # its own stack.  Every other pencil gets what it gets alone, bit for bit.
+def test_one_pencil_of_a_stack_is_taken_alone(criterion_10, caplog, monkeypatch,
+                                              odd):
+    # the middle pencil of a stack of seven cannot share its step.  A real
+    # boundary block among complex ones takes its own stack, and every
+    # pencil gets what it gets alone, bit for bit.  A NaN in its boundary
+    # block or a Q^H B Q that is not positive definite makes the stacked
+    # step raise: the cold path then takes each pencil of the stack alone,
+    # and that of the faulty pencil raises its typed error.
     _, pencils, start = criterion_10
     space = _SearchSpace(pencils[0].arrow, start)
     arrows = [pencil.arrow for pencil in pencils[:7]]
@@ -176,27 +190,30 @@ def test_one_pencil_of_a_stack_is_taken_alone(criterion_10, caplog, odd):
         arrows[3] = dataclasses.replace(
             middle, a=(*middle.a[:3], middle.a[3].real.copy()),
             b=(*middle.b[:3], middle.b[3].real.copy()))
+    cold = []
+
+    def recording(pencil, count=None):
+        cold.append(pencil)
+        return solve_pencil(pencil, count=count)
+
+    monkeypatch.setattr(eigen, "solve_pencil", recording)
     with caplog.at_level(logging.WARNING, logger="saext"):
-        answers = space.solve_stack(arrows, 9)
+        if odd == "real corner":
+            answers = space.solve_stack(arrows, 9)
+        else:
+            with pytest.raises(EigenSolveError, match="non-finite" if odd == "nan corner"
+                               else "not positive definite"):
+                space.solve_stack(arrows, 9)
     messages = _fallbacks(caplog)
-    caplog.clear()
     if odd == "real corner":
-        assert not messages
-        assert answers[3].solution.eigenvectors.dtype == np.float64
-    else:
-        assert answers[3] is None
-        assert len(messages) == 1
-        assert messages[0].startswith("warm path failed (")
-        assert messages[0].endswith("); cold fallback")
-    for i, (arrow, answer) in enumerate(zip(arrows, answers)):
-        alone = space.solve(arrow, 9)
-        if answer is None:
-            assert alone is None and i == 3
-            continue
-        assert answer.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
-        assert answer.residuals.tobytes() == alone.residuals.tobytes()
-        assert (answer.solution.eigenvectors.tobytes()
-                == alone.eigenvectors.tobytes())
+        assert not messages and not cold
+        for arrow, answer in zip(arrows, answers):
+            [alone] = space.solve_stack([arrow], 9)
+            assert answer.tobytes() == alone.tobytes()
+        return
+    assert messages[0].startswith("warm path failed (")
+    assert messages[0].endswith("); cold fallback")
+    assert [pencil.arrow for pencil in cold] == arrows[:4]
 
 
 def test_sweep_start_drops_a_cluster_on_an_exactly_singular_bulk_block(
@@ -296,11 +313,10 @@ def test_random_start_falls_back_to_the_cold_result(criterion_10, caplog):
     start = np.random.default_rng(5).standard_normal((pencil.dim, 9))
     with caplog.at_level(logging.WARNING, logger="saext"):
         assert _warm(pencil, 9, start) is None
-        fallback = solve_pencil(pencil, count=9)
+        [fallback] = _SearchSpace(pencil.arrow, start).solve_stack([pencil.arrow], 9)
     assert any("cold fallback" in m for m in _fallbacks(caplog))
     cold = solve_pencil(pencil, count=9)
-    assert fallback.eigenvalues.tobytes() == cold.eigenvalues.tobytes()
-    assert fallback.eigenvectors.tobytes() == cold.eigenvectors.tobytes()
+    assert fallback.tobytes() == cold.eigenvalues.tobytes()
 
 
 def test_exactly_singular_shift_is_nudged(criterion_10, caplog, monkeypatch):
@@ -333,14 +349,14 @@ def test_singular_shifted_pencil_falls_back(criterion_10, caplog, monkeypatch):
         raise np.linalg.LinAlgError("boundary Schur complement is singular")
 
     monkeypatch.setattr(fem.ArrowBlocks, "solve", singular)
+    space = _SearchSpace(pencils[0].arrow, base.eigenvectors)
     with caplog.at_level(logging.WARNING, logger="saext"):
-        assert _warm(pencils[0], 9, base.eigenvectors) is None
-        fallback = solve_pencil(pencils[0], count=9)
+        [fallback] = space.solve_stack([pencils[0].arrow], 9)
     assert any("inverse step" in m and "cold fallback" in m
                for m in _fallbacks(caplog))
     monkeypatch.undo()
     cold = solve_pencil(pencils[0], count=9)
-    assert fallback.eigenvalues.tobytes() == cold.eigenvalues.tobytes()
+    assert fallback.tobytes() == cold.eigenvalues.tobytes()
 
 
 def test_non_finite_inverse_step_falls_back(criterion_10, caplog, monkeypatch):
@@ -348,14 +364,14 @@ def test_non_finite_inverse_step_falls_back(criterion_10, caplog, monkeypatch):
     base, pencils, _ = criterion_10
     monkeypatch.setattr(fem.ArrowBlocks, "solve",
                         lambda self, x, rhs: np.full(rhs.shape, np.inf))
+    space = _SearchSpace(pencils[0].arrow, base.eigenvectors)
     with caplog.at_level(logging.WARNING, logger="saext"):
-        assert _warm(pencils[0], 9, base.eigenvectors) is None
-        fallback = solve_pencil(pencils[0], count=9)
+        [fallback] = space.solve_stack([pencils[0].arrow], 9)
     assert any("is not finite" in m and "cold fallback" in m
                for m in _fallbacks(caplog))
     monkeypatch.undo()
     cold = solve_pencil(pencils[0], count=9)
-    assert fallback.eigenvalues.tobytes() == cold.eigenvalues.tobytes()
+    assert fallback.tobytes() == cold.eigenvalues.tobytes()
 
 
 @pytest.mark.parametrize("shape, fill, message", [
