@@ -357,8 +357,7 @@ def stability_study(cfg: JobConfig):
 
     Every perturbed pencil is solved from one start block
     (:func:`_sweep_start`): the base eigenvectors and the boundary responses
-    at each base level cluster.  So no result depends on the order of the
-    sweep.  Only the boundary block depends on U, so the span of the block
+    at each base level cluster.  Only the boundary block depends on U, so the span of the block
     is projected once (:class:`~saext.eigen._SearchSpace`).  The sweep then
     solves the boundary systems of all its perturbed U as one stack
     (:func:`~saext.boundary._solve_boundary_stack`), so a conditioning
@@ -367,7 +366,10 @@ def stability_study(cfg: JobConfig):
     their eigenvalues from one
     :meth:`~saext.eigen._SearchSpace.solve_stack`, which certifies each
     pencil and hands one it cannot certify to the cold path.  Each U gets
-    bit for bit the eigenvalues it gets alone.
+    bit for bit the eigenvalues it gets alone, so no result depends on the
+    order of the sweep, unless the stacked step of its chunk raises (a
+    non-finite boundary block or a failed Cholesky factorization): then
+    every pencil of that chunk takes the cold path.
 
     Returns (rows, fits, distances): per-epsilon per-level ratios K,
     per-level power-law fits K = a eps^b + c, and the re-unitarization

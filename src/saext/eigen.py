@@ -76,11 +76,12 @@ Q_c^H C Q_c and takes its residuals from the stored products plus
 C Q_c y.  The first step takes a chunk of the stack at once: the boundary
 blocks stacked, one batched ``cholesky``, ``inv`` and ``eigh`` and stacked
 residuals, each pencil with the same LAPACK calls and products as alone,
-so no result depends on the stack, and no eigenvector is formed.  A chunk
-whose step raises goes to the cold path whole.  The inverse-step rounds
-and the certificate run pencil by pencil, and the warm result has to pass
-the sparse path's certificate (the gap, nu(tau) and the residual gate,
-:func:`_certified`).  The stability study builds one such space per sweep
+and no eigenvector is formed.  So no result depends on the stack, unless
+the chunk's step raises: that chunk then goes to the cold path whole, and
+its healthy pencils get cold eigenvalues, not their warm ones.  The
+inverse-step rounds and the certificate run pencil by pencil, and the
+warm result has to pass the sparse path's certificate (the gap, nu(tau)
+and the residual gate, :func:`_certified`).  The stability study builds one such space per sweep
 from the base eigenvectors and the boundary responses
 R(sigma) = [-T(sigma)^{-1} E(sigma); I] at each base level
 (:meth:`~saext.fem.ArrowBlocks.boundary_response`) and solves all its

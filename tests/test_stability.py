@@ -130,7 +130,8 @@ def _recorded_sweep(monkeypatch, cfg):
     and those of the cold path, the (arrow, block) of each search space it
     built, the (space, bulk assembly, bc, values, eigenvalues) of each
     pencil its stacked solve in a space took, and the number of CSR
-    pencils it built."""
+    pencils it built.  Each space keeps the Ritz step of each pencil its
+    stacked steps took in ``stacked``."""
     calls, stacks, spaces, solves, pencils = [], [], [], [], []
     solve = eigen.solve_pencil
     arrow_stack = fem.BulkAssembly._arrow_stack
@@ -154,6 +155,12 @@ def _recorded_sweep(monkeypatch, cfg):
         def __init__(self, blocks, block):
             super().__init__(blocks, block)
             spaces.append((blocks, block))
+            self.stacked = []
+
+        def steps(self, blocks, count):
+            ritzes = super().steps(blocks, count)
+            self.stacked.extend(ritzes)
+            return ritzes
 
         def solve_stack(self, blocks, count):
             answers = super().solve_stack(blocks, count)
@@ -327,19 +334,25 @@ def test_sweep_logs_the_path_of_each_pencil(caplog, lines, paths):
 
 def test_sweep_stacks_match_single_pencil_solves(monkeypatch):
     # 47 perturbed pencils, 2 full chunks of the stacked solve and a short
-    # one: each boundary solve, boundary block and eigenvalue list is
-    # bitwise the one the single-pencil calls give
+    # one: each boundary solve, boundary block, stacked step (its Ritz
+    # values and residuals) and eigenvalue list is bitwise the one the
+    # single-pencil calls give
     cfg = parse_config(CRITERION_10_CONFIG + "stability.eps_start = 1e-5\n"
                        "stability.eps_stop = 4.7e-4\nstability.eps_step = 1e-5\n")
     _, _, [(blocks, block)], solves, _ = _recorded_sweep(monkeypatch, cfg)
     assert len(solves) == 47 and len(solves) % eigen._SWEEP_CHUNK
     assert len(solves) > 2 * eigen._SWEEP_CHUNK
+    stacked = solves[0][0].stacked
+    assert len(stacked) == len(solves)
     space = eigen._SearchSpace(blocks, block)
-    for _, bulk, bc, values, eigenvalues in solves:
+    for (_, bulk, bc, values, eigenvalues), step in zip(solves, stacked):
         alone = solve_boundary_values(assemble_boundary_system(bc, bulk.mesh))
         assert alone.v.tobytes() == values.v.tobytes()
         assert alone.g.tobytes() == values.g.tobytes()
         arrow = bulk.arrow(bc, alone)
+        [single] = space.steps([arrow], 9)
+        assert step.w.tobytes() == single.w.tobytes()
+        assert step.residuals.tobytes() == single.residuals.tobytes()
         [single] = space.solve_stack([arrow], 9)
         assert eigenvalues.tobytes() == single.tobytes()
 

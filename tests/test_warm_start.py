@@ -20,7 +20,6 @@ from saext.boundary import (
 from saext.cli import _sweep_start, nearest_unitary
 from saext.eigen import (
     EigenSolveError,
-    _one_blas_thread,
     _phase_reference,
     _SearchSpace,
     _solve_dense,
@@ -44,12 +43,18 @@ def _fallbacks(caplog):
 
 
 def _warm(pencil, count, start):
-    """The warm path of ``_SearchSpace.solve_stack`` for ``pencil`` alone,
-    in the search space of ``start``: its certified solution, or None where
-    the cold path answers."""
+    """The eigenvalues ``_SearchSpace.solve_stack`` gives ``pencil`` alone
+    in the search space of ``start``."""
+    [eigenvalues] = _SearchSpace(pencil.arrow, start).solve_stack([pencil.arrow], count)
+    return eigenvalues
+
+
+def _warm_solution(pencil, count, start):
+    """The certified solution of the warm path of ``solve_stack`` for
+    ``pencil`` alone, with its vectors, or None where the cold path would
+    answer."""
     space = _SearchSpace(pencil.arrow, start)
-    with _one_blas_thread:
-        ritz = space._rounds(pencil.arrow, count, space.steps([pencil.arrow], count)[0])
+    ritz = space._rounds(pencil.arrow, count, space.steps([pencil.arrow], count)[0])
     return None if ritz is None else ritz.solution
 
 
@@ -86,7 +91,7 @@ def test_warm_matches_cold_and_dense_on_criterion_10(criterion_10, caplog,
         caplog.clear()
         inverse_steps.clear()
         with caplog.at_level(logging.WARNING, logger="saext"):
-            warm.append(_warm(pencil, 9, base.eigenvectors))
+            warm.append(_warm_solution(pencil, 9, base.eigenvectors))
         assert not _fallbacks(caplog)  # certified on the warm path
         assert len(inverse_steps) == 9  # in one round
         gram = warm[-1].eigenvectors.conj().T @ (pencil.b @ warm[-1].eigenvectors)
@@ -112,9 +117,9 @@ def test_sweep_start_certifies_criterion_10_without_inverse_steps(
     assert not _fallbacks(caplog)
     assert not inverse_steps
     cold = [solve_pencil(pencil, count=9).eigenvalues for pencil in pencils]
-    assert max(map(_relative, (w.eigenvalues for w in warm), cold)) <= 1e-11
+    assert max(map(_relative, warm, cold)) <= 1e-11
     dense = [_solve_dense(pencil, 9).eigenvalues for pencil in pencils[::10]]
-    assert max(map(_relative, (w.eigenvalues for w in warm[::10]), dense)) <= 1e-11
+    assert max(map(_relative, warm[::10], dense)) <= 1e-11
 
 
 def test_search_space_certifies_criterion_10_in_one_step(criterion_10, caplog,
@@ -170,12 +175,13 @@ def test_search_space_rejects_the_blocks_of_another_assembly(criterion_10):
 @pytest.mark.parametrize("odd", ["nan corner", "failed cholesky", "real corner"])
 def test_one_pencil_of_a_stack_is_taken_alone(criterion_10, caplog, monkeypatch,
                                               odd):
-    # the middle pencil of a stack of seven cannot share its step.  A real
-    # boundary block among complex ones takes its own stack, and every
-    # pencil gets what it gets alone, bit for bit.  A NaN in its boundary
-    # block or a Q^H B Q that is not positive definite makes the stacked
-    # step raise: the cold path then takes each pencil of the stack alone,
-    # and that of the faulty pencil raises its typed error.
+    # the middle pencil of a stack of seven is odd.  A real boundary block
+    # among complex ones is taken alone, in a stack of its own: every
+    # pencil's step and eigenvalues are bit for bit what it gets alone.
+    # A NaN in its boundary block or a Q^H B Q that is not positive
+    # definite is not: the stacked step raises, the whole stack goes to
+    # the cold path, which takes its pencils one by one, and that of the
+    # faulty pencil raises its typed error.
     _, pencils, start = criterion_10
     space = _SearchSpace(pencils[0].arrow, start)
     arrows = [pencil.arrow for pencil in pencils[:7]]
@@ -207,9 +213,17 @@ def test_one_pencil_of_a_stack_is_taken_alone(criterion_10, caplog, monkeypatch,
     messages = _fallbacks(caplog)
     if odd == "real corner":
         assert not messages and not cold
-        for arrow, answer in zip(arrows, answers):
-            [alone] = space.solve_stack([arrow], 9)
-            assert answer.tobytes() == alone.tobytes()
+        steps = space.steps(arrows, 9)
+        assert steps[3].solution.eigenvectors.dtype == np.float64
+        for arrow, step, answer in zip(arrows, steps, answers):
+            [alone] = space.steps([arrow], 9)
+            assert step.w.tobytes() == alone.w.tobytes()
+            assert step.residuals.tobytes() == alone.residuals.tobytes()
+            assert (step.solution.eigenvectors.tobytes()
+                    == alone.solution.eigenvectors.tobytes())
+            assert step.b_vectors.tobytes() == alone.b_vectors.tobytes()
+            [single] = space.solve_stack([arrow], 9)
+            assert answer.tobytes() == single.tobytes()
         return
     assert messages[0].startswith("warm path failed (")
     assert messages[0].endswith("); cold fallback")
@@ -241,7 +255,7 @@ def test_sweep_start_drops_a_cluster_on_an_exactly_singular_bulk_block(
         warm = _warm(pencils[40], 9, dropped)
     assert not _fallbacks(caplog)
     assert len(inverse_steps) == 9  # in one round
-    assert _relative(warm.eigenvalues, _solve_dense(pencils[40], 9).eigenvalues) <= 1e-11
+    assert _relative(warm, _solve_dense(pencils[40], 9).eigenvalues) <= 1e-11
 
 
 def _three_interval_rounds(caplog, inverse_steps, enriched):
@@ -267,7 +281,7 @@ def _three_interval_rounds(caplog, inverse_steps, enriched):
             warm = _warm(pencil, count, start)
         assert not _fallbacks(caplog)
         rounds.append(len(inverse_steps) // count)
-        assert _relative(warm.eigenvalues, _solve_dense(pencil, count).eigenvalues) <= 1e-11
+        assert _relative(warm, _solve_dense(pencil, count).eigenvalues) <= 1e-11
     return rounds
 
 
@@ -301,7 +315,7 @@ def test_warm_path_keeps_a_real_pencil_real(caplog):
     dense = _solve_dense(pencil, 6)
     for start in (base.eigenvectors, base.eigenvectors * np.exp(0.4j)):
         with caplog.at_level(logging.WARNING, logger="saext"):
-            warm = _warm(pencil, 6, start)
+            warm = _warm_solution(pencil, 6, start)
         assert not _fallbacks(caplog)
         assert warm.eigenvectors.dtype == np.float64
         assert _relative(warm.eigenvalues, dense.eigenvalues) <= 1e-11
@@ -312,7 +326,7 @@ def test_random_start_falls_back_to_the_cold_result(criterion_10, caplog):
     pencil = pencils[40]
     start = np.random.default_rng(5).standard_normal((pencil.dim, 9))
     with caplog.at_level(logging.WARNING, logger="saext"):
-        assert _warm(pencil, 9, start) is None
+        assert _warm_solution(pencil, 9, start) is None
         [fallback] = _SearchSpace(pencil.arrow, start).solve_stack([pencil.arrow], 9)
     assert any("cold fallback" in m for m in _fallbacks(caplog))
     cold = solve_pencil(pencil, count=9)
@@ -339,7 +353,7 @@ def test_exactly_singular_shift_is_nudged(criterion_10, caplog, monkeypatch):
     assert len(shifts) == 18
     for theta, nudged in zip(shifts[::2], shifts[1::2]):
         assert theta < nudged <= theta + 8 * np.finfo(float).eps * max(1.0, abs(theta))
-    assert _relative(warm.eigenvalues, _solve_dense(pencils[0], 9).eigenvalues) <= 1e-11
+    assert _relative(warm, _solve_dense(pencils[0], 9).eigenvalues) <= 1e-11
 
 
 def test_singular_shifted_pencil_falls_back(criterion_10, caplog, monkeypatch):
@@ -406,4 +420,4 @@ def test_own_eigenvectors_certify_warm(case, caplog):
     with caplog.at_level(logging.WARNING, logger="saext"):
         warm = _warm(pencil, 9, cold.eigenvectors)
     assert not _fallbacks(caplog)
-    assert _relative(warm.eigenvalues, cold.eigenvalues) <= 1e-11
+    assert _relative(warm, cold.eigenvalues) <= 1e-11
