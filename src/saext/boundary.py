@@ -15,13 +15,19 @@ column i holds the endpoint values of the i-th boundary basis function, and
 monitors the conditioning of F.  A symmetric U (U == U^T) is a real
 condition: conjugation maps its domain onto itself, its exact V is real,
 and the solve keeps V real by rule, so its pencil is real too.
+
+Every step from U to V also takes a stack of U (m, 2n, 2n) as one array:
+the unitarity check, F and C and the solve with its gates
+(:func:`_boundary_values_stack`, as the stability sweep uses it).
+:meth:`BoundaryCondition.from_matrix`, :func:`assemble_boundary_system`
+and :func:`solve_boundary_values` are its stacks of one, so each U of a
+stack gets bit for bit the F, C, V and G it gets alone.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,12 +138,7 @@ class BoundaryCondition:
         if dim % 2 != 0 or dim == 0:
             raise BoundaryError(f"boundary matrix must have even dimension, got {dim}")
         n = dim // 2
-        defect = float(np.linalg.norm(u.conj().T @ u - np.eye(dim)))
-        if not defect <= UNITARITY_TOL:
-            raise BoundaryError(
-                f"matrix is not unitary: ||U^H U - I|| = {defect:.3e} "
-                f"exceeds {UNITARITY_TOL:.1e}"
-            )
+        defect = float(_unitarity_defects(u[None])[0])
         sigma = endpoint_to_block_permutation(n)
         if ordering == "endpoint":
             u_e = u
@@ -170,12 +171,7 @@ class BoundaryCondition:
 
         theta = 0 gives periodic, theta = pi antiperiodic boundary conditions.
         """
-        theta = float(theta)
-        u = np.array(
-            [[0.0, cmath.exp(1j * theta)], [cmath.exp(-1j * theta), 0.0]],
-            dtype=complex,
-        )
-        return cls.from_matrix(u)
+        return cls.from_matrix(_quasi_periodic_matrix(theta))
 
     def admissibility_defect(self, values, normal_derivatives) -> float:
         """Norm of (psi - i psid) - U (psi + i psid) for one boundary trace
@@ -186,6 +182,39 @@ class BoundaryCondition:
             raise BoundaryError("trace vectors must have length 2n")
         return float(np.linalg.norm(
             (psi - 1j * psid) - self.u_endpoint @ (psi + 1j * psid)))
+
+
+def _quasi_periodic_matrix(theta: float) -> np.ndarray:
+    """U = [[0, e^{i theta}], [e^{-i theta}, 0]] of
+    :meth:`BoundaryCondition.quasi_periodic`."""
+    theta = float(theta)
+    return np.array(
+        [[0.0, cmath.exp(1j * theta)], [cmath.exp(-1j * theta), 0.0]],
+        dtype=complex,
+    )
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _unitarity_defects(u: np.ndarray) -> np.ndarray:
+    """||U^H U - I|| (Frobenius) of each matrix of a stack (m, d, d).
+
+    Raises
+    ------
+    BoundaryError
+        For the first matrix whose defect exceeds UNITARITY_TOL (or is NaN).
+    """
+    defects = np.linalg.norm(_adjoint(u) @ u - np.eye(u.shape[-1]), axis=(-2, -1))
+    bad = ~(defects <= UNITARITY_TOL)
+    if np.any(bad):
+        raise BoundaryError(
+            f"matrix is not unitary: ||U^H U - I|| = {defects[np.argmax(bad)]:.3e} "
+            f"exceeds {UNITARITY_TOL:.1e}"
+        )
+    return defects
 
 
 @dataclass(frozen=True)
@@ -246,17 +275,52 @@ class ConditionReport:
 
 def assemble_boundary_system(bc: BoundaryCondition, mesh: Mesh) -> BoundarySystem:
     """Form F = diag(1 - i/h) - U diag(1 + i/h) and C = -i (I + U) diag(1/h)."""
-    if bc.n != mesh.n:
+    f, c = _boundary_matrices(bc.u_endpoint[None], mesh)
+    return BoundarySystem(f=_frozen(f[0]), c=_frozen(c[0]), h=_frozen(mesh.h_endpoint),
+                          u=bc.u_endpoint)
+
+
+def _boundary_matrices(u: np.ndarray, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """The F and C of :func:`assemble_boundary_system` for each U of a stack
+    (m, 2n, 2n) in endpoint ordering, as two stacks.
+
+    Raises
+    ------
+    BoundaryError
+        When the U are not 2n x 2n for the mesh's n intervals.
+    """
+    if u.shape[-1] != 2 * mesh.n:
         raise BoundaryError(
-            f"boundary condition has n = {bc.n} but mesh has n = {mesh.n}"
+            f"boundary condition has n = {u.shape[-1] // 2} but mesh has n = {mesh.n}"
         )
-    h = mesh.h_endpoint
-    u = bc.u_endpoint
-    dim = 2 * mesh.n
-    inv_h = 1.0 / h
-    f = np.diag(1.0 - 1j * inv_h) - u * (1.0 + 1j * inv_h)[None, :]
-    c = -1j * (np.eye(dim) + u) * inv_h[None, :]
-    return BoundarySystem(f=_frozen(f), c=_frozen(c), h=_frozen(h), u=bc.u_endpoint)
+    inv_h = 1.0 / mesh.h_endpoint
+    f = np.diag(1.0 - 1j * inv_h) - u * (1.0 + 1j * inv_h)
+    c = -1j * (np.eye(inv_h.size) + u) * inv_h
+    return f, c
+
+
+def _boundary_values_stack(u: np.ndarray, mesh: Mesh,
+                           kappa_max: float = DEFAULT_KAPPA_MAX
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """The boundary values (V, G) of each U of a stack (m, 2n, 2n) in
+    endpoint ordering on ``mesh``, as two stacks: the unitarity check of
+    :meth:`BoundaryCondition.from_matrix`, then :func:`assemble_boundary_system`
+    and :func:`solve_boundary_values` of the whole stack, with no object per
+    U.  Each U gets bit for bit the V and G it gets alone, and the first U
+    that fails a gate raises the error it raises alone; a unitarity
+    failure anywhere is raised before any solve.
+
+    Raises
+    ------
+    BoundaryError
+        As :meth:`BoundaryCondition.from_matrix` and
+        :func:`assemble_boundary_system`.
+    ValueError, ConditionFailure, BoundarySolveError
+        As :func:`solve_boundary_values`.
+    """
+    _unitarity_defects(u)
+    f, c = _boundary_matrices(u, mesh)
+    return _solve_boundary_stack(f, c, u, mesh.h_endpoint, kappa_max)
 
 
 def condition_report(sys: BoundarySystem) -> ConditionReport:
@@ -267,33 +331,34 @@ def condition_report(sys: BoundarySystem) -> ConditionReport:
     is (numerically) in the spectrum of U0 and the system is incompatible
     at this step vector.
     """
-    return _condition_reports([sys])[0]
+    kappa, bound, gap = (float(x[0]) for x
+                         in _condition_arrays(sys.f[None], sys.u[None], sys.h))
+    return ConditionReport(
+        kappa_estimate=kappa,
+        bound=bound,
+        spectrum_gap=gap,
+        incompatible=gap < 1e-12,
+        note="system incompatible at this h" if gap < 1e-12 else "",
+    )
 
 
-def _condition_reports(systems: Sequence[BoundarySystem]) -> list[ConditionReport]:
-    """:func:`condition_report` of each of a stack of systems of one shape,
+def _condition_arrays(f: np.ndarray, u: np.ndarray, h: np.ndarray):
+    """The (kappa, bound, gap) of :func:`condition_report` for each system
+    of a stack of F and U (m, 2n, 2n) on the step vector ``h``, as arrays,
     by one batched SVD of the F and one batched eigenvalue call on the U0;
     LAPACK factors each matrix of a stack as it factors it alone."""
-    f, u, h = (np.stack([getattr(s, name) for s in systems]) for name in "fuh")
     svals = np.linalg.svd(f, compute_uv=False)
     smin = svals[:, -1]
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = np.where(smin > 0, svals[:, 0] / smin, np.inf)
 
     d = 1.0 + 1j / h
-    u0 = u * (d / np.conj(d))[:, None, :]
+    u0 = u * (d / np.conj(d))
     gap = np.min(np.abs(1.0 - np.linalg.eigvals(u0)), axis=-1)
-    ratio = np.max(h, axis=-1) / np.min(h, axis=-1)
+    ratio = np.max(h) / np.min(h)
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = np.where(gap > 0, ratio * 2.0 / gap, np.inf)
-    incompatible = gap < 1e-12
-    return [ConditionReport(
-        kappa_estimate=float(k),
-        bound=float(b),
-        spectrum_gap=float(g),
-        incompatible=bool(bad),
-        note="system incompatible at this h" if bad else "",
-    ) for k, b, g, bad in zip(kappa, bound, gap, incompatible)]
+    return kappa, bound, gap
 
 
 def _check_kappa_max(kappa_max: float) -> None:
@@ -324,36 +389,38 @@ def solve_boundary_values(
     BoundarySolveError
         If the residual or the per-column admissibility gate fails.
     """
-    return _solve_boundary_stack([sys], kappa_max)[0]
+    v, g = _solve_boundary_stack(sys.f[None], sys.c[None], sys.u[None], sys.h,
+                                 kappa_max)
+    return BoundaryValues(v=_frozen(v[0]), g=_frozen(g[0]), h=sys.h)
 
 
 def _solve_boundary_stack(
-    systems: Sequence[BoundarySystem], kappa_max: float = DEFAULT_KAPPA_MAX
-) -> list[BoundaryValues]:
-    """:func:`solve_boundary_values` of each of a stack of systems of one
-    shape.  ``zgesv`` runs once per system; the condition report, the
+    f: np.ndarray, c: np.ndarray, u: np.ndarray, h: np.ndarray,
+    kappa_max: float = DEFAULT_KAPPA_MAX,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (V, G) of :func:`solve_boundary_values` for each system of a
+    stack of F, C and U (m, 2n, 2n) on the step vector ``h``, as two
+    stacks.  ``zgesv`` runs once per system; the condition report, the
     projection and the residual and trace gates run once over the stack.
-    The gates are then read system by system, each in the order
-    :func:`solve_boundary_values` has them, so the first system that fails
-    raises the error it raises alone.
+    The first system that fails a gate raises the error it raises alone,
+    the gates read in the order :func:`solve_boundary_values` has them.
 
     Raises
     ------
     As :func:`solve_boundary_values`.
     """
     _check_kappa_max(kappa_max)
-    reports = _condition_reports(systems)
-    solved = []
-    for sys in systems:
-        *_, v_raw, info = scipy.linalg.lapack.zgesv(sys.f, sys.c)
-        if np.array_equal(sys.u, sys.u.T):
-            v_raw.imag = 0.0
-        solved.append((v_raw, info))
-    f, c, u, h = (np.stack([getattr(s, name) for s in systems]) for name in "fcuh")
+    kappa, _, gap = _condition_arrays(f, u, h)
+    zgesv = scipy.linalg.lapack.zgesv
+    solved = [zgesv(f_i, c_i) for f_i, c_i in zip(f, c)]
+    v_raw = np.stack([x for *_, x, _ in solved])
+    info = np.array([i for *_, i in solved])
+    # a symmetric U gives a real V by rule
+    v_raw.imag[np.all(u == u.swapaxes(-1, -2), axis=(-2, -1))] = 0.0
     inv_h = 1.0 / h
-    g = inv_h[:, :, None] * np.stack([v_raw for v_raw, _ in solved])
-    g = (g + g.conj().swapaxes(-1, -2)) / 2.0
-    v = h[:, :, None] * g
+    g = inv_h[:, None] * v_raw
+    g = (g + _adjoint(g)) / 2.0
+    v = h[:, None] * g
     c_norms = np.linalg.norm(c, axis=(-2, -1))
     residuals = np.linalg.norm(f @ v - c, axis=(-2, -1))
     v_norms = np.linalg.norm(v, axis=(-2, -1))
@@ -363,48 +430,50 @@ def _solve_boundary_stack(
     lhs = (v - 1j * beta_dot) - u @ (v + 1j * beta_dot)
     worst = np.max(np.linalg.norm(lhs, axis=-2), axis=-1)
 
-    out = []
-    for i, (sys, report, (_, info)) in enumerate(zip(systems, reports, solved)):
-        if report.incompatible:
-            # With 1 in the spectrum of U0 the matrix F is (numerically)
-            # zero, which leaves the condition estimate meaningless: refuse
-            # outright.
-            raise ConditionFailure(
-                f"boundary system incompatible at this step vector "
-                f"(spectrum gap {report.spectrum_gap:.3e})",
-                kappa_estimate=float("inf"),
-                spectrum_gap=report.spectrum_gap,
-            )
-        if not report.kappa_estimate <= kappa_max:
-            raise ConditionFailure(
-                f"boundary matrix condition estimate {report.kappa_estimate:.3e} "
-                f"exceeds kappa_max = {kappa_max:.3e} "
-                f"(spectrum gap {report.spectrum_gap:.3e})",
-                kappa_estimate=report.kappa_estimate,
-                spectrum_gap=report.spectrum_gap,
-            )
-        if info > 0:
-            raise BoundarySolveError(
-                f"boundary matrix is singular: pivot {info} is zero")
-        if info < 0:
-            raise ValueError(f"LAPACK rejected argument {-info}")
+    incompatible = gap < 1e-12
+    with np.errstate(invalid="ignore"):
+        residual_ok = np.where(c_norms == 0.0, v_norms <= _ZERO_RHS_TOL,
+                               residuals <= _SOLVE_RTOL * c_norms)
+    failed = (incompatible | ~(kappa <= kappa_max) | (info != 0) | ~residual_ok
+              | ~(worst <= _TRACE_TOL))
+    if not np.any(failed):
+        return v, g
+    i = int(np.argmax(failed))
+    if incompatible[i]:
+        # With 1 in the spectrum of U0 the matrix F is (numerically) zero,
+        # which leaves the condition estimate meaningless: refuse outright.
+        raise ConditionFailure(
+            f"boundary system incompatible at this step vector "
+            f"(spectrum gap {gap[i]:.3e})",
+            kappa_estimate=float("inf"),
+            spectrum_gap=float(gap[i]),
+        )
+    if not kappa[i] <= kappa_max:
+        raise ConditionFailure(
+            f"boundary matrix condition estimate {kappa[i]:.3e} "
+            f"exceeds kappa_max = {kappa_max:.3e} "
+            f"(spectrum gap {gap[i]:.3e})",
+            kappa_estimate=float(kappa[i]),
+            spectrum_gap=float(gap[i]),
+        )
+    if info[i] > 0:
+        raise BoundarySolveError(
+            f"boundary matrix is singular: pivot {info[i]} is zero")
+    if info[i] < 0:
+        raise ValueError(f"LAPACK rejected argument {-info[i]}")
+    if not residual_ok[i]:
         if c_norms[i] == 0.0:
-            if not v_norms[i] <= _ZERO_RHS_TOL:
-                raise BoundarySolveError(
-                    "homogeneous boundary system produced a nonzero solution"
-                )
-        elif not residuals[i] <= _SOLVE_RTOL * c_norms[i]:
             raise BoundarySolveError(
-                f"boundary solve residual {residuals[i]:.3e} exceeds "
-                f"{_SOLVE_RTOL:.1e} * ||C|| = {_SOLVE_RTOL * c_norms[i]:.3e}"
+                "homogeneous boundary system produced a nonzero solution"
             )
-        if not worst[i] <= _TRACE_TOL:
-            raise BoundarySolveError(
-                f"boundary-function trace defect {worst[i]:.3e} exceeds "
-                f"{_TRACE_TOL:.1e}"
-            )
-        out.append(BoundaryValues(v=_frozen(v[i]), g=_frozen(g[i]), h=sys.h))
-    return out
+        raise BoundarySolveError(
+            f"boundary solve residual {residuals[i]:.3e} exceeds "
+            f"{_SOLVE_RTOL:.1e} * ||C|| = {_SOLVE_RTOL * c_norms[i]:.3e}"
+        )
+    raise BoundarySolveError(
+        f"boundary-function trace defect {worst[i]:.3e} exceeds "
+        f"{_TRACE_TOL:.1e}"
+    )
 
 
 def retry_mesh_on_bad_conditioning(

@@ -41,7 +41,8 @@ from .boundary import (
     BoundarySolveError,
     ConditionFailure,
     assemble_boundary_system,
-    _solve_boundary_stack,
+    _boundary_values_stack,
+    _quasi_periodic_matrix,
     condition_report,
     retry_mesh_on_bad_conditioning,
     solve_boundary_values,
@@ -193,18 +194,27 @@ def _ground_state_reference(geom):
     return psi, dpsi
 
 
-def _linear_lstsq(p, k):
-    """Centred linear least squares k ~ a p + c along the last axis,
-    vectorized over the leading axes of p and k, which broadcast:
-    a = <p - mean p, k - mean k> / |p - mean p|^2 and c = mean k - a mean p.
-    Returns (a, c, squared residual), the residual +inf where it is not
-    finite."""
-    k_mean = k.mean(axis=-1)
-    k_c = k - k_mean[..., None]
+def _centred(p):
+    """(mean p, p - mean p, |p - mean p|^2) along the last axis of p, the
+    part of :func:`_linear_lstsq` that does not depend on k."""
     with np.errstate(all="ignore"):
         p_mean = p.mean(axis=-1)
         p_c = p - p_mean[..., None]
-        a = np.sum(p_c * k_c, axis=-1) / np.sum(p_c * p_c, axis=-1)
+        return p_mean, p_c, np.sum(p_c * p_c, axis=-1)
+
+
+def _linear_lstsq(p, k, centred=None):
+    """Centred linear least squares k ~ a p + c along the last axis,
+    vectorized over the leading axes of p and k, which broadcast:
+    a = <p - mean p, k - mean k> / |p - mean p|^2 and c = mean k - a mean p.
+    ``centred`` is :func:`_centred` of p, computed here unless given.
+    Returns (a, c, squared residual), the residual +inf where it is not
+    finite."""
+    p_mean, p_c, p_norm2 = _centred(p) if centred is None else centred
+    k_mean = k.mean(axis=-1)
+    k_c = k - k_mean[..., None]
+    with np.errstate(all="ignore"):
+        a = np.sum(p_c * k_c, axis=-1) / p_norm2
         resid = k_c - a[..., None] * p_c
         cost = np.sum(resid * resid, axis=-1)
     return a, k_mean - a * p_mean, np.where(np.isfinite(cost), cost, np.inf)
@@ -256,19 +266,28 @@ def cmd_convergence(cfg: JobConfig, out_dir: Path, args: argparse.Namespace) -> 
     _write_table(out_dir / "convergence.csv", ["N", "h1_error"], zip(*rows))
 
 
-def nearest_unitary(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """Polar factor of a matrix and its distance to the input.
+def nearest_unitary(matrix: np.ndarray):
+    """Polar factor of a matrix and its distance to the input, or of each
+    matrix of a stack (m, d, d) and their distances as an array.
 
     The polar factor is W V^H from the thin SVD W S V^H by LAPACK's
-    ``gesdd``, called directly: the factor ``scipy.linalg.polar`` computes,
-    bit for bit, without its wrapper layer.
+    ``gesdd``, looked up once and called directly, once per matrix: the
+    factor ``scipy.linalg.polar`` computes, bit for bit, without its
+    wrapper layer.
     """
+    matrix = np.asarray(matrix)
     gesdd, = scipy.linalg.get_lapack_funcs(("gesdd",), (matrix,))
-    w, _, vh, info = gesdd(matrix, compute_uv=1, full_matrices=0)
-    if info:
-        raise EigenSolveError(f"SVD for the nearest unitary failed: gesdd info {info}")
-    u = w @ vh
-    return u, float(np.linalg.norm(matrix - u))
+    factors, distances = [], []
+    for m in matrix.reshape(-1, *matrix.shape[-2:]):
+        w, _, vh, info = gesdd(m, compute_uv=1, full_matrices=0)
+        if info:
+            raise EigenSolveError(f"SVD for the nearest unitary failed: gesdd info {info}")
+        u = w @ vh
+        factors.append(u)
+        distances.append(float(np.linalg.norm(m - u)))
+    if matrix.ndim == 2:
+        return factors[0], distances[0]
+    return np.array(factors), np.array(distances)
 
 
 def _power_law_fits(eps: np.ndarray, k_rows: np.ndarray) -> list:
@@ -280,18 +299,20 @@ def _power_law_fits(eps: np.ndarray, k_rows: np.ndarray) -> list:
     a 1-D minimization of the remaining residual over b: a scan of
     _FIT_EXPONENTS, then rescans of 41 exponents on the bracket around the
     best point until their spacing is below 1e-12.  Each row gets the same
-    arithmetic as alone: the first scan shares eps**b and takes the rows
-    one at a time, and each rescan takes all rows still refining at once,
-    each on its own bracket.  Returns (a, b, c) per row, or None for
-    a row whose residual is finite for no b.
+    arithmetic as alone: the first scan shares eps**b and its centring
+    (:func:`_centred`) and takes the rows one at a time, and each rescan
+    takes all rows still refining at once, each on its own bracket.
+    Returns (a, b, c) per row, or None for a row whose residual is finite
+    for no b.
     """
     k = np.asarray(k_rows)
     grid = _FIT_EXPONENTS
     with np.errstate(all="ignore"):
         powers = eps ** grid[:, None]
     # row by row: a (rows, grid, eps) stack would triple the fit's peak memory
+    centred = _centred(powers)
     a, c, costs = (np.array(parts) for parts
-                   in zip(*(_linear_lstsq(powers, row) for row in k)))
+                   in zip(*(_linear_lstsq(powers, row, centred) for row in k)))
     k = k[:, None, :]
     rows = np.arange(k.shape[0])
     i = np.argmin(costs, axis=-1)
@@ -357,19 +378,23 @@ def stability_study(cfg: JobConfig):
 
     Every perturbed pencil is solved from one start block
     (:func:`_sweep_start`): the base eigenvectors and the boundary responses
-    at each base level cluster.  Only the boundary block depends on U, so the span of the block
-    is projected once (:class:`~saext.eigen._SearchSpace`).  The sweep then
-    solves the boundary systems of all its perturbed U as one stack
-    (:func:`~saext.boundary._solve_boundary_stack`), so a conditioning
-    failure at any eps is reported before any eigensolve, builds their
-    boundary blocks as one stack (``BulkAssembly._arrow_stack``) and takes
-    their eigenvalues from one
+    at each base level cluster.  Only the boundary block depends on U, so
+    the span of the block is projected once
+    (:class:`~saext.eigen._SearchSpace`).  The sweep carries its perturbed
+    U as one (m, 2, 2) array: one :func:`nearest_unitary` call, one
+    boundary solve of the stack with its unitarity check and gates
+    (:func:`~saext.boundary._boundary_values_stack`), so a failure at any
+    eps is reported before any eigensolve, one build of their boundary
+    blocks (``BulkAssembly._arrow_stack``) and one
     :meth:`~saext.eigen._SearchSpace.solve_stack`, which certifies each
-    pencil and hands one it cannot certify to the cold path.  Each U gets
-    bit for bit the eigenvalues it gets alone, so no result depends on the
-    order of the sweep, unless the stacked step of its chunk raises (a
-    non-finite boundary block or a failed Cholesky factorization): then
-    every pencil of that chunk takes the cold path.
+    chunk of pencils at a shared tau, certifies alone a pencil that tau
+    does not, and hands one it cannot certify to the cold path.  Each U
+    gets bit for bit the eigenvalues it gets alone, so no result depends
+    on the order of the sweep, unless the stacked step of its chunk raises
+    (a non-finite boundary block or a failed Cholesky factorization): then
+    every pencil of that chunk takes the cold path.  K is one array
+    expression per level over all eps, with the operations of the ratio
+    of one eps.
 
     Returns (rows, fits, distances): per-epsilon per-level ratios K,
     per-level power-law fits K = a eps^b + c, and the re-unitarization
@@ -432,52 +457,45 @@ def stability_study(cfg: JobConfig):
         rows.append(("skipped_epsilon", eps_list.pop(0), "",
                      "K undefined at epsilon = 0"))
 
-    generator = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-    def perturbed(eps):
+    eps = np.array(eps_list)
+    distances, spectra = [], np.empty((0, count))
+    if eps_list:  # a stack holds at least one U
         if cfg.stability_mode == "linear":
-            u_eps, distance = nearest_unitary(bc.u_endpoint + 1j * eps * generator)
-            return BoundaryCondition.from_matrix(u_eps), distance
-        return BoundaryCondition.quasi_periodic(eps), 0.0
+            generator = np.array([[0.0, 1.0], [-1.0, 0.0]])
+            u, distance = nearest_unitary(bc.u_endpoint
+                                          + 1j * eps[:, None, None] * generator)
+            distances = list(zip(eps_list, distance.tolist()))
+        else:
+            u = np.array([_quasi_periodic_matrix(e) for e in eps_list])
+            distances = [(e, 0.0) for e in eps_list]
+        values = _boundary_values_stack(u, mesh, kappa_max=cfg.kappa_max)
+        spectra = np.array(space.solve_stack(bulk._arrow_stack(*values), count))
 
-    conditions = [perturbed(eps) for eps in eps_list]
-    distances = [(eps, distance) for eps, (_, distance) in zip(eps_list, conditions)]
-    spectra = []
-    if conditions:  # a stack holds at least one U
-        bcs = [bc_eps for bc_eps, _ in conditions]
-        values = _solve_boundary_stack(
-            [assemble_boundary_system(bc_eps, mesh) for bc_eps in bcs],
-            kappa_max=cfg.kappa_max)
-        spectra = space.solve_stack(bulk._arrow_stack(bcs, values), count)
+    # K over eps of each level whose ratio is well conditioned: the skipped
+    # rule depends on the level alone, so every such level has every eps
+    k_table = {}
+    for lev in range(1, levels + 1):
+        members = clusters[lev]
+        lam_base = base[members]
+        if np.any(np.abs(lam_base) < 1e-6):
+            continue
+        if cfg.stability_matching == "index":
+            lam = spectra[:, members]
+        else:
+            nearest = np.argmin(np.abs(spectra[:, None, :] - lam_base[:, None]), axis=-1)
+            lam = np.take_along_axis(spectra, nearest, axis=-1)
+        ratios = np.abs(lam - lam_base) / (eps[:, None] * np.abs(lam_base))
+        k_table[lev] = np.mean(ratios, axis=-1).tolist()
+    for i, eps_i in enumerate(eps_list):
+        rows += [("K", eps_i, lev, k_table[lev][i]) if lev in k_table
+                 else ("skipped", eps_i, lev, "ill-conditioned ratio")
+                 for lev in range(1, levels + 1)]
 
-    per_level: dict[int, list[tuple[float, float]]] = {
-        lev: [] for lev in range(1, levels + 1)
-    }
-    for eps, lam_eps in zip(eps_list, spectra):
-        for lev in range(1, levels + 1):
-            members = clusters[lev]
-            if any(abs(base[i]) < 1e-6 for i in members):
-                rows.append(("skipped", eps, lev, "ill-conditioned ratio"))
-                continue
-            ratios = []
-            for i in members:
-                if cfg.stability_matching == "index":
-                    lam_p = lam_eps[i]
-                else:
-                    lam_p = lam_eps[int(np.argmin(np.abs(lam_eps - base[i])))]
-                ratios.append(abs(lam_p - base[i]) / (eps * abs(base[i])))
-            ratio = float(np.mean(ratios))
-            rows.append(("K", eps, lev, ratio))
-            per_level[lev].append((eps, ratio))
-
-    # the skipped rule depends on the level alone, so every fitted level
-    # has the same eps list
-    fitted = [lev for lev, pairs in per_level.items() if len(pairs) >= 4]
-    fits = dict.fromkeys(per_level)
+    fits = dict.fromkeys(range(1, levels + 1))
+    fitted = list(k_table) if eps.size >= 4 else []
     if fitted:
-        e_arr = np.array([p[0] for p in per_level[fitted[0]]])
-        k_rows = np.array([[p[1] for p in per_level[lev]] for lev in fitted])
-        fits.update(zip(fitted, _power_law_fits(e_arr, k_rows)))
+        k_rows = np.array([k_table[lev] for lev in fitted])
+        fits.update(zip(fitted, _power_law_fits(eps, k_rows)))
     return rows, fits, distances
 
 

@@ -79,10 +79,21 @@ residuals, each pencil with the same LAPACK calls and products as alone,
 and no eigenvector is formed.  So no result depends on the stack, unless
 the chunk's step raises: that chunk then goes to the cold path whole, and
 its healthy pencils get cold eigenvalues, not their warm ones.  The
-inverse-step rounds and the certificate run pencil by pencil, and the
-warm result has to pass the sparse path's certificate (the gap, nu(tau)
-and the residual gate, :func:`_certified`).  The stability study builds one such space per sweep
-from the base eigenvectors and the boundary responses
+inverse-step rounds run pencil by pencil, and the warm results have to
+pass the sparse path's certificate (the gap, nu(tau) and the residual
+gate), which takes a chunk at once (:func:`_certify_stack`): its pencils
+with the same number of Ritz values below their gaps are counted at one
+shared tau, so In_-(T(tau)) and E^T T(tau)^{-1} E are taken once and
+each pencil adds one 2n x 2n ``eigvalsh``, and a pencil that tau does
+not certify is certified alone, as by :func:`_certified`, the
+certificate's stack of one.  The shared tau and a pencil's own first
+tau both lie in its gap, near its lower end, and a count at either
+certifies the same lowest pairs; the decisions can differ only where an
+eigenvalue lies between the two, where the pencil's own tau finds T
+numerically singular, or where the counts round differently.  On
+criterion 10's sweep and on eps 1e-3 .. 0.2 every decision is the
+pencil's own.  The stability study builds one such space per sweep from
+the base eigenvectors and the boundary responses
 R(sigma) = [-T(sigma)^{-1} E(sigma); I] at each base level
 (:meth:`~saext.fem.ArrowBlocks.boundary_response`) and solves all its
 perturbed pencils in it from their arrow blocks.  The bulk part of an
@@ -129,7 +140,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .boundary import BoundaryValues
+from .boundary import BoundaryValues, _adjoint
 from .fem import ArrowBlocks, Pencil, arrow_schur, node_values
 
 RESIDUAL_RTOL = 1e-10
@@ -146,10 +157,11 @@ _START_SEED = 1103  # fixed ARPACK start vector, so solves are reproducible
 # A warm solve takes at most this many rounds of inverse steps.
 _WARM_ROUNDS = 3
 # The warm solver takes a stack of pencils in chunks of this many: one
-# stacked Rayleigh-Ritz step per chunk.  Measured on criterion 10's sweep
-# (100 U, N = 250; 2-core host, medians of 15 in-process sweeps): 55, 53
-# and 52 ms at 15, 20 and 25, against 105 ms at 1; its peak RSS rose 0.7,
-# 0.6 and 1.4 MiB over the sweep one U at a time (12 MiB at 100), as the
+# stacked Rayleigh-Ritz step and one shared-tau certificate per chunk.
+# Measured on criterion 10's sweep (100 U, N = 250; 2-core host, medians
+# over five processes of the medians of 15 in-process sweeps): 40, 40, 37
+# and 41 ms at 10, 15, 20 and 25, against 59 ms at 1; its peak RSS rose
+# 0.2, 0.1, 0.4 and 1.0 MiB over the sweep one U at a time, as the
 # (chunk, dim, count) products grow.
 _SWEEP_CHUNK = 20
 # Where nu(tau) is not trusted just above the last wanted Ritz value, the
@@ -422,7 +434,18 @@ def _negative_count(d, e, border, corner) -> int | None:
     """Negative eigenvalues of the hermitian arrow matrix
     [[T, E], [E^T, C]] with T = tridiag(e, d, e) and E real, as In_-(T)
     plus In_-(C - E^T T^{-1} E) (:func:`~saext.fem.arrow_schur`); None
-    when T is numerically singular."""
+    when T is numerically singular.  The stack of one of
+    :func:`_negative_counts`."""
+    counts = _negative_counts(d, e, border, corner[None])
+    return None if counts is None else int(counts[0])
+
+
+def _negative_counts(d, e, border, corners) -> np.ndarray | None:
+    """:func:`_negative_count` of the arrow matrix with each boundary
+    block C of the stack ``corners`` (m, 2n, 2n) and the shared T and E:
+    In_-(T), the singularity test of T and E^T T^{-1} E once, then one
+    batched ``eigvalsh`` of the Schur complements; None when T is
+    numerically singular."""
     negatives = 0
     if d.size:
         radius = np.abs(d)
@@ -434,11 +457,11 @@ def _negative_count(d, e, border, corner) -> int | None:
             return None
         negatives = _tridiagonal_count(d, e, -bound - 1.0, -tol, bound)
     try:
-        schur, *_ = arrow_schur(d, e, border, corner)
+        schur, *_ = arrow_schur(d, e, border, corners)
     except np.linalg.LinAlgError:
         return None
-    s = np.linalg.eigvalsh((schur + schur.conj().T) / 2.0)
-    return negatives + int(np.sum(s < 0))
+    s = np.linalg.eigvalsh((schur + _adjoint(schur)) / 2.0)
+    return negatives + np.count_nonzero(s < 0, axis=-1)
 
 
 def _arpack_block(pencil: Pencil, k: int, shift: float) -> np.ndarray | None:
@@ -522,31 +545,97 @@ def _certified(arrow: ArrowBlocks, count: int, ritz: _Ritz,
     """Whether the lowest ``count`` pairs of the Rayleigh-Ritz step
     ``ritz`` of the pencil with arrow blocks ``arrow`` are certified; when
     they are not, the reason is logged with the ``fallback`` path named.
+    The stack of one of :func:`_certify_stack`."""
+    return _certify_stack([arrow], count, [ritz], fallback)[0] is not None
+
+
+def _certify_stack(arrows: Sequence[ArrowBlocks], count: int,
+                   ritzes: Sequence[_Ritz], fallback: str) -> list[str | None]:
+    """The certificate of the lowest ``count`` pairs of each Rayleigh-Ritz
+    step in ``ritzes``, of the pencil with its arrow blocks in ``arrows``,
+    all of which share their bands: "shared" for a pencil certified at
+    the shared tau of its group, "own" for one certified at a tau of its
+    own gap and None (with the reason logged, the ``fallback`` path named)
+    for one that is not certified.
 
     The certificate: a gap wider than DEGENERACY_RTOL above Ritz value
-    ``count`` of the ascending ``ritz.w``; nu(tau) equal to the number of
-    Ritz values below tau, for a tau inside that gap; every residual within
-    its tolerance, RESIDUAL_RTOL * (||A|| + |lambda| ||B||) with the matrix
-    1-norms summed over the arrow blocks (:meth:`_SearchSpace.steps`).
-    Ritz values bound the eigenvalues of their index from above, so
-    nu(tau) is at least that number, and equals it only when no eigenvalue
-    below tau was missed; any tau inside the gap certifies.  The first tau lies half of DEGENERACY_RTOL above the lower
-    end of the gap.  Near that end tau also certifies a Ritz value above
-    the gap that lies far above its eigenvalue, as after inverse steps from
-    converged vectors, which add only rounding noise to the basis.  When
-    the bulk block T(tau) is numerically singular there, nu(tau) is not
-    trusted, and the points _GAP_FRACTIONS of the way up the gap are tried
-    in turn.
+    ``count`` of the ascending ``ritz.w``; nu(tau) equal to the number
+    ``below`` of Ritz values below tau, for a tau inside that gap; every
+    residual within its tolerance, RESIDUAL_RTOL * (||A|| + |lambda| ||B||)
+    with the matrix 1-norms summed over the arrow blocks
+    (:meth:`_SearchSpace.steps`).  Ritz values bound the eigenvalues of
+    their index from above, so nu(tau) is at least ``below``, and equals it
+    only when no eigenvalue below tau was missed; any tau inside the gap
+    certifies.
+
+    The pencils whose residuals pass are grouped by ``below`` and the
+    dtype of their boundary blocks, and each group is counted at one
+    shared tau, half of DEGENERACY_RTOL above the highest lower end of
+    their gaps: Haynsworth's count takes In_-(T(tau)), the singularity
+    test of T(tau) and E^T T(tau)^{-1} E once, as only the boundary block C
+    depends on U, and each pencil one ``eigvalsh`` of its 2n x 2n Schur
+    complement (:func:`_negative_counts`).  For a stack of one that tau is
+    the pencil's own first tau.  A pencil whose gap excludes the shared
+    tau, whose count there is not ``below``, or whose group finds T(tau)
+    numerically singular is certified alone (:func:`_certify_alone`).
     """
-    w = ritz.w
+    out: list[str | None] = [None] * len(arrows)
+    groups: dict[tuple, list] = {}
+    for i, ritz in enumerate(ritzes):
+        gap = _first_gap(ritz.w, count)
+        if gap is not None and ritz.converged:
+            below, low, high = gap
+            key = (below, np.iscomplexobj(arrows[i].a[3]))
+            groups.setdefault(key, []).append((i, low, high))
+    for (below, _), members in groups.items():
+        _, lows, highs = zip(*members)
+        tau = max(lows) + 0.5 * DEGENERACY_RTOL * max(1.0, abs(min(highs)))
+        inside = [i for i, low, high in members if low < tau < high]
+        if not inside:
+            continue
+        corners = (np.stack([arrows[i].a[3] for i in inside])
+                   - tau * np.stack([arrows[i].b[3] for i in inside]))
+        found = _negative_counts(*arrows[inside[0]].minus(tau)[:3], corners)
+        if found is not None:
+            for i, nu in zip(inside, found):
+                if nu == below:
+                    out[i] = "shared"
+    for i, (arrow, ritz) in enumerate(zip(arrows, ritzes)):
+        if out[i] is None and _certify_alone(arrow, count, ritz, fallback):
+            out[i] = "own"
+    return out
+
+
+def _first_gap(w: np.ndarray, count: int) -> tuple[int, float, float] | None:
+    """(below, low, high) of the first gap wider than DEGENERACY_RTOL above
+    Ritz value ``count`` of the ascending ``w``: the number of Ritz values
+    below it and its ends; None when there is none."""
     wide = _gaps(w[count - 1:], DEGENERACY_RTOL)
     if not np.any(wide):
+        return None
+    below = count + int(np.argmax(wide))
+    return below, w[below - 1], w[below]
+
+
+def _certify_alone(arrow: ArrowBlocks, count: int, ritz: _Ritz,
+                   fallback: str) -> bool:
+    """The certificate of :func:`_certify_stack` for one pencil at taus of
+    its own gap.
+
+    The first tau lies half of DEGENERACY_RTOL above the lower end of the
+    gap.  Near that end tau also certifies a Ritz value above the gap that
+    lies far above its eigenvalue, as after inverse steps from converged
+    vectors, which add only rounding noise to the basis.  When the bulk
+    block T(tau) is numerically singular there, nu(tau) is not trusted,
+    and the points _GAP_FRACTIONS of the way up the gap are tried in turn.
+    """
+    gap = _first_gap(ritz.w, count)
+    if gap is None:
         _LOG.warning("no gap above eigenvalue %d; %s fallback", count, fallback)
         return False
 
     # Exactly `below` Ritz values lie under the first gap, at every tau.
-    below = count + int(np.argmax(wide))
-    low, high = w[below - 1], w[below]
+    below, low, high = gap
     for tau in (low + 0.5 * DEGENERACY_RTOL * max(1.0, abs(high)),
                 *(low + fraction * (high - low) for fraction in _GAP_FRACTIONS)):
         found = _negative_count(*arrow.minus(tau))
@@ -758,12 +847,14 @@ class _SearchSpace:
         block and takes a Rayleigh-Ritz step on its span, that of [V, W]
         (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4 and
         11).  Rounds stop once the lowest ``count`` residuals are within
-        their tolerances, or after _WARM_ROUNDS; the result then has to
-        pass the certificate of :func:`_certified`.  A block of more than
+        their tolerances, or after _WARM_ROUNDS.  A block of more than
         ``count`` columns that already holds the wanted pairs, such as the
         stability study's base eigenvectors with their boundary responses,
         takes no round at all.  One of ``count`` columns always takes one:
-        the certificate needs a Ritz value above the gap.
+        the certificate needs a Ritz value above the gap.  The chunk's
+        results then have to pass the certificate of :func:`_certify_stack`,
+        which counts them at one shared tau and certifies alone only a
+        pencil that tau does not certify.
 
         A pencil that fails, and every pencil of a chunk whose stacked step
         raises (a non-finite boundary block, a failed Cholesky
@@ -773,7 +864,8 @@ class _SearchSpace:
         The cold path runs after the chunk's one-thread scope, so a dense
         fallback keeps the caller's BLAS threads.  One INFO record on the
         ``saext`` logger counts the pencils the stacked step, the rounds
-        and the cold path answered.
+        and the cold path answered, and those of the first two certified
+        at their chunk's shared tau.
 
         Raises
         ------
@@ -781,13 +873,15 @@ class _SearchSpace:
             When the bands of an ``arrow`` are not this space's, or as
             :func:`solve_pencil` for a pencil on the cold path.
         """
-        answers, paths = [], {"stacked": 0, "rounds": 0, "cold": 0}
+        answers = []
+        paths = {"stacked": 0, "rounds": 0, "cold": 0, "shared": 0}
         for first in range(0, len(arrows), _SWEEP_CHUNK):
             answers += self._solve_chunk(arrows[first:first + _SWEEP_CHUNK],
                                          count, paths)
         _LOG.info("warm solve of %d pencils: %d certified by the stacked "
                   "Rayleigh-Ritz step, %d after inverse-step rounds, %d by the "
-                  "cold path", len(arrows), *paths.values())
+                  "cold path; %d certified at their chunk's shared tau",
+                  len(arrows), *paths.values())
         return answers
 
     def _solve_chunk(self, arrows: Sequence[ArrowBlocks], count: int,
@@ -802,21 +896,24 @@ class _SearchSpace:
                 steps = [None] * len(arrows)
             steps = [None if ritz is None else self._rounds(arrow, count, ritz)
                      for arrow, ritz in zip(arrows, steps)]
+            warm = [i for i, ritz in enumerate(steps) if ritz is not None]
+            certified = dict(zip(warm, _certify_stack(
+                [arrows[i] for i in warm], count, [steps[i] for i in warm], "cold")))
         out = []
-        for arrow, ritz in zip(arrows, steps):
-            if ritz is None:
+        for i, (arrow, ritz) in enumerate(zip(arrows, steps)):
+            if certified.get(i) is None:
                 paths["cold"] += 1
                 out.append(solve_pencil(arrow.pencil(), count).eigenvalues)
             else:
                 paths["stacked" if ritz.space is self else "rounds"] += 1
+                paths["shared"] += certified[i] == "shared"
                 out.append(ritz.eigenvalues)
         return out
 
     def _rounds(self, arrow: ArrowBlocks, count: int, ritz: _Ritz) -> _Ritz | None:
-        """The inverse-step rounds and the certificate of
-        :meth:`solve_stack` for one pencil from its first step ``ritz``:
-        the certified step, or None (with the reason logged) when the cold
-        path has to answer."""
+        """The inverse-step rounds of :meth:`solve_stack` for one pencil
+        from its first step ``ritz``: the last step, or None (with the
+        reason logged) when an inverse step or a step fails."""
         try:
             space = self
             done = ritz.w.size > count and ritz.converged
@@ -830,14 +927,7 @@ class _SearchSpace:
         except np.linalg.LinAlgError as exc:
             _LOG.warning("warm path failed (%s); cold fallback", exc)
             return None
-        if _certified(arrow, count, ritz, fallback="cold"):
-            return ritz
-        return None
-
-
-def _adjoint(m: np.ndarray) -> np.ndarray:
-    """The conjugate transpose of each matrix of a stack."""
-    return m.conj().swapaxes(-1, -2)
+        return ritz
 
 
 def _inverse_step(arrow: ArrowBlocks, theta: float, rhs: np.ndarray) -> np.ndarray:

@@ -30,9 +30,10 @@ mesh, V and mu: :class:`BulkAssembly` computes them once.
 values and returns it with the shared bands as :class:`ArrowBlocks`;
 :meth:`BulkAssembly.pencil` is its :meth:`ArrowBlocks.pencil`.
 :func:`assemble_pencil` builds the bulk part and one pencil in one call.
-The stability sweep builds the boundary blocks of all its U at once
+The stability sweep builds the boundary blocks of all its U at once, from
+the (m, 2n, 2n) stacks of their boundary values
 (``BulkAssembly._arrow_stack``, of which :meth:`BulkAssembly.arrow` is the
-stack of one) and CSR arrays only for its base pencil and for a perturbed
+stack of one), and CSR arrays only for its base pencil and for a perturbed
 pencil that the eigensolver hands to its cold path.
 
 The quadratic form behind A is
@@ -47,14 +48,12 @@ beyond roundoff.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy
 
-from .boundary import BoundaryCondition, BoundaryValues
+from .boundary import BoundaryCondition, BoundaryValues, _adjoint
 from .geometry import Mesh
 from .potentials import Potential, ZeroPotential
 
@@ -302,14 +301,6 @@ def _element_potential(potential: Potential, mesh: Mesh, alpha: int,
             wv @ t_ref ** 2, float(np.min(vq)))
 
 
-class _MatrixPart(NamedTuple):
-    """The U-independent part of one matrix of the pencil."""
-
-    bands: tuple  # (diag, upper, border) of its arrow blocks
-    corner_from_bands: np.ndarray  # band entries inside the boundary block
-    band_max: float  # largest band entry, for the hermiticity gate's scale
-
-
 def _frozen(array: np.ndarray) -> np.ndarray:
     """``array``, made read-only: the bands are shared by every pencil of a
     sweep, and every block must keep matching its pencil's CSR arrays."""
@@ -407,7 +398,10 @@ class BulkAssembly:
         self._diagonal = np.diag_indices(bidx.size)
         self._order = _frozen(np.concatenate([bulk, bidx]))
 
-        self._parts = []  # A's, then B's
+        # per matrix, A's then B's: the (diag, upper, border) of its arrow
+        # blocks, its band entries inside the boundary block and, for the
+        # hermiticity gate, max(1, largest band entry)
+        self._bands, corner_from_bands, scale_floor = [], [], []
         for tri in (a_tri, b_tri):
             vals = np.concatenate(tri)
             diag = np.zeros(bulk.size)
@@ -417,11 +411,11 @@ class BulkAssembly:
             border = np.zeros((bulk.size, bidx.size))
             border[position[rows[row_side]], local[cols[row_side]]] = vals[row_side]
             border[position[cols[col_side]], local[rows[col_side]]] = vals[col_side]
-            self._parts.append(_MatrixPart(
-                bands=tuple(_frozen(m) for m in (diag, upper, border)),
-                corner_from_bands=vals[in_corner],
-                band_max=max(float(np.max(np.abs(t))) for t in tri),
-            ))
+            self._bands.append(tuple(_frozen(m) for m in (diag, upper, border)))
+            corner_from_bands.append(vals[in_corner])
+            scale_floor.append(max(1.0, *(float(np.max(np.abs(t))) for t in tri)))
+        self._corner_from_bands = np.array(corner_from_bands)[:, None, :]
+        self._scale_floor = np.array(scale_floor)[:, None]
 
     def arrow(self, bc: BoundaryCondition, bvals: BoundaryValues) -> ArrowBlocks:
         """The arrow blocks of the pencil of boundary condition ``bc`` with
@@ -445,41 +439,40 @@ class BulkAssembly:
             weighted-hermiticity constraint, or a raw boundary block that is
             not hermitian to roundoff.
         """
-        return self._arrow_stack([bc], [bvals])[0]
+        mesh, two_n = self.mesh, 2 * self.mesh.n
+        if bc.n != mesh.n:
+            raise AssemblyError(f"boundary condition n = {bc.n}, mesh n = {mesh.n}")
+        if bvals.v.shape != (two_n, two_n):
+            raise AssemblyError(
+                f"boundary values have shape {bvals.v.shape}, expected "
+                f"{(two_n, two_n)}"
+            )
+        if not np.array_equal(bvals.h, mesh.h_endpoint):
+            raise AssemblyError("boundary values were solved on a different mesh")
+        return self._arrow_stack(bvals.v[None], bvals.g[None])[0]
 
-    def _arrow_stack(self, bcs: Sequence[BoundaryCondition],
-                     values: Sequence[BoundaryValues]) -> list[ArrowBlocks]:
-        """:meth:`arrow` of each (bc, bvals) pair, with the boundary blocks
-        built as one (m, 2n, 2n) stack: the same operations as for one
-        pair, element by element, so each set of blocks is bitwise the one
-        :meth:`arrow` gives.  Every input check runs pair by pair before the
-        build, and the raw hermiticity gate after it, pair by pair.
+    def _arrow_stack(self, v: np.ndarray, g: np.ndarray) -> list[ArrowBlocks]:
+        """:meth:`arrow` of each set of boundary values (V, G) of the
+        stacks ``v`` and ``g`` (m, 2n, 2n), solved on this mesh, with the
+        boundary blocks built as one stack: the same operations as for one
+        set, element by element, so each set of blocks is bitwise the one
+        :meth:`arrow` gives.  The weighted-hermiticity check runs over the
+        stack before the build, and the raw hermiticity gate after it.
 
         Raises
         ------
         AssemblyError
-            As :meth:`arrow`, for the first pair that fails.
+            As :meth:`arrow`'s gates on G and on the raw boundary block,
+            for the first set of values that fails.
         """
         mesh, mu = self.mesh, self.mu
         two_n = 2 * mesh.n
-        for bc, bvals in zip(bcs, values):
-            if bc.n != mesh.n:
-                raise AssemblyError(f"boundary condition n = {bc.n}, mesh n = {mesh.n}")
-            if bvals.v.shape != (two_n, two_n):
-                raise AssemblyError(
-                    f"boundary values have shape {bvals.v.shape}, expected "
-                    f"{(two_n, two_n)}"
-                )
-            if not np.array_equal(bvals.h, mesh.h_endpoint):
-                raise AssemblyError("boundary values were solved on a different mesh")
-            if not np.array_equal(bvals.g, bvals.g.conj().T):
-                raise AssemblyError(
-                    "boundary values violate the weighted hermiticity constraint; "
-                    "solve them through solve_boundary_values"
-                )
+        if not np.array_equal(g, _adjoint(g)):
+            raise AssemblyError(
+                "boundary values violate the weighted hermiticity constraint; "
+                "solve them through solve_boundary_values"
+            )
 
-        v = np.stack([bvals.v for bvals in values])
-        g = np.stack([bvals.g for bvals in values])
         unit = np.eye(two_n)
         # Lagrange boundary bracket, nonzero only on the boundary block:
         # [conj(beta_l) beta_m']_boundary = (G^H V - G^H)[l, m] = (G V - G)[l, m]
@@ -501,36 +494,34 @@ class BulkAssembly:
                 a_block += (stiff * (ll - lr - rl + rr) + p00[e] * ll
                             + p01[e] * (lr + rl) + p11[e] * rr)
 
-        raws = (a_block, b_block)
-        scales = [np.max(np.abs(raw), axis=(-2, -1)) for raw in raws]
-        defects = [np.max(np.abs(raw - raw.conj().swapaxes(-1, -2)), axis=(-2, -1))
-                   for raw in raws]
-        for i in range(len(values)):
-            for name, part, scale, defect in zip("AB", self._parts, scales, defects):
-                scale = max(1.0, float(scale[i]), part.band_max)
-                if not defect[i] <= _CONSISTENCY_TOL * scale:
-                    raise AssemblyError(
-                        f"raw {name} assembly is non-hermitian beyond roundoff "
-                        f"(defect {defect[i]:.3e}, scale {scale:.3e})"
-                    )
+        raws = np.stack([a_block, b_block])  # A's, then B's
+        # the scale max(1, largest band entry, max |raw|), a NaN left out
+        scales = np.fmax(np.max(np.abs(raws), axis=(-2, -1)), self._scale_floor)
+        defects = np.max(np.abs(raws - _adjoint(raws)), axis=(-2, -1))
+        passed = defects <= _CONSISTENCY_TOL * scales
+        if not passed.all():
+            i = int(np.argmin(passed.all(axis=0)))  # the first failing pencil
+            k = int(np.argmin(passed[:, i]))  # A before B
+            raise AssemblyError(
+                f"raw {'AB'[k]} assembly is non-hermitian beyond roundoff "
+                f"(defect {defects[k, i]:.3e}, scale {scales[k, i]:.3e})"
+            )
 
         (iu, ju), (di, dj) = self._upper, self._diagonal
         tri_i, tri_j = self._tri_corner
-        corners = []
-        for raw, part in zip(raws, self._parts):
-            raw[:, tri_i, tri_j] += part.corner_from_bands
-            corner = np.zeros_like(raw)
-            corner[:, iu, ju] = raw[:, iu, ju]
-            corner[:, ju, iu] = raw[:, iu, ju].conj()
-            corner[:, di, dj] = raw[:, di, dj].real
-            corners.append(corner)
+        raws[..., tri_i, tri_j] += self._corner_from_bands
+        corners = np.zeros_like(raws)
+        corners[..., iu, ju] = raws[..., iu, ju]
+        corners[..., ju, iu] = raws[..., iu, ju].conj()
+        corners[..., di, dj] = raws[..., di, dj].real
 
+        real = ~np.any(corners.imag, axis=(0, -2, -1))
+        a_bands, b_bands = self._bands
         out = []
-        for a_corner, b_corner in zip(*corners):
-            real = not (np.any(a_corner.imag) or np.any(b_corner.imag))
-            blocks = [(*part.bands, _frozen(c.real.copy() if real else c))
-                      for part, c in zip(self._parts, (a_corner, b_corner))]
-            out.append(ArrowBlocks(*blocks, self._order, self.v_min))
+        for i, is_real in enumerate(real):
+            a, b = corners[:, i].real.copy() if is_real else corners[:, i]
+            out.append(ArrowBlocks((*a_bands, _frozen(a)), (*b_bands, _frozen(b)),
+                                   self._order, self.v_min))
         return out
 
     def pencil(self, bc: BoundaryCondition, bvals: BoundaryValues) -> Pencil:

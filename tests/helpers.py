@@ -410,6 +410,73 @@ def power_law_fit_multistart(eps: np.ndarray, k_vals: np.ndarray):
     return best
 
 
+def power_law_fits_row_by_row(eps: np.ndarray, k_rows: np.ndarray) -> list:
+    """``saext.cli._power_law_fits`` as it was before its first scan
+    centred eps**b once for all rows: the centred least squares of each
+    row against the whole exponent grid recomputes mean p, p - mean p and
+    |p - mean p|^2, then the rescans refine every row on its own bracket.
+    The reference for the fit's bits."""
+    def lstsq(p, k):
+        k_mean = k.mean(axis=-1)
+        k_c = k - k_mean[..., None]
+        with np.errstate(all="ignore"):
+            p_mean = p.mean(axis=-1)
+            p_c = p - p_mean[..., None]
+            a = np.sum(p_c * k_c, axis=-1) / np.sum(p_c * p_c, axis=-1)
+            resid = k_c - a[..., None] * p_c
+            cost = np.sum(resid * resid, axis=-1)
+        return a, k_mean - a * p_mean, np.where(np.isfinite(cost), cost, np.inf)
+
+    k = np.asarray(k_rows)
+    grid = np.linspace(-4.0, 4.0, 800)
+    with np.errstate(all="ignore"):
+        powers = eps ** grid[:, None]
+    a, c, costs = (np.array(parts) for parts in zip(*(lstsq(powers, row) for row in k)))
+    k = k[:, None, :]
+    rows = np.arange(k.shape[0])
+    i = np.argmin(costs, axis=-1)
+    fits = np.isfinite(costs[rows, i])
+    best = [a[rows, i], grid[i], c[rows, i]]
+    low, high = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, grid.size - 1)]
+    active = fits & (grid[1] - grid[0] >= 1e-12)
+    while np.any(active):
+        grid = np.linspace(low[active], high[active], 41, axis=-1)
+        with np.errstate(all="ignore"):
+            a, c, costs = lstsq(eps ** grid[..., None], k[active])
+        rows = np.arange(grid.shape[0])
+        i = np.argmin(costs, axis=-1)
+        for value, new in zip(best, (a[rows, i], grid[rows, i], c[rows, i])):
+            value[active] = new
+        low[active] = grid[rows, np.maximum(i - 1, 0)]
+        high[active] = grid[rows, np.minimum(i + 1, grid.shape[1] - 1)]
+        active[active] = grid[:, 1] - grid[:, 0] >= 1e-12
+    return [tuple(map(float, abc)) if fit else None for fit, *abc in zip(fits, *best)]
+
+
+def stability_k_rows_loop(eps_list, spectra, base, clusters, levels, matching):
+    """The ("K" or "skipped", eps, level, value) rows of the stability
+    study as ``saext.cli.stability_study`` formed them before its K table
+    became one array expression per level: a loop over eps and levels, the
+    ratio of each cluster member in Python scalars and ``np.mean`` of each
+    list of ratios.  The reference for the K table's bits."""
+    rows = []
+    for eps, lam_eps in zip(eps_list, spectra):
+        for lev in range(1, levels + 1):
+            members = clusters[lev]
+            if any(abs(base[i]) < 1e-6 for i in members):
+                rows.append(("skipped", eps, lev, "ill-conditioned ratio"))
+                continue
+            ratios = []
+            for i in members:
+                if matching == "index":
+                    lam_p = lam_eps[i]
+                else:
+                    lam_p = lam_eps[int(np.argmin(np.abs(lam_eps - base[i])))]
+                ratios.append(abs(lam_p - base[i]) / (eps * abs(base[i])))
+            rows.append(("K", eps, lev, float(np.mean(ratios))))
+    return rows
+
+
 def write_text_csv_reference(path, header, rows) -> None:
     """The CLI's writer of tables whose cells are already text, as it was
     before text columns went through ``saext.cli._write_table``: one

@@ -15,9 +15,14 @@ import scipy.linalg
 
 import saext
 from saext import cli, eigen, fem
-from helpers import power_law_fit_multistart
+from helpers import (
+    power_law_fit_multistart,
+    power_law_fits_row_by_row,
+    stability_k_rows_loop,
+)
 from saext.boundary import assemble_boundary_system, solve_boundary_values
-from saext.boundary import BoundaryCondition, ConditionFailure
+from saext.boundary import BoundaryCondition, BoundaryError, BoundaryValues
+from saext.boundary import ConditionFailure
 from saext.cli import (
     EXIT_CONDITIONING,
     EXIT_CONFIG,
@@ -88,6 +93,19 @@ def test_fit_matches_multistart_reference_on_criterion_10():
         assert abs(fits[lev][1] - reference[1]) <= 1e-5
 
 
+def test_fit_is_the_row_by_row_scan_bitwise_on_criterion_10():
+    # the first scan centres eps**b once for all levels: the same bits as
+    # centring it again for each level
+    rows, fits, _ = stability_study(parse_config(CRITERION_10_CONFIG))
+    eps = np.array([r[1] for r in rows if r[0] == "K" and r[2] == 1])
+    k_rows = np.array([[r[3] for r in rows if r[0] == "K" and r[2] == lev]
+                       for lev in (1, 2, 3, 4)])
+    assert k_rows.shape == (4, 100)
+    reference = power_law_fits_row_by_row(eps, k_rows)
+    for got in (_power_law_fits(eps, k_rows), [fits[lev] for lev in (1, 2, 3, 4)]):
+        assert np.array(got).tobytes() == np.array(reference).tobytes()
+
+
 def test_fit_of_all_nan_data_is_none():
     assert _power_law_fits(EPS, np.full((1, EPS.size), np.nan))[0] is None
 
@@ -130,10 +148,14 @@ def _recorded_sweep(monkeypatch, cfg):
     and those of the cold path, the (arrow, block) of each search space it
     built, the (space, bulk assembly, bc, values, eigenvalues) of each
     pencil its stacked solve in a space took, and the number of CSR
-    pencils it built.  Each space keeps the Ritz step of each pencil its
-    stacked steps took in ``stacked``."""
-    calls, stacks, spaces, solves, pencils = [], [], [], [], []
+    pencils it built.  The sweep carries its U and their boundary values
+    as stacks; the bc and values of each pencil are built here from the U
+    it gave the boundary solve and the (V, G) it gave ``_arrow_stack``.
+    Each space keeps the Ritz step of each pencil its stacked steps took
+    in ``stacked``."""
+    calls, boundary, stacks, spaces, solves, pencils = [], [], [], [], [], []
     solve = eigen.solve_pencil
+    boundary_values = cli._boundary_values_stack
     arrow_stack = fem.BulkAssembly._arrow_stack
     pencil = fem.ArrowBlocks.pencil
 
@@ -142,9 +164,13 @@ def _recorded_sweep(monkeypatch, cfg):
         calls.append((pencil, solution))
         return solution
 
-    def recording_arrow_stack(self, bcs, values):
-        blocks = arrow_stack(self, bcs, values)
-        stacks.append((self, bcs, values, blocks))
+    def recording_boundary_values(u, mesh, kappa_max):
+        boundary.append((u, mesh))
+        return boundary_values(u, mesh, kappa_max)
+
+    def recording_arrow_stack(self, v, g):
+        blocks = arrow_stack(self, v, g)
+        stacks.append((self, v, g, blocks))
         return blocks
 
     def recording_pencil(self):
@@ -164,14 +190,18 @@ def _recorded_sweep(monkeypatch, cfg):
 
         def solve_stack(self, blocks, count):
             answers = super().solve_stack(blocks, count)
-            bulk, bcs, values, made = stacks[-1]
+            bulk, v, g, made = stacks[-1]
             assert made is blocks
-            solves.extend((self, bulk, bc, vals, answer)
-                          for bc, vals, answer in zip(bcs, values, answers))
+            [(u, mesh)] = boundary
+            solves.extend(
+                (self, bulk, BoundaryCondition.from_matrix(u_i),
+                 BoundaryValues(v=v_i, g=g_i, h=mesh.h_endpoint), answer)
+                for u_i, v_i, g_i, answer in zip(u, v, g, answers, strict=True))
             return answers
 
     monkeypatch.setattr(cli, "solve_pencil", recording_solve)
     monkeypatch.setattr(eigen, "solve_pencil", recording_solve)
+    monkeypatch.setattr(cli, "_boundary_values_stack", recording_boundary_values)
     monkeypatch.setattr(fem.BulkAssembly, "_arrow_stack", recording_arrow_stack)
     monkeypatch.setattr(fem.ArrowBlocks, "pencil", recording_pencil)
     monkeypatch.setattr(cli, "_SearchSpace", RecordingSpace)
@@ -189,7 +219,7 @@ def _relative(got, want):
 def _paths(caplog):
     """The (stacked step, inverse-step rounds, cold path) counts of each
     warm solve record on the saext logger."""
-    return [tuple(record.args[1:]) for record in caplog.records
+    return [tuple(record.args[1:4]) for record in caplog.records
             if record.getMessage().startswith("warm solve of")]
 
 
@@ -287,8 +317,8 @@ def test_sweep_non_finite_boundary_block_exits_solver(monkeypatch, tmp_path, cap
     arrow_stack = fem.BulkAssembly._arrow_stack
     made = []
 
-    def poisoned(self, bcs, values):
-        blocks = arrow_stack(self, bcs, values)
+    def poisoned(self, v, g):
+        blocks = arrow_stack(self, v, g)
         made.append(blocks)
         if len(made) == 1:  # the base pencil
             return blocks
@@ -312,15 +342,16 @@ def test_sweep_non_finite_boundary_block_exits_solver(monkeypatch, tmp_path, cap
     assert "solver failure: A has a non-finite entry" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("lines, paths", [
-    ("", (100, 0, 0)),
+@pytest.mark.parametrize("lines, paths, shared", [
+    ("", (100, 0, 0), 100),
     ("stability.eps_start = 0.02\nstability.eps_stop = 0.06\n"
-     "stability.eps_step = 0.02\n", (0, 3, 0)),
+     "stability.eps_step = 0.02\n", (0, 3, 0), 3),
 ], ids=["criterion-10", "rounds"])
-def test_sweep_logs_the_path_of_each_pencil(caplog, lines, paths):
+def test_sweep_logs_the_path_of_each_pencil(caplog, lines, paths, shared):
     # one record a sweep, from its one stacked solve: the pencils the
     # stacked step certified, those that took inverse-step rounds and those
-    # the cold path answered
+    # the cold path answered, and how many of the certified ones their
+    # chunk's shared tau certified
     with caplog.at_level(logging.INFO, logger="saext"):
         stability_study(parse_config(CRITERION_10_CONFIG + lines))
     assert _paths(caplog) == [paths]
@@ -329,7 +360,36 @@ def test_sweep_logs_the_path_of_each_pencil(caplog, lines, paths):
     assert message == (
         f"warm solve of {sum(paths)} pencils: {paths[0]} certified by the "
         f"stacked Rayleigh-Ritz step, {paths[1]} after inverse-step rounds, "
-        f"{paths[2]} by the cold path")
+        f"{paths[2]} by the cold path; {shared} certified at their chunk's "
+        f"shared tau")
+
+
+@pytest.mark.parametrize("lines, chunks", [
+    ("", 5),
+    ("stability.eps_start = 1e-3\nstability.eps_stop = 0.2\n"
+     "stability.eps_step = 1e-3\n", 10),
+], ids=["criterion-10", "eps-1e-3-to-0.2"])
+def test_shared_certificate_decides_as_each_pencil_alone(monkeypatch, lines, chunks):
+    # each chunk of the sweep is certified at one shared tau: every pencil
+    # it certifies there, or alone after it, the certificate of that
+    # pencil alone certifies too, and no other
+    certify_stack, recorded = eigen._certify_stack, []
+
+    def recording(arrows, count, ritzes, fallback):
+        decisions = certify_stack(arrows, count, ritzes, fallback)
+        recorded.append((arrows, count, ritzes, fallback, decisions))
+        return decisions
+
+    monkeypatch.setattr(eigen, "_certify_stack", recording)
+    stability_study(parse_config(CRITERION_10_CONFIG + lines))
+    warm = [parts for *parts, fallback, _ in recorded if fallback == "cold"]
+    decisions = [decision for *_, fallback, made in recorded if fallback == "cold"
+                 for decision in made]
+    assert len(warm) == chunks and len(decisions) == 20 * chunks
+    assert decisions == ["shared"] * len(decisions)
+    alone = [eigen._certify_alone(arrow, count, ritz, "cold")
+             for arrows, count, ritzes in warm for arrow, ritz in zip(arrows, ritzes)]
+    assert alone == [decision is not None for decision in decisions]
 
 
 def test_sweep_stacks_match_single_pencil_solves(monkeypatch):
@@ -355,6 +415,45 @@ def test_sweep_stacks_match_single_pencil_solves(monkeypatch):
         assert step.residuals.tobytes() == single.residuals.tobytes()
         [single] = space.solve_stack([arrow], 9)
         assert eigenvalues.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("case", ["index", "nearest", "skipped-level"])
+def test_sweep_k_table_is_the_loop_bitwise(monkeypatch, case):
+    # the K table, one array expression per level, gives the rows of the
+    # loop over eps and levels bit for bit: matched by index, by nearest
+    # value (on the geodesic family), and with level 1 moved to 0 by a
+    # constant potential, so that its ratio is skipped
+    lines = ("stability.eps_start = 1e-4\nstability.eps_stop = 2e-3\n"
+             "stability.eps_step = 1e-4\n")
+    if case == "nearest":
+        lines += "stability.mode = geodesic\nstability.matching = nearest\n"
+    elif case == "skipped-level":
+        level_1 = float(solve_pencil(_base_pencil(), count=9).eigenvalues[1])
+        lines += f"potential.kind = constant\npotential.values = {-level_1!r}\n"
+    cfg = parse_config(CRITERION_10_CONFIG + lines)
+    (rows, fits, distances), calls, _, solves, _ = _recorded_sweep(monkeypatch, cfg)
+    base = calls[0][1]
+    reference = stability_k_rows_loop(
+        [eps for eps, _ in distances], [answer for *_, answer in solves],
+        base.eigenvalues, base.degenerate_clusters(rtol=1e-3),
+        cfg.stability_levels, cfg.stability_matching)
+    assert len(rows) == 20 * 4
+    assert repr(rows) == repr(reference)
+    skipped = [row for row in rows if row[0] == "skipped"]
+    if case == "skipped-level":
+        assert [row[2] for row in skipped] == [1] * 20
+        assert fits[1] is None and all(fits[lev] for lev in (2, 3, 4))
+    else:
+        assert not skipped
+
+
+def _base_pencil():
+    """The assembled pencil of criterion 10's periodic ring."""
+    cfg = parse_config(CRITERION_10_CONFIG)
+    geom, bc, potential = build_problem(cfg)
+    mesh = build_mesh(geom, cfg.resolution)
+    values = solve_boundary_values(assemble_boundary_system(bc, mesh))
+    return assemble_pencil(mesh, bc, values, potential)
 
 
 def test_sweep_skips_epsilon_zero():
@@ -390,9 +489,12 @@ def test_sweep_condition_failure_at_one_eps_exits_conditioning(
             BoundaryCondition.from_matrix(bad), mesh))
     unitary, seen = cli.nearest_unitary, []
 
-    def bad_at_k(matrix):
-        seen.append(matrix)
-        return (bad, 0.0) if len(seen) == k + 1 else unitary(matrix)
+    def bad_at_k(matrices):
+        # the sweep's one call, on the stack of its perturbed matrices
+        seen.extend(matrices)
+        u, distances = unitary(matrices)
+        u[k] = bad
+        return u, distances
 
     monkeypatch.setattr(cli, "nearest_unitary", bad_at_k)
     cfg_path = tmp_path / "job.cfg"
@@ -405,6 +507,43 @@ def test_sweep_condition_failure_at_one_eps_exits_conditioning(
     err = capsys.readouterr().err
     assert err == f"saext: conditioning failure: {failure.value}\n"
     assert ("incompatible" if kind == "incompatible" else "exceeds kappa_max") in err
+
+
+@pytest.mark.parametrize("k", [0, 25, 46])
+def test_sweep_non_unitary_u_at_one_eps_raises_as_from_matrix(monkeypatch, k):
+    # the k-th perturbed U, and the last, are not unitary: the sweep's
+    # unitarity check on its stack of U raises the error that the first of
+    # them raises alone in BoundaryCondition.from_matrix, before any solve
+    ring = BoundaryCondition.quasi_periodic(0.0).u_endpoint
+
+    def scaled(i):
+        return (1.0 + 1e-6 * (i + 1)) * ring
+
+    with pytest.raises(BoundaryError) as failure:
+        BoundaryCondition.from_matrix(scaled(k))
+    unitary = cli.nearest_unitary
+
+    def non_unitary_at_k(matrices):
+        u, distances = unitary(matrices)
+        for i in {k, len(u) - 1}:
+            u[i] = scaled(i)
+        return u, distances
+
+    arrow_stack, built = fem.BulkAssembly._arrow_stack, []
+
+    def recording(self, v, g):
+        built.append(len(v))
+        return arrow_stack(self, v, g)
+
+    monkeypatch.setattr(cli, "nearest_unitary", non_unitary_at_k)
+    monkeypatch.setattr(fem.BulkAssembly, "_arrow_stack", recording)
+    with pytest.raises(BoundaryError) as swept:
+        stability_study(parse_config(
+            CRITERION_10_CONFIG + "stability.eps_start = 1e-5\n"
+            "stability.eps_stop = 4.7e-4\nstability.eps_step = 1e-5\n"))
+    assert str(swept.value) == str(failure.value)
+    assert "not unitary" in str(swept.value)
+    assert built == [1]  # the base pencil's blocks only
 
 
 # ------------------------------------------------------------ level clusters

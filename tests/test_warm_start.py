@@ -4,6 +4,7 @@ inverse steps by the arrow blocks, under the sparse path's certificate."""
 import dataclasses
 import logging
 import math
+import types
 
 import numpy as np
 import pytest
@@ -55,7 +56,9 @@ def _warm_solution(pencil, count, start):
     answer."""
     space = _SearchSpace(pencil.arrow, start)
     ritz = space._rounds(pencil.arrow, count, space.steps([pencil.arrow], count)[0])
-    return None if ritz is None else ritz.solution
+    if ritz is None or not eigen._certified(pencil.arrow, count, ritz, "cold"):
+        return None
+    return ritz.solution
 
 
 def _relative(got, want):
@@ -228,6 +231,99 @@ def test_one_pencil_of_a_stack_is_taken_alone(criterion_10, caplog, monkeypatch,
     assert messages[0].startswith("warm path failed (")
     assert messages[0].endswith("); cold fallback")
     assert [pencil.arrow for pencil in cold] == arrows[:4]
+
+
+def _stack_in_own_vectors(bulk, matrices, count):
+    """The pencils of the boundary matrices ``matrices`` on ``bulk`` and the
+    search space of the lowest count + 3 cold eigenvectors of each: every
+    pencil's first step certifies, and its Ritz values are its levels."""
+    pencils = [_pencil_for(bulk, u) for u in matrices]
+    start = np.column_stack([solve_pencil(p, count + 3).eigenvectors for p in pencils])
+    return pencils, _SearchSpace(pencils[0].arrow, start)
+
+
+@pytest.mark.parametrize("case", ["gap excludes tau", "another below",
+                                  "singular T(tau)"])
+def test_shared_certificate_falls_back_pencil_by_pencil(case, caplog, monkeypatch):
+    # a pencil the shared tau of its chunk cannot certify is certified
+    # alone, at taus of its own gap; a pencil with another number of Ritz
+    # values below its gap gets a shared tau of its own.  Either way each
+    # pencil gets bitwise the eigenvalues it gets alone.
+    bulk = BulkAssembly(build_mesh(IntervalSet([(0.0, TWO_PI)]), 250))
+    ring = BoundaryCondition.quasi_periodic(0.0).u_endpoint
+    if case == "gap excludes tau":
+        # levels 9 and 10 at 20.27 and 25.03 for Dirichlet, at 14.35 and
+        # 18.56 for an attracting Robin condition: the Robin gap ends below
+        # the shared tau
+        matrices, count, alone = [-np.eye(2), np.exp(-2.5j) * np.eye(2)], 9, [1]
+    elif case == "another below":
+        # a strongly attracting Robin condition binds a pair of levels
+        # degenerate to rounding: the first gap at count 1 lies above two
+        # Ritz values, not one as for the ring
+        matrices, count, alone = [ring, np.exp(-2.9j) * np.eye(2)], 1, []
+    else:
+        # T(tau) is numerically singular at the shared tau and 1% up the
+        # gap, not at 10%
+        generator = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        matrices = [nearest_unitary(ring + 1j * eps * generator)[0]
+                    for eps in (1e-3, 2e-3, 3e-3)]
+        count, alone = 9, [0, 1, 2]
+        monkeypatch.setattr(eigen, "_SINGULAR_RTOL", 5e-5)
+    pencils, space = _stack_in_own_vectors(bulk, matrices, count)
+    arrows = [pencil.arrow for pencil in pencils]
+    certify_alone, seen = eigen._certify_alone, []
+
+    def recording(arrow, count, ritz, fallback):
+        seen.append(arrows.index(arrow))
+        return certify_alone(arrow, count, ritz, fallback)
+
+    negative_counts, counts = eigen._negative_counts, []
+
+    def counting(*blocks):
+        counts.append(negative_counts(*blocks))
+        return counts[-1]
+
+    monkeypatch.setattr(eigen, "_certify_alone", recording)
+    monkeypatch.setattr(eigen, "_negative_counts", counting)
+    with caplog.at_level(logging.INFO, logger="saext"):
+        answers = space.solve_stack(arrows, count)
+    monkeypatch.setattr(eigen, "_negative_counts", negative_counts)
+    assert not _fallbacks(caplog)
+    if case == "singular T(tau)":
+        # None at the shared tau, then at each pencil's first two taus
+        assert [c is None for c in counts] == [True] + [True, True, False] * 3
+    [record] = [r for r in caplog.records if r.getMessage().startswith("warm solve of")]
+    assert record.args[1:] == (len(arrows), 0, 0, len(arrows) - len(alone))
+    assert seen == alone
+    if case == "another below":
+        below = [eigen._first_gap(step.w, count)[0] for step in space.steps(arrows, count)]
+        assert below == [1, 2]
+    for arrow, answer in zip(arrows, answers):
+        [single] = space.solve_stack([arrow], count)
+        assert answer.tobytes() == single.tobytes()
+    assert _relative(answers[-1], _solve_dense(pencils[-1], count).eigenvalues) <= 1e-11
+
+
+def test_shared_certificate_counts_a_missed_eigenvalue(caplog):
+    # Ritz values that miss the Robin pencil's tenth eigenvalue (18.56) put
+    # its gap, from its ninth (14.35) to its eleventh (23.28), around the
+    # Dirichlet gap's lower end (20.27): the shared tau lies in both gaps,
+    # and there the Robin count is ten, not nine.  The Robin pencil is
+    # certified alone, at its own tau below the missed eigenvalue, where
+    # the count is nine: its lowest nine pairs are right.
+    bulk = BulkAssembly(build_mesh(IntervalSet([(0.0, TWO_PI)]), 250))
+    pencils, space = _stack_in_own_vectors(
+        bulk, [-np.eye(2), np.exp(-2.5j) * np.eye(2)], 9)
+    arrows = [pencil.arrow for pencil in pencils]
+    dirichlet, robin = space.steps(arrows, 9)
+    missed = types.SimpleNamespace(w=np.delete(robin.w, 9), converged=True)
+    (_, low, high), (_, shared_low, _) = (eigen._first_gap(ritz.w, 9)
+                                         for ritz in (missed, dirichlet))
+    assert low < robin.w[9] < shared_low < high
+    with caplog.at_level(logging.WARNING, logger="saext"):
+        assert eigen._certify_stack(arrows, 9, [dirichlet, missed], "cold") == [
+            "shared", "own"]
+    assert not _fallbacks(caplog)
 
 
 def test_sweep_start_drops_a_cluster_on_an_exactly_singular_bulk_block(
