@@ -266,27 +266,25 @@ def cmd_convergence(cfg: JobConfig, out_dir: Path, args: argparse.Namespace) -> 
     _write_table(out_dir / "convergence.csv", ["N", "h1_error"], zip(*rows))
 
 
-def nearest_unitary(matrix: np.ndarray):
-    """Polar factor of a matrix and its distance to the input, or of each
-    matrix of a stack (m, d, d) and their distances as an array.
+def nearest_unitary(matrices: np.ndarray):
+    """The polar factor of each matrix of a stack (m, d, d), as an array,
+    and their distances to the matrices, as an array.
 
     The polar factor is W V^H from the thin SVD W S V^H by LAPACK's
     ``gesdd``, looked up once and called directly, once per matrix: the
     factor ``scipy.linalg.polar`` computes, bit for bit, without its
     wrapper layer.
     """
-    matrix = np.asarray(matrix)
-    gesdd, = scipy.linalg.get_lapack_funcs(("gesdd",), (matrix,))
+    matrices = np.asarray(matrices)
+    gesdd, = scipy.linalg.get_lapack_funcs(("gesdd",), (matrices,))
     factors, distances = [], []
-    for m in matrix.reshape(-1, *matrix.shape[-2:]):
+    for m in matrices:
         w, _, vh, info = gesdd(m, compute_uv=1, full_matrices=0)
         if info:
             raise EigenSolveError(f"SVD for the nearest unitary failed: gesdd info {info}")
         u = w @ vh
         factors.append(u)
         distances.append(float(np.linalg.norm(m - u)))
-    if matrix.ndim == 2:
-        return factors[0], distances[0]
     return np.array(factors), np.array(distances)
 
 
@@ -386,13 +384,16 @@ def stability_study(cfg: JobConfig):
     (:func:`~saext.boundary._boundary_values_stack`), so a failure at any
     eps is reported before any eigensolve, one build of their boundary
     blocks (``BulkAssembly._arrow_stack``) and one
-    :meth:`~saext.eigen._SearchSpace.solve_stack`, which certifies each
-    chunk of pencils at a shared tau, certifies alone a pencil that tau
-    does not, and hands one it cannot certify to the cold path.  Each U
-    gets bit for bit the eigenvalues it gets alone, so no result depends
-    on the order of the sweep, unless the stacked step of its chunk raises
-    (a non-finite boundary block or a failed Cholesky factorization): then
-    every pencil of that chunk takes the cold path.  K is one array
+    :meth:`~saext.eigen._SearchSpace.solve_stack`, which certifies the
+    pencils of each chunk with the same number of Ritz values below their
+    gaps at the taus of their common gap, certifies in a stack of its own
+    a pencil they do not, and hands one it cannot certify to the cold
+    path.  Each U gets bit for bit the eigenvalues it gets alone, so no
+    result depends on the order of the sweep, unless the stacked step of
+    its chunk raises (a non-finite boundary block or a failed Cholesky
+    factorization), when every pencil of that chunk takes the cold path,
+    or unless its chunk's tau and its own decide its certificate
+    differently, which no sweep tested does.  K is one array
     expression per level over all eps, with the operations of the ratio
     of one eps.
 

@@ -43,13 +43,13 @@ whether T is numerically singular (then the count is not trusted), come
 from Sturm counts of T by LAPACK's bisection (``stebz``), without
 computing eigenvalues.  sigma steps down from min V - 1 until
 nu(sigma) = 0, and the widened block of a straddling cluster takes 2n
-from the size of C.  A partial solve is returned only when
-nu(tau) equals the number of computed eigenvalues below tau, for tau in
-the first gap above the last wanted eigenvalue (a point deeper in the gap
-where T(tau) is numerically singular), and every residual is within its
-tolerance (:func:`_certified`); otherwise the reason is logged on the
-``saext`` logger and the dense path answers, so a wrong count is never
-returned.
+from the size of C.  A partial solve is returned only when every
+residual is within its tolerance and nu(tau) equals the number of
+computed eigenvalues below tau, for tau in the first gap above the last
+wanted eigenvalue (a point deeper in the gap where T(tau) is numerically
+singular): :func:`_certify_stack`, the one certificate of the module, of
+a stack of one pencil.  Otherwise the reason is logged on the ``saext``
+logger and the dense path answers, so a wrong count is never returned.
 
 The warm path answers the lowest ``count`` eigenvalues of a stack of
 assembled pencils that share their bands from one start block, such as
@@ -80,20 +80,19 @@ and no eigenvector is formed.  So no result depends on the stack, unless
 the chunk's step raises: that chunk then goes to the cold path whole, and
 its healthy pencils get cold eigenvalues, not their warm ones.  The
 inverse-step rounds run pencil by pencil, and the warm results have to
-pass the sparse path's certificate (the gap, nu(tau) and the residual
-gate), which takes a chunk at once (:func:`_certify_stack`): its pencils
-with the same number of Ritz values below their gaps are counted at one
-shared tau, so In_-(T(tau)) and E^T T(tau)^{-1} E are taken once and
-each pencil adds one 2n x 2n ``eigvalsh``, and a pencil that tau does
-not certify is certified alone, as by :func:`_certified`, the
-certificate's stack of one.  The shared tau and a pencil's own first
-tau both lie in its gap, near its lower end, and a count at either
-certifies the same lowest pairs; the decisions can differ only where an
-eigenvalue lies between the two, where the pencil's own tau finds T
-numerically singular, or where the counts round differently.  On
-criterion 10's sweep and on eps 1e-3 .. 0.2 every decision is the
-pencil's own.  The stability study builds one such space per sweep from
-the base eigenvectors and the boundary responses
+pass the sparse path's certificate (the residual gate, the gap and
+nu(tau)), which takes a chunk at once: its pencils with the same number
+of Ritz values below their gaps are counted at the taus of their common
+gap, so In_-(T(tau)) and E^T T(tau)^{-1} E are taken once per tau and
+each pencil adds one 2n x 2n ``eigvalsh``, and a pencil its group does
+not certify is certified in a stack of its own, at the taus of its own
+gap, as the cold path certifies.  Any tau inside a pencil's gap
+certifies its lowest pairs, so the group and the pencil alone decide
+alike unless an eigenvalue missed by the Ritz values lies between their
+taus, T is numerically singular at one and not the other, or the counts
+round differently.  On criterion 10's sweep and on eps 1e-3 .. 0.2 every
+decision is the pencil's own.  The stability study builds one such space
+per sweep from the base eigenvectors and the boundary responses
 R(sigma) = [-T(sigma)^{-1} E(sigma); I] at each base level
 (:meth:`~saext.fem.ArrowBlocks.boundary_response`) and solves all its
 perturbed pencils in it from their arrow blocks.  The bulk part of an
@@ -520,10 +519,9 @@ def _solve_partial(pencil: Pencil, count: int) -> EigenSolution | None:
         _LOG.warning("no shift below the spectrum found; dense fallback")
         return None
 
-    wide = np.zeros(0, dtype=bool)
     two_n = arrow.a[-1].shape[0]  # the boundary block is 2n x 2n
     for k in (count + 1, count + 1 + two_n):
-        if np.any(wide) or _arpack_ncv(k) >= pencil.dim:
+        if _arpack_ncv(k) >= pencil.dim:
             break
         block = _arpack_block(pencil, k, shift)
         if block is None:
@@ -534,75 +532,86 @@ def _solve_partial(pencil: Pencil, count: int) -> EigenSolution | None:
             _LOG.warning("Rayleigh-Ritz step failed (%s); dense fallback", exc)
             return None
         # a real span has up to 2k Ritz values: the first k decide
-        wide = _gaps(ritz.w[count - 1:k], DEGENERACY_RTOL)
-    if _certified(arrow, count, ritz, fallback="dense"):
+        if _first_gap(ritz.w[:k], count) is not None:
+            break
+    if _certify_stack([arrow], count, [ritz], "dense")[0]:
         return ritz.solution
     return None
-
-
-def _certified(arrow: ArrowBlocks, count: int, ritz: _Ritz,
-               fallback: str) -> bool:
-    """Whether the lowest ``count`` pairs of the Rayleigh-Ritz step
-    ``ritz`` of the pencil with arrow blocks ``arrow`` are certified; when
-    they are not, the reason is logged with the ``fallback`` path named.
-    The stack of one of :func:`_certify_stack`."""
-    return _certify_stack([arrow], count, [ritz], fallback)[0] is not None
 
 
 def _certify_stack(arrows: Sequence[ArrowBlocks], count: int,
                    ritzes: Sequence[_Ritz], fallback: str) -> list[str | None]:
     """The certificate of the lowest ``count`` pairs of each Rayleigh-Ritz
     step in ``ritzes``, of the pencil with its arrow blocks in ``arrows``,
-    all of which share their bands: "shared" for a pencil certified at
-    the shared tau of its group, "own" for one certified at a tau of its
-    own gap and None (with the reason logged, the ``fallback`` path named)
-    for one that is not certified.
+    all of which share their bands: "shared" for a pencil certified with
+    its group, "own" for one certified in a stack of its own after its
+    group failed it and None (with the reason logged, the ``fallback``
+    path named) for one that is not certified.
 
-    The certificate: a gap wider than DEGENERACY_RTOL above Ritz value
-    ``count`` of the ascending ``ritz.w``; nu(tau) equal to the number
-    ``below`` of Ritz values below tau, for a tau inside that gap; every
-    residual within its tolerance, RESIDUAL_RTOL * (||A|| + |lambda| ||B||)
-    with the matrix 1-norms summed over the arrow blocks
-    (:meth:`_SearchSpace.steps`).  Ritz values bound the eigenvalues of
+    The certificate: every residual within its tolerance,
+    RESIDUAL_RTOL * (||A|| + |lambda| ||B||) with the matrix 1-norms
+    summed over the arrow blocks (:meth:`_SearchSpace.steps`); a gap wider
+    than DEGENERACY_RTOL above Ritz value ``count`` of the ascending
+    ``ritz.w``; nu(tau) equal to the number ``below`` of Ritz values below
+    tau, for a tau inside that gap.  Ritz values bound the eigenvalues of
     their index from above, so nu(tau) is at least ``below``, and equals it
     only when no eigenvalue below tau was missed; any tau inside the gap
     certifies.
 
-    The pencils whose residuals pass are grouped by ``below`` and the
-    dtype of their boundary blocks, and each group is counted at one
-    shared tau, half of DEGENERACY_RTOL above the highest lower end of
-    their gaps: Haynsworth's count takes In_-(T(tau)), the singularity
-    test of T(tau) and E^T T(tau)^{-1} E once, as only the boundary block C
-    depends on U, and each pencil one ``eigvalsh`` of its 2n x 2n Schur
-    complement (:func:`_negative_counts`).  For a stack of one that tau is
-    the pencil's own first tau.  A pencil whose gap excludes the shared
-    tau, whose count there is not ``below``, or whose group finds T(tau)
-    numerically singular is certified alone (:func:`_certify_alone`).
+    The pencils with a gap and passing residuals are grouped by ``below``
+    and the dtype of their boundary blocks, and each group is counted at
+    one tau at a time in its common gap, from the highest lower end L to
+    the lowest upper end H of its members' gaps: first half of
+    DEGENERACY_RTOL above L, where tau also certifies a Ritz value above
+    the gap that lies far above its eigenvalue, as after inverse steps
+    from converged vectors; then the points _GAP_FRACTIONS of the way from
+    L to H.  The next tau is tried only while T(tau) is numerically
+    singular, so that nu(tau) is not trusted, or no member's gap holds
+    tau.  Haynsworth's count takes In_-(T(tau)), the singularity test of
+    T(tau) and E^T T(tau)^{-1} E once, as only the boundary block C
+    depends on U, and each pencil whose gap holds tau one ``eigvalsh`` of
+    its 2n x 2n Schur complement (:func:`_negative_counts`).  A member
+    that a group of two or more does not certify is certified in a stack
+    of its own, at the taus of its own gap.  A pencil without a gap or
+    with a residual over its tolerance takes no inertia count.
     """
     out: list[str | None] = [None] * len(arrows)
     groups: dict[tuple, list] = {}
     for i, ritz in enumerate(ritzes):
         gap = _first_gap(ritz.w, count)
-        if gap is not None and ritz.converged:
+        if gap is None:
+            _LOG.warning("no gap above eigenvalue %d; %s fallback", count, fallback)
+        elif not ritz.converged:
+            _LOG.warning("Ritz residuals exceed their tolerances; %s fallback",
+                         fallback)
+        else:
             below, low, high = gap
             key = (below, np.iscomplexobj(arrows[i].a[3]))
             groups.setdefault(key, []).append((i, low, high))
     for (below, _), members in groups.items():
         _, lows, highs = zip(*members)
-        tau = max(lows) + 0.5 * DEGENERACY_RTOL * max(1.0, abs(min(highs)))
-        inside = [i for i, low, high in members if low < tau < high]
-        if not inside:
-            continue
-        corners = (np.stack([arrows[i].a[3] for i in inside])
-                   - tau * np.stack([arrows[i].b[3] for i in inside]))
-        found = _negative_counts(*arrows[inside[0]].minus(tau)[:3], corners)
-        if found is not None:
-            for i, nu in zip(inside, found):
-                if nu == below:
-                    out[i] = "shared"
-    for i, (arrow, ritz) in enumerate(zip(arrows, ritzes)):
-        if out[i] is None and _certify_alone(arrow, count, ritz, fallback):
-            out[i] = "own"
+        low, high = max(lows), min(highs)
+        counts: dict[int, int] = {}
+        for tau in (low + 0.5 * DEGENERACY_RTOL * max(1.0, abs(high)),
+                    *(low + fraction * (high - low) for fraction in _GAP_FRACTIONS)):
+            inside = [i for i, lo, hi in members if lo < tau < hi]
+            if not inside:
+                continue
+            corners = (np.stack([arrows[i].a[3] for i in inside])
+                       - tau * np.stack([arrows[i].b[3] for i in inside]))
+            found = _negative_counts(*arrows[inside[0]].minus(tau)[:3], corners)
+            if found is not None:
+                counts = dict(zip(inside, found.tolist()))
+                break
+        for i, _, _ in members:
+            if counts.get(i) == below:
+                out[i] = "shared"
+            elif len(members) == 1:
+                _LOG.warning("inertia certificate failed: nu(%.17g) = %s (None: "
+                             "singular bulk block), expected %d; %s fallback",
+                             tau, counts.get(i), below, fallback)
+            elif _certify_stack([arrows[i]], count, [ritzes[i]], fallback)[0]:
+                out[i] = "own"
     return out
 
 
@@ -615,43 +624,6 @@ def _first_gap(w: np.ndarray, count: int) -> tuple[int, float, float] | None:
         return None
     below = count + int(np.argmax(wide))
     return below, w[below - 1], w[below]
-
-
-def _certify_alone(arrow: ArrowBlocks, count: int, ritz: _Ritz,
-                   fallback: str) -> bool:
-    """The certificate of :func:`_certify_stack` for one pencil at taus of
-    its own gap.
-
-    The first tau lies half of DEGENERACY_RTOL above the lower end of the
-    gap.  Near that end tau also certifies a Ritz value above the gap that
-    lies far above its eigenvalue, as after inverse steps from converged
-    vectors, which add only rounding noise to the basis.  When the bulk
-    block T(tau) is numerically singular there, nu(tau) is not trusted,
-    and the points _GAP_FRACTIONS of the way up the gap are tried in turn.
-    """
-    gap = _first_gap(ritz.w, count)
-    if gap is None:
-        _LOG.warning("no gap above eigenvalue %d; %s fallback", count, fallback)
-        return False
-
-    # Exactly `below` Ritz values lie under the first gap, at every tau.
-    below, low, high = gap
-    for tau in (low + 0.5 * DEGENERACY_RTOL * max(1.0, abs(high)),
-                *(low + fraction * (high - low) for fraction in _GAP_FRACTIONS)):
-        found = _negative_count(*arrow.minus(tau))
-        if found is not None:
-            break
-    if found != below:
-        _LOG.warning("inertia certificate failed: nu(%.17g) = %s (None: "
-                     "singular bulk block), expected %d; %s fallback",
-                     tau, found, below, fallback)
-        return False
-
-    if not ritz.converged:
-        _LOG.warning("Ritz residuals exceed their tolerances; %s fallback",
-                     fallback)
-        return False
-    return True
 
 
 def _free_product(blocks, q: np.ndarray, bulk: int) -> np.ndarray:
@@ -853,8 +825,9 @@ class _SearchSpace:
         takes no round at all.  One of ``count`` columns always takes one:
         the certificate needs a Ritz value above the gap.  The chunk's
         results then have to pass the certificate of :func:`_certify_stack`,
-        which counts them at one shared tau and certifies alone only a
-        pencil that tau does not certify.
+        which counts each group of them at the taus of its common gap and
+        certifies in a stack of its own only a pencil its group does not
+        certify.
 
         A pencil that fails, and every pencil of a chunk whose stacked step
         raises (a non-finite boundary block, a failed Cholesky

@@ -19,8 +19,8 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 
-from saext import fem, spectral
-from saext.eigen import RESIDUAL_RTOL
+from saext import eigen, fem, spectral
+from saext.eigen import DEGENERACY_RTOL, RESIDUAL_RTOL
 from saext.potentials import ZeroPotential
 from saext.spectral import FundamentalTraces
 
@@ -521,6 +521,27 @@ def residual_tolerances(pencil, eigenvalues: np.ndarray) -> np.ndarray:
         for m in (pencil.a, pencil.b)
     )
     return RESIDUAL_RTOL * (a_norm + np.abs(eigenvalues) * b_norm)
+
+
+def certify_alone_reference(arrow, count: int, ritz) -> bool:
+    """Whether the lowest ``count`` pairs of the Rayleigh-Ritz step
+    ``ritz`` of the pencil with arrow blocks ``arrow`` are certified, by
+    the certificate of one pencil alone at taus of its own gap: a gap
+    wider than DEGENERACY_RTOL above Ritz value ``count``, nu(tau) equal to
+    the number of Ritz values below the gap at the first tau half of
+    DEGENERACY_RTOL above its lower end or, while T(tau) is numerically
+    singular, at the points ``eigen._GAP_FRACTIONS`` of the way up the
+    gap, and every residual within its tolerance."""
+    gap = eigen._first_gap(ritz.w, count)
+    if gap is None:
+        return False
+    below, low, high = gap
+    for tau in (low + 0.5 * DEGENERACY_RTOL * max(1.0, abs(high)),
+                *(low + fraction * (high - low) for fraction in eigen._GAP_FRACTIONS)):
+        found = eigen._negative_count(*arrow.minus(tau))
+        if found is not None:
+            break
+    return found == below and ritz.converged
 
 
 def spectral_matrix_reference(bc, traces) -> np.ndarray:

@@ -407,7 +407,8 @@ def _solve_cases():
                            IntervalSet([(0.0, 1.0), (2.0, 4.5)]), 150),
     }
     for eps in (1e-5, 4.7e-4, 1e-3):  # criterion 10's U_eps
-        u_eps, _ = nearest_unitary(periodic.u_endpoint + 1j * eps * generator)
+        [u_eps], _ = nearest_unitary(
+            (periodic.u_endpoint + 1j * eps * generator)[None])
         cases[f"u-eps-{eps:g}"] = (BoundaryCondition.from_matrix(u_eps), ring, 250)
     for seed in range(6):
         rng = np.random.default_rng(seed)

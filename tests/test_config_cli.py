@@ -833,7 +833,7 @@ def test_nearest_unitary_polar():
     base = np.array([[0, 1], [1, 0]], dtype=complex)
     eps = 1e-3
     perturbed = base + 1j * eps * np.array([[0, 1], [-1, 0]])
-    u, distance = nearest_unitary(perturbed)
+    [u], [distance] = nearest_unitary(perturbed[None])
     assert np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-14
     # the polar factor of this family is exactly quasi-periodic at atan(eps)
     theta = math.atan(eps)

@@ -513,22 +513,25 @@ def test_certificate_tries_deeper_in_the_gap(monkeypatch, caplog):
     # the Robin-like U = e^{ia} I_2, kappa = -tan(a / 2) = 1000, on
     # (0, 2 pi) at N = 6000: T(tau) is numerically singular at the first tau,
     # just above the fourth Ritz value, and nu is trusted 1% into the gap,
-    # so the partial solve certifies there instead of a dense fallback
+    # so the partial solve certifies there instead of a dense fallback.
+    # Each tau is counted once: after the shift search's last count (0),
+    # the first tau (None), then the 1% point (4).
     u = np.exp(-2j * math.atan(1000.0)) * np.eye(2)
     _, _, pencil, _ = _solve_setup(BoundaryCondition.from_matrix(u), 6000,
                                    count=1)
     counts = []
-    negative_count = eigen._negative_count
+    negative_counts = eigen._negative_counts
 
     def recording(*blocks):
-        counts.append(negative_count(*blocks))
-        return counts[-1]
+        found = negative_counts(*blocks)
+        counts.append(found if found is None else found.tolist())
+        return found
 
-    monkeypatch.setattr(eigen, "_negative_count", recording)
+    monkeypatch.setattr(eigen, "_negative_counts", recording)
     with caplog.at_level(logging.WARNING, logger="saext"):
         solution = solve_pencil(pencil, count=4)
     assert not caplog.records
-    assert counts[-2:] == [None, 4]
+    assert counts[-3:] == [[0], None, [4]]
     assert solution.count == 4
     assert np.all(solution.residuals <= residual_tolerances(pencil,
                                                             solution.eigenvalues))

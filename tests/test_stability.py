@@ -16,6 +16,7 @@ import scipy.linalg
 import saext
 from saext import cli, eigen, fem
 from helpers import (
+    certify_alone_reference,
     power_law_fit_multistart,
     power_law_fits_row_by_row,
     stability_k_rows_loop,
@@ -136,7 +137,7 @@ def test_nearest_unitary_is_the_scipy_polar_factor_bitwise():
         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         for n in (2, 4, 6) for _ in range(5)]
     for matrix in matrices:
-        u, distance = nearest_unitary(matrix)
+        [u], [distance] = nearest_unitary(matrix[None])
         want, _ = scipy.linalg.polar(matrix)
         assert u.tobytes() == want.tobytes()
         assert distance == float(np.linalg.norm(matrix - want))
@@ -370,9 +371,9 @@ def test_sweep_logs_the_path_of_each_pencil(caplog, lines, paths, shared):
      "stability.eps_step = 1e-3\n", 10),
 ], ids=["criterion-10", "eps-1e-3-to-0.2"])
 def test_shared_certificate_decides_as_each_pencil_alone(monkeypatch, lines, chunks):
-    # each chunk of the sweep is certified at one shared tau: every pencil
-    # it certifies there, or alone after it, the certificate of that
-    # pencil alone certifies too, and no other
+    # each chunk of the sweep is certified at the taus of its common gap:
+    # every pencil it certifies, the certificate of that pencil alone at
+    # taus of its own gap certifies too, and no other
     certify_stack, recorded = eigen._certify_stack, []
 
     def recording(arrows, count, ritzes, fallback):
@@ -387,7 +388,7 @@ def test_shared_certificate_decides_as_each_pencil_alone(monkeypatch, lines, chu
                  for decision in made]
     assert len(warm) == chunks and len(decisions) == 20 * chunks
     assert decisions == ["shared"] * len(decisions)
-    alone = [eigen._certify_alone(arrow, count, ritz, "cold")
+    alone = [certify_alone_reference(arrow, count, ritz)
              for arrows, count, ritzes in warm for arrow, ritz in zip(arrows, ritzes)]
     assert alone == [decision is not None for decision in decisions]
 

@@ -56,7 +56,8 @@ def _warm_solution(pencil, count, start):
     answer."""
     space = _SearchSpace(pencil.arrow, start)
     ritz = space._rounds(pencil.arrow, count, space.steps([pencil.arrow], count)[0])
-    if ritz is None or not eigen._certified(pencil.arrow, count, ritz, "cold"):
+    if ritz is None or not eigen._certify_stack([pencil.arrow], count, [ritz],
+                                                "cold")[0]:
         return None
     return ritz.solution
 
@@ -81,8 +82,9 @@ def criterion_10():
     base_pencil = _pencil_for(bulk, ring)
     base = solve_pencil(base_pencil, count=9)
     generator = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    pencils = [_pencil_for(bulk, nearest_unitary(ring + 1j * eps * generator)[0])
-               for eps in 1e-5 * np.arange(1, 101)]
+    eps = 1e-5 * np.arange(1, 101)
+    u, _ = nearest_unitary(ring + 1j * eps[:, None, None] * generator)
+    pencils = [_pencil_for(bulk, m) for m in u]
     return base, pencils, _enriched_start(base_pencil, base)
 
 
@@ -245,10 +247,12 @@ def _stack_in_own_vectors(bulk, matrices, count):
 @pytest.mark.parametrize("case", ["gap excludes tau", "another below",
                                   "singular T(tau)"])
 def test_shared_certificate_falls_back_pencil_by_pencil(case, caplog, monkeypatch):
-    # a pencil the shared tau of its chunk cannot certify is certified
-    # alone, at taus of its own gap; a pencil with another number of Ritz
-    # values below its gap gets a shared tau of its own.  Either way each
-    # pencil gets bitwise the eigenvalues it gets alone.
+    # a pencil the taus of its group's common gap cannot certify is
+    # certified alone ("own"), at taus of its own gap; a pencil with
+    # another number of Ritz values below its gap makes a group of its own;
+    # a group whose T(tau) is numerically singular tries deeper taus of its
+    # common gap.  Either way each pencil gets bitwise the eigenvalues it
+    # gets alone.
     bulk = BulkAssembly(build_mesh(IntervalSet([(0.0, TWO_PI)]), 250))
     ring = BoundaryCondition.quasi_periodic(0.0).u_endpoint
     if case == "gap excludes tau":
@@ -262,20 +266,21 @@ def test_shared_certificate_falls_back_pencil_by_pencil(case, caplog, monkeypatc
         # Ritz values, not one as for the ring
         matrices, count, alone = [ring, np.exp(-2.9j) * np.eye(2)], 1, []
     else:
-        # T(tau) is numerically singular at the shared tau and 1% up the
-        # gap, not at 10%
+        # T(tau) is numerically singular at the group's first tau and 1% up
+        # its common gap, not at 10%
         generator = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        matrices = [nearest_unitary(ring + 1j * eps * generator)[0]
-                    for eps in (1e-3, 2e-3, 3e-3)]
-        count, alone = 9, [0, 1, 2]
+        matrices, _ = nearest_unitary(
+            ring + 1j * np.array([1e-3, 2e-3, 3e-3])[:, None, None] * generator)
+        count, alone = 9, []
         monkeypatch.setattr(eigen, "_SINGULAR_RTOL", 5e-5)
     pencils, space = _stack_in_own_vectors(bulk, matrices, count)
     arrows = [pencil.arrow for pencil in pencils]
-    certify_alone, seen = eigen._certify_alone, []
+    certify_stack, labels = eigen._certify_stack, {}
 
-    def recording(arrow, count, ritz, fallback):
-        seen.append(arrows.index(arrow))
-        return certify_alone(arrow, count, ritz, fallback)
+    def recording(arrows, count, ritzes, fallback):
+        # the chunk's labels under its size; a retry is a stack of one
+        labels[len(arrows)] = certify_stack(arrows, count, ritzes, fallback)
+        return labels[len(arrows)]
 
     negative_counts, counts = eigen._negative_counts, []
 
@@ -283,18 +288,22 @@ def test_shared_certificate_falls_back_pencil_by_pencil(case, caplog, monkeypatc
         counts.append(negative_counts(*blocks))
         return counts[-1]
 
-    monkeypatch.setattr(eigen, "_certify_alone", recording)
+    monkeypatch.setattr(eigen, "_certify_stack", recording)
     monkeypatch.setattr(eigen, "_negative_counts", counting)
     with caplog.at_level(logging.INFO, logger="saext"):
         answers = space.solve_stack(arrows, count)
     monkeypatch.setattr(eigen, "_negative_counts", negative_counts)
+    monkeypatch.setattr(eigen, "_certify_stack", certify_stack)
     assert not _fallbacks(caplog)
     if case == "singular T(tau)":
-        # None at the shared tau, then at each pencil's first two taus
-        assert [c is None for c in counts] == [True] + [True, True, False] * 3
+        # one count of the group at each tau: None at the first and 1% up
+        # the common gap, nine for each pencil at 10%
+        assert [c if c is None else c.tolist() for c in counts] == [
+            None, None, [9, 9, 9]]
     [record] = [r for r in caplog.records if r.getMessage().startswith("warm solve of")]
     assert record.args[1:] == (len(arrows), 0, 0, len(arrows) - len(alone))
-    assert seen == alone
+    assert [i for i, label in enumerate(labels[len(arrows)]) if label == "own"] == alone
+    assert None not in labels[len(arrows)]
     if case == "another below":
         below = [eigen._first_gap(step.w, count)[0] for step in space.steps(arrows, count)]
         assert below == [1, 2]
@@ -324,6 +333,44 @@ def test_shared_certificate_counts_a_missed_eigenvalue(caplog):
         assert eigen._certify_stack(arrows, 9, [dirichlet, missed], "cold") == [
             "shared", "own"]
     assert not _fallbacks(caplog)
+
+
+@pytest.mark.parametrize("case", ["no gap", "missed eigenvalue", "residuals"])
+def test_certificate_logs_why_a_pencil_falls_back(case, caplog, monkeypatch):
+    # the three reasons the certificate gives, with the fallback path named:
+    # Ritz values without a gap above the ninth; Ritz values that miss the
+    # Robin pencil's ninth eigenvalue (14.35), so that nu is ten just above
+    # the ninth Ritz value (its tenth eigenvalue, 18.56); and residuals over
+    # their tolerances, reported without an inertia count, also where the
+    # count would fail
+    bulk = BulkAssembly(build_mesh(IntervalSet([(0.0, TWO_PI)]), 250))
+    [pencil], space = _stack_in_own_vectors(bulk, [np.exp(-2.5j) * np.eye(2)], 9)
+    [ritz] = space.steps([pencil.arrow], 9)
+    missed = np.delete(ritz.w, 8)
+    _, low, high = eigen._first_gap(missed, 9)
+    tau = low + 0.5 * eigen.DEGENERACY_RTOL * max(1.0, abs(high))
+    w, converged, message = {
+        "no gap": (np.full_like(ritz.w, ritz.w[8]), True,
+                   "no gap above eigenvalue 9; dense fallback"),
+        "missed eigenvalue": (missed, True,
+                              f"inertia certificate failed: nu({tau:.17g}) = 10 "
+                              f"(None: singular bulk block), expected 9; dense "
+                              f"fallback"),
+        "residuals": (missed, False,
+                      "Ritz residuals exceed their tolerances; dense fallback"),
+    }[case]
+    negative_counts, counts = eigen._negative_counts, []
+
+    def counting(*blocks):
+        counts.append(negative_counts(*blocks))
+        return counts[-1]
+
+    monkeypatch.setattr(eigen, "_negative_counts", counting)
+    step = types.SimpleNamespace(w=w, converged=converged)
+    with caplog.at_level(logging.WARNING, logger="saext"):
+        assert eigen._certify_stack([pencil.arrow], 9, [step], "dense") == [None]
+    assert [r.getMessage() for r in caplog.records] == [message]
+    assert len(counts) == (case == "missed eigenvalue")
 
 
 def test_sweep_start_drops_a_cluster_on_an_exactly_singular_bulk_block(
