@@ -52,8 +52,12 @@ Batches over lambda
 Every trace computation takes an array of trial lambdas.  Closed forms
 run elementwise over a (lambda, interval) array.  The Magnus method
 forms a (lambda, step) stack of step maps and reduces it along the step
-axis; every operation is elementwise over lambda, so each lambda's state
-rounds exactly as it would alone.  V does not depend on lambda: it is
+axis.  The first comparison's m and 2m steps are formed in one stack and
+share one pairwise reduction: the 2m maps are paired once, and from there
+on both step counts are paired together, one matmul call a level.  Every
+operation is elementwise over lambda, and every product pairs the same
+two maps as a step count reduced alone, so each lambda's state rounds
+exactly as it would alone.  V does not depend on lambda: it is
 tabulated with one vectorized ``potential.value`` call per (interval,
 step count) and reused by every later trial lambda of the same
 ``find_spectrum`` call.  The step count doubles per lambda: the lambdas
@@ -211,25 +215,50 @@ def _magnus_step_maps(z, h):
     det = p * p + r * s
     w = np.sqrt(np.abs(det))
     grows = det > 0
-    cos_w = np.where(grows, np.cosh(w), np.cos(w))
-    sinc_w = np.divide(np.where(grows, np.sinh(w), np.sin(w)), w,
-                       out=np.ones_like(w), where=w > 0)
+    # a batch whose steps all grow, or all oscillate, evaluates one branch
+    if grows.all():
+        cos_w, sin_w = np.cosh(w), np.sinh(w)
+    elif grows.any():
+        cos_w = np.where(grows, np.cosh(w), np.cos(w))
+        sin_w = np.where(grows, np.sinh(w), np.sin(w))
+    else:
+        cos_w, sin_w = np.cos(w), np.sin(w)
+    sinc_w = np.divide(sin_w, w, out=np.ones_like(w), where=w > 0)
+    sinc_p = sinc_w * p
     maps = np.empty(w.shape + (2, 2))
-    maps[..., 0, 0] = cos_w + sinc_w * p
-    maps[..., 0, 1] = sinc_w * r * h
-    maps[..., 1, 0] = sinc_w * s / h
-    maps[..., 1, 1] = cos_w - sinc_w * p
+    np.add(cos_w, sinc_p, out=maps[..., 0, 0])
+    np.multiply(sinc_w * r, h, out=maps[..., 0, 1])
+    np.divide(sinc_w * s, h, out=maps[..., 1, 0])
+    np.subtract(cos_w, sinc_p, out=maps[..., 1, 1])
     return maps
 
 
-def _ordered_product(mats):
-    """M_{m-1} ... M_0 of an (..., m, 2, 2) stack, multiplied pairwise in
-    order along the step axis."""
+def _paired(mats):
+    """One level of the pairwise product of an (..., m, 2, 2) stack:
+    M_{2j+1} M_{2j}, the last map of an odd stack times the identity."""
+    if mats.shape[-3] % 2:
+        identity = np.broadcast_to(np.eye(2), mats.shape[:-3] + (1, 2, 2))
+        mats = np.concatenate((mats, identity), axis=-3)
+    return mats[..., 1::2, :, :] @ mats[..., 0::2, :, :]
+
+
+def _ordered_product(stacks):
+    """M_{m-1} ... M_0 of each (..., m, 2, 2) stack of ``stacks``, multiplied
+    pairwise in order along its step axis, as one (stack, ..., 2, 2) array.
+
+    The longest stack is reduced by a level until all have one length, and
+    then all of them are reduced together, one matmul call per level: m and
+    2m steps take the levels of 2m alone, not those of both.  Every product
+    pairs the same two maps as the stack's reduction alone would."""
+    stacks = list(stacks)
+    lengths = [mats.shape[-3] for mats in stacks]
+    while min(lengths) < max(lengths):
+        longest = lengths.index(max(lengths))
+        stacks[longest] = _paired(stacks[longest])
+        lengths[longest] = stacks[longest].shape[-3]
+    mats = np.stack(stacks)
     while mats.shape[-3] > 1:
-        if mats.shape[-3] % 2:
-            identity = np.broadcast_to(np.eye(2), mats.shape[:-3] + (1, 2, 2))
-            mats = np.concatenate((mats, identity), axis=-3)
-        mats = mats[..., 1::2, :, :] @ mats[..., 0::2, :, :]
+        mats = _paired(mats)
     return mats[..., 0, :, :]
 
 
@@ -252,20 +281,25 @@ def _pieces(potential, alpha, a, b):
     return edges, np.ceil(widest * (widths / widths.max())).astype(int)
 
 
+def _accepted(coarse, fine):
+    """Which of the (lambda, 2, 2) states ``fine`` agree with ``coarse``, of
+    half the steps, to ``_ODE_RTOL`` of their scale."""
+    scale = np.maximum(1.0, np.abs(fine).max(axis=(1, 2)))
+    return np.abs(fine - coarse).max(axis=(1, 2)) <= _ODE_RTOL * scale
+
+
 class _RightTraces:
     """Right traces of the normalized fundamental system of one problem,
     for 1-D arrays of trial lambda.
 
     Calling it with lambda returns real (lambda, n, 2) arrays psi_r and
-    dpsi_r.  Constant V takes the closed form; any other V is integrated
-    by the Magnus method on every interval, the step count doubling per
-    lambda until two counts agree.  One Magnus step is exact for constant
-    V too, but the closed form is faster: 22 000 trial lambdas on three
-    constant-V intervals took 9-17 ms against 48-54 ms with one and two
-    Magnus steps (2-core host, in-process).  V is tabulated once per (interval,
-    step count), at the first call that needs it, and reused by every
-    later call.  Raises ``PotentialError`` for a V that is not finite at
-    a node, and ``TraceIntegrationError`` naming the first lambda of the
+    dpsi_r.  Constant V takes the closed form, which is faster than the
+    Magnus steps that would also be exact for it; any other V is
+    integrated by the Magnus method on every interval, the step count
+    doubling per lambda until two counts agree.  V is tabulated once per
+    (interval, step count), at the first call that needs it, and reused by
+    every later call.  Raises ``PotentialError`` for a V that is not finite
+    at a node, and ``TraceIntegrationError`` naming the first lambda of the
     batch whose traces overflow float64, or when the step halving does not
     converge.
     """
@@ -279,7 +313,8 @@ class _RightTraces:
         self.lengths = np.array([b - a for a, b in geom.intervals])
         self.pieces = [_pieces(potential, alpha, a, b)
                        for alpha, (a, b) in enumerate(geom.intervals)]
-        self.tables = {}  # (alpha, step-count factor) -> (V, h, h^2)
+        # (alpha, step-count factors) -> (V, h, h^2, step slice per factor)
+        self.tables = {}
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -293,53 +328,47 @@ class _RightTraces:
                     f"{float(lam[np.argmin(finite)])!r}"
                 )
             return psi_r, dpsi_r
-        states = np.stack([self._integrated(alpha, lam)
-                           for alpha in range(self.lengths.size)], axis=1)
+        states = np.empty((lam.size, self.lengths.size, 2, 2))
+        for alpha in range(self.lengths.size):
+            states[:, alpha] = self._integrated(alpha, lam)
         return states[:, :, 0], states[:, :, 1]
 
     def _integrated(self, alpha, lam):
         """The (lambda, 2, 2) states on interval ``alpha``, rows Psi, Psi'
         at its right end: each lambda's from the first step count that
         agrees with half of it to ``_ODE_RTOL``."""
-        factor = 1
-        out = np.empty((lam.size, 2, 2))
-        todo = np.arange(lam.size)
-        coarse, fine = self._states(alpha, [1, 2], lam)
-        while True:
-            scale = np.maximum(1.0, np.abs(fine).max(axis=(1, 2)))
-            done = np.abs(fine - coarse).max(axis=(1, 2)) <= _ODE_RTOL * scale
+        coarse, out = self._states(alpha, (1, 2), lam)
+        done = _accepted(coarse, out)
+        if done.all():
+            return out
+        todo = np.flatnonzero(~done)
+        coarse, factor = out[todo], 2
+        while todo.size:
+            factor *= 2
+            fine, = self._states(alpha, (factor,), lam[todo])
+            done = _accepted(coarse, fine)
             out[todo[done]] = fine[done]
             todo, coarse = todo[~done], fine[~done]
-            if not todo.size:
-                return out
-            factor *= 2
-            fine, = self._states(alpha, [2 * factor], lam[todo])
+        return out
 
     def _states(self, alpha, factors, lam):
         """The (lambda, 2, 2) Magnus states across interval ``alpha``, one
         for each multiple in ``factors`` of the first step counts of its
         pieces.  The step maps of all factors are formed together, in
-        batches of at most ``_BATCH_ELEMENTS`` lambda-steps.  Raises
-        ``TraceIntegrationError`` when a factor would take more than
-        ``_MAX_ODE_STEPS`` steps, and, naming the first such lambda, when a
-        state is not finite."""
-        if max(factors) * self.pieces[alpha][1].sum() > _MAX_ODE_STEPS:
-            raise TraceIntegrationError(
-                f"fundamental-solution integration on interval {alpha} "
-                f"did not reach rtol {_ODE_RTOL:.1e} within "
-                f"{_MAX_ODE_STEPS} steps"
-            )
-        tables = [self._table(alpha, factor) for factor in factors]
-        v, h, h_sq = (np.concatenate(parts, axis=-1) for parts in zip(*tables))
-        ends = np.cumsum([table[1].size for table in tables])[:-1]
+        batches of at most ``_BATCH_ELEMENTS`` lambda-steps, and reduced by
+        one pairwise product.  Raises ``TraceIntegrationError`` as
+        ``_table`` does, and, naming the first such lambda, when a state is
+        not finite."""
+        v, h, h_sq, steps = self._table(alpha, factors)
         states = np.empty((len(factors), lam.size, 2, 2))
         chunk = max(1, _BATCH_ELEMENTS // h.size)
         for start in range(0, lam.size, chunk):
             part = slice(start, start + chunk)
             with np.errstate(over="ignore", invalid="ignore"):
                 z = ((v[:, None] - lam[part, None]) / self.mu) * h_sq
-                maps = np.split(_magnus_step_maps(z, h), ends, axis=-3)
-                states[:, part] = [_ordered_product(m) for m in maps]
+                maps = _magnus_step_maps(z, h)
+                states[:, part] = _ordered_product(
+                    [maps[..., one, :, :] for one in steps])
             finite = np.isfinite(states[:, part]).all(axis=(0, 2, 3))
             if not finite.all():
                 raise TraceIntegrationError(
@@ -348,30 +377,45 @@ class _RightTraces:
                 )
         return states
 
-    def _table(self, alpha, factor):
-        """V at the three Gauss nodes of every step, shape (3, m), with the
-        step widths h and h^2, for ``factor`` times the first step count of
-        each piece, in equal steps: one ``potential.value`` call per
-        (interval, factor)."""
-        key = (alpha, factor)
+    def _table(self, alpha, factors):
+        """V at the three Gauss nodes of every step, shape (3, steps), with
+        the step widths h and h^2 and the slice of the steps of each factor,
+        for each multiple in ``factors`` of the first step count of each
+        piece, in equal steps, the factors one after another: one
+        ``potential.value`` call per (interval, factor).  Raises
+        ``TraceIntegrationError`` when a factor would take more than
+        ``_MAX_ODE_STEPS`` steps."""
+        key = (alpha, tuple(factors))
         if key not in self.tables:
             edges, first = self.pieces[alpha]
-            counts = factor * first
-            widths = np.diff(edges)
-            h = np.repeat(widths / counts, counts)
-            # step j of a piece of c steps starts at a fraction j / c of it
-            starts = np.cumsum(counts) - counts
-            step = np.arange(counts.sum()) - np.repeat(starts, counts)
-            left = (np.repeat(edges[:-1], counts)
-                    + np.repeat(widths, counts) * (step / np.repeat(counts, counts)))
-            nodes = left + np.multiply.outer(_GAUSS_NODES, h)
-            v = np.asarray(self.potential.value(alpha, nodes.ravel()), dtype=float)
-            if not np.all(np.isfinite(v)):
-                raise PotentialError(
-                    f"potential is not finite on interval {alpha} "
-                    f"({edges[0]}, {edges[-1]})"
+            if max(factors) * first.sum() > _MAX_ODE_STEPS:
+                raise TraceIntegrationError(
+                    f"fundamental-solution integration on interval {alpha} "
+                    f"did not reach rtol {_ODE_RTOL:.1e} within "
+                    f"{_MAX_ODE_STEPS} steps"
                 )
-            self.tables[key] = v.reshape(nodes.shape), h, h * h
+            widths = np.diff(edges)
+            tables, steps, end = [], [], 0
+            for factor in factors:
+                counts = factor * first
+                h = np.repeat(widths / counts, counts)
+                # step j of a piece of c steps starts at a fraction j / c of it
+                starts = np.cumsum(counts) - counts
+                step = np.arange(counts.sum()) - np.repeat(starts, counts)
+                left = (np.repeat(edges[:-1], counts)
+                        + np.repeat(widths, counts) * (step / np.repeat(counts, counts)))
+                nodes = left + np.multiply.outer(_GAUSS_NODES, h)
+                v = np.asarray(self.potential.value(alpha, nodes.ravel()), dtype=float)
+                if not np.all(np.isfinite(v)):
+                    raise PotentialError(
+                        f"potential is not finite on interval {alpha} "
+                        f"({edges[0]}, {edges[-1]})"
+                    )
+                tables.append((v.reshape(nodes.shape), h, h * h))
+                steps.append(slice(end, end + h.size))
+                end += h.size
+            v, h, h_sq = (np.concatenate(parts, axis=-1) for parts in zip(*tables))
+            self.tables[key] = v, h, h_sq, steps
         return self.tables[key]
 
 
@@ -448,10 +492,10 @@ def _scattering_matrix(psi_r: np.ndarray, dpsi_r: np.ndarray) -> np.ndarray:
     / (t01 - t10 + i (t00 + t11)), whose |denominator|^2 = |T|_F^2 + 2.
     All t are scaled by max(1, |t_ij|) against overflow below V.
     """
-    t00, t01 = psi_r[..., 0].real, psi_r[..., 1].real
-    t10, t11 = dpsi_r[..., 0].real, dpsi_r[..., 1].real
-    scale = np.maximum(1.0, np.max(np.abs([t00, t01, t10, t11]), axis=0))
-    t00, t01, t10, t11 = (t / scale for t in (t00, t01, t10, t11))
+    t = np.stack((psi_r[..., 0], psi_r[..., 1], dpsi_r[..., 0], dpsi_r[..., 1])).real
+    scale = np.maximum(1.0, np.abs(t).max(axis=0))
+    t /= scale
+    t00, t01, t10, t11 = t
     den = (t01 - t10) + 1j * (t00 + t11)
     n = t00.shape[-1]
     s = np.zeros(t00.shape[:-1] + (2 * n, 2 * n), dtype=complex)
@@ -575,15 +619,18 @@ def find_spectrum(
     # with its crossings as roots at x.  A single crossing is estimated by
     # regula falsi on its eigenphase (the largest wrapped phase less 2 pi
     # left of it, the smallest right of it) and split there, half a width
-    # inside; other cells split at the midpoint.  ``kept`` records which
-    # endpoint the splits that made a cell kept, and how many times in a
-    # row: -k for a, +k for b, 0 for a grid cell.  The phase at an endpoint
+    # inside; other cells split at the midpoint.  ``ends`` holds each cell's
+    # endpoints a and b as rows (lambda, wrapped phases).  ``kept`` records
+    # which endpoint the splits that made a cell kept, and how many times in
+    # a row: -k for a, +k for b, 0 for a grid cell.  The phase at an endpoint
     # kept k > 1 times counts 2**(1 - k) (the Illinois step).
-    a, b = lam_grid[:-1], lam_grid[1:]
-    ph_a, ph_b = grid_phases[:-1], grid_phases[1:]
-    kept = np.zeros(a.size, dtype=int)
+    points = np.column_stack((lam_grid, grid_phases))
+    ends = np.stack((points[:-1], points[1:]), axis=1)
+    kept = np.zeros(len(ends), dtype=int)
     roots = []
     while True:
+        a, b = ends[:, 0, 0], ends[:, 1, 0]
+        ph_a, ph_b = ends[:, 0, 1:], ends[:, 1, 1:]
         count, advance = _crossings(ph_a, ph_b)
         exact = np.abs(advance) <= math.pi / 2
         single = exact & (count == 1)
@@ -596,13 +643,14 @@ def find_spectrum(
         split = ~narrow & (~exact | (count > 0))
         if not split.any():
             break
-        a, b, ph_a, ph_b, single, x, kept = (
-            t[split] for t in (a, b, ph_a, ph_b, single, x, kept))
-        x = np.where(single, np.minimum(np.maximum(x, a + 0.5 * width(x)),
-                                        b - 0.5 * width(x)), x)
+        half = 0.5 * width(x)
+        x = np.where(single, np.minimum(np.maximum(x, a + half), b - half), x)
+        ends, kept, x = ends[split], kept[split], x[split]
+        # the left halves (a, x] first, then the right halves (x, b]
         ph_x = _wrapped_phases(u_h @ _scattering_matrix(*traces(x)))
-        a, b = np.concatenate((a, x)), np.concatenate((x, b))
-        ph_a, ph_b = np.concatenate((ph_a, ph_x)), np.concatenate((ph_x, ph_b))
+        point = np.column_stack((x, ph_x))
+        ends = np.concatenate((ends, ends))
+        ends[:x.size, 1], ends[x.size:, 0] = point, point
         kept = np.concatenate((np.minimum(kept, 0) - 1, np.maximum(kept, 0) + 1))
     result = np.sort(np.concatenate(roots))
     if return_scan:

@@ -712,7 +712,37 @@ def magnus_fundamental_reference(potential, alpha, edges, per_piece, lam, mu):
         )
     z = ((v - lam) / mu).reshape(nodes.shape) * (h * h)
     with np.errstate(over="ignore", invalid="ignore"):
-        return spectral._ordered_product(spectral._magnus_step_maps(z, h))
+        return ordered_product_reference(spectral._magnus_step_maps(z, h))
+
+
+def ordered_product_reference(mats):
+    """M_{m-1} ... M_0 of one (..., m, 2, 2) stack, multiplied pairwise in
+    order along the step axis, the stack padded by the identity at every
+    odd level: the reduction of one step count alone, as it ran before the
+    step counts of a batch shared one reduction."""
+    while mats.shape[-3] > 1:
+        if mats.shape[-3] % 2:
+            identity = np.broadcast_to(np.eye(2), mats.shape[:-3] + (1, 2, 2))
+            mats = np.concatenate((mats, identity), axis=-3)
+        mats = mats[..., 1::2, :, :] @ mats[..., 0::2, :, :]
+    return mats[..., 0, :, :]
+
+
+def scattering_matrix_reference(psi_r, dpsi_r):
+    """``saext.spectral._scattering_matrix`` as it scaled T entry by entry:
+    the scale from a list of the four entries, then four divisions."""
+    t00, t01 = psi_r[..., 0].real, psi_r[..., 1].real
+    t10, t11 = dpsi_r[..., 0].real, dpsi_r[..., 1].real
+    scale = np.maximum(1.0, np.max(np.abs([t00, t01, t10, t11]), axis=0))
+    t00, t01, t10, t11 = (t / scale for t in (t00, t01, t10, t11))
+    den = (t01 - t10) + 1j * (t00 + t11)
+    n = t00.shape[-1]
+    s = np.zeros(t00.shape[:-1] + (2 * n, 2 * n), dtype=complex)
+    left, right = np.arange(n), np.arange(n, 2 * n)
+    s[..., left, left] = ((t01 + t10) + 1j * (t11 - t00)) / den
+    s[..., right, right] = ((t01 + t10) + 1j * (t00 - t11)) / den
+    s[..., left, right] = s[..., right, left] = 2j / (scale * den)
+    return s
 
 
 def integrated_traces_reference(potential, geom, lam, mu):

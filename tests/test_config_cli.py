@@ -1064,6 +1064,26 @@ boundary.matrix = {entries}
 resolution = 400
 eigen.count = 8
 """, "random-u.cfg")
+    # the oracle on a seeded 2x2 U and a 17-knot table: Magnus traces whose
+    # step counts share one stacked pairwise reduction, and the scan record
+    rng = np.random.default_rng(17)
+    u = random_unitary(2, rng)
+    entries = " ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in u.ravel())
+    xs = " ".join(repr(float(x)) for x in np.linspace(0.0, math.pi, 17))
+    vs = " ".join(repr(float(v)) for v in rng.uniform(0.0, 2.0, 17))
+    oracle = _write(tmp_path, f"""\
+{SCHEMA_HEADER}
+geometry.intervals = 0 {math.pi!r}
+boundary.kind = matrix
+boundary.matrix = {entries}
+potential.kind = sampled
+potential.samples_x = {xs}
+potential.samples_v = {vs}
+oracle.lambda_min = 0.5
+oracle.lambda_max = 40
+oracle.grid_points = 64
+oracle.scan_output = true
+""", "oracle.cfg")
     outputs = {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
@@ -1076,11 +1096,15 @@ eigen.count = 8
                           "--out", str(out / "stability")], threads)
         _run_cli_process(["solve", "--levels", "4", "--dump-pencil", "--config",
                           str(random_u), "--out", str(out / "random-u")], threads)
+        _run_cli_process(["oracle", "--config", str(oracle),
+                          "--out", str(out / "oracle")], threads)
         outputs[threads] = {path.relative_to(out): path.read_bytes()
                             for path in sorted(out.rglob("*.csv"))}
     # convergence; per ring a spectrum and 8 eigenfunctions; stability; and
-    # for the random U a spectrum, 4 eigenfunctions and the two matrices
-    assert len(outputs["1"]) == 27
+    # for the random U a spectrum, 4 eigenfunctions and the two matrices;
+    # for the oracle its roots and scan
+    assert len(outputs["1"]) == 29
+    assert outputs["1"][Path("oracle", "roots.csv")].count(b"\n") > 5
     assert outputs["1"] == outputs["2"]
 
 

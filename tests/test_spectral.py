@@ -10,9 +10,11 @@ from helpers import (
     find_spectrum_reference,
     fundamental_traces_reference,
     magnus6_step_reference,
+    ordered_product_reference,
     rk4_fundamental,
     rk4_fundamental_loop,
     rk4_piecewise,
+    scattering_matrix_reference,
     spectral_det_closed_1,
     spectral_det_parametrized,
     spectral_matrix_reference,
@@ -398,6 +400,50 @@ def test_magnus_step_maps_match_commutator_formula():
     for j in range(h.size):
         ref = magnus6_step_reference(q[:, j], h[j])
         assert np.max(np.abs(got[j] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_step_maps_round_alike_in_pure_and_mixed_batches():
+    # a batch of growing and oscillating steps selects each map from both
+    # branches; the growing and the oscillating steps alone evaluate one
+    # branch each, and every map keeps its bits.  q varies by at most 0.1
+    # across a step, so the exponent's determinant has the sign of q.
+    rng = np.random.default_rng(12)
+    h = rng.uniform(0.05, 1.5, 64)
+    plateau = rng.choice([-1.0, 1.0], 64) * rng.uniform(0.5, 30.0, 64)
+    z = (plateau + rng.uniform(-0.05, 0.05, (3, 64))) * h * h
+    mixed = spectral._magnus_step_maps(z, h)
+    grows = plateau > 0
+    assert 0 < grows.sum() < grows.size
+    for part in (grows, ~grows):
+        alone = spectral._magnus_step_maps(z[:, part], h[part])
+        assert alone.tobytes() == mixed[part].tobytes()
+
+
+@pytest.mark.parametrize("lengths", [(1, 3, 5, 7), (3, 6), (128, 256), (1024, 2048)],
+                         ids=["odd-1-3-5-7", "m3", "m128", "m1024"])
+def test_joint_reduction_equals_each_stack_alone(lengths):
+    # the stacks of one reduction, padded by the identity at odd lengths,
+    # give each stack's ordered product alone, bit for bit
+    rng = np.random.default_rng(sum(lengths))
+    stacks = [rng.standard_normal((5, m, 2, 2)) for m in lengths]
+    joint = spectral._ordered_product(stacks)
+    assert joint.shape == (len(lengths), 5, 2, 2)
+    for mats, product in zip(stacks, joint):
+        assert product.tobytes() == ordered_product_reference(mats).tobytes()
+        assert product.tobytes() == spectral._ordered_product([mats])[0].tobytes()
+
+
+def test_scattering_matrix_equals_entrywise_reference():
+    # the scale of T from one stack, one division: the same bits as the
+    # scale from the four entries one by one, down to traces of 1e150
+    rng = np.random.default_rng(31)
+    for shape in ((1, 1), (8, 1), (300, 3)):
+        for size in (1.0, 1e3, 1e150):
+            psi_r = size * rng.standard_normal(shape + (2,))
+            dpsi_r = size * rng.standard_normal(shape + (2,))
+            got = spectral._scattering_matrix(psi_r, dpsi_r)
+            ref = scattering_matrix_reference(psi_r, dpsi_r)
+            assert got.tobytes() == ref.tobytes()
 
 
 def test_magnus_is_sixth_order_on_smooth_potential():
