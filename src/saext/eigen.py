@@ -6,9 +6,12 @@ entry with a nonzero imaginary part and as complex128 otherwise.  A real
 pencil is solved in real arithmetic (LAPACK ``dsygv*``, real ``splu``,
 real ARPACK ``dnaupd``) and has real eigenvectors; a complex one in
 complex arithmetic (``zhegv*``, ``znaupd``).  Before either path runs,
-:func:`solve_pencil` checks that A and B are square, of one shape, finite
-and exactly hermitian, so a bad hand-built pencil gets an
-:class:`EigenSolveError` that names the matrix and its defect.
+:func:`solve_pencil` checks that A and B are square, of one shape and
+finite; the dense path also checks that both are exactly hermitian, as
+LAPACK reads one triangle of each.  So a bad hand-built pencil gets an
+:class:`EigenSolveError` that names the matrix and its defect.  The sparse
+and warm paths take an assembled pencil, which
+:meth:`~saext.fem.ArrowBlocks.pencil` makes hermitian by construction.
 
 The dense path is one call of LAPACK's hermitian-definite generalized
 driver (``scipy.linalg.eigh(A, B)``: ``*gvd`` for full spectra, ``*gvx``
@@ -16,9 +19,10 @@ for the lowest ``count``), which reduces B by a Cholesky factorization
 instead of running a general QZ iteration and returns B-orthonormal
 eigenvectors.  When the driver fails, a Cholesky factorization of B alone
 tells a mass matrix that is not positive definite (with its failing
-pivot) from any other failure.  The dense path answers
-full spectra (``count=None``), pencils too small for ARPACK and hand-built
-pencils, which carry no arrow blocks.
+pivot) from any other failure, and running out of memory for the
+N x N arrays raises :class:`EigenSolveError` with their size.  The dense
+path answers full spectra (``count=None``), pencils too small for ARPACK
+and hand-built pencils, which carry no arrow blocks.
 
 The sparse path answers the lowest ``count`` pairs of an assembled pencil
 by shift-invert ARPACK (Lehoucq, Sorensen & Yang, ARPACK Users' Guide,
@@ -47,8 +51,9 @@ from the size of C.  A partial solve is returned only when every
 residual is within its tolerance and nu(tau) equals the number of
 computed eigenvalues below tau, for tau in the first gap above the last
 wanted eigenvalue (a point deeper in the gap where T(tau) is numerically
-singular): :func:`_certify_stack`, the one certificate of the module, of
-a stack of one pencil.  Otherwise the reason is logged on the ``saext``
+singular or nu(tau) reads below that number, which only rounding can
+give): :func:`_certify_stack`, the one certificate of the module, of a
+stack of one pencil.  Otherwise the reason is logged on the ``saext``
 logger and the dense path answers, so a wrong count is never returned.
 
 The warm path answers the lowest ``count`` eigenvalues of a stack of
@@ -105,18 +110,12 @@ calls, and the sparse path's LU factor and ARPACK are
 
 The warm and sparse paths run with every OpenBLAS of the process (numpy
 and scipy each load their own) at one thread, and give each its previous
-count back on return, also on an exception.  Their dense work is small
-and bound by call overhead (blocks of at most dim x 46 columns and their
-projections); split across threads, it costs more, and an idle worker
-keeps spinning after each call: ``np.linalg.qr`` on a (251, 36) complex
-block took 1.0 ms at two threads against 0.34-0.47 ms at one, a Python
-loop right after it ran at CPU/wall 1.9-2.1 against 1.0, and criterion
-10's sweep used twice its wall time in CPU time (2-core host).  At one
-thread their results also do not depend on the caller's thread count.
-The dense path keeps the caller's count, as it is the one large BLAS job:
-the lowest 8 levels at N = 4000 took 46 s at two threads against 78 s at
-one.  Where no OpenBLAS thread control is found (MKL, Accelerate, another
-OS), BLAS keeps its thread count.
+count back on return, also on an exception: their dense work is small and
+bound by call overhead, so more threads only add cost, and at one thread
+their results do not depend on the caller's thread count.  The dense path
+keeps the caller's count, as it is the one large BLAS job.  Where no
+OpenBLAS thread control is found (MKL, Accelerate, another OS), BLAS keeps
+its thread count.
 
 Eigenvector phases are fixed by making the inner product <w, Phi> with a
 fixed generic vector w of positive entries real and positive.  Unlike the
@@ -156,12 +155,8 @@ _START_SEED = 1103  # fixed ARPACK start vector, so solves are reproducible
 # A warm solve takes at most this many rounds of inverse steps.
 _WARM_ROUNDS = 3
 # The warm solver takes a stack of pencils in chunks of this many: one
-# stacked Rayleigh-Ritz step and one shared-tau certificate per chunk.
-# Measured on criterion 10's sweep (100 U, N = 250; 2-core host, medians
-# over five processes of the medians of 15 in-process sweeps): 40, 40, 37
-# and 41 ms at 10, 15, 20 and 25, against 59 ms at 1; its peak RSS rose
-# 0.2, 0.1, 0.4 and 1.0 MiB over the sweep one U at a time, as the
-# (chunk, dim, count) products grow.
+# stacked Rayleigh-Ritz step and one shared-tau certificate per chunk,
+# whose (chunk, dim, count) products grow with it.
 _SWEEP_CHUNK = 20
 # Where nu(tau) is not trusted just above the last wanted Ritz value, the
 # certificate tries these fractions of the way up the gap above it.
@@ -246,13 +241,6 @@ def _phase_factors(inner: np.ndarray) -> np.ndarray:
                      where=inner != 0)
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Turn each column in place so that <w, column> is real and positive
-    for w = _phase_reference (a column orthogonal to w stays as it is)."""
-    vectors *= _phase_factors(_phase_reference(vectors.shape[0]) @ vectors)
-    return vectors
-
-
 def _arpack_ncv(k: int) -> int:
     """ARPACK basis size for k wanted pairs (scipy's default choice)."""
     return max(2 * k + 1, 20)
@@ -329,20 +317,7 @@ _one_blas_thread = _OneBlasThread()
 
 def _is_hermitian(m) -> bool:
     """Whether the CSR array ``m`` equals its conjugate transpose exactly,
-    entry by entry as ``(m != m.conj().T).nnz == 0`` compares them.
-
-    The CSR arrays of m's transpose are the CSC arrays of m.  When they
-    equal m's own, with the data conjugated, the stored entries are
-    closed under conjugate transposition, so m is hermitian.  That holds
-    for every assembled pencil and costs about a quarter of the entrywise
-    comparison (50 against 200 us a matrix at N = 250), which answers
-    every other m, such as one with an explicitly stored zero mirrored by
-    a structural zero or with unsorted indices.
-    """
-    t = m.tocsc()
-    if (np.array_equal(m.indptr, t.indptr) and np.array_equal(m.indices, t.indices)
-            and np.array_equal(m.data, t.data.conj())):
-        return True
+    entry by entry."""
     return not (m != m.conj().T).nnz
 
 
@@ -359,8 +334,9 @@ def solve_pencil(pencil: Pencil, count: int | None = None) -> EigenSolution:
     ------
     EigenSolveError
         If A or B is not square, their shapes differ, or either has a
-        non-finite entry or is not hermitian (exact check; assembled
-        pencils satisfy all of these by construction).
+        non-finite entry; on the dense path, also if either is not
+        hermitian (exact check) or its N x N arrays do not fit in memory.
+        Assembled pencils are square, finite and hermitian by construction.
     PositiveDefinitenessError
         If the Cholesky factorization of B fails; carries the pivot index.
     """
@@ -373,8 +349,6 @@ def solve_pencil(pencil: Pencil, count: int | None = None) -> EigenSolution:
     for name, m in (("A", a), ("B", b)):
         if not np.all(np.isfinite(m.data)):
             raise EigenSolveError(f"{name} has a non-finite entry")
-        if not _is_hermitian(m):
-            raise EigenSolveError(f"{name} is not hermitian")
     dim = pencil.dim
     if count is not None:
         count = int(count)
@@ -390,26 +364,31 @@ def solve_pencil(pencil: Pencil, count: int | None = None) -> EigenSolution:
 
 
 def _solve_dense(pencil: Pencil, count: int | None) -> EigenSolution:
-    b = pencil.b.toarray()
+    """LAPACK's hermitian-definite driver on A and B as N x N arrays, with
+    the phase rule applied.  It reads one triangle of each, so a pencil
+    that is not exactly hermitian is refused here, where it would quietly
+    solve another pencil."""
+    for name, m in (("A", pencil.a), ("B", pencil.b)):
+        if not _is_hermitian(m):
+            raise EigenSolveError(f"{name} is not hermitian")
     subset = None if count is None else (0, count - 1)
     try:
+        b = pencil.b.toarray()
         w, vectors = scipy.linalg.eigh(pencil.a.toarray(), b,
                                        subset_by_index=subset)
+    except MemoryError as exc:
+        size = pencil.dim ** 2 * pencil.a.dtype.itemsize
+        raise EigenSolveError(f"out of memory for the dense solve of dimension "
+                              f"{pencil.dim}: each N x N array takes {size} bytes "
+                              f"({size / 2**30:.3g} GiB)") from exc
     except scipy.linalg.LinAlgError as exc:
         potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (b,))
         info = potrf(b, lower=1)[1]
         if info > 0:
             raise PositiveDefinitenessError(int(info)) from exc
         raise EigenSolveError(f"generalized eigensolve failed: {exc}") from exc
-    return _solution(pencil, w, vectors)
-
-
-def _solution(pencil: Pencil, w: np.ndarray, vectors: np.ndarray) -> EigenSolution:
-    vectors = _fix_phases(vectors)
-    av = pencil.a @ vectors
-    bv = pencil.b @ vectors
-    residuals = np.linalg.norm(av - bv * w[None, :], axis=0)
-    w = np.asarray(w, dtype=float)
+    vectors *= _phase_factors(_phase_reference(pencil.dim) @ vectors)
+    residuals = np.linalg.norm(pencil.a @ vectors - (pencil.b @ vectors) * w, axis=0)
     return EigenSolution(eigenvalues=w, eigenvectors=vectors, residuals=residuals)
 
 
@@ -467,12 +446,10 @@ def _arpack_block(pencil: Pencil, k: int, shift: float) -> np.ndarray | None:
     """ARPACK's block of the k Ritz vectors nearest ``shift`` by shift-invert
     ARPACK, or None (with the reason logged) on failure.
 
-    ARPACK iterates on OP = (A - shift B)^{-1} B in its standard mode.
-    scipy's generalized shift-invert mode (``eigsh(A, M=B, sigma=...)``)
+    ARPACK iterates on OP = (A - shift B)^{-1} B in its standard mode,
+    as scipy's generalized shift-invert mode (``eigsh(A, M=B, sigma=...)``)
     keeps each call's workspace and factorization of a complex pencil in a
-    reference cycle until the cyclic garbage collector runs: 30 solves of
-    random-U problems on two intervals at N = 600 raised the peak RSS from
-    68 to 81 MiB with it, while real pencils did not grow (2-core host).
+    reference cycle until the cyclic garbage collector runs.
 
     A real pencil is factored and iterated in real arithmetic.  Real
     ARPACK returns a degenerate cluster's Ritz vectors as complex
@@ -556,7 +533,8 @@ def _certify_stack(arrows: Sequence[ArrowBlocks], count: int,
     tau, for a tau inside that gap.  Ritz values bound the eigenvalues of
     their index from above, so nu(tau) is at least ``below``, and equals it
     only when no eigenvalue below tau was missed; any tau inside the gap
-    certifies.
+    certifies.  A count below ``below`` is rounding, and one above it a
+    missed eigenvalue.
 
     The pencils with a gap and passing residuals are grouped by ``below``
     and the dtype of their boundary blocks, and each group is counted at
@@ -566,11 +544,12 @@ def _certify_stack(arrows: Sequence[ArrowBlocks], count: int,
     the gap that lies far above its eigenvalue, as after inverse steps
     from converged vectors; then the points _GAP_FRACTIONS of the way from
     L to H.  The next tau is tried only while T(tau) is numerically
-    singular, so that nu(tau) is not trusted, or no member's gap holds
-    tau.  Haynsworth's count takes In_-(T(tau)), the singularity test of
-    T(tau) and E^T T(tau)^{-1} E once, as only the boundary block C
-    depends on U, and each pencil whose gap holds tau one ``eigvalsh`` of
-    its 2n x 2n Schur complement (:func:`_negative_counts`).  A member
+    singular, so that nu(tau) is not trusted, a member's count is below
+    ``below``, or no member's gap holds tau.  Haynsworth's count takes
+    In_-(T(tau)), the singularity test of T(tau) and E^T T(tau)^{-1} E
+    once, as only the boundary block C depends on U, and each pencil whose
+    gap holds tau one ``eigvalsh`` of its 2n x 2n Schur complement
+    (:func:`_negative_counts`).  A member
     that a group of two or more does not certify is certified in a stack
     of its own, at the taus of its own gap.  A pencil without a gap or
     with a residual over its tolerance takes no inertia count.
@@ -600,8 +579,8 @@ def _certify_stack(arrows: Sequence[ArrowBlocks], count: int,
             corners = (np.stack([arrows[i].a[3] for i in inside])
                        - tau * np.stack([arrows[i].b[3] for i in inside]))
             found = _negative_counts(*arrows[inside[0]].minus(tau)[:3], corners)
-            if found is not None:
-                counts = dict(zip(inside, found.tolist()))
+            counts = {} if found is None else dict(zip(inside, found.tolist()))
+            if counts and min(counts.values()) >= below:
                 break
         for i, _, _ in members:
             if counts.get(i) == below:

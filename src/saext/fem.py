@@ -253,8 +253,9 @@ class ArrowBlocks:
 class Pencil:
     """Hermitian generalized eigenvalue problem A Phi = lambda B Phi.
 
-    ``a`` and ``b`` are always ``scipy.sparse`` CSR arrays; dense inputs of
-    hand-built pencils are converted on construction.  Both are float64
+    ``a`` and ``b`` are always ``scipy.sparse`` CSR arrays of their own:
+    construction copies each input once (converting a dense or other
+    sparse one), with its stored entries as given.  Both are float64
     when neither has an entry with a nonzero imaginary part, and
     complex128 otherwise; the eigensolver works in their dtype.  ``arrow``
     holds the :class:`ArrowBlocks` from which :meth:`ArrowBlocks.pencil`
@@ -269,12 +270,13 @@ class Pencil:
     )
 
     def __post_init__(self) -> None:
-        a, b = (scipy.sparse.csr_array(m, dtype=complex) for m in (self.a, self.b))
-        if not (np.any(a.data.imag) or np.any(b.data.imag)):
-            # copies: .real is a view that would keep the complex data alive
-            a, b = a.real.copy(), b.real.copy()
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        a, b = (scipy.sparse.csr_array(m, copy=True) for m in (self.a, self.b))
+        real = not any(np.iscomplexobj(m.data) and np.any(m.data.imag) for m in (a, b))
+        for name, m in (("a", a), ("b", b)):
+            # .real of complex data is a view, which would keep it alive
+            m.data = np.ascontiguousarray(m.data.real if real else m.data,
+                                          dtype=float if real else complex)
+            object.__setattr__(self, name, m)
 
     @property
     def dim(self) -> int:

@@ -509,6 +509,17 @@ def cholesky_pencil_reference(a: np.ndarray, b: np.ndarray, count=None):
     return w, vectors
 
 
+def pencil_two_step_reference(a, b):
+    """The CSR arrays (A, B) as ``fem.Pencil`` converted them in two steps
+    before it converted each matrix once: both to complex128, then, when
+    neither has an entry with a nonzero imaginary part, a real copy of
+    each."""
+    a, b = (scipy.sparse.csr_array(m, dtype=complex) for m in (a, b))
+    if not (np.any(a.data.imag) or np.any(b.data.imag)):
+        a, b = a.real.copy(), b.real.copy()
+    return a, b
+
+
 def residual_tolerances(pencil, eigenvalues: np.ndarray) -> np.ndarray:
     """Per-pair residual bound RESIDUAL_RTOL * (||A|| + |lambda| ||B||),
     with the matrix 1-norm, the largest absolute column sum (summed over

@@ -1,5 +1,10 @@
 """The public names of the package, pinned: adding or dropping a re-export
-is a deliberate change to this list."""
+is a deliberate change to this list.  And the private names the benchmark's
+tracer wraps, which must keep resolving."""
+
+import ast
+import importlib
+from pathlib import Path
 
 import saext
 
@@ -49,3 +54,18 @@ def test_public_names_are_pinned():
     assert len(PUBLIC_NAMES) == 37
     for name in PUBLIC_NAMES:
         assert hasattr(saext, name), name
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/tracing.py wraps each (module, attribute) of SPAN_TARGETS
+    # in a span and only lists a missing one among its untraced functions,
+    # so a renamed or deleted name would go unnoticed.  The table is read
+    # from the source, without importing the benchmark.
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(source.read_text())
+    targets = [ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets] == ["SPAN_TARGETS"]]
+    assert len(targets) == 1 and targets[0]
+    for module, attribute, _ in targets[0]:
+        assert hasattr(importlib.import_module(module), attribute), (module, attribute)

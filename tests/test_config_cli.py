@@ -536,6 +536,22 @@ def test_eigensolver_failure_exit_code(tmp_path, monkeypatch):
     assert code == EXIT_SOLVER
 
 
+def test_dense_solve_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
+    # a pencil too small for ARPACK takes the dense path, whose LAPACK call
+    # is made to run out of memory: a typed solver failure, not a traceback
+    import scipy.linalg
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("no memory")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", no_memory)
+    cfg_path = _write(tmp_path, DIRICHLET_CONFIG.replace("resolution = 120",
+                                                         "resolution = 12"))
+    code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_SOLVER
+    assert "out of memory for the dense solve of dimension" in capsys.readouterr().err
+
+
 def test_unwritable_out_dir_is_io_error(tmp_path):
     cfg_path = _write(tmp_path, DIRICHLET_CONFIG)
     blocker = tmp_path / "blocked"

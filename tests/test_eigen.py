@@ -245,50 +245,86 @@ def _csr(dim, rows, cols, values):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_hermitian_check_accepts_what_the_entrywise_comparison_accepts(seed):
-    # the fast comparison of CSR against CSC arrays neither accepts nor
-    # rejects a matrix the entrywise m != m^H decides otherwise, and leaves
-    # m as it was
+    # a hand-built pencil with the variant as A (B = I) or as a positive
+    # definite B (A = I) is solved when the variant equals its conjugate
+    # transpose entry by entry, and otherwise refused by name on the dense
+    # path; the pencil's arrays are left as they were
     rng = np.random.default_rng(seed)
     dim = 7
     full = random_hermitian(dim, rng) * (rng.random((dim, dim)) < 0.4)
     full = full + full.conj().T + np.diag(rng.standard_normal(dim))
     full[0, dim - 1] = full[dim - 1, 0] = 0.0
-    rows, cols = np.nonzero(full)
-    values = full[rows, cols]
-    upper = np.flatnonzero(rows < cols)[0]  # an entry above the diagonal
-    swapped = np.arange(rows.size)
-    swapped[[0, 1]] = [1, 0]
-    variants = {
-        "hermitian": (rows, cols, values),
-        # every entry stored twice, as two halves
-        "duplicates": (np.r_[rows, rows], np.r_[cols, cols],
-                       np.r_[values, values] / 2.0),
-        "unsorted indices": (rows[swapped], cols[swapped], values[swapped]),
-        "explicit zero": (np.r_[rows, 0], np.r_[cols, dim - 1], np.r_[values, 0.0]),
-        "signed zero": (np.r_[rows, 0, dim - 1], np.r_[cols, dim - 1, 0],
-                        np.r_[values, -0.0, 0.0]),
-        "one ulp": (rows, cols, values + np.spacing(values.real)
-                    * (np.arange(rows.size) == upper)),
-        "imaginary diagonal": (np.r_[rows, 0], np.r_[cols, 0], np.r_[values, 1j]),
-        "unmirrored entry": (np.r_[rows, cols[upper]], np.r_[cols, rows[upper]],
-                             np.r_[values, 1.0]),
-    }
-    decided = {}
-    for name, entries in variants.items():
-        complex_m = _csr(dim, *entries)
-        decided[name] = []
-        for m in (complex_m, complex_m.real.copy()):
-            stored = _csr_arrays(m)
-            decided[name].append(_is_hermitian(m))
-            assert decided[name][-1] == (not (m != m.conj().T).nnz), name
-            for got, want in zip(_csr_arrays(m), stored):
-                assert np.array_equal(got, want), name
-    for name in ("hermitian", "duplicates", "unsorted indices", "explicit zero",
-                 "signed zero"):
-        assert decided[name] == [True, True], name
-    for name in ("one ulp", "unmirrored entry"):
-        assert decided[name] == [False, False], name
-    assert decided["imaginary diagonal"] == [False, True]
+    for which, m in (("A", full), ("B", full + (np.abs(full).sum() + 1.0) * np.eye(dim))):
+        rows, cols = np.nonzero(m)
+        values = m[rows, cols]
+        upper = np.flatnonzero(rows < cols)[0]  # an entry above the diagonal
+        swapped = np.arange(rows.size)
+        swapped[[0, 1]] = [1, 0]
+        variants = {
+            "hermitian": (rows, cols, values),
+            # every entry stored twice, as two halves
+            "duplicates": (np.r_[rows, rows], np.r_[cols, cols],
+                           np.r_[values, values] / 2.0),
+            "unsorted indices": (rows[swapped], cols[swapped], values[swapped]),
+            "explicit zero": (np.r_[rows, 0], np.r_[cols, dim - 1], np.r_[values, 0.0]),
+            "signed zero": (np.r_[rows, 0, dim - 1], np.r_[cols, dim - 1, 0],
+                            np.r_[values, -0.0, 0.0]),
+            "one ulp": (rows, cols, values + np.spacing(values.real)
+                        * (np.arange(rows.size) == upper)),
+            "imaginary diagonal": (np.r_[rows, 0], np.r_[cols, 0], np.r_[values, 1j]),
+            "unmirrored entry": (np.r_[rows, cols[upper]], np.r_[cols, rows[upper]],
+                                 np.r_[values, 1.0]),
+        }
+        decided = {}
+        for name, entries in variants.items():
+            complex_m = _csr(dim, *entries)
+            decided[name] = []
+            for variant in (complex_m, complex_m.real.copy()):
+                pencil = (Pencil(variant, np.eye(dim)) if which == "A"
+                          else Pencil(np.eye(dim), variant))
+                stored = [_csr_arrays(m) for m in (pencil.a, pencil.b)]
+                try:
+                    solve_pencil(pencil)
+                    decided[name].append(True)
+                except EigenSolveError as exc:
+                    assert str(exc) == f"{which} is not hermitian", name
+                    decided[name].append(False)
+                for m, arrays in zip((pencil.a, pencil.b), stored):
+                    for got, want in zip(_csr_arrays(m), arrays):
+                        assert np.array_equal(got, want), name
+        for name in ("hermitian", "duplicates", "unsorted indices", "explicit zero",
+                     "signed zero"):
+            assert decided[name] == [True, True], (which, name)
+        for name in ("one ulp", "unmirrored entry"):
+            assert decided[name] == [False, False], (which, name)
+        assert decided["imaginary diagonal"] == [False, True], which
+
+
+def test_only_the_dense_path_checks_hermiticity(monkeypatch):
+    # the sparse and warm paths take an assembled pencil, hermitian by
+    # construction, without a comparison; the dense path, whose LAPACK
+    # driver reads one triangle, compares A and B each
+    bc = BoundaryCondition.quasi_periodic(0.7)
+    _, _, pencil, sol = _solve_setup(bc, 200, count=6)
+
+    def forbidden(m):
+        raise AssertionError("hermiticity checked off the dense path")
+
+    monkeypatch.setattr(eigen, "_is_hermitian", forbidden)
+    partial = solve_pencil(pencil, count=4)
+    assert np.allclose(partial.eigenvalues, sol.eigenvalues[:4], rtol=0, atol=1e-10)
+    warm = _SearchSpace(pencil.arrow, sol.eigenvectors).solve_stack([pencil.arrow], 4)
+    assert np.allclose(warm[0], sol.eigenvalues[:4], rtol=0, atol=1e-10)
+    checked = []
+
+    def recording(m):
+        checked.append(m)
+        return _is_hermitian(m)
+
+    monkeypatch.setattr(eigen, "_is_hermitian", recording)
+    assert solve_pencil(pencil).count == pencil.dim
+    assert len(checked) == 2
+    assert checked[0] is pencil.a and checked[1] is pencil.b
 
 
 def test_reports_failing_pivot():
@@ -346,6 +382,26 @@ def test_dense_failure_with_definite_mass_is_not_a_pivot_error(monkeypatch):
         solve_pencil(Pencil(np.eye(3, dtype=complex),
                             np.eye(3, dtype=complex)))
     assert not isinstance(err.value, PositiveDefinitenessError)
+
+
+@pytest.mark.parametrize("where", ["toarray", "eigh"])
+def test_dense_path_out_of_memory_is_typed(monkeypatch, where):
+    # forming or solving the N x N arrays runs out of memory: the error
+    # names the dimension and the size of one array
+    def no_memory(*args, **kwargs):
+        raise MemoryError("no memory")
+
+    if where == "toarray":
+        monkeypatch.setattr(scipy.sparse.csr_array, "toarray", no_memory)
+    else:
+        monkeypatch.setattr(scipy.linalg, "eigh", no_memory)
+    complex_a = np.array([[2.0, 1j, 0.0], [-1j, 2.0, 0.0], [0.0, 0.0, 2.0]])
+    for a, size in ((np.eye(3), 72), (complex_a, 144)):
+        with pytest.raises(EigenSolveError, match=(
+                f"^out of memory for the dense solve of dimension 3: each N x N "
+                f"array takes {size} bytes ")) as err:
+            solve_pencil(Pencil(a, np.eye(3)))
+        assert isinstance(err.value.__cause__, MemoryError)
 
 
 # ------------------------------------------------------ sparse partial path
@@ -533,6 +589,38 @@ def test_certificate_tries_deeper_in_the_gap(monkeypatch, caplog):
     assert not caplog.records
     assert counts[-3:] == [[0], None, [4]]
     assert solution.count == 4
+    assert np.all(solution.residuals <= residual_tolerances(pencil,
+                                                            solution.eigenvalues))
+
+
+def test_certificate_tries_the_next_tau_on_an_undercount(monkeypatch, caplog):
+    # the complex ring (theta = 0.7, V = 0) at N = 150000, count 8: just
+    # above the eighth Ritz value nu(tau) reads 7, one short by rounding,
+    # as Ritz values bound their eigenvalues from above; the certificate
+    # moves on as from a singular T(tau) and certifies at 1% of the gap.
+    # The dense path, with its N x N arrays, must not be reached.
+    def no_dense(pencil, count):
+        raise AssertionError("dense path reached")
+
+    monkeypatch.setattr(eigen, "_solve_dense", no_dense)
+    mesh = build_mesh(IntervalSet([(0.0, TWO_PI)]), 150000)
+    bc = BoundaryCondition.quasi_periodic(0.7)
+    pencil = assemble_pencil(mesh, bc, solve_boundary_values(
+        assemble_boundary_system(bc, mesh)))
+    counts = []
+    negative_counts = eigen._negative_counts
+
+    def recording(*blocks):
+        found = negative_counts(*blocks)
+        counts.append(found if found is None else found.tolist())
+        return found
+
+    monkeypatch.setattr(eigen, "_negative_counts", recording)
+    with caplog.at_level(logging.WARNING, logger="saext"):
+        solution = solve_pencil(pencil, count=8)
+    assert not caplog.records
+    assert counts == [[0], [7], [8]]
+    assert solution.count == 8
     assert np.all(solution.residuals <= residual_tolerances(pencil,
                                                             solution.eigenvalues))
 

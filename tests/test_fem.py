@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from helpers import (
     REFERENCE_MESHES,
@@ -13,6 +14,7 @@ from helpers import (
     boundary_index,
     bulk_index,
     eval_boundary,
+    pencil_two_step_reference,
     quad_complex,
     template_gather_pencil,
     weighted_hermitian_values,
@@ -530,6 +532,37 @@ def test_hand_built_pencil_dtype_follows_imaginary_parts():
     assert real.arrow is complex_.arrow is None
     with pytest.raises(TypeError):
         fem.Pencil(a=a, b=b, arrow=None)
+
+
+@pytest.mark.parametrize("form", ["dense", "csr", "coo"])
+@pytest.mark.parametrize("kind", ["int", "float32", "float64",
+                                  "complex without imaginary part", "complex"])
+def test_pencil_converts_like_the_two_step_reference(kind, form):
+    # each matrix is converted once to its final dtype; its arrays are
+    # bitwise those of the two-step conversion through complex128, and
+    # none of them is the caller's
+    rng = np.random.default_rng(11)
+    entries = rng.integers(-4, 5, (2, 6, 6)) * (rng.random((2, 6, 6)) < 0.5)
+    matrices = {
+        "int": entries,
+        "float32": (entries / 3.0).astype(np.float32),
+        "float64": entries / 3.0,
+        "complex without imaginary part": (entries / 3.0).astype(complex),
+        "complex": entries / 3.0 + 1j * entries[::-1] / 7.0,
+    }[kind]
+    given = [m if form == "dense" else getattr(scipy.sparse, f"{form}_array")(m)
+             for m in matrices]
+    pencil = fem.Pencil(*given)
+    assert pencil.a.dtype == (np.complex128 if kind == "complex" else np.float64)
+    for got, want, m in zip((pencil.a, pencil.b), pencil_two_step_reference(*given),
+                            given):
+        assert isinstance(got, scipy.sparse.csr_array)
+        arrays = (got.data, got.indices, got.indptr)
+        for x, y in zip(arrays, (want.data, want.indices, want.indptr)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        inputs = ([m] if form == "dense" else
+                  [m.data, *(m.coords if form == "coo" else (m.indices, m.indptr))])
+        assert not any(np.shares_memory(x, y) for x in arrays for y in inputs)
 
 
 def test_assembly_rejects_constraint_violation():
