@@ -5,31 +5,23 @@ spectral-determinant cross-check."""
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .boundary import (
+    AssemblyError,
     BoundaryCondition,
     BoundarySystem,
     BoundaryValues,
     ConditionFailure,
     ConditionReport,
+    EigenSolveError,
+    PositiveDefinitenessError,
     assemble_boundary_system,
     condition_report,
     endpoint_to_block_permutation,
     random_unitary,
     retry_mesh_on_bad_conditioning,
     solve_boundary_values,
-)
-from .eigen import (
-    EigenSolution,
-    EigenSolveError,
-    PositiveDefinitenessError,
-    eigenfunction_samples,
-    h1_error,
-    solve_pencil,
-)
-from .fem import (
-    AssemblyError,
-    Pencil,
-    assemble_pencil,
 )
 from .geometry import GeometryError, IntervalSet, Mesh, build_mesh
 from .potentials import (
@@ -88,3 +80,27 @@ __all__ = [
     "solve_pencil",
     "spectral_matrix",
 ]
+
+# The FEM side (saext.fem, saext.eigen and the scipy subpackages they use)
+# loads on the first access to one of its names, so that the oracle runs
+# without it (PEP 562).
+_FEM_NAMES = {
+    "EigenSolution": "eigen",
+    "eigenfunction_samples": "eigen",
+    "h1_error": "eigen",
+    "solve_pencil": "eigen",
+    "Pencil": "fem",
+    "assemble_pencil": "fem",
+}
+
+
+def __getattr__(name):
+    if name not in _FEM_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_FEM_NAMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_FEM_NAMES))

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .geometry import Mesh, build_mesh
 
@@ -51,6 +50,34 @@ class BoundaryError(ValueError):
 
 class BoundarySolveError(RuntimeError):
     """The boundary-value system was solved but failed its residual gates."""
+
+
+# The errors of assembly and the eigensolver live here, the module that fem
+# and eigen both build on, so that the CLI can catch them without importing
+# the FEM side; saext.fem and saext.eigen export the same classes.
+class AssemblyError(RuntimeError):
+    """Inconsistent inputs detected while building the pencil."""
+
+
+class EigenSolveError(RuntimeError):
+    """The pencil could not be solved (bad inputs or failed factorization)."""
+
+
+class PositiveDefinitenessError(EigenSolveError):
+    """B is not positive definite.
+
+    Attributes
+    ----------
+    pivot : int
+        1-based index of the first failing Cholesky pivot.
+    """
+
+    def __init__(self, pivot: int):
+        super().__init__(
+            f"mass matrix is not positive definite: Cholesky failed at "
+            f"pivot {pivot}"
+        )
+        self.pivot = pivot
 
 
 class ConditionFailure(RuntimeError):
@@ -409,6 +436,10 @@ def _solve_boundary_stack(
     ------
     As :func:`solve_boundary_values`.
     """
+    # loaded here, so that the oracle, which never solves F V = C, runs
+    # without scipy
+    import scipy.linalg
+
     _check_kappa_max(kappa_max)
     kappa, _, gap = _condition_arrays(f, u, h)
     zgesv = scipy.linalg.lapack.zgesv

@@ -27,19 +27,21 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import logging
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .boundary import (
+    AssemblyError,
     BoundaryCondition,
     BoundarySolveError,
     ConditionFailure,
+    EigenSolveError,
     assemble_boundary_system,
     _boundary_values_stack,
     _quasi_periodic_matrix,
@@ -56,14 +58,6 @@ from .config import (
     parse_config,
     render_config,
 )
-from .eigen import (
-    EigenSolveError,
-    _SearchSpace,
-    eigenfunction_samples,
-    h1_error,
-    solve_pencil,
-)
-from .fem import AssemblyError, BulkAssembly, assemble_pencil
 from .geometry import GeometryError, build_mesh
 from .potentials import PotentialError
 from .spectral import TraceIntegrationError, find_spectrum
@@ -75,6 +69,38 @@ EXIT_SOLVER = 4
 EXIT_IO = 5
 
 _LOG = logging.getLogger(__name__)
+
+# The names this module takes from the FEM side, and their modules.  They
+# are bound as module globals on the first FEM command or the first access
+# to one of them (:func:`_load_fem`), so that the oracle runs without
+# saext.fem, saext.eigen and scipy.
+_FEM_NAMES = {
+    "_SearchSpace": "eigen",
+    "eigenfunction_samples": "eigen",
+    "h1_error": "eigen",
+    "solve_pencil": "eigen",
+    "BulkAssembly": "fem",
+    "assemble_pencil": "fem",
+}
+
+
+def _load_fem() -> None:
+    """Bind each of :data:`_FEM_NAMES` that is not yet a global of this
+    module to the function or class of its module.  A name already bound,
+    such as one a test or the benchmark's tracer has replaced, is kept."""
+    names = globals()
+    for name, module in _FEM_NAMES.items():
+        if name not in names:
+            names[name] = getattr(importlib.import_module(f".{module}", __package__),
+                                  name)
+
+
+def __getattr__(name):
+    if name not in _FEM_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_fem()
+    return globals()[name]
+
 
 # Exponent grid of the power-law fit.  Its spacing 8/799 keeps b = 0 off the
 # grid: there eps**b is constant and a is undetermined.
@@ -111,6 +137,7 @@ def _solve_problem(cfg: JobConfig, resolution: int, count: int | None):
     """(mesh, boundary values, pencil, solution) of the configured problem,
     its lowest ``count`` pairs (None: all) at ``resolution`` or at the first
     higher resolution that passes the conditioning gate."""
+    _load_fem()
     geom, bc, potential = build_problem(cfg)
     mesh, _, values = retry_mesh_on_bad_conditioning(
         bc, geom, resolution, kappa_max=cfg.kappa_max,
@@ -275,6 +302,8 @@ def nearest_unitary(matrices: np.ndarray):
     factor ``scipy.linalg.polar`` computes, bit for bit, without its
     wrapper layer.
     """
+    import scipy.linalg
+
     matrices = np.asarray(matrices)
     gesdd, = scipy.linalg.get_lapack_funcs(("gesdd",), (matrices,))
     factors, distances = [], []
@@ -418,6 +447,7 @@ def stability_study(cfg: JobConfig):
     levels = cfg.stability_levels
     if levels < 1:
         raise ConfigError(f"stability.levels must be at least 1, got {levels}")
+    _load_fem()
     geom, bc, potential = build_problem(cfg)
     periodic = BoundaryCondition.quasi_periodic(0.0)
     if geom.n != 1 or np.max(np.abs(bc.u_endpoint - periodic.u_endpoint)) > 1e-12:

@@ -138,7 +138,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .boundary import BoundaryValues, _adjoint
+from .boundary import (
+    BoundaryValues,
+    EigenSolveError,
+    PositiveDefinitenessError,
+    _adjoint,
+)
 from .fem import ArrowBlocks, Pencil, arrow_schur, node_values
 
 RESIDUAL_RTOL = 1e-10
@@ -171,27 +176,6 @@ _OPENBLAS_NAMES = (("openblas_", ""), ("openblas_", "64_"),
                    ("scipy_openblas_", ""), ("scipy_openblas_", "64_"))
 
 _LOG = logging.getLogger(__name__)
-
-
-class EigenSolveError(RuntimeError):
-    """The pencil could not be solved (bad inputs or failed factorization)."""
-
-
-class PositiveDefinitenessError(EigenSolveError):
-    """B is not positive definite.
-
-    Attributes
-    ----------
-    pivot : int
-        1-based index of the first failing Cholesky pivot.
-    """
-
-    def __init__(self, pivot: int):
-        super().__init__(
-            f"mass matrix is not positive definite: Cholesky failed at "
-            f"pivot {pivot}"
-        )
-        self.pivot = pivot
 
 
 @dataclass(frozen=True)

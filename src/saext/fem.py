@@ -53,17 +53,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
-from .boundary import BoundaryCondition, BoundaryValues, _adjoint
+from .boundary import AssemblyError, BoundaryCondition, BoundaryValues, _adjoint
 from .geometry import Mesh
 from .potentials import Potential, ZeroPotential
 
 # Raw assembly asymmetry beyond this (relative to the largest entry) means
 # the inputs were inconsistent, not mere roundoff.
 _CONSISTENCY_TOL = 1e-12
-
-
-class AssemblyError(RuntimeError):
-    """Inconsistent inputs detected while building the pencil."""
 
 
 def boundary_indices(mesh: Mesh) -> np.ndarray:
@@ -244,8 +240,11 @@ class ArrowBlocks:
                 shape=(self.order.size,) * 2)
             matrix.eliminate_zeros()
             matrices.append(matrix)
-        pencil = Pencil(a=matrices[0], b=matrices[1])
-        object.__setattr__(pencil, "arrow", self)
+        # the arrays are new, and the corner gave them the dtype that
+        # Pencil's rule picks: the pencil takes them without Pencil's copy
+        pencil = object.__new__(Pencil)
+        for name, value in zip(("a", "b", "arrow"), (*matrices, self)):
+            object.__setattr__(pencil, name, value)
         return pencil
 
 
@@ -255,7 +254,9 @@ class Pencil:
 
     ``a`` and ``b`` are always ``scipy.sparse`` CSR arrays of their own:
     construction copies each input once (converting a dense or other
-    sparse one), with its stored entries as given.  Both are float64
+    sparse one), with its stored entries as given, and
+    :meth:`ArrowBlocks.pencil` hands over the arrays it has just built
+    without that copy.  Both are float64
     when neither has an entry with a nonzero imaginary part, and
     complex128 otherwise; the eigensolver works in their dtype.  ``arrow``
     holds the :class:`ArrowBlocks` from which :meth:`ArrowBlocks.pencil`

@@ -499,10 +499,13 @@ def _scattering_matrix(psi_r: np.ndarray, dpsi_r: np.ndarray) -> np.ndarray:
     den = (t01 - t10) + 1j * (t00 + t11)
     n = t00.shape[-1]
     s = np.zeros(t00.shape[:-1] + (2 * n, 2 * n), dtype=complex)
-    left, right = np.arange(n), np.arange(n, 2 * n)
-    s[..., left, left] = ((t01 + t10) + 1j * (t11 - t00)) / den
-    s[..., right, right] = ((t01 + t10) + 1j * (t00 - t11)) / den
-    s[..., left, right] = s[..., right, left] = 2j / (scale * den)
+    # entry (k, l) of S is entry 2n k + l of its rows laid end to end:
+    # (k, k), (n + k, n + k), (k, n + k) and (n + k, k) for k = 0 .. n - 1
+    # are strided slices of that flat view
+    flat, stride = s.reshape(t00.shape[:-1] + (4 * n * n,)), 2 * n + 1
+    flat[..., :n * stride:stride] = ((t01 + t10) + 1j * (t11 - t00)) / den
+    flat[..., n * stride::stride] = ((t01 + t10) + 1j * (t00 - t11)) / den
+    flat[..., n:n * stride:stride] = flat[..., 2 * n * n::stride] = 2j / (scale * den)
     return s
 
 

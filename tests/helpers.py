@@ -741,7 +741,8 @@ def ordered_product_reference(mats):
 
 def scattering_matrix_reference(psi_r, dpsi_r):
     """``saext.spectral._scattering_matrix`` as it scaled T entry by entry:
-    the scale from a list of the four entries, then four divisions."""
+    the scale from a list of the four entries, then four divisions; and as
+    it wrote S, into zeros through ``np.arange`` index arrays."""
     t00, t01 = psi_r[..., 0].real, psi_r[..., 1].real
     t10, t11 = dpsi_r[..., 0].real, dpsi_r[..., 1].real
     scale = np.maximum(1.0, np.max(np.abs([t00, t01, t10, t11]), axis=0))

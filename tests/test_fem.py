@@ -495,6 +495,35 @@ def test_pencil_csr_arrays_match_the_template_gather(case):
                            else np.complex128)
 
 
+def test_arrow_pencil_takes_its_csr_arrays_without_a_copy(monkeypatch):
+    # ArrowBlocks.pencil builds one CSR array per matrix and the pencil
+    # takes both as they are, where Pencil's copy made 4 more constructions
+    # (6 in all on this ring); the arrays are bitwise those of the copy
+    mesh = build_mesh(IntervalSet([(0.0, TWO_PI)]), 50)
+    bc, vals = _boundary(mesh, BoundaryCondition.quasi_periodic(0.7).u_endpoint)
+    arrow = BulkAssembly(mesh, None, 1.0).arrow(bc, vals)
+    built = []
+    init = scipy.sparse.csr_array.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.csr_array, "__init__", counted)
+    pencil = arrow.pencil()
+    monkeypatch.undo()
+    assert len(built) == 2 and pencil.arrow is arrow
+    copied = fem.Pencil(a=pencil.a, b=pencil.b)
+    assert copied.arrow is None
+    for got, want in ((pencil.a, copied.a), (pencil.b, copied.b)):
+        assert got.dtype == want.dtype == np.complex128
+        for name in ("data", "indices", "indptr"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            # a hand-built pencil still copies what it is given
+            assert not np.shares_memory(x, y)
+
+
 # ------------------------------------------------------------ storage dtype
 
 @pytest.mark.parametrize("n, u, dtype", [

@@ -435,14 +435,18 @@ def test_joint_reduction_equals_each_stack_alone(lengths):
 
 def test_scattering_matrix_equals_entrywise_reference():
     # the scale of T from one stack, one division: the same bits as the
-    # scale from the four entries one by one, down to traces of 1e150
+    # scale from the four entries one by one, down to traces of 1e150; and
+    # S written through strided slices of its flat view: the same bits as
+    # S written through index arrays, for 1, 2, 3 and 5 intervals, a lone
+    # lambda (no leading axis) and a 2-d stack included
     rng = np.random.default_rng(31)
-    for shape in ((1, 1), (8, 1), (300, 3)):
+    for shape in ((1, 1), (8, 1), (300, 3), (2,), (4, 5), (2, 3, 2)):
         for size in (1.0, 1e3, 1e150):
             psi_r = size * rng.standard_normal(shape + (2,))
             dpsi_r = size * rng.standard_normal(shape + (2,))
             got = spectral._scattering_matrix(psi_r, dpsi_r)
             ref = scattering_matrix_reference(psi_r, dpsi_r)
+            assert got.shape == shape[:-1] + (2 * shape[-1],) * 2
             assert got.tobytes() == ref.tobytes()
 
 
