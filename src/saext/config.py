@@ -10,6 +10,7 @@ the fully resolved configuration, defaults included, next to its outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -72,9 +73,14 @@ def _parse_bool(token: str, key: str) -> bool:
 
 @dataclass
 class JobConfig:
-    """Fully resolved job description; every field has an explicit value."""
+    """Fully resolved job description; every field has an explicit value.
 
-    intervals: tuple[float, ...] = ()
+    The fields are the configuration schema: field ``a_b`` is key ``a.b``
+    (the first ``_`` read as ``.``), a ``tuple[T, ...]`` field is an array
+    of whitespace-separated ``T`` tokens, and keys render in field order.
+    """
+
+    geometry_intervals: tuple[float, ...] = ()
     boundary_kind: str = ""
     boundary_theta: float = 0.0
     boundary_matrix: tuple[complex, ...] = ()
@@ -101,43 +107,21 @@ class JobConfig:
     stability_matching: str = "index"
 
 
-# scalar kind -> (parse one token, render one value)
+# scalar type -> (parse one token, render one value)
 _KINDS = {
-    "int": (_parse_int, lambda v: str(int(v))),
-    "real": (_parse_real, format_real),
-    "complex": (_parse_complex, _format_complex),
-    "bool": (_parse_bool, lambda v: "true" if v else "false"),
-    "string": (lambda token, key: token, str),
+    int: (_parse_int, lambda v: str(int(v))),
+    float: (_parse_real, format_real),
+    complex: (_parse_complex, _format_complex),
+    bool: (_parse_bool, lambda v: "true" if v else "false"),
+    str: (lambda token, key: token, str),
 }
 
-# key name -> (attribute, scalar kind, array); an array value is a
-# whitespace-separated list of tokens of its kind
-_KEYS: dict[str, tuple[str, str, bool]] = {
-    "geometry.intervals": ("intervals", "real", True),
-    "boundary.kind": ("boundary_kind", "string", False),
-    "boundary.theta": ("boundary_theta", "real", False),
-    "boundary.matrix": ("boundary_matrix", "complex", True),
-    "boundary.ordering": ("boundary_ordering", "string", False),
-    "potential.kind": ("potential_kind", "string", False),
-    "potential.values": ("potential_values", "real", True),
-    "potential.samples_x": ("potential_samples_x", "real", True),
-    "potential.samples_v": ("potential_samples_v", "real", True),
-    "resolution": ("resolution", "int", False),
-    "mu": ("mu", "real", False),
-    "eigen.count": ("eigen_count", "int", False),
-    "oracle.lambda_min": ("oracle_lambda_min", "real", False),
-    "oracle.lambda_max": ("oracle_lambda_max", "real", False),
-    "oracle.grid_points": ("oracle_grid_points", "int", False),
-    "oracle.scan_output": ("oracle_scan_output", "bool", False),
-    "kappa.max": ("kappa_max", "real", False),
-    "kappa.retries": ("kappa_retries", "int", False),
-    "convergence.resolutions": ("convergence_resolutions", "int", True),
-    "stability.eps_start": ("stability_eps_start", "real", False),
-    "stability.eps_stop": ("stability_eps_stop", "real", False),
-    "stability.eps_step": ("stability_eps_step", "real", False),
-    "stability.levels": ("stability_levels", "int", False),
-    "stability.mode": ("stability_mode", "string", False),
-    "stability.matching": ("stability_matching", "string", False),
+# key name -> (attribute, scalar type, array), derived from JobConfig
+_KEYS: dict[str, tuple[str, type, bool]] = {
+    attr.replace("_", ".", 1): (
+        (attr, get_args(hint)[0], True) if get_origin(hint) is tuple
+        else (attr, hint, False))
+    for attr, hint in get_type_hints(JobConfig).items()
 }
 
 
@@ -173,8 +157,8 @@ def parse_config(text: str) -> JobConfig:
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        attr, kind, array = _KEYS[key]
-        parse = _KINDS[kind][0]
+        attr, scalar, array = _KEYS[key]
+        parse = _KINDS[scalar][0]
         setattr(cfg, attr, tuple(parse(t, key) for t in value.split()) if array
                 else parse(value, key))
     return cfg
@@ -183,15 +167,15 @@ def parse_config(text: str) -> JobConfig:
 def render_config(cfg: JobConfig) -> str:
     """Canonical text form of a configuration, all defaults materialized."""
     out = [SCHEMA_HEADER]
-    for key, (attr, kind, array) in _KEYS.items():
-        value, render = getattr(cfg, attr), _KINDS[kind][1]
+    for key, (attr, scalar, array) in _KEYS.items():
+        value, render = getattr(cfg, attr), _KINDS[scalar][1]
         rendered = " ".join(map(render, value)) if array else render(value)
         out.append(f"{key} = {rendered}")
     return "\n".join(out) + "\n"
 
 
 def build_geometry(cfg: JobConfig) -> IntervalSet:
-    flat = cfg.intervals
+    flat = cfg.geometry_intervals
     if len(flat) == 0:
         raise ConfigError("geometry.intervals is required")
     if len(flat) % 2 != 0:
@@ -223,11 +207,6 @@ def build_boundary_condition(cfg: JobConfig, n: int) -> BoundaryCondition:
                 raise ConfigError(
                     f"boundary.matrix needs {dim * dim} entries for n = {n}, "
                     f"got {len(entries)}"
-                )
-            if cfg.boundary_ordering not in ("endpoint", "block"):
-                raise ConfigError(
-                    f"boundary.ordering must be endpoint or block, "
-                    f"got {cfg.boundary_ordering!r}"
                 )
             matrix = np.array(entries, dtype=complex).reshape(dim, dim)
             return BoundaryCondition.from_matrix(matrix, ordering=cfg.boundary_ordering)

@@ -7,7 +7,9 @@ from helpers import permutation_matrix
 from saext.boundary import (
     BoundaryCondition,
     BoundaryError,
+    BoundarySolveError,
     ConditionFailure,
+    _boundary_values_stack,
     assemble_boundary_system,
     condition_report,
     endpoint_to_block_permutation,
@@ -462,3 +464,45 @@ def test_symmetric_u_gives_a_real_pencil(name):
     symmetric = np.array_equal(bc.u_endpoint, bc.u_endpoint.T)
     assert pencil.a.dtype == pencil.b.dtype == (np.float64 if symmetric
                                                 else np.complex128)
+
+
+# ------------------------------------------------------ gates of the solve
+
+@pytest.mark.parametrize("bc, resolution, change, message", [
+    (BoundaryCondition.quasi_periodic(0.7), 40, lambda x, info: (x, 2),
+     "boundary matrix is singular: pivot 2 is zero"),
+    (BoundaryCondition.quasi_periodic(0.7), 40, lambda x, info: (x * (1 + 1e-6), info),
+     "boundary solve residual .* exceeds 1.0e-10 \\* \\|\\|C\\|\\|"),
+    # C = 0 for Dirichlet: any nonzero V is wrong
+    (BoundaryCondition.dirichlet(1), 40, lambda x, info: (x + 1.0, info),
+     "homogeneous boundary system produced a nonzero solution"),
+    # ||C|| grows like 1/h, the trace tolerance does not: on a fine mesh a
+    # relative error of 1e-11 passes the residual gate and fails this one
+    (BoundaryCondition.quasi_periodic(0.7), 100000,
+     lambda x, info: (x * (1 + 1e-11), info),
+     "boundary-function trace defect .* exceeds 1.0e-08"),
+], ids=["zero-pivot", "residual", "homogeneous", "trace-defect"])
+def test_failing_gate_raises_alone_and_in_a_stack(monkeypatch, bc, resolution,
+                                                  change, message):
+    # zgesv's answer for one U is altered; alone, that U fails the gate, and
+    # as the second of a stack of three it raises the same error
+    import scipy.linalg
+
+    mesh = build_mesh(IntervalSet([(0.0, TWO_PI)]), resolution)
+    target = assemble_boundary_system(bc, mesh).f
+    zgesv = scipy.linalg.lapack.zgesv
+
+    def altered(f, c):
+        lu, piv, x, info = zgesv(f, c)
+        if np.array_equal(f, target):
+            x, info = change(x, info)
+        return lu, piv, x, info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "zgesv", altered)
+    with pytest.raises(BoundarySolveError, match=f"^{message}") as alone:
+        solve_boundary_values(assemble_boundary_system(bc, mesh))
+    u = np.stack([BoundaryCondition.neumann(1).u_endpoint, bc.u_endpoint,
+                  BoundaryCondition.quasi_periodic(0.3).u_endpoint])
+    with pytest.raises(BoundarySolveError) as stacked:
+        _boundary_values_stack(u, mesh)
+    assert str(stacked.value) == str(alone.value)

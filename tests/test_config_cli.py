@@ -14,6 +14,7 @@ from helpers import (
     write_csv_reference,
     write_text_csv_reference,
 )
+from saext import config
 from saext.boundary import DEFAULT_KAPPA_MAX, DEFAULT_MAX_RETRIES, random_unitary
 from saext.cli import (
     EXIT_CONDITIONING,
@@ -31,6 +32,7 @@ from saext.cli import (
 )
 from saext.config import (
     ConfigError,
+    JobConfig,
     SCHEMA_HEADER,
     build_problem,
     parse_config,
@@ -130,6 +132,50 @@ def test_render_parse_roundtrip():
     # all keys materialized
     assert "stability.eps_start" in text
     assert "oracle.lambda_min" in text
+
+
+# every key, in order, with its default: JobConfig's fields are the schema
+DEFAULT_RENDERED = "\n".join([
+    SCHEMA_HEADER,
+    "geometry.intervals = ",
+    "boundary.kind = ",
+    "boundary.theta = 0",
+    "boundary.matrix = ",
+    "boundary.ordering = endpoint",
+    "potential.kind = zero",
+    "potential.values = ",
+    "potential.samples_x = ",
+    "potential.samples_v = ",
+    "resolution = 0",
+    "mu = 1",
+    "eigen.count = 0",
+    "oracle.lambda_min = -1",
+    "oracle.lambda_max = 10",
+    "oracle.grid_points = 0",
+    "oracle.scan_output = false",
+    "kappa.max = 100000000",
+    "kappa.retries = 8",
+    "convergence.resolutions = 50 100 200 400 800",
+    "stability.eps_start = 1.0000000000000001e-05",
+    "stability.eps_stop = 0.001",
+    "stability.eps_step = 1.0000000000000001e-05",
+    "stability.levels = 4",
+    "stability.mode = linear",
+    "stability.matching = index",
+]) + "\n"
+
+
+def test_default_config_renders_every_key_in_field_order():
+    assert render_config(JobConfig()) == DEFAULT_RENDERED
+    assert parse_config(DEFAULT_RENDERED) == JobConfig()
+
+
+def test_readme_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("Keys (defaults in parentheses)")
+    paragraph = readme[start:readme.index("\n\n", start)]
+    missing = [key for key in config._KEYS if f"`{key}`" not in paragraph]
+    assert not missing
 
 
 def test_non_unitary_matrix_rejected_with_defect():
@@ -449,16 +495,25 @@ _RING_HEAD = (f"{SCHEMA_HEADER}\ngeometry.intervals = 0 {TWO_PI!r}\n"
      + "boundary.matrix = 1,0 0,0 0,0\n", "needs 4 entries"),
     ("solve", DIRICHLET_CONFIG.replace("dirichlet", "matrix")
      + "boundary.matrix = 1,0 0,0 0,0 1,0\nboundary.ordering = row\n",
-     "endpoint or block"),
+     "unknown ordering 'row'"),
+    ("oracle", DIRICHLET_CONFIG.replace("dirichlet", "matrix")
+     + "boundary.matrix = 1,0 0,0 0,0 1,0\nboundary.ordering = diagonal\n",
+     "unknown ordering 'diagonal'"),
     ("solve", DIRICHLET_CONFIG.replace("dirichlet", "robin"),
      "boundary.kind must be"),
     ("oracle", DIRICHLET_CONFIG + "potential.kind = harmonic\n",
      "potential.kind must be"),
+    ("oracle", DIRICHLET_CONFIG + "potential.kind = sampled\n"
+     "potential.samples_x = 0 1 2\npotential.samples_v = 1 2\n",
+     "sample table needs matching 1d arrays"),
     ("solve", DIRICHLET_CONFIG.replace("eigen.count = 5", "eigen.count = -2"),
      "eigen.count must be >= 0"),
     ("stability", _RING_HEAD + "stability.mode = cubic\n", "unknown stability.mode"),
     ("stability", _RING_HEAD + "stability.matching = closest\n",
      "unknown stability.matching"),
+    # 5 eigenvalues of the N = 4 ring, where 5 tracked levels need 6
+    ("stability", _RING_HEAD.replace("resolution = 40", "resolution = 4")
+     + "stability.levels = 5\n", "only 5 distinct levels available, need 6"),
     ("convergence", DIRICHLET_CONFIG + "convergence.resolutions =\n",
      "convergence.resolutions is empty"),
     ("convergence", DIRICHLET_CONFIG + "convergence.resolutions = 100 100 100\n",
@@ -474,10 +529,12 @@ _RING_HEAD = (f"{SCHEMA_HEADER}\ngeometry.intervals = 0 {TWO_PI!r}\n"
      "needs a zero or constant potential"),
 ], ids=["not-a-real", "not-an-integer", "not-a-bool", "empty", "no-equals",
         "no-intervals", "odd-tokens", "non-finite-endpoint", "quasi-periodic-n2",
-        "matrix-entry-count", "bad-ordering", "unknown-boundary-kind",
-        "unknown-potential-kind", "negative-eigen-count", "unknown-stability-mode",
-        "unknown-stability-matching", "empty-resolutions", "resolutions-all-equal",
-        "resolutions-pair-equal", "resolutions-repeated", "convergence-sampled-v"])
+        "matrix-entry-count", "bad-ordering", "bad-ordering-oracle",
+        "unknown-boundary-kind", "unknown-potential-kind", "bad-sample-table",
+        "negative-eigen-count", "unknown-stability-mode",
+        "unknown-stability-matching", "too-few-levels", "empty-resolutions",
+        "resolutions-all-equal", "resolutions-pair-equal", "resolutions-repeated",
+        "convergence-sampled-v"])
 def test_config_errors_exit_2(tmp_path, capsys, command, text, fragment):
     cfg_path = _write(tmp_path, text)
     out = tmp_path / "out"
@@ -550,6 +607,22 @@ def test_dense_solve_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
     code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert code == EXIT_SOLVER
     assert "out of memory for the dense solve of dimension" in capsys.readouterr().err
+
+
+def test_io_failure_inside_a_command_exit_code(tmp_path, monkeypatch, capsys):
+    # an OSError raised by a handler is an I/O failure, and the run removes
+    # the output directories it created
+    from saext import cli
+
+    def disk_full(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "cmd_solve", disk_full)
+    cfg_path = _write(tmp_path, DIRICHLET_CONFIG)
+    out = tmp_path / "new" / "out"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == EXIT_IO
+    assert "I/O failure: [Errno 28] No space left on device" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.cfg"]
 
 
 def test_unwritable_out_dir_is_io_error(tmp_path):

@@ -404,6 +404,12 @@ def test_dense_path_out_of_memory_is_typed(monkeypatch, where):
         assert isinstance(err.value.__cause__, MemoryError)
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_rejects_non_positive_count(count):
+    with pytest.raises(EigenSolveError, match=f"^count must be positive, got {count}$"):
+        solve_pencil(Pencil(np.diag([2.0, 3.0, 4.0]), np.eye(3)), count=count)
+
+
 # ------------------------------------------------------ sparse partial path
 
 def _random_pencil(seed, real=False):
@@ -563,6 +569,39 @@ def test_missed_eigenvalue_falls_back_to_dense(monkeypatch, caplog):
         sol = solve_pencil(pencil, count=6)
     assert any("certificate failed" in r.getMessage() for r in caplog.records)
     assert np.allclose(sol.eigenvalues, reference.eigenvalues[:6], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("case, warning", [
+    ("arpack-fails", "shift-invert ARPACK failed"),
+    ("no-room-to-widen", "no gap above eigenvalue 4"),
+    ("ritz-step-fails", "Rayleigh-Ritz step failed"),
+], ids=["arpack-fails", "no-room-to-widen", "ritz-step-fails"])
+def test_cold_path_failures_fall_back_to_dense(case, warning, monkeypatch, caplog):
+    # each way the cold path gives up hands the pencil to the dense path,
+    # with a warning naming it: ARPACK raising (no block), a triple level
+    # straddling the count on a pencil too small to widen the block
+    # (dimension 21, where k = 11 needs an ARPACK basis of 23), and a
+    # Rayleigh-Ritz step that raises
+    geom = IntervalSet([(0.0, 2.0), (3.0, 5.0), (6.0, 8.0)])
+    _, _, pencil, _ = _solve_setup(BoundaryCondition.dirichlet(3), 18,
+                                   count=1, geom=geom)
+    assert pencil.dim == 21
+    count = 4
+    if case == "arpack-fails":
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("forced", [], [])
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
+    elif case == "ritz-step-fails":
+        def singular(*args):
+            raise np.linalg.LinAlgError("forced")
+        monkeypatch.setattr(eigen._SearchSpace, "steps", singular)
+    with caplog.at_level(logging.WARNING, logger="saext"):
+        solution = solve_pencil(pencil, count=count)
+    [record] = _sparse_fallbacks(caplog)
+    assert record.getMessage().startswith(warning)
+    assert record.getMessage().endswith("; dense fallback")
+    dense = _solve_dense(pencil, count)
+    assert solution.eigenvalues.tobytes() == dense.eigenvalues.tobytes()
 
 
 def test_certificate_tries_deeper_in_the_gap(monkeypatch, caplog):
